@@ -110,7 +110,11 @@ const USAGE: &str = "usage:
   sword compare <workload> [--threads N] [--size S]
   sword meta <session-dir>
   sword fuzz [--seed N] [--iters N] [--team N] [--fault-inject]
-             [--tasking] [--corpus DIR] [--obs]";
+             [--tasking] [--corpus DIR] [--obs]
+
+  --no-verdict-cache turns off the solver-witness memo only (every
+  candidate pair is solved again; verdicts and counters are unchanged).
+  Region pairs are ordered by the fork-label index, which has no switch.";
 
 /// Minimal flag parser: `--key value` pairs after positional args.
 struct Flags {

@@ -335,6 +335,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 // capped and excess clients are shed.
 fn serve_sse(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) {
     let cap = shared.config.max_sse_clients.max(1);
+    // Subscribe before the client count becomes visible: whoever sees the
+    // count rise may record and drain at once, and a tap that lands after
+    // that drain has missed those events for good.
+    let tap = shared.handles.obs.journal.tap(shared.config.sse_queue);
     if shared.sse_active.fetch_add(1, Ordering::SeqCst) >= cap {
         shared.sse_active.fetch_sub(1, Ordering::SeqCst);
         shared.metrics.shed.inc();
@@ -352,12 +356,8 @@ fn serve_sse(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) {
         .map(|v| v.split(',').filter_map(Layer::from_name).collect())
         .unwrap_or_default();
     let limit = request.query_param("limit").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let client = SseClient {
-        tap: shared.handles.obs.journal.tap(shared.config.sse_queue),
-        layers,
-        limit,
-        dropped_events: shared.metrics.sse_dropped_events.clone(),
-    };
+    let client =
+        SseClient { tap, layers, limit, dropped_events: shared.metrics.sse_dropped_events.clone() };
     let thread_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new().name("obs-http-sse".to_string()).spawn(move || {
         let result = stream_events(&mut stream, client, &thread_shared.shutdown);

@@ -158,8 +158,13 @@ fn sse_streams_framed_journal_events_with_layer_filter() {
             break;
         }
     }
+    // One deadline for the whole read: keepalives arrive twice a second
+    // and each resets the socket's read timeout, so lost events would
+    // otherwise spin here forever instead of failing.
+    let deadline = Instant::now() + Duration::from_secs(5);
     let mut events = Vec::new();
     while events.len() < 2 {
+        assert!(Instant::now() < deadline, "only {} of 2 events arrived", events.len());
         line.clear();
         if reader.read_line(&mut line).unwrap() == 0 {
             break;

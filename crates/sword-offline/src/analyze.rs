@@ -196,8 +196,8 @@ pub struct AnalysisConfig {
     /// draws from it, so each log file is read once per analysis rather
     /// than once per worker. Fresh (empty) per config by default.
     pub image_cache: ImageCache,
-    /// Memoize region-pair and solver verdicts across structurally
-    /// identical work (`--no-verdict-cache` turns this off; verdicts and
+    /// Memoize solver verdicts across structurally identical interval
+    /// pairs (`--no-verdict-cache` turns this off; verdicts and
     /// evidence are identical either way, only the work is).
     pub verdict_cache: bool,
     /// Node budget of the analysis core's interval-tree cache — one per
@@ -287,7 +287,7 @@ impl AnalysisConfig {
         self
     }
 
-    /// Enables or disables the shared verdict cache.
+    /// Enables or disables the shared solver-verdict memo.
     pub fn with_verdict_cache(mut self, enabled: bool) -> Self {
         self.verdict_cache = enabled;
         self
@@ -369,19 +369,19 @@ impl AnalysisConfig {
             let c = cache.clone();
             obs.registry.source(
                 "sword_verdict_cache_hits_total",
-                "Region-pair and solver verdicts answered from the shared memo",
-                move || (c.region_hits() + c.solve_hits()) as f64,
+                "Solver verdicts answered from the shared memo",
+                move || c.solve_hits() as f64,
             );
             let c = cache.clone();
             obs.registry.source(
                 "sword_verdict_cache_misses_total",
-                "Region-pair and solver verdicts actually computed",
-                move || (c.region_misses() + c.solve_misses()) as f64,
+                "Solver verdicts actually computed",
+                move || c.solve_misses() as f64,
             );
             let c = cache.clone();
             obs.registry.source(
                 "sword_verdict_cache_hit_rate",
-                "Fraction of verdict lookups answered from the shared memo",
+                "Fraction of solver verdict lookups answered from the shared memo",
                 move || c.hit_rate(),
             );
             for tier in sword_solver::Tier::ALL {

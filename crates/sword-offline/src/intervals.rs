@@ -1,14 +1,15 @@
 //! Concurrency reconstruction: barrier intervals, full offset-span
 //! labels, interval groups, and the enumeration of comparison tasks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 
 use sword_osl::{Label, Ordering as OslOrdering};
 use sword_trace::{MetaRecord, ThreadId};
 
 use crate::load::LoadedSession;
-use crate::verdicts::{RegionVerdict, VerdictCache};
+use crate::regions::RegionIndex;
+use crate::verdicts::VerdictCache;
 
 /// One barrier interval of one thread, with its reconstructed full label.
 #[derive(Clone, Debug)]
@@ -87,19 +88,27 @@ pub fn full_label_from(
     regions: &HashMap<u64, sword_trace::RegionRecord>,
     row: &MetaRecord,
 ) -> io::Result<Label> {
-    let Some(region) = regions.get(&row.pid) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "meta row references region {} absent from the region table (truncated session?)",
-                row.pid
-            ),
-        ));
-    };
-    let fork = region.fork_label();
+    let fork = fork_label_from(regions, row.pid)?;
     let mut pairs: Vec<(u64, u64)> = fork.pairs().iter().map(|p| (p.offset, p.span)).collect();
     pairs.push((row.offset, row.span));
     Ok(Label::from_chain(pairs))
+}
+
+/// Region `pid`'s fork label, or `InvalidData` when its record is absent
+/// (see [`full_label`] for why nothing is substituted).
+pub(crate) fn fork_label_from(
+    regions: &HashMap<u64, sword_trace::RegionRecord>,
+    pid: u64,
+) -> io::Result<Label> {
+    match regions.get(&pid) {
+        Some(region) => Ok(region.fork_label()),
+        None => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "meta row references region {pid} absent from the region table (truncated session?)"
+            ),
+        )),
+    }
 }
 
 /// Builds groups and comparison tasks from loaded meta-data.
@@ -115,14 +124,15 @@ pub fn full_label_from(
 ///   tasks with per-pair label checks;
 /// * otherwise the fork labels are barrier/join-ordered and so is every
 ///   member pair → the whole region pair is skipped.
+///
+/// The first two classes come out of the `RegionIndex`; ordered pairs
+/// are never enumerated, only counted as the remainder.
 pub fn build_structure(session: &LoadedSession) -> io::Result<Structure> {
     build_structure_with(session, &VerdictCache::disabled())
 }
 
-/// [`build_structure`] with region-pair classification routed through a
-/// shared [`VerdictCache`] — the batch pipeline and the live analyzer
-/// both key their verdicts on fork-label structure, so a structure built
-/// here warms the same memo `check_pair` workers consult.
+/// [`build_structure`] charging the region index's classification count
+/// to `cache` ([`VerdictCache::region_misses`]).
 pub fn build_structure_with(
     session: &LoadedSession,
     cache: &VerdictCache,
@@ -161,61 +171,26 @@ pub fn build_structure_with(
     for (i, g) in groups.iter().enumerate() {
         region_groups.entry(g.pid).or_default().push(i);
     }
-    let mut pids: Vec<u64> = region_groups.keys().copied().collect();
-    pids.sort_unstable();
-
-    let fork_label = |pid: u64| -> Label {
-        session.regions.get(&pid).map(|r| r.fork_label()).unwrap_or_else(Label::empty)
-    };
-
-    let mut skipped = 0u64;
-    let mut considered = 0u64;
-    for (pi, &p) in pids.iter().enumerate() {
-        let fp = fork_label(p);
-        for &q in &pids[pi + 1..] {
-            let fq = fork_label(q);
-            match cache.region_verdict(&fp, &fq) {
-                RegionVerdict::AllConcurrent => {
-                    considered += 1;
-                    for &ga in &region_groups[&p] {
-                        for &gb in &region_groups[&q] {
-                            tasks.push(Task::Cross { a: ga, b: gb, all_concurrent: true });
-                        }
-                    }
-                }
-                RegionVerdict::Filtered => {
-                    // Ancestor nesting (or identical fork labels): member
-                    // pairs must be checked individually.
-                    considered += 1;
-                    for &ga in &region_groups[&p] {
-                        for &gb in &region_groups[&q] {
-                            tasks.push(Task::Cross { a: ga, b: gb, all_concurrent: false });
-                        }
-                    }
-                }
-                RegionVerdict::Ordered => {
-                    // Fork labels are barrier/join-ordered at a divergent
-                    // pair → all member pairs inherit the ordering.
-                    skipped += 1;
-                }
+    let mut regions = RegionIndex::new(cache);
+    for &pid in region_groups.keys() {
+        regions.insert(pid, &fork_label_from(&session.regions, pid)?);
+    }
+    let pairs = regions.pairs();
+    for &(p, q, all_concurrent) in &pairs {
+        for &a in &region_groups[&p] {
+            for &b in &region_groups[&q] {
+                tasks.push(Task::Cross { a, b, all_concurrent });
             }
         }
     }
+    let considered = pairs.len() as u64;
 
     Ok(Structure {
         groups,
         tasks,
-        region_pairs_skipped: skipped,
+        region_pairs_skipped: regions.pair_count() - considered,
         region_pairs_considered: considered,
     })
-}
-
-/// `true` when one label's pair sequence is a (possibly equal) prefix of
-/// the other's.
-pub(crate) fn is_prefix_related(a: &Label, b: &Label) -> bool {
-    let (short, long) =
-        if a.depth() <= b.depth() { (a.pairs(), b.pairs()) } else { (b.pairs(), a.pairs()) };
-    long[..short.len()] == *short
 }
 
 /// Decides whether two intervals may race, per the barrier-aware
@@ -253,26 +228,33 @@ pub fn dep_ordered(
     if !is_task_row(&a.meta) || !is_task_row(&b.meta) {
         return false;
     }
-    dep_reachable(regions, a.meta.pid, b.meta.pid) || dep_reachable(regions, b.meta.pid, a.meta.pid)
+    dep_search(regions, a.meta.pid, b.meta.pid).0 || dep_search(regions, b.meta.pid, a.meta.pid).0
 }
 
-/// DFS over `depend` predecessor edges: `true` when `to` is in `from`'s
-/// dependence closure (i.e. `to`'s task completes before `from` starts).
-fn dep_reachable(regions: &HashMap<u64, sword_trace::RegionRecord>, from: u64, to: u64) -> bool {
-    let mut seen: Vec<u64> = Vec::new();
-    let mut stack: Vec<u64> = regions.get(&from).map(|r| r.deps.clone()).unwrap_or_default();
+/// DFS over `depend` predecessor edges: whether `to` is in `from`'s
+/// dependence closure (i.e. `to`'s task completes before `from` starts),
+/// and how many regions the search expanded — at most one expansion per
+/// region of the closure.
+fn dep_search(
+    regions: &HashMap<u64, sword_trace::RegionRecord>,
+    from: u64,
+    to: u64,
+) -> (bool, usize) {
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut stack = vec![from];
+    let mut expanded = 0;
     while let Some(pid) = stack.pop() {
-        if pid == to {
-            return true;
-        }
-        if !seen.contains(&pid) {
-            seen.push(pid);
-            if let Some(r) = regions.get(&pid) {
-                stack.extend(r.deps.iter().copied());
+        expanded += 1;
+        for &dep in regions.get(&pid).map_or(&[][..], |r| &r.deps) {
+            if dep == to {
+                return (true, expanded);
+            }
+            if seen.insert(dep) {
+                stack.push(dep);
             }
         }
     }
-    false
+    (false, expanded)
 }
 
 #[cfg(test)]
@@ -482,6 +464,34 @@ mod tests {
         assert!(err.to_string().contains("region 7"), "{err}");
         let err = full_label(&s, &meta_row(7, None, 0, 0, 2, 1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn long_depend_chain_expands_each_task_once() {
+        // 10k tasks, each depending on the two before it: the closure
+        // walk must expand every task at most once (without visited
+        // state the two-deep chain is Fibonacci).
+        const N: u64 = 10_000;
+        let task = |pid: u64| RegionRecord {
+            pid,
+            ppid: None,
+            level: 1,
+            span: 1,
+            fork_label: vec![0, 1, pid, 1],
+            deps: [pid.checked_sub(1), pid.checked_sub(2)].into_iter().flatten().collect(),
+        };
+        let regions: HashMap<u64, RegionRecord> = (0..N).map(|pid| (pid, task(pid))).collect();
+        let (found, expanded) = dep_search(&regions, N - 1, 0);
+        assert!(found && expanded as u64 <= N, "expanded {expanded}");
+        let (found, expanded) = dep_search(&regions, N - 1, N);
+        assert!(!found, "a task outside the chain is never reached");
+        assert_eq!(expanded as u64, N, "the whole closure, each task once");
+        let row = |pid| Interval {
+            tid: pid as ThreadId,
+            meta: meta_row(pid, None, 0, 1, sword_osl::TASK_SPAN, 1),
+            label: Label::empty(),
+        };
+        assert!(dep_ordered(&regions, &row(0), &row(N - 1)), "either direction orders the pair");
     }
 
     #[test]

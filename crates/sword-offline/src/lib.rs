@@ -35,6 +35,7 @@ pub mod live;
 pub mod load;
 mod pipeline;
 pub mod race;
+mod regions;
 pub mod report;
 pub mod verdicts;
 
@@ -46,4 +47,4 @@ pub use live::{LiveAnalyzer, PollDelta};
 pub use load::LoadedSession;
 pub use race::{AccessSite, Evidence, Race, RaceKey};
 pub use report::{render_explain, render_json, render_text};
-pub use verdicts::{RegionVerdict, VerdictCache};
+pub use verdicts::VerdictCache;

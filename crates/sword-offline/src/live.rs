@@ -29,15 +29,17 @@ use std::time::Instant;
 
 use sword_metrics::{DurationHist, StageTable};
 use sword_obs::{Gauge, Histogram, SiteCounters, ThreadJournal};
-use sword_osl::Label;
 use sword_trace::{PcTable, RegionRecord, SessionDir, SessionPoller};
 
 use crate::analyze::{finalize_races, AnalysisConfig, AnalysisResult, AnalysisStats};
 use crate::build::{ReaderPool, TreeCache};
-use crate::intervals::{dep_ordered, full_label_from, intervals_concurrent, Group, Interval};
+use crate::intervals::{
+    dep_ordered, fork_label_from, full_label_from, intervals_concurrent, Group, Interval,
+};
 use crate::pipeline::WorkerStats;
 use crate::race::{check_pair, CompareCtx, Race, RaceSet};
-use crate::verdicts::{RegionVerdict, VerdictCache};
+use crate::regions::RegionIndex;
+use crate::verdicts::VerdictCache;
 
 /// What one [`LiveAnalyzer::poll`] produced.
 #[derive(Clone, Debug, Default)]
@@ -71,12 +73,12 @@ pub struct LiveAnalyzer {
     pcs_loaded: bool,
     groups: Vec<Group>,
     group_index: HashMap<(u64, u32), usize>,
-    /// Region-pair verdicts, keyed by unordered `(min pid, max pid)` — a
-    /// pid-level fast path in front of the structural [`VerdictCache`].
-    verdicts: HashMap<(u64, u64), RegionVerdict>,
-    /// The shared structural verdict memo (region classification by fork
-    /// label shape plus solver witnesses), identical to the batch
-    /// pipeline's.
+    /// Group indices per region, in arrival order.
+    region_groups: HashMap<u64, Vec<usize>>,
+    /// Fork-label index over the regions that have a group, identical to
+    /// the batch structure pass's.
+    region_index: RegionIndex,
+    /// The shared solver-witness memo, identical to the batch pipeline's.
     verdict_cache: VerdictCache,
     races: RaceSet,
     worker: WorkerStats,
@@ -119,7 +121,8 @@ impl LiveAnalyzer {
             pcs_loaded: false,
             groups: Vec::new(),
             group_index: HashMap::new(),
-            verdicts: HashMap::new(),
+            region_groups: HashMap::new(),
+            region_index: RegionIndex::new(&verdict_cache),
             verdict_cache,
             races: RaceSet::new(),
             worker: WorkerStats::default(),
@@ -285,48 +288,18 @@ impl LiveAnalyzer {
         }
         // Region-pair accounting over *all* pid pairs, exactly as the
         // batch structure pass counts them (including pairs no comparison
-        // ever touched, e.g. regions with only empty intervals).
-        let mut pids: Vec<u64> = Vec::new();
-        for g in &self.groups {
-            if !pids.contains(&g.pid) {
-                pids.push(g.pid);
-            }
-        }
-        pids.sort_unstable();
-        let mut skipped = 0u64;
-        let mut considered = 0u64;
-        for (i, &p) in pids.iter().enumerate() {
-            for &q in &pids[i + 1..] {
-                match self.verdict(p, q) {
-                    RegionVerdict::Ordered => skipped += 1,
-                    _ => considered += 1,
-                }
-            }
-        }
-        // Reconstruct the batch task count: one intra task per in-focus
-        // multi-member group, one cross task per group pair of every
-        // considered, in-focus region pair.
-        let in_focus = |pid: u64| -> bool {
-            self.config.focus_regions.as_ref().is_none_or(|f| f.contains(&pid))
-        };
-        let mut tasks = 0u64;
-        for g in &self.groups {
-            if g.members.len() > 1 && in_focus(g.pid) {
-                tasks += 1;
-            }
-        }
-        let mut region_groups: HashMap<u64, u64> = HashMap::new();
-        for g in &self.groups {
-            *region_groups.entry(g.pid).or_insert(0) += 1;
-        }
-        for (i, &p) in pids.iter().enumerate() {
-            for &q in &pids[i + 1..] {
-                if self.verdicts[&(p.min(q), p.max(q))] != RegionVerdict::Ordered
-                    && in_focus(p)
-                    && in_focus(q)
-                {
-                    tasks += region_groups[&p] * region_groups[&q];
-                }
+        // ever touched, e.g. regions with only empty intervals), and the
+        // batch task count: one intra task per in-focus multi-member
+        // group, one cross task per group pair of every considered,
+        // in-focus region pair.
+        let pairs = self.region_index.pairs();
+        let considered = pairs.len() as u64;
+        let skipped = self.region_index.pair_count() - considered;
+        let mut tasks =
+            self.groups.iter().filter(|g| g.members.len() > 1 && self.in_focus(g.pid)).count();
+        for &(p, q, _) in &pairs {
+            if self.in_focus(p) && self.in_focus(q) {
+                tasks += self.region_groups[&p].len() * self.region_groups[&q].len();
             }
         }
 
@@ -334,7 +307,7 @@ impl LiveAnalyzer {
             threads: self.poller.thread_count() as u64,
             barrier_intervals: self.poller.rows_seen() as u64,
             groups: self.groups.len() as u64,
-            tasks,
+            tasks: tasks as u64,
             region_pairs_skipped: skipped,
             region_pairs_considered: considered,
             trees_built: self.worker.trees_built,
@@ -353,27 +326,6 @@ impl LiveAnalyzer {
         Ok(AnalysisResult { races, stats, task_hist: self.poll_hist, stages: self.stages })
     }
 
-    fn fork_label(&self, pid: u64) -> Label {
-        self.regions.get(&pid).map(|r| r.fork_label()).unwrap_or_else(Label::empty)
-    }
-
-    /// Region-pair verdict with pid-level memoization (fork labels are
-    /// immutable once a region record exists, so the verdict is stable);
-    /// misses classify through the shared structural [`VerdictCache`], so
-    /// regions with identical fork-label shapes resolve once across the
-    /// whole watch.
-    fn verdict(&mut self, p: u64, q: u64) -> RegionVerdict {
-        let key = (p.min(q), p.max(q));
-        if let Some(v) = self.verdicts.get(&key) {
-            return *v;
-        }
-        let fp = self.fork_label(key.0);
-        let fq = self.fork_label(key.1);
-        let verdict = self.verdict_cache.region_verdict(&fp, &fq);
-        self.verdicts.insert(key, verdict);
-        verdict
-    }
-
     fn in_focus(&self, pid: u64) -> bool {
         self.config.focus_regions.as_ref().is_none_or(|f| f.contains(&pid))
     }
@@ -386,65 +338,55 @@ impl LiveAnalyzer {
     /// same-tid pairs (task chains fragment a thread's log, so one group
     /// can hold several same-tid fragments); groups of the same region
     /// but a different barrier interval are never compared; groups of
-    /// other regions follow the memoized region-pair verdict — every pair
-    /// for concurrent fork labels (minus same-tid), per-pair
-    /// barrier-aware checks for prefix-related labels, nothing for
-    /// ordered labels — and `depend`-ordered task-body pairs are skipped
-    /// exactly as the batch cross arm skips them.
+    /// other regions follow the region index — every pair for concurrent
+    /// fork labels (minus same-tid), per-pair barrier-aware checks for
+    /// prefix-related labels, and ordered regions are never walked — and
+    /// `depend`-ordered task-body pairs are skipped exactly as the batch
+    /// cross arm skips them.
     fn ingest(&mut self, interval: Interval, races: &mut RaceSet) -> io::Result<()> {
         let pid = interval.meta.pid;
         let group_key = (pid, interval.meta.bid);
-        let home = *self.group_index.entry(group_key).or_insert_with(|| {
-            self.groups.push(Group { pid, bid: interval.meta.bid, members: Vec::new() });
-            self.groups.len() - 1
-        });
+        let home = match self.group_index.get(&group_key) {
+            Some(&home) => home,
+            None => {
+                let home = self.groups.len();
+                if !self.region_groups.contains_key(&pid) {
+                    self.region_index.insert(pid, &fork_label_from(&self.regions, pid)?);
+                }
+                self.region_groups.entry(pid).or_default().push(home);
+                self.group_index.insert(group_key, home);
+                self.groups.push(Group { pid, bid: interval.meta.bid, members: Vec::new() });
+                home
+            }
+        };
 
         if interval.meta.size > 0 && self.in_focus(pid) {
-            // Resolve region-pair verdicts first (needs `&mut self` for
-            // the memo table), then enumerate members immutably.
-            let other_pids: Vec<u64> = self
-                .groups
-                .iter()
-                .map(|g| g.pid)
-                .filter(|&p| p != pid && self.in_focus(p))
-                .collect();
-            for p in other_pids {
-                self.verdict(pid, p);
-            }
-            let mut partners: Vec<(usize, usize)> = Vec::new();
-            for (gi, group) in self.groups.iter().enumerate() {
-                let verdict = if gi == home {
-                    // Intra semantics: every member pair counts.
-                    RegionVerdict::AllConcurrent
-                } else if group.pid == pid || !self.in_focus(group.pid) {
-                    continue;
-                } else {
-                    self.verdicts[&(pid.min(group.pid), pid.max(group.pid))]
-                };
-                if verdict == RegionVerdict::Ordered {
-                    continue;
+            // Groups to walk, each with its region verdict; the home
+            // group has intra semantics (every member pair counts). In
+            // arrival order, so the reader pool streams forward.
+            let mut walk = vec![(home, true)];
+            for (q, all_concurrent) in self.region_index.partners(pid) {
+                if self.in_focus(q) {
+                    walk.extend(self.region_groups[&q].iter().map(|&gi| (gi, all_concurrent)));
                 }
-                for (mi, member) in group.members.iter().enumerate() {
+            }
+            walk.sort_unstable();
+            let mut partners: Vec<(usize, usize)> = Vec::new();
+            for (gi, all_concurrent) in walk {
+                for (mi, member) in self.groups[gi].members.iter().enumerate() {
                     if member.meta.size == 0 {
                         continue;
                     }
-                    match verdict {
-                        RegionVerdict::AllConcurrent => {
-                            // Same-tid members are program-ordered — this
-                            // covers both cross pairs and the same-tid
-                            // fragments a task chain leaves in one group.
-                            if member.tid == interval.tid {
-                                continue;
-                            }
-                        }
-                        RegionVerdict::Filtered => {
-                            if !intervals_concurrent(&interval, member) {
-                                continue;
-                            }
-                        }
-                        RegionVerdict::Ordered => unreachable!("skipped above"),
-                    }
-                    if gi != home && dep_ordered(&self.regions, &interval, member) {
+                    // Same-tid members are program-ordered — this covers
+                    // both cross pairs and the same-tid fragments a task
+                    // chain leaves in one group.
+                    let concurrent = if all_concurrent {
+                        member.tid != interval.tid
+                    } else {
+                        intervals_concurrent(&interval, member)
+                    };
+                    if !concurrent || (gi != home && dep_ordered(&self.regions, &interval, member))
+                    {
                         continue;
                     }
                     partners.push((gi, mi));

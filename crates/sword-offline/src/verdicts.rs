@@ -1,52 +1,31 @@
-//! Shared verdict memoization for the analysis core.
+//! Shared solver-verdict memoization for the analysis core.
 //!
 //! Both analysis front-ends — the batch pipeline and the live analyzer —
-//! spend their time answering two kinds of questions over and over:
+//! keep asking one question: given two strided intervals in canonical
+//! side order, does the exact overlap constraint have a witness? The
+//! solver is a pure function of `(i0, i1)`, so structurally-identical
+//! interval pairs — the common case when the same loop body runs in every
+//! barrier interval — always produce the *same witness*, which is what
+//! keeps memoized evidence byte-identical to recomputed evidence.
 //!
-//! * **Region-pair verdicts**: given two parallel regions' fork labels,
-//!   are all their member-interval pairs concurrent, ordered, or does
-//!   each pair need its own barrier-aware check? The answer depends only
-//!   on the two labels' *structural identity* (their flat offset-span
-//!   pair chains), so sessions with many structurally-identical region
-//!   pairs (every iteration of a fork loop, every fuzz-corpus clone)
-//!   re-derive the same verdict.
-//! * **Solver verdicts**: given two strided intervals in canonical side
-//!   order, does the exact overlap constraint have a witness? The solver
-//!   is a pure function of `(i0, i1)`, so structurally-identical interval
-//!   pairs — the common case when the same loop body runs in every
-//!   barrier interval — always produce the *same witness*, which is what
-//!   keeps memoized evidence byte-identical to recomputed evidence.
+//! [`VerdictCache`] memoizes those answers, shared by reference across
+//! pipeline workers and polls. The cache can be disabled
+//! (`--no-verdict-cache`), which turns every lookup into a plain compute
+//! — the equivalence tests assert identical races and evidence with the
+//! cache on, off, batch, and live.
 //!
-//! [`VerdictCache`] memoizes both, shared by reference across pipeline
-//! workers and polls. The cache can be disabled (`--no-verdict-cache`),
-//! which turns every lookup into a plain compute — the equivalence tests
-//! assert identical races and evidence with the cache on, off, batch,
-//! and live.
+//! Region-pair verdicts are *not* memoized: the `regions` index derives
+//! them from fork-label structure without ever comparing most pairs, and
+//! only charges its classification count here so one handle carries every
+//! verdict counter.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
-use sword_osl::{Label, Ordering as OslOrdering};
 use sword_solver::{solve_tiered, solve_tiered_ilp, OverlapWitness, StridedInterval, Tier};
 
 use crate::analyze::SolverChoice;
-use crate::intervals::is_prefix_related;
-
-/// Region-pair classification, mirroring `build_structure`'s task kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RegionVerdict {
-    /// Fork labels diverge concurrent: every member pair races-able.
-    AllConcurrent,
-    /// Prefix-related fork labels: per-pair barrier-aware checks.
-    Filtered,
-    /// Barrier/join-ordered: the whole region pair is pruned.
-    Ordered,
-}
-
-/// Unordered structural key of a region pair: the two fork labels'
-/// flat pair chains, smaller chain first (classification is symmetric).
-type RegionKey = (Vec<u64>, Vec<u64>);
 
 /// Structural key of a solver query: solver discriminant plus both
 /// intervals *in canonical side order* (the witness depends on order, and
@@ -70,8 +49,7 @@ const SOLVE_SHARDS: usize = 16;
 
 #[derive(Debug, Default)]
 struct Counters {
-    region_hits: AtomicU64,
-    region_misses: AtomicU64,
+    region_classifications: AtomicU64,
     solve_hits: AtomicU64,
     solve_misses: AtomicU64,
 }
@@ -79,7 +57,6 @@ struct Counters {
 #[derive(Debug)]
 struct Inner {
     enabled: bool,
-    regions: Mutex<HashMap<RegionKey, RegionVerdict>>,
     solves: Vec<Mutex<HashMap<SolveKey, SolveAnswer>>>,
     counters: Counters,
 }
@@ -103,7 +80,6 @@ impl VerdictCache {
         VerdictCache {
             inner: Arc::new(Inner {
                 enabled,
-                regions: Mutex::new(HashMap::new()),
                 solves: (0..SOLVE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
                 counters: Counters::default(),
             }),
@@ -118,25 +94,6 @@ impl VerdictCache {
     /// `true` when memoization is on.
     pub fn enabled(&self) -> bool {
         self.inner.enabled
-    }
-
-    /// Classifies a region pair by its fork labels, memoized on the
-    /// unordered pair of flat label chains.
-    pub fn region_verdict(&self, a: &Label, b: &Label) -> RegionVerdict {
-        if !self.inner.enabled {
-            return classify(a, b);
-        }
-        let (fa, fb) = (a.to_flat(), b.to_flat());
-        let key = if fa <= fb { (fa, fb) } else { (fb, fa) };
-        let mut memo = self.inner.regions.lock().expect("region memo poisoned");
-        if let Some(v) = memo.get(&key) {
-            self.inner.counters.region_hits.fetch_add(1, AtomicOrdering::Relaxed);
-            return *v;
-        }
-        self.inner.counters.region_misses.fetch_add(1, AtomicOrdering::Relaxed);
-        let verdict = classify(a, b);
-        memo.insert(key, verdict);
-        verdict
     }
 
     /// Solves the exact overlap constraint for `(i0, i1)` — canonical
@@ -180,14 +137,20 @@ impl VerdictCache {
         answer
     }
 
-    /// Region-verdict memo hits so far.
+    /// Region-verdict memo hits: always 0 — region pairs are classified
+    /// by the region index, which never answers from a memo.
     pub fn region_hits(&self) -> u64 {
-        self.inner.counters.region_hits.load(AtomicOrdering::Relaxed)
+        0
     }
 
-    /// Region-verdict memo misses (actual classifications) so far.
+    /// Classifications the region index performed so far: one per trie
+    /// step plus one per partner region it yielded.
     pub fn region_misses(&self) -> u64 {
-        self.inner.counters.region_misses.load(AtomicOrdering::Relaxed)
+        self.inner.counters.region_classifications.load(AtomicOrdering::Relaxed)
+    }
+
+    pub(crate) fn count_region_classifications(&self, n: u64) {
+        self.inner.counters.region_classifications.fetch_add(n, AtomicOrdering::Relaxed);
     }
 
     /// Solver memo hits so far.
@@ -200,15 +163,14 @@ impl VerdictCache {
         self.inner.counters.solve_misses.load(AtomicOrdering::Relaxed)
     }
 
-    /// Fraction of all verdict lookups (region + solver) answered from
-    /// the memo; 0 when nothing was looked up.
+    /// Fraction of solver lookups answered from the memo; 0 when nothing
+    /// was looked up.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.region_hits() + self.solve_hits();
-        let total = hits + self.region_misses() + self.solve_misses();
+        let total = self.solve_hits() + self.solve_misses();
         if total == 0 {
             0.0
         } else {
-            hits as f64 / total as f64
+            self.solve_hits() as f64 / total as f64
         }
     }
 }
@@ -220,39 +182,9 @@ fn shard_of(key: &SolveKey) -> usize {
     (h.finish() as usize) % SOLVE_SHARDS
 }
 
-/// The (symmetric) region-pair classification itself.
-fn classify(a: &Label, b: &Label) -> RegionVerdict {
-    match a.compare_barrier_aware(b) {
-        OslOrdering::Concurrent => RegionVerdict::AllConcurrent,
-        _ if is_prefix_related(a, b) => RegionVerdict::Filtered,
-        _ => RegionVerdict::Ordered,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lbl(chain: &[(u64, u64)]) -> Label {
-        Label::from_chain(chain.iter().copied())
-    }
-
-    #[test]
-    fn region_verdicts_match_direct_classification() {
-        let cache = VerdictCache::new(true);
-        let cases = [
-            (lbl(&[(0, 1), (0, 2)]), lbl(&[(0, 1), (1, 2)]), RegionVerdict::AllConcurrent),
-            (lbl(&[(0, 1)]), lbl(&[(0, 1), (0, 2)]), RegionVerdict::Filtered),
-            (lbl(&[(0, 1)]), lbl(&[(1, 1)]), RegionVerdict::Ordered),
-        ];
-        for (a, b, want) in &cases {
-            assert_eq!(cache.region_verdict(a, b), *want);
-            assert_eq!(cache.region_verdict(b, a), *want, "classification is symmetric");
-            assert_eq!(VerdictCache::disabled().region_verdict(a, b), *want);
-        }
-        assert_eq!(cache.region_misses(), 3, "one classification per distinct pair");
-        assert_eq!(cache.region_hits(), 3, "swapped operands hit the unordered key");
-    }
 
     #[test]
     fn solver_memo_returns_the_computed_witness() {
@@ -310,18 +242,15 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_combines_both_memos() {
+    fn hit_rate_counts_solver_lookups_only() {
         let cache = VerdictCache::new(true);
-        let a = lbl(&[(0, 1), (0, 2)]);
-        let b = lbl(&[(0, 1), (1, 2)]);
-        cache.region_verdict(&a, &b); // miss
-        cache.region_verdict(&a, &b); // hit
-        cache.region_verdict(&a, &b); // hit
+        cache.count_region_classifications(7);
+        assert_eq!((cache.region_hits(), cache.region_misses()), (0, 7));
         let i = StridedInterval::new(0, 8, 9, 8);
         let mut run = |f: &dyn Fn() -> SolveAnswer| f();
         cache.solve(SolverChoice::Diophantine, true, &i, &i, &mut run); // miss
         cache.solve(SolverChoice::Diophantine, true, &i, &i, &mut run); // hit
-        assert!((cache.hit_rate() - 3.0 / 5.0).abs() < 1e-12);
+        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

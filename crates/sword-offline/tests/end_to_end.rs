@@ -899,3 +899,34 @@ fn uninstrumented_analysis_records_nothing() {
     // The gauge still balances even when nobody reads it.
     assert_eq!(config.mem_gauge.live(), 0);
 }
+
+#[test]
+fn truncated_region_table_is_a_clean_error_live_and_batch() {
+    // Two sequential regions, then the region table cut to its first
+    // record: rows of the second region have no fork label. Substituting
+    // an empty one would make them prefix-related to everything and could
+    // invent races; both drivers must refuse instead.
+    let dir = session_dir("truncated-regions");
+    run_collected(SwordConfig::new(&dir), SimConfig::default(), |sim| {
+        let a = sim.alloc::<u64>(64, 0);
+        sim.run(|ctx| {
+            for _ in 0..2 {
+                ctx.parallel(2, |w| w.for_static(0..64, |i| w.write(&a, i, 1)));
+            }
+        });
+    })
+    .expect("collection");
+    let session = SessionDir::new(&dir);
+    let table = std::fs::read_to_string(session.regions_path()).unwrap();
+    assert_eq!(table.lines().count(), 2, "one record per region");
+    std::fs::write(session.regions_path(), format!("{}\n", table.lines().next().unwrap())).unwrap();
+
+    let config = AnalysisConfig::sequential();
+    let mut live = sword_offline::LiveAnalyzer::new(&session, &config);
+    let err = live.poll().expect_err("live poll over a truncated region table");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("absent from the region table"), "{err}");
+    let err = analyze(&session, &config).expect_err("batch over a truncated region table");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
