@@ -1,166 +1,16 @@
 //! §III-B ablation — the strided-overlap constraint solver.
 //!
 //! The paper solves its overlap constraints with GLPK (ILP). This target
-//! runs the full offline analysis of a stride-heavy workload twice —
-//! once with the production Diophantine solve, once with the
-//! branch-and-bound ILP mirroring the paper's formulation — confirming
-//! identical verdicts and measuring the speed gap, plus a microbenchmark
-//! of the two solvers on the paper's Figure 4 system.
+//! times the production Diophantine solve against the branch-and-bound
+//! ILP mirroring the paper's formulation (`sword_solver::ilp`, the
+//! reference the solver proptests compare verdicts against) on the
+//! paper's Figure 4 system and its satisfiable sibling.
 
 use sword_bench::{fmt_secs, Table};
 use sword_metrics::Stopwatch;
-use sword_offline::{AnalysisConfig, FunnelConfig, SolverChoice};
-use sword_solver::{overlap_ilp, strided_overlap, IlpStatus, StridedInterval, Tier};
-use sword_workloads::{find_workload, RunConfig};
-
-/// Figure 4 at scale: each thread writes its residue class mod 8 of `a`
-/// (pairwise disjoint — congruence-prescreen fodder), then a stride-8
-/// lane of `b` shifted by a whole stride per thread so threads 4 apart
-/// collide on the same residue (found by the residue search).
-fn strided_mix(sim: &sword_ompsim::OmpSim) {
-    const N: u64 = 1 << 14;
-    let a = sim.alloc::<f64>(N, 0.0);
-    let b = sim.alloc::<f64>(N, 0.0);
-    sim.run(|ctx| {
-        ctx.parallel(8, |w| {
-            let t = w.team_index();
-            let mut i = t;
-            while i < N {
-                w.write(&a, i, 1.0);
-                i += 8;
-            }
-            let mut j = t * 2;
-            while j < N {
-                w.write(&b, j, 2.0);
-                j += 8;
-            }
-            w.barrier();
-        });
-    });
-}
+use sword_solver::{overlap_ilp, strided_overlap, IlpStatus, StridedInterval};
 
 fn main() {
-    let w = find_workload("antidep1-orig-yes").expect("workload exists");
-    let cfg = RunConfig { threads: 4, size: 8000 };
-
-    let mut table = Table::new(
-        "Solver ablation: full offline analysis under each solver",
-        &["solver", "OA time", "solver calls", "races"],
-    );
-    let mut verdicts = Vec::new();
-    for (name, solver) in
-        [("diophantine", SolverChoice::Diophantine), ("branch&bound ILP", SolverChoice::Ilp)]
-    {
-        let run = sword_bench::run_sword_with(
-            w.as_ref(),
-            &cfg,
-            &format!("abl-solver-{name}"),
-            sword_runtime::PAPER_BUFFER_EVENTS,
-            &AnalysisConfig::sequential().with_solver(solver),
-        );
-        verdicts.push(run.analysis.race_count());
-        table.row(&[
-            name.to_string(),
-            fmt_secs(run.analysis.stats.wall_secs),
-            run.analysis.stats.solver_calls.to_string(),
-            run.analysis.race_count().to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-    assert_eq!(verdicts[0], verdicts[1], "solvers must agree");
-
-    // Per-tier ablation of the screening funnel on a Figure-4-scale
-    // strided workload: residue-class splits mod 8 (retired by the
-    // congruence prescreen) interleaved with same-residue shifted writes
-    // (resolved by the residue search, racy on the seam). Every mask is
-    // required to be result-neutral: races and candidates must not move,
-    // and `solver calls + prescreened` is conserved — only the split
-    // between the two (and the OA time) may change when a screen is
-    // disabled.
-    let funnel_dir = sword_bench::bench_session_dir("abl-funnel");
-    let _ = std::fs::remove_dir_all(&funnel_dir);
-    sword_runtime::run_collected(
-        sword_runtime::SwordConfig::new(&funnel_dir),
-        sword_ompsim::SimConfig::default(),
-        strided_mix,
-    )
-    .expect("funnel workload collection");
-    let funnel_session = sword_trace::SessionDir::new(&funnel_dir);
-    let variants: &[(&str, FunnelConfig)] = &[
-        ("all", FunnelConfig::ALL),
-        ("none", FunnelConfig::NONE),
-        ("-gcd", FunnelConfig { gcd: false, ..FunnelConfig::ALL }),
-        ("-prescreen", FunnelConfig { prescreen: false, ..FunnelConfig::ALL }),
-        ("-bbox", FunnelConfig { bbox: false, ..FunnelConfig::ALL }),
-        ("-batch", FunnelConfig { batch: false, ..FunnelConfig::ALL }),
-    ];
-    let mut funnel_table = Table::new(
-        "Funnel tier ablation: strided-mix offline analysis under each screen mask",
-        &["tiers", "OA time", "solver calls", "prescreened", "residue solves", "races"],
-    );
-    let mut invariant: Option<(usize, u64, u64)> = None;
-    for (name, funnel) in variants {
-        let config = AnalysisConfig::sequential().with_funnel(*funnel);
-        let counters = config.tiers.clone();
-        let analysis = sword_offline::analyze(&funnel_session, &config).expect("funnel analysis");
-        let stats = &analysis.stats;
-        funnel_table.row(&[
-            name.to_string(),
-            fmt_secs(stats.wall_secs),
-            stats.solver_calls.to_string(),
-            stats.prescreened_pairs.to_string(),
-            counters.get(Tier::Diophantine).to_string(),
-            analysis.race_count().to_string(),
-        ]);
-        let now = (
-            analysis.race_count(),
-            stats.candidate_pairs,
-            stats.solver_calls + stats.prescreened_pairs,
-        );
-        match &invariant {
-            None => invariant = Some(now),
-            Some(want) => assert_eq!(&now, want, "mask {name} changed the result"),
-        }
-    }
-    println!("{}", funnel_table.render());
-
-    // The wall-time claim, isolated: under the branch-and-bound ILP the
-    // funnel is the difference between solving every decided pair by
-    // B&B (the pre-funnel shape, reproduced by `none` since the
-    // screens are off and no pair here is dense) and reserving B&B for
-    // the residue pairs the closed-form tiers cannot retire. Best-of-3
-    // offline-analysis times; verdicts must agree.
-    let mut ilp_table = Table::new(
-        "Funnel x branch&bound ILP: strided-mix offline analysis",
-        &["tiers", "OA time (best of 3)", "B&B solves", "races"],
-    );
-    let mut ilp_races: Vec<usize> = Vec::new();
-    for (name, funnel) in [("all", FunnelConfig::ALL), ("none", FunnelConfig::NONE)] {
-        let mut best_wall = f64::INFINITY;
-        let mut bb_solves = 0;
-        let mut races = 0;
-        for _ in 0..3 {
-            let config =
-                AnalysisConfig::sequential().with_solver(SolverChoice::Ilp).with_funnel(funnel);
-            let counters = config.tiers.clone();
-            let analysis =
-                sword_offline::analyze(&funnel_session, &config).expect("ilp funnel analysis");
-            best_wall = best_wall.min(analysis.stats.wall_secs);
-            bb_solves = counters.get(Tier::Ilp);
-            races = analysis.race_count();
-        }
-        ilp_table.row(&[
-            name.to_string(),
-            fmt_secs(best_wall),
-            bb_solves.to_string(),
-            races.to_string(),
-        ]);
-        ilp_races.push(races);
-    }
-    assert_eq!(ilp_races[0], ilp_races[1], "funnel must not change ILP verdicts");
-    let _ = std::fs::remove_dir_all(&funnel_dir);
-    println!("{}", ilp_table.render());
-
     // Microbenchmark on the paper's Figure 4 system (unsatisfiable) and
     // its satisfiable sibling.
     let t0 = StridedInterval::new(10, 8, 4, 4);

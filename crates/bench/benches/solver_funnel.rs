@@ -6,8 +6,7 @@
 //! search they shield, plus the branch-and-bound ILP each residue pair
 //! would have cost without the funnel, and the per-candidate price of
 //! the walk-time congruence prescreen. Writes `BENCH_solver.json` (CI
-//! uploads it next to `BENCH_pipeline.json`): tier populations,
-//! hit-rates, and ns/pair.
+//! uploads it): tier populations, hit-rates, and ns/pair.
 //!
 //! Run with `cargo bench -p sword-bench --bench solver_funnel`.
 

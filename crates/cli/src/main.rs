@@ -8,7 +8,7 @@
 //!     `--listen ADDR` additionally serves the live registry over HTTP
 //!     (`/metrics`, `/status`, `/races`, `/healthz`, `/events`) for the
 //!     whole command; see `sword top`.
-//! sword analyze <session-dir> [--workers N] [--ilp] [--stats] [--obs]
+//! sword analyze <session-dir> [--workers N] [--stats] [--obs]
 //!     Offline race analysis of a collected session. `--stats` adds the
 //!     stage table and, when recorded, the run's flush-path counters;
 //!     `--obs` appends pipeline spans to the session's journal;
@@ -66,10 +66,10 @@ use sword_obs::{
     render_html, ExportFormat, HtmlInput, HtmlRace, JournalSink, Layer, Obs, ReportInput, SiteTable,
 };
 use sword_obs_http::{http_get, JsonFn, ServerConfig, TelemetryHandles, TelemetryServer};
-use sword_offline::{analyze, AnalysisConfig, FunnelConfig, LiveAnalyzer, SolverChoice};
+use sword_offline::{analyze, AnalysisConfig, LiveAnalyzer};
 use sword_ompsim::{OmpSim, SimConfig};
 use sword_runtime::{run_collected, SwordConfig};
-use sword_trace::{PcTable, ReadMode, SessionDir};
+use sword_trace::{PcTable, SessionDir};
 use sword_workloads::{all_workloads, find_workload, RunConfig, Workload};
 
 fn main() -> ExitCode {
@@ -89,32 +89,26 @@ const USAGE: &str = "usage:
   sword list
   sword run <workload> [--threads N] [--size S] [--session DIR] [--live]
                         [--stats] [--obs] [--listen ADDR]
-  sword analyze <session-dir> [--workers N] [--ilp] [--json] [--stats]
+  sword analyze <session-dir> [--workers N] [--json] [--stats]
                                [--obs] [--listen ADDR] [--region id,...]
                                [--suppress pat,...]
-                               [--read-mode mapped|buffered]
-                               [--no-verdict-cache]
-                               [--solver-tiers all|none|gcd,prescreen,bbox,batch]
   sword watch <session-dir> [--interval-ms N] [--timeout-secs N] [--json]
-                             [--stats] [--obs] [--listen ADDR] [--ilp]
-                             [--region id,...]
-                             [--suppress pat,...]
-                             [--read-mode mapped|buffered]
-                             [--no-verdict-cache]
-                             [--solver-tiers all|none|gcd,prescreen,bbox,batch]
+                             [--stats] [--obs] [--listen ADDR] [--workers N]
+                             [--region id,...] [--suppress pat,...]
   sword top <addr|session-dir> [--iters N] [--interval-ms N]
   sword trace export <session-dir> [--format chrome] [--out FILE]
   sword report <session-dir> [--top N] [--html [FILE]]
-  sword explain <session-dir> <race-id> [--ilp] [--workers N]
-  sword check <workload> [--threads N] [--size S]
+  sword explain <session-dir> <race-id> [--workers N] [--region id,...]
+                                        [--suppress pat,...]
+  sword check <workload> [--threads N] [--size S] [--workers N] [--json]
+                         [--stats] [--region id,...] [--suppress pat,...]
   sword compare <workload> [--threads N] [--size S]
   sword meta <session-dir>
   sword fuzz [--seed N] [--iters N] [--team N] [--fault-inject]
-             [--tasking] [--corpus DIR] [--obs]
+             [--tasking] [--corpus DIR] [--obs]";
 
-  --no-verdict-cache turns off the solver-witness memo only (every
-  candidate pair is solved again; verdicts and counters are unchanged).
-  Region pairs are ordered by the fork-label index, which has no switch.";
+/// Flags every analyzing subcommand reads through [`analysis_config`].
+const ANALYSIS_FLAGS: [&str; 3] = ["workers", "region", "suppress"];
 
 /// Minimal flag parser: `--key value` pairs after positional args.
 struct Flags {
@@ -123,7 +117,10 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses the flags of subcommand `cmd`, which reads exactly the keys
+    /// in `known`: anything else is rejected rather than ignored, so a
+    /// typo or a removed flag never silently runs the default.
+    fn parse(cmd: &str, known: &[&str], args: &[String]) -> Result<Self, String> {
         let mut map = BTreeMap::new();
         let mut bools = Vec::new();
         let mut it = args.iter().peekable();
@@ -131,6 +128,9 @@ impl Flags {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{arg}`"));
             };
+            if !known.contains(&key) {
+                return Err(format!("unknown flag --{key} for {cmd}"));
+            }
             match it.peek() {
                 Some(v) if !v.starts_with("--") => {
                     map.insert(key.to_string(), it.next().unwrap().clone());
@@ -165,7 +165,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err("missing command".into());
     };
     match cmd.as_str() {
-        "list" => cmd_list(),
+        "list" => Flags::parse("list", &[], &args[1..]).and_then(|_| cmd_list()),
         "run" => cmd_run(&args[1..]),
         "analyze" => cmd_analyze(&args[1..]),
         "watch" => cmd_watch(&args[1..]),
@@ -181,12 +181,18 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn workload_arg(args: &[String]) -> Result<(Box<dyn Workload>, RunConfig, Flags), String> {
+/// Parses `<workload> [flags]` of subcommand `cmd`; `--threads` and
+/// `--size` are read here, `extra` names the flags `cmd` reads itself.
+fn workload_arg(
+    cmd: &str,
+    extra: &[&str],
+    args: &[String],
+) -> Result<(Box<dyn Workload>, RunConfig, Flags), String> {
     let Some(name) = args.first() else {
         return Err("missing workload name (try `sword list`)".into());
     };
     let w = find_workload(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
-    let flags = Flags::parse(&args[1..])?;
+    let flags = Flags::parse(cmd, &[extra, &["threads", "size"]].concat(), &args[1..])?;
     let cfg =
         RunConfig { threads: flags.get_usize("threads", 4)?, size: flags.get_u64("size", 0)? };
     Ok((w, cfg, flags))
@@ -274,7 +280,8 @@ fn session_status_provider(session: &SessionDir) -> JsonFn {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let (w, cfg, flags) = workload_arg(args)?;
+    let (w, cfg, flags) =
+        workload_arg("run", &["session", "live", "stats", "obs", "listen"], args)?;
     let session: PathBuf = flags
         .map
         .get("session")
@@ -347,9 +354,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn analysis_config(flags: &Flags) -> Result<AnalysisConfig, String> {
     let mut config = AnalysisConfig::default();
     config.workers = flags.get_usize("workers", config.workers)?;
-    if flags.has("ilp") {
-        config.solver = SolverChoice::Ilp;
-    }
     if let Some(regions) = flags.map.get("region") {
         let parsed: Result<Vec<u64>, _> =
             regions.split(',').map(|r| r.trim().parse::<u64>()).collect();
@@ -358,16 +362,6 @@ fn analysis_config(flags: &Flags) -> Result<AnalysisConfig, String> {
     }
     if let Some(patterns) = flags.map.get("suppress") {
         config.suppressions = patterns.split(',').map(|p| p.trim().to_string()).collect();
-    }
-    if let Some(mode) = flags.map.get("read-mode") {
-        config.read_mode = ReadMode::parse(mode)
-            .ok_or_else(|| format!("--read-mode expects mapped|buffered, got `{mode}`"))?;
-    }
-    if flags.has("no-verdict-cache") {
-        config.verdict_cache = false;
-    }
-    if let Some(spec) = flags.map.get("solver-tiers") {
-        config.funnel = FunnelConfig::parse(spec)?;
     }
     Ok(config)
 }
@@ -435,7 +429,11 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let Some(dir) = args.first() else {
         return Err("missing session directory".into());
     };
-    let flags = Flags::parse(&args[1..])?;
+    let flags = Flags::parse(
+        "analyze",
+        &[&ANALYSIS_FLAGS[..], &["json", "stats", "obs", "listen"]].concat(),
+        &args[1..],
+    )?;
     let mut config = analysis_config(&flags)?;
     let obs = (flags.has("obs") || flags.map.contains_key("listen")).then(Obs::new);
     // Per-site attribution rides along with the journal: the compare
@@ -490,7 +488,12 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     let Some(dir) = args.first() else {
         return Err("missing session directory".into());
     };
-    let flags = Flags::parse(&args[1..])?;
+    let flags = Flags::parse(
+        "watch",
+        &[&ANALYSIS_FLAGS[..], &["interval-ms", "timeout-secs", "json", "stats", "obs", "listen"]]
+            .concat(),
+        &args[1..],
+    )?;
     let mut config = analysis_config(&flags)?;
     let obs = (flags.has("obs") || flags.map.contains_key("listen")).then(Obs::new);
     let sites = obs.as_ref().filter(|_| flags.has("obs")).map(|_| SiteTable::new());
@@ -762,7 +765,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     let Some(target) = args.first() else {
         return Err("missing telemetry address or session directory".into());
     };
-    let flags = Flags::parse(&args[1..])?;
+    let flags = Flags::parse("top", &["iters", "interval-ms"], &args[1..])?;
     // 0 iterations = poll until the session reports finished.
     let iters = flags.get_u64("iters", 0)?;
     let interval = std::time::Duration::from_millis(flags.get_u64("interval-ms", 1000)?);
@@ -801,7 +804,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let Some(dir) = args.get(1) else {
         return Err("missing session directory".into());
     };
-    let flags = Flags::parse(&args[2..])?;
+    let flags = Flags::parse("trace export", &["format", "out"], &args[2..])?;
     let format = flags.map.get("format").map(String::as_str).unwrap_or("chrome");
     let ExportFormat::Chrome = ExportFormat::from_name(format)
         .ok_or_else(|| format!("unknown trace format `{format}` (supported: chrome)"))?;
@@ -833,7 +836,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let Some(dir) = args.first() else {
         return Err("missing session directory".into());
     };
-    let flags = Flags::parse(&args[1..])?;
+    let flags = Flags::parse("report", &["top", "html"], &args[1..])?;
     let top_n = flags.get_usize("top", 10)?;
     let html = flags.has("html") || flags.map.contains_key("html");
     let session = SessionDir::new(dir);
@@ -923,7 +926,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     };
     let id: usize =
         id_arg.parse().map_err(|_| format!("race id must be a number, got `{id_arg}`"))?;
-    let flags = Flags::parse(&args[2..])?;
+    let flags = Flags::parse("explain", &ANALYSIS_FLAGS, &args[2..])?;
     let config = analysis_config(&flags)?;
     let session = SessionDir::new(dir);
     let result = analyze(&session, &config).map_err(|e| e.to_string())?;
@@ -941,7 +944,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    let (w, cfg, flags) = workload_arg(args)?;
+    let (w, cfg, flags) =
+        workload_arg("check", &[&ANALYSIS_FLAGS[..], &["json", "stats"]].concat(), args)?;
     let session = std::env::temp_dir().join(format!("sword-check-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&session);
     run_collected(SwordConfig::new(&session), SimConfig::default(), |sim| {
@@ -965,7 +969,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let (w, cfg, _flags) = workload_arg(args)?;
+    let (w, cfg, _flags) = workload_arg("compare", &[], args)?;
     let name = w.spec().name;
 
     let sim = OmpSim::new();
@@ -1020,6 +1024,7 @@ fn cmd_meta(args: &[String]) -> Result<(), String> {
     let Some(dir) = args.first() else {
         return Err("missing session directory".into());
     };
+    Flags::parse("meta", &[], &args[1..])?;
     let session = SessionDir::new(dir);
     let loaded = sword_offline::LoadedSession::load(&session).map_err(|e| e.to_string())?;
     let mut regions = Table::new("regions.meta", &["pid", "ppid", "level", "span", "fork label"]);
@@ -1058,7 +1063,11 @@ fn cmd_meta(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_fuzz(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        "fuzz",
+        &["seed", "iters", "team", "fault-inject", "tasking", "corpus", "obs"],
+        args,
+    )?;
     let defaults = FuzzOptions::default();
     let opts = FuzzOptions {
         seed: flags.get_u64("seed", defaults.seed)?,
@@ -1147,19 +1156,62 @@ mod tests {
 
     #[test]
     fn flags_parse_pairs_and_bools() {
-        let f = Flags::parse(&s(&["--threads", "8", "--ilp", "--size", "100"])).unwrap();
+        let known = ["threads", "size", "live", "json", "workers"];
+        let f =
+            Flags::parse("t", &known, &s(&["--threads", "8", "--live", "--size", "100"])).unwrap();
         assert_eq!(f.get_usize("threads", 4).unwrap(), 8);
         assert_eq!(f.get_u64("size", 0).unwrap(), 100);
-        assert!(f.has("ilp"));
+        assert!(f.has("live"));
         assert!(!f.has("json"));
         assert_eq!(f.get_usize("workers", 3).unwrap(), 3, "default when absent");
     }
 
     #[test]
     fn flags_reject_garbage() {
-        assert!(Flags::parse(&s(&["positional"])).is_err());
-        let f = Flags::parse(&s(&["--threads", "many"])).unwrap();
+        assert!(Flags::parse("t", &["threads"], &s(&["positional"])).is_err());
+        let f = Flags::parse("t", &["threads"], &s(&["--threads", "many"])).unwrap();
         assert!(f.get_usize("threads", 4).is_err());
+        let err = Flags::parse("t", &["threads"], &s(&["--thread", "2"])).err().unwrap();
+        assert_eq!(err, "unknown flag --thread for t");
+    }
+
+    #[test]
+    fn removed_and_misspelled_flags_are_rejected() {
+        // A script still passing a deleted analysis switch, or a typo,
+        // must fail loudly instead of silently running the default. The
+        // flags are checked before the session or workload is touched.
+        let cases: [(&str, &[&str]); 4] = [
+            ("analyze", &["analyze", "/no/such/session"]),
+            ("watch", &["watch", "/no/such/session"]),
+            ("explain", &["explain", "/no/such/session", "0"]),
+            ("check", &["check", "c_pi"]),
+        ];
+        let bad: [(&[&str], &str); 5] = [
+            (&["--read-mode", "buffered"], "read-mode"),
+            (&["--ilp"], "ilp"),
+            (&["--no-verdict-cache"], "no-verdict-cache"),
+            (&["--solver-tiers", "none"], "solver-tiers"),
+            (&["--worker", "1"], "worker"),
+        ];
+        for (cmd, prefix) in cases {
+            for (flag, key) in bad {
+                let err = run(&s(&[prefix, flag].concat())).expect_err(key);
+                assert_eq!(err, format!("unknown flag --{key} for {cmd}"));
+            }
+        }
+        for args in [
+            &["run", "c_pi", "--sesion", "/tmp/x"][..],
+            &["compare", "c_pi", "--workers", "2"],
+            &["top", "/no/such/session", "--iter", "1"],
+            &["report", "/no/such/session", "--htm"],
+            &["trace", "export", "/no/such/session", "--fmt", "chrome"],
+            &["fuzz", "--iter", "1"],
+            &["meta", "/no/such/session", "--json"],
+            &["list", "--json"],
+        ] {
+            let err = run(&s(args)).expect_err("typo");
+            assert!(err.starts_with("unknown flag --"), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -1196,22 +1248,6 @@ mod tests {
         run(&s(&["analyze", session.to_str().unwrap(), "--workers", "1"])).expect("analyze");
         run(&s(&["analyze", session.to_str().unwrap(), "--json"])).expect("analyze --json");
         run(&s(&["analyze", session.to_str().unwrap(), "--stats"])).expect("analyze --stats");
-        run(&s(&["analyze", session.to_str().unwrap(), "--read-mode", "buffered"]))
-            .expect("analyze --read-mode buffered");
-        run(&s(&["analyze", session.to_str().unwrap(), "--no-verdict-cache"]))
-            .expect("analyze --no-verdict-cache");
-        run(&s(&["analyze", session.to_str().unwrap(), "--solver-tiers", "none"]))
-            .expect("analyze --solver-tiers none");
-        run(&s(&["analyze", session.to_str().unwrap(), "--solver-tiers", "gcd,batch"]))
-            .expect("analyze --solver-tiers gcd,batch");
-        assert!(
-            run(&s(&["analyze", session.to_str().unwrap(), "--read-mode", "weird"])).is_err(),
-            "unknown read mode is rejected"
-        );
-        assert!(
-            run(&s(&["analyze", session.to_str().unwrap(), "--solver-tiers", "warp"])).is_err(),
-            "unknown solver tier is rejected"
-        );
         std::fs::remove_dir_all(&session).unwrap();
     }
 

@@ -42,7 +42,7 @@ use std::io::{self, Read, Write};
 
 mod lz;
 
-pub use lz::{compress, compress_greedy, decompress, max_compressed_len, Compressor, DecodeError};
+pub use lz::{compress, decompress, max_compressed_len, Compressor, DecodeError};
 
 /// Magic bytes opening every frame: "SWLZ".
 pub const FRAME_MAGIC: [u8; 4] = *b"SWLZ";

@@ -16,21 +16,14 @@
 //!   RLE runs efficiently — important for the long runs of identical event
 //!   headers in SWORD logs.
 //!
-//! Two compressors emit this format:
-//!
-//! * [`Compressor`] — the production path. Its hash table is allocated
-//!   once and recycled across blocks via an epoch base (entries below the
-//!   current block's base are stale), match candidates are confirmed with
-//!   one 4-byte load, matches are extended 8 bytes per step, and a
-//!   skip-trigger accelerates over incompressible runs (every
-//!   `2^SKIP_TRIGGER` consecutive misses grow the probe stride by one
-//!   byte, so pseudo-random input costs ~1 probe per `stride` bytes
-//!   instead of one per byte).
-//! * [`compress_greedy`] — the original byte-at-a-time greedy matcher
-//!   with a freshly allocated table per call, retained as the reference
-//!   implementation for differential tests and the `collector_hot_path`
-//!   before/after bench. Both emit valid streams for the same grammar and
-//!   decode under the same [`decompress`].
+//! [`Compressor`] emits this format. Its hash table is allocated once
+//! and recycled across blocks via an epoch base (entries below the
+//! current block's base are stale), match candidates are confirmed with
+//! one 4-byte load, matches are extended 8 bytes per step, and a
+//! skip-trigger accelerates over incompressible runs (every
+//! `2^SKIP_TRIGGER` consecutive misses grow the probe stride by one
+//! byte, so pseudo-random input costs ~1 probe per `stride` bytes
+//! instead of one per byte).
 
 /// Minimum match length worth encoding (token + offset = 3 bytes).
 const MIN_MATCH: usize = 4;
@@ -122,8 +115,8 @@ fn common_prefix(input: &[u8], mut a: usize, mut b: usize) -> usize {
 /// advanced past every compressed block, so entries written by earlier
 /// blocks compare below the current block's base and read as empty. The
 /// table is only re-zeroed when `base` approaches `u32::MAX` (once per
-/// ~4 GiB compressed), making per-block setup O(1) instead of the
-/// O(HASH_SIZE) clear the greedy reference pays.
+/// ~4 GiB compressed), making per-block setup O(1) instead of an
+/// O(HASH_SIZE) clear.
 #[derive(Clone, Debug)]
 pub struct Compressor {
     table: Vec<u32>,
@@ -195,55 +188,6 @@ impl Compressor {
 /// Hot paths should hold a [`Compressor`] instead and reuse its table.
 pub fn compress(input: &[u8], out: &mut Vec<u8>) {
     Compressor::new().compress(input, out);
-}
-
-/// The original greedy byte-at-a-time compressor (the seed codec),
-/// retained unchanged as a differential-testing reference and the
-/// baseline of the `collector_hot_path` bench. Emits the same stream
-/// grammar as [`Compressor::compress`]; outputs from either decode under
-/// [`decompress`].
-pub fn compress_greedy(input: &[u8], out: &mut Vec<u8>) {
-    let greedy_hash = |bytes: &[u8]| -> usize {
-        let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
-    };
-    out.reserve(input.len() / 2 + 16);
-    // Positions of previous occurrences of 4-byte prefixes.
-    let mut table = vec![usize::MAX; HASH_SIZE];
-    let mut pos = 0usize;
-    let mut literal_start = 0usize;
-    let n = input.len();
-
-    while pos + MIN_MATCH <= n {
-        let h = greedy_hash(&input[pos..]);
-        let candidate = table[h];
-        table[h] = pos;
-        if candidate != usize::MAX
-            && pos - candidate <= MAX_OFFSET
-            && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH]
-        {
-            // Extend the match greedily.
-            let mut len = MIN_MATCH;
-            while pos + len < n && input[candidate + len] == input[pos + len] {
-                len += 1;
-            }
-            emit_sequence(out, &input[literal_start..pos], pos - candidate, len);
-            // Insert a few positions inside the match to keep the table
-            // warm without paying per-byte hashing cost.
-            let step = (len / 4).max(1);
-            let mut p = pos + 1;
-            while p + MIN_MATCH <= n && p < pos + len {
-                table[greedy_hash(&input[p..])] = p;
-                p += step;
-            }
-            pos += len;
-            literal_start = pos;
-        } else {
-            pos += 1;
-        }
-    }
-    // Terminal literal run (match_len nibble = 0).
-    emit_sequence(out, &input[literal_start..], 0, 0);
 }
 
 fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], offset: usize, match_len: usize) {
@@ -499,9 +443,6 @@ mod tests {
         let mut worst = Vec::new();
         compress(&data, &mut worst);
         assert!(worst.len() <= max_compressed_len(data.len()));
-        let mut worst_greedy = Vec::new();
-        compress_greedy(&data, &mut worst_greedy);
-        assert!(worst_greedy.len() <= max_compressed_len(data.len()));
     }
 
     #[test]
@@ -650,29 +591,6 @@ mod proptests {
             let mut c = Vec::new();
             comp.compress(&data, &mut c);
             prop_assert!(c.len() <= max_compressed_len(data.len()));
-            let mut d = Vec::new();
-            decompress(&c, &mut d).unwrap();
-            prop_assert_eq!(d, data);
-        }
-
-        /// Format compatibility: the seed greedy compressor's streams
-        /// must keep decoding under the rewritten decompressor.
-        #[test]
-        fn greedy_streams_decode_under_new_decompressor(
-            data in prop::collection::vec(any::<u8>(), 0..20_000),
-        ) {
-            let mut c = Vec::new();
-            compress_greedy(&data, &mut c);
-            prop_assert!(c.len() <= max_compressed_len(data.len()));
-            let mut d = Vec::new();
-            decompress(&c, &mut d).unwrap();
-            prop_assert_eq!(d, data);
-        }
-
-        #[test]
-        fn greedy_structured_streams_decode(data in arb_eventish()) {
-            let mut c = Vec::new();
-            compress_greedy(&data, &mut c);
             let mut d = Vec::new();
             decompress(&c, &mut d).unwrap();
             prop_assert_eq!(d, data);

@@ -153,26 +153,6 @@ pub fn check_program(prog: &Program, fault_inject: bool) -> CheckReport {
                     out.live_evidence.join("---\n")
                 ));
             }
-            // The verdict cache may only change the work, never the
-            // report: a cache-disabled batch run must match the default
-            // run down to the rendered evidence bytes.
-            if out.uncached_evidence != out.batch_evidence {
-                report.failures.push(format!(
-                    "sword cache-disabled evidence != batch evidence\nbatch:\n{}\nuncached:\n{}",
-                    out.batch_evidence.join("---\n"),
-                    out.uncached_evidence.join("---\n")
-                ));
-            }
-            // The screening funnel may only skip work the solver would
-            // reject anyway: masking every screen off must reproduce the
-            // default run's evidence chains byte for byte.
-            if out.nofunnel_evidence != out.batch_evidence {
-                report.failures.push(format!(
-                    "sword funnel-off evidence != batch evidence\nbatch:\n{}\nfunnel-off:\n{}",
-                    out.batch_evidence.join("---\n"),
-                    out.nofunnel_evidence.join("---\n")
-                ));
-            }
             if fault_inject {
                 crate::fault::inject(
                     &oracle,
@@ -212,10 +192,6 @@ struct SwordOutcome {
     /// explain` would print, used for batch/live byte-identity.
     batch_evidence: Vec<String>,
     live_evidence: Vec<String>,
-    /// The same chains from a `with_verdict_cache(false)` batch run.
-    uncached_evidence: Vec<String>,
-    /// The same chains with every solver-funnel screen masked off.
-    nofunnel_evidence: Vec<String>,
 }
 
 /// Collects a session for `prog` in `dir`, then analyzes it both in batch
@@ -231,11 +207,6 @@ fn run_sword(
     let session = SessionDir::new(dir);
     let batch = analyze(&session, &AnalysisConfig::default())?;
     let batch_pairs = stmt_pairs(&session, batch.races.iter().map(|r| (r.key.pc_lo, r.key.pc_hi)))?;
-    let uncached = analyze(&session, &AnalysisConfig::default().with_verdict_cache(false))?;
-    let nofunnel = analyze(
-        &session,
-        &AnalysisConfig::default().with_funnel(sword_offline::FunnelConfig::NONE),
-    )?;
 
     let live_cfg = AnalysisConfig::sequential();
     let mut live = LiveAnalyzer::new(&session, &live_cfg);
@@ -263,8 +234,6 @@ fn run_sword(
         live: live_pairs,
         batch_evidence: batch.races.iter().map(chain).collect(),
         live_evidence: live_result.races.iter().map(chain).collect(),
-        uncached_evidence: uncached.races.iter().map(chain).collect(),
-        nofunnel_evidence: nofunnel.races.iter().map(chain).collect(),
     })
 }
 

@@ -27,7 +27,7 @@ use std::io;
 use std::path::Path;
 
 use sword_offline::{analyze, AnalysisConfig, LiveAnalyzer};
-use sword_trace::{ReadMode, SessionDir};
+use sword_trace::SessionDir;
 
 use crate::driver::{catch, stmt_pairs, CheckReport, PipelineError, StmtPair};
 use crate::oracle::Oracle;
@@ -84,29 +84,9 @@ fn run_fault(
     let copy = SessionDir::new(&copy_root);
     (fault.apply)(&copy)?;
 
-    // The two log readers must degrade identically on the same corrupted
-    // bytes: same verdicts, or a clean error from each.
-    let mapped = catch(|| batch_pairs(&copy, ReadMode::Mapped));
-    let buffered = catch(|| batch_pairs(&copy, ReadMode::Buffered));
-    let shape = |o: &Result<Result<BTreeSet<StmtPair>, PipelineError>, String>| match o {
-        Ok(Ok(pairs)) => format!("verdicts {pairs:?}"),
-        Ok(Err(_)) => "clean error".to_string(),
-        Err(_) => "panic".to_string(),
-    };
-    if shape(&mapped) != shape(&buffered) {
-        report.failures.push(format!(
-            "fault {}: mapped and buffered readers diverge: {} vs {}",
-            fault.name,
-            shape(&mapped),
-            shape(&buffered)
-        ));
-    }
-
-    for (stage, outcome) in [
-        ("batch-mapped", mapped),
-        ("batch-buffered", buffered),
-        ("live", catch(|| live_pairs(&copy))),
-    ] {
+    for (stage, outcome) in
+        [("batch", catch(|| batch_pairs(&copy))), ("live", catch(|| live_pairs(&copy)))]
+    {
         match outcome {
             Err(panic_msg) => report
                 .failures
@@ -133,8 +113,8 @@ fn run_fault(
     fs::remove_dir_all(&copy_root)
 }
 
-fn batch_pairs(session: &SessionDir, mode: ReadMode) -> Result<BTreeSet<StmtPair>, PipelineError> {
-    let result = analyze(session, &AnalysisConfig::sequential().with_read_mode(mode))?;
+fn batch_pairs(session: &SessionDir) -> Result<BTreeSet<StmtPair>, PipelineError> {
+    let result = analyze(session, &AnalysisConfig::sequential())?;
     stmt_pairs(session, result.races.iter().map(|r| (r.key.pc_lo, r.key.pc_hi)))
 }
 

@@ -7,7 +7,7 @@
 //!
 //! | endpoint    | payload |
 //! |-------------|---------|
-//! | `/metrics`  | Prometheus text exposition straight from the live [`Registry`] |
+//! | `/metrics`  | Prometheus text exposition straight from the live [`sword_obs::Registry`] |
 //! | `/status`   | JSON snapshot: watermark, queue depths, races so far, memory vs. the paper bound |
 //! | `/races`    | current race list with evidence ids |
 //! | `/healthz`  | liveness + overload/backpressure state |

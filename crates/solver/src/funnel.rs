@@ -1,9 +1,9 @@
 //! The layered screening funnel for strided-interval overlap decisions.
 //!
 //! Most candidate pairs the analyzer produces are decidable by closed-form
-//! algebra; the bounded Diophantine search (and, under `--ilp`, the
-//! branch-and-bound ILP) should only ever see the residue of genuinely hard
-//! pairs. This module layers the decision path into *tiers*, cheapest first:
+//! algebra; the bounded Diophantine search should only ever see the residue
+//! of genuinely hard pairs. This module layers the decision path into
+//! *tiers*, cheapest first:
 //!
 //! 1. **RangeDisjoint** — the coarse `[begin, end)` ranges do not intersect.
 //! 2. **DenseDense** — both intervals are dense, so range overlap is exact
@@ -17,8 +17,6 @@
 //! 5. **Diophantine** — the bounded two-variable extended-Euclid search
 //!    ([`diophantine::holey_witness`][crate::diophantine::holey_witness]),
 //!    stepping only over congruence-admissible byte-offset differences.
-//! 6. **Ilp** — under [`solve_tiered_ilp`], the residue that survives tiers
-//!    1–4 goes to the paper's branch-and-bound formulation instead of 5.
 //!
 //! **Witness-canonicalization invariant:** every tier reproduces the exact
 //! `OverlapWitness` the reference path
@@ -26,8 +24,8 @@
 //! `locate`) produces — same verdict, same bytes. Screens may only *reject*
 //! pairs the reference also rejects; tiers that accept must construct the
 //! identical minimal witness. This keeps race evidence byte-identical
-//! whichever tiers are enabled (proptested in this crate, and end-to-end by
-//! `live_equivalence.rs` and the fuzz driver).
+//! whichever tier decides (proptested in this crate against the reference
+//! and the paper-formulation [`ilp`][crate::ilp] solve).
 
 use crate::diophantine::holey_witness;
 use crate::{dense_vs_strided, OverlapWitness, StridedInterval};
@@ -51,20 +49,17 @@ pub enum Tier {
     GcdReject,
     /// Bounded extended-Euclid Diophantine search decided the residue.
     Diophantine,
-    /// Branch-and-bound ILP decided the residue (only under `--ilp`).
-    Ilp,
 }
 
 impl Tier {
     /// All tiers, in funnel order.
-    pub const ALL: [Tier; 7] = [
+    pub const ALL: [Tier; 6] = [
         Tier::Prescreen,
         Tier::RangeDisjoint,
         Tier::DenseDense,
         Tier::DenseLocate,
         Tier::GcdReject,
         Tier::Diophantine,
-        Tier::Ilp,
     ];
 
     /// Stable label used in metrics (`sword_solver_tier{tier=…}`) and bench
@@ -77,7 +72,6 @@ impl Tier {
             Tier::DenseLocate => "dense_locate",
             Tier::GcdReject => "gcd_reject",
             Tier::Diophantine => "diophantine",
-            Tier::Ilp => "ilp",
         }
     }
 
@@ -185,34 +179,6 @@ pub fn congruence_admissible(
     m < b.size || g - m < a.size
 }
 
-/// Screens a pair through tiers 1–4. `Ok` carries the decided verdict and
-/// tier; `Err(())` means the pair is residue for the backend (both holey,
-/// congruence admissible or screen disabled).
-#[inline]
-fn screen(
-    a: &StridedInterval,
-    b: &StridedInterval,
-    gcd_screen: bool,
-) -> Result<(Option<OverlapWitness>, Tier), ()> {
-    if !a.range_overlaps(b) {
-        return Ok((None, Tier::RangeDisjoint));
-    }
-    let a_dense = a.is_dense();
-    let b_dense = b.is_dense();
-    if a_dense && b_dense {
-        let addr = a.begin().max(b.begin());
-        return Ok((Some(locate_witness(a, b, addr)), Tier::DenseDense));
-    }
-    if a_dense || b_dense {
-        let addr = if a_dense { dense_vs_strided(a, b) } else { dense_vs_strided(b, a) };
-        return Ok((addr.map(|addr| locate_witness(a, b, addr)), Tier::DenseLocate));
-    }
-    if gcd_screen && !congruence_admissible(a, Fingerprint::of(a), b, Fingerprint::of(b)) {
-        return Ok((None, Tier::GcdReject));
-    }
-    Err(())
-}
-
 /// Resolves a witness address into both intervals' index spaces — the same
 /// canonicalization the reference `strided_overlap_witness_full` applies.
 #[inline]
@@ -223,7 +189,8 @@ fn locate_witness(a: &StridedInterval, b: &StridedInterval, addr: u64) -> Overla
 }
 
 /// The production decision path: screens through tiers 1–4, then the
-/// bounded Diophantine search on the residue. Returns the canonical witness
+/// bounded Diophantine search on the residue (both holey, congruence
+/// admissible or screen disabled). Returns the canonical witness
 /// (byte-identical to the reference path) and the tier that decided.
 ///
 /// `gcd_screen: false` disables tier 4 *and* the gcd stepping inside the
@@ -234,41 +201,29 @@ pub fn solve_tiered(
     b: &StridedInterval,
     gcd_screen: bool,
 ) -> (Option<OverlapWitness>, Tier) {
-    match screen(a, b, gcd_screen) {
-        Ok(decided) => decided,
-        Err(()) => (holey_witness(a, b, gcd_screen), Tier::Diophantine),
+    if !a.range_overlaps(b) {
+        return (None, Tier::RangeDisjoint);
     }
-}
-
-/// The `--ilp` decision path: identical screens, but the residue goes to
-/// the paper's branch-and-bound formulation. A feasible ILP verdict is
-/// re-derived into the canonical witness by the Diophantine constructor so
-/// evidence stays byte-identical with [`solve_tiered`].
-pub fn solve_tiered_ilp(
-    a: &StridedInterval,
-    b: &StridedInterval,
-    gcd_screen: bool,
-) -> (Option<OverlapWitness>, Tier) {
-    match screen(a, b, gcd_screen) {
-        Ok(decided) => decided,
-        Err(()) => {
-            let witness = match crate::overlap_ilp(a, b).solve() {
-                crate::IlpStatus::Feasible => {
-                    let w = holey_witness(a, b, true);
-                    debug_assert!(w.is_some(), "ILP feasible but no Diophantine witness");
-                    w
-                }
-                _ => None,
-            };
-            (witness, Tier::Ilp)
-        }
+    let a_dense = a.is_dense();
+    let b_dense = b.is_dense();
+    if a_dense && b_dense {
+        let addr = a.begin().max(b.begin());
+        return (Some(locate_witness(a, b, addr)), Tier::DenseDense);
     }
+    if a_dense || b_dense {
+        let addr = if a_dense { dense_vs_strided(a, b) } else { dense_vs_strided(b, a) };
+        return (addr.map(|addr| locate_witness(a, b, addr)), Tier::DenseLocate);
+    }
+    if gcd_screen && !congruence_admissible(a, Fingerprint::of(a), b, Fingerprint::of(b)) {
+        return (None, Tier::GcdReject);
+    }
+    (holey_witness(a, b, gcd_screen), Tier::Diophantine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{strided_overlap_witness, strided_overlap_witness_full};
+    use crate::strided_overlap_witness;
 
     fn reference_full(a: &StridedInterval, b: &StridedInterval) -> Option<OverlapWitness> {
         let addr = strided_overlap_witness(a, b)?;
@@ -318,22 +273,6 @@ mod tests {
         assert_eq!(tier, Tier::Diophantine);
         assert_eq!(w, None);
         assert_eq!(solve_tiered(&a, &b, true).0, w);
-    }
-
-    #[test]
-    fn ilp_path_matches_on_all_tiers() {
-        let cases = [
-            (StridedInterval::new(10, 8, 4, 4), StridedInterval::new(14, 8, 4, 4)),
-            (StridedInterval::new(10, 8, 4, 4), StridedInterval::new(13, 8, 4, 4)),
-            (StridedInterval::new(0, 3, 10, 1), StridedInterval::new(1, 5, 10, 1)),
-            (StridedInterval::new(0, 1, 39, 1), StridedInterval::new(36, 64, 3, 4)),
-        ];
-        for (a, b) in cases {
-            let dio = solve_tiered(&a, &b, true).0;
-            let ilp = solve_tiered_ilp(&a, &b, true).0;
-            assert_eq!(dio, ilp, "a={a:?} b={b:?}");
-            assert_eq!(dio, strided_overlap_witness_full(&a, &b));
-        }
     }
 
     #[test]

@@ -6,114 +6,18 @@ use std::time::Instant;
 
 use sword_metrics::{DurationHist, MemGauge, StageTable};
 use sword_obs::{Layer, Obs, ThreadJournal};
-use sword_trace::{ImageCache, PcTable, ReadMode, SessionDir, SourceStats};
+use sword_trace::{ImageCache, PcTable, SessionDir, SourceStats};
 
-use crate::build::DEFAULT_CHUNK_BYTES;
 use crate::intervals::build_structure_with;
 use crate::load::LoadedSession;
 use crate::pipeline;
 use crate::race::{Race, RaceSet};
 use crate::verdicts::VerdictCache;
 
-/// Which exact-overlap solver to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SolverChoice {
-    /// Number-theoretic Diophantine solve (production path).
-    Diophantine,
-    /// Branch-and-bound ILP (mirrors the paper's GLPK formulation).
-    Ilp,
-}
-
-/// Which screening layers of the solver funnel are active. Screens are
-/// pure rejects/reorderings: verdicts, witnesses, and candidate counts are
-/// byte-identical whatever the mask — only `solver_calls` vs
-/// `prescreened_pairs` bookkeeping and the measured time move. The dense
-/// closed-form tiers are *not* maskable; they define the canonical witness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FunnelConfig {
-    /// Solver-level congruence reject for holey×holey pairs, plus gcd
-    /// stepping inside the Diophantine scan.
-    pub gcd: bool,
-    /// Walk-level stride-class fingerprint screen: candidates rejected by
-    /// the congruence test never reach the verdict cache.
-    pub prescreen: bool,
-    /// Per-region bounding-box reject in `check_pair`: tree pairs whose
-    /// bounding boxes are disjoint skip the candidate walk entirely.
-    pub bbox: bool,
-    /// Batch surviving pairs per tree pair and sort them by stride class
-    /// before solving, making tier dispatch branch-predictable.
-    pub batch: bool,
-}
-
-impl Default for FunnelConfig {
-    fn default() -> Self {
-        FunnelConfig::ALL
-    }
-}
-
-impl FunnelConfig {
-    /// Every screening layer on (the production default).
-    pub const ALL: FunnelConfig =
-        FunnelConfig { gcd: true, prescreen: true, bbox: true, batch: true };
-    /// Every screening layer off (the pre-funnel shape, for ablation).
-    pub const NONE: FunnelConfig =
-        FunnelConfig { gcd: false, prescreen: false, bbox: false, batch: false };
-
-    /// Parses a `--solver-tiers` spec: `all`, `none`, or a comma-separated
-    /// list of the screens to enable (`gcd`, `prescreen`, `bbox`, `batch`).
-    pub fn parse(spec: &str) -> Result<FunnelConfig, String> {
-        match spec {
-            "all" => return Ok(FunnelConfig::ALL),
-            "none" => return Ok(FunnelConfig::NONE),
-            _ => {}
-        }
-        let mut cfg = FunnelConfig::NONE;
-        for part in spec.split(',') {
-            match part.trim() {
-                "gcd" => cfg.gcd = true,
-                "prescreen" => cfg.prescreen = true,
-                "bbox" => cfg.bbox = true,
-                "batch" => cfg.batch = true,
-                other => {
-                    return Err(format!(
-                        "unknown solver tier '{other}' (expected all, none, or a \
-                         comma-list of gcd/prescreen/bbox/batch)"
-                    ))
-                }
-            }
-        }
-        Ok(cfg)
-    }
-
-    /// Renders the spec back (`all`, `none`, or the enabled comma-list).
-    pub fn render(&self) -> String {
-        if *self == FunnelConfig::ALL {
-            return "all".to_string();
-        }
-        if *self == FunnelConfig::NONE {
-            return "none".to_string();
-        }
-        let mut parts = Vec::new();
-        if self.gcd {
-            parts.push("gcd");
-        }
-        if self.prescreen {
-            parts.push("prescreen");
-        }
-        if self.bbox {
-            parts.push("bbox");
-        }
-        if self.batch {
-            parts.push("batch");
-        }
-        parts.join(",")
-    }
-}
-
 /// Shared per-tier decision counters (`sword_solver_tier{tier=…}`).
 /// Logical-charging like the rest of the analysis core: a memoized answer
 /// records the tier that originally decided the pair, so counts are
-/// identical cache on or off, batch or live.
+/// identical whatever the memo holds, batch or live.
 #[derive(Clone, Debug, Default)]
 pub struct TierCounters {
     counts: std::sync::Arc<[std::sync::atomic::AtomicU64; sword_solver::Tier::ALL.len()]>,
@@ -148,13 +52,6 @@ pub struct AnalysisConfig {
     /// Worker threads comparing interval trees (the paper distributes
     /// this across cluster nodes; we distribute across cores).
     pub workers: usize,
-    /// Streaming chunk size for log reads.
-    pub chunk_bytes: usize,
-    /// Exact-overlap solver.
-    pub solver: SolverChoice,
-    /// Which screening layers of the solver funnel are active
-    /// (`--solver-tiers`; results are identical for every mask).
-    pub funnel: FunnelConfig,
     /// Shared per-tier decision counters, surfaced as
     /// `sword_solver_tier{tier=…}` registry rows when `--obs` is on.
     pub tiers: TierCounters,
@@ -186,9 +83,6 @@ pub struct AnalysisConfig {
     /// live analyzer's cache) build and drop trees. Shared by `clone`;
     /// its peak is the analyzer's measured tree memory (Figures 6–8).
     pub mem_gauge: MemGauge,
-    /// How per-thread logs are read: zero-copy mapped images (default)
-    /// or buffered forward streaming (`--read-mode buffered`).
-    pub read_mode: ReadMode,
     /// Shared log-source activity counters (bytes mapped, arena reuse),
     /// surfaced as registry rows when `--obs` is on.
     pub source_stats: SourceStats,
@@ -196,38 +90,20 @@ pub struct AnalysisConfig {
     /// draws from it, so each log file is read once per analysis rather
     /// than once per worker. Fresh (empty) per config by default.
     pub image_cache: ImageCache,
-    /// Memoize solver verdicts across structurally identical interval
-    /// pairs (`--no-verdict-cache` turns this off; verdicts and
-    /// evidence are identical either way, only the work is).
-    pub verdict_cache: bool,
-    /// Node budget of the analysis core's interval-tree cache — one per
-    /// batch worker, one for the live analyzer. Intervals touched by many
-    /// comparison tasks are built once per cache instead of once per
-    /// task; `0` disables reuse (every task rebuilds its trees, the
-    /// pre-core shape). Statistics count logical tree requests either
-    /// way, so results and counters are identical — only the measured
-    /// tree-build time changes.
-    pub tree_cache_nodes: usize,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
-            solver: SolverChoice::Diophantine,
-            funnel: FunnelConfig::ALL,
             tiers: TierCounters::new(),
             focus_regions: None,
             suppressions: Vec::new(),
             obs: None,
             sites: None,
             mem_gauge: MemGauge::new(),
-            read_mode: ReadMode::default(),
             source_stats: SourceStats::new(),
             image_cache: ImageCache::new(),
-            verdict_cache: true,
-            tree_cache_nodes: crate::build::TREE_CACHE_NODES,
         }
     }
 }
@@ -242,24 +118,6 @@ impl AnalysisConfig {
     /// Overrides the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Overrides the solver.
-    pub fn with_solver(mut self, solver: SolverChoice) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Overrides the funnel screen mask (`--solver-tiers`).
-    pub fn with_funnel(mut self, funnel: FunnelConfig) -> Self {
-        self.funnel = funnel;
-        self
-    }
-
-    /// Overrides the streaming chunk size.
-    pub fn with_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.chunk_bytes = bytes.max(1);
         self
     }
 
@@ -278,25 +136,6 @@ impl AnalysisConfig {
     /// Attaches an observability sink (journal + metrics registry).
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Overrides the log read mode (mapped vs buffered).
-    pub fn with_read_mode(mut self, mode: ReadMode) -> Self {
-        self.read_mode = mode;
-        self
-    }
-
-    /// Enables or disables the shared solver-verdict memo.
-    pub fn with_verdict_cache(mut self, enabled: bool) -> Self {
-        self.verdict_cache = enabled;
-        self
-    }
-
-    /// Overrides the per-worker tree-cache node budget (`0` disables
-    /// tree reuse entirely).
-    pub fn with_tree_cache_nodes(mut self, nodes: usize) -> Self {
-        self.tree_cache_nodes = nodes;
         self
     }
 
@@ -422,8 +261,7 @@ pub struct AnalysisStats {
     /// Exact constraint solves.
     pub solver_calls: u64,
     /// Candidate pairs rejected by the walk-level fingerprint screen
-    /// before reaching the solver (`solver_calls + prescreened_pairs` is
-    /// invariant across funnel masks).
+    /// before reaching the solver.
     pub prescreened_pairs: u64,
     /// Region pairs pruned as sequential.
     pub region_pairs_skipped: u64,
@@ -542,7 +380,7 @@ fn analyze_with_stages(
     let start = Instant::now();
     let journal = config.journal_for("analyzer");
     config.register_mem_sources();
-    let cache = VerdictCache::new(config.verdict_cache);
+    let cache = VerdictCache::default();
     config.register_core_sources(&cache);
     let t0 = Instant::now();
     let s0 = journal.as_ref().map(|j| j.now_us());

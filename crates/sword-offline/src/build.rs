@@ -1,30 +1,29 @@
 //! Streaming construction of per-interval summary trees.
 //!
-//! An interval's events are pulled out of the log through a
-//! [`LogSource`] — the zero-copy mapped image by default, the buffered
-//! streaming reader as fallback — decoded in place, and folded into a
+//! An interval's events are pulled out of the log's zero-copy mapped
+//! image ([`MappedLog`]), decoded in place, and folded into a
 //! [`SummarizingBuilder`]: consecutive same-provenance accesses collapse
 //! into strided interval-tree nodes, mutex acquire/release events maintain
 //! the held-lock set attached to each node. Only an event torn across a
-//! source-slice boundary is ever copied (into a small carry buffer);
-//! everything else decodes straight off the source's borrowed bytes.
+//! frame boundary is ever copied (into a small carry buffer); everything
+//! else decodes straight off the image's borrowed bytes.
 
-use std::collections::HashMap;
-use std::fs::File;
-use std::io::{self, BufReader};
+use std::collections::hash_map::{Entry, HashMap};
+use std::io;
 use std::time::Instant;
 
 use sword_itree::{IntervalTree, SummarizingBuilder};
 use sword_metrics::MemGauge;
 use sword_trace::{
-    AccessKind, Event, EventDecoder, ImageCache, LogSource, MappedLog, MutexId, PcId, ReadMode,
-    SessionDir, SourceStats, StreamSource, ThreadId,
+    AccessKind, Event, EventDecoder, ImageCache, LogSource, MappedLog, MutexId, PcId, SessionDir,
+    SourceStats, ThreadId,
 };
 
 use crate::intervals::Interval;
 use crate::pipeline::WorkerStats;
 
-/// Default streaming chunk: 64 KiB of encoded events at a time.
+/// Slice-size hint passed to [`LogSource::read_range_with`]: 64 KiB of
+/// encoded events at a time.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 << 10;
 
 /// Metadata attached to every tree node: enough to apply the race
@@ -194,21 +193,19 @@ fn decode_events(
 
 /// Builds the summary tree for one barrier interval by streaming
 /// `[data_begin, data_begin + size)` out of `source`. Events decode
-/// directly from the source's borrowed slices; `chunk_bytes` caps the
-/// slice size on buffering sources.
+/// directly from the source's borrowed slices.
 pub fn build_tree(
-    source: &mut dyn LogSource,
+    source: &mut MappedLog,
     tid: ThreadId,
     data_begin: u64,
     size: u64,
-    chunk_bytes: usize,
 ) -> io::Result<BiTree> {
     let mut fold = Fold::new();
     let mut decoder = EventDecoder::new();
     let mut carry: Vec<u8> = Vec::new();
     let mut seen = 0u64;
 
-    source.read_range_with(data_begin, size, chunk_bytes, &mut |slice| {
+    source.read_range_with(data_begin, size, DEFAULT_CHUNK_BYTES, &mut |slice| {
         seen += slice.len() as u64;
         let more_slices = seen < size;
         let mut s = slice;
@@ -254,74 +251,55 @@ fn intern_set(sets: &mut Vec<Vec<MutexId>>, held: &[MutexId]) -> u32 {
     (sets.len() - 1) as u32
 }
 
-/// Per-worker pool of open log sources. Mapped sources are random-access
-/// and opened once per thread; buffered sources stream forward and are
-/// reopened on a backward request.
-#[derive(Default)]
+/// Per-worker pool of open log sources: random-access, so each thread's
+/// log is opened once.
+#[derive(Debug, Default)]
 pub struct ReaderPool {
-    mode: ReadMode,
     stats: SourceStats,
     /// Shared file images: pools cloned from one cache (all the workers
     /// of one analysis) load each log once between them.
     images: ImageCache,
-    sources: std::collections::HashMap<ThreadId, Box<dyn LogSource + Send>>,
-}
-
-impl std::fmt::Debug for ReaderPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReaderPool")
-            .field("mode", &self.mode)
-            .field("open", &self.sources.len())
-            .finish()
-    }
+    sources: HashMap<ThreadId, MappedLog>,
 }
 
 impl ReaderPool {
-    /// An empty pool in the default (mapped) read mode.
+    /// An empty pool with private counters and images.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty pool with an explicit read mode, reporting source
-    /// activity into `stats` and sharing file images through `images`.
-    pub fn with_mode(mode: ReadMode, stats: SourceStats, images: ImageCache) -> Self {
-        ReaderPool { mode, stats, images, sources: std::collections::HashMap::new() }
+    /// An empty pool reporting source activity into `stats` and sharing
+    /// file images through `images`.
+    pub fn sharing(stats: SourceStats, images: ImageCache) -> Self {
+        ReaderPool { stats, images, sources: HashMap::new() }
     }
 
-    /// Builds the tree for one interval, reusing or (re)opening the
-    /// thread's log source as needed.
+    /// Builds the tree for one interval, opening the thread's log on
+    /// first use. `_chunk_bytes` is unused: [`MappedLog`] hands out
+    /// frame-sized slices.
     pub fn build(
         &mut self,
         dir: &SessionDir,
         tid: ThreadId,
         data_begin: u64,
         size: u64,
-        chunk_bytes: usize,
+        _chunk_bytes: usize,
     ) -> io::Result<BiTree> {
-        let reopen = match self.sources.get(&tid) {
-            Some(s) => s.position() > data_begin,
-            None => true,
+        let source = match self.sources.entry(tid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(MappedLog::open_cached(
+                &dir.thread_log(tid),
+                self.stats.clone(),
+                &self.images,
+            )?),
         };
-        if reopen {
-            let path = dir.thread_log(tid);
-            let source: Box<dyn LogSource + Send> = match self.mode {
-                ReadMode::Mapped => {
-                    Box::new(MappedLog::open_cached(&path, self.stats.clone(), &self.images)?)
-                }
-                ReadMode::Buffered => {
-                    Box::new(StreamSource::new(BufReader::new(File::open(&path)?)))
-                }
-            };
-            self.sources.insert(tid, source);
-        }
-        let source = self.sources.get_mut(&tid).expect("just inserted");
-        build_tree(source.as_mut(), tid, data_begin, size, chunk_bytes)
+        build_tree(source, tid, data_begin, size)
     }
 }
 
-/// Default node budget of a [`TreeCache`] (matches a few thousand typical
+/// Node budget of a [`TreeCache`] (matches a few thousand typical
 /// intervals without rebuilds while staying bounded).
-pub(crate) const TREE_CACHE_NODES: usize = 64 * 1024;
+const TREE_CACHE_NODES: usize = 64 * 1024;
 
 /// Bounded LRU cache of interval trees keyed by `(tid, data_begin)` —
 /// the analysis core's tree store, shared by the batch workers (one per
@@ -332,7 +310,6 @@ pub(crate) struct TreeCache {
     entries: HashMap<(ThreadId, u64), CacheEntry>,
     clock: u64,
     nodes_held: usize,
-    node_budget: usize,
     /// Cached tree bytes, charged on insert and credited on eviction or
     /// drop, so the analyzer's memory gauge covers every held tree.
     mem: MemGauge,
@@ -344,8 +321,8 @@ struct CacheEntry {
 }
 
 impl TreeCache {
-    pub(crate) fn new(node_budget: usize, mem: MemGauge) -> Self {
-        TreeCache { entries: HashMap::new(), clock: 0, nodes_held: 0, node_budget, mem }
+    pub(crate) fn new(mem: MemGauge) -> Self {
+        TreeCache { entries: HashMap::new(), clock: 0, nodes_held: 0, mem }
     }
 
     /// Builds and caches the tree for `member` unless already present.
@@ -361,7 +338,6 @@ impl TreeCache {
         &mut self,
         dir: &SessionDir,
         member: &Interval,
-        chunk_bytes: usize,
         pool: &mut ReaderPool,
         stats: &mut WorkerStats,
         charge_hits: bool,
@@ -379,8 +355,13 @@ impl TreeCache {
             return Ok(());
         }
         let t0 = Instant::now();
-        let tree =
-            pool.build(dir, member.tid, member.meta.data_begin, member.meta.size, chunk_bytes)?;
+        let tree = pool.build(
+            dir,
+            member.tid,
+            member.meta.data_begin,
+            member.meta.size,
+            DEFAULT_CHUNK_BYTES,
+        )?;
         stats.build_secs += t0.elapsed().as_secs_f64();
         stats.trees_built += 1;
         stats.nodes += tree.node_count() as u64;
@@ -395,7 +376,7 @@ impl TreeCache {
     /// Evicts least-recently-used trees until the node budget holds,
     /// never touching the pinned keys (the task currently compared).
     pub(crate) fn evict(&mut self, pinned: &[(ThreadId, u64)]) {
-        while self.nodes_held > self.node_budget && self.entries.len() > pinned.len() {
+        while self.nodes_held > TREE_CACHE_NODES && self.entries.len() > pinned.len() {
             let victim = self
                 .entries
                 .iter()
@@ -441,25 +422,24 @@ mod tests {
         buf
     }
 
-    fn tree_from(events: &[Event], chunk: usize) -> BiTree {
-        let bytes = encode(events);
-        // Wrap in a log (single frame).
+    /// Writes `bytes` as a log of `frame_bytes`-sized frames (the last
+    /// may be shorter) and maps it.
+    fn framed_log(bytes: &[u8], frame_bytes: usize) -> MappedLog {
         let mut w = sword_trace::LogWriter::new(Vec::new());
-        w.write_block(&bytes).unwrap();
-        let log = w.into_inner();
-        // Build through both source kinds and require identical trees;
-        // return the mapped one.
-        let mut streamed = StreamSource::new(&log[..]);
-        let s = build_tree(&mut streamed, 0, 0, bytes.len() as u64, chunk).unwrap();
-        let mut mapped = MappedLog::from_bytes(log, SourceStats::new());
-        let m = build_tree(&mut mapped, 0, 0, bytes.len() as u64, chunk).unwrap();
-        assert_eq!(m.accesses, s.accesses, "mapped vs streamed accesses");
-        assert_eq!(m.node_count(), s.node_count(), "mapped vs streamed nodes");
-        assert_eq!(m.mutex_sets, s.mutex_sets, "mapped vs streamed mutex sets");
-        let mi: Vec<_> = m.tree.iter().map(|(_, iv, meta)| (*iv, *meta)).collect();
-        let si: Vec<_> = s.tree.iter().map(|(_, iv, meta)| (*iv, *meta)).collect();
-        assert_eq!(mi, si, "mapped vs streamed intervals");
-        m
+        for block in bytes.chunks(frame_bytes) {
+            w.write_block(block).unwrap();
+        }
+        MappedLog::from_bytes(w.into_inner(), SourceStats::new())
+    }
+
+    fn tree_from_frames(events: &[Event], frame_bytes: usize) -> BiTree {
+        let bytes = encode(events);
+        build_tree(&mut framed_log(&bytes, frame_bytes), 0, 0, bytes.len() as u64).unwrap()
+    }
+
+    /// The tree of `events` logged as a single frame.
+    fn tree_from(events: &[Event]) -> BiTree {
+        tree_from_frames(events, usize::MAX)
     }
 
     fn acc(addr: u64, kind: AccessKind, pc: PcId) -> Event {
@@ -468,7 +448,7 @@ mod tests {
 
     #[test]
     fn empty_interval() {
-        let t = tree_from(&[], 64);
+        let t = tree_from(&[]);
         assert_eq!(t.node_count(), 0);
         assert_eq!(t.accesses, 0);
     }
@@ -477,7 +457,7 @@ mod tests {
     fn array_sweep_summarizes() {
         let events: Vec<Event> =
             (0..1000).map(|i| acc(0x1000 + i * 8, AccessKind::Write, 7)).collect();
-        let t = tree_from(&events, 128);
+        let t = tree_from(&events);
         assert_eq!(t.accesses, 1000);
         assert_eq!(t.node_count(), 1, "one strided node");
         let (_, iv, meta) = t.tree.iter().next().unwrap();
@@ -487,23 +467,45 @@ mod tests {
         assert_eq!(meta.kind, AccessKind::Write);
     }
 
-    #[test]
-    fn tiny_chunks_equal_big_chunks() {
-        let events: Vec<Event> = (0..200)
+    fn mixed_events() -> Vec<Event> {
+        (0..200)
             .flat_map(|i| {
                 [
                     acc(0x1000 + i * 8, AccessKind::Read, 1),
                     acc(0x9000 + i * 16, AccessKind::Write, 2),
                 ]
             })
-            .collect();
-        let small = tree_from(&events, 3); // force partial events at edges
-        let big = tree_from(&events, 1 << 20);
+            .collect()
+    }
+
+    #[test]
+    fn tiny_frames_equal_one_frame() {
+        // 3-byte frames: every slice the map hands out splits an event,
+        // so each one goes through the carry buffer.
+        let events = mixed_events();
+        let small = tree_from_frames(&events, 3);
+        let big = tree_from(&events);
         assert_eq!(small.accesses, big.accesses);
         assert_eq!(small.node_count(), big.node_count());
+        assert_eq!(small.mutex_sets, big.mutex_sets);
         let a: Vec<_> = small.tree.iter().map(|(_, iv, m)| (*iv, *m)).collect();
         let b: Vec<_> = big.tree.iter().map(|(_, iv, m)| (*iv, *m)).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn interval_ending_mid_event_is_invalid_data() {
+        // Cut the encoded stream inside its last event. Whether the torn
+        // tail sits in the carry buffer (3-byte frames) or in the last
+        // borrowed slice, the final decode reports corruption; no panic.
+        let bytes = encode(&mixed_events());
+        let cut = &bytes[..bytes.len() - 1];
+        for frame_bytes in [3, 64, usize::MAX] {
+            let err = build_tree(&mut framed_log(cut, frame_bytes), 0, 0, cut.len() as u64)
+                .expect_err("torn final event");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "frames of {frame_bytes}: {err}");
+            assert!(err.to_string().contains("tid 0"), "{err}");
+        }
     }
 
     #[test]
@@ -519,7 +521,7 @@ mod tests {
             Event::MutexRelease(3),
             acc(0x50, AccessKind::Write, 5), // {}
         ];
-        let t = tree_from(&events, 1 << 20);
+        let t = tree_from(&events);
         assert_eq!(t.node_count(), 5);
         let by_pc: std::collections::HashMap<PcId, u32> =
             t.tree.iter().map(|(_, _, m)| (m.pc, m.mset)).collect();
@@ -534,16 +536,13 @@ mod tests {
 
     #[test]
     fn can_race_conditions() {
-        let t = tree_from(
-            &[
-                acc(0x10, AccessKind::Read, 1),
-                acc(0x20, AccessKind::Write, 2),
-                acc(0x30, AccessKind::AtomicWrite, 3),
-                Event::MutexAcquire(9),
-                acc(0x40, AccessKind::Write, 4),
-            ],
-            64,
-        );
+        let t = tree_from(&[
+            acc(0x10, AccessKind::Read, 1),
+            acc(0x20, AccessKind::Write, 2),
+            acc(0x30, AccessKind::AtomicWrite, 3),
+            Event::MutexAcquire(9),
+            acc(0x40, AccessKind::Write, 4),
+        ]);
         let meta_of = |pc: PcId| -> AccessMeta {
             t.tree.iter().find(|(_, _, m)| m.pc == pc).map(|(_, _, m)| *m).unwrap()
         };
@@ -579,22 +578,14 @@ mod tests {
         let mut w = sword_trace::LogWriter::new(Vec::new());
         w.write_block(&b1).unwrap();
         w.write_block(&b2).unwrap();
-        let log = w.into_inner();
-
-        for mapped in [false, true] {
-            let mut source: Box<dyn LogSource + '_> = if mapped {
-                Box::new(MappedLog::from_bytes(log.clone(), SourceStats::new()))
-            } else {
-                Box::new(StreamSource::new(&log[..]))
-            };
-            let t1 = build_tree(source.as_mut(), 0, 0, b1.len() as u64, 16).unwrap();
-            let t2 = build_tree(source.as_mut(), 0, b1.len() as u64, b2.len() as u64, 16).unwrap();
-            assert_eq!(t1.accesses, 50);
-            assert_eq!(t2.accesses, 30);
-            assert_eq!(t1.node_count(), 1);
-            assert_eq!(t2.node_count(), 1);
-            assert_eq!(t2.tree.iter().next().unwrap().1.begin(), 0x8000);
-        }
+        let mut source = MappedLog::from_bytes(w.into_inner(), SourceStats::new());
+        let t1 = build_tree(&mut source, 0, 0, b1.len() as u64).unwrap();
+        let t2 = build_tree(&mut source, 0, b1.len() as u64, b2.len() as u64).unwrap();
+        assert_eq!(t1.accesses, 50);
+        assert_eq!(t2.accesses, 30);
+        assert_eq!(t1.node_count(), 1);
+        assert_eq!(t2.node_count(), 1);
+        assert_eq!(t2.tree.iter().next().unwrap().1.begin(), 0x8000);
     }
 
     #[test]

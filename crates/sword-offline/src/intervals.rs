@@ -128,7 +128,7 @@ pub(crate) fn fork_label_from(
 /// The first two classes come out of the `RegionIndex`; ordered pairs
 /// are never enumerated, only counted as the remainder.
 pub fn build_structure(session: &LoadedSession) -> io::Result<Structure> {
-    build_structure_with(session, &VerdictCache::disabled())
+    build_structure_with(session, &VerdictCache::default())
 }
 
 /// [`build_structure`] charging the region index's classification count

@@ -13,15 +13,15 @@
 //!    paper plus the bid ordering the paper applies within a region).
 //!    Interval pairs are enumerated region-pair-wise so that sequential
 //!    region pairs are skipped wholesale ([`intervals`]).
-//! 3. **Stream** each interval's events out of the compressed log in
-//!    chunks (never materializing a log in memory) and summarize them
-//!    into an augmented red-black interval tree of strided intervals with
-//!    access metadata — operation, size, PC, held-mutex set ([`build`]).
+//! 3. **Stream** each interval's events out of the compressed log image
+//!    frame by frame (never materializing an uncompressed log) and
+//!    summarize them into an augmented red-black interval tree of strided
+//!    intervals with access metadata — operation, size, PC, held-mutex
+//!    set ([`build`]).
 //! 4. **Compare** trees of concurrent intervals: coarse range overlap via
 //!    the tree's `max_end` augmentation, then the exact strided-overlap
-//!    constraint (Diophantine solve, or the branch-and-bound ILP that
-//!    mirrors the paper's GLPK formulation), plus the write/atomic/mutex
-//!    side conditions ([`race`]).
+//!    constraint (the tiered Diophantine solve, [`sword_solver::solve_tiered`]),
+//!    plus the write/atomic/mutex side conditions ([`race`]).
 //!
 //! Races are deduplicated by unordered source-location pair, which is how
 //! the paper's tables count them.
@@ -40,8 +40,7 @@ pub mod report;
 pub mod verdicts;
 
 pub use analyze::{
-    analyze, analyze_loaded, AnalysisConfig, AnalysisResult, AnalysisStats, FunnelConfig,
-    SolverChoice, TierCounters,
+    analyze, analyze_loaded, AnalysisConfig, AnalysisResult, AnalysisStats, TierCounters,
 };
 pub use live::{LiveAnalyzer, PollDelta};
 pub use load::LoadedSession;

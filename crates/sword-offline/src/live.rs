@@ -110,7 +110,7 @@ impl LiveAnalyzer {
             )
         });
         let solver_hist = config.solver_hist();
-        let verdict_cache = VerdictCache::new(config.verdict_cache);
+        let verdict_cache = VerdictCache::default();
         config.register_core_sources(&verdict_cache);
         LiveAnalyzer {
             dir: dir.clone(),
@@ -127,12 +127,8 @@ impl LiveAnalyzer {
             races: RaceSet::new(),
             worker: WorkerStats::default(),
             stages: StageTable::new(),
-            cache: TreeCache::new(config.tree_cache_nodes, config.mem_gauge.clone()),
-            pool: ReaderPool::with_mode(
-                config.read_mode,
-                config.source_stats.clone(),
-                config.image_cache.clone(),
-            ),
+            cache: TreeCache::new(config.mem_gauge.clone()),
+            pool: ReaderPool::sharing(config.source_stats.clone(), config.image_cache.clone()),
             poll_hist: DurationHist::new(),
             finished: false,
             journal,
@@ -395,26 +391,12 @@ impl LiveAnalyzer {
 
             let new_key = (interval.tid, interval.meta.data_begin);
             if !partners.is_empty() {
-                self.cache.ensure(
-                    &self.dir,
-                    &interval,
-                    self.config.chunk_bytes,
-                    &mut self.pool,
-                    &mut self.worker,
-                    false,
-                )?;
+                self.cache.ensure(&self.dir, &interval, &mut self.pool, &mut self.worker, false)?;
             }
             for (gi, mi) in partners {
                 let member = self.groups[gi].members[mi].clone();
                 let member_key = (member.tid, member.meta.data_begin);
-                self.cache.ensure(
-                    &self.dir,
-                    &member,
-                    self.config.chunk_bytes,
-                    &mut self.pool,
-                    &mut self.worker,
-                    false,
-                )?;
+                self.cache.ensure(&self.dir, &member, &mut self.pool, &mut self.worker, false)?;
                 self.cache.evict(&[new_key, member_key]);
                 let (Some(ta), Some(tb)) = (self.cache.get(&new_key), self.cache.get(&member_key))
                 else {
@@ -430,12 +412,7 @@ impl LiveAnalyzer {
                     &interval,
                     tb,
                     &member,
-                    &CompareCtx {
-                        solver: self.config.solver,
-                        funnel: self.config.funnel,
-                        cache: &self.verdict_cache,
-                        tiers: &self.config.tiers,
-                    },
+                    &CompareCtx { cache: &self.verdict_cache, tiers: &self.config.tiers },
                     races,
                     self.solver_hist.as_ref(),
                     self.site_acc.as_mut(),

@@ -265,15 +265,12 @@ pub(crate) fn run(
             let deques = &deques;
             let pipe_obs = pipe_obs.as_ref();
             s.spawn(move || {
-                let mut pool = ReaderPool::with_mode(
-                    config.read_mode,
-                    config.source_stats.clone(),
-                    config.image_cache.clone(),
-                );
+                let mut pool =
+                    ReaderPool::sharing(config.source_stats.clone(), config.image_cache.clone());
                 // Per-worker tree cache: intervals shared by the worker's
                 // tasks are built once, not once per task. Its drop
                 // credits the memory gauge before the scope joins.
-                let mut trees = TreeCache::new(config.tree_cache_nodes, config.mem_gauge.clone());
+                let mut trees = TreeCache::new(config.mem_gauge.clone());
                 let journal = config.journal_for(format!("oa-worker-{wi}"));
                 let solver_hist = config.solver_hist();
                 // Per-worker attribution accumulator (lock-free on the
@@ -380,7 +377,6 @@ pub(crate) fn run(
 fn ensure_group_trees(
     session: &LoadedSession,
     group: &Group,
-    config: &AnalysisConfig,
     pool: &mut ReaderPool,
     trees: &mut TreeCache,
     stats: &mut WorkerStats,
@@ -390,7 +386,7 @@ fn ensure_group_trees(
         if member.meta.size == 0 {
             continue; // empty interval: nothing to race
         }
-        trees.ensure(&session.dir, member, config.chunk_bytes, pool, stats, true)?;
+        trees.ensure(&session.dir, member, pool, stats, true)?;
         keys.push((i, (member.tid, member.meta.data_begin)));
     }
     Ok(keys)
@@ -417,7 +413,7 @@ pub(crate) fn run_task(
     match *task {
         Task::Intra { group } => {
             let g = &groups[group];
-            let keys = ensure_group_trees(session, g, config, pool, trees, stats)?;
+            let keys = ensure_group_trees(session, g, pool, trees, stats)?;
             let pinned: Vec<_> = keys.iter().map(|(_, k)| *k).collect();
             trees.evict(&pinned);
             let t0 = Instant::now();
@@ -442,12 +438,7 @@ pub(crate) fn run_task(
                         &g.members[ia],
                         tb,
                         &g.members[ib],
-                        &CompareCtx {
-                            solver: config.solver,
-                            funnel: config.funnel,
-                            cache,
-                            tiers: &config.tiers,
-                        },
+                        &CompareCtx { cache, tiers: &config.tiers },
                         races,
                         solver_hist,
                         sites.as_mut(),
@@ -470,8 +461,8 @@ pub(crate) fn run_task(
             } else {
                 (gb, ga)
             };
-            let keys_first = ensure_group_trees(session, first, config, pool, trees, stats)?;
-            let keys_second = ensure_group_trees(session, second, config, pool, trees, stats)?;
+            let keys_first = ensure_group_trees(session, first, pool, trees, stats)?;
+            let keys_second = ensure_group_trees(session, second, pool, trees, stats)?;
             let pinned: Vec<_> =
                 keys_first.iter().chain(keys_second.iter()).map(|(_, k)| *k).collect();
             trees.evict(&pinned);
@@ -503,12 +494,7 @@ pub(crate) fn run_task(
                         ma,
                         tb,
                         mb,
-                        &CompareCtx {
-                            solver: config.solver,
-                            funnel: config.funnel,
-                            cache,
-                            tiers: &config.tiers,
-                        },
+                        &CompareCtx { cache, tiers: &config.tiers },
                         races,
                         solver_hist,
                         sites.as_mut(),

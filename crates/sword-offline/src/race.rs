@@ -10,7 +10,7 @@ use sword_osl::explain_concurrency;
 use sword_solver::{congruence_admissible, OverlapWitness, StridedInterval, Tier};
 use sword_trace::{AccessKind, PcId, PcTable, ThreadId};
 
-use crate::analyze::{FunnelConfig, SolverChoice, TierCounters};
+use crate::analyze::TierCounters;
 use crate::build::{AccessMeta, BiTree};
 use crate::intervals::Interval;
 use crate::verdicts::VerdictCache;
@@ -303,27 +303,22 @@ pub struct PairStats {
     /// Exact constraint solves performed.
     pub solver_calls: u64,
     /// Candidate pairs rejected by the fingerprint screen before the
-    /// solver (`solver_calls + prescreened` is invariant across masks).
+    /// solver.
     pub prescreened: u64,
 }
 
 /// The per-run solve context `check_pair` shares across every tree pair:
-/// solver choice, funnel screen mask, the shared verdict memo, and the
-/// per-tier decision counters.
+/// the shared verdict memo and the per-tier decision counters.
 #[derive(Clone, Copy)]
 pub struct CompareCtx<'a> {
-    /// Exact-overlap solver backend.
-    pub solver: SolverChoice,
-    /// Which funnel screens are active.
-    pub funnel: FunnelConfig,
-    /// Shared verdict memo (may be disabled).
+    /// Shared verdict memo.
     pub cache: &'a VerdictCache,
     /// Shared per-tier decision counters.
     pub tiers: &'a TierCounters,
 }
 
 /// One candidate pair that survived the screens, in canonical side order,
-/// queued for the (optionally stride-class-sorted) solve loop.
+/// queued for the stride-class-sorted solve loop.
 struct PendingSolve {
     i0: StridedInterval,
     m0: AccessMeta,
@@ -361,13 +356,12 @@ fn side_key(
 ///
 /// For every candidate pair (coarse `[begin,end)` overlap found through
 /// the augmented tree), applies the access-compatibility conditions and
-/// then the exact strided-overlap constraint with the solver configured
-/// in `ctx`. The funnel screens in `ctx.funnel` run first: a bounding-box
-/// reject over the whole tree pair, the walk-level fingerprint congruence
-/// screen per candidate (counted in `prescreened`, never reaching the
-/// verdict cache), and stride-class batching of the surviving solves. All
-/// screens are result-neutral: verdicts, witnesses, and candidate counts
-/// are byte-identical for every screen mask.
+/// then the exact strided-overlap constraint. The funnel screens run
+/// first: a bounding-box reject over the whole tree pair, the walk-level
+/// fingerprint congruence screen per candidate (counted in `prescreened`,
+/// never reaching the verdict cache), and stride-class batching of the
+/// surviving solves. All screens are result-neutral: they reject only
+/// pairs the solver would reject, and reorder only order-independent work.
 ///
 /// Before the solve, the two sides are put into a *canonical order* (the
 /// `side_key` tuple), so the witness the solver returns — and hence
@@ -411,11 +405,9 @@ pub fn check_pair(
     // Bounding-box reject: when the two trees' covered address ranges are
     // disjoint, the candidate walk cannot yield a single pair, so skipping
     // it is counter-neutral (candidates would be 0 either way).
-    if ctx.funnel.bbox {
-        if let (Some((a_lo, a_hi)), Some((b_lo, b_hi))) = (a.tree.bounds(), b.tree.bounds()) {
-            if a_hi <= b_lo || b_hi <= a_lo {
-                return stats;
-            }
+    if let (Some((a_lo, a_hi)), Some((b_lo, b_hi))) = (a.tree.bounds(), b.tree.bounds()) {
+        if a_hi <= b_lo || b_hi <= a_lo {
+            return stats;
         }
     }
     let mut pending: Vec<PendingSolve> = Vec::new();
@@ -431,7 +423,7 @@ pub fn check_pair(
         // walk from the cached node fingerprints. Rejected pairs never
         // reach the verdict cache — exactly the pairs the solver's
         // GcdReject tier would refuse, so verdicts are unchanged.
-        if ctx.funnel.prescreen && !congruence_admissible(ia, fa, ib, fb) {
+        if !congruence_admissible(ia, fa, ib, fb) {
             stats.prescreened += 1;
             ctx.tiers.record(Tier::Prescreen);
             return;
@@ -449,9 +441,7 @@ pub fn check_pair(
     // Batched compare: group the surviving pairs by stride class so the
     // tier dispatch in the solve loop is branch-predictable. The sort is
     // result-neutral — race dedup ranks are order-independent.
-    if ctx.funnel.batch {
-        pending.sort_by_key(|p| (p.i0.stride, p.i0.size, p.i1.stride, p.i1.size));
-    }
+    pending.sort_by_key(|p| (p.i0.stride, p.i0.size, p.i1.stride, p.i1.size));
     // The reported region is derived from the intervals themselves (not
     // caller bookkeeping, which differs between batch group enumeration
     // and live ingest order): the smaller region id of the two sides.
@@ -463,7 +453,7 @@ pub fn check_pair(
         if let Some(s) = sites.as_deref_mut() {
             s.solve(m0.pc, m1.pc);
         }
-        let (witness, tier) = ctx.cache.solve(ctx.solver, ctx.funnel.gcd, i0, i1, &mut |compute| {
+        let (witness, tier) = ctx.cache.solve(i0, i1, &mut |compute| {
             let t0 = solver_nanos.map(|_| Instant::now());
             let w = compute();
             if let (Some(hist), Some(t0)) = (solver_nanos, t0) {
@@ -591,24 +581,13 @@ mod tests {
         ca: &Interval,
         b: &BiTree,
         cb: &Interval,
-        solver: SolverChoice,
-        funnel: FunnelConfig,
         cache: &VerdictCache,
         races: &mut RaceSet,
         hist: Option<&Histogram>,
         sites: Option<&mut SiteCounters>,
     ) -> PairStats {
         let tiers = TierCounters::new();
-        check_pair(
-            a,
-            ca,
-            b,
-            cb,
-            &CompareCtx { solver, funnel, cache, tiers: &tiers },
-            races,
-            hist,
-            sites,
-        )
+        check_pair(a, ca, b, cb, &CompareCtx { cache, tiers: &tiers }, races, hist, sites)
     }
 
     #[test]
@@ -624,9 +603,7 @@ mod tests {
             &ctx_of(0),
             &b,
             &ctx_of(1),
-            SolverChoice::Diophantine,
-            FunnelConfig::ALL,
-            &VerdictCache::disabled(),
+            &VerdictCache::default(),
             &mut races,
             Some(&hist),
             None,
@@ -659,39 +636,17 @@ mod tests {
     fn evidence_is_argument_order_independent() {
         // The whole point of canonical side ordering: swapping the
         // caller's argument order must not change the recorded race.
-        // A shared *enabled* cache makes the second call a memo hit, so
-        // this also proves memoized evidence equals computed evidence.
-        let shared = VerdictCache::new(true);
+        // A shared cache makes the second call a memo hit, so this also
+        // proves memoized evidence equals computed evidence.
+        let shared = VerdictCache::default();
         let a =
             tree_of(0, &[(StridedInterval::new(0x100, 16, 50, 8), meta(AccessKind::Write, 3, 0))]);
         let b =
             tree_of(1, &[(StridedInterval::new(0x104, 16, 50, 8), meta(AccessKind::Write, 9, 0))]);
         let mut fwd = RaceSet::new();
-        run_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            SolverChoice::Diophantine,
-            FunnelConfig::ALL,
-            &shared,
-            &mut fwd,
-            None,
-            None,
-        );
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &shared, &mut fwd, None, None);
         let mut rev = RaceSet::new();
-        run_pair(
-            &b,
-            &ctx_of(1),
-            &a,
-            &ctx_of(0),
-            SolverChoice::Diophantine,
-            FunnelConfig::ALL,
-            &shared,
-            &mut rev,
-            None,
-            None,
-        );
+        run_pair(&b, &ctx_of(1), &a, &ctx_of(0), &shared, &mut rev, None, None);
         assert_eq!(shared.solve_hits(), 1, "the swapped call hit the memo");
         assert!(!fwd.is_empty(), "the pair overlaps, so a race is recorded");
         assert_eq!(fwd.into_sorted(), rev.into_sorted());
@@ -709,9 +664,7 @@ mod tests {
             &ctx_of(0),
             &b,
             &ctx_of(1),
-            SolverChoice::Diophantine,
-            FunnelConfig::ALL,
-            &VerdictCache::disabled(),
+            &VerdictCache::default(),
             &mut races,
             None,
             Some(&mut sites),
@@ -738,9 +691,7 @@ mod tests {
             &ctx_of(0),
             &b,
             &ctx_of(1),
-            SolverChoice::Diophantine,
-            FunnelConfig::ALL,
-            &VerdictCache::disabled(),
+            &VerdictCache::default(),
             &mut races,
             None,
             None,
@@ -754,18 +705,7 @@ mod tests {
         let a = tree_of(0, &[(StridedInterval::single(0x100, 8), meta(AccessKind::Write, 1, 1))]);
         let b = tree_of(1, &[(StridedInterval::single(0x100, 8), meta(AccessKind::Write, 2, 1))]);
         let mut races = RaceSet::new();
-        run_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            SolverChoice::Diophantine,
-            FunnelConfig::ALL,
-            &VerdictCache::disabled(),
-            &mut races,
-            None,
-            None,
-        );
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &VerdictCache::default(), &mut races, None, None);
         assert!(races.is_empty());
     }
 
@@ -778,18 +718,13 @@ mod tests {
         let b = tree_of(1, &[(StridedInterval::new(14, 8, 4, 4), meta(AccessKind::Write, 2, 0))]);
         let mut races = RaceSet::new();
         let tiers = TierCounters::new();
-        let cache = VerdictCache::disabled();
+        let cache = VerdictCache::default();
         let stats = check_pair(
             &a,
             &ctx_of(0),
             &b,
             &ctx_of(1),
-            &CompareCtx {
-                solver: SolverChoice::Diophantine,
-                funnel: FunnelConfig::ALL,
-                cache: &cache,
-                tiers: &tiers,
-            },
+            &CompareCtx { cache: &cache, tiers: &tiers },
             &mut races,
             None,
             None,
@@ -799,47 +734,6 @@ mod tests {
         assert_eq!(stats.prescreened, 1);
         assert_eq!(tiers.get(Tier::Prescreen), 1);
         assert!(races.is_empty());
-
-        // With every screen masked off the pair reaches the funnel, which
-        // rejects it at the congruence tier with the same verdict.
-        let mut races_none = RaceSet::new();
-        let tiers_none = TierCounters::new();
-        let stats_none = check_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            &CompareCtx {
-                solver: SolverChoice::Diophantine,
-                funnel: FunnelConfig::NONE,
-                cache: &cache,
-                tiers: &tiers_none,
-            },
-            &mut races_none,
-            None,
-            None,
-        );
-        assert_eq!(stats_none.candidates, 1);
-        assert_eq!(stats_none.solver_calls, 1);
-        assert_eq!(stats_none.prescreened, 0);
-        assert_eq!(tiers_none.get(Tier::Diophantine), 1, "gcd screen off → full search");
-        assert!(races_none.is_empty());
-
-        // The ILP solver agrees.
-        let mut races2 = RaceSet::new();
-        run_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            SolverChoice::Ilp,
-            FunnelConfig::NONE,
-            &VerdictCache::disabled(),
-            &mut races2,
-            None,
-            None,
-        );
-        assert!(races2.is_empty());
     }
 
     #[test]
@@ -858,18 +752,7 @@ mod tests {
         let a = tree_of(0, &nodes_a);
         let b = tree_of(1, &nodes_b);
         let mut races = RaceSet::new();
-        run_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            SolverChoice::Diophantine,
-            FunnelConfig::ALL,
-            &VerdictCache::disabled(),
-            &mut races,
-            None,
-            None,
-        );
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &VerdictCache::default(), &mut races, None, None);
         assert_eq!(races.len(), 1);
         assert_eq!(races.raw_pairs, 10);
         let race = &races.into_sorted()[0];
@@ -877,61 +760,6 @@ mod tests {
         // Dedup fairness: the kept witness is the earliest racy node pair
         // (smallest witness address here — same interval coordinates).
         assert_eq!(race.evidence.witness.addr, 0x1000);
-    }
-
-    #[test]
-    fn funnel_masks_are_result_neutral() {
-        // Every screen mask must yield byte-identical races; only the
-        // split between `solver_calls` and `prescreened` may move.
-        let a = tree_of(
-            0,
-            &[
-                (StridedInterval::new(0x100, 8, 99, 8), meta(AccessKind::Write, 1, 0)),
-                (StridedInterval::new(0x1000, 16, 50, 8), meta(AccessKind::Write, 3, 0)),
-                (StridedInterval::new(0x2000, 8, 4, 4), meta(AccessKind::Write, 5, 0)),
-            ],
-        );
-        let b = tree_of(
-            1,
-            &[
-                (StridedInterval::new(0x104, 8, 99, 4), meta(AccessKind::Read, 2, 0)),
-                (StridedInterval::new(0x1008, 16, 50, 8), meta(AccessKind::Read, 4, 0)),
-                (StridedInterval::new(0x2004, 8, 4, 4), meta(AccessKind::Read, 6, 0)),
-            ],
-        );
-        let masks = [
-            FunnelConfig::ALL,
-            FunnelConfig::NONE,
-            FunnelConfig { gcd: false, ..FunnelConfig::ALL },
-            FunnelConfig { prescreen: false, ..FunnelConfig::ALL },
-            FunnelConfig { bbox: false, ..FunnelConfig::ALL },
-            FunnelConfig { batch: false, ..FunnelConfig::ALL },
-        ];
-        let mut baseline: Option<(Vec<Race>, u64, u64)> = None;
-        for funnel in masks {
-            let mut races = RaceSet::new();
-            let stats = run_pair(
-                &a,
-                &ctx_of(0),
-                &b,
-                &ctx_of(1),
-                SolverChoice::Diophantine,
-                funnel,
-                &VerdictCache::disabled(),
-                &mut races,
-                None,
-                None,
-            );
-            let got =
-                (races.into_sorted(), stats.candidates, stats.solver_calls + stats.prescreened);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(want) => assert_eq!(&got, want, "mask {funnel:?} changed the result"),
-            }
-        }
-        let (races, _, decided) = baseline.unwrap();
-        assert!(!races.is_empty(), "the dense and in-phase pairs race");
-        assert_eq!(decided, 3, "every same-slab candidate pair is decided exactly once");
     }
 
     #[test]

@@ -9,10 +9,7 @@
 //! keeps memoized evidence byte-identical to recomputed evidence.
 //!
 //! [`VerdictCache`] memoizes those answers, shared by reference across
-//! pipeline workers and polls. The cache can be disabled
-//! (`--no-verdict-cache`), which turns every lookup into a plain compute
-//! — the equivalence tests assert identical races and evidence with the
-//! cache on, off, batch, and live.
+//! pipeline workers and polls.
 //!
 //! Region-pair verdicts are *not* memoized: the `regions` index derives
 //! them from fork-label structure without ever comparing most pairs, and
@@ -23,19 +20,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
-use sword_solver::{solve_tiered, solve_tiered_ilp, OverlapWitness, StridedInterval, Tier};
+use sword_solver::{solve_tiered, OverlapWitness, StridedInterval, Tier};
 
-use crate::analyze::SolverChoice;
-
-/// Structural key of a solver query: solver discriminant plus both
-/// intervals *in canonical side order* (the witness depends on order, and
-/// `check_pair` always queries canonically).
-type SolveKey = (u8, StridedInterval, StridedInterval);
+/// Structural key of a solver query: both intervals *in canonical side
+/// order* (the witness depends on order, and `check_pair` always queries
+/// canonically).
+type SolveKey = (StridedInterval, StridedInterval);
 
 /// A memoized solver answer: the canonical witness (or `None`) plus the
 /// funnel tier that decided the pair. Tiers are a pure function of the
-/// key too, so memoizing them keeps per-tier counters logical —
-/// identical cache on or off.
+/// key too, so memoizing them keeps per-tier counters logical: a hit
+/// charges the tier that first decided the pair.
 pub type SolveAnswer = (Option<OverlapWitness>, Tier);
 
 /// The wrapper [`VerdictCache::solve`] runs around actual solver
@@ -56,7 +51,6 @@ struct Counters {
 
 #[derive(Debug)]
 struct Inner {
-    enabled: bool,
     solves: Vec<Mutex<HashMap<SolveKey, SolveAnswer>>>,
     counters: Counters,
 }
@@ -69,61 +63,32 @@ pub struct VerdictCache {
 
 impl Default for VerdictCache {
     fn default() -> Self {
-        VerdictCache::new(true)
-    }
-}
-
-impl VerdictCache {
-    /// A fresh cache; `enabled = false` makes every lookup a plain
-    /// compute (the memo-free baseline).
-    pub fn new(enabled: bool) -> Self {
         VerdictCache {
             inner: Arc::new(Inner {
-                enabled,
                 solves: (0..SOLVE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
                 counters: Counters::default(),
             }),
         }
     }
+}
 
-    /// A disabled cache (every lookup computes).
-    pub fn disabled() -> Self {
-        VerdictCache::new(false)
-    }
-
-    /// `true` when memoization is on.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
+impl VerdictCache {
     /// Solves the exact overlap constraint for `(i0, i1)` — canonical
     /// side order — memoized on the pair's structural identity. The
     /// solver is pure, so a memoized witness is *the* witness the solver
     /// would return, and evidence built from it is byte-identical. The
     /// deciding funnel tier is memoized alongside the witness.
     ///
-    /// `gcd_screen` enables the solver-level congruence reject tier (it
-    /// never changes the answer, only which tier reports the decision and
-    /// how fast).
-    ///
     /// `on_compute` runs around actual solves only (latency histograms
     /// must not record cache hits).
     pub fn solve(
         &self,
-        solver: SolverChoice,
-        gcd_screen: bool,
         i0: &StridedInterval,
         i1: &StridedInterval,
         on_compute: SolveHook<'_>,
     ) -> SolveAnswer {
-        let compute = || match solver {
-            SolverChoice::Diophantine => solve_tiered(i0, i1, gcd_screen),
-            SolverChoice::Ilp => solve_tiered_ilp(i0, i1, gcd_screen),
-        };
-        if !self.inner.enabled {
-            return on_compute(&compute);
-        }
-        let key: SolveKey = (solver as u8, *i0, *i1);
+        let compute = || solve_tiered(i0, i1, true);
+        let key: SolveKey = (*i0, *i1);
         let shard = &self.inner.solves[shard_of(&key)];
         if let Some(w) = shard.lock().expect("solver memo poisoned").get(&key) {
             self.inner.counters.solve_hits.fetch_add(1, AtomicOrdering::Relaxed);
@@ -188,7 +153,7 @@ mod tests {
 
     #[test]
     fn solver_memo_returns_the_computed_witness() {
-        let cache = VerdictCache::new(true);
+        let cache = VerdictCache::default();
         let i0 = StridedInterval::new(0x100, 8, 99, 8);
         let i1 = StridedInterval::new(0x104, 8, 99, 4);
         let computes = std::cell::Cell::new(0u32);
@@ -196,8 +161,8 @@ mod tests {
             computes.set(computes.get() + 1);
             f()
         };
-        let (w1, t1) = cache.solve(SolverChoice::Diophantine, true, &i0, &i1, &mut run);
-        let (w2, t2) = cache.solve(SolverChoice::Diophantine, true, &i0, &i1, &mut run);
+        let (w1, t1) = cache.solve(&i0, &i1, &mut run);
+        let (w2, t2) = cache.solve(&i0, &i1, &mut run);
         assert_eq!(computes.get(), 1, "second lookup is a memo hit");
         assert_eq!((w1, t1), (w2, t2));
         assert_eq!(
@@ -210,62 +175,33 @@ mod tests {
         assert_eq!(cache.solve_misses(), 1);
         // Disjoint pair memoizes its None too.
         let far = StridedInterval::single(0x9999, 1);
-        assert_eq!(
-            cache.solve(SolverChoice::Diophantine, true, &i0, &far, &mut run),
-            (None, Tier::RangeDisjoint)
-        );
-        assert_eq!(
-            cache.solve(SolverChoice::Diophantine, true, &i0, &far, &mut run),
-            (None, Tier::RangeDisjoint)
-        );
+        assert_eq!(cache.solve(&i0, &far, &mut run), (None, Tier::RangeDisjoint));
+        assert_eq!(cache.solve(&i0, &far, &mut run), (None, Tier::RangeDisjoint));
         assert_eq!(computes.get(), 2);
-        // The two solver choices memoize separately.
-        let (w3, _) = cache.solve(SolverChoice::Ilp, true, &i0, &i1, &mut run);
-        assert_eq!(computes.get(), 3);
-        assert_eq!(w3, w1, "both solvers agree on the witness");
-    }
-
-    #[test]
-    fn disabled_cache_always_computes() {
-        let cache = VerdictCache::disabled();
-        let i0 = StridedInterval::new(0x100, 8, 9, 8);
-        let computes = std::cell::Cell::new(0u32);
-        let mut run = |f: &dyn Fn() -> SolveAnswer| {
-            computes.set(computes.get() + 1);
-            f()
-        };
-        cache.solve(SolverChoice::Diophantine, true, &i0, &i0, &mut run);
-        cache.solve(SolverChoice::Diophantine, true, &i0, &i0, &mut run);
-        assert_eq!(computes.get(), 2);
-        assert_eq!(cache.solve_hits() + cache.solve_misses(), 0, "no accounting when disabled");
-        assert_eq!(cache.hit_rate(), 0.0);
     }
 
     #[test]
     fn hit_rate_counts_solver_lookups_only() {
-        let cache = VerdictCache::new(true);
+        let cache = VerdictCache::default();
         cache.count_region_classifications(7);
         assert_eq!((cache.region_hits(), cache.region_misses()), (0, 7));
         let i = StridedInterval::new(0, 8, 9, 8);
         let mut run = |f: &dyn Fn() -> SolveAnswer| f();
-        cache.solve(SolverChoice::Diophantine, true, &i, &i, &mut run); // miss
-        cache.solve(SolverChoice::Diophantine, true, &i, &i, &mut run); // hit
+        cache.solve(&i, &i, &mut run); // miss
+        cache.solve(&i, &i, &mut run); // hit
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn memoized_tier_is_stable_across_hits() {
-        let cache = VerdictCache::new(true);
+        let cache = VerdictCache::default();
         // Figure 4: both holey, congruence reject.
         let i0 = StridedInterval::new(10, 8, 4, 4);
         let i1 = StridedInterval::new(14, 8, 4, 4);
         let mut run = |f: &dyn Fn() -> SolveAnswer| f();
-        let first = cache.solve(SolverChoice::Diophantine, true, &i0, &i1, &mut run);
-        let second = cache.solve(SolverChoice::Diophantine, true, &i0, &i1, &mut run);
+        let first = cache.solve(&i0, &i1, &mut run);
+        let second = cache.solve(&i0, &i1, &mut run);
         assert_eq!(first, (None, Tier::GcdReject));
         assert_eq!(second, first, "hits replay the memoized tier");
-        // Under --ilp the residue tier differs but the verdict agrees.
-        let ilp = cache.solve(SolverChoice::Ilp, true, &i0, &i1, &mut run);
-        assert_eq!(ilp, (None, Tier::GcdReject));
     }
 }

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sword_offline::{analyze, AnalysisConfig, AnalysisResult, SolverChoice};
+use sword_offline::{analyze, AnalysisConfig, AnalysisResult};
 use sword_ompsim::{DepMode, OmpSim, Sequencer, SimConfig};
 use sword_runtime::{run_collected, SwordConfig};
 use sword_trace::SessionDir;
@@ -583,51 +583,6 @@ fn parallel_analysis_matches_sequential() {
     assert_eq!(keys(&seq), keys(&par));
     assert_eq!(seq.stats.events, par.stats.events);
     assert_eq!(seq.stats.trees_built, par.stats.trees_built);
-}
-
-#[test]
-fn ilp_solver_matches_diophantine() {
-    let make = |tag: &str, solver: SolverChoice| {
-        pipeline_with(tag, AnalysisConfig::sequential().with_solver(solver), |sim| {
-            let a = sim.alloc::<f64>(512, 0.0);
-            sim.run(|ctx| {
-                ctx.parallel(2, |w| {
-                    // Interleaved halves with a one-element overlap.
-                    let lo = w.team_index() * 255;
-                    for i in lo..lo + 257 {
-                        w.write(&a, i, 1.0);
-                    }
-                    w.barrier();
-                });
-            });
-        })
-    };
-    let dio = make("ilp-a", SolverChoice::Diophantine);
-    let ilp = make("ilp-b", SolverChoice::Ilp);
-    assert_eq!(dio.race_count(), ilp.race_count());
-    assert!(dio.race_count() >= 1);
-}
-
-#[test]
-fn small_chunks_match_large_chunks() {
-    let make = |tag: &str, chunk: usize| {
-        pipeline_with(tag, AnalysisConfig::sequential().with_chunk_bytes(chunk), |sim| {
-            let a = sim.alloc::<i64>(800, 0);
-            sim.run(|ctx| {
-                ctx.parallel(3, |w| {
-                    w.for_static(1..800, |i| {
-                        let v = w.read(&a, i - 1);
-                        w.write(&a, i, v);
-                    });
-                });
-            });
-        })
-    };
-    let small = make("chunk-small", 7);
-    let large = make("chunk-large", 1 << 20);
-    assert_eq!(small.race_count(), large.race_count());
-    assert_eq!(small.stats.events, large.stats.events);
-    assert_eq!(small.stats.nodes, large.stats.nodes);
 }
 
 #[test]

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sword_offline::{analyze, AnalysisConfig, AnalysisResult, FunnelConfig, LiveAnalyzer};
+use sword_offline::{analyze, AnalysisConfig, AnalysisResult, LiveAnalyzer};
 use sword_ompsim::{OmpSim, SimConfig};
 use sword_runtime::{run_collected, SwordCollector, SwordConfig};
 use sword_trace::{LiveStatus, SessionDir};
@@ -120,6 +120,16 @@ fn assert_equivalent(live: &AnalysisResult, batch: &AnalysisResult) {
     assert_eq!(live.stats.region_pairs_considered, batch.stats.region_pairs_considered);
 }
 
+/// Every race of `r` rendered with its full evidence chain, for
+/// byte-for-byte comparison.
+fn evidence_chains(src: &SessionDir, r: &AnalysisResult) -> Vec<String> {
+    let pcs = sword_trace::PcTable::read_from(std::io::BufReader::new(
+        std::fs::File::open(src.pcs_path()).expect("pcs"),
+    ))
+    .expect("pc table");
+    r.races.iter().map(|x| format!("{}\n{}", x.render(&pcs), x.render_evidence(&pcs))).collect()
+}
+
 /// A workload with intra-group races, nested concurrent regions (cross
 /// tasks of both kinds), and a sequential region pair to prune.
 fn mixed_workload(sim: &OmpSim) {
@@ -211,6 +221,7 @@ fn live_equals_batch_on_racy_workload() {
     assert!(batch.race_count() >= 2, "workload must race: {:?}", batch.races);
     let live = staged_replay(&src, "racy-replay", &config, 1);
     assert_equivalent(&live, &batch);
+    assert_eq!(evidence_chains(&src, &live), evidence_chains(&src, &batch), "evidence diverged");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -232,83 +243,20 @@ fn live_equals_batch_on_tasking_workload() {
     // The tasking leg of the equivalence contract: a session full of
     // task-fork labels, dep edges, taskgroup scopes, and
     // dynamic/guided/ordered loop records must replay to the identical
-    // report, with byte-identical evidence, funnel on and off.
+    // report, with byte-identical evidence.
     let dir = record("tasking", tasking_workload);
     let src = SessionDir::new(&dir);
-    let pcs = sword_trace::PcTable::read_from(std::io::BufReader::new(
-        std::fs::File::open(src.pcs_path()).expect("pcs"),
-    ))
-    .expect("pc table");
-    let chains = |r: &AnalysisResult| -> Vec<String> {
-        r.races.iter().map(|x| format!("{}\n{}", x.render(&pcs), x.render_evidence(&pcs))).collect()
-    };
     let config = AnalysisConfig::sequential();
     let batch = analyze(&src, &config).expect("batch");
     assert!(batch.race_count() >= 1, "sibling tasks must race: {:?}", batch.races);
     assert!(batch.stats.tasks > 0, "session must carry task records");
     let live = staged_replay(&src, "tasking-replay", &config, 1);
     assert_equivalent(&live, &batch);
-    assert_eq!(chains(&live), chains(&batch), "tasking evidence diverged");
-
-    let nofunnel_cfg = AnalysisConfig::sequential().with_funnel(FunnelConfig::NONE);
-    let nofunnel = analyze(&src, &nofunnel_cfg).expect("funnel-off batch");
-    let nofunnel_live = staged_replay(&src, "tasking-replay-nofunnel", &nofunnel_cfg, 2);
-    assert_equivalent(&nofunnel_live, &nofunnel);
-    assert_eq!(chains(&nofunnel), chains(&batch), "funnel changed tasking evidence");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn analysis_core_variants_are_byte_identical() {
-    // The shared analysis core must not let its fast paths leak into the
-    // report: mapped vs buffered log reading, memoized vs recomputed
-    // verdicts, and batch vs live driving must all produce the same
-    // races with byte-identical rendered evidence chains.
-    let dir = record("variants", mixed_workload);
-    let src = SessionDir::new(&dir);
-    let pcs = sword_trace::PcTable::read_from(std::io::BufReader::new(
-        std::fs::File::open(src.pcs_path()).expect("pcs"),
-    ))
-    .expect("pc table");
-    let chains = |r: &AnalysisResult| -> Vec<String> {
-        r.races.iter().map(|x| format!("{}\n{}", x.render(&pcs), x.render_evidence(&pcs))).collect()
-    };
-    let baseline = analyze(&src, &AnalysisConfig::sequential()).expect("default batch");
-    assert!(baseline.race_count() >= 2, "workload must race");
-    let buffered = analyze(
-        &src,
-        &AnalysisConfig::sequential().with_read_mode(sword_trace::ReadMode::Buffered),
-    )
-    .expect("buffered batch");
-    let uncached =
-        analyze(&src, &AnalysisConfig::sequential().with_verdict_cache(false)).expect("uncached");
-    let live = staged_replay(&src, "variants-replay", &AnalysisConfig::sequential(), 2);
-    for (name, variant) in [("buffered", &buffered), ("cache-disabled", &uncached), ("live", &live)]
-    {
-        assert_equivalent(variant, &baseline);
-        assert_eq!(chains(variant), chains(&baseline), "{name} evidence diverged");
-    }
-
-    // The screening funnel must be result-neutral: masking every screen
-    // off moves pairs from `prescreened_pairs` back into `solver_calls`
-    // but cannot change verdicts, candidates, or rendered evidence.
-    let nofunnel_cfg = AnalysisConfig::sequential().with_funnel(FunnelConfig::NONE);
-    let nofunnel = analyze(&src, &nofunnel_cfg).expect("funnel-off batch");
-    let nofunnel_live = staged_replay(&src, "variants-replay-nofunnel", &nofunnel_cfg, 2);
-    assert_equivalent(&nofunnel_live, &nofunnel);
-    assert_eq!(nofunnel.stats.prescreened_pairs, 0, "no screens, nothing prescreened");
-    for (name, variant) in [("funnel-off", &nofunnel), ("funnel-off-live", &nofunnel_live)] {
-        assert_eq!(chains(variant), chains(&baseline), "{name} evidence diverged");
-        assert_eq!(
-            variant.stats.candidate_pairs, baseline.stats.candidate_pairs,
-            "{name} candidate count moved"
-        );
-        assert_eq!(
-            variant.stats.solver_calls + variant.stats.prescreened_pairs,
-            baseline.stats.solver_calls + baseline.stats.prescreened_pairs,
-            "{name} broke decided-pair conservation"
-        );
-    }
+    assert_eq!(
+        evidence_chains(&src, &live),
+        evidence_chains(&src, &batch),
+        "tasking evidence diverged"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -353,26 +301,6 @@ fn focus_and_suppressions_flow_through_live() {
     assert_eq!(batch.race_count(), 0);
     assert_eq!(batch.stats.races_suppressed, 2);
     assert_equivalent(&staged_replay(&src, "config-suppress", &suppress, 1), &batch);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn chunk_size_is_invariant_in_live_mode() {
-    let dir = record("chunks", mixed_workload);
-    let src = SessionDir::new(&dir);
-    let small =
-        staged_replay(&src, "chunks-small", &AnalysisConfig::sequential().with_chunk_bytes(7), 2);
-    let large = staged_replay(
-        &src,
-        "chunks-large",
-        &AnalysisConfig::sequential().with_chunk_bytes(1 << 20),
-        2,
-    );
-    let keys =
-        |r: &AnalysisResult| -> Vec<_> { r.races.iter().map(|x| (x.key, x.occurrences)).collect() };
-    assert_eq!(keys(&small), keys(&large));
-    assert_eq!(small.stats.candidate_pairs, large.stats.candidate_pairs);
-    assert_eq!(small.stats.events, large.stats.events);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

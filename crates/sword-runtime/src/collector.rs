@@ -325,8 +325,12 @@ struct Inner {
     /// watermark. Only rows whose byte range lies entirely below this are
     /// published mid-run.
     confirmed: Mutex<HashMap<ThreadId, u64>>,
-    /// Live publish counter (mirrors `live.meta`).
-    generation: AtomicU64,
+    /// Live publish counter (mirrors `live.meta`). Held for the whole of
+    /// a publish: the writer thread's throttled publishes and an explicit
+    /// [`SwordCollector::publish_progress`] share one `.tmp` name per
+    /// file, and a later generation must not be overwritten by an earlier
+    /// snapshot.
+    generation: Mutex<u64>,
     error: Mutex<Option<io::Error>>,
 }
 
@@ -341,6 +345,7 @@ impl Inner {
     /// of the reader's meta-then-regions order, preserving that guarantee
     /// across the atomic file replacements.
     fn publish(&self, finished: bool) -> io::Result<()> {
+        let mut generation = self.generation.lock();
         let confirmed: HashMap<ThreadId, u64> = self.confirmed.lock().clone();
         let slots: Vec<(ThreadId, Arc<Mutex<ThreadLog>>)> = {
             let map = self.slots.lock();
@@ -363,8 +368,8 @@ impl Inner {
             meta::write_meta(&mut buf, rows)?;
             self.session.write_file_atomic(&self.session.thread_meta(*tid), &buf)?;
         }
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        self.session.write_live(LiveStatus { generation, finished })
+        *generation += 1;
+        self.session.write_live(LiveStatus { generation: *generation, finished })
     }
 }
 
@@ -565,7 +570,7 @@ impl SwordCollector {
             slots: Mutex::new(HashMap::new()),
             regions: Mutex::new(Vec::new()),
             confirmed: Mutex::new(HashMap::new()),
-            generation: AtomicU64::new(0),
+            generation: Mutex::new(0),
             error: Mutex::new(None),
         });
         let counters = Arc::new(FlushCounters::new());

@@ -7,8 +7,17 @@
 //! The margin holds by construction — the journal records only at flush
 //! boundaries (once per `buffer_events` events), registry sources are
 //! read-on-demand closures, and the exporter reads snapshots outside the
-//! recording hot path — so this test pins the design, comparing
-//! best-of-N throughputs to shrug off scheduler noise.
+//! recording hot path — so this test pins the design. The 5% bound is
+//! checked in optimized builds (CI runs it under `--release`; see
+//! ci.yml); unoptimized builds only get a coarse did-not-regress bound.
+//!
+//! Methodology is `tests/site_attribution_overhead.rs`'s: a run is a
+//! million events (tens of milliseconds, not the few a scheduler hiccup
+//! can double), each round measures all three configurations
+//! back-to-back, and the assertion takes the *best ratio* across rounds.
+//! Machine noise moves every side of a round together, so the cleanest
+//! round bounds the true overhead; comparing independent per-side bests
+//! lets one lucky baseline sample fail the test on a busy 2-core box.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +29,7 @@ use sword_ompsim::SimConfig;
 use sword_runtime::{run_collected, SwordConfig};
 
 const THREADS: usize = 4;
-const EVENTS_PER_THREAD: u64 = 25_000;
+const EVENTS_PER_THREAD: u64 = 250_000;
 const ROUNDS: usize = 5;
 
 /// Pause between scrapes. Aggressive next to a stock Prometheus
@@ -104,24 +113,21 @@ fn obs_overhead_within_five_percent() {
     throughput(Mode::Plain, "warm");
     throughput(Mode::Obs, "warm-obs");
     throughput(Mode::ObsScraped, "warm-scraped");
-    let mut best_plain = 0.0f64;
-    let mut best_obs = 0.0f64;
-    let mut best_scraped = 0.0f64;
-    // Interleave rounds so drift (thermal, background load) hits all
-    // sides equally; compare bests, the standard noise-robust estimator.
+    let mut obs_ratios = Vec::with_capacity(ROUNDS);
+    let mut scraped_ratios = Vec::with_capacity(ROUNDS);
     for i in 0..ROUNDS {
-        best_plain = best_plain.max(throughput(Mode::Plain, &format!("plain{i}")));
-        best_obs = best_obs.max(throughput(Mode::Obs, &format!("obs{i}")));
-        best_scraped = best_scraped.max(throughput(Mode::ObsScraped, &format!("scraped{i}")));
+        let plain = throughput(Mode::Plain, &format!("plain{i}"));
+        obs_ratios.push(throughput(Mode::Obs, &format!("obs{i}")) / plain);
+        scraped_ratios.push(throughput(Mode::ObsScraped, &format!("scraped{i}")) / plain);
     }
-    assert!(
-        best_obs >= 0.95 * best_plain,
-        "instrumented throughput {best_obs:.0} ev/s fell more than 5% below \
-         uninstrumented {best_plain:.0} ev/s"
-    );
-    assert!(
-        best_scraped >= 0.95 * best_plain,
-        "scraped-exporter throughput {best_scraped:.0} ev/s fell more than 5% below \
-         uninstrumented {best_plain:.0} ev/s"
-    );
+    let floor = if cfg!(debug_assertions) { 0.70 } else { 0.95 };
+    for (what, ratios) in [("instrumented", &obs_ratios), ("scraped-exporter", &scraped_ratios)] {
+        let best = ratios.iter().copied().fold(0.0, f64::max);
+        assert!(
+            best >= floor,
+            "{what} throughput fell more than {:.0}% below uninstrumented in every round \
+             (ratios {ratios:?})",
+            (1.0 - floor) * 100.0
+        );
+    }
 }

@@ -37,4 +37,4 @@ pub use meta::{MetaRecord, RegionRecord};
 pub use pc::{PcTable, SourceLoc};
 pub use poll::{SessionDelta, SessionPoller};
 pub use session::{LiveStatus, SessionDir};
-pub use source::{ImageCache, LogSource, MappedLog, ReadMode, SourceStats, StreamSource};
+pub use source::{ImageCache, LogSource, MappedLog, SourceStats};

@@ -2,11 +2,13 @@
 //! *uncompressed* byte offsets.
 //!
 //! The meta-data file locates each barrier interval's events by
-//! `(data_begin, size)` in the uncompressed stream (Table I). Log files can
-//! reach many gigabytes (§III-B), so the reader never materializes a whole
-//! file: it streams frames forward, keeping only the window needed for the
-//! currently requested range — the paper's streaming algorithm that reads
-//! access information from log files in small chunks.
+//! `(data_begin, size)` in the uncompressed stream (Table I). [`LogWriter`]
+//! is what the collector writes through. [`LogReader`] is the paper's
+//! streaming algorithm (§III-B) in its plainest form: it streams frames
+//! forward, keeping only the window needed for the currently requested
+//! range. The analyzer reads through [`crate::MappedLog`] instead; this
+//! reader is the small reference its tests compare range contents
+//! against.
 
 use std::io::{self, Read, Write};
 
@@ -107,12 +109,6 @@ impl<R: Read> LogReader<R> {
             window_start: 0,
             eof: false,
         }
-    }
-
-    /// Uncompressed offset of the oldest byte still readable; requests
-    /// before it are rejected (the caller reopens the file to seek back).
-    pub fn position(&self) -> u64 {
-        self.window_start
     }
 
     /// Reads the uncompressed range `[begin, begin + len)` into `out`

@@ -1,59 +1,29 @@
 //! Log sources: how the offline phase gets at a thread's uncompressed
 //! event bytes.
 //!
-//! Two implementations sit behind one [`LogSource`] trait:
+//! [`MappedLog`] holds the whole compressed log file as one immutable
+//! in-memory image with a frame index built from a header-only scan.
+//! Range reads hand out *borrowed* slices: stored frames are served
+//! straight from the image with no copy at all, compressed frames are
+//! decompressed into one recycled per-source arena
+//! ([`sword_compress::FrameView::decode_into`]) and served from there.
+//! Random access is free, so a reader pool never reopens a log. This
+//! crate forbids `unsafe`, so the image is one `fs::read` where a real
+//! `mmap(2)` would slot in — same single allocation, same zero-copy
+//! reads off it.
 //!
-//! * [`MappedLog`] — the whole compressed log file held as one immutable
-//!   in-memory image with a frame index built from a header-only scan.
-//!   Range reads hand out *borrowed* slices: stored frames are served
-//!   straight from the image with no copy at all, compressed frames are
-//!   decompressed into one recycled per-source arena
-//!   ([`sword_compress::FrameView::decode_into`]) and served from there.
-//!   Random access is free, so a reader pool never reopens a mapped log.
-//!   The trait boundary is exactly where a real `mmap(2)` image would
-//!   slot in; this crate forbids `unsafe`, so the image is one
-//!   `fs::read` — same single allocation, same zero-copy reads off it.
-//! * [`StreamSource`] — the buffered-read fallback wrapping
-//!   [`LogReader`]: forward-only streaming that holds just the frames
-//!   covering the current range, for logs too large to hold (or when
-//!   `--read-mode buffered` is forced). Slices borrow the streaming
-//!   window.
-//!
-//! Both implementations yield byte-identical range contents and degrade
-//! to clean errors on torn or truncated logs; the fuzz fault campaign
-//! holds them to identical verdicts-or-error behavior.
+//! Torn or truncated logs degrade to clean errors, raised when a read
+//! first reaches the damage. The forward-streaming [`crate::LogReader`]
+//! is the reference the tests hold range contents against.
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sword_compress::parse_frame;
-
-use crate::log::LogReader;
-
-/// How the offline analyzer reads per-thread logs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReadMode {
-    /// Whole-file immutable image, zero-copy reads ([`MappedLog`]).
-    #[default]
-    Mapped,
-    /// Forward-streaming buffered reads ([`StreamSource`]).
-    Buffered,
-}
-
-impl ReadMode {
-    /// Parses the CLI spelling (`mapped` / `buffered`).
-    pub fn parse(s: &str) -> Option<ReadMode> {
-        match s {
-            "mapped" => Some(ReadMode::Mapped),
-            "buffered" => Some(ReadMode::Buffered),
-            _ => None,
-        }
-    }
-}
 
 /// Shared counters of log-source activity, updated by every source that
 /// was opened with a clone of the same stats handle. The offline layer
@@ -104,9 +74,9 @@ impl SourceStats {
 /// addresses them: by offset into the uncompressed stream.
 pub trait LogSource {
     /// Streams the uncompressed range `[begin, begin + len)` to `sink` as
-    /// one or more in-order borrowed slices. `chunk_bytes` caps the slice
-    /// size where the implementation buffers (the streaming fallback);
-    /// zero-copy implementations may hand out frame-sized slices.
+    /// one or more in-order borrowed slices. `chunk_bytes` is a hint a
+    /// buffering implementation may cap its slices by; [`MappedLog`]
+    /// hands out frame-sized slices and ignores it.
     fn read_range_with(
         &mut self,
         begin: u64,
@@ -114,11 +84,6 @@ pub trait LogSource {
         chunk_bytes: usize,
         sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
     ) -> io::Result<()>;
-
-    /// Oldest offset still readable. Forward-only sources advance this as
-    /// they stream (a request before it needs a reopen); random-access
-    /// sources always return 0.
-    fn position(&self) -> u64;
 }
 
 /// One frame of a [`MappedLog`] image.
@@ -178,8 +143,8 @@ pub struct MappedLog {
     /// remap appends more bytes).
     scan_pos: usize,
     /// Why the index scan stopped early, if it did; reads past `raw_len`
-    /// reproduce this error — exactly when a streaming reader would first
-    /// hit the torn region — instead of failing eagerly at open.
+    /// reproduce this error — when the torn region is first reached —
+    /// instead of failing eagerly at open.
     tail_error: Option<(io::ErrorKind, String)>,
     /// Recycled decompression arena and the frame it currently holds.
     arena: Vec<u8>,
@@ -349,55 +314,12 @@ impl LogSource for MappedLog {
         }
         Ok(())
     }
-
-    fn position(&self) -> u64 {
-        0 // random access: nothing is ever discarded
-    }
-}
-
-/// The buffered streaming fallback: a [`LogReader`] behind the
-/// [`LogSource`] trait, serving borrowed slices of its forward-moving
-/// window in `chunk_bytes` steps.
-#[derive(Debug)]
-pub struct StreamSource<R: Read> {
-    reader: LogReader<R>,
-}
-
-impl<R: Read> StreamSource<R> {
-    /// Wraps a streaming reader.
-    pub fn new(inner: R) -> Self {
-        StreamSource { reader: LogReader::new(inner) }
-    }
-}
-
-impl<R: Read> LogSource for StreamSource<R> {
-    fn read_range_with(
-        &mut self,
-        begin: u64,
-        len: u64,
-        chunk_bytes: usize,
-        sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
-    ) -> io::Result<()> {
-        let chunk = chunk_bytes.max(1) as u64;
-        let end = begin + len;
-        let mut pos = begin;
-        while pos < end {
-            let take = chunk.min(end - pos);
-            sink(self.reader.range_ref(pos, take)?)?;
-            pos += take;
-        }
-        Ok(())
-    }
-
-    fn position(&self) -> u64 {
-        self.reader.position()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::LogWriter;
+    use crate::log::{LogReader, LogWriter};
 
     fn build_log(blocks: &[Vec<u8>]) -> Vec<u8> {
         let mut w = LogWriter::new(Vec::new());
@@ -441,30 +363,26 @@ mod tests {
     }
 
     #[test]
-    fn mapped_and_streamed_read_identically() {
+    fn mapped_reads_match_the_streaming_reference() {
         let blocks = mixed_blocks();
         let data: Vec<u8> = blocks.concat();
         let log = build_log(&blocks);
         let mut mapped = MappedLog::from_bytes(log.clone(), SourceStats::new());
-        let mut streamed = StreamSource::new(&log[..]);
+        let mut reference = LogReader::new(&log[..]);
         assert_eq!(mapped.raw_len(), data.len() as u64);
-        // Forward ranges crossing frame boundaries, then spot ranges on
-        // the mapped source only (it is random-access).
+        // Forward ranges crossing frame boundaries, on both readers.
         let total = data.len() as u64;
-        for (begin, len) in
-            [(0u64, 100u64), (100, 900), (1000, total - 1000), (0, total), (total, 0)]
-        {
+        for (begin, len) in [(0u64, 100u64), (100, 900), (1000, total - 1000)] {
+            let mut streamed = Vec::new();
+            reference.read_range(begin, len, &mut streamed).unwrap();
+            assert_eq!(streamed, data[begin as usize..(begin + len) as usize]);
+            assert_eq!(collect(&mut mapped, begin, len, 64), streamed, "mapped {begin}+{len}");
+        }
+        // The map is random-access: whole-log, empty and backward ranges.
+        for (begin, len) in [(0u64, total), (total, 0), (5, 20)] {
             let m = collect(&mut mapped, begin, len, 64);
             assert_eq!(m, data[begin as usize..(begin + len) as usize], "mapped {begin}+{len}");
         }
-        for (begin, len) in [(0u64, 100u64), (100, 900), (1000, total - 1000)] {
-            let s = collect(&mut streamed, begin, len, 64);
-            assert_eq!(s, data[begin as usize..(begin + len) as usize], "streamed {begin}+{len}");
-        }
-        // Backwards is fine for the map, a position() signal for the stream.
-        assert_eq!(collect(&mut mapped, 5, 20, 64), data[5..25]);
-        assert_eq!(mapped.position(), 0);
-        assert!(streamed.position() > 0);
     }
 
     #[test]
@@ -533,22 +451,5 @@ mod tests {
         let err = mapped.read_range_with(50, 100, 64, &mut |_| Ok(())).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(err.to_string().contains("50..150"), "{err}");
-    }
-
-    #[test]
-    fn stream_source_chunks_by_cap() {
-        let data: Vec<u8> = (0..255u8).cycle().take(5000).collect();
-        let log = build_log(&data.chunks(700).map(|c| c.to_vec()).collect::<Vec<_>>());
-        let mut s = StreamSource::new(&log[..]);
-        let mut sizes = Vec::new();
-        let mut out = Vec::new();
-        s.read_range_with(100, 2000, 256, &mut |sl| {
-            sizes.push(sl.len());
-            out.extend_from_slice(sl);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(out, data[100..2100]);
-        assert!(sizes.iter().all(|&n| n <= 256));
     }
 }

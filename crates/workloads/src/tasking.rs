@@ -237,64 +237,6 @@ fn guidedschedule_no(sim: &OmpSim, cfg: &RunConfig) {
     });
 }
 
-fn taskfan(sim: &OmpSim, cfg: &RunConfig) {
-    // Several rounds of master-side task fan-out over disjoint slices
-    // (racy only on the shared round counter), each followed by dynamic
-    // and guided team sweeps — a session dominated by task-fork labels
-    // and non-static loop records.
-    let rounds = cfg.size_or(6);
-    let tasks = 16u64;
-    let slice = 128u64;
-    let n = tasks * slice;
-    let a = sim.alloc::<f64>(n, 1.0);
-    let counter = sim.alloc::<u64>(1, 0);
-    sim.run(|ctx| {
-        ctx.parallel(cfg.threads, |w| {
-            for _round in 0..rounds {
-                if w.team_index() == 0 {
-                    for k in 0..tasks {
-                        w.task_depend(&[], |t| {
-                            for i in k * slice..(k + 1) * slice {
-                                let v = t.read(&a, i);
-                                t.write(&a, i, v * 1.0001);
-                            }
-                            let c = t.read(&counter, 0); // sibling race
-                            t.write(&counter, 0, c + 1);
-                        });
-                    }
-                    w.taskwait();
-                }
-                w.barrier();
-                w.for_dynamic_pinned(0..n, 64, |i| {
-                    let v = w.read(&a, i);
-                    w.write(&a, i, v + 0.5);
-                });
-                w.for_guided_pinned(0..n, 32, |i| {
-                    let v = w.read(&a, i);
-                    w.write(&a, i, v * 0.999);
-                });
-            }
-        });
-    });
-}
-
-/// The pipeline-bench tasking workload (not part of the detection suite:
-/// its volume, not its ground truth, is the point). `size` is the round
-/// count; the only races are the two source pairs on the round counter.
-pub fn taskfan_workload() -> Box<dyn Workload> {
-    Box::new(Kernel {
-        spec: spec(
-            "taskfan-bench",
-            0,
-            2,
-            None,
-            "task fan-out over disjoint slices + dynamic/guided sweeps; \
-             racy only on the shared round counter",
-        ),
-        run: taskfan,
-    })
-}
-
 /// The tasking/scheduling suite, `-yes` kernels first.
 pub fn all() -> Vec<Box<dyn Workload>> {
     vec![

@@ -1,20 +1,15 @@
 #!/usr/bin/env python3
-"""CI regression gate for the ratio-based bench artifacts.
+"""CI regression gate for the telemetry-plane bench artifact.
 
-Compares the gated ratio of each workload in a freshly generated bench
-JSON against the committed baseline in bench-baselines/ and fails when
-any workload regresses by more than the tolerance (default 15%). Two
-artifacts share the gate, each contributing one higher-is-better ratio
-per workload entry:
+Compares the gated ratio of each workload in a freshly generated
+BENCH_obs.json against the committed baseline in bench-baselines/ and
+fails when any workload regresses by more than the tolerance (default
+15%). The ratio is higher-is-better:
 
-  BENCH_pipeline.json  `stage_throughput_speedup` — refactored
-                       analysis-core stage throughput over the pre-core
-                       shape on the same host and run.
-  BENCH_obs.json       `exporter_throughput_ratio` — unscraped collection
-                       wall time over the wall time with the telemetry
-                       exporter being scraped throughout.
+  `exporter_throughput_ratio` — unscraped collection wall time over the
+  wall time with the telemetry exporter being scraped throughout.
 
-The gate deliberately compares *dimensionless* ratios rather than
+The gate deliberately compares a *dimensionless* ratio rather than
 absolute items/s or seconds, so it is portable across runner hardware
 generations: a slower machine slows both modes alike.
 
@@ -37,16 +32,14 @@ def load(path):
         sys.exit(f"error: {path} is not valid JSON: {e}")
 
 
-GATED_RATIOS = ("stage_throughput_speedup", "exporter_throughput_ratio")
+GATED_RATIO = "exporter_throughput_ratio"
 
 
 def by_workload(doc, path):
     rows = {}
     for entry in doc.get("workloads", []):
         name = entry.get("workload")
-        speedup = next(
-            (entry[k] for k in GATED_RATIOS if k in entry), None
-        )
+        speedup = entry.get(GATED_RATIO)
         if name is None or not isinstance(speedup, (int, float)) or speedup <= 0:
             sys.exit(f"error: {path}: malformed workload entry {entry!r}")
         rows[name] = float(speedup)
@@ -57,8 +50,8 @@ def by_workload(doc, path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("current", help="freshly generated BENCH_pipeline.json")
-    ap.add_argument("baseline", help="committed baseline BENCH_pipeline.json")
+    ap.add_argument("current", help="freshly generated BENCH_obs.json")
+    ap.add_argument("baseline", help="committed baseline BENCH_obs.json")
     ap.add_argument(
         "--tolerance",
         type=float,
@@ -81,11 +74,11 @@ def main():
         if cur < base * (1.0 - args.tolerance):
             status = "REGRESSION"
             failures.append(
-                f"{name}: stage_throughput_speedup {cur:.3f} vs baseline "
+                f"{name}: {GATED_RATIO} {cur:.3f} vs baseline "
                 f"{base:.3f} ({delta:+.1%} > -{args.tolerance:.0%} allowed)"
             )
         print(
-            f"{name:<16} speedup {cur:.3f}  baseline {base:.3f}  "
+            f"{name:<16} ratio {cur:.3f}  baseline {base:.3f}  "
             f"delta {delta:+.1%}  {status}"
         )
 

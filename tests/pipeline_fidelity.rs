@@ -98,18 +98,16 @@ fn collection_is_deterministic_per_thread() {
 }
 
 #[test]
-fn analysis_is_idempotent_and_stream_insensitive() {
+fn analysis_is_idempotent() {
     let dir = tmp("idem");
     collect_program(&dir);
     let session = SessionDir::new(&dir);
     let r1 = analyze(&session, &AnalysisConfig::sequential()).unwrap();
     let r2 = analyze(&session, &AnalysisConfig::sequential()).unwrap();
-    let r3 = analyze(&session, &AnalysisConfig::sequential().with_chunk_bytes(11)).unwrap();
     let keys =
         |r: &sword::offline::AnalysisResult| -> Vec<_> { r.races.iter().map(|x| x.key).collect() };
     assert_eq!(keys(&r1), keys(&r2));
-    assert_eq!(keys(&r1), keys(&r3));
-    assert_eq!(r1.stats.events, r3.stats.events);
+    assert_eq!(r1.stats.events, r2.stats.events);
     fs::remove_dir_all(&dir).unwrap();
 }
 
