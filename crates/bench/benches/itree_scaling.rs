@@ -6,7 +6,7 @@
 //! array sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sword_itree::{count_exact_overlaps, IntervalTree, StridedInterval, SummarizingBuilder};
+use sword_itree::{count_exact_overlaps, IntervalTree, SummarizingBuilder};
 
 /// Builds a tree of `n` raw accesses from `pcs` interleaved array sweeps.
 fn build_summarized(n: u64, pcs: u32) -> IntervalTree<u32> {
@@ -18,18 +18,20 @@ fn build_summarized(n: u64, pcs: u32) -> IntervalTree<u32> {
     b.finish()
 }
 
-/// Builds a tree of `m` *non-mergeable* nodes (every access from a fresh
-/// key at a scattered address).
+/// Builds a tree of about `m` *non-mergeable* nodes — one source line
+/// gathering at scattered addresses — through the builder, like the
+/// analyzer. (A stray short forward gap is held as a pending second
+/// element and still ends up a node of its own.)
 fn build_scattered(m: u64, offset: u64) -> IntervalTree<u32> {
-    let mut t = IntervalTree::new();
+    let mut b: SummarizingBuilder<u32, u32> = SummarizingBuilder::new();
     let mut x = 0x9E3779B97F4A7C15u64.wrapping_add(offset);
     for i in 0..m {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        t.insert(StridedInterval::new(offset + (x % (m * 64)), 0, 0, 8), i as u32);
+        b.insert_with(0, offset + (x % (m * 64)), 8, || i as u32);
     }
-    t
+    b.finish()
 }
 
 fn bench_build(c: &mut Criterion) {

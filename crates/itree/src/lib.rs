@@ -13,7 +13,10 @@
 //!
 //! Complexity matches the paper's §III-B analysis: building a tree from
 //! `N` accesses is `O(N log N)`; comparing two trees with `M` nodes is
-//! `O(M log M)`; summarization makes `M ≤ N` (often `M ≪ N`).
+//! `O(M log M)`; summarization makes `M ≤ N` (often `M ≪ N`). The build
+//! spends its `log` in one sort, not in `M` rebalancing inserts: the
+//! [`SummarizingBuilder`] appends nodes while it folds and links the
+//! red-black tree over the sorted arena when it finishes.
 //!
 //! # Example
 //!
@@ -48,10 +51,14 @@ pub use hash::{FxBuildHasher, FxHasher};
 pub use sword_solver::{strided_overlap, Fingerprint, StridedInterval};
 pub use tree::{IntervalTree, NodeRef};
 
+use tree::Node;
+
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Outcome of a [`SummarizingBuilder::insert_with`].
+/// Outcome of a [`SummarizingBuilder::insert_with`]. The [`NodeRef`]s are
+/// build-time identifiers — equal for accesses folded into one node,
+/// invalidated by [`SummarizingBuilder::finish`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergeOutcome {
     /// The access extended an existing node (array sweep continuing).
@@ -91,14 +98,11 @@ const MAX_STRIDE_BYTES: u64 = 4096;
 #[derive(Clone, Copy, Debug)]
 struct MergeSlot {
     node: NodeRef,
-    /// Authoritative interval of this progression. The tree node lags
-    /// behind while a run is open (see `dirty`), so the per-access hot
-    /// path never touches the tree: extension decisions read and write
-    /// this copy, and the accumulated extent is flushed in one
-    /// `extend_interval` when the slot retires.
+    /// Authoritative interval of this progression. The arena node lags
+    /// behind while a run is open, so the per-access hot path never
+    /// touches the arena: extension decisions read and write this copy,
+    /// and the accumulated extent is written once when the slot retires.
     iv: StridedInterval,
-    /// Whether `iv` has extensions the tree node has not seen yet.
-    dirty: bool,
     /// A second element observed after a single access, held back until a
     /// third access confirms the stride (or the slot is retired, at which
     /// point it is materialized as its own node).
@@ -114,9 +118,16 @@ struct MergeSlot {
 /// progressions per key and extends one when the next access continues
 /// its (confirmed) arithmetic progression, which is exactly the shape
 /// instrumented array loops emit.
+///
+/// Folding only appends: a new progression pushes an unlinked node, a
+/// retiring one overwrites its node's interval (the begin never moves),
+/// and [`finish`](SummarizingBuilder::finish) sorts the nodes once and
+/// links the balanced tree over them — nothing queries a tree under
+/// construction, so nothing pays for rebalancing one.
 #[derive(Clone, Debug)]
 pub struct SummarizingBuilder<K: Hash + Eq + Clone, V> {
-    tree: IntervalTree<V>,
+    /// Unlinked nodes in insertion order.
+    nodes: Vec<Node<V>>,
     /// Most-recent-first rings of live progressions, one per distinct
     /// key, indexed by [`SummarizingBuilder::index`].
     rings: Vec<[Option<MergeSlot>; MERGE_HISTORY]>,
@@ -148,7 +159,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// Creates an empty builder.
     pub fn new() -> Self {
         SummarizingBuilder {
-            tree: IntervalTree::new(),
+            nodes: Vec::new(),
             rings: Vec::new(),
             index: HashMap::default(),
             memo: vec![None; KEY_CACHE_WAYS],
@@ -164,7 +175,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// Number of tree nodes (the paper's `M ≤ N`). Pending second
     /// elements are not counted until confirmed or flushed.
     pub fn node_count(&self) -> usize {
-        self.tree.len()
+        self.nodes.len()
     }
 
     /// The ring index for `key`, creating an empty ring for a fresh key.
@@ -196,7 +207,8 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
 
     /// Inserts one access of `size` bytes at `addr` with merge key `key`.
     /// `value` is stored only when a new node is created (merged accesses
-    /// share the representative's value).
+    /// share the representative's value). `addr + size` must not wrap the
+    /// address space.
     pub fn insert_with(
         &mut self,
         key: K,
@@ -217,12 +229,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
                 SlotMatch::None => continue,
                 SlotMatch::Covered => MergeOutcome::Duplicate(slot.node),
                 SlotMatch::Extend(extended) => {
-                    ring[i] = Some(MergeSlot {
-                        node: slot.node,
-                        iv: extended,
-                        dirty: true,
-                        pending: None,
-                    });
+                    ring[i] = Some(MergeSlot { node: slot.node, iv: extended, pending: None });
                     MergeOutcome::Extended(slot.node)
                 }
                 SlotMatch::Pend => {
@@ -231,39 +238,50 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
                 }
                 SlotMatch::PendingRepeat => MergeOutcome::Duplicate(slot.node),
             };
-            // Promote the hit to the front of the ring.
-            self.rings[ri][..=i].rotate_right(1);
+            // Promote the hit to the front of the ring. A sweep hits the
+            // front every time; skipping the no-op rotation keeps a slice
+            // call out of the per-access path.
+            if i > 0 {
+                self.rings[ri][..=i].rotate_right(1);
+            }
             return result;
         }
         // No progression matched: start a new one, retiring the oldest.
         let iv = StridedInterval::single(addr, size);
-        let node = self.tree.insert(iv, value());
+        let node = self.push(iv, value());
         let ring = &mut self.rings[ri];
         let retired = ring[MERGE_HISTORY - 1];
         ring.rotate_right(1);
-        ring[0] = Some(MergeSlot { node, iv, dirty: false, pending: None });
+        ring[0] = Some(MergeSlot { node, iv, pending: None });
         if let Some(slot) = retired {
             self.retire(slot);
         }
         MergeOutcome::New(node)
     }
 
+    fn push(&mut self, iv: StridedInterval, value: V) -> NodeRef {
+        let node = NodeRef(u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes"));
+        self.nodes.push(Node::new(iv, value));
+        node
+    }
+
     /// Flushes a slot leaving the ring: writes its accumulated extent to
-    /// the tree node in one `extend_interval`, and gives an unconfirmed
-    /// second element its own single node (it still represents a real
-    /// access, sharing the representative's value).
+    /// its node, and gives an unconfirmed second element its own single
+    /// node (it still represents a real access, sharing the
+    /// representative's value).
     fn retire(&mut self, slot: MergeSlot) {
-        if slot.dirty {
-            self.tree.extend_interval(slot.node, slot.iv);
-        }
+        let node = &mut self.nodes[slot.node.0 as usize];
+        node.interval = slot.iv;
         if let Some(p) = slot.pending {
-            let value = self.tree.value(slot.node).clone();
-            self.tree.insert(StridedInterval::single(p, slot.iv.size), value);
+            let value = node.value.clone();
+            self.push(StridedInterval::single(p, slot.iv.size), value);
         }
     }
 
-    /// Finishes the build, flushing open progressions and unconfirmed
-    /// pendings, and returns the tree.
+    /// Finishes the build: flushes open progressions and unconfirmed
+    /// pendings, then sorts the nodes and links the tree over them (see
+    /// the type's docs). The result is the tree that inserting every node
+    /// when it was created would have produced, in-order.
     pub fn finish(mut self) -> IntervalTree<V> {
         let rings = std::mem::take(&mut self.rings);
         for ring in rings {
@@ -271,14 +289,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
                 self.retire(slot);
             }
         }
-        self.tree
-    }
-
-    /// Read access to the tree under construction. Note: pending second
-    /// elements and the unflushed extents of still-open progressions are
-    /// not yet visible here.
-    pub fn tree(&self) -> &IntervalTree<V> {
-        &self.tree
+        IntervalTree::link(self.nodes)
     }
 }
 
@@ -296,17 +307,23 @@ enum SlotMatch {
 }
 
 fn match_slot(iv: &StridedInterval, pending: Option<u64>, addr: u64) -> SlotMatch {
+    // The progression's last element: within the address space, like
+    // every element of an interval whose `end()` is.
+    let last = iv.base + iv.stride * iv.count;
     // 1. Already covered (loop-invariant operand, repeated sweep).
     if addr >= iv.base
-        && addr <= iv.base + iv.stride * iv.count
+        && addr <= last
         && (iv.count == 0 && addr == iv.base
             || iv.stride > 0 && (addr - iv.base).is_multiple_of(iv.stride))
     {
         return SlotMatch::Covered;
     }
     if iv.count >= 1 {
-        // 2. The next element of a confirmed progression.
-        if addr == iv.base + iv.stride * (iv.count + 1) {
+        // 2. The next element of a confirmed progression. Measured from
+        //    `last`, not computed as `base + stride * (count + 1)`: a
+        //    progression at the top of the address space would wrap that
+        //    sum onto an unrelated low address.
+        if addr > last && addr - last == iv.stride {
             return SlotMatch::Extend(StridedInterval::new(
                 iv.base,
                 iv.stride,
@@ -441,37 +458,6 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(all, sorted, "in-order iteration is sorted");
         }
-    }
-
-    #[test]
-    fn remove_keeps_invariants() {
-        let mut t: IntervalTree<u64> = IntervalTree::new();
-        let handles: Vec<_> = (0..512u64).map(|i| t.insert(iv(i * 16, 0, 0, 8), i)).collect();
-        // Remove every third node.
-        for (i, h) in handles.iter().enumerate() {
-            if i % 3 == 0 {
-                let (ivl, v) = t.remove(*h);
-                assert_eq!(ivl.begin(), (i as u64) * 16);
-                assert_eq!(v, i as u64);
-                t.assert_invariants();
-            }
-        }
-        assert_eq!(t.len(), 512 - 171);
-        // Removed intervals no longer found.
-        assert!(t.range_overlaps(0, 8).is_empty());
-        assert_eq!(t.range_overlaps(16, 24).len(), 1);
-    }
-
-    #[test]
-    fn remove_reuses_slots() {
-        let mut t: IntervalTree<()> = IntervalTree::new();
-        let h = t.insert(iv(0, 0, 0, 8), ());
-        t.remove(h);
-        let before = t.arena_bytes();
-        for i in 0..1 {
-            t.insert(iv(100 + i, 0, 0, 8), ());
-        }
-        assert_eq!(t.arena_bytes(), before, "freed slot is reused");
     }
 
     #[test]
@@ -636,6 +622,127 @@ mod proptests {
             .prop_map(|(b, st, c, sz)| StridedInterval::new(b, st, c, sz))
     }
 
+    /// Tree sizes for the link pass: anything up to 2,000, weighted
+    /// toward the exact powers of two ± 1 where the deepest level of the
+    /// midpoint tree goes from nearly full, to full, to one node.
+    fn arb_len() -> impl Strategy<Value = usize> {
+        let edges = (0..=10u32).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]).collect();
+        prop_oneof![0usize..=2000, prop::sample::select(edges)]
+    }
+
+    fn inorder<V: Clone>(t: &IntervalTree<V>) -> Vec<(StridedInterval, V)> {
+        t.iter().map(|(_, iv, v)| (*iv, v.clone())).collect()
+    }
+
+    /// One live progression of the reference builder: (index into
+    /// `finals`, interval, pending).
+    type RefSlot = (usize, StridedInterval, Option<u64>);
+
+    /// The pre-bulk-link builder, kept as the reference `finish()` is
+    /// compared against: every node is `insert`ed into a red-black tree
+    /// the moment it is created — a fresh progression on arrival, an
+    /// unconfirmed pending when its slot retires. Intervals only ever
+    /// grow at the tail, so the reference keeps each node's final
+    /// interval (and value) in `finals` and the tree holds its index.
+    #[derive(Default)]
+    struct InsertingBuilder {
+        tree: IntervalTree<usize>,
+        finals: Vec<(StridedInterval, u32)>,
+        /// Per key, in first-use order like the builder's rings.
+        rings: Vec<(u32, [Option<RefSlot>; MERGE_HISTORY])>,
+    }
+
+    impl InsertingBuilder {
+        fn insert_node(&mut self, iv: StridedInterval, value: u32) -> usize {
+            self.tree.insert(iv, self.finals.len());
+            self.finals.push((iv, value));
+            self.finals.len() - 1
+        }
+
+        fn insert(&mut self, key: u32, addr: u64, size: u64, value: u32) {
+            let ri = self.rings.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                self.rings.push((key, [None; MERGE_HISTORY]));
+                self.rings.len() - 1
+            });
+            let ring = &mut self.rings[ri].1;
+            for i in 0..MERGE_HISTORY {
+                let Some((node, iv, pending)) = ring[i] else { continue };
+                if iv.size != size {
+                    continue;
+                }
+                match match_slot(&iv, pending, addr) {
+                    SlotMatch::None => continue,
+                    SlotMatch::Covered | SlotMatch::PendingRepeat => {}
+                    SlotMatch::Extend(extended) => ring[i] = Some((node, extended, None)),
+                    SlotMatch::Pend => ring[i] = Some((node, iv, Some(addr))),
+                }
+                ring[..=i].rotate_right(1);
+                return;
+            }
+            let iv = StridedInterval::single(addr, size);
+            let node = self.insert_node(iv, value);
+            let ring = &mut self.rings[ri].1;
+            let retired = ring[MERGE_HISTORY - 1];
+            ring.rotate_right(1);
+            ring[0] = Some((node, iv, None));
+            if let Some(slot) = retired {
+                self.retire(slot);
+            }
+        }
+
+        fn retire(&mut self, (node, iv, pending): RefSlot) {
+            self.finals[node].0 = iv;
+            if let Some(p) = pending {
+                self.insert_node(StridedInterval::single(p, iv.size), self.finals[node].1);
+            }
+        }
+
+        /// In-order `(final interval, value)` sequence.
+        fn finish(mut self) -> Vec<(StridedInterval, u32)> {
+            for (_, ring) in std::mem::take(&mut self.rings) {
+                for slot in ring.into_iter().flatten() {
+                    self.retire(slot);
+                }
+            }
+            self.tree.assert_invariants();
+            self.tree.iter().map(|(_, _, &i)| self.finals[i]).collect()
+        }
+    }
+
+    /// Runs `stream` through the real builder and the reference.
+    fn assert_builder_matches_reference(stream: &[(u32, u64, u64)]) {
+        let mut bulk: SummarizingBuilder<u32, u32> = SummarizingBuilder::new();
+        let mut reference = InsertingBuilder::default();
+        for (i, &(key, addr, size)) in stream.iter().enumerate() {
+            bulk.insert_with(key, addr, size, || i as u32);
+            reference.insert(key, addr, size, i as u32);
+        }
+        let nodes = bulk.node_count();
+        let tree = bulk.finish();
+        tree.assert_invariants();
+        assert!(tree.len() >= nodes, "finish only adds the flushed pendings");
+        assert_eq!(inorder(&tree), reference.finish());
+    }
+
+    #[test]
+    fn finish_matches_inserting_reference_on_pendings_and_equal_begins() {
+        let stream = [
+            (1, 0x100, 8), // key 1, progression A
+            (1, 0x108, 8), // A's pending, never confirmed
+            (2, 0x100, 4), // same begin, other key and size
+            (1, 0x100, 8), // covered by A: duplicate
+            (1, 0x400, 8), // progression B
+            (1, 0x100, 4), // other size: progression C retires A → pending 0x108 gets a node
+            (1, 0x408, 8), // B's pending…
+            (1, 0x410, 8), // …confirmed: B = [0x400, stride 8, ×3)
+            (2, 0x108, 4), // key 2 pending, flushed only by finish()
+            (1, 0x100, 8), // a second single at 0x100 size 8, after the first in-order
+            (3, 0x108, 8), // same begin as the flushed pending, created later
+            (1, 0x418, 8), // B's next element, but D is ahead in the ring and pends it
+        ];
+        assert_builder_matches_reference(&stream);
+    }
+
     proptest! {
         #[test]
         fn invariants_after_random_inserts(ivs in prop::collection::vec(arb_iv(), 0..200)) {
@@ -668,21 +775,54 @@ mod proptests {
         }
 
         #[test]
-        fn invariants_after_interleaved_removals(
-            ivs in prop::collection::vec(arb_iv(), 1..120),
-            removals in prop::collection::vec(any::<prop::sample::Index>(), 0..60),
+        fn bulk_link_equals_inserts(
+            pool in prop::collection::vec((arb_iv(), 0u32..1000), 2000),
+            len in arb_len(),
+            queries in prop::collection::vec((0u64..700, 0u64..100), 8),
+            later in prop::collection::vec(arb_iv(), 50),
         ) {
-            let mut t: IntervalTree<usize> = IntervalTree::new();
-            let mut live: Vec<NodeRef> = ivs.iter().enumerate()
-                .map(|(i, iv)| t.insert(*iv, i)).collect();
-            for r in removals {
-                if live.is_empty() { break; }
-                let pos = r.index(live.len());
-                let h = live.swap_remove(pos);
-                t.remove(h);
-                t.assert_invariants();
+            let seq = &pool[..len];
+            let mut reference = IntervalTree::new();
+            // The builder's usage: a node is pushed as a single access and
+            // its tail is extended in place afterwards, so `max_end` and
+            // `fp` are stale when the link pass starts.
+            let mut nodes = Vec::new();
+            for &(iv, v) in seq {
+                reference.insert(iv, v);
+                nodes.push(Node::new(StridedInterval::single(iv.base, iv.size), v));
+                nodes.last_mut().unwrap().interval = iv;
             }
-            prop_assert_eq!(t.len(), live.len());
+            let mut bulk = IntervalTree::link(nodes);
+            bulk.assert_invariants();
+            prop_assert_eq!(inorder(&bulk), inorder(&reference));
+            let log2_ceil = (len + 1).next_power_of_two().ilog2() as usize;
+            prop_assert!(bulk.height() <= log2_ceil, "height {} for {} nodes", bulk.height(), len);
+            let hits = |t: &IntervalTree<u32>, lo, hi| -> Vec<(StridedInterval, u32)> {
+                t.range_overlaps(lo, hi).iter().map(|&h| (*t.interval(h), *t.value(h))).collect()
+            };
+            for &(lo, width) in &queries {
+                prop_assert_eq!(hits(&bulk, lo, lo + width), hits(&reference, lo, lo + width));
+            }
+            prop_assert_eq!(bulk.bounds(), reference.bounds());
+            // A bulk-linked tree is an ordinary red-black tree afterwards.
+            for (i, iv) in later.iter().enumerate() {
+                bulk.insert(*iv, i as u32);
+                reference.insert(*iv, i as u32);
+            }
+            bulk.assert_invariants();
+            prop_assert_eq!(inorder(&bulk), inorder(&reference));
+        }
+
+        #[test]
+        fn finish_matches_inserting_reference(
+            // Few keys, two sizes, addresses on a coarse grid: progressions
+            // interleave, pendings go unconfirmed, singles share begins.
+            stream in prop::collection::vec(
+                (0u32..3, (0u64..24).prop_map(|a| 0x100 + a * 4), prop::sample::select(vec![4u64, 8])),
+                0..300,
+            ),
+        ) {
+            assert_builder_matches_reference(&stream);
         }
 
         #[test]

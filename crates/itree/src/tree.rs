@@ -34,22 +34,42 @@ pub(crate) struct Node<V> {
     pub color: Color,
 }
 
+impl<V> Node<V> {
+    /// A red node linked to nothing, its `max_end` and `fp` those of its
+    /// own interval.
+    pub(crate) fn new(interval: StridedInterval, value: V) -> Self {
+        Node {
+            interval,
+            value,
+            max_end: interval.end(),
+            fp: Fingerprint::of(&interval).pack(),
+            parent: NIL,
+            left: NIL,
+            right: NIL,
+            color: Color::Red,
+        }
+    }
+}
+
 /// An augmented red-black interval tree mapping [`StridedInterval`]s to
 /// values.
 ///
 /// Duplicate begin addresses are allowed (later inserts go right), so the
-/// tree is a multimap over intervals.
+/// tree is a multimap over intervals. Nodes are never removed: a summary
+/// tree is built once and then only queried.
 #[derive(Clone, Debug)]
 pub struct IntervalTree<V> {
-    pub(crate) nodes: Vec<Node<V>>,
-    pub(crate) root: u32,
-    /// Free list of removed slots for reuse.
-    free: Vec<u32>,
-    len: usize,
+    nodes: Vec<Node<V>>,
+    root: u32,
 }
 
-/// Stable handle to a node in an [`IntervalTree`]. Invalidated by removal
-/// of that node (but not by removal of others).
+/// Handle to a node in an [`IntervalTree`]: stable for the life of the
+/// tree that handed it out. A handle a [`SummarizingBuilder`] returns
+/// while building names a node of the *build*, not of the finished tree
+/// — [`SummarizingBuilder::finish`] reorders the nodes and invalidates it.
+///
+/// [`SummarizingBuilder`]: crate::SummarizingBuilder
+/// [`SummarizingBuilder::finish`]: crate::SummarizingBuilder::finish
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeRef(pub(crate) u32);
 
@@ -62,24 +82,24 @@ impl<V> Default for IntervalTree<V> {
 impl<V> IntervalTree<V> {
     /// Creates an empty tree.
     pub fn new() -> Self {
-        IntervalTree { nodes: Vec::new(), root: NIL, free: Vec::new(), len: 0 }
+        IntervalTree { nodes: Vec::new(), root: NIL }
     }
 
     /// Creates an empty tree with room for `cap` nodes.
     pub fn with_capacity(cap: usize) -> Self {
-        IntervalTree { nodes: Vec::with_capacity(cap), root: NIL, free: Vec::new(), len: 0 }
+        IntervalTree { nodes: Vec::with_capacity(cap), root: NIL }
     }
 
     /// Number of intervals stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// `true` when no intervals are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.is_empty()
     }
 
     /// Approximate bytes held by the node arena — used by the memory
@@ -124,25 +144,57 @@ impl<V> IntervalTree<V> {
         Some((min_begin, self.nodes[self.root as usize].max_end))
     }
 
-    /// Replaces the interval at `handle`. The new interval must keep the
-    /// same begin address (summarization only ever extends the tail end of
-    /// an interval), so the BST order is untouched; `max_end` augmentation
-    /// is repaired upward.
-    pub fn extend_interval(&mut self, handle: NodeRef, interval: StridedInterval) {
-        let idx = handle.0;
-        assert_eq!(
-            self.nodes[idx as usize].interval.begin(),
-            interval.begin(),
-            "extend_interval must preserve the begin address"
-        );
-        self.nodes[idx as usize].interval = interval;
-        self.nodes[idx as usize].fp = Fingerprint::of(&interval).pack();
-        self.fix_max_up_value(idx);
+    /// Links `nodes` — given in insertion order, their links and derived
+    /// fields arbitrary — into the tree that inserting them one by one
+    /// would have produced in-order, in O(n) after one sort.
+    ///
+    /// The sort is by `(begin, insertion index)`, which is exactly the
+    /// in-order sequence of [`IntervalTree::insert`] (equal begins go
+    /// right, rotations keep in-order). It runs in place on the nodes
+    /// themselves, the index riding in the not-yet-used `parent` link: a
+    /// side array of keys would cost 16 B per node at the analyzer's
+    /// memory peak. Linking midpoints over the sorted arena then fills
+    /// every level but the deepest, so "all black, deepest level red" is a
+    /// valid colouring, and an in-order walk reads memory sequentially.
+    pub(crate) fn link(mut nodes: Vec<Node<V>>) -> Self {
+        assert!(nodes.len() < NIL as usize, "interval tree node capacity exceeded");
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.parent = i as u32;
+        }
+        nodes.sort_unstable_by_key(|n| (n.interval.begin(), n.parent));
+        let len = nodes.len() as u32;
+        let mut tree = IntervalTree { nodes, root: NIL };
+        tree.root = tree.link_range(0, len, NIL, (len + 1).ilog2());
+        tree
+    }
+
+    /// Links the sorted nodes `[lo, hi)` under `parent`, children first so
+    /// `max_end` is final when set, and returns the subtree's root.
+    /// `black_levels` is how many levels from here down are full (and so
+    /// black); the one partial level below them is red.
+    fn link_range(&mut self, lo: u32, hi: u32, parent: u32, black_levels: u32) -> u32 {
+        if lo == hi {
+            return NIL;
+        }
+        let mid = lo + (hi - lo) / 2;
+        let below = black_levels.saturating_sub(1);
+        let left = self.link_range(lo, mid, mid, below);
+        let right = self.link_range(mid + 1, hi, mid, below);
+        let node = &mut self.nodes[mid as usize];
+        node.parent = parent;
+        node.left = left;
+        node.right = right;
+        node.color = if black_levels == 0 { Color::Red } else { Color::Black };
+        node.fp = Fingerprint::of(&node.interval).pack();
+        self.recompute_max(mid);
+        mid
     }
 
     /// Inserts an interval with its value; returns a handle to the node.
     pub fn insert(&mut self, interval: StridedInterval, value: V) -> NodeRef {
-        let idx = self.alloc(interval, value);
+        let idx = self.nodes.len() as u32;
+        assert!(idx < NIL, "interval tree node capacity exceeded");
+        self.nodes.push(Node::new(interval, value));
         // BST insert keyed on begin().
         let key = self.nodes[idx as usize].interval.begin();
         let mut parent = NIL;
@@ -166,23 +218,7 @@ impl<V> IntervalTree<V> {
         }
         self.fix_max_up(idx);
         self.insert_fixup(idx);
-        self.len += 1;
         NodeRef(idx)
-    }
-
-    /// Removes the node at `handle`, returning its interval and value.
-    pub fn remove(&mut self, handle: NodeRef) -> (StridedInterval, V)
-    where
-        V: Default,
-    {
-        let z = handle.0;
-        self.delete_node(z);
-        self.len -= 1;
-        let node = &mut self.nodes[z as usize];
-        let interval = node.interval;
-        let value = std::mem::take(&mut node.value);
-        self.free.push(z);
-        (interval, value)
     }
 
     /// Iterates all nodes in ascending begin-address order.
@@ -237,33 +273,9 @@ impl<V> IntervalTree<V> {
 
     // ---- internals -------------------------------------------------------
 
-    fn alloc(&mut self, interval: StridedInterval, value: V) -> u32 {
-        let max_end = interval.end();
-        let node = Node {
-            interval,
-            value,
-            max_end,
-            fp: Fingerprint::of(&interval).pack(),
-            parent: NIL,
-            left: NIL,
-            right: NIL,
-            color: Color::Red,
-        };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            let idx = self.nodes.len() as u32;
-            assert!(idx < NIL, "interval tree node capacity exceeded");
-            self.nodes.push(node);
-            idx
-        }
-    }
-
+    /// Recomputes a node's `max_end` from its interval and children.
     #[inline]
-    /// Recomputes a node's `max_end` from its interval and children,
-    /// returning whether the stored value changed.
-    fn recompute_max(&mut self, idx: u32) -> bool {
+    fn recompute_max(&mut self, idx: u32) {
         let node = &self.nodes[idx as usize];
         let mut m = node.interval.end();
         if node.left != NIL {
@@ -272,33 +284,15 @@ impl<V> IntervalTree<V> {
         if node.right != NIL {
             m = m.max(self.nodes[node.right as usize].max_end);
         }
-        let changed = self.nodes[idx as usize].max_end != m;
         self.nodes[idx as usize].max_end = m;
-        changed
     }
 
-    /// Repairs `max_end` from `idx` all the way to the root. Structural
-    /// edits (insert splice, delete transplant) can leave several nodes
-    /// along the path stale at once, so no early exit is sound here.
+    /// Repairs `max_end` from `idx` all the way to the root. An insert
+    /// splice followed by rotations can leave several nodes along the path
+    /// stale at once, so no early exit is sound here.
     fn fix_max_up(&mut self, mut idx: u32) {
         while idx != NIL {
             self.recompute_max(idx);
-            idx = self.nodes[idx as usize].parent;
-        }
-    }
-
-    /// Repairs `max_end` upward after a pure value change at `idx` (no
-    /// structural edit), stopping at the first node whose stored value
-    /// is already correct: every other node's max was consistent before,
-    /// and a node whose value is unchanged feeds its ancestors identical
-    /// inputs. Interval extension — the summarizer's per-access hot path
-    /// — usually settles within a step or two instead of walking the
-    /// full depth.
-    fn fix_max_up_value(&mut self, mut idx: u32) {
-        while idx != NIL {
-            if !self.recompute_max(idx) {
-                return;
-            }
             idx = self.nodes[idx as usize].parent;
         }
     }
@@ -412,170 +406,6 @@ impl<V> IntervalTree<V> {
         idx
     }
 
-    /// Replaces subtree rooted at `u` with subtree rooted at `v` (CLRS
-    /// `RB-TRANSPLANT`). `v` may be NIL; `fix_parent` is returned for the
-    /// delete fixup to track the "x" position's parent when x is NIL.
-    fn transplant(&mut self, u: u32, v: u32) {
-        let u_parent = self.nodes[u as usize].parent;
-        if u_parent == NIL {
-            self.root = v;
-        } else if self.nodes[u_parent as usize].left == u {
-            self.nodes[u_parent as usize].left = v;
-        } else {
-            self.nodes[u_parent as usize].right = v;
-        }
-        if v != NIL {
-            self.nodes[v as usize].parent = u_parent;
-        }
-    }
-
-    fn delete_node(&mut self, z: u32) {
-        let mut y = z;
-        let mut y_original_color = self.nodes[y as usize].color;
-        // x is the node moving into y's old slot (possibly NIL); we track
-        // its parent explicitly because NIL carries no parent pointer.
-        let x: u32;
-        let x_parent: u32;
-        if self.nodes[z as usize].left == NIL {
-            x = self.nodes[z as usize].right;
-            x_parent = self.nodes[z as usize].parent;
-            self.transplant(z, x);
-        } else if self.nodes[z as usize].right == NIL {
-            x = self.nodes[z as usize].left;
-            x_parent = self.nodes[z as usize].parent;
-            self.transplant(z, x);
-        } else {
-            y = self.minimum(self.nodes[z as usize].right);
-            y_original_color = self.nodes[y as usize].color;
-            x = self.nodes[y as usize].right;
-            if self.nodes[y as usize].parent == z {
-                x_parent = y;
-            } else {
-                x_parent = self.nodes[y as usize].parent;
-                self.transplant(y, x);
-                let z_right = self.nodes[z as usize].right;
-                self.nodes[y as usize].right = z_right;
-                self.nodes[z_right as usize].parent = y;
-            }
-            self.transplant(z, y);
-            let z_left = self.nodes[z as usize].left;
-            self.nodes[y as usize].left = z_left;
-            self.nodes[z_left as usize].parent = y;
-            self.nodes[y as usize].color = self.nodes[z as usize].color;
-        }
-        // Repair max_end from the deepest structural change upward.
-        if x_parent != NIL {
-            self.fix_max_up(x_parent);
-        } else if self.root != NIL {
-            self.fix_max_up(self.root);
-        }
-        if y_original_color == Color::Black {
-            self.delete_fixup(x, x_parent);
-        }
-    }
-
-    fn delete_fixup(&mut self, mut x: u32, mut x_parent: u32) {
-        while x != self.root && self.color(x) == Color::Black {
-            if x_parent == NIL {
-                break;
-            }
-            if x == self.nodes[x_parent as usize].left {
-                let mut w = self.nodes[x_parent as usize].right;
-                if self.color(w) == Color::Red {
-                    self.nodes[w as usize].color = Color::Black;
-                    self.nodes[x_parent as usize].color = Color::Red;
-                    self.rotate_left(x_parent);
-                    w = self.nodes[x_parent as usize].right;
-                }
-                let w_left = if w == NIL { NIL } else { self.nodes[w as usize].left };
-                let w_right = if w == NIL { NIL } else { self.nodes[w as usize].right };
-                if self.color(w_left) == Color::Black && self.color(w_right) == Color::Black {
-                    if w != NIL {
-                        self.nodes[w as usize].color = Color::Red;
-                    }
-                    x = x_parent;
-                    x_parent = self.nodes[x as usize].parent;
-                } else {
-                    if self.color(w_right) == Color::Black {
-                        if w_left != NIL {
-                            self.nodes[w_left as usize].color = Color::Black;
-                        }
-                        if w != NIL {
-                            self.nodes[w as usize].color = Color::Red;
-                            self.rotate_right(w);
-                        }
-                        let w2 = self.nodes[x_parent as usize].right;
-                        self.finish_delete_left(x_parent, w2);
-                    } else {
-                        self.finish_delete_left(x_parent, w);
-                    }
-                    x = self.root;
-                    x_parent = NIL;
-                }
-            } else {
-                let mut w = self.nodes[x_parent as usize].left;
-                if self.color(w) == Color::Red {
-                    self.nodes[w as usize].color = Color::Black;
-                    self.nodes[x_parent as usize].color = Color::Red;
-                    self.rotate_right(x_parent);
-                    w = self.nodes[x_parent as usize].left;
-                }
-                let w_left = if w == NIL { NIL } else { self.nodes[w as usize].left };
-                let w_right = if w == NIL { NIL } else { self.nodes[w as usize].right };
-                if self.color(w_left) == Color::Black && self.color(w_right) == Color::Black {
-                    if w != NIL {
-                        self.nodes[w as usize].color = Color::Red;
-                    }
-                    x = x_parent;
-                    x_parent = self.nodes[x as usize].parent;
-                } else {
-                    if self.color(w_left) == Color::Black {
-                        if w_right != NIL {
-                            self.nodes[w_right as usize].color = Color::Black;
-                        }
-                        if w != NIL {
-                            self.nodes[w as usize].color = Color::Red;
-                            self.rotate_left(w);
-                        }
-                        let w2 = self.nodes[x_parent as usize].left;
-                        self.finish_delete_right(x_parent, w2);
-                    } else {
-                        self.finish_delete_right(x_parent, w);
-                    }
-                    x = self.root;
-                    x_parent = NIL;
-                }
-            }
-        }
-        if x != NIL {
-            self.nodes[x as usize].color = Color::Black;
-        }
-    }
-
-    fn finish_delete_left(&mut self, x_parent: u32, w: u32) {
-        if w != NIL {
-            self.nodes[w as usize].color = self.nodes[x_parent as usize].color;
-            let w_right = self.nodes[w as usize].right;
-            if w_right != NIL {
-                self.nodes[w_right as usize].color = Color::Black;
-            }
-        }
-        self.nodes[x_parent as usize].color = Color::Black;
-        self.rotate_left(x_parent);
-    }
-
-    fn finish_delete_right(&mut self, x_parent: u32, w: u32) {
-        if w != NIL {
-            self.nodes[w as usize].color = self.nodes[x_parent as usize].color;
-            let w_left = self.nodes[w as usize].left;
-            if w_left != NIL {
-                self.nodes[w_left as usize].color = Color::Black;
-            }
-        }
-        self.nodes[x_parent as usize].color = Color::Black;
-        self.rotate_right(x_parent);
-    }
-
     // ---- invariant checking (test support) -------------------------------
 
     /// Verifies the red-black and augmentation invariants; panics with a
@@ -583,14 +413,14 @@ impl<V> IntervalTree<V> {
     /// and property tests in dependent crates can call it.
     pub fn assert_invariants(&self) {
         if self.root == NIL {
-            assert_eq!(self.len, 0, "empty tree with non-zero len");
+            assert!(self.nodes.is_empty(), "nodes outside the tree");
             return;
         }
         assert_eq!(self.nodes[self.root as usize].parent, NIL, "root has a parent");
         assert_eq!(self.color(self.root), Color::Black, "root must be black");
         let (black_height, count, _min, _max) = self.check_rec(self.root);
         let _ = black_height;
-        assert_eq!(count, self.len, "node count mismatch");
+        assert_eq!(count, self.nodes.len(), "nodes outside the tree");
     }
 
     fn check_rec(&self, idx: u32) -> (usize, usize, u64, u64) {

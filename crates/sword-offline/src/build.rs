@@ -161,7 +161,9 @@ impl Fold {
 /// Decodes every complete event in `buf` into `fold`, returning how many
 /// bytes were consumed. A partial event at the tail is left unconsumed
 /// when `more` bytes are coming; with `more == false` it is a corrupt
-/// stream.
+/// stream. So is an access whose `addr + size` wraps the address space:
+/// addresses are session bytes, and a `[begin, end)` with `end < begin`
+/// would overflow the interval arithmetic downstream.
 fn decode_events(
     decoder: &mut EventDecoder,
     buf: &[u8],
@@ -173,6 +175,15 @@ fn decode_events(
     while pos < buf.len() {
         let mark = pos;
         match decoder.decode(buf, &mut pos) {
+            Ok(Event::Access(a)) if a.addr.checked_add(u64::from(a.size)).is_none() => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "access at {:#x} size {} wraps the address space in tid {tid}",
+                        a.addr, a.size
+                    ),
+                ));
+            }
             Ok(event) => fold.apply(event),
             Err(_) if more => {
                 // Partial event at the slice boundary: leave the tail for
@@ -506,6 +517,44 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "frames of {frame_bytes}: {err}");
             assert!(err.to_string().contains("tid 0"), "{err}");
         }
+    }
+
+    #[test]
+    fn access_wrapping_the_address_space_is_invalid_data() {
+        // `addr + size` past u64::MAX: the node's end would overflow
+        // (debug) or wrap below its begin and never be reported (release).
+        let events = [acc(0x1000, AccessKind::Read, 1), acc(u64::MAX - 3, AccessKind::Write, 2)];
+        let bytes = encode(&events);
+        for frame_bytes in [3, usize::MAX] {
+            let err = build_tree(&mut framed_log(&bytes, frame_bytes), 4, 0, bytes.len() as u64)
+                .expect_err("wrapping access");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let expect = "access at 0xfffffffffffffffc size 8 wraps the address space in tid 4";
+            assert_eq!(err.to_string(), expect);
+        }
+        // The last addressable bytes themselves are fine.
+        let t = tree_from(&[acc(u64::MAX - 8, AccessKind::Write, 2)]);
+        assert_eq!(t.tree.bounds(), Some((u64::MAX - 8, u64::MAX)));
+    }
+
+    #[test]
+    fn progression_at_the_top_of_the_address_space_does_not_extend_past_it() {
+        // A confirmed stride whose next element lies past u64::MAX. The
+        // following access sits exactly where that element wraps to; it is
+        // not part of the progression and must get its own node.
+        let stride = 4096;
+        let base = u64::MAX - 8 - 2 * stride;
+        let wrapped = base.wrapping_add(3 * stride);
+        let events: Vec<Event> = [base, base + stride, base + 2 * stride, wrapped]
+            .into_iter()
+            .map(|addr| acc(addr, AccessKind::Write, 1))
+            .collect();
+        let t = tree_from(&events);
+        t.tree.assert_invariants();
+        let nodes: Vec<_> = t.tree.iter().map(|(_, iv, _)| (iv.begin(), iv.len())).collect();
+        assert_eq!(nodes, vec![(wrapped, 1), (base, 3)]);
+        assert_eq!(t.tree.range_overlaps(wrapped, wrapped + 1).len(), 1);
+        assert_eq!(t.tree.bounds(), Some((wrapped, u64::MAX)));
     }
 
     #[test]
