@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use archer_sim::{ArcherConfig, ArcherTool};
 use proptest::prelude::*;
-use sword_ompsim::{ThreadContext, Tool};
+use sword_ompsim::{ThreadContext, Tool, ToolLocal};
 use sword_osl::Label;
 use sword_trace::{AccessKind, MemAccess};
 
@@ -158,6 +158,7 @@ fn engine(schedule: &[(u32, Op)]) -> BTreeSet<(u32, u32)> {
     let tool = Arc::new(ArcherTool::new(ArcherConfig::default()));
     let labels: Vec<Label> =
         (0..THREADS).map(|i| Label::root().fork(i as u64, THREADS as u64)).collect();
+    let tool_data: Vec<ToolLocal> = (0..THREADS).map(|_| ToolLocal::new()).collect();
     let ctx = |tid: u32| ThreadContext {
         tid,
         region: 0,
@@ -167,6 +168,7 @@ fn engine(schedule: &[(u32, Op)]) -> BTreeSet<(u32, u32)> {
         span: THREADS as u64,
         bid: 0,
         label: &labels[tid as usize],
+        tool_data: &tool_data[tid as usize],
     };
     for &(tid, op) in schedule {
         match op {

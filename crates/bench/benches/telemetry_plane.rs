@@ -142,7 +142,7 @@ fn sse_fanout(obs: &Obs, addr: &str) -> SseRun {
             let mut sent = 0u64;
             while sent < SSE_EVENTS as u64 {
                 for _ in 0..SSE_BATCH {
-                    tj.instant("tick", vec![("n".to_string(), sent as f64)]);
+                    tj.instant("tick", vec![("n".into(), sent as f64)]);
                     sent += 1;
                 }
                 obs.journal.drain();

@@ -1110,8 +1110,8 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
                 j.instant(
                     "fuzz-progress",
                     vec![
-                        ("iter".to_string(), (i + 1) as f64),
-                        ("failures".to_string(), so_far.failures.len() as f64),
+                        ("iter".into(), (i + 1) as f64),
+                        ("failures".into(), so_far.failures.len() as f64),
                     ],
                 );
             }
@@ -1125,8 +1125,8 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             start,
             dur,
             vec![
-                ("iters".to_string(), opts.iters as f64),
-                ("failures".to_string(), summary.failures.len() as f64),
+                ("iters".into(), opts.iters as f64),
+                ("failures".into(), summary.failures.len() as f64),
             ],
         );
         // The fuzzer has no session directory; its journal goes to a

@@ -143,7 +143,7 @@ fn sse_streams_framed_journal_events_with_layer_filter() {
     }
     let rt = obs.journal.for_thread(Layer::Runtime, "app-0");
     let off = obs.journal.for_thread(Layer::Offline, "oa");
-    rt.instant("flush-a", vec![("bytes".to_string(), 64.0)]);
+    rt.instant("flush-a", vec![("bytes".into(), 64.0)]);
     off.instant("discover", vec![]); // filtered out
     rt.instant("flush-b", vec![]);
     obs.journal.drain();

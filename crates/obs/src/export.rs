@@ -7,7 +7,7 @@
 //! become `"i"` events, and `metrics` snapshots become counter (`"C"`)
 //! tracks so gauges render as area charts over the timeline.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -36,7 +36,7 @@ pub fn chrome_trace(events: &[JournalEvent]) -> Value {
     let mut out = Vec::new();
     // Assign stable integer tids per (layer, thread label) in
     // first-seen order, and emit metadata naming events up front.
-    let mut tids: BTreeMap<(u64, String), u64> = BTreeMap::new();
+    let mut tids: BTreeMap<(u64, &str), u64> = BTreeMap::new();
     let mut next_tid = 1;
     let mut seen_pids: Vec<u64> = Vec::new();
     for event in events {
@@ -50,23 +50,25 @@ pub fn chrome_trace(events: &[JournalEvent]) -> Value {
                 format!("sword: {}", event.layer.as_str()),
             ));
         }
-        let key = (pid, event.thread.clone());
-        if !tids.contains_key(&key) {
-            tids.insert(key.clone(), next_tid);
-            out.push(metadata_event("thread_name", pid, next_tid, event.thread.clone()));
-            out.push(Value::Obj(vec![
-                ("name".to_string(), Value::Str("thread_sort_index".to_string())),
-                ("ph".to_string(), Value::Str("M".to_string())),
-                ("pid".to_string(), Value::Num(pid as f64)),
-                ("tid".to_string(), Value::Num(next_tid as f64)),
-                (
-                    "args".to_string(),
-                    Value::Obj(vec![("sort_index".to_string(), Value::Num(next_tid as f64))]),
-                ),
-            ]));
-            next_tid += 1;
-        }
-        let tid = tids[&key];
+        let tid = match tids.entry((pid, &*event.thread)) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(fresh) => {
+                let tid = *fresh.insert(next_tid);
+                next_tid += 1;
+                out.push(metadata_event("thread_name", pid, tid, event.thread.to_string()));
+                out.push(Value::Obj(vec![
+                    ("name".to_string(), Value::Str("thread_sort_index".to_string())),
+                    ("ph".to_string(), Value::Str("M".to_string())),
+                    ("pid".to_string(), Value::Num(pid as f64)),
+                    ("tid".to_string(), Value::Num(tid as f64)),
+                    (
+                        "args".to_string(),
+                        Value::Obj(vec![("sort_index".to_string(), Value::Num(tid as f64))]),
+                    ),
+                ]));
+                tid
+            }
+        };
         out.push(trace_event(event, pid, tid));
         if let Some(flow) = flow_event(event, pid, tid) {
             out.push(flow);
@@ -90,9 +92,9 @@ fn metadata_event(name: &str, pid: u64, tid: u64, value: String) -> Value {
 
 fn trace_event(event: &JournalEvent, pid: u64, tid: u64) -> Value {
     let args: Vec<(String, Value)> =
-        event.args.iter().map(|(k, v)| (k.clone(), Value::Num(*v))).collect();
+        event.args.iter().map(|(k, v)| (k.to_string(), Value::Num(*v))).collect();
     let mut pairs = vec![
-        ("name".to_string(), Value::Str(event.name.clone())),
+        ("name".to_string(), Value::Str(event.name.to_string())),
         ("cat".to_string(), Value::Str(event.layer.as_str().to_string())),
         ("pid".to_string(), Value::Num(pid as f64)),
         ("tid".to_string(), Value::Num(tid as f64)),
@@ -157,14 +159,20 @@ mod tests {
     use super::*;
     use crate::journal::Layer;
 
-    fn ev(layer: Layer, thread: &str, name: &str, t: u64, dur: Option<u64>) -> JournalEvent {
+    fn ev(
+        layer: Layer,
+        thread: &str,
+        name: &'static str,
+        t: u64,
+        dur: Option<u64>,
+    ) -> JournalEvent {
         JournalEvent {
             layer,
-            thread: thread.to_string(),
-            name: name.to_string(),
+            thread: thread.into(),
+            name: name.into(),
             t_us: t,
             dur_us: dur,
-            args: vec![("bytes".to_string(), 10.0)],
+            args: vec![("bytes".into(), 10.0)],
             flow: None,
         }
     }
@@ -177,11 +185,11 @@ mod tests {
             ev(Layer::Offline, "analyzer", "build-structure", 40, Some(8)),
             JournalEvent {
                 layer: Layer::Cli,
-                thread: "metrics".to_string(),
-                name: "metrics".to_string(),
+                thread: "metrics".into(),
+                name: "metrics".into(),
                 t_us: 50,
                 dur_us: None,
-                args: vec![("queue".to_string(), 2.0)],
+                args: vec![("queue".into(), 2.0)],
                 flow: None,
             },
             ev(Layer::Runtime, "app-0", "publish", 60, None),

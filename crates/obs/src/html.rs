@@ -209,8 +209,8 @@ mod tests {
         let events = vec![
             JournalEvent {
                 layer: Layer::Offline,
-                thread: "analyzer".to_string(),
-                name: "compare".to_string(),
+                thread: "analyzer".into(),
+                name: "compare".into(),
                 t_us: 0,
                 dur_us: Some(1500),
                 args: vec![],
@@ -218,13 +218,13 @@ mod tests {
             },
             JournalEvent {
                 layer: Layer::Cli,
-                thread: "metrics".to_string(),
-                name: "metrics".to_string(),
+                thread: "metrics".into(),
+                name: "metrics".into(),
                 t_us: 10,
                 dur_us: None,
                 args: vec![
-                    ("sword_collector_tool_mem_bytes".to_string(), 1_000_000.0),
-                    ("sword_site_pairs{site=\"a.rs:1\"}".to_string(), 4.0),
+                    ("sword_collector_tool_mem_bytes".into(), 1_000_000.0),
+                    ("sword_site_pairs{site=\"a.rs:1\"}".into(), 4.0),
                 ],
                 flow: None,
             },

@@ -14,6 +14,7 @@
 //! self-contained, a crashed run's journal survives for postmortem: a
 //! reader tolerates a torn final line (see [`read_journal`]).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -114,21 +115,27 @@ impl FlowPhase {
     }
 }
 
+/// An event or attribute name. Recorders pass string literals, which it
+/// borrows — recording a span allocates no strings; only events parsed
+/// back from a journal file own theirs.
+pub type Key = Cow<'static, str>;
+
 /// One journal record: a completed span (`dur_us` set) or an instant.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalEvent {
     /// Owning layer.
     pub layer: Layer,
-    /// Recording thread's label (e.g. `app-3`, `writer`, `oa-worker-0`).
-    pub thread: String,
+    /// Recording thread's label (e.g. `app-3`, `writer`, `oa-worker-0`),
+    /// shared with the recorder that stamps it.
+    pub thread: Arc<str>,
     /// Event name (e.g. `flush-handoff`, `compress`, `build-structure`).
-    pub name: String,
+    pub name: Key,
     /// Start time, microseconds since the journal epoch.
     pub t_us: u64,
     /// Span duration in microseconds; `None` for instant events.
     pub dur_us: Option<u64>,
     /// Numeric attributes (byte counts, depths, ...).
-    pub args: Vec<(String, f64)>,
+    pub args: Vec<(Key, f64)>,
     /// Causal flow membership: `(flow id, phase)` when this event sits on
     /// a cross-thread producer→consumer chain.
     pub flow: Option<(u64, FlowPhase)>,
@@ -140,14 +147,14 @@ impl JournalEvent {
         let mut pairs = vec![
             ("t".to_string(), Value::Num(self.t_us as f64)),
             ("layer".to_string(), Value::Str(self.layer.as_str().to_string())),
-            ("thread".to_string(), Value::Str(self.thread.clone())),
-            ("name".to_string(), Value::Str(self.name.clone())),
+            ("thread".to_string(), Value::Str(self.thread.to_string())),
+            ("name".to_string(), Value::Str(self.name.to_string())),
         ];
         if let Some(dur) = self.dur_us {
             pairs.push(("dur".to_string(), Value::Num(dur as f64)));
         }
         if !self.args.is_empty() {
-            let args = self.args.iter().map(|(k, v)| (k.clone(), Value::Num(*v))).collect();
+            let args = self.args.iter().map(|(k, v)| (k.to_string(), Value::Num(*v))).collect();
             pairs.push(("args".to_string(), Value::Obj(args)));
         }
         if let Some((id, phase)) = self.flow {
@@ -171,7 +178,7 @@ impl JournalEvent {
         let mut args = Vec::new();
         if let Some(pairs) = v.get("args").and_then(Value::as_obj) {
             for (k, av) in pairs {
-                args.push((k.clone(), av.as_f64().ok_or("non-numeric arg")?));
+                args.push((Key::Owned(k.clone()), av.as_f64().ok_or("non-numeric arg")?));
             }
         }
         let flow =
@@ -181,8 +188,8 @@ impl JournalEvent {
             };
         Ok(JournalEvent {
             layer,
-            thread: thread.to_string(),
-            name: name.to_string(),
+            thread: thread.into(),
+            name: Key::Owned(name.to_string()),
             t_us,
             dur_us,
             args,
@@ -193,7 +200,7 @@ impl JournalEvent {
 
 struct Ring {
     layer: Layer,
-    label: String,
+    label: Arc<str>,
     events: Mutex<VecDeque<JournalEvent>>,
 }
 
@@ -267,7 +274,7 @@ impl Journal {
     pub fn new(capacity: usize) -> Journal {
         let meta = Arc::new(Ring {
             layer: Layer::Cli,
-            label: "metrics".to_string(),
+            label: "metrics".into(),
             events: Mutex::new(VecDeque::new()),
         });
         Journal {
@@ -325,7 +332,7 @@ impl Journal {
 
     /// Registers a recorder for one thread. Call once per thread; the
     /// handle is cheap to clone but rings are not deduplicated by label.
-    pub fn for_thread(&self, layer: Layer, label: impl Into<String>) -> ThreadJournal {
+    pub fn for_thread(&self, layer: Layer, label: impl Into<Arc<str>>) -> ThreadJournal {
         let ring =
             Arc::new(Ring { layer, label: label.into(), events: Mutex::new(VecDeque::new()) });
         self.inner.rings.lock().expect("journal lock").push(Arc::clone(&ring));
@@ -394,7 +401,7 @@ impl ThreadJournal {
     }
 
     /// Starts a scoped span; recorded when the guard drops.
-    pub fn span(&self, name: impl Into<String>) -> Span<'_> {
+    pub fn span(&self, name: impl Into<Key>) -> Span<'_> {
         Span {
             recorder: self,
             name: name.into(),
@@ -408,10 +415,10 @@ impl ThreadJournal {
     /// microseconds since the journal epoch).
     pub fn span_closed(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Key>,
         start_us: u64,
         dur_us: u64,
-        args: Vec<(String, f64)>,
+        args: Vec<(Key, f64)>,
     ) {
         self.span_closed_flow(name, start_us, dur_us, args, None);
     }
@@ -419,15 +426,15 @@ impl ThreadJournal {
     /// [`ThreadJournal::span_closed`] with causal-flow membership.
     pub fn span_closed_flow(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Key>,
         start_us: u64,
         dur_us: u64,
-        args: Vec<(String, f64)>,
+        args: Vec<(Key, f64)>,
         flow: Option<(u64, FlowPhase)>,
     ) {
         self.push(JournalEvent {
             layer: self.ring.layer,
-            thread: self.ring.label.clone(),
+            thread: Arc::clone(&self.ring.label),
             name: name.into(),
             t_us: start_us,
             dur_us: Some(dur_us),
@@ -437,21 +444,21 @@ impl ThreadJournal {
     }
 
     /// Records an instant event.
-    pub fn instant(&self, name: impl Into<String>, args: Vec<(String, f64)>) {
+    pub fn instant(&self, name: impl Into<Key>, args: Vec<(Key, f64)>) {
         self.instant_flow(name, args, None);
     }
 
     /// [`ThreadJournal::instant`] with causal-flow membership.
     pub fn instant_flow(
         &self,
-        name: impl Into<String>,
-        args: Vec<(String, f64)>,
+        name: impl Into<Key>,
+        args: Vec<(Key, f64)>,
         flow: Option<(u64, FlowPhase)>,
     ) {
         let now = self.journal.now_us();
         self.push(JournalEvent {
             layer: self.ring.layer,
-            thread: self.ring.label.clone(),
+            thread: Arc::clone(&self.ring.label),
             name: name.into(),
             t_us: now,
             dur_us: None,
@@ -474,22 +481,22 @@ impl ThreadJournal {
 /// Scoped span guard: measures from creation to drop.
 pub struct Span<'a> {
     recorder: &'a ThreadJournal,
-    name: String,
+    name: Key,
     start_us: u64,
-    args: Vec<(String, f64)>,
+    args: Vec<(Key, f64)>,
     flow: Option<(u64, FlowPhase)>,
 }
 
 impl Span<'_> {
     /// Attaches a numeric attribute.
-    pub fn arg(mut self, key: impl Into<String>, value: f64) -> Self {
+    pub fn arg(mut self, key: impl Into<Key>, value: f64) -> Self {
         self.args.push((key.into(), value));
         self
     }
 
     /// Attaches a numeric attribute to an existing guard (for values
     /// known only mid-span).
-    pub fn set_arg(&mut self, key: impl Into<String>, value: f64) {
+    pub fn set_arg(&mut self, key: impl Into<Key>, value: f64) {
         self.args.push((key.into(), value));
     }
 
@@ -565,11 +572,11 @@ impl JournalSink {
         if dropped > *last_dropped {
             events.push(JournalEvent {
                 layer: Layer::Cli,
-                thread: "journal".to_string(),
-                name: "dropped_events".to_string(),
+                thread: "journal".into(),
+                name: "dropped_events".into(),
                 t_us: journal.now_us(),
                 dur_us: None,
-                args: vec![("count".to_string(), (dropped - *last_dropped) as f64)],
+                args: vec![("count".into(), (dropped - *last_dropped) as f64)],
                 flow: None,
             });
             *last_dropped = dropped;
@@ -637,8 +644,8 @@ mod tests {
         assert_eq!(events.len(), 2);
         let span = events.iter().find(|e| e.name == "flush-handoff").unwrap();
         assert!(span.dur_us.is_some());
-        assert_eq!(span.args, vec![("bytes".to_string(), 4096.0)]);
-        assert_eq!(span.thread, "app-0");
+        assert_eq!(span.args, vec![("bytes".into(), 4096.0)]);
+        assert_eq!(&*span.thread, "app-0");
         let inst = events.iter().find(|e| e.name == "publish").unwrap();
         assert_eq!(inst.dur_us, None);
         // Drain empties the rings.
@@ -668,11 +675,11 @@ mod tests {
     fn event_jsonl_roundtrip() {
         let event = JournalEvent {
             layer: Layer::Offline,
-            thread: "oa-worker-1".to_string(),
-            name: "task".to_string(),
+            thread: "oa-worker-1".into(),
+            name: "task".into(),
             t_us: 123456,
             dur_us: Some(789),
-            args: vec![("nodes".to_string(), 42.0)],
+            args: vec![("nodes".into(), 42.0)],
             flow: None,
         };
         let line = event.to_json().render();
@@ -753,8 +760,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let good = JournalEvent {
             layer: Layer::Runtime,
-            thread: "app-0".to_string(),
-            name: "flush".to_string(),
+            thread: "app-0".into(),
+            name: "flush".into(),
             t_us: 10,
             dur_us: Some(5),
             args: vec![],

@@ -314,11 +314,11 @@ impl Registry {
     pub fn snapshot_event(&self, journal: &Journal) -> JournalEvent {
         JournalEvent {
             layer: Layer::Cli,
-            thread: "metrics".to_string(),
-            name: "metrics".to_string(),
+            thread: "metrics".into(),
+            name: "metrics".into(),
             t_us: journal.now_us(),
             dur_us: None,
-            args: self.snapshot(),
+            args: self.snapshot().into_iter().map(|(k, v)| (k.into(), v)).collect(),
             flow: None,
         }
     }
@@ -398,6 +398,6 @@ mod tests {
         let journal = Journal::new(8);
         let ev = reg.snapshot_event(&journal);
         assert_eq!(ev.name, "metrics");
-        assert_eq!(ev.args, vec![("n".to_string(), 3.0)]);
+        assert_eq!(ev.args, vec![("n".into(), 3.0)]);
     }
 }

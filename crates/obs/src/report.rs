@@ -226,7 +226,7 @@ pub fn span_rows(events: &[JournalEvent], layer: Option<Layer>) -> Vec<SpanRow> 
             }
             None => rows.push(SpanRow {
                 layer: e.layer,
-                name: e.name.clone(),
+                name: e.name.to_string(),
                 count: 1,
                 total_us: dur,
                 max_us: dur,
@@ -292,7 +292,7 @@ pub fn last_metrics_snapshot(events: &[JournalEvent]) -> Vec<(String, f64)> {
         for (key, value) in &e.args {
             match merged.iter_mut().find(|(k, _)| k == key) {
                 Some((_, v)) => *v = *value,
-                None => merged.push((key.clone(), *value)),
+                None => merged.push((key.to_string(), *value)),
             }
         }
     }
@@ -318,11 +318,11 @@ pub(crate) fn format_bytes(bytes: u64) -> String {
 mod tests {
     use super::*;
 
-    fn span(layer: Layer, thread: &str, name: &str, t: u64, dur: u64) -> JournalEvent {
+    fn span(layer: Layer, thread: &str, name: &'static str, t: u64, dur: u64) -> JournalEvent {
         JournalEvent {
             layer,
-            thread: thread.to_string(),
-            name: name.to_string(),
+            thread: thread.into(),
+            name: name.into(),
             t_us: t,
             dur_us: Some(dur),
             args: vec![],
@@ -346,24 +346,24 @@ mod tests {
             span(Layer::Offline, "analyzer", "build-structure", 500, 900),
             JournalEvent {
                 layer: Layer::Cli,
-                thread: "metrics".to_string(),
-                name: "metrics".to_string(),
+                thread: "metrics".into(),
+                name: "metrics".into(),
                 t_us: 999,
                 dur_us: None,
                 args: vec![
-                    ("sword_collector_tool_mem_bytes".to_string(), 2_000_000.0),
-                    ("sword_oa_tree_mem_bytes_peak".to_string(), 40_000.0),
-                    ("flush_raw_bytes".to_string(), 1.0),
+                    ("sword_collector_tool_mem_bytes".into(), 2_000_000.0),
+                    ("sword_oa_tree_mem_bytes_peak".into(), 40_000.0),
+                    ("flush_raw_bytes".into(), 1.0),
                 ],
                 flow: None,
             },
             JournalEvent {
                 layer: Layer::Cli,
-                thread: "journal".to_string(),
-                name: "dropped_events".to_string(),
+                thread: "journal".into(),
+                name: "dropped_events".into(),
                 t_us: 1000,
                 dur_us: None,
-                args: vec![("count".to_string(), 3.0)],
+                args: vec![("count".into(), 3.0)],
                 flow: None,
             },
         ];
@@ -385,13 +385,13 @@ mod tests {
     fn hot_sites_section_renders_from_snapshot() {
         let events = vec![JournalEvent {
             layer: Layer::Cli,
-            thread: "metrics".to_string(),
-            name: "metrics".to_string(),
+            thread: "metrics".into(),
+            name: "metrics".into(),
             t_us: 0,
             dur_us: None,
             args: vec![
-                ("sword_site_pairs{site=\"kernel.rs:10\"}".to_string(), 42.0),
-                ("sword_site_races{site=\"kernel.rs:10\"}".to_string(), 2.0),
+                ("sword_site_pairs{site=\"kernel.rs:10\"}".into(), 42.0),
+                ("sword_site_races{site=\"kernel.rs:10\"}".into(), 2.0),
             ],
             flow: None,
         }];
@@ -412,11 +412,11 @@ mod tests {
         info.insert("threads".to_string(), "1".to_string());
         let events = vec![JournalEvent {
             layer: Layer::Cli,
-            thread: "metrics".to_string(),
-            name: "metrics".to_string(),
+            thread: "metrics".into(),
+            name: "metrics".into(),
             t_us: 0,
             dur_us: None,
-            args: vec![("sword_collector_tool_mem_bytes".to_string(), 1e9)],
+            args: vec![("sword_collector_tool_mem_bytes".into(), 1e9)],
             flow: None,
         }];
         let report = render_report(&ReportInput { events, info, truncated_tail: false, top_n: 3 });

@@ -19,6 +19,9 @@
 //!   `single`/`master`, tracked reads/writes and atomics.
 //! * [`Tool`] — the OMPT-like callback surface implemented by the SWORD
 //!   collector and the ARCHER baseline.
+//! * [`ToolLocal`] — the OMPT `thread_data` analog: a per-context slot
+//!   every callback receives, where a tool keeps the state only the
+//!   running thread touches.
 //! * [`TrackedBuf`] — tracked memory with *virtual* addresses, so declared
 //!   footprints may exceed physical RAM (how we reproduce the paper's
 //!   "90% of node memory" runs on a laptop-scale machine).
@@ -67,4 +70,6 @@ pub use runtime::{
 };
 pub use sequencer::Sequencer;
 pub use sword_trace::{AccessKind, MemAccess, MutexId, PcId, RegionId, ThreadId};
-pub use tool::{NullTool, ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool};
+pub use tool::{
+    NullTool, ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool, ToolLocal,
+};

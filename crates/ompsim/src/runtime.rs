@@ -13,7 +13,7 @@ use sword_osl::{Label, TASK_SPAN};
 use sword_trace::{AccessKind, MemAccess, MutexId, PcId, PcTable, RegionId, ThreadId};
 
 use crate::memory::{TrackedBuf, TrackedValue};
-use crate::tool::{ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool};
+use crate::tool::{ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool, ToolLocal};
 
 /// Access mode of a task `depend` clause.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,15 +176,7 @@ impl OmpSim {
             t.program_begin();
         }
         let master_tid = self.acquire_tids(1)[0];
-        let ctx = Ctx {
-            sim: self,
-            tid: master_tid,
-            label: RefCell::new(Label::root()),
-            region: None,
-            fork_seq: Cell::new(0),
-            pc_cache: RefCell::new(HashMap::new()),
-            task_state: RefCell::new(None),
-        };
+        let ctx = Ctx::new(self, master_tid, Label::root(), None, None);
         let r = f(&ctx);
         self.release_tids(&[master_tid]);
         if let Some(t) = &self.tool {
@@ -486,13 +478,49 @@ pub struct Ctx<'rt> {
     /// successive teams without making the join look like a barrier
     /// crossing to sibling members.
     fork_seq: Cell<u64>,
-    pc_cache: RefCell<HashMap<(usize, u32), PcId>>,
+    /// Call sites this context has resolved, keyed by the `Location`'s
+    /// `(file pointer, line)`.
+    pc_cache: RefCell<HashMap<SiteKey, PcId>>,
+    /// Direct-mapped front of `pc_cache`: the handful of sites a loop body
+    /// cycles through resolve with one compare, no hash and no borrow.
+    site_cache: [Cell<(SiteKey, PcId)>; SITE_CACHE_SLOTS],
     /// Explicit-task chain state; `Some` only for team workers (the
     /// master context and task bodies create no traced tasks).
     task_state: RefCell<Option<TaskState>>,
+    /// The tool's per-context slot (OMPT `thread_data`).
+    tool_data: ToolLocal,
 }
 
+/// A call site as `#[track_caller]` identifies it: the address of the
+/// `Location`'s file string and the line. No real site has address 0,
+/// which is what marks an unused `site_cache` slot.
+type SiteKey = (usize, u32);
+
+/// Slots of the direct-mapped site cache (a power of two). Sites of one
+/// file fewer than this many lines apart never evict each other.
+const SITE_CACHE_SLOTS: usize = 32;
+
 impl<'rt> Ctx<'rt> {
+    fn new(
+        sim: &'rt OmpSim,
+        tid: ThreadId,
+        label: Label,
+        region: Option<RegionInfo>,
+        task_state: Option<TaskState>,
+    ) -> Self {
+        Ctx {
+            sim,
+            tid,
+            label: RefCell::new(label),
+            region,
+            fork_seq: Cell::new(0),
+            pc_cache: RefCell::new(HashMap::new()),
+            site_cache: std::array::from_fn(|_| Cell::new(((0, 0), 0))),
+            task_state: RefCell::new(task_state),
+            tool_data: ToolLocal::new(),
+        }
+    }
+
     /// The runtime this context belongs to.
     pub fn sim(&self) -> &'rt OmpSim {
         self.sim
@@ -561,11 +589,11 @@ impl<'rt> Ctx<'rt> {
                 let body = &body;
                 s.spawn(move || {
                     let worker_label = fork_label.fork(i, span);
-                    let ctx = Ctx {
+                    let ctx = Ctx::new(
                         sim,
                         tid,
-                        label: RefCell::new(worker_label.clone()),
-                        region: Some(RegionInfo {
+                        worker_label.clone(),
+                        Some(RegionInfo {
                             region,
                             parent_region,
                             level,
@@ -577,10 +605,8 @@ impl<'rt> Ctx<'rt> {
                             ordered_loop_seq: Cell::new(0),
                             is_task: false,
                         }),
-                        fork_seq: Cell::new(0),
-                        pc_cache: RefCell::new(HashMap::new()),
-                        task_state: RefCell::new(Some(TaskState::new(worker_label, region))),
-                    };
+                        Some(TaskState::new(worker_label, region)),
+                    );
                     ctx.with_tool(|t, tc| t.thread_begin(tc));
                     body(&ctx);
                     // The implicit end-of-region barrier is a task
@@ -715,11 +741,11 @@ impl<'rt> Ctx<'rt> {
             creator_tid: self.tid,
         };
         self.with_tool(|t, tc| t.task_create(tc, &info));
-        let task_ctx = Ctx {
-            sim: self.sim,
-            tid: task_tid,
-            label: RefCell::new(task_label.clone()),
-            region: Some(RegionInfo {
+        let task_ctx = Ctx::new(
+            self.sim,
+            task_tid,
+            task_label.clone(),
+            Some(RegionInfo {
                 region: pid,
                 parent_region: Some(r.region),
                 level: r.level + 1,
@@ -731,10 +757,8 @@ impl<'rt> Ctx<'rt> {
                 ordered_loop_seq: Cell::new(0),
                 is_task: true,
             }),
-            fork_seq: Cell::new(0),
-            pc_cache: RefCell::new(HashMap::new()),
-            task_state: RefCell::new(None),
-        };
+            None,
+        );
         if let Some(tool) = &self.sim.tool {
             let outer_label = self.label.borrow();
             let outer_tc = self.make_tc(r, &outer_label);
@@ -1238,7 +1262,7 @@ impl<'rt> Ctx<'rt> {
     /// pseudo-region* recorded in `TaskState::cur_row` rather than the
     /// real region — that is how the offline analyzers know the
     /// continuation fragment's place in the chain.
-    fn make_tc<'a>(&self, r: &'a RegionInfo, label: &'a Label) -> ThreadContext<'a> {
+    fn make_tc<'a>(&'a self, r: &'a RegionInfo, label: &'a Label) -> ThreadContext<'a> {
         let chained = self.task_state.borrow().as_ref().and_then(|ts| {
             if ts.cur_row.0 != r.region {
                 Some(ts.cur_row)
@@ -1256,6 +1280,7 @@ impl<'rt> Ctx<'rt> {
                 span: TASK_SPAN,
                 bid: 0,
                 label,
+                tool_data: &self.tool_data,
             },
             _ => ThreadContext {
                 tid: self.tid,
@@ -1266,6 +1291,7 @@ impl<'rt> Ctx<'rt> {
                 span: r.span,
                 bid: r.bid.get(),
                 label,
+                tool_data: &self.tool_data,
             },
         }
     }
@@ -1287,14 +1313,30 @@ impl<'rt> Ctx<'rt> {
         self.with_tool(|t, tc| t.access(tc, MemAccess { addr, size, kind, pc }));
     }
 
+    #[inline]
     fn pc_of(&self, loc: &'static Location<'static>) -> PcId {
-        let key = (loc.file().as_ptr() as usize, loc.line());
-        if let Some(&id) = self.pc_cache.borrow().get(&key) {
+        let key: SiteKey = (loc.file().as_ptr() as usize, loc.line());
+        self.site_id(key, || self.sim.intern_pc(loc))
+    }
+
+    /// Resolves a site through the direct-mapped cache, then the map
+    /// behind it, and only on this context's first sight of the site
+    /// through `intern` (the sim-wide table, behind its mutex).
+    #[inline]
+    fn site_id(&self, key: SiteKey, intern: impl FnOnce() -> PcId) -> PcId {
+        let slot = &self.site_cache[((key.0 >> 4) ^ key.1 as usize) % SITE_CACHE_SLOTS];
+        let (cached, id) = slot.get();
+        if cached == key {
             return id;
         }
-        let id = self.sim.intern_pc(loc);
-        self.pc_cache.borrow_mut().insert(key, id);
+        let id = self.site_id_uncached(key, intern);
+        slot.set((key, id));
         id
+    }
+
+    #[cold]
+    fn site_id_uncached(&self, key: SiteKey, intern: impl FnOnce() -> PcId) -> PcId {
+        *self.pc_cache.borrow_mut().entry(key).or_insert_with(intern)
     }
 }
 
@@ -1774,6 +1816,97 @@ mod tests {
             total.get_seq(0)
         });
         assert_eq!(sum, (0..128).sum::<u64>() as f64);
+    }
+
+    #[test]
+    fn site_cache_evictions_fall_back_to_the_map_not_the_interner() {
+        let sim = OmpSim::new();
+        sim.run(|ctx| {
+            // Same file pointer, lines one cache-width apart: both keys
+            // map to one slot and evict each other on every alternation.
+            let (a, b) = ((0x4000, 5), (0x4000, 5 + SITE_CACHE_SLOTS as u32));
+            let interned = Cell::new(0);
+            let resolve = |key, id| {
+                ctx.site_id(key, || {
+                    interned.set(interned.get() + 1);
+                    id
+                })
+            };
+            for _ in 0..4 {
+                assert_eq!(resolve(a, 11), 11);
+                assert_eq!(resolve(b, 22), 22);
+            }
+            assert_eq!(interned.get(), 2, "each site reaches the shared table once");
+            // An unused slot (key (0, 0), id 0) is never taken for a hit.
+            assert_eq!(ctx.site_id((0x4000, 6), || 33), 33);
+        });
+    }
+
+    /// Checks the `thread_data` contract: what a tool parks in a
+    /// context's slot is what every later callback of that context — and
+    /// no other — finds there.
+    struct SlotChecker {
+        seen: AtomicUsize,
+    }
+
+    impl SlotChecker {
+        fn check(&self, ctx: &ThreadContext<'_>) {
+            assert_eq!(ctx.tool_data.with(|tid: &mut ThreadId| *tid), Some(ctx.tid));
+            self.seen.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl Tool for SlotChecker {
+        fn thread_begin(&self, ctx: &ThreadContext<'_>) {
+            assert!(ctx.tool_data.put(ctx.tid).is_none(), "a fresh context has an empty slot");
+        }
+        fn thread_end(&self, ctx: &ThreadContext<'_>) {
+            assert_eq!(ctx.tool_data.take::<ThreadId>(), Some(ctx.tid));
+        }
+        fn task_begin(&self, outer: &ThreadContext<'_>, task: &ThreadContext<'_>, _: TaskUid) {
+            self.check(outer);
+            assert!(task.tool_data.put(task.tid).is_none(), "a task context has its own slot");
+        }
+        fn task_end(&self, task: &ThreadContext<'_>, outer: &ThreadContext<'_>, _: TaskUid) {
+            assert_eq!(task.tool_data.take::<ThreadId>(), Some(task.tid));
+            self.check(outer);
+        }
+        fn barrier_begin(&self, ctx: &ThreadContext<'_>) {
+            self.check(ctx);
+        }
+        fn barrier_end(&self, ctx: &ThreadContext<'_>) {
+            self.check(ctx);
+        }
+        fn mutex_acquired(&self, ctx: &ThreadContext<'_>, _: MutexId) {
+            self.check(ctx);
+        }
+        fn access(&self, ctx: &ThreadContext<'_>, _: MemAccess) {
+            self.check(ctx);
+        }
+    }
+
+    #[test]
+    fn tool_slot_follows_the_context_not_the_os_thread() {
+        let tool = Arc::new(SlotChecker { seen: AtomicUsize::new(0) });
+        let sim = OmpSim::with_tool(tool.clone());
+        let a = sim.alloc::<u64>(64, 0);
+        sim.run(|ctx| {
+            for _ in 0..2 {
+                // Pooled tids come back on fresh contexts with empty slots.
+                ctx.parallel(2, |w| {
+                    w.write(&a, w.team_index(), 1);
+                    // Same OS thread, other tid, other slot.
+                    w.task(|t| t.write(&a, 8 + w.team_index(), 2));
+                    w.write(&a, w.team_index(), 3);
+                    w.critical("slot", || w.write(&a, 16, 4));
+                    // The forker's slot survives a nested team's lifetime.
+                    w.parallel(2, |inner| inner.write(&a, 32 + inner.tid() as u64, 5));
+                    w.barrier();
+                    w.write(&a, w.team_index(), 6);
+                });
+            }
+        });
+        assert!(tool.seen.load(Ordering::Relaxed) >= 2 * 2 * 10);
     }
 
     #[test]

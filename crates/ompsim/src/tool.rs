@@ -8,10 +8,71 @@
 //!
 //! All callbacks are invoked synchronously on the thread that performed
 //! the action, concurrently across threads — tools synchronize their own
-//! state, exactly as OMPT tools must.
+//! shared state, exactly as OMPT tools must. State that belongs to one
+//! thread needs no synchronization at all: it goes in the [`ToolLocal`]
+//! slot each callback carries.
+
+use std::any::Any;
+use std::cell::RefCell;
 
 use sword_osl::Label;
 use sword_trace::{MemAccess, MutexId, RegionId, ThreadId};
+
+/// The OMPT `thread_data` analog: one slot per execution context
+/// ([`Ctx`](crate::Ctx)), handed to every per-thread callback through
+/// [`ThreadContext::tool_data`]. A tool parks whatever per-thread state it
+/// wants there at `thread_begin`/`task_begin` and finds it again on each
+/// later callback of the same context with a plain borrow — no map, no
+/// thread-local lookup, no lock. Only the thread running the context ever
+/// sees the slot, which is why a `RefCell` is enough.
+///
+/// The slot dies with its context: what a tool leaves in it at
+/// `thread_end`/`task_end` is dropped when the worker returns.
+#[derive(Default)]
+pub struct ToolLocal(RefCell<Option<Box<dyn Any + Send>>>);
+
+impl ToolLocal {
+    /// An empty slot.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Installs `value`, returning whatever the slot held before.
+    pub fn put<T: Any + Send>(&self, value: T) -> Option<Box<dyn Any + Send>> {
+        self.0.borrow_mut().replace(Box::new(value))
+    }
+
+    /// Removes and returns the slot's value if it is a `T` (a value of
+    /// another type stays put).
+    pub fn take<T: Any + Send>(&self) -> Option<T> {
+        let mut slot = self.0.borrow_mut();
+        match slot.take()?.downcast::<T>() {
+            Ok(value) => Some(*value),
+            Err(other) => {
+                *slot = Some(other);
+                None
+            }
+        }
+    }
+
+    /// Runs `f` on the slot's value if it is a `T`. `f` must not reach
+    /// back into the same slot.
+    #[inline]
+    pub fn with<T: Any + Send, R>(&self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
+        self.0.borrow_mut().as_mut()?.downcast_mut::<T>().map(f)
+    }
+}
+
+impl std::fmt::Debug for ToolLocal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = match self.0.try_borrow() {
+            Ok(slot) if slot.is_some() => "occupied",
+            Ok(_) => "empty",
+            Err(_) => "borrowed",
+        };
+        f.debug_tuple("ToolLocal").field(&state).finish()
+    }
+}
 
 /// Snapshot of a worker's position in the concurrency structure, passed to
 /// every per-thread callback.
@@ -34,6 +95,10 @@ pub struct ThreadContext<'a> {
     pub bid: u32,
     /// Full offset-span label, including barrier-generation bumps.
     pub label: &'a Label,
+    /// The tool's slot on the context this callback runs for (OMPT
+    /// `thread_data`). Two contexts never share a slot: a task body's
+    /// callbacks carry the task context's slot, not its creator's.
+    pub tool_data: &'a ToolLocal,
 }
 
 /// Information about a parallel region at fork time, delivered in the
@@ -160,6 +225,7 @@ mod tests {
     fn default_methods_are_noops() {
         let t = NullTool;
         let label = Label::root().fork(0, 2);
+        let tool_data = ToolLocal::new();
         let ctx = ThreadContext {
             tid: 0,
             region: 1,
@@ -169,6 +235,7 @@ mod tests {
             span: 2,
             bid: 0,
             label: &label,
+            tool_data: &tool_data,
         };
         t.program_begin();
         t.thread_begin(&ctx);
@@ -179,5 +246,18 @@ mod tests {
         t.mutex_released(&ctx, 0);
         t.thread_end(&ctx);
         t.program_end();
+    }
+
+    #[test]
+    fn tool_local_is_typed_and_survives_a_wrong_typed_take() {
+        let slot = ToolLocal::new();
+        assert_eq!(slot.with(|n: &mut u32| *n), None, "empty slot");
+        assert!(slot.put(7u32).is_none());
+        assert_eq!(slot.with(|n: &mut u32| std::mem::replace(n, 8)), Some(7));
+        assert_eq!(slot.with(|s: &mut String| s.len()), None, "wrong type is not found");
+        assert_eq!(slot.take::<String>(), None);
+        assert_eq!(slot.take::<u32>(), Some(8), "a wrong-typed take left the value in place");
+        assert_eq!(slot.take::<u32>(), None);
+        assert_eq!(format!("{slot:?}"), "ToolLocal(\"empty\")");
     }
 }

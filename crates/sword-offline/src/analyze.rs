@@ -148,7 +148,10 @@ impl AnalysisConfig {
     }
 
     /// The analyzer's journal recorder for `thread`, when `--obs` is on.
-    pub(crate) fn journal_for(&self, thread: impl Into<String>) -> Option<ThreadJournal> {
+    pub(crate) fn journal_for(
+        &self,
+        thread: impl Into<std::sync::Arc<str>>,
+    ) -> Option<ThreadJournal> {
         self.obs.as_ref().map(|o| o.journal.for_thread(Layer::Offline, thread))
     }
 
@@ -336,13 +339,13 @@ impl AnalysisResult {
 /// given recorder, with one summary argument.
 pub(crate) fn journal_stage(
     journal: &Option<ThreadJournal>,
-    name: &str,
+    name: &'static str,
     start_us: Option<u64>,
-    arg: (&str, f64),
+    arg: (&'static str, f64),
 ) {
     if let (Some(j), Some(start)) = (journal, start_us) {
         let dur = j.now_us().saturating_sub(start);
-        j.span_closed(name, start, dur, vec![(arg.0.to_string(), arg.1)]);
+        j.span_closed(name, start, dur, vec![(arg.0.into(), arg.1)]);
     }
 }
 

@@ -259,9 +259,9 @@ impl LiveAnalyzer {
                 start,
                 dur,
                 vec![
-                    ("new_intervals".to_string(), delta.new_intervals as f64),
-                    ("tree_pairs".to_string(), delta.tree_pairs as f64),
-                    ("new_races".to_string(), delta.new_races.len() as f64),
+                    ("new_intervals".into(), delta.new_intervals as f64),
+                    ("tree_pairs".into(), delta.tree_pairs as f64),
+                    ("new_races".into(), delta.new_races.len() as f64),
                 ],
             );
         }

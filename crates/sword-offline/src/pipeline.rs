@@ -306,7 +306,7 @@ pub(crate) fn run(
                             "task",
                             s0,
                             j.now_us().saturating_sub(s0),
-                            vec![("tree_pairs".to_string(), local.tree_pairs as f64)],
+                            vec![("tree_pairs".into(), local.tree_pairs as f64)],
                             flow.map(|f| (f, FlowPhase::Start)),
                         );
                     }
@@ -337,7 +337,7 @@ pub(crate) fn run(
                     if let (Some(j), Some(flow)) = (&reduce_journal, outcome.flow) {
                         j.instant_flow(
                             "merge",
-                            vec![("task_secs".to_string(), outcome.secs)],
+                            vec![("task_secs".into(), outcome.secs)],
                             Some((flow, FlowPhase::End)),
                         );
                     }

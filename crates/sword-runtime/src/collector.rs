@@ -21,8 +21,18 @@
 //! blocks in exactly the order that thread produced them — the invariant
 //! the per-thread meta byte ranges and the live watermark protocol from
 //! PR 1 depend on.
+//!
+//! In front of that pipeline every logical thread owns a *lane*: at
+//! `thread_begin`/`task_begin` the collector checks the thread-owned half
+//! of the thread's state ([`Hot`]: buffer, encoder, open interval) out of
+//! the shared slot into the context's [`ToolLocal`](sword_ompsim::ToolLocal)
+//! slot — OMPT's `thread_data` — and parks it back at
+//! `thread_end`/`task_end`. An access is then: borrow the lane, encode,
+//! count. The slot's mutex guards only what other threads read
+//! ([`ThreadLog`]: meta rows, totals, the journal recorder) and is taken
+//! where the halves meet — an interval closing, a flush hand-off, a park
+//! — never per event.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -33,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sword_compress::{encode_frame_into, Compressor};
 use sword_metrics::{FlushCounters, FlushSnapshot};
 use sword_obs::{FlowPhase, Gauge, Histogram, Journal, JournalSink, Layer, Obs, ThreadJournal};
@@ -46,7 +56,7 @@ use sword_trace::{
 };
 
 use crate::pool::BufferPool;
-use crate::thread_log::{ThreadLog, MAX_EVENT_BYTES, PAPER_BUFFER_EVENTS};
+use crate::thread_log::{Hot, ThreadLog, MAX_EVENT_BYTES, PAPER_BUFFER_EVENTS};
 
 /// Collector configuration.
 #[derive(Clone, Debug)]
@@ -251,17 +261,27 @@ enum FlushPath {
     Sync { writers: Mutex<HashMap<ThreadId, LogWriter<BufWriter<File>>>> },
 }
 
-/// Unique collector instance ids for the thread-local slot cache.
-static COLLECTOR_IDS: AtomicU64 = AtomicU64::new(1);
+/// One logical thread's slot in the collector: the shared half of its
+/// state, which doubles as the parking place of the thread-owned half.
+type Slot = Arc<Mutex<ThreadLog>>;
 
-/// (collector id, tid, slot) — the hot access path's per-OS-thread cache.
-type SlotCacheEntry = (u64, ThreadId, Arc<Mutex<ThreadLog>>);
-
-thread_local! {
-    /// Each worker OS thread serves exactly one tid for its lifetime, so
-    /// the hot access path skips the slot map.
-    static SLOT_CACHE: RefCell<Option<SlotCacheEntry>> = const { RefCell::new(None) };
+/// What a running context keeps in its `ToolLocal` slot between
+/// `thread_begin`/`task_begin` and `thread_end`/`task_end`: the
+/// thread-owned half of its tid's state, and the way back to the shared
+/// half for the moments the two meet.
+struct Lane {
+    tid: ThreadId,
+    slot: Slot,
+    hot: Hot,
 }
+
+/// Fixed per-thread bookkeeping counted into the memory bound: both
+/// halves of the state plus the lane that carries one of them. The event
+/// buffers are pool-owned and counted there. Meta rows are excluded by
+/// design — they are O(regions), spilled with the logs in a production
+/// setting; the paper's bound covers the event path.
+const THREAD_BOOKKEEPING_BYTES: u64 =
+    (std::mem::size_of::<ThreadLog>() + std::mem::size_of::<Lane>()) as u64;
 
 /// How often the async writer republishes live metadata at most.
 const LIVE_PUBLISH_INTERVAL: Duration = Duration::from_millis(25);
@@ -319,7 +339,7 @@ impl WriterObs {
 /// thread, so either side can take a watermarked metadata snapshot.
 struct Inner {
     session: SessionDir,
-    slots: Mutex<HashMap<ThreadId, Arc<Mutex<ThreadLog>>>>,
+    slots: Mutex<HashMap<ThreadId, Slot>>,
     regions: Mutex<Vec<RegionRecord>>,
     /// Durably flushed *uncompressed* log bytes per thread — the live
     /// watermark. Only rows whose byte range lies entirely below this are
@@ -332,9 +352,33 @@ struct Inner {
     /// snapshot.
     generation: Mutex<u64>,
     error: Mutex<Option<io::Error>>,
+    #[cfg(test)]
+    probes: Probes,
+}
+
+/// Test-only visit counts behind the lane contract: how often a run
+/// looks a slot up and locks a thread's shared half must be a function
+/// of intervals, flushes and tasks, never of accesses.
+#[cfg(test)]
+#[derive(Default)]
+struct Probes {
+    slot_lookups: AtomicU64,
+    log_locks: AtomicU64,
 }
 
 impl Inner {
+    /// Locks a thread's shared half. Every such lock goes through here.
+    fn lock_log<'a>(&self, slot: &'a Slot) -> MutexGuard<'a, ThreadLog> {
+        #[cfg(test)]
+        self.probes.log_locks.fetch_add(1, Ordering::Relaxed);
+        slot.lock()
+    }
+
+    /// Every slot registered so far.
+    fn slot_list(&self) -> Vec<(ThreadId, Slot)> {
+        self.slots.lock().iter().map(|(tid, s)| (*tid, Arc::clone(s))).collect()
+    }
+
     /// Publishes a consistent metadata snapshot covering only durably
     /// flushed log bytes.
     ///
@@ -347,14 +391,11 @@ impl Inner {
     fn publish(&self, finished: bool) -> io::Result<()> {
         let mut generation = self.generation.lock();
         let confirmed: HashMap<ThreadId, u64> = self.confirmed.lock().clone();
-        let slots: Vec<(ThreadId, Arc<Mutex<ThreadLog>>)> = {
-            let map = self.slots.lock();
-            map.iter().map(|(tid, s)| (*tid, Arc::clone(s))).collect()
-        };
+        let slots = self.slot_list();
         let mut metas = Vec::with_capacity(slots.len());
         for (tid, slot) in slots {
             let limit = confirmed.get(&tid).copied().unwrap_or(0);
-            let log = slot.lock();
+            let log = self.lock_log(&slot);
             let rows: Vec<_> =
                 log.meta.iter().take_while(|r| r.data_begin + r.size <= limit).cloned().collect();
             metas.push((tid, rows));
@@ -407,8 +448,8 @@ fn compression_worker(
                 t0,
                 journal.now_us().saturating_sub(t0),
                 vec![
-                    ("raw_bytes".to_string(), raw_len as f64),
-                    ("frame_bytes".to_string(), frame.len() as f64),
+                    ("raw_bytes".into(), raw_len as f64),
+                    ("frame_bytes".into(), frame.len() as f64),
                 ],
                 job.trace.map(|tag| (tag.flow, FlowPhase::Step)),
             );
@@ -454,7 +495,7 @@ fn write_one(
             "write",
             t0,
             o.journal.now_us().saturating_sub(t0),
-            vec![("frame_bytes".to_string(), job.frame.len() as f64)],
+            vec![("frame_bytes".into(), job.frame.len() as f64)],
             job.trace.map(|tag| (tag.flow, FlowPhase::End)),
         );
     }
@@ -528,7 +569,7 @@ fn register_collector_sources(
         "bounded collector footprint: pool capacity + per-thread bookkeeping",
         move || {
             let slots = i.slots.lock().len() as u64;
-            (p.created_bytes() + slots * std::mem::size_of::<ThreadLog>() as u64) as f64
+            (p.created_bytes() + slots * THREAD_BOOKKEEPING_BYTES) as f64
         },
     );
 }
@@ -542,7 +583,6 @@ fn elapsed_nanos(start: Instant) -> u64 {
 /// the run, call [`SwordCollector::write_pcs`] and read
 /// [`SwordCollector::stats`].
 pub struct SwordCollector {
-    id: u64,
     config: SwordConfig,
     inner: Arc<Inner>,
     region_count: AtomicU64,
@@ -572,6 +612,8 @@ impl SwordCollector {
             confirmed: Mutex::new(HashMap::new()),
             generation: Mutex::new(0),
             error: Mutex::new(None),
+            #[cfg(test)]
+            probes: Probes::default(),
         });
         let counters = Arc::new(FlushCounters::new());
         let worker_count = if config.async_flush { config.compress_workers.max(1) } else { 0 };
@@ -688,7 +730,6 @@ impl SwordCollector {
             FlushPath::Sync { writers: Mutex::new(HashMap::new()) }
         };
         Ok(SwordCollector {
-            id: COLLECTOR_IDS.fetch_add(1, Ordering::Relaxed),
             config,
             inner,
             region_count: AtomicU64::new(0),
@@ -748,26 +789,23 @@ impl SwordCollector {
         self.inner.error.lock().take()
     }
 
-    /// Run summary. Meaningful after `program_end`.
+    /// Run summary. Exact after `program_end`; mid-run, a thread inside a
+    /// region has its events counted up to its last flush (it lags by
+    /// less than one buffer).
     pub fn stats(&self) -> SwordStats {
         let mut stats = SwordStats {
             regions: self.region_count.load(Ordering::Relaxed),
             ..SwordStats::default()
         };
-        let slots = self.inner.slots.lock();
+        let slots = self.inner.slot_list();
         stats.threads = slots.len() as u64;
-        for slot in slots.values() {
-            let log = slot.lock();
+        for (_, slot) in &slots {
+            let log = self.inner.lock_log(slot);
             stats.events += log.events_total;
             stats.flushes += log.flushes;
             stats.barrier_intervals += log.meta.len() as u64;
-            // Fixed per-thread bookkeeping; the event buffers themselves
-            // are pool-owned and counted once below. Meta rows are
-            // excluded by design — they are O(regions), spilled with the
-            // logs in a production setting; the paper's bound covers the
-            // event path.
-            stats.tool_memory_bytes += std::mem::size_of::<ThreadLog>() as u64;
         }
+        stats.tool_memory_bytes += stats.threads * THREAD_BOOKKEEPING_BYTES;
         // Every event buffer in existence — being filled, in flight to a
         // worker, or spare — came from the pool, so its created capacity
         // IS the bounded event-path footprint: 2·threads + workers
@@ -790,52 +828,111 @@ impl SwordCollector {
         self.inner.error.lock().get_or_insert(e);
     }
 
-    fn slot(&self, tid: ThreadId) -> Arc<Mutex<ThreadLog>> {
-        SLOT_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((cid, ctid, slot)) = cache.as_ref() {
-                if *cid == self.id && *ctid == tid {
-                    return Arc::clone(slot);
-                }
+    /// A callback arrived on a context that holds no lane (it never saw
+    /// `thread_begin`/`task_begin`). Whatever it carried is dropped, out
+    /// loud.
+    #[cold]
+    fn not_entered(&self, tid: ThreadId) {
+        self.record_error(io::Error::other(format!(
+            "callback on thread {tid} outside thread_begin..thread_end; its events are lost"
+        )));
+    }
+
+    /// The slot of `tid`, created on first sight. Called once per
+    /// `thread_begin`/`task_begin`, never per event.
+    fn slot(&self, tid: ThreadId) -> Slot {
+        #[cfg(test)]
+        self.inner.probes.slot_lookups.fetch_add(1, Ordering::Relaxed);
+        let mut slots = self.inner.slots.lock();
+        Arc::clone(slots.entry(tid).or_insert_with(|| {
+            // Double buffering: each thread funds two pool slots — the
+            // buffer it fills and the drained one it swaps in at flush
+            // time. The budget grows before the acquire, so this initial
+            // acquire never blocks.
+            self.pool.grow_budget(2);
+            let hot = Hot::with_buffer(self.config.buffer_events, self.pool.acquire());
+            let obs = self
+                .obs
+                .as_ref()
+                .map(|ctx| ctx.obs.journal.for_thread(Layer::Runtime, format!("app-{tid}")));
+            Arc::new(Mutex::new(ThreadLog::new(hot, obs)))
+        }))
+    }
+
+    /// `thread_begin`/`task_begin`: checks the thread-owned half of
+    /// `ctx.tid`'s state out into the context's lane and opens the
+    /// context's first interval.
+    fn enter(&self, ctx: &ThreadContext<'_>) {
+        let slot = self.slot(ctx.tid);
+        let parked = self.inner.lock_log(&slot).parked.take();
+        match parked {
+            Some(mut hot) => {
+                hot.open_interval(ctx);
+                let stale = ctx.tool_data.put(Lane { tid: ctx.tid, slot, hot });
+                debug_assert!(stale.is_none(), "context entered with a lane in place");
             }
-            let slot = {
-                let mut slots = self.inner.slots.lock();
-                Arc::clone(slots.entry(tid).or_insert_with(|| {
-                    // Double buffering: each thread funds two pool slots —
-                    // the buffer it fills and the drained one it swaps in
-                    // at flush time. The budget grows before the acquire,
-                    // so this initial acquire never blocks.
-                    self.pool.grow_budget(2);
-                    let initial = self.pool.acquire();
-                    let mut log = ThreadLog::with_buffer(self.config.buffer_events, initial);
-                    log.obs = self.obs.as_ref().map(|ctx| {
-                        ctx.obs.journal.for_thread(Layer::Runtime, format!("app-{tid}"))
-                    });
-                    Arc::new(Mutex::new(log))
-                }))
-            };
-            *cache = Some((self.id, tid, Arc::clone(&slot)));
-            slot
-        })
+            // The tid is running on another context: leave that lane
+            // alone; this context gets none and its events are lost.
+            None => self.record_error(io::Error::other(format!(
+                "thread {} entered while its lane is checked out elsewhere; \
+                 this context's events are lost",
+                ctx.tid
+            ))),
+        }
+    }
+
+    /// `thread_end`/`task_end`: closes the context's last interval and
+    /// parks the lane's state back in its slot.
+    fn leave(&self, ctx: &ThreadContext<'_>) {
+        let Some(Lane { slot, mut hot, .. }) = ctx.tool_data.take::<Lane>() else {
+            return self.not_entered(ctx.tid);
+        };
+        let row = hot.close_interval();
+        let mut log = self.inner.lock_log(&slot);
+        log.meta.extend(row);
+        log.park(hot);
+    }
+
+    /// Runs `f` on the context's lane.
+    #[inline]
+    fn with_lane(&self, ctx: &ThreadContext<'_>, f: impl FnOnce(&mut Lane)) {
+        if ctx.tool_data.with(f).is_none() {
+            self.not_entered(ctx.tid);
+        }
+    }
+
+    /// Closes the lane's open interval, if any, publishing its row.
+    fn close_interval(&self, lane: &mut Lane) {
+        if let Some(row) = lane.hot.close_interval() {
+            self.inner.lock_log(&lane.slot).meta.push(row);
+        }
     }
 
     fn ship(&self, tid: ThreadId, block: Vec<u8>, flow: Option<u64>) {
         self.counters.record_flush();
         match &self.flush {
             FlushPath::Async { tx, .. } => {
-                if let Some(tx) = tx.lock().as_ref() {
-                    // Take the sequence number only for a live channel so
-                    // the ordered writer never waits on a gap that was
-                    // never sent.
-                    let seq = self.flush_seq.fetch_add(1, Ordering::Relaxed);
-                    // Stamp the flush-channel hop (finalize-path ships,
-                    // which had no handoff span, mint a fresh flow here).
-                    let trace = self.stage.as_ref().map(|s| s.enqueue(flow, true));
-                    // Workers only exit on finish; a send failure is
-                    // recorded once.
-                    if tx.send(FlushJob { seq, tid, block, trace }).is_err() {
-                        self.record_error(io::Error::other("sword compression workers gone"));
-                    }
+                let tx = tx.lock();
+                let Some(tx) = tx.as_ref() else {
+                    // The pipeline is already shut: give the buffer back
+                    // and say what went missing.
+                    drop(tx);
+                    self.pool.release(block);
+                    return self.record_error(io::Error::other(format!(
+                        "thread {tid} flushed after finalize; the block is lost"
+                    )));
+                };
+                // Take the sequence number only for a live channel so
+                // the ordered writer never waits on a gap that was
+                // never sent.
+                let seq = self.flush_seq.fetch_add(1, Ordering::Relaxed);
+                // Stamp the flush-channel hop (finalize-path ships,
+                // which had no handoff span, mint a fresh flow here).
+                let trace = self.stage.as_ref().map(|s| s.enqueue(flow, true));
+                // Workers only exit on finish; a send failure is
+                // recorded once.
+                if tx.send(FlushJob { seq, tid, block, trace }).is_err() {
+                    self.record_error(io::Error::other("sword compression workers gone"));
                 }
             }
             FlushPath::Sync { writers } => {
@@ -867,56 +964,65 @@ impl SwordCollector {
         }
     }
 
-    fn push_event(&self, tid: ThreadId, event: &Event) {
-        let slot = self.slot(tid);
-        let shipment = {
-            let mut log = slot.lock();
-            if log.push(event) {
-                // Double-buffer handoff: trade the full buffer for a
-                // drained one. `acquire` only blocks when the whole pool
-                // budget is in flight (I/O slower than event production);
-                // that backpressure stall is what `stall_nanos` measures.
-                // The journal records only here, at flush boundaries —
-                // once per ~buffer_events events, never per event.
-                let t0 = log.obs.as_ref().map(ThreadJournal::now_us);
-                let start = Instant::now();
-                let fresh = self.pool.acquire();
-                let stall = elapsed_nanos(start);
-                self.counters.add_stall(stall);
-                let block = log.swap_buffer(fresh);
-                // The handoff span starts this block's causal flow; the
-                // compress and write spans downstream continue it.
-                let flow = self.stage.as_ref().map(|s| s.journal.next_flow_id());
-                if let (Some(tj), Some(t0)) = (&log.obs, t0) {
-                    tj.span_closed_flow(
-                        "flush-handoff",
-                        t0,
-                        tj.now_us().saturating_sub(t0),
-                        vec![
-                            ("bytes".to_string(), block.len() as f64),
-                            ("stall_ns".to_string(), stall as f64),
-                        ],
-                        flow.map(|f| (f, FlowPhase::Start)),
-                    );
-                }
-                Some((block, flow))
-            } else {
-                None
+    /// The per-event path: borrow the lane, encode, count.
+    #[inline]
+    fn push_event(&self, ctx: &ThreadContext<'_>, event: &Event) {
+        self.with_lane(ctx, |lane| {
+            if lane.hot.push(event) {
+                self.flush(lane);
             }
-        };
-        if let Some((block, flow)) = shipment {
-            self.ship(tid, block, flow);
+        });
+    }
+
+    /// Double-buffer handoff: trades the lane's full buffer for a drained
+    /// one and ships it. `acquire` only blocks when the whole pool budget
+    /// is in flight (I/O slower than event production); that backpressure
+    /// stall is what `stall_nanos` measures. The journal records only
+    /// here, at flush boundaries — once per ~buffer_events events, never
+    /// per event.
+    #[cold]
+    fn flush(&self, lane: &mut Lane) {
+        let t0 = self.stage.as_ref().map(|s| s.journal.now_us());
+        let start = Instant::now();
+        let fresh = self.pool.acquire();
+        let stall = elapsed_nanos(start);
+        self.counters.add_stall(stall);
+        let block = lane.hot.swap_buffer(fresh);
+        // The handoff span starts this block's causal flow; the
+        // compress and write spans downstream continue it.
+        let flow = self.stage.as_ref().map(|s| s.journal.next_flow_id());
+        {
+            let mut log = self.inner.lock_log(&lane.slot);
+            log.note_flush(&lane.hot);
+            if let (Some(tj), Some(t0)) = (&log.obs, t0) {
+                tj.span_closed_flow(
+                    "flush-handoff",
+                    t0,
+                    tj.now_us().saturating_sub(t0),
+                    vec![("bytes".into(), block.len() as f64), ("stall_ns".into(), stall as f64)],
+                    flow.map(|f| (f, FlowPhase::Start)),
+                );
+            }
         }
+        self.ship(lane.tid, block, flow);
     }
 
     fn finalize(&self) -> io::Result<()> {
-        // Drain every thread's remaining buffer.
-        let slots: Vec<(ThreadId, Arc<Mutex<ThreadLog>>)> = {
-            let map = self.inner.slots.lock();
-            map.iter().map(|(tid, s)| (*tid, Arc::clone(s))).collect()
-        };
+        // Drain every parked thread's remaining buffer. A thread whose
+        // lane is still checked out is still inside a region: its tail
+        // cannot be reached from here, and it must not go quietly.
+        let slots = self.inner.slot_list();
         for (tid, slot) in &slots {
-            if let Some(block) = slot.lock().drain() {
+            let mut log = self.inner.lock_log(slot);
+            let Some(hot) = log.parked.as_mut() else {
+                self.record_error(io::Error::other(format!(
+                    "thread {tid} still running at finalize; its tail is lost"
+                )));
+                continue;
+            };
+            if let Some(block) = hot.drain() {
+                log.flushes += 1;
+                drop(log);
                 self.ship(*tid, block, None);
             }
         }
@@ -976,7 +1082,7 @@ impl SwordCollector {
         // Prometheus exposition file.
         if let Some(ctx) = &self.obs {
             let journal = ctx.obs.journal.for_thread(Layer::Runtime, "collector");
-            journal.instant("finalize", vec![("threads".to_string(), slots.len() as f64)]);
+            journal.instant("finalize", vec![("threads".into(), slots.len() as f64)]);
             ctx.snapshot_and_flush();
             self.inner.session.write_file_atomic(
                 &self.inner.session.metrics_path(),
@@ -1012,29 +1118,19 @@ impl Tool for SwordCollector {
     }
 
     fn thread_begin(&self, ctx: &ThreadContext<'_>) {
-        let slot = self.slot(ctx.tid);
-        slot.lock().open_interval(ctx);
+        self.enter(ctx);
     }
 
     fn thread_end(&self, ctx: &ThreadContext<'_>) {
-        let slot = self.slot(ctx.tid);
-        let mut log = slot.lock();
-        if log.interval_open() {
-            log.close_interval();
-        }
+        self.leave(ctx);
     }
 
     fn barrier_begin(&self, ctx: &ThreadContext<'_>) {
-        let slot = self.slot(ctx.tid);
-        let mut log = slot.lock();
-        if log.interval_open() {
-            log.close_interval();
-        }
+        self.with_lane(ctx, |lane| self.close_interval(lane));
     }
 
     fn barrier_end(&self, ctx: &ThreadContext<'_>) {
-        let slot = self.slot(ctx.tid);
-        slot.lock().open_interval(ctx);
+        self.with_lane(ctx, |lane| lane.hot.open_interval(ctx));
     }
 
     fn task_create(&self, outer: &ThreadContext<'_>, info: &TaskCreateInfo<'_>) {
@@ -1051,51 +1147,39 @@ impl Tool for SwordCollector {
         });
         // The creator's current row ends at the creation point; the
         // continuation reopens under the pseudo-region at `task_end`.
-        let slot = self.slot(outer.tid);
-        let mut log = slot.lock();
-        if log.interval_open() {
-            log.close_interval();
-        }
+        self.with_lane(outer, |lane| self.close_interval(lane));
     }
 
     fn task_begin(&self, _outer: &ThreadContext<'_>, task: &ThreadContext<'_>, _uid: TaskUid) {
-        let slot = self.slot(task.tid);
-        slot.lock().open_interval(task);
+        // The task body runs on its creator's OS thread but under its own
+        // tid and context: it gets its own lane, beside the creator's.
+        self.enter(task);
     }
 
     fn task_end(&self, task: &ThreadContext<'_>, outer: &ThreadContext<'_>, _uid: TaskUid) {
-        {
-            let slot = self.slot(task.tid);
-            let mut log = slot.lock();
-            if log.interval_open() {
-                log.close_interval();
-            }
-        }
-        let slot = self.slot(outer.tid);
-        slot.lock().open_interval(outer);
+        self.leave(task);
+        self.with_lane(outer, |lane| lane.hot.open_interval(outer));
     }
 
     fn task_sync(&self, restored: &ThreadContext<'_>, _synced: &[TaskUid]) {
         // Close the chain fragment and reopen under the restored identity
         // (the real region row, or the group-entry row).
-        let slot = self.slot(restored.tid);
-        let mut log = slot.lock();
-        if log.interval_open() {
-            log.close_interval();
-        }
-        log.open_interval(restored);
+        self.with_lane(restored, |lane| {
+            self.close_interval(lane);
+            lane.hot.open_interval(restored);
+        });
     }
 
     fn mutex_acquired(&self, ctx: &ThreadContext<'_>, mutex: MutexId) {
-        self.push_event(ctx.tid, &Event::MutexAcquire(mutex));
+        self.push_event(ctx, &Event::MutexAcquire(mutex));
     }
 
     fn mutex_released(&self, ctx: &ThreadContext<'_>, mutex: MutexId) {
-        self.push_event(ctx.tid, &Event::MutexRelease(mutex));
+        self.push_event(ctx, &Event::MutexRelease(mutex));
     }
 
     fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {
-        self.push_event(ctx.tid, &Event::Access(access));
+        self.push_event(ctx, &Event::Access(access));
     }
 
     fn parallel_end(&self, _region: RegionId, _fork_tid: ThreadId) {}
@@ -1125,7 +1209,7 @@ mod tests {
     use super::*;
     use std::fs;
     use std::io::BufReader;
-    use sword_trace::{read_meta, read_regions, EventDecoder, LogReader};
+    use sword_trace::{read_meta, read_regions, AccessKind, EventDecoder, LogReader, MetaRecord};
 
     fn tmp_session(tag: &str) -> PathBuf {
         let dir =
@@ -1161,6 +1245,51 @@ mod tests {
         })
         .expect("collection succeeds");
         (SessionDir::new(&dir), stats)
+    }
+
+    /// Decodes one thread's log row by row, checking on the way that the
+    /// rows tile the log exactly: contiguous from byte 0, each decodable
+    /// standalone, the last ending where the log does.
+    fn decode_rows(session: &SessionDir, tid: ThreadId) -> Vec<(MetaRecord, Vec<Event>)> {
+        let rows =
+            read_meta(BufReader::new(File::open(session.thread_meta(tid)).unwrap())).unwrap();
+        let mut stream = Vec::new();
+        let total = LogReader::new(File::open(session.thread_log(tid)).unwrap())
+            .read_to_end(&mut stream)
+            .unwrap();
+        let mut next = 0;
+        let decoded = rows
+            .into_iter()
+            .map(|row| {
+                assert_eq!(row.data_begin, next, "rows of tid {tid} leave a gap or overlap");
+                next += row.size;
+                let bytes = &stream[row.data_begin as usize..next as usize];
+                let events = EventDecoder::new().decode_all(bytes).unwrap();
+                (row, events)
+            })
+            .collect();
+        assert_eq!(next, total, "rows of tid {tid} cover the log exactly");
+        decoded
+    }
+
+    /// A hand-made context for `tid`, as a runtime that never called
+    /// `thread_begin` would present it.
+    fn bare_context<'a>(
+        tid: ThreadId,
+        label: &'a sword_osl::Label,
+        tool_data: &'a sword_ompsim::ToolLocal,
+    ) -> ThreadContext<'a> {
+        ThreadContext {
+            tid,
+            region: 0,
+            parent_region: None,
+            level: 1,
+            team_index: 0,
+            span: 1,
+            bid: 0,
+            label,
+            tool_data,
+        }
     }
 
     #[test]
@@ -1201,6 +1330,204 @@ mod tests {
             assert_eq!(total, rows[1].data_begin + rows[1].size);
         }
         fs::remove_dir_all(session.path()).unwrap();
+    }
+
+    #[test]
+    fn every_event_lands_in_the_log_of_the_tid_that_issued_it() {
+        // One OS thread serves three tids in turn (creator, inline task,
+        // creator, inline task, ...), then forks a nested team while its
+        // own interval stays open, then carries on. Each context notes the
+        // addresses it issues under its tid; afterwards every tid's log
+        // must decode to exactly its own list, in order. Two-event buffers
+        // put a flush between almost any two of those switches.
+        let dir = tmp_session("lanes");
+        let issued: std::sync::Mutex<HashMap<ThreadId, Vec<u64>>> = Default::default();
+        let config = SwordConfig::new(&dir).buffer_events(2).compress_workers(2);
+        let (_, stats) = run_collected(config, SimConfig::default(), |sim| {
+            let a = sim.alloc::<u64>(64, 0);
+            let next = AtomicU64::new(0);
+            let touch = |c: &sword_ompsim::Ctx<'_>, n: u64| {
+                for _ in 0..n {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    issued.lock().unwrap().entry(c.tid()).or_default().push(a.addr_of(i));
+                    c.write(&a, i, i);
+                }
+            };
+            sim.run(|ctx| {
+                ctx.parallel(1, |w| {
+                    touch(w, 3);
+                    for round in 0..3 {
+                        w.task(|t| touch(t, 1 + round));
+                        touch(w, 1);
+                    }
+                    w.taskwait();
+                    touch(w, 1);
+                    w.parallel(2, |inner| {
+                        touch(inner, 3);
+                        inner.barrier();
+                        touch(inner, 2);
+                    });
+                    touch(w, 3);
+                });
+            });
+        })
+        .unwrap();
+        let issued = issued.into_inner().unwrap();
+        // Worker, three tasks, two nested members (the master logs nothing).
+        assert_eq!(issued.len(), 6);
+        assert_eq!(stats.threads, 6);
+        let session = SessionDir::new(&dir);
+        let mut tids = session.thread_ids().unwrap();
+        tids.sort_unstable();
+        let mut expected: Vec<ThreadId> = issued.keys().copied().collect();
+        expected.sort_unstable();
+        assert_eq!(tids, expected);
+        for (tid, addrs) in &issued {
+            let logged: Vec<u64> = decode_rows(&session, *tid)
+                .iter()
+                .flat_map(|(_, events)| events.iter().map(|e| e.as_access().unwrap().addr))
+                .collect();
+            assert_eq!(&logged, addrs, "tid {tid}");
+        }
+        // The forking worker's interval stayed open across the nested
+        // region: one row holds what it wrote before and after the join.
+        let worker_rows = decode_rows(&session, 1);
+        assert_eq!(
+            worker_rows.last().unwrap().1.len(),
+            1 + 3,
+            "post-taskwait write + 3 after join"
+        );
+        assert_eq!(stats.events, issued.values().map(|v| v.len() as u64).sum::<u64>());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lock_and_lookup_counts_do_not_depend_on_accesses() {
+        // The lane contract, counted: a run visits the slot map once per
+        // context entered and locks a thread's shared half once per
+        // entry, per meta row and per flush — whatever the number of
+        // accesses in between.
+        fn run(tag: &str, per_interval: u64) -> (u64, u64, u64) {
+            let dir = tmp_session(tag);
+            let collector = Arc::new(SwordCollector::new(SwordConfig::new(&dir)).unwrap());
+            let sim = OmpSim::with_tool_and_config(collector.clone(), SimConfig::default());
+            let a = sim.alloc::<u64>(2 * per_interval, 0);
+            let mut counted = None;
+            sim.run(|ctx| {
+                ctx.parallel(2, |w| {
+                    let sweep = |c: &sword_ompsim::Ctx<'_>| {
+                        let base = w.team_index() * per_interval;
+                        (0..per_interval).for_each(|i| c.write(&a, base + i, i));
+                    };
+                    sweep(w);
+                    w.barrier();
+                    sweep(w);
+                    w.task(|t| sweep(t));
+                    w.taskwait();
+                    w.barrier();
+                    sweep(w);
+                });
+                // Before `program_end`: finalize, publish and `stats()`
+                // read every slot once more, which is not the point here.
+                let probes = &collector.inner.probes;
+                let lookups = probes.slot_lookups.load(Ordering::Relaxed);
+                let locks = probes.log_locks.load(Ordering::Relaxed);
+                let stats = collector.stats();
+                assert_eq!(stats.events, 2 * 4 * per_interval, "all lanes parked: exact");
+                counted = Some((lookups, locks, stats.barrier_intervals, stats.flushes));
+            });
+            assert!(collector.take_error().is_none());
+            fs::remove_dir_all(&dir).unwrap();
+            let (lookups, locks, rows, flushes) = counted.unwrap();
+            // Two team members and two tasks entered; each entry, each
+            // row and each flush locked one thread's shared half once.
+            assert_eq!(lookups, 2 + 2, "{tag}");
+            assert_eq!(locks, lookups + rows + flushes, "{tag}");
+            (lookups, locks - flushes, flushes)
+        }
+        let small = run("scale-1e3", 1_000);
+        let large = run("scale-1e5", 100_000);
+        assert_eq!(small.2, 0, "10^3 accesses never fill a paper-sized buffer");
+        assert!(large.2 >= 2 * 3 * (100_000 / PAPER_BUFFER_EVENTS as u64));
+        assert_eq!((small.0, small.1), (large.0, large.1), "counts scale with structure only");
+    }
+
+    #[test]
+    fn event_on_a_context_that_never_entered_is_reported() {
+        let dir = tmp_session("never-entered");
+        let collector = SwordCollector::new(SwordConfig::new(&dir)).unwrap();
+        let label = sword_osl::Label::root().fork(0, 1);
+        let tool_data = sword_ompsim::ToolLocal::new();
+        let tc = bare_context(7, &label, &tool_data);
+        collector.access(&tc, MemAccess::new(0x1000, 8, AccessKind::Write, 0));
+        let err = collector.take_error().expect("a dropped event is an error");
+        assert!(err.to_string().contains("thread 7 outside thread_begin"), "{err}");
+        collector.program_end();
+        assert!(collector.take_error().is_none(), "nothing else went wrong");
+        assert_eq!(collector.stats().events, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn second_context_for_a_running_tid_gets_no_lane() {
+        let dir = tmp_session("double-enter");
+        let collector = SwordCollector::new(SwordConfig::new(&dir)).unwrap();
+        let label = sword_osl::Label::root().fork(0, 1);
+        let (first, second) = (sword_ompsim::ToolLocal::new(), sword_ompsim::ToolLocal::new());
+        collector.thread_begin(&bare_context(3, &label, &first));
+        collector.thread_begin(&bare_context(3, &label, &second));
+        let err = collector.take_error().expect("two contexts cannot share a tid");
+        assert!(
+            err.to_string().contains("thread 3 entered while its lane is checked out"),
+            "{err}"
+        );
+        // The first context is unharmed and logs on.
+        collector
+            .access(&bare_context(3, &label, &first), MemAccess::new(8, 8, AccessKind::Read, 0));
+        collector.thread_end(&bare_context(3, &label, &first));
+        assert!(collector.take_error().is_none());
+        collector.program_end();
+        assert_eq!(collector.stats().events, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lane_still_checked_out_at_finalize_is_reported() {
+        let dir = tmp_session("running-at-finalize");
+        let collector = SwordCollector::new(SwordConfig::new(&dir)).unwrap();
+        let label = sword_osl::Label::root().fork(0, 1);
+        let tool_data = sword_ompsim::ToolLocal::new();
+        let tc = bare_context(3, &label, &tool_data);
+        collector.thread_begin(&tc);
+        collector.access(&tc, MemAccess::new(0x1000, 8, AccessKind::Write, 0));
+        collector.program_end(); // no thread_end: the lane is still out
+        let err = collector.take_error().expect("an unreachable tail is an error");
+        assert!(err.to_string().contains("thread 3 still running at finalize"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flush_into_a_closed_pipeline_is_reported_and_returns_its_buffer() {
+        let dir = tmp_session("flush-after-finalize");
+        let config = SwordConfig::new(&dir).buffer_events(2).compress_workers(1);
+        let collector = SwordCollector::new(config).unwrap();
+        let label = sword_osl::Label::root().fork(0, 1);
+        let tool_data = sword_ompsim::ToolLocal::new();
+        let tc = bare_context(3, &label, &tool_data);
+        collector.thread_begin(&tc);
+        collector.program_end();
+        collector.take_error().expect("still-running error, covered above");
+        assert_eq!(collector.pool.occupancy(), (0, 1, 3), "(free, created, budget)");
+        // Two events fill the buffer; the hand-off finds the channel shut.
+        collector.access(&tc, MemAccess::new(0x1000, 8, AccessKind::Write, 0));
+        assert!(collector.take_error().is_none(), "nothing shipped yet");
+        collector.access(&tc, MemAccess::new(0x1008, 8, AccessKind::Write, 0));
+        let err = collector.take_error().expect("a dropped block is an error");
+        assert!(err.to_string().contains("thread 3 flushed after finalize"), "{err}");
+        // The swap created the lane's second buffer; the full one came
+        // back to the pool instead of leaking its slot.
+        assert_eq!(collector.pool.occupancy(), (1, 2, 3));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1405,6 +1732,20 @@ mod tests {
                 (task.pid, 1, sword_osl::TASK_SPAN)
             );
         }
+        // The creator and its inline tasks share one OS thread; each
+        // write still decodes from the log of the tid that issued it
+        // (element index = address order), and the rows tile each log.
+        let elems = |tid: ThreadId| -> Vec<Vec<u64>> {
+            decode_rows(&session, tid)
+                .iter()
+                .map(|(_, ev)| ev.iter().map(|e| e.as_access().unwrap().addr).collect())
+                .collect()
+        };
+        let base = elems(1)[0][0];
+        let at = |i: u64| base + 8 * i;
+        assert_eq!(elems(1), vec![vec![at(0)], vec![], vec![at(3)], vec![at(4)]]);
+        assert_eq!(elems(2), vec![vec![at(1)]]);
+        assert_eq!(elems(3), vec![vec![at(2)]]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1594,7 +1935,7 @@ mod tests {
         let read = sword_obs::read_journal(&session.obs_path()).unwrap();
         assert!(!read.truncated_tail);
         let span_names: Vec<&str> =
-            read.events.iter().filter(|e| e.dur_us.is_some()).map(|e| e.name.as_str()).collect();
+            read.events.iter().filter(|e| e.dur_us.is_some()).map(|e| &*e.name).collect();
         for expected in ["flush-handoff", "compress", "write"] {
             assert!(span_names.contains(&expected), "missing {expected} span");
         }

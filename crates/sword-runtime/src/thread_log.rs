@@ -1,5 +1,16 @@
-//! Per-thread collection state: the bounded event buffer and the
-//! barrier-interval bookkeeping behind each thread's meta-data file.
+//! Per-thread collection state, in two halves with two owners.
+//!
+//! [`Hot`] is what only the running thread touches: the bounded event
+//! buffer, the encoder, the open barrier interval and the running event
+//! count. It travels: parked inside the thread's [`ThreadLog`] between
+//! regions, checked out into the running context's lane while the thread
+//! is inside one — so an access is a borrow and an encode, never a lock.
+//!
+//! [`ThreadLog`] is what others read — the finished meta rows (the live
+//! publisher), the event and flush totals (`stats()`), the journal
+//! recorder — and it stays behind the slot's mutex. The running thread
+//! visits it only where the two halves meet: when an interval closes, at
+//! a flush hand-off, and when it parks.
 
 use sword_obs::ThreadJournal;
 use sword_ompsim::ThreadContext;
@@ -26,9 +37,8 @@ pub(crate) struct OpenInterval {
     pub data_begin: u64,
 }
 
-/// One thread's collection state. Owned by the collector, driven by
-/// callbacks arriving on that thread.
-pub(crate) struct ThreadLog {
+/// The thread-owned half of one thread's collection state.
+pub(crate) struct Hot {
     buffer: Vec<u8>,
     buffer_events: usize,
     capacity_events: usize,
@@ -36,37 +46,30 @@ pub(crate) struct ThreadLog {
     /// Uncompressed log bytes already handed to the writer.
     flushed: u64,
     open: Option<OpenInterval>,
-    pub meta: Vec<MetaRecord>,
-    pub events_total: u64,
-    pub flushes: u64,
-    /// Observability recorder for this app thread (`--obs` runs only).
-    /// Records only at flush boundaries, never per event.
-    pub obs: Option<ThreadJournal>,
+    /// Events encoded since the thread's first; [`ThreadLog::events_total`]
+    /// trails it until the next flush or park.
+    events_total: u64,
 }
 
-impl ThreadLog {
+impl Hot {
     /// A log that owns its own buffer (tests and pool-less callers).
     #[cfg(test)]
     pub fn new(capacity_events: usize) -> Self {
-        assert!(capacity_events > 0);
         Self::with_buffer(capacity_events, Vec::with_capacity(capacity_events * MAX_EVENT_BYTES))
     }
 
     /// A log filling `initial` (a pool buffer); subsequent buffers arrive
-    /// via [`ThreadLog::swap_buffer`].
+    /// via [`Hot::swap_buffer`].
     pub fn with_buffer(capacity_events: usize, initial: Vec<u8>) -> Self {
         assert!(capacity_events > 0);
-        ThreadLog {
+        Hot {
             buffer: initial,
             buffer_events: 0,
             capacity_events,
             encoder: EventEncoder::new(),
             flushed: 0,
             open: None,
-            meta: Vec::new(),
             events_total: 0,
-            flushes: 0,
-            obs: None,
         }
     }
 
@@ -99,11 +102,11 @@ impl ThreadLog {
         self.encoder.reset();
     }
 
-    /// Closes the open interval, emitting its Table-I row.
-    pub fn close_interval(&mut self) {
-        let open = self.open.take().expect("no interval open");
-        let end = self.offset();
-        self.meta.push(MetaRecord {
+    /// Closes the open interval, if any, returning its Table-I row for
+    /// [`ThreadLog::meta`].
+    pub fn close_interval(&mut self) -> Option<MetaRecord> {
+        let open = self.open.take()?;
+        Some(MetaRecord {
             pid: open.pid,
             ppid: open.ppid,
             bid: open.bid,
@@ -111,18 +114,14 @@ impl ThreadLog {
             span: open.span,
             level: open.level,
             data_begin: open.data_begin,
-            size: end - open.data_begin,
-        });
-    }
-
-    /// `true` when an interval is being collected.
-    pub fn interval_open(&self) -> bool {
-        self.open.is_some()
+            size: self.offset() - open.data_begin,
+        })
     }
 
     /// Appends one event; returns `true` when the buffer reached capacity
     /// (the caller acquires a drained pool buffer and calls
-    /// [`ThreadLog::swap_buffer`]).
+    /// [`Hot::swap_buffer`]).
+    #[inline]
     #[must_use = "a full buffer must be swapped out and shipped"]
     pub fn push(&mut self, event: &Event) -> bool {
         self.encoder.encode(event, &mut self.buffer);
@@ -137,20 +136,53 @@ impl ThreadLog {
         debug_assert!(fresh.is_empty(), "swap target must be drained");
         self.flushed += self.buffer.len() as u64;
         self.buffer_events = 0;
-        self.flushes += 1;
         std::mem::replace(&mut self.buffer, fresh)
     }
 
     /// Takes the current buffer contents for the final flush (empty →
     /// `None`). The replacement is an empty non-allocating `Vec`: drains
-    /// happen once, at end of run, after which the log only serves
-    /// metadata reads.
+    /// happen once, at end of run.
     pub fn drain(&mut self) -> Option<Vec<u8>> {
         if self.buffer.is_empty() {
             None
         } else {
             Some(self.swap_buffer(Vec::new()))
         }
+    }
+}
+
+/// The shared half of one thread's collection state, behind the slot's
+/// mutex.
+pub(crate) struct ThreadLog {
+    /// The thread-owned half, while no context has it checked out.
+    pub parked: Option<Hot>,
+    pub meta: Vec<MetaRecord>,
+    /// Events logged, as of the thread's last flush or park.
+    pub events_total: u64,
+    pub flushes: u64,
+    /// Observability recorder for this app thread (`--obs` runs only).
+    /// Records only at flush boundaries, never per event.
+    pub obs: Option<ThreadJournal>,
+}
+
+impl ThreadLog {
+    /// A log whose thread-owned half starts out parked.
+    pub fn new(hot: Hot, obs: Option<ThreadJournal>) -> Self {
+        ThreadLog { parked: Some(hot), meta: Vec::new(), events_total: 0, flushes: 0, obs }
+    }
+
+    /// Books one flush hand-off by the thread that has `hot` checked out.
+    pub fn note_flush(&mut self, hot: &Hot) {
+        self.flushes += 1;
+        self.events_total = hot.events_total;
+    }
+
+    /// Takes the thread-owned half back at `thread_end`/`task_end`.
+    pub fn park(&mut self, hot: Hot) {
+        debug_assert!(self.parked.is_none(), "two lanes for one thread");
+        debug_assert!(hot.open.is_none(), "parking with an interval open");
+        self.events_total = hot.events_total;
+        self.parked = Some(hot);
     }
 }
 
@@ -165,7 +197,7 @@ mod tests {
 
     #[test]
     fn buffer_flushes_at_capacity() {
-        let mut log = ThreadLog::new(10);
+        let mut log = Hot::new(10);
         for i in 0..9 {
             assert!(!log.push(&access(i * 8)));
         }
@@ -173,7 +205,6 @@ mod tests {
         let fresh = Vec::with_capacity(log.buffer_capacity_bytes());
         let flushed = log.swap_buffer(fresh);
         assert!(!flushed.is_empty());
-        assert_eq!(log.flushes, 1);
         assert_eq!(log.events_total, 10);
         assert_eq!(log.offset(), flushed.len() as u64);
         // Buffer restarts empty after the swap.
@@ -182,7 +213,7 @@ mod tests {
 
     #[test]
     fn drain_returns_partial_buffer() {
-        let mut log = ThreadLog::new(100);
+        let mut log = Hot::new(100);
         assert!(!log.push(&access(0)));
         assert!(!log.push(&access(8)));
         let bytes = log.drain().unwrap();
@@ -193,7 +224,7 @@ mod tests {
 
     #[test]
     fn offsets_continue_across_flushes() {
-        let mut log = ThreadLog::new(4);
+        let mut log = Hot::new(4);
         let cap = log.buffer_capacity_bytes();
         let mut total = 0u64;
         for i in 0..10 {
@@ -211,19 +242,46 @@ mod tests {
 
     #[test]
     fn capacity_is_stable_across_swaps() {
-        let mut log = ThreadLog::new(5);
+        let mut log = Hot::new(5);
         let before = log.buffer_capacity_bytes();
         // Two buffers rotating, exactly as the pool drives double
         // buffering: swap in the spare, drain the filled one, repeat.
         let mut spare = Vec::with_capacity(before);
+        let mut flushes = 0;
         for i in 0..25 {
             if log.push(&access(i)) {
                 let mut filled = log.swap_buffer(std::mem::take(&mut spare));
                 filled.clear();
                 spare = filled;
+                flushes += 1;
             }
         }
         assert_eq!(log.buffer_capacity_bytes(), before, "bounded memory");
-        assert_eq!(log.flushes, 5);
+        assert_eq!(flushes, 5);
+    }
+
+    #[test]
+    fn shared_totals_advance_at_flush_and_park_only() {
+        let mut shared = ThreadLog::new(Hot::new(4), None);
+        let mut hot = shared.parked.take().expect("starts parked");
+        for i in 0..4 {
+            let full = hot.push(&access(i));
+            assert_eq!(full, i == 3);
+        }
+        assert_eq!(shared.events_total, 0, "a running thread's events are its own");
+        let _ = hot.swap_buffer(Vec::new());
+        shared.note_flush(&hot);
+        assert_eq!((shared.events_total, shared.flushes), (4, 1));
+        assert!(!hot.push(&access(99)));
+        assert_eq!(shared.events_total, 4, "lags by less than one buffer");
+        shared.park(hot);
+        assert_eq!((shared.events_total, shared.flushes), (5, 1), "exact once parked");
+        assert!(shared.parked.is_some());
+    }
+
+    #[test]
+    fn closing_without_an_open_interval_yields_no_row() {
+        let mut log = Hot::new(4);
+        assert!(log.close_interval().is_none());
     }
 }

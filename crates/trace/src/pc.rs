@@ -38,7 +38,9 @@ impl fmt::Display for SourceLoc {
 #[derive(Clone, Debug, Default)]
 pub struct PcTable {
     locs: Vec<SourceLoc>,
-    ids: HashMap<SourceLoc, PcId>,
+    /// `file → line → id`. Two levels so a lookup borrows the caller's
+    /// `&str`: a hit allocates nothing.
+    ids: HashMap<String, HashMap<u32, PcId>>,
 }
 
 impl PcTable {
@@ -59,13 +61,12 @@ impl PcTable {
 
     /// Interns a location, returning its stable id.
     pub fn intern(&mut self, file: &str, line: u32) -> PcId {
-        if let Some(&id) = self.ids.get(&SourceLoc { file: file.to_string(), line }) {
+        if let Some(&id) = self.ids.get(file).and_then(|lines| lines.get(&line)) {
             return id;
         }
-        let loc = SourceLoc::new(file, line);
         let id = self.locs.len() as PcId;
-        self.locs.push(loc.clone());
-        self.ids.insert(loc, id);
+        self.locs.push(SourceLoc::new(file, line));
+        self.ids.entry(file.to_string()).or_default().insert(line, id);
         id
     }
 
@@ -130,6 +131,22 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn ids_follow_first_sight_across_interleaved_files() {
+        // The `pcs` file is the id order; the per-file index must not
+        // regroup it.
+        let mut t = PcTable::new();
+        let seen = [("b.rs", 7), ("a.rs", 7), ("b.rs", 3), ("a.rs", 7), ("b.rs", 7), ("a.rs", 1)];
+        let ids: Vec<PcId> = seen.iter().map(|(f, l)| t.intern(f, *l)).collect();
+        assert_eq!(ids, vec![0, 1, 2, 1, 0, 3]);
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "0\t7\tb.rs\n1\t7\ta.rs\n2\t3\tb.rs\n3\t1\ta.rs\n"
+        );
     }
 
     #[test]
