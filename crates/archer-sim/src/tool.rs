@@ -249,6 +249,71 @@ impl ArcherTool {
         stats
     }
 
+    /// Checks one access against the shadow cells of every word it
+    /// touches and records it there. This is the engine's unit of work —
+    /// the verdict depends on the order in which *different threads'*
+    /// accesses arrive here — so the tool keeps [`Tool::max_run`] at 1 and
+    /// its [`Tool::access`] hands each one-element run straight on.
+    pub fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {
+        let mut state = self.state.lock();
+        if state.stats.oom {
+            return; // the process was killed; nothing more is recorded
+        }
+        state.stats.accesses += 1;
+        let tid = ctx.tid;
+        let (vc, epoch) = {
+            let ts = Self::thread_mut(&mut state, tid);
+            (ts.vc.clone(), ts.epoch)
+        };
+        // Split the access into per-word byte ranges.
+        let mut addr = access.addr;
+        let mut remaining = access.size as u64;
+        while remaining > 0 {
+            let word = addr >> 3;
+            let offset = (addr & 7) as u8;
+            let len = remaining.min(8 - offset as u64) as u8;
+            let victim = match self.config.eviction {
+                EvictionPolicy::RoundRobin => None,
+                EvictionPolicy::Random(_) => Some(state.rng.gen_range(0..crate::CELLS_PER_WORD)),
+            };
+            let entry = state.shadow.entry(word).or_default();
+            // Race check against every retained cell.
+            let mut found: Vec<(PcId, bool, u64)> = Vec::new();
+            for cell in entry.cells() {
+                let conflicting = cell.tid != tid
+                    && cell.overlaps(offset, len)
+                    && (cell.is_write || access.kind.is_write())
+                    && !(cell.is_atomic && access.kind.is_atomic());
+                if conflicting && (cell.epoch > vc.get(cell.tid)) {
+                    found.push(((cell.pc), cell.is_write, (word << 3) + offset as u64));
+                }
+            }
+            let outcome = entry
+                .store(ShadowCell::new(tid, epoch, offset, len, access.kind, access.pc), victim);
+            if outcome == StoreOutcome::Evicted {
+                state.stats.evictions += 1;
+            }
+            for (other_pc, other_is_write, racy_addr) in found {
+                let (lo, hi) = if access.pc <= other_pc {
+                    (access.pc, other_pc)
+                } else {
+                    (other_pc, access.pc)
+                };
+                let writes = if access.pc <= other_pc {
+                    (access.kind.is_write(), other_is_write)
+                } else {
+                    (other_is_write, access.kind.is_write())
+                };
+                state.races.entry((lo, hi)).and_modify(|r| r.occurrences += 1).or_insert(
+                    ArcherRace { pc_lo: lo, pc_hi: hi, writes, addr: racy_addr, occurrences: 1 },
+                );
+            }
+            addr += len as u64;
+            remaining -= len as u64;
+        }
+        Self::account(&mut state, &self.config);
+    }
+
     fn thread_mut(state: &mut State, tid: ThreadId) -> &mut ThreadState {
         state.threads.entry(tid).or_insert_with(|| {
             let mut vc = VectorClock::new();
@@ -442,63 +507,9 @@ impl Tool for ArcherTool {
         Self::tick(&mut state, ctx.tid);
     }
 
-    fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {
-        let mut state = self.state.lock();
-        if state.stats.oom {
-            return; // the process was killed; nothing more is recorded
+    fn access(&self, ctx: &ThreadContext<'_>, run: &[MemAccess]) {
+        for &access in run {
+            ArcherTool::access(self, ctx, access); // the inherent one
         }
-        state.stats.accesses += 1;
-        let tid = ctx.tid;
-        let (vc, epoch) = {
-            let ts = Self::thread_mut(&mut state, tid);
-            (ts.vc.clone(), ts.epoch)
-        };
-        // Split the access into per-word byte ranges.
-        let mut addr = access.addr;
-        let mut remaining = access.size as u64;
-        while remaining > 0 {
-            let word = addr >> 3;
-            let offset = (addr & 7) as u8;
-            let len = remaining.min(8 - offset as u64) as u8;
-            let victim = match self.config.eviction {
-                EvictionPolicy::RoundRobin => None,
-                EvictionPolicy::Random(_) => Some(state.rng.gen_range(0..crate::CELLS_PER_WORD)),
-            };
-            let entry = state.shadow.entry(word).or_default();
-            // Race check against every retained cell.
-            let mut found: Vec<(PcId, bool, u64)> = Vec::new();
-            for cell in entry.cells() {
-                let conflicting = cell.tid != tid
-                    && cell.overlaps(offset, len)
-                    && (cell.is_write || access.kind.is_write())
-                    && !(cell.is_atomic && access.kind.is_atomic());
-                if conflicting && (cell.epoch > vc.get(cell.tid)) {
-                    found.push(((cell.pc), cell.is_write, (word << 3) + offset as u64));
-                }
-            }
-            let outcome = entry
-                .store(ShadowCell::new(tid, epoch, offset, len, access.kind, access.pc), victim);
-            if outcome == StoreOutcome::Evicted {
-                state.stats.evictions += 1;
-            }
-            for (other_pc, other_is_write, racy_addr) in found {
-                let (lo, hi) = if access.pc <= other_pc {
-                    (access.pc, other_pc)
-                } else {
-                    (other_pc, access.pc)
-                };
-                let writes = if access.pc <= other_pc {
-                    (access.kind.is_write(), other_is_write)
-                } else {
-                    (other_is_write, access.kind.is_write())
-                };
-                state.races.entry((lo, hi)).and_modify(|r| r.occurrences += 1).or_insert(
-                    ArcherRace { pc_lo: lo, pc_hi: hi, writes, addr: racy_addr, occurrences: 1 },
-                );
-            }
-            addr += len as u64;
-            remaining -= len as u64;
-        }
-        Self::account(&mut state, &self.config);
     }
 }

@@ -18,7 +18,9 @@
 //!   provides `parallel`, `barrier`, `for_static[_nowait]`, `critical`,
 //!   `single`/`master`, tracked reads/writes and atomics.
 //! * [`Tool`] — the OMPT-like callback surface implemented by the SWORD
-//!   collector and the ARCHER baseline.
+//!   collector and the ARCHER baseline. Accesses reach it as runs of one
+//!   context's consecutive accesses, as long as the tool asked for
+//!   ([`Tool::max_run`]; 1 unless it says otherwise).
 //! * [`ToolLocal`] — the OMPT `thread_data` analog: a per-context slot
 //!   every callback receives, where a tool keeps the state only the
 //!   running thread touches.

@@ -117,6 +117,10 @@ struct MutexRegistry {
 /// instrumented program; tools are attached at construction.
 pub struct OmpSim {
     tool: Option<Arc<dyn Tool>>,
+    /// [`Tool::max_run`] of `tool`, asked once when it was attached (0
+    /// untooled): how many accesses a context holds back before it
+    /// delivers them.
+    run_len: usize,
     config: SimConfig,
     next_tid: AtomicU32,
     tid_pool: Mutex<Vec<ThreadId>>,
@@ -139,6 +143,7 @@ impl OmpSim {
         let addr_base = config.addr_base;
         OmpSim {
             tool: None,
+            run_len: 0,
             config,
             next_tid: AtomicU32::new(0),
             tid_pool: Mutex::new(Vec::new()),
@@ -159,6 +164,7 @@ impl OmpSim {
     /// A tooled runtime with explicit config.
     pub fn with_tool_and_config(tool: Arc<dyn Tool>, config: SimConfig) -> Self {
         let mut sim = Self::with_config(config);
+        sim.run_len = tool.max_run().max(1);
         sim.tool = Some(tool);
         sim
     }
@@ -489,6 +495,13 @@ pub struct Ctx<'rt> {
     task_state: RefCell<Option<TaskState>>,
     /// The tool's per-context slot (OMPT `thread_data`).
     tool_data: ToolLocal,
+    /// Accesses issued since this context's last tool callback and not
+    /// yet delivered: at most [`Tool::max_run`] of them, in issue order.
+    /// Allocated once, at that capacity, for contexts inside a region.
+    /// Everything a callback can see of the context (label, interval,
+    /// row identity) is the same for the whole run, because every change
+    /// to it goes through [`Ctx::deliver_run`] first.
+    run: RefCell<Vec<MemAccess>>,
 }
 
 /// A call site as `#[track_caller]` identifies it: the address of the
@@ -508,6 +521,7 @@ impl<'rt> Ctx<'rt> {
         region: Option<RegionInfo>,
         task_state: Option<TaskState>,
     ) -> Self {
+        let run_len = if region.is_some() { sim.run_len } else { 0 };
         Ctx {
             sim,
             tid,
@@ -518,6 +532,7 @@ impl<'rt> Ctx<'rt> {
             site_cache: std::array::from_fn(|_| Cell::new(((0, 0), 0))),
             task_state: RefCell::new(task_state),
             tool_data: ToolLocal::new(),
+            run: RefCell::new(Vec::with_capacity(run_len)),
         }
     }
 
@@ -568,6 +583,8 @@ impl<'rt> Ctx<'rt> {
             None => (None, 1),
         };
         let fork_label = self.label.borrow().fork_point(self.fork_seq.get());
+        // What the forker issued so far comes before its fork.
+        self.deliver_run();
         if let Some(t) = &self.sim.tool {
             t.parallel_begin(&ParallelBeginInfo {
                 region,
@@ -767,6 +784,10 @@ impl<'rt> Ctx<'rt> {
             tool.task_begin(&outer_tc, &task_tc, uid);
         }
         body(&task_ctx);
+        task_ctx.deliver_run();
+        // The body may have issued accesses through the creator's context
+        // too: they belong to the label the continuation is about to leave.
+        self.deliver_run();
         *self.label.borrow_mut() = cont_label.clone();
         {
             let mut ts = self.task_state.borrow_mut();
@@ -810,6 +831,8 @@ impl<'rt> Ctx<'rt> {
             });
         }
         body(self);
+        // The group's end may restore the entry label and row.
+        self.deliver_run();
         let (synced, entry_label) = {
             let mut ts = self.task_state.borrow_mut();
             let ts = ts.as_mut().expect("workers carry task state");
@@ -834,6 +857,8 @@ impl<'rt> Ctx<'rt> {
         if r.is_task {
             return; // task bodies have no children to wait for
         }
+        // The sync may restore the interval-base label and row.
+        self.deliver_run();
         let (synced, restored) = {
             let mut ts = self.task_state.borrow_mut();
             let ts = ts.as_mut().expect("workers carry task state");
@@ -1250,11 +1275,43 @@ impl<'rt> Ctx<'rt> {
 
     // ---- internals --------------------------------------------------------
 
+    /// Makes a callback for this context, after delivering the accesses
+    /// it issued before: a tool sees each context's events in issue order.
     fn with_tool(&self, f: impl FnOnce(&dyn Tool, &ThreadContext<'_>)) {
         let (Some(tool), Some(r)) = (&self.sim.tool, &self.region) else { return };
+        self.deliver_run();
         let label = self.label.borrow();
         let tc = self.make_tc(r, &label);
         f(tool.as_ref(), &tc);
+    }
+
+    /// Delivers the accesses held back so far, under the context they
+    /// were issued in. The one place [`Tool::access`] is called from;
+    /// runs before every other callback made for this context and before
+    /// every change to what [`Ctx::make_tc`] reads.
+    fn deliver_run(&self) {
+        let (Some(tool), Some(r)) = (&self.sim.tool, &self.region) else { return };
+        let mut run = self.run.borrow_mut();
+        if run.is_empty() {
+            return;
+        }
+        let label = self.label.borrow();
+        tool.access(&self.make_tc(r, &label), &run);
+        run.clear();
+    }
+
+    /// Holds one access back; delivers once the run is as long as the
+    /// tool takes (at once, for a tool that takes one).
+    #[inline]
+    fn hold(&self, access: MemAccess) {
+        let full = {
+            let mut run = self.run.borrow_mut();
+            run.push(access);
+            run.len() >= self.sim.run_len
+        };
+        if full {
+            self.deliver_run();
+        }
     }
 
     /// Builds the [`ThreadContext`] the tool sees. While a task-fork chain
@@ -1303,14 +1360,14 @@ impl<'rt> Ctx<'rt> {
             return;
         }
         let pc = self.pc_of(loc);
-        self.with_tool(|t, tc| t.access(tc, MemAccess { addr, size, kind, pc }));
+        self.hold(MemAccess { addr, size, kind, pc });
     }
 
     fn observe_pc(&self, addr: u64, size: u8, kind: AccessKind, pc: PcId) {
         if self.region.is_none() || self.sim.tool.is_none() {
             return;
         }
-        self.with_tool(|t, tc| t.access(tc, MemAccess { addr, size, kind, pc }));
+        self.hold(MemAccess { addr, size, kind, pc });
     }
 
     #[inline]
@@ -1766,10 +1823,10 @@ mod tests {
         fn mutex_acquired(&self, _: &ThreadContext<'_>, _: MutexId) {
             self.mutexes.fetch_add(1, Ordering::Relaxed);
         }
-        fn access(&self, ctx: &ThreadContext<'_>, a: MemAccess) {
-            assert!(a.size > 0);
+        fn access(&self, ctx: &ThreadContext<'_>, run: &[MemAccess]) {
+            assert!(run.iter().all(|a| a.size > 0));
             assert!(ctx.span > 0);
-            self.accesses.fetch_add(1, Ordering::Relaxed);
+            self.accesses.fetch_add(run.len(), Ordering::Relaxed);
         }
     }
 
@@ -1880,7 +1937,7 @@ mod tests {
         fn mutex_acquired(&self, ctx: &ThreadContext<'_>, _: MutexId) {
             self.check(ctx);
         }
-        fn access(&self, ctx: &ThreadContext<'_>, _: MemAccess) {
+        fn access(&self, ctx: &ThreadContext<'_>, _: &[MemAccess]) {
             self.check(ctx);
         }
     }
@@ -1941,8 +1998,8 @@ mod tests {
     }
 
     impl Tool for PcCollector {
-        fn access(&self, _: &ThreadContext<'_>, a: MemAccess) {
-            self.pcs.lock().unwrap().push(a.pc);
+        fn access(&self, _: &ThreadContext<'_>, run: &[MemAccess]) {
+            self.pcs.lock().unwrap().extend(run.iter().map(|a| a.pc));
         }
     }
 
@@ -1983,7 +2040,7 @@ mod tests {
                 .push(format!("sync row={} synced={:?}", restored.region, synced));
             self.labels.lock().unwrap().push(("after_sync".into(), restored.label.clone()));
         }
-        fn access(&self, ctx: &ThreadContext<'_>, _: MemAccess) {
+        fn access(&self, ctx: &ThreadContext<'_>, _: &[MemAccess]) {
             self.labels.lock().unwrap().push((format!("row{}", ctx.region), ctx.label.clone()));
         }
     }

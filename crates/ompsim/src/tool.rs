@@ -4,7 +4,17 @@
 //! OpenMP runtime: region begin/end in the forking thread, per-worker
 //! thread begin/end, barrier crossings split into a pre-wait and post-wait
 //! half (so happens-before tools can publish and then adopt clocks), mutex
-//! transitions, and one callback per instrumented memory access.
+//! transitions, and the instrumented memory accesses.
+//!
+//! Accesses arrive as *runs*: the consecutive accesses one context issued
+//! between two of its other callbacks, in issue order, at most
+//! [`Tool::max_run`] at a time. A tool that keeps the default of 1 gets
+//! each access at the moment it happens, one-element run by one-element
+//! run — what a tool whose state is order-sensitive *across* threads
+//! (shadow cells, vector clocks) needs. A tool that only appends to
+//! per-thread state asks for more and pays the callback once per run.
+//! Either way every other callback for a context comes after all the
+//! accesses that context issued before it.
 //!
 //! All callbacks are invoked synchronously on the thread that performed
 //! the action, concurrently across threads — tools synchronize their own
@@ -206,8 +216,22 @@ pub trait Tool: Send + Sync {
     /// The thread is about to release a mutex (still holds it).
     fn mutex_released(&self, ctx: &ThreadContext<'_>, mutex: MutexId) {}
 
-    /// An instrumented memory access inside a parallel region.
-    fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {}
+    /// How many consecutive accesses of one context the tool takes in one
+    /// [`Tool::access`] call; asked once, when the tool is attached to an
+    /// [`OmpSim`](crate::OmpSim). The runtime holds a context's accesses
+    /// back until that many are pending or the context makes any other
+    /// callback. More than 1 delays delivery relative to *other* threads'
+    /// callbacks, so only a tool that needs no cross-thread order between
+    /// accesses may ask for it.
+    fn max_run(&self) -> usize {
+        1
+    }
+
+    /// A run of instrumented memory accesses inside a parallel region:
+    /// `run` (never empty, at most [`Tool::max_run`] long) is what `ctx`
+    /// issued, in order, since its previous callback of any kind, and
+    /// `ctx` is the context every one of them was issued under.
+    fn access(&self, ctx: &ThreadContext<'_>, run: &[MemAccess]) {}
 }
 
 /// A tool that observes nothing — baseline runs use it implicitly.
@@ -239,7 +263,8 @@ mod tests {
         };
         t.program_begin();
         t.thread_begin(&ctx);
-        t.access(&ctx, MemAccess::new(0, 8, sword_trace::AccessKind::Read, 0));
+        assert_eq!(t.max_run(), 1);
+        t.access(&ctx, &[MemAccess::new(0, 8, sword_trace::AccessKind::Read, 0)]);
         t.barrier_begin(&ctx);
         t.barrier_end(&ctx);
         t.mutex_acquired(&ctx, 0);

@@ -27,11 +27,13 @@
 //! of the thread's state ([`Hot`]: buffer, encoder, open interval) out of
 //! the shared slot into the context's [`ToolLocal`](sword_ompsim::ToolLocal)
 //! slot — OMPT's `thread_data` — and parks it back at
-//! `thread_end`/`task_end`. An access is then: borrow the lane, encode,
-//! count. The slot's mutex guards only what other threads read
-//! ([`ThreadLog`]: meta rows, totals, the journal recorder) and is taken
-//! where the halves meet — an interval closing, a flush hand-off, a park
-//! — never per event.
+//! `thread_end`/`task_end`. Accesses arrive as runs of up to
+//! `RUN_ACCESSES` (the runtime holds a context's accesses back until it
+//! has that many or the context makes another callback), so an access is:
+//! one lane borrow per run, then encode and count. The slot's mutex
+//! guards only what other threads read ([`ThreadLog`]: meta rows, totals,
+//! the journal recorder) and is taken where the halves meet — an interval
+//! closing, a flush hand-off, a park — never per event.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
@@ -275,13 +277,24 @@ struct Lane {
     hot: Hot,
 }
 
+/// Accesses the collector takes per [`Tool::access`] call: what the
+/// runtime holds back per context so that the callback, the context
+/// snapshot and the lane borrow are paid once per run. Nothing the
+/// collector writes depends on *when* between two of a thread's
+/// synchronisation events it sees that thread's accesses, only on their
+/// order; 64 is where the per-run costs stop showing (256 measures the
+/// same).
+const RUN_ACCESSES: usize = 64;
+
 /// Fixed per-thread bookkeeping counted into the memory bound: both
-/// halves of the state plus the lane that carries one of them. The event
-/// buffers are pool-owned and counted there. Meta rows are excluded by
-/// design — they are O(regions), spilled with the logs in a production
-/// setting; the paper's bound covers the event path.
-const THREAD_BOOKKEEPING_BYTES: u64 =
-    (std::mem::size_of::<ThreadLog>() + std::mem::size_of::<Lane>()) as u64;
+/// halves of the state, the lane that carries one of them, and the run
+/// the runtime holds back on the collector's behalf. The event buffers
+/// are pool-owned and counted there. Meta rows are excluded by design —
+/// they are O(regions), spilled with the logs in a production setting;
+/// the paper's bound covers the event path.
+const THREAD_BOOKKEEPING_BYTES: u64 = (std::mem::size_of::<ThreadLog>()
+    + std::mem::size_of::<Lane>()
+    + RUN_ACCESSES * std::mem::size_of::<MemAccess>()) as u64;
 
 /// How often the async writer republishes live metadata at most.
 const LIVE_PUBLISH_INTERVAL: Duration = Duration::from_millis(25);
@@ -791,7 +804,8 @@ impl SwordCollector {
 
     /// Run summary. Exact after `program_end`; mid-run, a thread inside a
     /// region has its events counted up to its last flush (it lags by
-    /// less than one buffer).
+    /// less than one buffer, plus the one run of at most `RUN_ACCESSES`
+    /// accesses the runtime may be holding back for it).
     pub fn stats(&self) -> SwordStats {
         let mut stats = SwordStats {
             regions: self.region_count.load(Ordering::Relaxed),
@@ -964,7 +978,7 @@ impl SwordCollector {
         }
     }
 
-    /// The per-event path: borrow the lane, encode, count.
+    /// A mutex event: borrow the lane, encode, count.
     #[inline]
     fn push_event(&self, ctx: &ThreadContext<'_>, event: &Event) {
         self.with_lane(ctx, |lane| {
@@ -1178,8 +1192,22 @@ impl Tool for SwordCollector {
         self.push_event(ctx, &Event::MutexRelease(mutex));
     }
 
-    fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {
-        self.push_event(ctx, &Event::Access(access));
+    fn max_run(&self) -> usize {
+        RUN_ACCESSES
+    }
+
+    /// The per-access path: one lane borrow per run, then encode and
+    /// count per access, handing the buffer off wherever the run fills it.
+    fn access(&self, ctx: &ThreadContext<'_>, run: &[MemAccess]) {
+        self.with_lane(ctx, |lane| {
+            let mut rest = run;
+            while !rest.is_empty() {
+                rest = &rest[lane.hot.push_run(rest)..];
+                if lane.hot.is_full() {
+                    self.flush(lane);
+                }
+            }
+        });
     }
 
     fn parallel_end(&self, _region: RegionId, _fork_tid: ThreadId) {}
@@ -1459,7 +1487,7 @@ mod tests {
         let label = sword_osl::Label::root().fork(0, 1);
         let tool_data = sword_ompsim::ToolLocal::new();
         let tc = bare_context(7, &label, &tool_data);
-        collector.access(&tc, MemAccess::new(0x1000, 8, AccessKind::Write, 0));
+        collector.access(&tc, &[MemAccess::new(0x1000, 8, AccessKind::Write, 0)]);
         let err = collector.take_error().expect("a dropped event is an error");
         assert!(err.to_string().contains("thread 7 outside thread_begin"), "{err}");
         collector.program_end();
@@ -1483,7 +1511,7 @@ mod tests {
         );
         // The first context is unharmed and logs on.
         collector
-            .access(&bare_context(3, &label, &first), MemAccess::new(8, 8, AccessKind::Read, 0));
+            .access(&bare_context(3, &label, &first), &[MemAccess::new(8, 8, AccessKind::Read, 0)]);
         collector.thread_end(&bare_context(3, &label, &first));
         assert!(collector.take_error().is_none());
         collector.program_end();
@@ -1499,7 +1527,7 @@ mod tests {
         let tool_data = sword_ompsim::ToolLocal::new();
         let tc = bare_context(3, &label, &tool_data);
         collector.thread_begin(&tc);
-        collector.access(&tc, MemAccess::new(0x1000, 8, AccessKind::Write, 0));
+        collector.access(&tc, &[MemAccess::new(0x1000, 8, AccessKind::Write, 0)]);
         collector.program_end(); // no thread_end: the lane is still out
         let err = collector.take_error().expect("an unreachable tail is an error");
         assert!(err.to_string().contains("thread 3 still running at finalize"), "{err}");
@@ -1519,15 +1547,258 @@ mod tests {
         collector.take_error().expect("still-running error, covered above");
         assert_eq!(collector.pool.occupancy(), (0, 1, 3), "(free, created, budget)");
         // Two events fill the buffer; the hand-off finds the channel shut.
-        collector.access(&tc, MemAccess::new(0x1000, 8, AccessKind::Write, 0));
+        collector.access(&tc, &[MemAccess::new(0x1000, 8, AccessKind::Write, 0)]);
         assert!(collector.take_error().is_none(), "nothing shipped yet");
-        collector.access(&tc, MemAccess::new(0x1008, 8, AccessKind::Write, 0));
+        collector.access(&tc, &[MemAccess::new(0x1008, 8, AccessKind::Write, 0)]);
         let err = collector.take_error().expect("a dropped block is an error");
         assert!(err.to_string().contains("thread 3 flushed after finalize"), "{err}");
         // The swap created the lane's second buffer; the full one came
         // back to the pool instead of leaking its slot.
         assert_eq!(collector.pool.occupancy(), (1, 2, 3));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Forwards every callback to the collector but keeps the default
+    /// `max_run` of 1: the runtime then delivers each access alone, at
+    /// the moment it happens — the delivery the run-taking collector
+    /// must be indistinguishable from on disk.
+    struct OneAtATime(Arc<SwordCollector>);
+
+    impl Tool for OneAtATime {
+        fn program_end(&self) {
+            self.0.program_end();
+        }
+        fn parallel_begin(&self, info: &ParallelBeginInfo<'_>) {
+            self.0.parallel_begin(info);
+        }
+        fn parallel_end(&self, region: RegionId, fork_tid: ThreadId) {
+            self.0.parallel_end(region, fork_tid);
+        }
+        fn thread_begin(&self, ctx: &ThreadContext<'_>) {
+            self.0.thread_begin(ctx);
+        }
+        fn thread_end(&self, ctx: &ThreadContext<'_>) {
+            self.0.thread_end(ctx);
+        }
+        fn barrier_begin(&self, ctx: &ThreadContext<'_>) {
+            self.0.barrier_begin(ctx);
+        }
+        fn barrier_end(&self, ctx: &ThreadContext<'_>) {
+            self.0.barrier_end(ctx);
+        }
+        fn task_create(&self, outer: &ThreadContext<'_>, info: &TaskCreateInfo<'_>) {
+            self.0.task_create(outer, info);
+        }
+        fn task_begin(&self, outer: &ThreadContext<'_>, task: &ThreadContext<'_>, uid: TaskUid) {
+            self.0.task_begin(outer, task, uid);
+        }
+        fn task_end(&self, task: &ThreadContext<'_>, outer: &ThreadContext<'_>, uid: TaskUid) {
+            self.0.task_end(task, outer, uid);
+        }
+        fn task_sync(&self, restored: &ThreadContext<'_>, synced: &[TaskUid]) {
+            self.0.task_sync(restored, synced);
+        }
+        fn mutex_acquired(&self, ctx: &ThreadContext<'_>, mutex: MutexId) {
+            self.0.mutex_acquired(ctx, mutex);
+        }
+        fn mutex_released(&self, ctx: &ThreadContext<'_>, mutex: MutexId) {
+            self.0.mutex_released(ctx, mutex);
+        }
+        fn access(&self, ctx: &ThreadContext<'_>, run: &[MemAccess]) {
+            assert_eq!(run.len(), 1, "a tool that asks for 1 gets 1");
+            self.0.access(ctx, run);
+        }
+    }
+
+    /// Events per frame of one thread's log: frame boundaries from the
+    /// log file, event boundaries from decoding the stream row by row.
+    fn events_per_frame(session: &SessionDir, tid: ThreadId) -> Vec<usize> {
+        let mut frame_ends = Vec::new();
+        let mut frames = sword_compress::FrameReader::new(
+            File::open(session.thread_log(tid)).expect("thread log"),
+        );
+        let mut stream = Vec::new();
+        while frames.read_frame(&mut stream).unwrap().is_some() {
+            frame_ends.push(stream.len());
+        }
+        let rows =
+            read_meta(BufReader::new(File::open(session.thread_meta(tid)).unwrap())).unwrap();
+        let mut counts = vec![0usize; frame_ends.len()];
+        for row in rows {
+            let end = (row.data_begin + row.size) as usize;
+            let mut decoder = EventDecoder::new();
+            let mut pos = row.data_begin as usize;
+            while pos < end {
+                decoder.decode(&stream[..end], &mut pos).unwrap();
+                counts[frame_ends.partition_point(|&frame_end| frame_end < pos)] += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn runs_and_single_accesses_write_the_same_session() {
+        // One OS thread at a time (teams of one; tasks run inline), sync
+        // flushing: everything a session holds but its timing rows is a
+        // function of the program. Intervals longer than a run, mutex
+        // events between accesses, a task and its continuation, a nested
+        // region inside an open interval, a tail shorter than a run.
+        let program = |sim: &OmpSim| {
+            let a = sim.alloc::<u64>(4096, 0);
+            sim.run(|ctx| {
+                ctx.parallel(1, |w| {
+                    (0..300).for_each(|i| w.write(&a, i, i));
+                    w.barrier();
+                    for i in 0..70 {
+                        let v = w.read(&a, i);
+                        w.critical("c", || w.write(&a, i, v + 1));
+                    }
+                    w.task(|t| (0..130).for_each(|i| t.write(&a, 1000 + i, i)));
+                    (0..65).for_each(|i| w.write(&a, 2000 + i, i));
+                    w.taskwait();
+                    w.write(&a, 3000, 1);
+                    w.parallel(1, |inner| (0..129).for_each(|i| inner.write(&a, 3100 + i, i)));
+                    (0..3).for_each(|i| w.write(&a, 3500 + i, i));
+                });
+            });
+        };
+        let collect = |tag: &str, buffer_events: usize, one_at_a_time: bool| {
+            let dir = tmp_session(tag);
+            let config = SwordConfig::new(&dir).sync_flush().buffer_events(buffer_events);
+            let collector = Arc::new(SwordCollector::new(config).unwrap());
+            let tool: Arc<dyn Tool> = if one_at_a_time {
+                Arc::new(OneAtATime(collector.clone()))
+            } else {
+                collector.clone()
+            };
+            let sim = OmpSim::with_tool_and_config(tool, SimConfig::default());
+            program(&sim);
+            collector.write_pcs(&sim.export_pcs()).unwrap();
+            assert!(collector.take_error().is_none());
+            (SessionDir::new(&dir), collector.stats())
+        };
+        let files = |session: &SessionDir| -> BTreeMap<String, Vec<u8>> {
+            fs::read_dir(session.path())
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    let mut bytes = fs::read(&path).unwrap();
+                    if path == session.info_path() {
+                        // Drop the rows that hold wall-clock time.
+                        let text = String::from_utf8(bytes).unwrap();
+                        let kept: Vec<&str> =
+                            text.lines().filter(|line| !line.contains("_nanos")).collect();
+                        assert!(kept.len() < text.lines().count() && !kept.is_empty());
+                        bytes = kept.join("\n").into_bytes();
+                    }
+                    (name, bytes)
+                })
+                .collect()
+        };
+        // 100 makes runs of 64 straddle the capacity; 25,000 never fills.
+        for buffer_events in [2, 64, 100, PAPER_BUFFER_EVENTS] {
+            let (runs, runs_stats) =
+                collect(&format!("runs-{buffer_events}"), buffer_events, false);
+            let (ones, ones_stats) = collect(&format!("ones-{buffer_events}"), buffer_events, true);
+            let (runs_files, ones_files) = (files(&runs), files(&ones));
+            assert_eq!(
+                runs_files.keys().collect::<Vec<_>>(),
+                ones_files.keys().collect::<Vec<_>>()
+            );
+            for (name, bytes) in &runs_files {
+                assert!(bytes == &ones_files[name], "{name} differs at {buffer_events} events");
+            }
+            let timeless = |stats: &SwordStats| SwordStats {
+                flush: FlushSnapshot {
+                    stall_nanos: 0,
+                    compress_nanos: 0,
+                    write_nanos: 0,
+                    ..stats.flush
+                },
+                ..stats.clone()
+            };
+            assert_eq!(timeless(&runs_stats), timeless(&ones_stats));
+            assert_eq!(runs_stats.events, 300 + 70 * 4 + 130 + 65 + 1 + 129 + 3);
+            // Every frame but a thread's last is a buffer filled to the
+            // event: a run that straddles the capacity was split there.
+            let mut frames = 0;
+            for tid in runs.thread_ids().unwrap() {
+                let counts = events_per_frame(&runs, tid);
+                assert_eq!(counts, events_per_frame(&ones, tid));
+                let (last, full) = counts.split_last().expect("every thread logged");
+                assert!(full.iter().all(|&n| n == buffer_events), "tid {tid}: {counts:?}");
+                assert!((1..=buffer_events).contains(last), "tid {tid}: {counts:?}");
+                frames += counts.len() as u64;
+            }
+            assert_eq!(frames, runs_stats.flushes);
+            fs::remove_dir_all(runs.path()).unwrap();
+            fs::remove_dir_all(ones.path()).unwrap();
+        }
+    }
+
+    #[test]
+    fn pool_buffers_never_grow_under_worst_case_events() {
+        // The longest event there is (explicit size, ten-byte address
+        // delta, five-byte PC delta) alternating with the hot shape,
+        // which stores 8 bytes to keep at most 6 — at capacities where a
+        // buffer's last event is either kind. In this (debug) profile
+        // the pool also checks every buffer it gets back.
+        for buffer_events in [1usize, 3] {
+            let dir = tmp_session(&format!("no-growth-{buffer_events}"));
+            let config = SwordConfig::new(&dir).sync_flush().buffer_events(buffer_events);
+            let collector = SwordCollector::new(config).unwrap();
+            let label = sword_osl::Label::root().fork(0, 1);
+            let tool_data = sword_ompsim::ToolLocal::new();
+            let tc = bare_context(1, &label, &tool_data);
+            collector.thread_begin(&tc);
+            let mut addr = 0u64;
+            let accesses: Vec<MemAccess> = (1..=320u32)
+                .map(|i| {
+                    // The PC flips between 0 and u32::MAX under every
+                    // long event and stays put under every short one.
+                    let pc = u32::MAX * (i / 2 % 2);
+                    if i % 2 == 0 {
+                        addr = addr.wrapping_add(i64::MIN as u64);
+                        MemAccess::new(addr, 255, AccessKind::Write, pc)
+                    } else {
+                        addr = addr.wrapping_add(8);
+                        MemAccess::new(addr, 8, AccessKind::Read, pc)
+                    }
+                })
+                .collect();
+            let mut lengths = [0usize; 19];
+            let (mut encoder, mut scratch) = (sword_trace::EventEncoder::new(), Vec::new());
+            for run in accesses.chunks(RUN_ACCESSES) {
+                collector.access(&tc, run);
+                run.iter().for_each(|a| lengths[encoder.encode_access(a, &mut scratch)] += 1);
+            }
+            assert_eq!((lengths[3], lengths[18]), (160, 160), "{lengths:?}");
+            collector.thread_end(&tc);
+            collector.program_end();
+            assert!(collector.take_error().is_none());
+
+            let stats = collector.stats();
+            assert_eq!(stats.events, 320);
+            assert_eq!(stats.flushes, 320usize.div_ceil(buffer_events) as u64);
+            assert_eq!(stats.raw_bytes, scratch.len() as u64);
+            // Every buffer the pool ever made is back in it by now, or
+            // still (empty) with the parked thread: what the pool reports
+            // is what is allocated.
+            let mut capacities = collector.pool.free_capacities();
+            for (_, slot) in collector.inner.slot_list() {
+                let parked = slot.lock().parked.as_ref().expect("parked").buffer_capacity_bytes();
+                capacities.extend((parked > 0).then_some(parked));
+            }
+            assert_eq!(capacities.len(), collector.pool.created());
+            let buffer_bytes = buffer_events * MAX_EVENT_BYTES;
+            assert!(capacities.iter().all(|&c| c == buffer_bytes), "{capacities:?}");
+            assert_eq!(
+                stats.tool_memory_bytes,
+                capacities.iter().sum::<usize>() as u64 + THREAD_BOOKKEEPING_BYTES
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! The SWORD online collector (§III-A of the paper).
 //!
 //! Implements [`sword_ompsim::Tool`]: every instrumented access and mutex
-//! event is appended to a *bounded*, per-thread event buffer. When the
-//! buffer reaches its event capacity (25,000 in the paper), its encoded
-//! bytes are handed to a background writer thread, which compresses them
-//! into framed blocks and appends to the thread's log file —
-//! asynchronously, so worker threads never block on the file system and,
-//! in particular, never wait for each other.
+//! event is appended to a *bounded*, per-thread event buffer. Accesses
+//! arrive as runs — up to 64 consecutive accesses of one thread per
+//! callback ([`sword_ompsim::Tool::max_run`]) — because nothing written
+//! here depends on when, between two of a thread's synchronisation
+//! events, its accesses are seen; each is still encoded and counted one by
+//! one, and the log is byte for byte what per-access delivery writes.
+//! When the buffer reaches its event capacity (25,000 in the paper), its
+//! encoded bytes are handed to a background writer thread, which
+//! compresses them into framed blocks and appends to the thread's log
+//! file — asynchronously, so worker threads never block on the file
+//! system and, in particular, never wait for each other.
 //!
 //! Alongside the log, each thread accumulates its barrier-interval table
 //! (Table I): a row is closed at every barrier crossing and at region

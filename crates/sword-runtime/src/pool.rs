@@ -79,8 +79,13 @@ impl BufferPool {
         }
     }
 
-    /// Returns a buffer to the pool (cleared, capacity kept).
+    /// Returns a buffer to the pool (cleared, capacity kept). A buffer
+    /// comes back exactly as large as it left: `buffer_bytes` holds the
+    /// worst fill of its event capacity (see `MAX_EVENT_BYTES`), so one
+    /// that grew means the bound `created_bytes` reports is not the
+    /// memory in use.
     pub fn release(&self, mut buf: Vec<u8>) {
+        debug_assert_eq!(buf.capacity(), self.buffer_bytes, "a pool buffer was reallocated");
         buf.clear();
         let mut state = self.state.lock();
         state.free.push(buf);
@@ -99,6 +104,12 @@ impl BufferPool {
     #[cfg(test)]
     pub fn created(&self) -> usize {
         self.state.lock().created
+    }
+
+    /// Real capacity of every drained spare.
+    #[cfg(test)]
+    pub fn free_capacities(&self) -> Vec<usize> {
+        self.state.lock().free.iter().map(Vec::capacity).collect()
     }
 
     /// Pool occupancy for the metrics registry: (drained spares waiting,

@@ -14,15 +14,19 @@
 
 use sword_obs::ThreadJournal;
 use sword_ompsim::ThreadContext;
-use sword_trace::{Event, EventEncoder, MetaRecord};
+use sword_trace::{Event, EventEncoder, MemAccess, MetaRecord};
 
 /// The paper's tuned buffer capacity: 25,000 events (§III-A, chosen to
 /// keep the buffer within L3).
 pub const PAPER_BUFFER_EVENTS: usize = 25_000;
 
-/// Upper bound on one encoded event (tag + size varint + two full
-/// varints), used to size the byte buffer once up front so the hot path
-/// never reallocates.
+/// Bytes of buffer per event of capacity, sized once up front so the hot
+/// path never reallocates (the pool checks that on every buffer it gets
+/// back). What has to fit: the encoder's general path writes at most
+/// 1 (tag) + 2 (size varint) + 10 (address delta) + 5 (PC delta) = 18
+/// bytes; its hot shape is at most 6 bytes long but is stored as one
+/// 8-byte word and cut back, so a buffer's last event needs 8. The worst
+/// fill of an `n`-event buffer is therefore `(n − 1)·18 + 8 ≤ 24·n`.
 pub(crate) const MAX_EVENT_BYTES: usize = 24;
 
 /// A barrier interval currently being collected.
@@ -127,6 +131,29 @@ impl Hot {
         self.encoder.encode(event, &mut self.buffer);
         self.buffer_events += 1;
         self.events_total += 1;
+        self.is_full()
+    }
+
+    /// Appends accesses off the front of `run` until it ends or the
+    /// buffer reaches capacity, whichever comes first, and returns how
+    /// many it took: a run that straddles the capacity is split exactly
+    /// where [`Hot::push`], event by event, would have flushed. The
+    /// caller ships the buffer when [`Hot::is_full`] and comes back with
+    /// the rest.
+    #[inline]
+    pub fn push_run(&mut self, run: &[MemAccess]) -> usize {
+        let taken = run.len().min(self.capacity_events - self.buffer_events);
+        for access in &run[..taken] {
+            self.encoder.encode_access(access, &mut self.buffer);
+        }
+        self.buffer_events += taken;
+        self.events_total += taken as u64;
+        taken
+    }
+
+    /// `true` when the buffer holds as many events as it may.
+    #[inline]
+    pub fn is_full(&self) -> bool {
         self.buffer_events >= self.capacity_events
     }
 
@@ -258,6 +285,34 @@ mod tests {
         }
         assert_eq!(log.buffer_capacity_bytes(), before, "bounded memory");
         assert_eq!(flushes, 5);
+    }
+
+    #[test]
+    fn a_run_is_split_where_single_pushes_would_flush() {
+        let run: Vec<MemAccess> =
+            (0..25).map(|i| MemAccess::new(0x1000 + i * 8, 8, AccessKind::Write, 1)).collect();
+        let (mut by_run, mut by_event) = (Hot::new(10), Hot::new(10));
+        let cap = by_run.buffer_capacity_bytes();
+        let (mut run_blocks, mut event_blocks) = (Vec::new(), Vec::new());
+        let mut rest = &run[..];
+        while !rest.is_empty() {
+            let taken = by_run.push_run(rest);
+            assert!(taken > 0 && (taken == rest.len() || by_run.is_full()));
+            rest = &rest[taken..];
+            if by_run.is_full() {
+                run_blocks.push(by_run.swap_buffer(Vec::with_capacity(cap)));
+            }
+        }
+        for a in &run {
+            if by_event.push(&Event::Access(*a)) {
+                event_blocks.push(by_event.swap_buffer(Vec::with_capacity(cap)));
+            }
+        }
+        assert_eq!(run_blocks.len(), 2, "25 events through 10-event buffers");
+        assert_eq!(run_blocks, event_blocks);
+        assert_eq!(by_run.events_total, by_event.events_total);
+        assert_eq!(by_run.drain(), by_event.drain());
+        assert_eq!(by_run.push_run(&[]), 0);
     }
 
     #[test]

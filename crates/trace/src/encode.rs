@@ -98,7 +98,9 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     loop {
         let byte = *buf.get(*pos).ok_or(CodecError::Truncated)?;
         *pos += 1;
-        if shift >= 64 {
+        // Ten bytes carry 70 payload bits: an eleventh byte, or a tenth
+        // with anything above the value's 64th bit, is not a `u64`.
+        if shift >= 64 || (shift == 63 && byte & 0x7E != 0) {
             return Err(CodecError::Invalid);
         }
         v |= ((byte & 0x7F) as u64) << shift;
@@ -141,47 +143,72 @@ impl EventEncoder {
 
     /// Appends the encoding of `event` to `out`, returning the encoded
     /// length in bytes.
+    #[inline]
     pub fn encode(&mut self, event: &Event, out: &mut Vec<u8>) -> usize {
+        let (op, id) = match event {
+            Event::Access(a) => return self.encode_access(a, out),
+            Event::MutexAcquire(id) => (MUTEX_ACQUIRE, *id),
+            Event::MutexRelease(id) => (MUTEX_RELEASE, *id),
+        };
         let start = out.len();
-        match event {
-            Event::Access(a) => {
-                let size_log2 = match a.size {
-                    1 => 0u8,
-                    2 => 1,
-                    4 => 2,
-                    8 => 3,
-                    16 => 4,
-                    _ => 5, // explicit size follows
-                };
-                let tag = (size_log2 << 4) | (a.kind.code() << 1);
-                let zz_addr = zigzag(a.addr.wrapping_sub(self.prev_addr) as i64);
-                let zz_pc = zigzag(a.pc as i64 - self.prev_pc as i64);
-                self.prev_addr = a.addr;
-                self.prev_pc = a.pc as u64;
-                // Fast path for the dominant shape: a power-of-two-sized
-                // access whose address and PC deltas both fit one varint
-                // byte — a strided loop body re-touching nearby memory
-                // from the same few PCs. One branch, one 3-byte append,
-                // byte-identical to the general path below.
-                if size_log2 != 5 && zz_addr < 0x80 && zz_pc < 0x80 {
-                    out.extend_from_slice(&[tag, zz_addr as u8, zz_pc as u8]);
-                } else {
-                    out.push(tag);
-                    if size_log2 == 5 {
-                        write_varint(out, a.size as u64);
-                    }
-                    write_varint(out, zz_addr);
-                    write_varint(out, zz_pc);
-                }
+        out.push(TAG_MUTEX_BIT | (op << 1));
+        write_varint(out, id as u64);
+        out.len() - start
+    }
+
+    /// Appends the encoding of one access to `out`, returning the encoded
+    /// length in bytes: what [`EventEncoder::encode`] does for an
+    /// [`Event::Access`], for callers that hold accesses, not events.
+    #[inline]
+    pub fn encode_access(&mut self, a: &MemAccess, out: &mut Vec<u8>) -> usize {
+        let start = out.len();
+        let size_log2 = match a.size {
+            1 => 0u8,
+            2 => 1,
+            4 => 2,
+            8 => 3,
+            16 => 4,
+            _ => 5, // explicit size follows
+        };
+        let tag = (size_log2 << 4) | (a.kind.code() << 1);
+        let zz_addr = zigzag(a.addr.wrapping_sub(self.prev_addr) as i64);
+        let zz_pc = zigzag(a.pc as i64 - self.prev_pc as i64);
+        self.prev_addr = a.addr;
+        self.prev_pc = a.pc as u64;
+        // The hot shape: a power-of-two-sized access whose PC delta fits
+        // one varint byte and whose address delta fits four — a loop body
+        // walking a few arrays from a few sites. Its 3 to 6 bytes are
+        // assembled in one little-endian word
+        //
+        //   byte 0        tag
+        //   bytes 1..=n   the address delta's 7-bit groups, low group
+        //                 first, continuation bit on all but the last
+        //   byte n+1      the PC delta
+        //
+        // and appended as one fixed 8-byte store, then cut back to the
+        // event's length: one capacity check per event instead of one per
+        // byte, and the bytes that stay are the ones the general path
+        // below writes. The cut-off bytes were zeros inside `out`'s own
+        // allocation (callers sizing a buffer ahead leave 8 bytes for the
+        // last event, not 6).
+        if size_log2 != 5 && zz_pc < 0x80 && zz_addr < 1 << 28 {
+            let z = zz_addr;
+            let n = 1 + (z >= 1 << 7) as u32 + (z >= 1 << 14) as u32 + (z >= 1 << 21) as u32;
+            let groups = (z & 0x7F)
+                | (z & (0x7F << 7)) << 1
+                | (z & (0x7F << 14)) << 2
+                | (z & (0x7F << 21)) << 3;
+            let continuation = 0x0080_8080u64 >> (8 * (4 - n));
+            let word = tag as u64 | (groups | continuation) << 8 | zz_pc << (8 * (1 + n));
+            out.extend_from_slice(&word.to_le_bytes());
+            out.truncate(start + 2 + n as usize);
+        } else {
+            out.push(tag);
+            if size_log2 == 5 {
+                write_varint(out, a.size as u64);
             }
-            Event::MutexAcquire(id) => {
-                out.push(TAG_MUTEX_BIT | (MUTEX_ACQUIRE << 1));
-                write_varint(out, *id as u64);
-            }
-            Event::MutexRelease(id) => {
-                out.push(TAG_MUTEX_BIT | (MUTEX_RELEASE << 1));
-                write_varint(out, *id as u64);
-            }
+            write_varint(out, zz_addr);
+            write_varint(out, zz_pc);
         }
         out.len() - start
     }
@@ -208,11 +235,12 @@ impl EventDecoder {
 
     /// Decodes one event from `buf[*pos..]`, advancing `pos`.
     pub fn decode(&mut self, buf: &[u8], pos: &mut usize) -> Result<Event, CodecError> {
-        // Fast path mirroring the encoder's 3-byte form: a
-        // power-of-two-sized access whose address and PC deltas each fit
-        // one varint byte. Decodes without the varint loops; any
-        // condition miss falls through to the general path below, which
-        // re-reads from `*pos` and accepts exactly the same streams.
+        // Fast path for the 3-byte form (the encoder's hot shape at its
+        // shortest): a power-of-two-sized access whose address and PC
+        // deltas each fit one varint byte. Decodes without the varint
+        // loops; any condition miss falls through to the general path
+        // below, which re-reads from `*pos` and accepts exactly the same
+        // streams.
         if let &[tag, b1, b2, ..] = &buf[*pos..] {
             if tag & TAG_MUTEX_BIT == 0 && (tag >> 4) <= 4 && b1 < 0x80 && b2 < 0x80 {
                 if let Some(kind) = AccessKind::from_code((tag >> 1) & 0x3) {
@@ -372,6 +400,41 @@ mod tests {
         }
     }
 
+    /// Nine continuation bytes carrying zero, then `tail`.
+    fn ten_byte_varint(tail: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0x80u8; 9];
+        buf.extend_from_slice(tail);
+        buf
+    }
+
+    #[test]
+    fn varint_tenth_byte_may_carry_the_top_bit() {
+        let buf = ten_byte_varint(&[0x01]);
+        let mut pos = 0;
+        assert_eq!(read_varint(&buf, &mut pos), Ok(1 << 63));
+        assert_eq!(pos, 10);
+    }
+
+    #[test]
+    fn varint_tenth_byte_of_two_is_invalid_not_zero() {
+        // (0x02 & 0x7F) << 63 is 0 in a u64: a damaged log must not decode
+        // to another value.
+        assert_eq!(read_varint(&ten_byte_varint(&[0x02]), &mut 0), Err(CodecError::Invalid));
+    }
+
+    #[test]
+    fn varint_tenth_byte_of_all_ones_is_invalid() {
+        assert_eq!(read_varint(&ten_byte_varint(&[0x7F]), &mut 0), Err(CodecError::Invalid));
+    }
+
+    #[test]
+    fn varint_eleventh_byte_is_invalid() {
+        assert_eq!(read_varint(&ten_byte_varint(&[0x80, 0x00]), &mut 0), Err(CodecError::Invalid));
+        assert_eq!(read_varint(&ten_byte_varint(&[0x81, 0x00]), &mut 0), Err(CodecError::Invalid));
+        // Cut short it is still a truncation, as for any other varint.
+        assert_eq!(read_varint(&ten_byte_varint(&[0x80]), &mut 0), Err(CodecError::Truncated));
+    }
+
     #[test]
     fn zigzag_roundtrip() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
@@ -447,6 +510,108 @@ mod tests {
         assert_eq!(EventDecoder::new().decode_all(&got).unwrap(), events);
     }
 
+    /// Address deltas on both sides of every length boundary of the hot
+    /// shape's address varint (1|2, 2|3, 3|4 bytes), of the hot shape
+    /// itself (2^27 is the last zigzag that fits 28 bits, 2^28 the first
+    /// that does not), and one well outside it.
+    pub(super) fn edge_addr_deltas() -> Vec<i64> {
+        let mut deltas = vec![0i64];
+        for k in [6u32, 7, 13, 14, 20, 21, 27, 28, 34] {
+            for magnitude in [(1i64 << k) - 1, 1 << k] {
+                deltas.extend([magnitude, -magnitude]);
+            }
+        }
+        deltas
+    }
+
+    /// PC deltas around the one-byte zigzag boundary: 0x3F → 0x7E,
+    /// -0x40 → 0x7F (the last one-byte values), 0x40 → 0x80, -0x41 → 0x81.
+    pub(super) const EDGE_PC_DELTAS: [i64; 5] = [0, 0x3F, -0x40, 0x40, -0x41];
+
+    /// The five tag-encoded sizes and one that needs the explicit varint.
+    pub(super) const EDGE_SIZES: [u8; 6] = [1, 2, 4, 8, 16, 3];
+
+    /// Encodes `events` through both entry points into buffers prepared
+    /// by `fresh`, checks them against each other and the reference —
+    /// and, where `fresh` allocated ahead, that the allocation was enough
+    /// — and returns the bytes.
+    pub(super) fn encode_both_ways(events: &[Event], fresh: impl Fn() -> Vec<u8>) -> Vec<u8> {
+        let (mut by_event, mut by_access) = (EventEncoder::new(), EventEncoder::new());
+        let (mut out_event, mut out_access) = (fresh(), fresh());
+        let (prefix, capacity) = (out_event.len(), out_event.capacity());
+        for event in events {
+            let before = out_event.len();
+            let n = by_event.encode(event, &mut out_event);
+            assert_eq!(n, out_event.len() - before, "returned length, {event:?}");
+            match event {
+                Event::Access(a) => assert_eq!(by_access.encode_access(a, &mut out_access), n),
+                other => assert_eq!(by_access.encode(other, &mut out_access), n),
+            };
+            assert_eq!(
+                (by_event.prev_addr, by_event.prev_pc),
+                (by_access.prev_addr, by_access.prev_pc),
+                "delta state after {event:?}"
+            );
+        }
+        assert_eq!(out_event, out_access, "entry points disagree on {events:?}");
+        assert_eq!(&out_event[prefix..], encode_reference(events), "{events:?}");
+        if capacity > 0 {
+            assert_eq!(out_event.capacity(), capacity, "buffer grew under {events:?}");
+            assert_eq!(out_access.capacity(), capacity, "buffer grew under {events:?}");
+        }
+        out_event.split_off(prefix)
+    }
+
+    /// The longest event there is: explicit two-byte size, ten-byte
+    /// address delta, five-byte PC delta.
+    const LONGEST_EVENT_BYTES: usize = 18;
+
+    #[test]
+    fn the_longest_event_is_18_bytes() {
+        let longest = MemAccess::new(i64::MIN as u64, 255, AtomicWrite, u32::MAX);
+        let bytes = encode_both_ways(&[Event::Access(longest)], Vec::new);
+        assert_eq!(bytes.len(), LONGEST_EVENT_BYTES);
+    }
+
+    #[test]
+    fn hot_shape_edges_match_the_general_path() {
+        // A buffer as the collector's pool sizes it — 24 bytes per event
+        // of capacity — with room for `events` more, the two before them
+        // having been as long as events get: the 8-byte store of a hot
+        // shape that is the buffer's last event must still fit.
+        let pool_buffer = |events: usize| {
+            let mut buf = Vec::with_capacity((2 + events) * 24);
+            buf.resize(2 * LONGEST_EVENT_BYTES, 0xAA);
+            buf
+        };
+        let base = MemAccess::new(1 << 40, 8, Write, 1000);
+        for da in edge_addr_deltas() {
+            for dp in EDGE_PC_DELTAS {
+                for size in EDGE_SIZES {
+                    let probe = MemAccess::new(
+                        base.addr.wrapping_add(da as u64),
+                        size,
+                        Read,
+                        (base.pc as i64 + dp) as u32,
+                    );
+                    // As the first event after `reset()` the deltas are
+                    // the absolute values: put the edge there.
+                    let first = MemAccess::new(da as u64, size, AtomicRead, dp.max(0) as u32);
+                    for events in [
+                        vec![Event::Access(base), Event::Access(probe)],
+                        vec![Event::Access(first)],
+                    ] {
+                        // An empty `Vec::new()` has to grow, and grow right.
+                        let grown = encode_both_ways(&events, Vec::new);
+                        let in_place = encode_both_ways(&events, || pool_buffer(events.len()));
+                        assert_eq!(grown, in_place);
+                        assert_eq!(EventDecoder::new().decode_all(&grown).unwrap(), events);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn decode_fast_path_rejects_pc_underflow() {
         // A 3-byte access whose PC delta would drive the PC negative must
@@ -486,9 +651,64 @@ mod proptests {
         ]
     }
 
+    /// One step of a generated stream, stated the way the encoder sees
+    /// it: an event of any shape, or an access placed by its deltas
+    /// against the access before it.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Absolute(Event),
+        Delta { addr: i64, pc: i64, size: u8, kind: u8 },
+    }
+
+    /// Streams that keep landing on the encoder's shape boundaries:
+    /// uniform events (deltas of any width), accesses a hot-shape-sized
+    /// step away, and accesses exactly on the edges the unit tests list.
+    fn arb_stream(max_len: usize) -> impl Strategy<Value = Vec<Event>> {
+        use super::tests::{edge_addr_deltas, EDGE_PC_DELTAS, EDGE_SIZES};
+        use prop::sample::select;
+        let step = prop_oneof![
+            arb_event().prop_map(Step::Absolute),
+            (-(1i64 << 29)..(1i64 << 29), -0x90i64..0x90, select(EDGE_SIZES.to_vec()), 0u8..4)
+                .prop_map(|(addr, pc, size, kind)| Step::Delta { addr, pc, size, kind }),
+            (
+                select(edge_addr_deltas()),
+                select(EDGE_PC_DELTAS.to_vec()),
+                select(EDGE_SIZES.to_vec()),
+                0u8..4
+            )
+                .prop_map(|(addr, pc, size, kind)| Step::Delta {
+                    addr,
+                    pc,
+                    size,
+                    kind
+                }),
+        ];
+        prop::collection::vec(step, 0..max_len).prop_map(|steps| {
+            let (mut prev_addr, mut prev_pc) = (0u64, 0u32);
+            steps
+                .into_iter()
+                .map(|step| {
+                    let event = match step {
+                        Step::Absolute(event) => event,
+                        Step::Delta { addr, pc, size, kind } => Event::Access(MemAccess::new(
+                            prev_addr.wrapping_add(addr as u64),
+                            size,
+                            AccessKind::from_code(kind).unwrap(),
+                            (prev_pc as i64 + pc).clamp(0, u32::MAX as i64) as u32,
+                        )),
+                    };
+                    if let Event::Access(a) = event {
+                        (prev_addr, prev_pc) = (a.addr, a.pc);
+                    }
+                    event
+                })
+                .collect()
+        })
+    }
+
     proptest! {
         #[test]
-        fn stream_roundtrip(events in prop::collection::vec(arb_event(), 0..300)) {
+        fn stream_roundtrip(events in arb_stream(300)) {
             let mut enc = EventEncoder::new();
             let mut buf = Vec::new();
             for e in &events {
@@ -520,17 +740,30 @@ mod proptests {
             let _ = EventDecoder::new().decode_all(&buf);
         }
 
-        /// Fast-path encodings are byte-identical to the general path for
-        /// arbitrary event streams (the branch may only skip work, never
-        /// change the stream).
+        /// A ten-byte varint whose last byte carries more than the
+        /// value's 64th bit is damage, wherever an event keeps a varint:
+        /// never a silently different address, PC or mutex id.
         #[test]
-        fn fast_path_stream_identical(events in prop::collection::vec(arb_event(), 0..300)) {
-            let mut enc = EventEncoder::new();
-            let mut buf = Vec::new();
-            for e in &events {
-                enc.encode(e, &mut buf);
-            }
-            prop_assert_eq!(buf, super::tests::encode_reference(&events));
+        fn overlong_varint_is_invalid_wherever_it_sits(
+            low in prop::collection::vec(any::<u8>(), 9..10),
+            tenth in 2u8..=0x7F,
+            tag in prop::sample::select(vec![0x30u8, 0x32, 0x01, 0x03]),
+        ) {
+            let mut varint: Vec<u8> = low.iter().map(|b| b | 0x80).collect();
+            varint.push(tenth);
+            prop_assert_eq!(read_varint(&varint, &mut 0), Err(CodecError::Invalid));
+            let mut event = vec![tag];
+            event.extend_from_slice(&varint);
+            event.push(0); // the access's PC delta; a second event otherwise
+            prop_assert_eq!(EventDecoder::new().decode_all(&event), Err(CodecError::Invalid));
+        }
+
+        /// Hot-shape encodings are byte-identical to the general path for
+        /// arbitrary event streams, through either entry point (the
+        /// branch may only skip work, never change the stream).
+        #[test]
+        fn fast_path_stream_identical(events in arb_stream(300)) {
+            super::tests::encode_both_ways(&events, Vec::new);
         }
     }
 }
