@@ -133,7 +133,7 @@ fn exec_fork(w: &Ctx<'_>, region: &Region, cur: &mut Cursor<'_>, env: &Env<'_>) 
     w.parallel(region.threads as usize, |c| {
         // If this thread dies mid-plan (walk assertion), poison the
         // turnstile so siblings blocked on later tickets drain and the
-        // scope join can propagate the original panic instead of hanging.
+        // region's join can propagate the original panic instead of hanging.
         let _guard = PoisonOnPanic(env.seq);
         if c.team_index() == 0 {
             env.seq.advance();

@@ -30,10 +30,13 @@
 //! * [`Sequencer`] — deterministic cross-thread ordering used by workloads
 //!   to pin the schedules of Figure 1 and the shadow-eviction example.
 //!
-//! Threads are pooled logically: worker ids are reused across successive
-//! parallel regions (LIFO), mirroring how a real OpenMP runtime reuses its
-//! pool — this is what keeps "one log file per thread" bounded for
-//! workloads with hundreds of thousands of regions (LULESH).
+//! Threads are pooled, ids and OS threads both, as a real OpenMP runtime
+//! pools them. Worker ids are reused across successive parallel regions
+//! (lowest first) — this is what keeps "one log file per thread" bounded
+//! for workloads with hundreds of thousands of regions (LULESH). The OS
+//! threads behind team slots `1..` stay parked between regions (hot
+//! teams) and slot 0 runs on the forking thread, so such a workload pays
+//! a hand-off per region, not a thread spawn per member.
 //!
 //! # Example
 //!
@@ -59,11 +62,13 @@
 //! assert_eq!(sum, 1000.0);
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block, in `team_pool`, allowed there by name.
+#![deny(unsafe_code)]
 
 mod memory;
 mod runtime;
 mod sequencer;
+mod team_pool;
 mod tool;
 
 pub use memory::{TrackedBuf, TrackedValue};

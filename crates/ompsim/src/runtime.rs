@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::Location;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -13,6 +13,7 @@ use sword_osl::{Label, TASK_SPAN};
 use sword_trace::{AccessKind, MemAccess, MutexId, PcId, PcTable, RegionId, ThreadId};
 
 use crate::memory::{TrackedBuf, TrackedValue};
+use crate::team_pool::{fits_machine, Parking, TeamPool};
 use crate::tool::{ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool, ToolLocal};
 
 /// Access mode of a task `depend` clause.
@@ -130,6 +131,8 @@ pub struct OmpSim {
     peak_footprint: AtomicU64,
     pc_table: Mutex<PcTable>,
     mutexes: Mutex<MutexRegistry>,
+    /// The OS threads team slots `1..` run on, parked between regions.
+    pool: TeamPool,
 }
 
 impl OmpSim {
@@ -153,6 +156,7 @@ impl OmpSim {
             peak_footprint: AtomicU64::new(0),
             pc_table: Mutex::new(PcTable::new()),
             mutexes: Mutex::new(MutexRegistry::default()),
+            pool: TeamPool::default(),
         }
     }
 
@@ -240,6 +244,12 @@ impl OmpSim {
     /// Number of distinct worker threads (= log files) used so far.
     pub fn threads_used(&self) -> u32 {
         self.next_tid.load(Ordering::Relaxed)
+    }
+
+    /// OS threads the team pool has spawned so far.
+    #[cfg(test)]
+    pub(crate) fn pool_threads(&self) -> usize {
+        self.pool.threads_spawned()
     }
 
     /// Gets or creates the named lock backing `critical(name)` sections.
@@ -357,45 +367,55 @@ impl OrderedLoop {
 /// ordered-loop protocols.
 struct TeamState {
     span: u64,
-    barrier: Mutex<BarrierInner>,
-    barrier_cv: Condvar,
+    /// Members that have reached the current barrier.
+    arrived: AtomicU64,
+    /// Barriers completed so far; what a waiting member watches.
+    generation: AtomicU64,
+    /// Set when a member died: the barrier can never complete again.
+    aborted: AtomicBool,
+    barrier: Parking,
     dyn_loops: Mutex<HashMap<u64, Arc<AtomicU64>>>,
     guided_loops: Mutex<HashMap<u64, Arc<Mutex<u64>>>>,
     ordered_loops: Mutex<HashMap<u64, Arc<OrderedLoop>>>,
-}
-
-#[derive(Default)]
-struct BarrierInner {
-    arrived: u64,
-    generation: u64,
 }
 
 impl TeamState {
     fn new(span: u64) -> Self {
         TeamState {
             span,
-            barrier: Mutex::new(BarrierInner::default()),
-            barrier_cv: Condvar::new(),
+            arrived: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
+            aborted: AtomicBool::new(false),
+            barrier: Parking::default(),
             dyn_loops: Mutex::new(HashMap::new()),
             guided_loops: Mutex::new(HashMap::new()),
             ordered_loops: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Generation-counting rendezvous of all `span` members.
+    /// Generation-counting rendezvous of all `span` members. The last
+    /// arrival clears the count before it opens the next generation, so
+    /// no member can arrive at the following barrier ahead of the reset.
     fn wait(&self) {
-        let mut inner = self.barrier.lock();
-        let gen = inner.generation;
-        inner.arrived += 1;
-        if inner.arrived == self.span {
-            inner.arrived = 0;
-            inner.generation += 1;
-            self.barrier_cv.notify_all();
-        } else {
-            while inner.generation == gen {
-                self.barrier_cv.wait(&mut inner);
-            }
+        let gen = self.generation.load(Ordering::SeqCst);
+        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == self.span {
+            self.arrived.store(0, Ordering::SeqCst);
+            self.generation.store(gen + 1, Ordering::SeqCst);
+            self.barrier.wake();
+            return;
         }
+        self.barrier.wait(fits_machine(self.span), || {
+            self.generation.load(Ordering::SeqCst) != gen || self.aborted.load(Ordering::SeqCst)
+        });
+        if self.generation.load(Ordering::SeqCst) == gen {
+            panic!("a teammate panicked; leaving the barrier");
+        }
+    }
+
+    /// Releases every member that waits, or will wait, for one that died.
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::SeqCst);
+        self.barrier.wake();
     }
 
     /// Shared cursor for the `key`-th dynamic loop of the region.
@@ -420,6 +440,17 @@ impl TeamState {
     ) -> Arc<OrderedLoop> {
         let mut map = self.ordered_loops.lock();
         map.entry(key).or_insert_with(|| Arc::new(OrderedLoop::new(start, mk_lock()))).clone()
+    }
+}
+
+/// Aborts the team's barrier when the member holding it unwinds.
+struct AbortOnPanic<'a>(&'a TeamState);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort();
+        }
     }
 }
 
@@ -568,10 +599,14 @@ impl<'rt> Ctx<'rt> {
 
     // ---- regions ----------------------------------------------------------
 
-    /// Forks a parallel region of `num_threads` workers, runs `body` in
+    /// Forks a parallel region of `num_threads` members, runs `body` in
     /// each, and joins (the implicit end-of-region barrier coincides with
-    /// the join). The forking thread does not execute `body`; workers are
-    /// fresh team slots `0..num_threads`, with pooled thread ids.
+    /// the join). Members are team slots `0..num_threads`, each under a
+    /// fresh context with a pooled thread id. As an OpenMP master does,
+    /// the forking OS thread runs slot 0 itself — under that slot's own
+    /// context and id, not the forker's; slots `1..` run on the runtime's
+    /// parked pool threads. A panic in a member is raised again here,
+    /// with its own message, once every member has left the region.
     pub fn parallel<F>(&self, num_threads: usize, body: F)
     where
         F: Fn(&Ctx<'rt>) + Sync,
@@ -598,42 +633,38 @@ impl<'rt> Ctx<'rt> {
         let tids = self.sim.acquire_tids(span);
         let team = Arc::new(TeamState::new(span));
         let sim = self.sim;
-        std::thread::scope(|s| {
-            for i in 0..span {
-                let tid = tids[i as usize];
-                let team = Arc::clone(&team);
-                let fork_label = &fork_label;
-                let body = &body;
-                s.spawn(move || {
-                    let worker_label = fork_label.fork(i, span);
-                    let ctx = Ctx::new(
-                        sim,
-                        tid,
-                        worker_label.clone(),
-                        Some(RegionInfo {
-                            region,
-                            parent_region,
-                            level,
-                            team_index: i,
-                            span,
-                            bid: Cell::new(0),
-                            team,
-                            dyn_loop_seq: Cell::new(0),
-                            ordered_loop_seq: Cell::new(0),
-                            is_task: false,
-                        }),
-                        Some(TaskState::new(worker_label, region)),
-                    );
-                    ctx.with_tool(|t, tc| t.thread_begin(tc));
-                    body(&ctx);
-                    // The implicit end-of-region barrier is a task
-                    // scheduling point: outstanding children synchronize
-                    // before the worker's last interval closes.
-                    ctx.implicit_task_sync();
-                    ctx.with_tool(|t, tc| t.thread_end(tc));
-                });
-            }
-        });
+        let run_slot = |i: u64| {
+            let worker_label = fork_label.fork(i, span);
+            let ctx = Ctx::new(
+                sim,
+                tids[i as usize],
+                worker_label.clone(),
+                Some(RegionInfo {
+                    region,
+                    parent_region,
+                    level,
+                    team_index: i,
+                    span,
+                    bid: Cell::new(0),
+                    team: Arc::clone(&team),
+                    dyn_loop_seq: Cell::new(0),
+                    ordered_loop_seq: Cell::new(0),
+                    is_task: false,
+                }),
+                Some(TaskState::new(worker_label, region)),
+            );
+            // A member that dies never reaches the team's next barrier:
+            // its teammates must leave it too, or the join waits forever.
+            let _abort = AbortOnPanic(&team);
+            ctx.with_tool(|t, tc| t.thread_begin(tc));
+            body(&ctx);
+            // The implicit end-of-region barrier is a task scheduling
+            // point: outstanding children synchronize before the
+            // worker's last interval closes.
+            ctx.implicit_task_sync();
+            ctx.with_tool(|t, tc| t.thread_end(tc));
+        };
+        sim.pool.fork(span, &run_slot);
         self.sim.release_tids(&tids);
         // The join orders this thread's next fork after the finished team
         // via the fork-sequence component; the thread's own label must NOT
@@ -1765,8 +1796,7 @@ mod tests {
     }
 
     #[test]
-    // Worker panics surface through thread::scope's generic message.
-    #[should_panic(expected = "scoped thread panicked")]
+    #[should_panic(expected = "reduce_with needs one partial slot per team member")]
     fn reduce_requires_enough_slots() {
         let sim = OmpSim::new();
         let partials = sim.alloc::<f64>(2, 0.0);
@@ -2214,7 +2244,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    #[should_panic(expected = "nested task creation (a task spawning tasks) is not modeled")]
     fn nested_task_creation_is_rejected() {
         let sim = OmpSim::new();
         sim.run(|ctx| {
