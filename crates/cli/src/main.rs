@@ -14,9 +14,13 @@
 //!     `--obs` appends pipeline spans to the session's journal;
 //!     `--listen ADDR` serves the analyzer's registry while it runs.
 //! sword watch <session-dir> [--interval-ms N] [--timeout-secs N] [--obs]
+//!                           [--workers N]
 //!     Incrementally analyze an in-progress session, reporting races as
-//!     their barrier intervals are published. `--listen ADDR` serves
-//!     races-so-far and poll progress over HTTP alongside the registry.
+//!     their barrier intervals are published. Each poll runs on up to
+//!     `--workers` threads, like `analyze` (the polling thread is one of
+//!     them; a small or idle poll starts none).
+//!     `--listen ADDR` serves races-so-far and poll progress over HTTP
+//!     alongside the registry.
 //! sword top <addr|session-dir> [--iters N] [--interval-ms N]
 //!     Polling terminal view of a telemetry endpoint started with
 //!     `--listen` (queue depths, latency quantiles, races so far,
@@ -1535,7 +1539,7 @@ mod tests {
 
     #[test]
     fn verdicts_identical_with_and_without_exporter() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
         // One session, analyzed twice: bare, and with the exporter
         // scraping the live registry throughout. The verdicts and
@@ -1563,22 +1567,26 @@ mod tests {
                 .unwrap();
         let addr = server.local_addr().to_string();
         let stop = Arc::new(AtomicBool::new(false));
+        let hits = Arc::new(AtomicU32::new(0));
         let scraper = {
-            let stop = Arc::clone(&stop);
+            let (stop, hits) = (Arc::clone(&stop), Arc::clone(&hits));
             let addr = addr.clone();
             std::thread::spawn(move || {
-                let mut hits = 0u32;
                 while !stop.load(Ordering::Relaxed) {
                     if http_get(&addr, "/metrics", std::time::Duration::from_secs(1)).is_ok() {
-                        hits += 1;
+                        hits.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                hits
             })
         };
-        let watched = analyze(&session, &config).unwrap();
+        // A session this small is analyzed faster than one HTTP round
+        // trip: keep analyzing until a scrape has landed among the runs.
+        let mut watched = analyze(&session, &config).unwrap();
+        while hits.load(Ordering::Relaxed) == 0 {
+            watched = analyze(&session, &config).unwrap();
+        }
         stop.store(true, Ordering::Relaxed);
-        assert!(scraper.join().unwrap() > 0, "scraper must actually have hit /metrics");
+        scraper.join().unwrap();
         server.shutdown();
         let watched_text = sword_offline::render_json(&watched, &pcs);
         assert_eq!(

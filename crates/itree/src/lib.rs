@@ -209,6 +209,12 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// `value` is stored only when a new node is created (merged accesses
     /// share the representative's value). `addr + size` must not wrap the
     /// address space.
+    ///
+    /// `#[inline]`: this is the per-event body of the analyzer's decode
+    /// loop, instantiated in the caller's crate; left to the codegen-unit
+    /// partitioner it lands out of line whenever unrelated modules of that
+    /// crate move (DESIGN.md §5 "Tree construction").
+    #[inline]
     pub fn insert_with(
         &mut self,
         key: K,

@@ -1,5 +1,6 @@
-//! Analysis orchestration: configuration, statistics, and the entry
-//! points that drive the staged pipeline (the private `pipeline` module).
+//! Analysis orchestration: configuration, statistics, and the batch
+//! entry points — one round of the incremental core (the private
+//! `pipeline` module) holding every interval of the session.
 
 use std::io;
 use std::time::Instant;
@@ -8,9 +9,9 @@ use sword_metrics::{DurationHist, MemGauge, StageTable};
 use sword_obs::{Layer, Obs, ThreadJournal};
 use sword_trace::{ImageCache, PcTable, SessionDir, SourceStats};
 
-use crate::intervals::build_structure_with;
+use crate::intervals::session_rows;
 use crate::load::LoadedSession;
-use crate::pipeline;
+use crate::pipeline::Core;
 use crate::race::{Race, RaceSet};
 use crate::verdicts::VerdictCache;
 
@@ -50,7 +51,10 @@ impl TierCounters {
 #[derive(Clone, Debug)]
 pub struct AnalysisConfig {
     /// Worker threads comparing interval trees (the paper distributes
-    /// this across cluster nodes; we distribute across cores).
+    /// this across cluster nodes; we distribute across cores). A round —
+    /// the whole batch analysis, or one live poll — runs on at most
+    /// `min(workers, its tasks)` of them, the calling thread included,
+    /// and starts another only per 256 KiB of log it brought.
     pub workers: usize,
     /// Shared per-tier decision counters, surfaced as
     /// `sword_solver_tier{tier=…}` registry rows when `--obs` is on.
@@ -79,8 +83,8 @@ pub struct AnalysisConfig {
     /// so the overhead of attribution itself can be measured against a
     /// clean baseline.
     pub sites: Option<sword_obs::SiteTable>,
-    /// Live bytes held in interval trees, updated as workers (or the
-    /// live analyzer's cache) build and drop trees. Shared by `clone`;
+    /// Live bytes held in interval trees, updated as the workers' caches
+    /// build and drop trees. Shared by `clone`;
     /// its peak is the analyzer's measured tree memory (Figures 6–8).
     pub mem_gauge: MemGauge,
     /// Shared log-source activity counters (bytes mapped, arena reuse),
@@ -238,7 +242,12 @@ impl AnalysisConfig {
     }
 }
 
-/// Aggregate statistics of one analysis run.
+/// Aggregate statistics of one analysis run, batch or live.
+///
+/// Every row is independent of the worker count. All but the four
+/// tree-request rows (`trees_built`, `nodes`, `events`, `bytes_read`) are
+/// also independent of how the session was cut into rounds, so a finished
+/// live watch reports them exactly as batch `analyze` does.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AnalysisStats {
     /// Threads (log files) in the session.
@@ -247,15 +256,22 @@ pub struct AnalysisStats {
     pub barrier_intervals: u64,
     /// Interval groups (`(pid, bid)` classes).
     pub groups: u64,
-    /// Comparison tasks executed.
+    /// Comparison tasks in focus, each counted in the round it first
+    /// exists (`Intra`: its group reaches two members; `Cross`: either
+    /// group is new) however often later rounds re-run it.
     pub tasks: u64,
-    /// Interval trees built (includes rebuilds across tasks).
+    /// Interval trees requested: one per task, per round, for every member
+    /// that owes a pair there (the lone non-empty member of a group gets
+    /// none). A cache hit counts like a build, so the row depends on the
+    /// session and the cut, not on workers or cache size; a group filled
+    /// over several polls requests its older members again.
     pub trees_built: u64,
-    /// Total tree nodes (the paper's `M`).
+    /// Total nodes of the requested trees (the paper's `M`).
     pub nodes: u64,
-    /// Raw access events folded into trees (the paper's `N`).
+    /// Raw access events folded into the requested trees (the paper's
+    /// `N`).
     pub events: u64,
-    /// Uncompressed log bytes streamed.
+    /// Uncompressed log bytes the requested trees cover.
     pub bytes_read: u64,
     /// Tree pairs compared.
     pub tree_pairs: u64,
@@ -276,10 +292,12 @@ pub struct AnalysisStats {
     pub racy_node_pairs: u64,
     /// Distinct races dropped by suppression patterns.
     pub races_suppressed: u64,
-    /// Total analysis wall time (the paper's single-node OA column).
+    /// Total analysis wall time (the paper's single-node OA column); for
+    /// a live watch, the time spent inside polls.
     pub wall_secs: f64,
-    /// Longest single task (proxy for the paper's distributed MT column:
-    /// with one task per node, the makespan is the longest task).
+    /// Longest single task, in either mode (proxy for the paper's
+    /// distributed MT column: with one task per node, the makespan is the
+    /// longest task).
     pub max_task_secs: f64,
 }
 
@@ -378,47 +396,22 @@ pub fn analyze_loaded(
 fn analyze_with_stages(
     session: &LoadedSession,
     config: &AnalysisConfig,
-    mut stages: StageTable,
+    stages: StageTable,
 ) -> io::Result<AnalysisResult> {
     let start = Instant::now();
-    let journal = config.journal_for("analyzer");
-    config.register_mem_sources();
-    let cache = VerdictCache::default();
-    config.register_core_sources(&cache);
-    let t0 = Instant::now();
-    let s0 = journal.as_ref().map(|j| j.now_us());
-    let structure = build_structure_with(session, &cache)?;
-    stages.record("build-structure", t0.elapsed().as_secs_f64(), structure.groups.len() as u64, 0);
-    journal_stage(&journal, "build-structure", s0, ("groups", structure.groups.len() as f64));
-    let mut stats = AnalysisStats {
-        threads: session.threads.len() as u64,
-        barrier_intervals: session.interval_count() as u64,
-        groups: structure.groups.len() as u64,
-        region_pairs_skipped: structure.region_pairs_skipped,
-        region_pairs_considered: structure.region_pairs_considered,
-        ..AnalysisStats::default()
-    };
-
-    let (races, worker_stats, scheduled) =
-        pipeline::run(session, &structure, config, &cache, &mut stages)?;
-    stats.tasks = scheduled;
-    stats.trees_built = worker_stats.trees_built;
-    stats.nodes = worker_stats.nodes;
-    stats.events = worker_stats.events;
-    stats.bytes_read = worker_stats.bytes_read;
-    stats.tree_pairs = worker_stats.tree_pairs;
-    stats.candidate_pairs = worker_stats.candidates;
-    stats.solver_calls = worker_stats.solver_calls;
-    stats.prescreened_pairs = worker_stats.prescreened;
-    stats.max_task_secs = worker_stats.max_task_secs;
-    let race_list = finalize_races(races, &session.pcs, &config.suppressions, &mut stats);
-    stats.wall_secs = start.elapsed().as_secs_f64();
-    Ok(AnalysisResult { races: race_list, stats, task_hist: worker_stats.task_hist, stages })
+    let mut core = Core::new(&session.dir, config, stages);
+    core.round(&session.regions, session_rows(session))?;
+    let mut result = core.into_result(
+        session.threads.len() as u64,
+        session.interval_count() as u64,
+        &session.pcs,
+    );
+    result.stats.wall_secs = start.elapsed().as_secs_f64();
+    Ok(result)
 }
 
 /// Turns an accumulated race set into the final sorted, suppressed report
-/// list, filling the race-count statistics. Shared by the batch pipeline
-/// and the live analyzer so both report identically.
+/// list, filling the race-count statistics.
 pub(crate) fn finalize_races(
     races: RaceSet,
     pcs: &PcTable,

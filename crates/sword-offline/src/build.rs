@@ -313,10 +313,10 @@ impl ReaderPool {
 const TREE_CACHE_NODES: usize = 64 * 1024;
 
 /// Bounded LRU cache of interval trees keyed by `(tid, data_begin)` —
-/// the analysis core's tree store, shared by the batch workers (one per
-/// worker) and the live analyzer. Intervals compared by many tasks are
+/// the analysis core's tree store, one per worker, kept from round to
+/// round. Intervals compared by many tasks (or again by a later poll) are
 /// built once per cache instead of once per task, while the node budget
-/// keeps the per-thread memory bound.
+/// keeps the per-worker memory bound.
 pub(crate) struct TreeCache {
     entries: HashMap<(ThreadId, u64), CacheEntry>,
     clock: u64,
@@ -338,31 +338,26 @@ impl TreeCache {
 
     /// Builds and caches the tree for `member` unless already present.
     ///
-    /// With `charge_hits`, a cache hit still charges the tree's build
-    /// counters (trees built, nodes, events, bytes) to `stats`: the batch
-    /// path's statistics then count *logical* tree requests, independent
-    /// of scheduling and cache geometry — the same contract
-    /// `solver_calls` keeps under the verdict memo. Only the measured
-    /// build time shrinks. The live path passes `false` and keeps
-    /// counting actual builds (its documented contract).
+    /// A cache hit charges the tree's build counters (trees built, nodes,
+    /// events, bytes) to `stats` like a build does: the statistics count
+    /// *logical* tree requests, independent of worker count, scheduling
+    /// and cache geometry — the same contract `solver_calls` keeps under
+    /// the verdict memo. Only the measured build time shrinks.
     pub(crate) fn ensure(
         &mut self,
         dir: &SessionDir,
         member: &Interval,
         pool: &mut ReaderPool,
         stats: &mut WorkerStats,
-        charge_hits: bool,
     ) -> io::Result<()> {
         let key = (member.tid, member.meta.data_begin);
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&key) {
             e.last_use = self.clock;
-            if charge_hits {
-                stats.trees_built += 1;
-                stats.nodes += e.tree.node_count() as u64;
-                stats.events += e.tree.accesses;
-                stats.bytes_read += e.tree.bytes_read;
-            }
+            stats.trees_built += 1;
+            stats.nodes += e.tree.node_count() as u64;
+            stats.events += e.tree.accesses;
+            stats.bytes_read += e.tree.bytes_read;
             return Ok(());
         }
         let t0 = Instant::now();

@@ -56,18 +56,39 @@ pub enum Task {
     },
 }
 
-/// The reconstructed concurrency structure.
-#[derive(Debug, Default)]
+/// The reconstructed concurrency structure, grown by rounds.
+///
+/// [`Structure::extend`] files a round's barrier intervals into groups and
+/// leaves in [`Structure::tasks`] exactly the tasks with a side the round
+/// touched. A member pair is *owed* by the round its later interval
+/// arrives in, so however a session is cut into rounds — all of it at
+/// once, or one poll's worth at a time — every unordered pair is owed
+/// exactly once. Whether two intervals may race is a property of their
+/// labels, never of when their rows became durable.
+#[derive(Debug)]
 pub struct Structure {
-    /// Interval groups.
+    /// Interval groups, in order of first appearance (`(pid, bid)` order
+    /// within a round).
     pub groups: Vec<Group>,
-    /// Comparison tasks (group-level).
+    /// Comparison tasks (group-level) of the latest round; after a single
+    /// round over a whole session, every task.
     pub tasks: Vec<Task>,
     /// Region pairs skipped because their fork labels proved them
     /// sequential (whole cross products pruned).
     pub region_pairs_skipped: u64,
     /// Region pairs considered (tasks emitted).
     pub region_pairs_considered: u64,
+    /// Per group: its member count before the latest round.
+    marks: Vec<usize>,
+    /// Per group: the lowest `data_begin` among its members.
+    positions: Vec<u64>,
+    /// Groups the latest round added a member to, in `(pid, bid)` order.
+    touched: Vec<usize>,
+    group_index: HashMap<(u64, u32), usize>,
+    /// Group indices per region, in order of first appearance.
+    region_groups: HashMap<u64, Vec<usize>>,
+    /// Fork-label index over the regions that have a group.
+    regions: RegionIndex,
 }
 
 /// Reconstructs one interval's full label from its meta row and the
@@ -111,22 +132,8 @@ pub(crate) fn fork_label_from(
     }
 }
 
-/// Builds groups and comparison tasks from loaded meta-data.
-///
-/// Region-pair pruning: for two distinct regions `P`, `Q`, all member
-/// labels share the regions' fork labels as prefixes, so
-///
-/// * if the fork labels diverge (compare concurrent), *every* member pair
-///   diverges identically → one `Cross { all_concurrent: true }` task per
-///   group pair;
-/// * if one fork label is a proper prefix of the other (ancestor
-///   nesting), member verdicts vary → `Cross { all_concurrent: false }`
-///   tasks with per-pair label checks;
-/// * otherwise the fork labels are barrier/join-ordered and so is every
-///   member pair → the whole region pair is skipped.
-///
-/// The first two classes come out of the `RegionIndex`; ordered pairs
-/// are never enumerated, only counted as the remainder.
+/// Builds groups and comparison tasks from loaded meta-data: one round
+/// of [`Structure::extend`] holding every interval.
 pub fn build_structure(session: &LoadedSession) -> io::Result<Structure> {
     build_structure_with(session, &VerdictCache::default())
 }
@@ -137,60 +144,188 @@ pub fn build_structure_with(
     session: &LoadedSession,
     cache: &VerdictCache,
 ) -> io::Result<Structure> {
-    // Group rows by (pid, bid).
-    let mut index: HashMap<(u64, u32), usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for (tid, rows) in &session.threads {
-        for row in rows {
-            let key = (row.pid, row.bid);
-            let gidx = *index.entry(key).or_insert_with(|| {
-                groups.push(Group { pid: row.pid, bid: row.bid, members: Vec::new() });
-                groups.len() - 1
-            });
-            groups[gidx].members.push(Interval {
-                tid: *tid,
-                meta: row.clone(),
-                label: full_label(session, row)?,
-            });
+    let mut structure = Structure::new(cache);
+    structure.extend(&session.regions, session_rows(session))?;
+    Ok(structure)
+}
+
+/// Every meta row of a loaded session with its thread, thread by thread.
+pub(crate) fn session_rows(
+    session: &LoadedSession,
+) -> impl Iterator<Item = (ThreadId, MetaRecord)> + '_ {
+    session.threads.iter().flat_map(|(tid, rows)| rows.iter().map(move |row| (*tid, row.clone())))
+}
+
+impl Structure {
+    /// An empty structure charging its region index's classification
+    /// count to `cache`.
+    pub(crate) fn new(cache: &VerdictCache) -> Structure {
+        Structure {
+            groups: Vec::new(),
+            tasks: Vec::new(),
+            region_pairs_skipped: 0,
+            region_pairs_considered: 0,
+            marks: Vec::new(),
+            positions: Vec::new(),
+            touched: Vec::new(),
+            group_index: HashMap::new(),
+            region_groups: HashMap::new(),
+            regions: RegionIndex::new(cache),
         }
     }
-    // Deterministic order regardless of directory iteration.
-    groups.sort_by_key(|g| (g.pid, g.bid));
 
-    let mut tasks = Vec::new();
-    // Intra-group tasks: members of the same (pid, bid) are concurrent
-    // whenever the group has more than one thread.
-    for (i, g) in groups.iter().enumerate() {
-        if g.members.len() > 1 {
-            tasks.push(Task::Intra { group: i });
+    /// Opens a round: labels `rows` against `regions`, files them into
+    /// their `(pid, bid)` groups, and replaces [`Structure::tasks`] with
+    /// the tasks that have a touched side — an `Intra` for every touched
+    /// group of two or more members, a `Cross` for every group pair of two
+    /// non-ordered regions with either group touched. A failed labeling
+    /// ([`full_label`]) files nothing and leaves no tasks.
+    ///
+    /// Region-pair pruning: for two distinct regions `P`, `Q`, all member
+    /// labels share the regions' fork labels as prefixes, so
+    ///
+    /// * if the fork labels diverge (compare concurrent), *every* member
+    ///   pair diverges identically → `Cross { all_concurrent: true }`
+    ///   tasks, one per group pair;
+    /// * if one fork label is a proper prefix of the other (ancestor
+    ///   nesting), member verdicts vary → `Cross { all_concurrent: false }`
+    ///   tasks with per-pair label checks;
+    /// * otherwise the fork labels are barrier/join-ordered and so is
+    ///   every member pair → the whole region pair is skipped.
+    ///
+    /// The first two classes come out of the `RegionIndex`, asked once
+    /// per touched region; ordered pairs are never enumerated, only
+    /// counted as the remainder.
+    pub fn extend(
+        &mut self,
+        regions: &HashMap<u64, sword_trace::RegionRecord>,
+        rows: impl IntoIterator<Item = (ThreadId, MetaRecord)>,
+    ) -> io::Result<()> {
+        for group in self.touched.drain(..) {
+            self.marks[group] = self.groups[group].members.len();
         }
+        self.tasks.clear();
+        let mut fresh = rows
+            .into_iter()
+            .map(|(tid, meta)| {
+                let label = full_label_from(regions, &meta)?;
+                Ok(Interval { tid, meta, label })
+            })
+            .collect::<io::Result<Vec<Interval>>>()?;
+        // Deterministic whatever order the rows were listed in; it also
+        // leaves `touched` and `new_regions` sorted by region.
+        fresh.sort_by_key(|iv| (iv.meta.pid, iv.meta.bid, iv.tid, iv.meta.data_begin));
+
+        let mut new_regions: Vec<u64> = Vec::new();
+        for interval in fresh {
+            let (pid, bid) = (interval.meta.pid, interval.meta.bid);
+            let group = match self.group_index.get(&(pid, bid)) {
+                Some(&group) => group,
+                None => {
+                    let group = self.groups.len();
+                    let of_region = self.region_groups.entry(pid).or_default();
+                    if of_region.is_empty() {
+                        self.regions.insert(pid, &fork_label_from(regions, pid)?);
+                        new_regions.push(pid);
+                    }
+                    of_region.push(group);
+                    self.group_index.insert((pid, bid), group);
+                    self.groups.push(Group { pid, bid, members: Vec::new() });
+                    self.marks.push(0);
+                    self.positions.push(u64::MAX);
+                    group
+                }
+            };
+            if self.groups[group].members.len() == self.marks[group] {
+                self.touched.push(group);
+            }
+            self.positions[group] = self.positions[group].min(interval.meta.data_begin);
+            self.groups[group].members.push(interval);
+        }
+
+        // Members of one (pid, bid) are concurrent whenever the group has
+        // more than one thread.
+        let mut tasks: Vec<Task> = self
+            .touched
+            .iter()
+            .filter(|&&group| self.groups[group].members.len() > 1)
+            .map(|&group| Task::Intra { group })
+            .collect();
+        let touched = |group: usize| self.groups[group].members.len() > self.marks[group];
+        let mut touched_regions: Vec<u64> =
+            self.touched.iter().map(|&group| self.groups[group].pid).collect();
+        touched_regions.dedup();
+        for &p in &touched_regions {
+            let p_new = new_regions.binary_search(&p).is_ok();
+            for (q, all_concurrent) in self.regions.partners(p) {
+                // A region pair is considered when its later region is
+                // indexed (by the lower pid when both are new).
+                if p_new && (p < q || new_regions.binary_search(&q).is_err()) {
+                    self.region_pairs_considered += 1;
+                }
+                // Two touched regions meet once, from the lower pid.
+                if q < p && touched_regions.binary_search(&q).is_ok() {
+                    continue;
+                }
+                for &a in &self.region_groups[&p.min(q)] {
+                    for &b in &self.region_groups[&p.max(q)] {
+                        if touched(a) || touched(b) {
+                            tasks.push(Task::Cross { a, b, all_concurrent });
+                        }
+                    }
+                }
+            }
+        }
+        self.tasks = tasks;
+        self.region_pairs_skipped = self.regions.pair_count() - self.region_pairs_considered;
+        Ok(())
     }
 
-    // Region-level classification.
-    let mut region_groups: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, g) in groups.iter().enumerate() {
-        region_groups.entry(g.pid).or_default().push(i);
-    }
-    let mut regions = RegionIndex::new(cache);
-    for &pid in region_groups.keys() {
-        regions.insert(pid, &fork_label_from(&session.regions, pid)?);
-    }
-    let pairs = regions.pairs();
-    for &(p, q, all_concurrent) in &pairs {
-        for &a in &region_groups[&p] {
-            for &b in &region_groups[&q] {
-                tasks.push(Task::Cross { a, b, all_concurrent });
+    /// The member pairs of `task` that the latest round owes: those with a
+    /// side at or past its group's mark (the member count before the
+    /// round), so each unordered pair is owed by exactly the round that
+    /// brought its later interval. Label, thread and size filters are the
+    /// caller's.
+    pub(crate) fn owed(&self, task: &Task) -> Vec<(&Interval, &Interval)> {
+        match *task {
+            Task::Intra { group } => {
+                let members = &self.groups[group].members;
+                (self.marks[group]..members.len())
+                    .flat_map(|j| members[..j].iter().map(move |ma| (ma, &members[j])))
+                    .collect()
+            }
+            Task::Cross { a, b, .. } => {
+                let (ga, gb) = (&self.groups[a].members, &self.groups[b].members);
+                let (old_a, new_a) = ga.split_at(self.marks[a]);
+                let new_b = &gb[self.marks[b]..];
+                let new_side = new_a.iter().flat_map(|ma| gb.iter().map(move |mb| (ma, mb)));
+                let old_side = old_a.iter().flat_map(|ma| new_b.iter().map(move |mb| (ma, mb)));
+                new_side.chain(old_side).collect()
             }
         }
     }
-    let considered = pairs.len() as u64;
 
-    Ok(Structure {
-        groups,
-        tasks,
-        region_pairs_skipped: regions.pair_count() - considered,
-        region_pairs_considered: considered,
-    })
+    /// Log bytes of the intervals the latest round filed.
+    pub(crate) fn fresh_bytes(&self) -> u64 {
+        let fresh = |&group: &usize| &self.groups[group].members[self.marks[group]..];
+        self.touched.iter().flat_map(fresh).map(|m| m.meta.size).sum()
+    }
+
+    /// The lowest `data_begin` among `group`'s members (the scheduler's
+    /// file-position sort key).
+    pub(crate) fn position(&self, group: usize) -> u64 {
+        self.positions[group]
+    }
+
+    /// `true` when `task` exists for the first time in the latest round
+    /// (`Intra`: its group just reached two members; `Cross`: the round
+    /// created a group of it), so a sum over rounds counts each task once.
+    pub(crate) fn first_round_of(&self, task: &Task) -> bool {
+        match *task {
+            Task::Intra { group } => self.marks[group] < 2,
+            Task::Cross { a, b, .. } => self.marks[a] == 0 || self.marks[b] == 0,
+        }
+    }
 }
 
 /// Decides whether two intervals may race, per the barrier-aware

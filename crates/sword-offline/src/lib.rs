@@ -25,6 +25,11 @@
 //!
 //! Races are deduplicated by unordered source-location pair, which is how
 //! the paper's tables count them.
+//!
+//! Steps 2–4 are one incremental analyzer (the private `pipeline`
+//! module) that runs in rounds on one worker pool: [`analyze()`] is a single
+//! round holding every interval of a finished session, and each
+//! [`LiveAnalyzer::poll`] of a session still being written is another.
 
 #![forbid(unsafe_code)]
 

@@ -1,50 +1,76 @@
-//! The staged streaming pipeline behind [`crate::analyze_loaded`].
+//! The analysis core: an incremental analyzer that runs in *rounds*.
 //!
-//! The offline phase runs as explicit stages:
+//! A round takes the meta rows that became available since the last one —
+//! a whole finished session for [`crate::analyze`], one poll's worth for
+//! [`crate::LiveAnalyzer`] — and runs them through explicit stages:
 //!
 //! ```text
-//! discover ─ load-meta ─ build-structure ─┐            (caller, timed)
-//!                                         ▼
-//!                  pair-schedule ──(per-worker deques)──► workers
-//!                  (filter + sort + deal)  + stealing    tree-build
-//!                                                        compare
-//!                                         ┌──(result channel)──┘
-//!                                         ▼
-//!                                    dedup-report
-//!                                 (streaming reducer)
+//! discover ─ load-meta ─┐                              (caller, timed)
+//!                       ▼
+//!        build-structure (Structure::extend: file rows, emit touched tasks)
+//!                       ▼
+//!        pair-schedule ──(per-worker deques)──► workers
+//!        (filter + sort + deal)  + stealing    tree-build
+//!                                              compare
+//!                       ┌──(result channel)──┘
+//!                       ▼
+//!                  dedup-report
+//!               (streaming reducer)
 //! ```
 //!
-//! The scheduler filters tasks to the focus regions, sorts them by file
-//! position so each worker's reader pool streams forward, and deals
-//! contiguous chunks into one deque per worker. Workers drain their own
-//! deque front-to-back (preserving the position ordering) and steal a
-//! batch from the back of a victim's deque when they run dry, so the
-//! pool stays saturated even when task costs are skewed. Results stream
-//! through a bounded channel into a reducer that merges each task's race
-//! set the moment it arrives instead of waiting for a global barrier.
+//! The scheduler filters the round's tasks to the focus regions, sorts
+//! them by file position so each worker's reader pool streams forward,
+//! and deals contiguous chunks into one deque per worker. Workers drain
+//! their own deque front-to-back and steal a batch from the back of a
+//! victim's when they run dry, so the pool stays saturated even when task
+//! costs are skewed. Results stream through a bounded channel into a
+//! reducer that merges each task's race set the moment it arrives.
+//!
+//! A round runs on up to `min(workers, tasks)` threads: the calling thread
+//! is worker 0 and the reducer, the rest are started and joined inside the
+//! round, one per `BYTES_PER_STARTED_THREAD` of log it brought — a
+//! one-worker round, a small poll, or one with no rows starts none. What a
+//! worker keeps between rounds (reader pool, tree cache, recorders) lives
+//! in the [`Core`], so a poll reuses the trees and open logs of the polls
+//! before it. A task compares a member pair only when the round owes it
+//! ([`Structure::owed`]): batch is the one-round case, not another rule.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Sender, TrySendError};
 use sword_metrics::{DurationHist, StageTable};
-use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters};
+use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters, ThreadJournal};
+use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, ThreadId};
 
-use crate::analyze::{journal_stage, AnalysisConfig};
+use crate::analyze::{
+    finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats,
+};
 use crate::build::{ReaderPool, TreeCache};
-use crate::intervals::{dep_ordered, intervals_concurrent, Group, Structure, Task};
-use crate::load::LoadedSession;
-use crate::race::{check_pair, CompareCtx, RaceSet};
+use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
+use crate::race::{check_pair, CompareCtx, Race, RaceSet};
 use crate::verdicts::VerdictCache;
 
 /// Most tasks a worker grabs from a victim's deque in one steal.
 const STEAL_BATCH: usize = 16;
 
-/// Per-worker counters, accumulated across tasks and merged by the
-/// reducer.
+/// Task outcomes a round may have in flight before a worker's send
+/// blocks. The reducer shares the cores with the workers; while it is
+/// off-core a queue of `2 × workers` stalled them all (LULESH shape: 128
+/// slots read 0.9 × the wall of 32, EXPERIMENTS.md "One driver"). The
+/// ring is preallocated, so an outcome carries only what must stream.
+const RESULT_QUEUE: usize = 256;
+
+/// Log bytes a round must bring per thread it starts beside the calling
+/// one: ≈ 2 ms of tree building against ≈ 0.1 ms to start, feed and join
+/// a thread. Most polls of a `watch` bring less and run where they are.
+const BYTES_PER_STARTED_THREAD: u64 = 256 << 10;
+
+/// Per-worker counters, accumulated across a round's tasks and merged
+/// when the worker is joined.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WorkerStats {
     pub trees_built: u64,
@@ -86,10 +112,9 @@ impl WorkerStats {
     }
 }
 
-/// What one comparison task produced.
+/// What one comparison task hands the reducer.
 struct TaskOutcome {
     races: RaceSet,
-    stats: WorkerStats,
     secs: f64,
     /// Causal-flow id minted by the worker's task span, so the reducer's
     /// merge instant continues the scheduler → worker → reducer chain.
@@ -107,8 +132,8 @@ struct PipelineObs {
 }
 
 impl PipelineObs {
-    fn new(obs: &Obs, scheduled: u64) -> PipelineObs {
-        let queue_depth = Arc::new(AtomicU64::new(scheduled));
+    fn new(obs: &Obs) -> PipelineObs {
+        let queue_depth = Arc::new(AtomicU64::new(0));
         let d = Arc::clone(&queue_depth);
         obs.registry.source(
             "sword_task_queue_depth",
@@ -145,7 +170,7 @@ impl PipelineObs {
 /// channel means the reducer is the bottleneck, so the blocked send is
 /// tallied before falling back to the blocking path.
 fn send_outcome(
-    tx: &Sender<io::Result<TaskOutcome>>,
+    tx: &SyncSender<io::Result<TaskOutcome>>,
     obs: Option<&PipelineObs>,
     msg: io::Result<TaskOutcome>,
 ) -> bool {
@@ -167,7 +192,8 @@ fn send_outcome(
 /// when that runs dry, a batch stolen from the back of the first
 /// non-empty victim (back-stealing leaves the victim the file positions
 /// it was already streaming toward). Tasks are only ever dealt before
-/// the workers start, so an all-empty sweep means the pool is drained.
+/// a round's workers start, so an all-empty sweep means the round is
+/// drained.
 fn next_task(deques: &[Mutex<VecDeque<Task>>], wi: usize) -> Option<Task> {
     if let Some(t) = deques[wi].lock().expect("task deque lock").pop_front() {
         return Some(t);
@@ -194,318 +220,396 @@ fn next_task(deques: &[Mutex<VecDeque<Task>>], wi: usize) -> Option<Task> {
     None
 }
 
-/// Runs the scheduler → workers → reducer stages over a reconstructed
-/// structure and returns the merged race set and counters, recording
-/// per-stage wall time and throughput into `stages`.
-pub(crate) fn run(
-    session: &LoadedSession,
-    structure: &Structure,
-    config: &AnalysisConfig,
-    cache: &VerdictCache,
-    stages: &mut StageTable,
-) -> io::Result<(RaceSet, WorkerStats, u64)> {
-    let workers = config.workers.max(1);
+/// What one worker keeps from round to round: its open logs, its trees
+/// (an interval shared by its tasks, or needed again by a later round, is
+/// built once), and its `--obs` recorders (`None` when observability is
+/// off).
+struct WorkerCtx {
+    pool: ReaderPool,
+    trees: TreeCache,
+    journal: Option<ThreadJournal>,
+    solver_hist: Option<Histogram>,
+    /// Per-site attribution accumulator (lock-free on the hot path),
+    /// folded into the shared table by [`Core::into_result`].
+    sites: Option<SiteCounters>,
+}
 
-    // Stage: pair-schedule. Filters tasks to the focus regions, orders
-    // them by file position (group positions are computed once up front,
-    // not re-derived inside the sort comparator), and deals contiguous
-    // chunks into per-worker deques.
-    let sched_journal = config.journal_for("oa-scheduler");
-    let sched_s0 = sched_journal.as_ref().map(|j| j.now_us());
-    let sched_t0 = Instant::now();
-    let in_focus = |group: usize| -> bool {
-        match &config.focus_regions {
-            None => true,
-            Some(focus) => focus.contains(&structure.groups[group].pid),
+/// What every worker of a round reads.
+struct Round<'a> {
+    dir: &'a SessionDir,
+    regions: &'a HashMap<u64, RegionRecord>,
+    structure: &'a Structure,
+    config: &'a AnalysisConfig,
+    cache: &'a VerdictCache,
+    deques: &'a [Mutex<VecDeque<Task>>],
+    pipe_obs: Option<&'a PipelineObs>,
+    /// When the deques were dealt: each task's deque wait is measured
+    /// from here.
+    dealt_us: u64,
+}
+
+/// The incremental analyzer behind both entry points (module docs): the
+/// structure, the worker state, and everything accumulated so far.
+pub(crate) struct Core {
+    dir: SessionDir,
+    config: AnalysisConfig,
+    /// The shared solver-witness memo.
+    cache: VerdictCache,
+    structure: Structure,
+    /// One per worker thread a round has needed so far, at most
+    /// `config.workers`.
+    workers: Vec<WorkerCtx>,
+    pub(crate) races: RaceSet,
+    pub(crate) stats: WorkerStats,
+    /// Tasks counted in the round they first existed.
+    tasks: u64,
+    pub(crate) stages: StageTable,
+    journal: Option<ThreadJournal>,
+    sched_journal: Option<ThreadJournal>,
+    reduce_journal: Option<ThreadJournal>,
+    pipe_obs: Option<PipelineObs>,
+}
+
+impl Core {
+    /// A core that has analyzed nothing yet, recording into `stages`.
+    pub(crate) fn new(dir: &SessionDir, config: &AnalysisConfig, stages: StageTable) -> Core {
+        config.register_mem_sources();
+        let cache = VerdictCache::default();
+        config.register_core_sources(&cache);
+        Core {
+            dir: dir.clone(),
+            config: config.clone(),
+            structure: Structure::new(&cache),
+            cache,
+            workers: Vec::new(),
+            races: RaceSet::new(),
+            stats: WorkerStats::default(),
+            tasks: 0,
+            stages,
+            journal: config.journal_for("analyzer"),
+            sched_journal: config.journal_for("oa-scheduler"),
+            reduce_journal: config.journal_for("oa-reducer"),
+            pipe_obs: config.obs.as_ref().map(PipelineObs::new),
         }
-    };
-    let group_pos: Vec<u64> = structure
-        .groups
-        .iter()
-        .map(|g| g.members.iter().map(|m| m.meta.data_begin).min().unwrap_or(0))
-        .collect();
-    let mut tasks: Vec<Task> = structure
-        .tasks
-        .iter()
-        .filter(|t| match t {
-            Task::Intra { group } => in_focus(*group),
-            Task::Cross { a, b, .. } => in_focus(*a) && in_focus(*b),
-        })
-        .cloned()
-        .collect();
-    tasks.sort_by_key(|t| match t {
-        Task::Intra { group } => group_pos[*group],
-        Task::Cross { a, b, .. } => group_pos[*a].min(group_pos[*b]),
-    });
-    let scheduled = tasks.len() as u64;
-    let deques: Vec<Mutex<VecDeque<Task>>> = {
-        let chunk = tasks.len().div_ceil(workers).max(1);
-        let mut dealt = tasks.into_iter();
-        (0..workers).map(|_| Mutex::new(dealt.by_ref().take(chunk).collect())).collect()
-    };
-    let schedule_secs = sched_t0.elapsed().as_secs_f64();
-    journal_stage(&sched_journal, "pair-schedule", sched_s0, ("tasks", scheduled as f64));
-    let pipe_obs = config.obs.as_ref().map(|o| PipelineObs::new(o, scheduled));
-    // All tasks are dealt at one moment; each task's deque wait is
-    // measured from here.
-    let dealt_us = pipe_obs.as_ref().map(|p| p.obs.journal.now_us()).unwrap_or(0);
+    }
 
-    let (result_tx, result_rx) = bounded::<io::Result<TaskOutcome>>(2 * workers);
+    /// One round: files `rows` (labeled against `regions`, which must
+    /// already hold every region they name) and runs the scheduler →
+    /// workers → reducer stages over the tasks they touch. Returns the
+    /// races whose source-line pair this round saw first, sorted by key.
+    /// A round without rows does nothing at all.
+    pub(crate) fn round(
+        &mut self,
+        regions: &HashMap<u64, RegionRecord>,
+        rows: impl IntoIterator<Item = (ThreadId, MetaRecord)>,
+    ) -> io::Result<Vec<Race>> {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return Ok(Vec::new());
+        }
 
-    let mut races = RaceSet::new();
-    let mut merged = WorkerStats::default();
-    let mut first_error: Option<io::Error> = None;
-    let mut dedup_secs = 0.0f64;
-    let mut outcomes = 0u64;
+        // Stage: build-structure.
+        let t0 = Instant::now();
+        let s0 = self.journal.as_ref().map(|j| j.now_us());
+        let groups_before = self.structure.groups.len();
+        self.structure.extend(regions, rows)?;
+        let new_groups = (self.structure.groups.len() - groups_before) as u64;
+        self.stages.record("build-structure", t0.elapsed().as_secs_f64(), new_groups, 0);
+        journal_stage(&self.journal, "build-structure", s0, ("groups", new_groups as f64));
+        let (structure, config) = (&self.structure, &self.config);
+        let (reduce_journal, pipe_obs) = (&self.reduce_journal, self.pipe_obs.as_ref());
 
-    std::thread::scope(|s| {
-        // Stage: tree-build + compare, on `workers` threads.
-        for wi in 0..workers {
-            let result_tx = result_tx.clone();
-            let deques = &deques;
-            let pipe_obs = pipe_obs.as_ref();
-            s.spawn(move || {
-                let mut pool =
-                    ReaderPool::sharing(config.source_stats.clone(), config.image_cache.clone());
-                // Per-worker tree cache: intervals shared by the worker's
-                // tasks are built once, not once per task. Its drop
-                // credits the memory gauge before the scope joins.
-                let mut trees = TreeCache::new(config.mem_gauge.clone());
-                let journal = config.journal_for(format!("oa-worker-{wi}"));
-                let solver_hist = config.solver_hist();
-                // Per-worker attribution accumulator (lock-free on the
-                // hot path), folded into the shared table once at exit.
-                let mut site_acc = config.sites.as_ref().map(|_| SiteCounters::new());
-                while let Some(task) = next_task(deques, wi) {
-                    if let Some(p) = pipe_obs {
-                        p.note_dequeue(dealt_us);
-                    }
-                    let s0 = journal.as_ref().map(|j| j.now_us());
-                    let t0 = Instant::now();
-                    let mut task_races = RaceSet::new();
-                    let mut local = WorkerStats::default();
-                    let result = run_task(
-                        session,
-                        &structure.groups,
-                        &task,
-                        config,
-                        cache,
-                        &mut pool,
-                        &mut trees,
-                        &mut task_races,
-                        &mut local,
-                        solver_hist.as_ref(),
-                        &mut site_acc,
-                    );
-                    let secs = t0.elapsed().as_secs_f64();
-                    // The task span starts this outcome's causal flow;
-                    // the reducer's merge instant ends it.
-                    let flow = pipe_obs.map(|p| p.obs.journal.next_flow_id());
-                    if let (Some(j), Some(s0)) = (&journal, s0) {
-                        j.span_closed_flow(
-                            "task",
-                            s0,
-                            j.now_us().saturating_sub(s0),
-                            vec![("tree_pairs".into(), local.tree_pairs as f64)],
-                            flow.map(|f| (f, FlowPhase::Start)),
-                        );
-                    }
-                    let msg = result.map(|()| TaskOutcome {
-                        races: task_races,
-                        stats: local,
-                        secs,
-                        flow,
-                    });
-                    if !send_outcome(&result_tx, pipe_obs, msg) {
-                        break;
-                    }
-                }
-                if let (Some(table), Some(acc)) = (&config.sites, site_acc.take()) {
-                    table.absorb(acc);
-                }
+        // Stage: pair-schedule. Filters the round's tasks to the focus
+        // regions, orders them by file position, and deals contiguous
+        // chunks into per-worker deques.
+        let s0 = self.sched_journal.as_ref().map(|j| j.now_us());
+        let t0 = Instant::now();
+        let in_focus = |group: usize| -> bool {
+            match &config.focus_regions {
+                None => true,
+                Some(focus) => focus.contains(&structure.groups[group].pid),
+            }
+        };
+        let mut tasks: Vec<Task> = structure
+            .tasks
+            .iter()
+            .filter(|t| match t {
+                Task::Intra { group } => in_focus(*group),
+                Task::Cross { a, b, .. } => in_focus(*a) && in_focus(*b),
+            })
+            .cloned()
+            .collect();
+        tasks.sort_by_key(|t| match t {
+            Task::Intra { group } => structure.position(*group),
+            Task::Cross { a, b, .. } => structure.position(*a).min(structure.position(*b)),
+        });
+        let scheduled = tasks.len() as u64;
+        let first_round = tasks.iter().filter(|t| structure.first_round_of(t)).count() as u64;
+        let worth_starting = (structure.fresh_bytes() / BYTES_PER_STARTED_THREAD) as usize;
+        let threads = config.workers.max(1).min(tasks.len()).min(1 + worth_starting);
+        let deques: Vec<Mutex<VecDeque<Task>>> = {
+            let chunk = tasks.len().div_ceil(threads.max(1)).max(1);
+            let mut dealt = tasks.into_iter();
+            (0..threads).map(|_| Mutex::new(dealt.by_ref().take(chunk).collect())).collect()
+        };
+        let schedule_secs = t0.elapsed().as_secs_f64();
+        journal_stage(&self.sched_journal, "pair-schedule", s0, ("tasks", scheduled as f64));
+        if let Some(p) = pipe_obs {
+            p.queue_depth.store(scheduled, Ordering::Relaxed);
+        }
+        // All tasks are dealt at one moment; each task's deque wait is
+        // measured from here.
+        let dealt_us = pipe_obs.map(|p| p.obs.journal.now_us()).unwrap_or(0);
+
+        while self.workers.len() < threads {
+            let wi = self.workers.len();
+            self.workers.push(WorkerCtx {
+                pool: ReaderPool::sharing(config.source_stats.clone(), config.image_cache.clone()),
+                trees: TreeCache::new(config.mem_gauge.clone()),
+                journal: config.journal_for(format!("oa-worker-{wi}")),
+                solver_hist: config.solver_hist(),
+                sites: config.sites.as_ref().map(|_| SiteCounters::new()),
             });
         }
-        drop(result_tx);
+        let round = Round {
+            dir: &self.dir,
+            regions,
+            structure,
+            config,
+            cache: &self.cache,
+            deques: &deques,
+            pipe_obs,
+            dealt_us,
+        };
+        let (result_tx, result_rx) = sync_channel::<io::Result<TaskOutcome>>(RESULT_QUEUE);
 
+        let mut races = RaceSet::new();
+        let mut merged = WorkerStats::default();
+        let mut first_error: Option<io::Error> = None;
+        let mut dedup_secs = 0.0f64;
+        let mut outcomes = 0u64;
         // Stage: dedup-report. Merges every task's races as it arrives.
-        let reduce_journal = config.journal_for("oa-reducer");
         let reduce_s0 = reduce_journal.as_ref().map(|j| j.now_us());
-        for msg in result_rx.iter() {
-            match msg {
-                Ok(outcome) => {
-                    let t0 = Instant::now();
-                    if let (Some(j), Some(flow)) = (&reduce_journal, outcome.flow) {
-                        j.instant_flow(
-                            "merge",
-                            vec![("task_secs".into(), outcome.secs)],
-                            Some((flow, FlowPhase::End)),
-                        );
-                    }
-                    races.merge(outcome.races);
-                    merged.merge(&outcome.stats);
-                    if outcome.secs > merged.max_task_secs {
-                        merged.max_task_secs = outcome.secs;
-                    }
-                    merged.task_hist.record(outcome.secs);
-                    outcomes += 1;
-                    dedup_secs += t0.elapsed().as_secs_f64();
+        let mut reduce = |msg: io::Result<TaskOutcome>| match msg {
+            Ok(outcome) => {
+                let t0 = Instant::now();
+                if let (Some(j), Some(flow)) = (reduce_journal, outcome.flow) {
+                    j.instant_flow(
+                        "merge",
+                        vec![("task_secs".into(), outcome.secs)],
+                        Some((flow, FlowPhase::End)),
+                    );
                 }
-                // Keep draining after an error so no worker blocks on a
-                // full result channel; the scope still joins everything.
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+                races.merge(outcome.races);
+                outcomes += 1;
+                dedup_secs += t0.elapsed().as_secs_f64();
+            }
+            // Keep going after an error so no worker blocks on a full
+            // result channel; the scope still joins everything.
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
+        };
+
+        // Stage: tree-build + compare, on `threads` threads: this one is
+        // worker 0 and the reducer, the others are started here.
+        std::thread::scope(|s| {
+            let mut ctxs = self.workers[..threads].iter_mut();
+            let own = ctxs.next();
+            let handles: Vec<_> = ctxs
+                .zip(1..)
+                .map(|(ctx, wi)| {
+                    let (tx, round) = (result_tx.clone(), &round);
+                    s.spawn(move || round.work(wi, ctx, |msg| send_outcome(&tx, pipe_obs, msg)))
+                })
+                .collect();
+            drop(result_tx);
+            if let Some(ctx) = own {
+                // Between two tasks of its own, whatever the others sent.
+                merged.merge(&round.work(0, ctx, |msg| {
+                    reduce(msg);
+                    result_rx.try_iter().for_each(&mut reduce);
+                    true
+                }));
+            }
+            result_rx.iter().for_each(&mut reduce);
+            // The scope's own wait ends when a thread's closure returns;
+            // joining ends when the OS thread is gone, so a round leaves
+            // the process with the threads it found.
+            for handle in handles {
+                merged.merge(&handle.join().expect("analysis worker panicked"));
+            }
+        });
+        journal_stage(reduce_journal, "dedup-report", reduce_s0, ("outcomes", outcomes as f64));
+
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+        // Fold the round into the session set, surfacing the source-line
+        // pairs seen for the first time.
+        let t0 = Instant::now();
+        let mut new_races: Vec<Race> =
+            races.iter().filter(|r| !self.races.contains(&r.key)).cloned().collect();
+        new_races.sort_by_key(|r| r.key);
+        self.races.merge(races);
+        dedup_secs += t0.elapsed().as_secs_f64();
+        self.tasks += first_round;
+        self.stages.record("pair-schedule", schedule_secs, scheduled, 0);
+        self.stages.record("tree-build", merged.build_secs, merged.trees_built, merged.bytes_read);
+        self.stages.record("compare", merged.compare_secs, merged.tree_pairs, 0);
+        self.stats.merge(&merged);
+        self.stages.record("dedup-report", dedup_secs, outcomes, 0);
+        Ok(new_races)
+    }
+
+    /// The result over everything analyzed so far, for a session of
+    /// `threads` logs and `barrier_intervals` meta rows. The caller owns
+    /// `stats.wall_secs`.
+    pub(crate) fn into_result(
+        mut self,
+        threads: u64,
+        barrier_intervals: u64,
+        pcs: &PcTable,
+    ) -> AnalysisResult {
+        if let Some(table) = &self.config.sites {
+            for acc in self.workers.iter_mut().filter_map(|w| w.sites.take()) {
+                table.absorb(acc);
             }
         }
-        journal_stage(&reduce_journal, "dedup-report", reduce_s0, ("outcomes", outcomes as f64));
-    });
-
-    if let Some(e) = first_error {
-        return Err(e);
+        let mut stats = AnalysisStats {
+            threads,
+            barrier_intervals,
+            groups: self.structure.groups.len() as u64,
+            tasks: self.tasks,
+            region_pairs_skipped: self.structure.region_pairs_skipped,
+            region_pairs_considered: self.structure.region_pairs_considered,
+            trees_built: self.stats.trees_built,
+            nodes: self.stats.nodes,
+            events: self.stats.events,
+            bytes_read: self.stats.bytes_read,
+            tree_pairs: self.stats.tree_pairs,
+            candidate_pairs: self.stats.candidates,
+            solver_calls: self.stats.solver_calls,
+            prescreened_pairs: self.stats.prescreened,
+            max_task_secs: self.stats.max_task_secs,
+            ..AnalysisStats::default()
+        };
+        let races = finalize_races(self.races, pcs, &self.config.suppressions, &mut stats);
+        AnalysisResult { races, stats, task_hist: self.stats.task_hist, stages: self.stages }
     }
-    stages.record("pair-schedule", schedule_secs, scheduled, 0);
-    stages.record("tree-build", merged.build_secs, merged.trees_built, merged.bytes_read);
-    stages.record("compare", merged.compare_secs, merged.tree_pairs, 0);
-    stages.record("dedup-report", dedup_secs, outcomes, 0);
-    Ok((races, merged, scheduled))
 }
 
-/// Ensures the trees of a group's non-empty members are in the worker's
-/// cache, returning each such member's index and cache key. Cache hits
-/// still charge the logical build counters (see [`TreeCache::ensure`]),
-/// so the merged statistics are identical whatever the cache geometry.
-fn ensure_group_trees(
-    session: &LoadedSession,
-    group: &Group,
-    pool: &mut ReaderPool,
-    trees: &mut TreeCache,
-    stats: &mut WorkerStats,
-) -> io::Result<Vec<(usize, (sword_trace::ThreadId, u64))>> {
-    let mut keys = Vec::with_capacity(group.members.len());
-    for (i, member) in group.members.iter().enumerate() {
-        if member.meta.size == 0 {
-            continue; // empty interval: nothing to race
+impl Round<'_> {
+    /// Worker `wi`'s share of the round: drains its deque, then steals,
+    /// handing each task's outcome to `sink` (which returns `false` when
+    /// nobody is listening any more), and returns its counters.
+    fn work(
+        &self,
+        wi: usize,
+        ctx: &mut WorkerCtx,
+        mut sink: impl FnMut(io::Result<TaskOutcome>) -> bool,
+    ) -> WorkerStats {
+        let mut stats = WorkerStats::default();
+        while let Some(task) = next_task(self.deques, wi) {
+            if let Some(p) = self.pipe_obs {
+                p.note_dequeue(self.dealt_us);
+            }
+            let s0 = ctx.journal.as_ref().map(|j| j.now_us());
+            let t0 = Instant::now();
+            let tree_pairs_before = stats.tree_pairs;
+            let mut races = RaceSet::new();
+            let result = self.run_task(&task, ctx, &mut races, &mut stats);
+            let secs = t0.elapsed().as_secs_f64();
+            stats.max_task_secs = stats.max_task_secs.max(secs);
+            stats.task_hist.record(secs);
+            // The task span starts this outcome's causal flow; the
+            // reducer's merge instant ends it.
+            let flow = self.pipe_obs.map(|p| p.obs.journal.next_flow_id());
+            if let (Some(j), Some(s0)) = (&ctx.journal, s0) {
+                let tree_pairs = stats.tree_pairs - tree_pairs_before;
+                j.span_closed_flow(
+                    "task",
+                    s0,
+                    j.now_us().saturating_sub(s0),
+                    vec![("tree_pairs".into(), tree_pairs as f64)],
+                    flow.map(|f| (f, FlowPhase::Start)),
+                );
+            }
+            if !sink(result.map(|()| TaskOutcome { races, secs, flow })) {
+                break;
+            }
         }
-        trees.ensure(&session.dir, member, pool, stats, true)?;
-        keys.push((i, (member.tid, member.meta.data_begin)));
+        stats
     }
-    Ok(keys)
-}
 
-/// Executes one comparison task against the worker's tree cache: the
-/// task's trees are ensured (built on miss, reused on hit), the cache is
-/// trimmed to budget with the task's keys pinned, and every qualifying
-/// pair is compared out of the cache.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_task(
-    session: &LoadedSession,
-    groups: &[Group],
-    task: &Task,
-    config: &AnalysisConfig,
-    cache: &VerdictCache,
-    pool: &mut ReaderPool,
-    trees: &mut TreeCache,
-    races: &mut RaceSet,
-    stats: &mut WorkerStats,
-    solver_hist: Option<&Histogram>,
-    sites: &mut Option<SiteCounters>,
-) -> io::Result<()> {
-    match *task {
-        Task::Intra { group } => {
-            let g = &groups[group];
-            let keys = ensure_group_trees(session, g, pool, trees, stats)?;
-            let pinned: Vec<_> = keys.iter().map(|(_, k)| *k).collect();
-            trees.evict(&pinned);
-            let t0 = Instant::now();
-            for i in 0..keys.len() {
-                for j in i + 1..keys.len() {
-                    let (ia, ka) = keys[i];
-                    let (ib, kb) = keys[j];
-                    // Tasking sessions fragment a thread's log around task
-                    // chains, so one (pid, bid) group can hold several
-                    // same-tid fragments — program order, never a race.
-                    if g.members[ia].tid == g.members[ib].tid {
-                        continue;
-                    }
-                    let (ta, tb) =
-                        (trees.get(&ka).expect("pinned"), trees.get(&kb).expect("pinned"));
-                    if ta.node_count() == 0 || tb.node_count() == 0 {
-                        continue;
-                    }
-                    stats.tree_pairs += 1;
-                    let pair_stats = check_pair(
-                        ta,
-                        &g.members[ia],
-                        tb,
-                        &g.members[ib],
-                        &CompareCtx { cache, tiers: &config.tiers },
-                        races,
-                        solver_hist,
-                        sites.as_mut(),
-                    );
-                    stats.candidates += pair_stats.candidates;
-                    stats.solver_calls += pair_stats.solver_calls;
-                    stats.prescreened += pair_stats.prescreened;
-                }
-            }
-            stats.compare_secs += t0.elapsed().as_secs_f64();
+    /// Executes one comparison task against the worker's tree cache:
+    /// settles the member pairs the round owes, ensures exactly the trees
+    /// those pairs name (built on miss, reused on hit), trims the cache to
+    /// budget with them pinned, and compares every pair out of the cache.
+    fn run_task(
+        &self,
+        task: &Task,
+        ctx: &mut WorkerCtx,
+        races: &mut RaceSet,
+        stats: &mut WorkerStats,
+    ) -> io::Result<()> {
+        // Of the owed pairs, drop those that cannot race: an empty
+        // interval; same-tid members (program order — cross pairs, and the
+        // fragments a task chain leaves in one (pid, bid) group). Across
+        // regions, prefix-related fork labels need the barrier-aware check
+        // per pair, and `depend` edges order task bodies whose labels
+        // alone say "concurrent".
+        let cross = match *task {
+            Task::Intra { .. } => None,
+            Task::Cross { all_concurrent, .. } => Some(all_concurrent),
+        };
+        let mut pairs = self.structure.owed(task);
+        pairs.retain(|(ma, mb)| {
+            ma.meta.size > 0
+                && mb.meta.size > 0
+                && ma.tid != mb.tid
+                && cross.is_none_or(|all_concurrent| {
+                    (all_concurrent || intervals_concurrent(ma, mb))
+                        && !dep_ordered(self.regions, ma, mb)
+                })
+        });
+
+        // Build in file-position order for the reader pool's sake.
+        let key = |m: &Interval| (m.tid, m.meta.data_begin);
+        let mut owing: Vec<&Interval> = pairs.iter().flat_map(|&(ma, mb)| [ma, mb]).collect();
+        owing.sort_by_key(|m| (m.meta.data_begin, m.tid));
+        owing.dedup_by_key(|m| key(m));
+        for member in &owing {
+            ctx.trees.ensure(self.dir, member, &mut ctx.pool, stats)?;
         }
-        Task::Cross { a, b, all_concurrent } => {
-            let ga = &groups[a];
-            let gb = &groups[b];
-            // Build in file-position order for the reader pool's sake.
-            let (first, second) = if ga.members.iter().map(|m| m.meta.data_begin).min()
-                <= gb.members.iter().map(|m| m.meta.data_begin).min()
-            {
-                (ga, gb)
-            } else {
-                (gb, ga)
-            };
-            let keys_first = ensure_group_trees(session, first, pool, trees, stats)?;
-            let keys_second = ensure_group_trees(session, second, pool, trees, stats)?;
-            let pinned: Vec<_> =
-                keys_first.iter().chain(keys_second.iter()).map(|(_, k)| *k).collect();
-            trees.evict(&pinned);
-            let t0 = Instant::now();
-            for &(ia, ka) in &keys_first {
-                for &(ib, kb) in &keys_second {
-                    let ma = &first.members[ia];
-                    let mb = &second.members[ib];
-                    if !all_concurrent && !intervals_concurrent(ma, mb) {
-                        continue;
-                    }
-                    if ma.tid == mb.tid {
-                        continue;
-                    }
-                    // Task dependence edges order whole task bodies; the
-                    // labels alone say "concurrent" for siblings, so the
-                    // `depend` partial order is layered on explicitly.
-                    if dep_ordered(&session.regions, ma, mb) {
-                        continue;
-                    }
-                    let (ta, tb) =
-                        (trees.get(&ka).expect("pinned"), trees.get(&kb).expect("pinned"));
-                    if ta.node_count() == 0 || tb.node_count() == 0 {
-                        continue;
-                    }
-                    stats.tree_pairs += 1;
-                    let pair_stats = check_pair(
-                        ta,
-                        ma,
-                        tb,
-                        mb,
-                        &CompareCtx { cache, tiers: &config.tiers },
-                        races,
-                        solver_hist,
-                        sites.as_mut(),
-                    );
-                    stats.candidates += pair_stats.candidates;
-                    stats.solver_calls += pair_stats.solver_calls;
-                    stats.prescreened += pair_stats.prescreened;
-                }
+        let pinned: Vec<_> = owing.iter().map(|m| key(m)).collect();
+        ctx.trees.evict(&pinned);
+
+        let t0 = Instant::now();
+        for (ma, mb) in pairs {
+            let (ta, tb) = (
+                ctx.trees.get(&key(ma)).expect("pinned"),
+                ctx.trees.get(&key(mb)).expect("pinned"),
+            );
+            if ta.node_count() == 0 || tb.node_count() == 0 {
+                continue;
             }
-            stats.compare_secs += t0.elapsed().as_secs_f64();
+            stats.tree_pairs += 1;
+            let pair_stats = check_pair(
+                ta,
+                ma,
+                tb,
+                mb,
+                &CompareCtx { cache: self.cache, tiers: &self.config.tiers },
+                races,
+                ctx.solver_hist.as_ref(),
+                ctx.sites.as_mut(),
+            );
+            stats.candidates += pair_stats.candidates;
+            stats.solver_calls += pair_stats.solver_calls;
+            stats.prescreened += pair_stats.prescreened;
         }
+        stats.compare_secs += t0.elapsed().as_secs_f64();
+        Ok(())
     }
-    Ok(())
 }

@@ -31,6 +31,7 @@ use crate::verdicts::VerdictCache;
 
 const ROOT: usize = 0;
 
+#[derive(Debug)]
 struct Node {
     parent: usize,
     /// The edge pair leading here from `parent` (unused at the root).
@@ -40,6 +41,7 @@ struct Node {
 }
 
 /// Trie over the fork labels of the regions inserted so far.
+#[derive(Debug)]
 pub(crate) struct RegionIndex {
     nodes: Vec<Node>,
     /// `(parent node, span, offset) → child node`.
@@ -120,19 +122,6 @@ impl RegionIndex {
             steps += 1;
         }
         self.counters.count_region_classifications(steps + out.len() as u64);
-        out
-    }
-
-    /// Every unordered region pair `(p, q, all_concurrent)`, `p < q`, that
-    /// is not ordered, sorted by `(p, q)`.
-    pub(crate) fn pairs(&self) -> Vec<(u64, u64, bool)> {
-        let mut out = Vec::new();
-        for &p in self.ends.keys() {
-            out.extend(
-                self.partners(p).into_iter().filter(|&(q, _)| p < q).map(|(q, c)| (p, q, c)),
-            );
-        }
-        out.sort_unstable();
         out
     }
 

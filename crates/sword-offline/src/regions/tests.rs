@@ -8,7 +8,7 @@ use sword_osl::{Label, Ordering, TASK_SPAN};
 use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir};
 
 use super::RegionIndex;
-use crate::intervals::{build_structure_with, Group, Task};
+use crate::intervals::{build_structure_with, session_rows, Group, Structure, Task};
 use crate::load::LoadedSession;
 use crate::verdicts::VerdictCache;
 
@@ -54,6 +54,19 @@ fn enumerate_all_pairs(session: &LoadedSession, groups: &[Group]) -> (Vec<Task>,
         }
     }
     (tasks, skipped, considered)
+}
+
+/// `tasks` as a sorted multiset.
+fn sorted(tasks: &[Task]) -> Vec<(usize, usize, Option<bool>)> {
+    let mut rows: Vec<_> = tasks
+        .iter()
+        .map(|t| match *t {
+            Task::Intra { group } => (group, group, None),
+            Task::Cross { a, b, all_concurrent } => (a, b, Some(all_concurrent)),
+        })
+        .collect();
+    rows.sort_unstable();
+    rows
 }
 
 /// A session of regions `0..forks.len()`: region `p` has fork label
@@ -147,10 +160,70 @@ proptest! {
         let session = session_of(&forks, shape);
         let built = build_structure_with(&session, &cache).unwrap();
         let (tasks, skipped, considered) = enumerate_all_pairs(&session, &built.groups);
-        prop_assert_eq!(&built.tasks, &tasks);
+        // A round emits per touched region, the reference per region
+        // pair: same tasks, another order (the scheduler re-sorts by file
+        // position either way).
+        prop_assert_eq!(sorted(&built.tasks), sorted(&tasks));
         prop_assert_eq!(built.region_pairs_skipped, skipped);
         prop_assert_eq!(built.region_pairs_considered, considered);
         prop_assert_eq!(cache.region_hits(), 0);
+    }
+}
+
+/// What `rounds` — the session's rows, dealt into rounds — leave behind:
+/// every member pair the rounds owed as `(tid, pid, bid)` identities
+/// (sorted), the tasks counted in their first round, and the structure.
+#[allow(clippy::type_complexity)]
+fn owed_over_rounds(
+    session: &LoadedSession,
+    rounds: Vec<Vec<(u32, MetaRecord)>>,
+) -> (Vec<[(u32, u64, u32); 2]>, usize, Structure) {
+    let mut structure = Structure::new(&VerdictCache::default());
+    let (mut pairs, mut tasks) = (Vec::new(), 0);
+    for rows in rounds {
+        structure.extend(&session.regions, rows).unwrap();
+        for task in &structure.tasks {
+            tasks += structure.first_round_of(task) as usize;
+            pairs.extend(structure.owed(task).into_iter().map(|(a, b)| {
+                let mut pair = [a, b].map(|m| (m.tid, m.meta.pid, m.meta.bid));
+                pair.sort_unstable();
+                pair
+            }));
+        }
+    }
+    pairs.sort_unstable();
+    (pairs, tasks, structure)
+}
+
+proptest! {
+    #[test]
+    fn any_cut_into_rounds_owes_each_pair_once(
+        forks in arb_forest(),
+        seed in 0usize..7,
+        deal in prop::collection::vec(0usize..6, 1..64),
+        rounds in 2usize..7,
+    ) {
+        let shape = |p| (1 + ((p + seed) % 3) as u64, 1 + ((p * seed) % 2) as u32);
+        let session = session_of(&forks, shape);
+        let rows: Vec<_> = session_rows(&session).collect();
+        let (want, want_tasks, one) = owed_over_rounds(&session, vec![rows.clone()]);
+        prop_assert_eq!(want_tasks, one.tasks.len(), "one round: every task is in its first");
+
+        // Row `i` goes to round `deal[i % len] % rounds`: any subset, not
+        // only prefixes, and some rounds stay empty.
+        let mut cut = vec![Vec::new(); rounds];
+        for (i, row) in rows.into_iter().enumerate() {
+            cut[deal[i % deal.len()] % rounds].push(row);
+        }
+        let (got, got_tasks, many) = owed_over_rounds(&session, cut);
+        let mut distinct = got.clone();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), got.len(), "a pair was owed twice");
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(got_tasks, want_tasks);
+        prop_assert_eq!(many.groups.len(), one.groups.len());
+        prop_assert_eq!(many.region_pairs_considered, one.region_pairs_considered);
+        prop_assert_eq!(many.region_pairs_skipped, one.region_pairs_skipped);
     }
 }
 
@@ -203,6 +276,7 @@ fn verdict_classes_at_one_node() {
     // 1: other slot, same generation; 2: next generation → ordered, absent;
     // 3: other span; 4: descendant; 5: ancestor.
     assert_eq!(of_zero, [(1, true), (3, true), (4, false), (5, false)]);
-    assert_eq!(index.pairs().len(), 12, "of 15 pairs, 0–2, 1–2 and 4–2 are ordered");
+    let partner_rows: usize = (0..forks.len() as u64).map(|p| index.partners(p).len()).sum();
+    assert_eq!(partner_rows, 2 * 12, "of 15 pairs, 0–2, 1–2 and 4–2 are ordered");
     assert_eq!(index.pair_count(), 15);
 }

@@ -7,9 +7,11 @@
 //! steps. Whatever the publish cadence, the final result must match the
 //! batch analyzer on the same data: same deduplicated race set with the
 //! same occurrence counts, and the same comparison-effort counters
-//! (`tree_pairs`, `candidate_pairs`, `solver_calls`). Tree *build*
-//! counters are exempt by design — the live path caches trees across
-//! polls instead of rebuilding per task.
+//! (`tree_pairs`, `candidate_pairs`, `solver_calls`). Batch is one round
+//! of the analyzer the polls run, so these tests check cut-invariance end
+//! to end. The tree-request counters (`trees_built`, `nodes`, `events`,
+//! `bytes_read`) are exempt: they count one request per task per round,
+//! so they depend on the cut — though never on the worker count.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -98,8 +100,8 @@ fn staged_replay(
 }
 
 /// The equivalence contract: identical race report and identical
-/// comparison effort (tree builds are allowed to differ — the live tree
-/// cache avoids the batch path's per-task rebuilds).
+/// comparison effort (tree requests are allowed to differ — a group that
+/// grows over several polls asks for its older members' trees again).
 fn assert_equivalent(live: &AnalysisResult, batch: &AnalysisResult) {
     let report = |r: &AnalysisResult| -> Vec<_> {
         r.races.iter().map(|x| (x.key, x.kind_a, x.kind_b, x.occurrences)).collect()
@@ -272,6 +274,99 @@ fn poll_cadence_is_invariant() {
         let live = staged_replay(&src, tag, &config, step);
         assert_equivalent(&live, &batch);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Many sequential racy regions: one round over the whole session has
+/// dozens of tasks, each with real trees to build.
+fn many_tasks_workload(sim: &OmpSim) {
+    let a = sim.alloc::<i64>(2048, 0);
+    let c = sim.alloc::<u64>(1, 0);
+    sim.run(|ctx| {
+        for _ in 0..32 {
+            ctx.parallel(3, |w| {
+                w.for_static(1..2048, |i| {
+                    let v = w.read(&a, i - 1);
+                    w.write(&a, i, v + 1);
+                });
+                w.write(&c, 0, w.team_index());
+            });
+        }
+    });
+}
+
+#[test]
+fn worker_count_never_changes_a_live_result() {
+    // `watch --workers N` runs every poll on N workers. One worker or
+    // four, per-worker tree caches or one: races, evidence and every
+    // count row — the logical tree requests included — must be equal.
+    let counts = |r: &AnalysisResult| sword_offline::AnalysisStats {
+        wall_secs: 0.0,
+        max_task_secs: 0.0,
+        ..r.stats
+    };
+    for (tag, program) in [
+        ("w-mixed", mixed_workload as fn(&OmpSim)),
+        ("w-tasking", tasking_workload),
+        ("w-many", many_tasks_workload),
+    ] {
+        let dir = record(tag, program);
+        let src = SessionDir::new(&dir);
+        for step in [1, 3, usize::MAX] {
+            let one = staged_replay(&src, &format!("{tag}-1"), &AnalysisConfig::sequential(), step);
+            let four = staged_replay(
+                &src,
+                &format!("{tag}-4"),
+                &AnalysisConfig::sequential().with_workers(4),
+                step,
+            );
+            assert_eq!(counts(&four), counts(&one), "{tag}, {step} rows per publish");
+            assert_eq!(evidence_chains(&src, &four), evidence_chains(&src, &one), "{tag}");
+            assert_equivalent(&four, &one);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn live_polls_run_on_the_worker_pool() {
+    // With two workers a poll deals its tasks to two threads, and each
+    // journals its task spans under its own name; an idle poll journals
+    // nothing on the pool at all.
+    use sword_obs::Obs;
+
+    let dir = record("pool", many_tasks_workload);
+    let src = SessionDir::new(&dir);
+    let obs = Obs::new();
+    let config = AnalysisConfig::sequential().with_workers(2).with_obs(obs.clone());
+    let mut live = LiveAnalyzer::new(&src, &config);
+    assert!(live.poll().expect("poll").finished, "a finished session is one poll");
+    let events = obs.journal.drain();
+    for worker in ["oa-worker-0", "oa-worker-1"] {
+        assert!(
+            events.iter().any(|e| e.name == "task" && &*e.thread == worker),
+            "no task span on {worker}"
+        );
+    }
+    assert!(!events.iter().any(|e| &*e.thread == "oa-worker-2"), "workers = 2 means two");
+    let tiny = record("pool-tiny", clean_workload);
+    let mut small = LiveAnalyzer::new(&SessionDir::new(&tiny), &config);
+    assert!(small.poll().expect("poll").tree_pairs > 0);
+    let events = obs.journal.drain();
+    assert!(
+        events.iter().all(|e| e.name != "task" || &*e.thread == "oa-worker-0"),
+        "a few kilobytes of log are analyzed where the poll runs"
+    );
+    std::fs::remove_dir_all(&tiny).unwrap();
+
+    let idle = live.poll().expect("idle poll");
+    assert_eq!(idle.new_intervals, 0);
+    let events = obs.journal.drain();
+    assert!(
+        events.iter().all(|e| &*e.thread == "live-poller"),
+        "an idle poll reached the pool: {:?}",
+        events.iter().map(|e| (&*e.thread, &*e.name)).collect::<Vec<_>>()
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
