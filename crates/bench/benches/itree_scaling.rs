@@ -1,9 +1,9 @@
 //! §III-B complexity — interval-tree construction and comparison.
 //!
-//! Criterion benchmarks validating the paper's complexity analysis:
-//! building a tree from `N` accesses is `O(N log N)`; comparing two
-//! trees of `M` nodes is `O(M log M)`; summarization makes `M ≪ N` for
-//! array sweeps.
+//! Criterion benchmarks of the summary tree's costs: building a tree from
+//! `N` accesses is `O(N + M log M)` (one fold, one sort); comparing two
+//! trees of `n` and `m` nodes is one sweep, `O(n + m + pairs)`;
+//! summarization makes `M ≪ N` for array sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sword_itree::{count_exact_overlaps, IntervalTree, SummarizingBuilder};

@@ -1,22 +1,23 @@
-//! Self-balancing interval trees for SWORD's offline race analysis.
+//! Static interval trees for SWORD's offline race analysis.
 //!
 //! The offline phase summarizes each thread's memory accesses within one
-//! barrier interval into an *augmented red-black interval tree* (§III-B of
-//! the paper): a node holds a strided interval — base address, stride,
-//! count, access size — plus the access metadata (R/W, program counter,
-//! mutex set, atomicity), so a contiguous or strided sweep over an array
-//! costs one node instead of one node per access. Race detection then
-//! compares the trees of concurrent threads: coarse `[begin, end)` overlap
-//! is found with the tree's `max_end` augmentation, and candidates are
+//! barrier interval into an *interval tree* (§III-B of the paper): a node
+//! holds a strided interval — base address, stride, count, access size —
+//! plus the access metadata (R/W, program counter, mutex set, atomicity),
+//! so a contiguous or strided sweep over an array costs one node instead
+//! of one node per access. Race detection then compares the trees of
+//! concurrent threads: coarse `[begin, end)` overlap is found by one merge
+//! sweep over the two trees' begin-sorted nodes, and candidates are
 //! confirmed with the exact strided-overlap constraint solve from
 //! [`sword_solver`].
 //!
-//! Complexity matches the paper's §III-B analysis: building a tree from
-//! `N` accesses is `O(N log N)`; comparing two trees with `M` nodes is
-//! `O(M log M)`; summarization makes `M ≤ N` (often `M ≪ N`). The build
-//! spends its `log` in one sort, not in `M` rebalancing inserts: the
-//! [`SummarizingBuilder`] appends nodes while it folds and links the
-//! red-black tree over the sorted arena when it finishes.
+//! The paper's tree is an augmented red-black tree because it is built by
+//! insertion. This one is not: the [`SummarizingBuilder`] appends nodes
+//! while it folds and sorts them once when it finishes, and a finished
+//! tree is never modified, so it is just the sorted node slice. Building
+//! a tree from `N` accesses is `O(N + M log M)`; comparing two trees of
+//! `n` and `m` nodes is `O(n + m + pairs)`, where `pairs` is the number of
+//! candidate pairs reported; summarization makes `M ≤ N` (often `M ≪ N`).
 //!
 //! # Example
 //!
@@ -119,14 +120,13 @@ struct MergeSlot {
 /// its (confirmed) arithmetic progression, which is exactly the shape
 /// instrumented array loops emit.
 ///
-/// Folding only appends: a new progression pushes an unlinked node, a
-/// retiring one overwrites its node's interval (the begin never moves),
-/// and [`finish`](SummarizingBuilder::finish) sorts the nodes once and
-/// links the balanced tree over them — nothing queries a tree under
-/// construction, so nothing pays for rebalancing one.
+/// Folding only appends: a new progression pushes a node, a retiring one
+/// overwrites its node's interval (the begin never moves), and
+/// [`finish`](SummarizingBuilder::finish) sorts the nodes once — nothing
+/// queries a tree under construction, so nothing pays for ordering one.
 #[derive(Clone, Debug)]
 pub struct SummarizingBuilder<K: Hash + Eq + Clone, V> {
-    /// Unlinked nodes in insertion order.
+    /// Nodes in insertion order.
     nodes: Vec<Node<V>>,
     /// Most-recent-first rings of live progressions, one per distinct
     /// key, indexed by [`SummarizingBuilder::index`].
@@ -285,9 +285,9 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     }
 
     /// Finishes the build: flushes open progressions and unconfirmed
-    /// pendings, then sorts the nodes and links the tree over them (see
-    /// the type's docs). The result is the tree that inserting every node
-    /// when it was created would have produced, in-order.
+    /// pendings, then sorts the nodes (see the type's docs). The result is
+    /// the tree that inserting every node when it was created would have
+    /// produced.
     pub fn finish(mut self) -> IntervalTree<V> {
         let rings = std::mem::take(&mut self.rings);
         for ring in rings {
@@ -363,33 +363,77 @@ fn match_slot(iv: &StridedInterval, pending: Option<u64>, addr: u64) -> SlotMatc
 }
 
 /// Visits every pair of intervals — one from each tree — whose coarse
-/// `[begin, end)` ranges overlap. This is the tree-vs-tree comparison of
-/// the paper's offline algorithm: each node of `a` performs an augmented
-/// search in `b`. The caller applies the exact strided/mutex/atomic race
+/// `[begin, end)` ranges overlap, each exactly once and in no promised
+/// order. This is the tree-vs-tree comparison of the paper's offline
+/// algorithm; the caller applies the exact strided/mutex/atomic race
 /// conditions to each candidate pair.
 pub fn for_each_candidate_pair<VA, VB, F>(a: &IntervalTree<VA>, b: &IntervalTree<VB>, mut f: F)
 where
     F: FnMut(&StridedInterval, &VA, &StridedInterval, &VB),
 {
-    for (_, ia, va) in a.iter() {
-        b.for_each_range_overlap(ia.begin(), ia.end(), |_, ib, vb| {
-            f(ia, va, ib, vb);
-        });
-    }
+    sweep(a.nodes(), b.nodes(), |x, y| f(&x.interval, &x.value, &y.interval, &y.value));
 }
 
 /// Like [`for_each_candidate_pair`], but hands the caller each node's
 /// cached stride-class [`Fingerprint`] so the congruence pre-screen can run
-/// during the walk without recomputing `base % stride` per pair.
+/// during the sweep without recomputing `base % stride` per pair.
 pub fn for_each_candidate_pair_fp<VA, VB, F>(a: &IntervalTree<VA>, b: &IntervalTree<VB>, mut f: F)
 where
     F: FnMut(&StridedInterval, Fingerprint, &VA, &StridedInterval, Fingerprint, &VB),
 {
-    for (ha, ia, va) in a.iter() {
-        let fa = a.fingerprint(ha);
-        b.for_each_range_overlap(ia.begin(), ia.end(), |hb, ib, vb| {
-            f(ia, fa, va, ib, b.fingerprint(hb), vb);
-        });
+    sweep(a.nodes(), b.nodes(), |x, y| {
+        let fx = Fingerprint::unpack(x.fp, &x.interval);
+        let fy = Fingerprint::unpack(y.fp, &y.interval);
+        f(&x.interval, fx, &x.value, &y.interval, fy, &y.value);
+    });
+}
+
+/// The join behind both candidate walks: one merge sweep over two
+/// begin-sorted slices, in O(n + m + pairs). Each side keeps the nodes it
+/// has passed that may still be open; a node meets the other side's open
+/// nodes when the sweep reaches its begin, after those that end at or
+/// before it are dropped. Equal begins take `a` first, so such a pair is
+/// met once, when its `b` node arrives.
+fn sweep<VA, VB>(a: &[Node<VA>], b: &[Node<VB>], mut f: impl FnMut(&Node<VA>, &Node<VB>)) {
+    let (mut open_a, mut open_b): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let take_a = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) => x.interval.begin() <= y.interval.begin(),
+            // One side is spent; the other still meets its open nodes.
+            (Some(_), None) if !open_b.is_empty() => true,
+            (None, Some(_)) if !open_a.is_empty() => false,
+            _ => break,
+        };
+        if take_a {
+            let x = &a[i];
+            meet(x.interval.begin(), &mut open_b, b, |y| f(x, y));
+            open_a.push(i as u32);
+            i += 1;
+        } else {
+            let y = &b[j];
+            meet(y.interval.begin(), &mut open_a, a, |x| f(x, y));
+            open_b.push(j as u32);
+            j += 1;
+        }
+    }
+}
+
+/// Drops from `open` the nodes of `other` that end at or before `begin`,
+/// and hands `f` the rest. Each of those began at or before `begin` and
+/// ends after it, so it overlaps the interval beginning there (intervals
+/// are never empty: [`StridedInterval::new`] refuses a zero size).
+#[inline]
+fn meet<V>(begin: u64, open: &mut Vec<u32>, other: &[Node<V>], mut f: impl FnMut(&Node<V>)) {
+    let mut k = 0;
+    while k < open.len() {
+        let node = &other[open[k] as usize];
+        if node.interval.end() <= begin {
+            open.swap_remove(k);
+        } else {
+            f(node);
+            k += 1;
+        }
     }
 }
 
@@ -438,15 +482,17 @@ mod tests {
     }
 
     #[test]
-    fn many_inserts_stay_balanced() {
+    fn many_inserts_stay_sorted() {
+        // Interleaved halves: every second insert lands mid-slice.
         let mut t = IntervalTree::new();
         for i in 0..4096u64 {
-            t.insert(iv(i * 8, 0, 0, 8), i);
+            let k = if i % 2 == 0 { i / 2 } else { 4096 - i / 2 };
+            t.insert(iv(k * 8, 0, 0, 8), i);
         }
         t.assert_invariants();
-        // RB height bound: ≤ 2·log2(n+1).
-        let bound = 2 * (usize::BITS - (t.len() + 1).leading_zeros()) as usize;
-        assert!(t.height() <= bound, "height {} exceeds RB bound {}", t.height(), bound);
+        let begins: Vec<u64> = t.iter().map(|(_, iv, _)| iv.begin()).collect();
+        assert!(begins.windows(2).all(|w| w[0] < w[1]), "strictly ascending, no key lost");
+        assert_eq!(begins.len(), 4096);
     }
 
     #[test]
@@ -628,14 +674,6 @@ mod proptests {
             .prop_map(|(b, st, c, sz)| StridedInterval::new(b, st, c, sz))
     }
 
-    /// Tree sizes for the link pass: anything up to 2,000, weighted
-    /// toward the exact powers of two ± 1 where the deepest level of the
-    /// midpoint tree goes from nearly full, to full, to one node.
-    fn arb_len() -> impl Strategy<Value = usize> {
-        let edges = (0..=10u32).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]).collect();
-        prop_oneof![0usize..=2000, prop::sample::select(edges)]
-    }
-
     fn inorder<V: Clone>(t: &IntervalTree<V>) -> Vec<(StridedInterval, V)> {
         t.iter().map(|(_, iv, v)| (*iv, v.clone())).collect()
     }
@@ -645,8 +683,8 @@ mod proptests {
     type RefSlot = (usize, StridedInterval, Option<u64>);
 
     /// The pre-bulk-link builder, kept as the reference `finish()` is
-    /// compared against: every node is `insert`ed into a red-black tree
-    /// the moment it is created — a fresh progression on arrival, an
+    /// compared against: every node is `insert`ed into the tree the
+    /// moment it is created — a fresh progression on arrival, an
     /// unconfirmed pending when its slot retires. Intervals only ever
     /// grow at the tail, so the reference keeps each node's final
     /// interval (and value) in `finals` and the tree holds its index.
@@ -783,15 +821,15 @@ mod proptests {
         #[test]
         fn bulk_link_equals_inserts(
             pool in prop::collection::vec((arb_iv(), 0u32..1000), 2000),
-            len in arb_len(),
+            len in 0usize..=2000,
             queries in prop::collection::vec((0u64..700, 0u64..100), 8),
             later in prop::collection::vec(arb_iv(), 50),
         ) {
             let seq = &pool[..len];
             let mut reference = IntervalTree::new();
             // The builder's usage: a node is pushed as a single access and
-            // its tail is extended in place afterwards, so `max_end` and
-            // `fp` are stale when the link pass starts.
+            // its tail is extended in place afterwards, so `fp` is stale
+            // when the link pass starts.
             let mut nodes = Vec::new();
             for &(iv, v) in seq {
                 reference.insert(iv, v);
@@ -801,8 +839,10 @@ mod proptests {
             let mut bulk = IntervalTree::link(nodes);
             bulk.assert_invariants();
             prop_assert_eq!(inorder(&bulk), inorder(&reference));
-            let log2_ceil = (len + 1).next_power_of_two().ilog2() as usize;
-            prop_assert!(bulk.height() <= log2_ceil, "height {} for {} nodes", bulk.height(), len);
+            // Sorted by (begin, insertion index): a stable sort of `seq`.
+            let mut stable = seq.to_vec();
+            stable.sort_by_key(|(iv, _)| iv.begin());
+            prop_assert_eq!(inorder(&bulk), stable);
             let hits = |t: &IntervalTree<u32>, lo, hi| -> Vec<(StridedInterval, u32)> {
                 t.range_overlaps(lo, hi).iter().map(|&h| (*t.interval(h), *t.value(h))).collect()
             };
@@ -810,7 +850,7 @@ mod proptests {
                 prop_assert_eq!(hits(&bulk, lo, lo + width), hits(&reference, lo, lo + width));
             }
             prop_assert_eq!(bulk.bounds(), reference.bounds());
-            // A bulk-linked tree is an ordinary red-black tree afterwards.
+            // A linked tree takes inserts like any other.
             for (i, iv) in later.iter().enumerate() {
                 bulk.insert(*iv, i as u32);
                 reference.insert(*iv, i as u32);

@@ -59,22 +59,18 @@ impl BiTree {
         self.tree.len()
     }
 
-    /// Approximate heap footprint of this summary tree, charged to the
-    /// analyzer's memory gauge while the tree is held (the Figure 6–8
-    /// offline-memory rows). An estimate — the interval tree's exact
-    /// allocation layout is private — counting per node the strided
-    /// interval, its metadata, and red-black bookkeeping (two child
-    /// links, parent, color word), plus the interned mutex sets.
-    pub fn approx_bytes(&self) -> u64 {
-        let per_node = std::mem::size_of::<sword_itree::StridedInterval>()
-            + std::mem::size_of::<AccessMeta>()
-            + 4 * std::mem::size_of::<usize>();
-        let sets: usize = self
-            .mutex_sets
-            .iter()
-            .map(|s| std::mem::size_of::<Vec<MutexId>>() + s.len() * std::mem::size_of::<MutexId>())
-            .sum();
-        (self.node_count() * per_node + sets) as u64
+    /// Heap bytes of this summary tree, charged to the analyzer's memory
+    /// gauge while the tree is held (the Figure 6–8 offline-memory rows):
+    /// the tree's node slice ([`IntervalTree::arena_bytes`]) plus the
+    /// interned mutex sets.
+    pub fn heap_bytes(&self) -> u64 {
+        let sets: usize = self.mutex_sets.capacity() * std::mem::size_of::<Vec<MutexId>>()
+            + self
+                .mutex_sets
+                .iter()
+                .map(|s| s.capacity() * std::mem::size_of::<MutexId>())
+                .sum::<usize>();
+        (self.tree.arena_bytes() + sets) as u64
     }
 
     /// `true` when the two metadata records can race access-wise: at
@@ -316,7 +312,9 @@ const TREE_CACHE_NODES: usize = 64 * 1024;
 /// the analysis core's tree store, one per worker, kept from round to
 /// round. Intervals compared by many tasks (or again by a later poll) are
 /// built once per cache instead of once per task, while the node budget
-/// keeps the per-worker memory bound.
+/// keeps the per-worker memory bound: a task trims the cache to budget
+/// before it builds, so a worker holds at most the budget plus one task's
+/// trees.
 pub(crate) struct TreeCache {
     entries: HashMap<(ThreadId, u64), CacheEntry>,
     clock: u64,
@@ -374,26 +372,25 @@ impl TreeCache {
         stats.events += tree.accesses;
         stats.bytes_read += tree.bytes_read;
         self.nodes_held += tree.node_count();
-        self.mem.alloc(tree.approx_bytes());
+        self.mem.alloc(tree.heap_bytes());
         self.entries.insert(key, CacheEntry { last_use: self.clock, tree });
         Ok(())
     }
 
-    /// Evicts least-recently-used trees until the node budget holds,
-    /// never touching the pinned keys (the task currently compared).
+    /// Evicts least-recently-used trees until the node budget holds or
+    /// only the pinned keys (the task about to be compared) are left.
+    /// Pinned keys need not be cached yet: a task trims before it builds.
     pub(crate) fn evict(&mut self, pinned: &[(ThreadId, u64)]) {
-        while self.nodes_held > TREE_CACHE_NODES && self.entries.len() > pinned.len() {
+        while self.nodes_held > TREE_CACHE_NODES {
             let victim = self
                 .entries
                 .iter()
                 .filter(|(k, _)| !pinned.contains(k))
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(k, _)| *k);
-            let Some(key) = victim else { break };
-            if let Some(e) = self.entries.remove(&key) {
-                self.nodes_held -= e.tree.node_count();
-                self.mem.free(e.tree.approx_bytes());
-            }
+            let Some(e) = victim.and_then(|key| self.entries.remove(&key)) else { break };
+            self.nodes_held -= e.tree.node_count();
+            self.mem.free(e.tree.heap_bytes());
         }
     }
 
@@ -409,7 +406,7 @@ impl Drop for TreeCache {
     /// tree memory.
     fn drop(&mut self) {
         for e in self.entries.values() {
-            self.mem.free(e.tree.approx_bytes());
+            self.mem.free(e.tree.heap_bytes());
         }
     }
 }
@@ -630,6 +627,175 @@ mod tests {
         assert_eq!(t1.node_count(), 1);
         assert_eq!(t2.node_count(), 1);
         assert_eq!(t2.tree.iter().next().unwrap().1.begin(), 0x8000);
+    }
+
+    /// A scratch session directory with one single-interval log per entry
+    /// of `logs` (tid = index), and the intervals naming them.
+    fn session_of(tag: &str, logs: &[Vec<Event>]) -> (SessionDir, Vec<Interval>) {
+        let path = std::env::temp_dir().join(format!("sword-build-{tag}-{}", std::process::id()));
+        let dir = SessionDir::new(path);
+        dir.create().unwrap();
+        let span = logs.len() as u64;
+        let members = (0..span)
+            .zip(logs)
+            .map(|(slot, events)| {
+                let bytes = encode(events);
+                let mut w = sword_trace::LogWriter::new(Vec::new());
+                w.write_block(&bytes).unwrap();
+                std::fs::write(dir.thread_log(slot as ThreadId), w.into_inner()).unwrap();
+                let meta = sword_trace::MetaRecord {
+                    pid: 0,
+                    ppid: None,
+                    bid: 0,
+                    offset: slot,
+                    span,
+                    level: 1,
+                    data_begin: 0,
+                    size: bytes.len() as u64,
+                };
+                let label = sword_osl::Label::root().fork(slot, span);
+                Interval { tid: slot as ThreadId, meta, label }
+            })
+            .collect();
+        (dir, members)
+    }
+
+    /// `n` xorshift64 words from `seed`.
+    fn random_words(n: u64, seed: u64) -> impl Iterator<Item = u64> {
+        let mut x = seed | 1;
+        (0..n).map(move |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+    }
+
+    /// `n` reads from one site at scattered addresses: about one node
+    /// each.
+    fn scattered(n: u64, seed: u64) -> Vec<Event> {
+        random_words(n, seed).map(|x| acc((x % (1 << 24)) * 8, AccessKind::Read, 1)).collect()
+    }
+
+    /// What a tree's mutex sets hold on the heap, counted independently
+    /// of [`BiTree::heap_bytes`].
+    fn set_bytes(t: &BiTree) -> u64 {
+        let inner: usize = t.mutex_sets.iter().map(|s| s.capacity() * 4).sum();
+        (t.mutex_sets.capacity() * std::mem::size_of::<Vec<MutexId>>() + inner) as u64
+    }
+
+    #[test]
+    fn tree_gauge_charges_the_node_slice_and_the_sets() {
+        let locked =
+            vec![Event::MutexAcquire(3), acc(0x40, AccessKind::Write, 2), Event::MutexRelease(3)];
+        let (dir, members) = session_of("gauge", &[scattered(1000, 7), locked]);
+        let mem = MemGauge::new();
+        let mut cache = TreeCache::new(mem.clone());
+        let (mut pool, mut stats) = (ReaderPool::new(), WorkerStats::default());
+        for m in &members {
+            cache.ensure(&dir, m, &mut pool, &mut stats).unwrap();
+        }
+        let expect: u64 = members
+            .iter()
+            .map(|m| cache.get(&(m.tid, 0)).unwrap())
+            .map(|t| t.tree.arena_bytes() as u64 + set_bytes(t))
+            .sum();
+        assert_eq!(mem.live(), expect);
+        // An interval, its metadata and a fingerprint: no link fields.
+        let t = cache.get(&(0, 0)).unwrap();
+        assert_eq!(t.tree.arena_bytes(), t.node_count() * 48);
+        drop(cache);
+        assert_eq!(mem.live(), 0);
+        assert_eq!(mem.peak(), expect);
+        std::fs::remove_dir_all(dir.path()).unwrap();
+    }
+
+    #[test]
+    fn evict_drops_unpinned_trees_when_the_pinned_ones_are_not_cached() {
+        // One cached tree over the node budget, and a task that names a
+        // tree not built yet: the trim runs before that build, so the
+        // cache holds fewer entries than the task pins and must still let
+        // the old tree go.
+        let big = TREE_CACHE_NODES as u64 + 1000;
+        let (dir, members) = session_of("evict", &[scattered(big, 11), scattered(10, 13)]);
+        let mem = MemGauge::new();
+        let mut cache = TreeCache::new(mem.clone());
+        let (mut pool, mut stats) = (ReaderPool::new(), WorkerStats::default());
+        cache.ensure(&dir, &members[0], &mut pool, &mut stats).unwrap();
+        assert!(cache.get(&(0, 0)).unwrap().node_count() > TREE_CACHE_NODES);
+        let pinned = [(1, 0), (2, 0)];
+        cache.evict(&pinned);
+        assert!(cache.get(&(0, 0)).is_none(), "the unpinned tree over budget is evicted");
+        assert_eq!(mem.live(), 0);
+        // A pinned tree over budget stays.
+        cache.ensure(&dir, &members[0], &mut pool, &mut stats).unwrap();
+        cache.evict(&[(0, 0)]);
+        assert!(cache.get(&(0, 0)).is_some());
+        std::fs::remove_dir_all(dir.path()).unwrap();
+    }
+
+    #[test]
+    fn cache_holds_one_tasks_trees_not_two() {
+        // The scatter shape: two threads gather through a random index
+        // table over two rounds, so every interval's tree is about one
+        // node per gather, and each round's trees exceed the cache's node
+        // budget. One analysis worker (the gauge is shared by workers, so
+        // with more the peak depends on how their tasks overlap): once a
+        // task's trees are built, the previous task's must be gone.
+        use sword_ompsim::SimConfig;
+        use sword_runtime::{run_collected, SwordConfig};
+
+        let n = 2 * (TREE_CACHE_NODES as u64 + 8192);
+        let table = n.next_power_of_two();
+        let idx: Vec<u64> =
+            random_words(n, 0x9E37_79B9_7F4A_7C15).map(|x| x & (table - 1)).collect();
+        let path = std::env::temp_dir().join(format!("sword-build-scatter-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        run_collected(SwordConfig::new(&path), SimConfig::default(), |sim| {
+            let src = sim.alloc::<u64>(table, 1);
+            let dst = sim.alloc::<u64>(n, 0);
+            sim.run(|ctx| {
+                ctx.parallel(2, |w| {
+                    for _round in 0..2 {
+                        w.for_static(0..n, |i| {
+                            let v = w.read(&src, idx[i as usize]);
+                            w.write(&dst, i, v);
+                        });
+                    }
+                });
+            });
+        })
+        .expect("collection");
+        let dir = SessionDir::new(&path);
+
+        // Each task's trees, built on their own.
+        let session = crate::LoadedSession::load(&dir).unwrap();
+        let structure = crate::intervals::build_structure(&session).unwrap();
+        let mut pool = ReaderPool::new();
+        let (mut largest, mut big_trees) = (0, 0);
+        for group in &structure.groups {
+            let trees: Vec<BiTree> = group
+                .members
+                .iter()
+                .filter(|m| m.meta.size > 0)
+                .map(|m| {
+                    let (begin, size) = (m.meta.data_begin, m.meta.size);
+                    pool.build(&dir, m.tid, begin, size, DEFAULT_CHUNK_BYTES).unwrap()
+                })
+                .collect();
+            if trees.len() < 2 {
+                continue;
+            }
+            big_trees += trees.iter().filter(|t| t.node_count() > TREE_CACHE_NODES).count();
+            largest = largest.max(trees.iter().map(BiTree::heap_bytes).sum::<u64>());
+        }
+        assert_eq!(big_trees, 4, "every gather interval's tree exceeds the budget on its own");
+
+        let config = crate::AnalysisConfig::sequential();
+        crate::analyze(&dir, &config).unwrap();
+        assert_eq!(config.mem_gauge.live(), 0);
+        assert_eq!(config.mem_gauge.peak(), largest, "peak holds exactly one task's trees");
+        std::fs::remove_dir_all(&path).unwrap();
     }
 
     #[test]

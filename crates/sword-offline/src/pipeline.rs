@@ -543,9 +543,10 @@ impl Round<'_> {
     }
 
     /// Executes one comparison task against the worker's tree cache:
-    /// settles the member pairs the round owes, ensures exactly the trees
-    /// those pairs name (built on miss, reused on hit), trims the cache to
-    /// budget with them pinned, and compares every pair out of the cache.
+    /// settles the member pairs the round owes, trims the cache to budget
+    /// with the trees those pairs name pinned, ensures exactly those trees
+    /// (built on miss, reused on hit), and compares every pair out of the
+    /// cache.
     fn run_task(
         &self,
         task: &Task,
@@ -574,16 +575,18 @@ impl Round<'_> {
                 })
         });
 
-        // Build in file-position order for the reader pool's sake.
+        // Trim before building, so the previous task's trees are not held
+        // beside this one's; build in file-position order for the reader
+        // pool's sake.
         let key = |m: &Interval| (m.tid, m.meta.data_begin);
         let mut owing: Vec<&Interval> = pairs.iter().flat_map(|&(ma, mb)| [ma, mb]).collect();
         owing.sort_by_key(|m| (m.meta.data_begin, m.tid));
         owing.dedup_by_key(|m| key(m));
+        let pinned: Vec<_> = owing.iter().map(|m| key(m)).collect();
+        ctx.trees.evict(&pinned);
         for member in &owing {
             ctx.trees.ensure(self.dir, member, &mut ctx.pool, stats)?;
         }
-        let pinned: Vec<_> = owing.iter().map(|m| key(m)).collect();
-        ctx.trees.evict(&pinned);
 
         let t0 = Instant::now();
         for (ma, mb) in pairs {
