@@ -57,31 +57,26 @@ use tree::Node;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Outcome of a [`SummarizingBuilder::insert_with`]. The [`NodeRef`]s are
-/// build-time identifiers — equal for accesses folded into one node,
-/// invalidated by [`SummarizingBuilder::finish`].
+/// Outcome of a [`SummarizingBuilder::insert_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergeOutcome {
-    /// The access extended an existing node (array sweep continuing).
-    Extended(NodeRef),
-    /// The access repeated the previous one exactly; nothing changed.
-    Duplicate(NodeRef),
+    /// The access extended a confirmed progression by one `stride`
+    /// (`stride > 0`). That progression is now the front slot of `ring`,
+    /// the key's ring of live progressions: rings are numbered densely in
+    /// the order their keys first arrive, and
+    /// [`SummarizingBuilder::extend_front`] takes the same number.
+    Extended {
+        /// The key's progression ring.
+        ring: u32,
+        /// The progression's stride, which the access extended it by.
+        stride: u64,
+    },
+    /// The access became a progression's unconfirmed second element.
+    Pending,
+    /// The access was already covered; nothing changed.
+    Duplicate,
     /// A fresh node was inserted.
-    New(NodeRef),
-}
-
-impl MergeOutcome {
-    /// The node now covering the access.
-    pub fn node(&self) -> NodeRef {
-        match *self {
-            MergeOutcome::Extended(n) | MergeOutcome::Duplicate(n) | MergeOutcome::New(n) => n,
-        }
-    }
-
-    /// `true` unless a fresh node was created.
-    pub fn merged(&self) -> bool {
-        !matches!(self, MergeOutcome::New(_))
-    }
+    New,
 }
 
 /// How many recent progressions per merge key the builder tracks. Two
@@ -233,16 +228,15 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
             let ring = &mut self.rings[ri];
             let result = match outcome {
                 SlotMatch::None => continue,
-                SlotMatch::Covered => MergeOutcome::Duplicate(slot.node),
+                SlotMatch::Covered | SlotMatch::PendingRepeat => MergeOutcome::Duplicate,
                 SlotMatch::Extend(extended) => {
                     ring[i] = Some(MergeSlot { node: slot.node, iv: extended, pending: None });
-                    MergeOutcome::Extended(slot.node)
+                    MergeOutcome::Extended { ring: ri as u32, stride: extended.stride }
                 }
                 SlotMatch::Pend => {
                     ring[i] = Some(MergeSlot { pending: Some(addr), ..slot });
-                    MergeOutcome::Extended(slot.node)
+                    MergeOutcome::Pending
                 }
-                SlotMatch::PendingRepeat => MergeOutcome::Duplicate(slot.node),
             };
             // Promote the hit to the front of the ring. A sweep hits the
             // front every time; skipping the no-op rotation keeps a slice
@@ -262,7 +256,22 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
         if let Some(slot) = retired {
             self.retire(slot);
         }
-        MergeOutcome::New(node)
+        MergeOutcome::New
+    }
+
+    /// Extends the front progression of `ring` by `k` more strides, and
+    /// counts `k` more accesses: what `k` further accesses of that ring's
+    /// key, each one stride past the progression's last element, would
+    /// do through [`insert_with`](Self::insert_with). The caller vouches
+    /// for that: the front slot holds a confirmed progression (the ring's
+    /// last outcome was [`MergeOutcome::Extended`]), and its last element
+    /// plus `k` strides plus the access size stays within the address
+    /// space.
+    #[inline]
+    pub fn extend_front(&mut self, ring: u32, k: u64) {
+        self.accesses += k;
+        let slot = self.rings[ring as usize][0].as_mut().expect("an extended ring's front slot");
+        slot.iv.count += k;
     }
 
     fn push(&mut self, iv: StridedInterval, value: V) -> NodeRef {
@@ -551,21 +560,57 @@ mod tests {
     #[test]
     fn builder_splits_on_stride_break() {
         let mut b: SummarizingBuilder<u32, ()> = SummarizingBuilder::new();
-        assert!(matches!(b.insert_with(1, 0, 8, || ()), MergeOutcome::New(_)));
-        assert!(matches!(b.insert_with(1, 8, 8, || ()), MergeOutcome::Extended(_)));
-        assert!(matches!(b.insert_with(1, 16, 8, || ()), MergeOutcome::Extended(_)));
+        assert!(matches!(b.insert_with(1, 0, 8, || ()), MergeOutcome::New));
+        assert_eq!(b.insert_with(1, 8, 8, || ()), MergeOutcome::Pending);
+        assert_eq!(b.insert_with(1, 16, 8, || ()), MergeOutcome::Extended { ring: 0, stride: 8 });
         // Jump breaks the progression.
-        assert!(matches!(b.insert_with(1, 100, 8, || ()), MergeOutcome::New(_)));
+        assert!(matches!(b.insert_with(1, 100, 8, || ()), MergeOutcome::New));
         assert_eq!(b.node_count(), 2);
+    }
+
+    #[test]
+    fn extend_front_equals_that_many_inserts() {
+        // Two keys, rings 0 and 1 in first-use order; key 1's ring holds a
+        // second progression behind its front one.
+        let prefix = |b: &mut SummarizingBuilder<u32, u32>| {
+            for i in 0..3u64 {
+                b.insert_with(1, 0x9000 + i * 16, 4, || 9);
+                b.insert_with(1, 0x1000 + i * 8, 4, || 1);
+                b.insert_with(2, 0x5000 + i * 32, 8, || 2);
+            }
+        };
+        let mut by_insert = SummarizingBuilder::new();
+        prefix(&mut by_insert);
+        for i in 3..1003u64 {
+            assert_eq!(
+                by_insert.insert_with(1, 0x1000 + i * 8, 4, || 0),
+                MergeOutcome::Extended { ring: 0, stride: 8 }
+            );
+            assert_eq!(
+                by_insert.insert_with(2, 0x5000 + i * 32, 8, || 0),
+                MergeOutcome::Extended { ring: 1, stride: 32 }
+            );
+        }
+        let mut by_extend = SummarizingBuilder::new();
+        prefix(&mut by_extend);
+        by_extend.extend_front(0, 1000);
+        by_extend.extend_front(1, 1000);
+        assert_eq!(by_extend.access_count(), by_insert.access_count());
+        let nodes = |b: SummarizingBuilder<u32, u32>| -> Vec<_> {
+            b.finish().iter().map(|(_, iv, v)| (*iv, *v)).collect()
+        };
+        let extended = nodes(by_extend);
+        assert_eq!(extended, nodes(by_insert));
+        assert_eq!(extended.len(), 3);
     }
 
     #[test]
     fn builder_duplicate_access() {
         let mut b: SummarizingBuilder<u32, ()> = SummarizingBuilder::new();
         b.insert_with(1, 40, 8, || ());
-        assert!(matches!(b.insert_with(1, 40, 8, || ()), MergeOutcome::Duplicate(_)));
+        assert!(matches!(b.insert_with(1, 40, 8, || ()), MergeOutcome::Duplicate));
         b.insert_with(1, 48, 8, || ());
-        assert!(matches!(b.insert_with(1, 48, 8, || ()), MergeOutcome::Duplicate(_)));
+        assert!(matches!(b.insert_with(1, 48, 8, || ()), MergeOutcome::Duplicate));
         assert_eq!(b.node_count(), 1);
     }
 
@@ -573,7 +618,7 @@ mod tests {
     fn builder_backward_access_starts_new_node() {
         let mut b: SummarizingBuilder<u32, ()> = SummarizingBuilder::new();
         b.insert_with(1, 100, 8, || ());
-        assert!(matches!(b.insert_with(1, 50, 8, || ()), MergeOutcome::New(_)));
+        assert!(matches!(b.insert_with(1, 50, 8, || ()), MergeOutcome::New));
         assert_eq!(b.node_count(), 2);
     }
 
@@ -585,9 +630,9 @@ mod tests {
         }
         // Re-reading an element already inside the progression adds
         // nothing.
-        assert!(matches!(b.insert_with(1, 24, 8, || ()), MergeOutcome::Duplicate(_)));
+        assert!(matches!(b.insert_with(1, 24, 8, || ()), MergeOutcome::Duplicate));
         // Off-stride revisit does not merge.
-        assert!(matches!(b.insert_with(1, 25, 8, || ()), MergeOutcome::New(_)));
+        assert!(matches!(b.insert_with(1, 25, 8, || ()), MergeOutcome::New));
         assert_eq!(b.node_count(), 2);
     }
 

@@ -6,17 +6,20 @@
 //! into strided interval-tree nodes, mutex acquire/release events maintain
 //! the held-lock set attached to each node. Only an event torn across a
 //! frame boundary is ever copied (into a small carry buffer); everything
-//! else decodes straight off the image's borrowed bytes.
+//! else decodes straight off the image's borrowed bytes. A loop body whose
+//! encoding repeats byte for byte is not decoded again: each repetition
+//! becomes one more stride on the progressions the body extends (the
+//! repeat step, DESIGN.md §5 "Repeated loop bodies").
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::io;
 use std::time::Instant;
 
-use sword_itree::{IntervalTree, SummarizingBuilder};
+use sword_itree::{IntervalTree, MergeOutcome, SummarizingBuilder};
 use sword_metrics::MemGauge;
 use sword_trace::{
-    AccessKind, Event, EventDecoder, ImageCache, LogSource, MappedLog, MutexId, PcId, SessionDir,
-    SourceStats, ThreadId,
+    AccessKind, Event, EventDecoder, ImageCache, LogSource, MappedLog, MemAccess, MutexId, PcId,
+    SessionDir, SourceStats, ThreadId,
 };
 
 use crate::intervals::Interval;
@@ -113,6 +116,86 @@ struct Fold {
     mutex_sets: Vec<Vec<MutexId>>,
     current_mset: u32,
     accesses: u64,
+    repeats: Repeats,
+}
+
+/// How many recent accesses the repeat step remembers; a loop body it
+/// folds has fewer accesses than this.
+const REPEAT_WINDOW: usize = 64;
+
+/// What the repeat step (DESIGN.md §5 "Repeated loop bodies") keeps of
+/// the accesses folded so far. Accesses are numbered from 0 in decode
+/// order; the repetitions it folds take no numbers.
+struct Repeats {
+    /// The last [`REPEAT_WINDOW`] accesses that extended a progression,
+    /// each at its number modulo the window. An access that extended
+    /// nothing leaves its entry stale, but it also ends the streak, so no
+    /// window reads that entry.
+    recent: [Extension; REPEAT_WINDOW],
+    /// Per builder ring: 1 + the number of the last access that extended
+    /// it, or 0 for none (or forgotten).
+    last: Vec<u64>,
+    /// Accesses numbered so far.
+    seen: u64,
+    /// Consecutive extending accesses, within this decode call and since
+    /// the last mutex event.
+    streak: u64,
+    /// No attempt before this access number: the backoff after a miss.
+    quiet_until: u64,
+}
+
+/// One access that extended a progression.
+#[derive(Clone, Copy, Default)]
+struct Extension {
+    ring: u32,
+    size: u8,
+    stride: u64,
+    addr: u64,
+    /// Byte offset of the access's encoding in the buffer being decoded.
+    start: usize,
+}
+
+impl Repeats {
+    fn new() -> Repeats {
+        Repeats {
+            recent: [Extension::default(); REPEAT_WINDOW],
+            last: Vec::new(),
+            seen: 0,
+            streak: 0,
+            quiet_until: 0,
+        }
+    }
+
+    /// Notes that access `n`, encoded from byte `start` on, extended the
+    /// front progression of `ring` by `stride`. Returns the number of the
+    /// ring's previous extension when the accesses after it, up to `n`,
+    /// are a window worth trying.
+    #[inline]
+    fn extended(
+        &mut self,
+        n: u64,
+        ring: u32,
+        stride: u64,
+        a: &MemAccess,
+        start: usize,
+    ) -> Option<u64> {
+        self.recent[n as usize % REPEAT_WINDOW] =
+            Extension { ring, size: a.size, stride, addr: a.addr, start };
+        self.streak += 1;
+        let ri = ring as usize;
+        if ri >= self.last.len() {
+            self.last.resize(ri + 1, 0);
+        }
+        let previous = std::mem::replace(&mut self.last[ri], n + 1);
+        let w = (n + 1).wrapping_sub(previous);
+        let worth =
+            previous != 0 && w <= self.streak && w < REPEAT_WINDOW as u64 && n >= self.quiet_until;
+        worth.then(|| previous - 1)
+    }
+
+    fn at(&self, n: u64) -> &Extension {
+        &self.recent[n as usize % REPEAT_WINDOW]
+    }
 }
 
 impl Fold {
@@ -123,34 +206,116 @@ impl Fold {
             mutex_sets: vec![Vec::new()],
             current_mset: 0,
             accesses: 0,
+            repeats: Repeats::new(),
         }
     }
 
-    fn apply(&mut self, event: Event) {
-        match event {
-            Event::Access(a) => {
-                self.accesses += 1;
-                let meta = AccessMeta { kind: a.kind, pc: a.pc, mset: self.current_mset };
-                self.builder.insert_with(
-                    (a.pc, a.kind.code(), a.size, self.current_mset),
-                    a.addr,
-                    a.size as u64,
-                    || meta,
-                );
+    /// Folds one access in. `start..end` is its encoding in `buf`; the
+    /// result is where decoding resumes: `end`, or past the repetitions
+    /// of a loop body the repeat step folded at once.
+    #[inline]
+    fn access(
+        &mut self,
+        a: MemAccess,
+        decoder: &mut EventDecoder,
+        buf: &[u8],
+        start: usize,
+        end: usize,
+    ) -> usize {
+        self.accesses += 1;
+        let n = self.repeats.seen;
+        self.repeats.seen += 1;
+        let meta = AccessMeta { kind: a.kind, pc: a.pc, mset: self.current_mset };
+        let outcome = self.builder.insert_with(
+            (a.pc, a.kind.code(), a.size, self.current_mset),
+            a.addr,
+            a.size as u64,
+            || meta,
+        );
+        let MergeOutcome::Extended { ring, stride } = outcome else {
+            self.repeats.streak = 0;
+            return end;
+        };
+        match self.repeats.extended(n, ring, stride, &a, start) {
+            Some(j) => self.fold_repeats(decoder, buf, end, n, j),
+            None => end,
+        }
+    }
+
+    /// The repeat step. Access `n` extended a ring whose previous
+    /// extension was access `j`, and every access of `j+1..=n` extended
+    /// one. If each of those extended a different ring, by the same
+    /// stride `d`, and `n` lies `d` above `j`, then their encoding
+    /// `buf[start(j+1)..end]` decoded from the state access `j` left, and
+    /// decodes from the state access `n` left to the same accesses `d`
+    /// higher: each one stride past its ring's front progression. So every
+    /// verbatim repetition of those bytes right after `end` is one more
+    /// stride on each of those progressions, which is what folding it
+    /// event by event would do. Applies all of them at once and returns
+    /// the position after the last; `end` when there are none.
+    #[inline(never)]
+    fn fold_repeats(
+        &mut self,
+        decoder: &mut EventDecoder,
+        buf: &[u8],
+        end: usize,
+        n: u64,
+        j: u64,
+    ) -> usize {
+        let r = &mut self.repeats;
+        let w = n - j;
+        let d = r.at(n).addr.wrapping_sub(r.at(j).addr);
+        // Repetitions stop before the first whose access would wrap the
+        // address space, so the per-event path raises that error at the
+        // same access.
+        let mut cap = u64::MAX;
+        for t in j + 1..=n {
+            let e = r.at(t);
+            if e.stride != d || r.last[e.ring as usize] != t + 1 {
+                r.quiet_until = n + w;
+                return end;
             }
+            cap = cap.min((u64::MAX - e.addr - u64::from(e.size)) / d);
+        }
+        // The streak keeps the window inside `buf`: it starts there.
+        let body = &buf[r.at(j + 1).start..end];
+        debug_assert!(!body.is_empty(), "a window holds at least one access");
+        let (mut k, mut pos) = (0u64, end);
+        while k < cap && buf[pos..].starts_with(body) {
+            k += 1;
+            pos += body.len();
+        }
+        if k == 0 {
+            r.quiet_until = n + w;
+            return end;
+        }
+        for t in j + 1..=n {
+            let ring = r.at(t).ring;
+            self.builder.extend_front(ring, k);
+            // Its recorded extension is no longer its last.
+            r.last[ring as usize] = 0;
+        }
+        self.accesses += k * w;
+        decoder.advance_addr(k * d);
+        pos
+    }
+
+    fn mutex(&mut self, event: Event) {
+        self.repeats.streak = 0;
+        match event {
             Event::MutexAcquire(m) => {
                 if let Err(at) = self.held.binary_search(&m) {
                     self.held.insert(at, m);
                 }
-                self.current_mset = intern_set(&mut self.mutex_sets, &self.held);
             }
             Event::MutexRelease(m) => {
                 if let Ok(at) = self.held.binary_search(&m) {
                     self.held.remove(at);
                 }
-                self.current_mset = intern_set(&mut self.mutex_sets, &self.held);
             }
+            Event::Access(_) => return,
         }
+        self.current_mset = intern_set(&mut self.mutex_sets, &self.held);
     }
 }
 
@@ -167,6 +332,8 @@ fn decode_events(
     more: bool,
     tid: ThreadId,
 ) -> io::Result<usize> {
+    // A repeated window lies within one buffer.
+    fold.repeats.streak = 0;
     let mut pos = 0usize;
     while pos < buf.len() {
         let mark = pos;
@@ -180,7 +347,8 @@ fn decode_events(
                     ),
                 ));
             }
-            Ok(event) => fold.apply(event),
+            Ok(Event::Access(a)) => pos = fold.access(a, decoder, buf, mark, pos),
+            Ok(event) => fold.mutex(event),
             Err(_) if more => {
                 // Partial event at the slice boundary: leave the tail for
                 // the next slice. The decoder consumed nothing usable
@@ -527,6 +695,35 @@ mod tests {
         // The last addressable bytes themselves are fine.
         let t = tree_from(&[acc(u64::MAX - 8, AccessKind::Write, 2)]);
         assert_eq!(t.tree.bounds(), Some((u64::MAX - 8, u64::MAX)));
+    }
+
+    #[test]
+    fn access_wrapping_the_address_space_at_the_end_of_a_repeated_run_is_invalid_data() {
+        // `a[i]; b[i]` whose `b` sweep reaches u64::MAX after 5,000
+        // iterations of one repeated body: the repeat step folds the run
+        // but stops short of the access that wraps, which is reported as
+        // the per-event fold reports it.
+        let top = u64::MAX - 8 * 5000 - 3;
+        let events: Vec<Event> = (0..6000u64)
+            .flat_map(|i| {
+                [
+                    acc(0x1000 + i * 8, AccessKind::Read, 1),
+                    acc(top.wrapping_add(i * 8), AccessKind::Write, 2),
+                ]
+            })
+            .collect();
+        let bytes = encode(&events);
+        for frame_bytes in [3, 1000, usize::MAX] {
+            let err = build_tree(&mut framed_log(&bytes, frame_bytes), 4, 0, bytes.len() as u64)
+                .expect_err("wrapping access");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let expect = "access at 0xfffffffffffffffc size 8 wraps the address space in tid 4";
+            assert_eq!(err.to_string(), expect, "frames of {frame_bytes}");
+        }
+        // One iteration fewer is a whole tree of two progressions.
+        let t = tree_from(&events[..2 * 5000]);
+        assert_eq!(t.accesses, 10_000);
+        assert_eq!(t.tree.bounds(), Some((0x1000, u64::MAX - 3)));
     }
 
     #[test]

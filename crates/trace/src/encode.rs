@@ -233,33 +233,72 @@ impl EventDecoder {
         self.prev_pc = 0;
     }
 
+    /// Moves the address state `delta` bytes up, as decoding a stretch of
+    /// events that ends `delta` bytes past the last address would. A
+    /// caller that skips bytes it knows to repeat an earlier stretch
+    /// shifted by `delta` keeps the decoder in step with the stream this
+    /// way; the PC state is the stretch's own and stays. The sum must not
+    /// wrap the address space.
+    #[inline]
+    pub fn advance_addr(&mut self, delta: u64) {
+        self.prev_addr += delta;
+    }
+
     /// Decodes one event from `buf[*pos..]`, advancing `pos`.
+    ///
+    /// `#[inline]`: the analyzer's per-event loop calls this from another
+    /// crate, and the release profile has no LTO.
+    #[inline]
     pub fn decode(&mut self, buf: &[u8], pos: &mut usize) -> Result<Event, CodecError> {
-        // Fast path for the 3-byte form (the encoder's hot shape at its
-        // shortest): a power-of-two-sized access whose address and PC
-        // deltas each fit one varint byte. Decodes without the varint
-        // loops; any condition miss falls through to the general path
-        // below, which re-reads from `*pos` and accepts exactly the same
-        // streams.
-        if let &[tag, b1, b2, ..] = &buf[*pos..] {
-            if tag & TAG_MUTEX_BIT == 0 && (tag >> 4) <= 4 && b1 < 0x80 && b2 < 0x80 {
-                if let Some(kind) = AccessKind::from_code((tag >> 1) & 0x3) {
-                    let addr = self.prev_addr.wrapping_add(unzigzag(b1 as u64) as u64);
-                    let pc_i = self.prev_pc as i64 + unzigzag(b2 as u64);
-                    if (0..=u32::MAX as i64).contains(&pc_i) {
-                        *pos += 3;
-                        self.prev_addr = addr;
-                        self.prev_pc = pc_i as u64;
-                        return Ok(Event::Access(MemAccess {
-                            addr,
-                            size: 1 << (tag >> 4),
-                            kind,
-                            pc: pc_i as u32,
-                        }));
-                    }
+        // Fast path for the encoder's hot shape (see `encode_access`): a
+        // power-of-two-sized access with a one-to-four-byte address varint
+        // and a one-byte PC varint, 3 to 6 bytes, read from one
+        // little-endian word while 8 bytes remain. Any condition miss —
+        // a longer varint, an explicit size, a mutex op, a PC out of range,
+        // a buffer tail — falls through to the general path, which reads
+        // from the untouched `*pos` and accepts exactly the same streams; a
+        // non-minimal varint (`0x80 0x00`) decodes to the same value on
+        // both. Nothing changes before every check has passed.
+        if let Some(&word) = buf.get(*pos..).and_then(|b| b.first_chunk::<8>()) {
+            let w = u64::from_le_bytes(word);
+            let tag = w as u8;
+            // The high bits of bytes 1..=4; the first clear one ends the
+            // address varint.
+            let stops = !w & 0x80_8080_8000;
+            if tag & TAG_MUTEX_BIT == 0 && tag >> 4 <= 4 && stops != 0 {
+                let n = stops.trailing_zeros() / 8; // address bytes, 1..=4
+                let zz_pc = (w >> (8 * (n + 1))) as u8;
+                let pc_i = self.prev_pc as i64 + unzigzag(zz_pc as u64);
+                let kind = AccessKind::from_code((tag >> 1) & 0x3);
+                if let (Some(kind), true) =
+                    (kind, zz_pc < 0x80 && (0..=u32::MAX as i64).contains(&pc_i))
+                {
+                    let z = w >> 8;
+                    let groups = (z & 0x7F)
+                        | (z >> 1 & 0x7F << 7)
+                        | (z >> 2 & 0x7F << 14)
+                        | (z >> 3 & 0x7F << 21);
+                    let zz_addr = groups & ((1 << (7 * n)) - 1);
+                    let addr = self.prev_addr.wrapping_add(unzigzag(zz_addr) as u64);
+                    *pos += 2 + n as usize;
+                    self.prev_addr = addr;
+                    self.prev_pc = pc_i as u64;
+                    return Ok(Event::Access(MemAccess {
+                        addr,
+                        size: 1 << (tag >> 4),
+                        kind,
+                        pc: pc_i as u32,
+                    }));
                 }
             }
         }
+        self.decode_general(buf, pos)
+    }
+
+    /// [`decode`](Self::decode) without its fast path: every event shape,
+    /// one field at a time.
+    #[inline]
+    fn decode_general(&mut self, buf: &[u8], pos: &mut usize) -> Result<Event, CodecError> {
         let tag = *buf.get(*pos).ok_or(CodecError::Truncated)?;
         *pos += 1;
         if tag & TAG_MUTEX_BIT != 0 {
@@ -616,12 +655,128 @@ mod tests {
     fn decode_fast_path_rejects_pc_underflow() {
         // A 3-byte access whose PC delta would drive the PC negative must
         // take the general path's error, not wrap: tag for size=8 write,
-        // addr delta 0, pc delta zigzag(-1) = 1.
-        let buf = [3u8 << 4 | Write.code() << 1, 0, 1];
+        // addr delta 0, pc delta zigzag(-1) = 1, then bytes enough for the
+        // word load.
+        let buf = [3u8 << 4 | Write.code() << 1, 0, 1, 0, 0, 0, 0, 0];
         let mut dec = EventDecoder::new();
         let mut pos = 0;
         assert!(matches!(dec.decode(&buf, &mut pos), Err(CodecError::Invalid)));
         assert_eq!(dec.prev_pc, 0, "failed decode must not update delta state");
+    }
+
+    /// Decodes one event of `bytes` from delta state `state` through
+    /// [`EventDecoder::decode`] and through the general path alone, and
+    /// checks that they agree on the result, the bytes consumed and the
+    /// state left — which a failed decode leaves as it was.
+    pub(super) fn decode_both_paths(bytes: &[u8], state: (u64, u64)) -> Result<Event, CodecError> {
+        let run = |general: bool| {
+            let mut dec = EventDecoder { prev_addr: state.0, prev_pc: state.1 };
+            let mut pos = 0;
+            let result = match general {
+                false => dec.decode(bytes, &mut pos),
+                true => dec.decode_general(bytes, &mut pos),
+            };
+            (result, pos, (dec.prev_addr, dec.prev_pc))
+        };
+        let (decoded, general) = (run(false), run(true));
+        assert_eq!(decoded, general, "{bytes:02x?} from {state:x?}");
+        if decoded.0.is_err() {
+            assert_eq!(decoded.2, state, "a failed decode changed the state: {bytes:02x?}");
+        }
+        decoded.0
+    }
+
+    #[test]
+    fn word_fast_path_decodes_what_the_general_path_decodes() {
+        let w8 = 3u8 << 4 | Write.code() << 1;
+        let expect = |addr: i64, size: u8, kind: AccessKind, pc: i64| {
+            move |(a, p): (u64, u64)| {
+                Ok(Event::Access(MemAccess::new(
+                    a.wrapping_add(addr as u64),
+                    size,
+                    kind,
+                    (p as i64 + pc) as u32,
+                )))
+            }
+        };
+        type Expect = Box<dyn Fn((u64, u64)) -> Result<Event, CodecError>>;
+        let cases: Vec<(&str, Vec<u8>, Expect)> = vec![
+            ("3-byte hot shape", vec![w8, 0x10, 0x02], Box::new(expect(8, 8, Write, 1))),
+            (
+                "6-byte hot shape",
+                vec![w8, 0xFE, 0xFF, 0xFF, 0x7F, 0x02],
+                Box::new(expect((1 << 27) - 1, 8, Write, 1)),
+            ),
+            (
+                "non-minimal 2-byte varint",
+                vec![w8, 0x80, 0x00, 0x02],
+                Box::new(expect(0, 8, Write, 1)),
+            ),
+            (
+                "non-minimal 4-byte varint",
+                vec![w8, 0x90, 0x80, 0x80, 0x00, 0x02],
+                Box::new(expect(8, 8, Write, 1)),
+            ),
+            ("two-byte PC varint", vec![w8, 0x10, 0x80, 0x01], Box::new(expect(8, 8, Write, 64))),
+            (
+                "five-byte address varint",
+                vec![w8, 0x80, 0x80, 0x80, 0x80, 0x01, 0x02],
+                Box::new(expect(1 << 27, 8, Write, 1)),
+            ),
+            ("explicit size", vec![5 << 4, 3, 0x10, 0x02], Box::new(expect(8, 3, Read, 1))),
+            ("size code 6", vec![6 << 4, 0x10, 0x02], Box::new(|_| Err(CodecError::Invalid))),
+            ("size code 7", vec![7 << 4 | 0x6, 0x10, 0x02], Box::new(|_| Err(CodecError::Invalid))),
+            // Bit 3 is no part of the kind code, on either path.
+            ("tag bit 3 set", vec![w8 | 0x08, 0x10, 0x02], Box::new(expect(8, 8, Write, 1))),
+            ("mutex acquire", vec![0x01, 0x05], Box::new(|_| Ok(Event::MutexAcquire(5)))),
+            ("mutex op 7", vec![0x0F, 0x05], Box::new(|_| Err(CodecError::Invalid))),
+        ];
+        // Address states either side of a wrap; PC states with room for
+        // every delta above.
+        let states = [(0, 0), (1 << 40, 1000), (u64::MAX - 3, 7), (5, u32::MAX as u64 - 64)];
+        for (what, bytes, expect) in &cases {
+            for state in states {
+                // A tail: fewer than 8 bytes in hand, the general path.
+                let tail = decode_both_paths(bytes, state);
+                // The same event with bytes after it: the word load.
+                let mut padded = bytes.clone();
+                padded.extend_from_slice(&[0xFF; 8]);
+                let word = decode_both_paths(&padded, state);
+                assert_eq!(word, tail, "{what} from {state:x?}");
+                assert_eq!(word, expect(state), "{what} from {state:x?}");
+            }
+        }
+        // The PC range check, below and above.
+        for (bytes, state) in
+            [(vec![w8, 0x10, 0x01], (0, 0)), (vec![w8, 0x10, 0x04], (0, u32::MAX as u64))]
+        {
+            let mut padded = bytes;
+            padded.extend_from_slice(&[0; 8]);
+            assert_eq!(decode_both_paths(&padded, state), Err(CodecError::Invalid));
+        }
+    }
+
+    #[test]
+    fn streams_ending_in_short_tails_decode_in_full() {
+        // Hot shapes of every length, so that each of the last events is
+        // decoded with 1 to 7 bytes left: every event boundary cut decodes
+        // to exactly the events before it.
+        let mut events = Vec::new();
+        let mut addr = 1u64 << 30;
+        for step in [8u64, 1 << 8, 1 << 15, 1 << 22, 8, 8, 1 << 15, 8, 1 << 22, 8] {
+            addr += step;
+            events.push(Event::Access(MemAccess::new(addr, 4, Read, 3)));
+        }
+        let mut enc = EventEncoder::new();
+        let (mut buf, mut ends) = (Vec::new(), Vec::new());
+        for e in &events {
+            enc.encode(e, &mut buf);
+            ends.push(buf.len());
+        }
+        assert!(ends.windows(2).any(|w| w[1] - w[0] == 6), "a 6-byte event");
+        for (i, &end) in ends.iter().enumerate() {
+            assert_eq!(EventDecoder::new().decode_all(&buf[..end]).unwrap(), events[..=i]);
+        }
     }
 
     #[test]
@@ -756,6 +911,18 @@ mod proptests {
             event.extend_from_slice(&varint);
             event.push(0); // the access's PC delta; a second event otherwise
             prop_assert_eq!(EventDecoder::new().decode_all(&event), Err(CodecError::Invalid));
+        }
+
+        /// `decode` and its general path agree on any bytes from any
+        /// state. Bytes below 0x80 are drawn often, so address and PC
+        /// varints end where the word fast path looks for their ends.
+        #[test]
+        fn decode_paths_agree_on_any_bytes(
+            bytes in prop::collection::vec(prop_oneof![any::<u8>(), 0u8..0x80], 0..24),
+            prev_addr in any::<u64>(),
+            prev_pc in prop_oneof![Just(0u64), any::<u32>().prop_map(u64::from), Just(u32::MAX as u64)],
+        ) {
+            super::tests::decode_both_paths(&bytes, (prev_addr, prev_pc)).ok();
         }
 
         /// Hot-shape encodings are byte-identical to the general path for
