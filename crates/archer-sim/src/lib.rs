@@ -13,9 +13,9 @@
 //! * **memory ∝ footprint** — the shadow map grows with every distinct
 //!   application word touched (4 cells ≈ 4× word bytes, before map
 //!   overhead), which is what drives it out of memory on large inputs;
-//!   an optional node-memory budget (`ArcherConfig::node_budget`, fed by a
-//!   `sword_metrics::NodeModel`) kills the analysis
-//!   mid-run exactly as the real tool is killed (Table IV's `OOM`);
+//!   an optional node-memory budget (`ArcherConfig::node_budget`: the
+//!   bytes a model node leaves for application plus tool) kills the
+//!   analysis mid-run exactly as the real tool is killed (Table IV's `OOM`);
 //! * **eviction misses** — a fifth access to a word evicts a random cell
 //!   (seeded RNG for reproducibility), losing e.g. the one write record
 //!   among many reads (§II's example, DataRaceBench's

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sword_metrics::MemGauge;
+use sword_obs::MemGauge;
 use sword_ompsim::{ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool};
 use sword_trace::{MemAccess, MutexId, PcId, PcTable, RegionId, ThreadId};
 

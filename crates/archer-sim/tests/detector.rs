@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use archer_sim::{ArcherConfig, ArcherTool};
+use archer_sim::{ArcherConfig, ArcherTool, EvictionPolicy};
 use sword_ompsim::{OmpSim, Sequencer};
 
 fn run_archer(config: ArcherConfig, program: impl FnOnce(&OmpSim)) -> Arc<ArcherTool> {
@@ -257,6 +257,30 @@ fn shadow_eviction_hides_racing_read_record() {
     );
 }
 
+/// §II on the two DataRaceBench kernels the paper discusses: ARCHER's
+/// miss is not an unlucky victim choice. Round-robin eviction loses the
+/// racing records every time, and random victims lose them for some seeds
+/// — the race "can be missed".
+#[test]
+fn eviction_misses_the_section_ii_races() {
+    use sword_workloads::{find_workload, RunConfig};
+    let races = |name: &str, eviction: EvictionPolicy| {
+        let w = find_workload(name).expect("workload exists");
+        let tool = run_archer(ArcherConfig { eviction, ..Default::default() }, |sim| {
+            w.execute(sim, &RunConfig::small())
+        });
+        tool.races().len()
+    };
+    for name in ["nowait-orig-yes", "privatemissing-orig-yes"] {
+        let truth = find_workload(name).expect("workload exists").spec().sword_races;
+        assert_eq!(races(name, EvictionPolicy::RoundRobin), 0, "{name}: round-robin hides all");
+        let missed = (0..8u64)
+            .filter(|seed| races(name, EvictionPolicy::Random(seed * 7 + 1)) < truth)
+            .count();
+        assert!(missed >= 1, "{name}: random eviction found all {truth} races in 8 of 8 seeds");
+    }
+}
+
 #[test]
 fn flush_shadow_reduces_memory() {
     let program = |sim: &OmpSim| {
@@ -498,7 +522,7 @@ fn mem_gauge_tracks_modeled_memory_live_and_peak() {
     // The config's gauge must report exactly what the figures plot: its
     // peak equals modeled_total_bytes(), and a shadow flush (archer-low)
     // pulls the live value back down while the peak survives.
-    let gauge = sword_metrics::MemGauge::new();
+    let gauge = sword_obs::MemGauge::new();
     let config =
         ArcherConfig { flush_shadow: true, mem_gauge: gauge.clone(), ..Default::default() };
     let tool = run_archer(config, |sim| {

@@ -61,13 +61,14 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use archer_sim::{ArcherConfig, ArcherTool};
 use sword_fuzz_gen::{run_fuzz, FuzzOptions};
-use sword_metrics::{format_bytes, Stopwatch, Table};
 use sword_obs::json::Value;
 use sword_obs::{
-    render_html, ExportFormat, HtmlInput, HtmlRace, JournalSink, Layer, Obs, ReportInput, SiteTable,
+    format_bytes, render_html, ExportFormat, HtmlInput, HtmlRace, JournalSink, Layer, Obs,
+    ReportInput, SiteTable, Table,
 };
 use sword_obs_http::{http_get, JsonFn, ServerConfig, TelemetryHandles, TelemetryServer};
 use sword_offline::{analyze, AnalysisConfig, LiveAnalyzer};
@@ -314,7 +315,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let cli_journal = obs.as_ref().map(|o| o.journal.for_thread(Layer::Cli, "cli"));
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let (_, stats) = run_collected(sword_cfg, SimConfig::default(), |sim| {
         // Scoped so the workload span closes (and is journaled) before
         // the collector finalizes and drains the rings to obs.jsonl.
@@ -323,7 +324,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         w.execute(sim, &cfg);
     })
     .map_err(|e| e.to_string())?;
-    println!("collected {} in {:.2}s", w.spec().name, sw.secs());
+    println!("collected {} in {:.2}s", w.spec().name, sw.elapsed().as_secs_f64());
     println!("  session:           {}", session.display());
     println!("  threads:           {}", stats.threads);
     println!("  parallel regions:  {}", stats.regions);
@@ -408,7 +409,7 @@ fn print_analysis(
         // The collector leaves its flush-path counters in the session
         // info file; older sessions without them just skip the table.
         if let Some(flush) =
-            session.read_info().ok().and_then(|info| sword_metrics::FlushSnapshot::from_info(&info))
+            session.read_info().ok().and_then(|info| sword_runtime::FlushSnapshot::from_info(&info))
         {
             println!("{}", flush.render());
         }
@@ -547,7 +548,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     };
 
     let mut live = LiveAnalyzer::new(&session, &config);
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let mut polls = 0u64;
     let timed_out = loop {
         let delta = live.poll().map_err(|e| e.to_string())?;
@@ -584,7 +585,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         } else if delta.new_intervals > 0 || delta.new_regions > 0 || delta.finished {
             println!(
                 "[watch {:6.1}s] +{} intervals, {} tree pairs, {} race(s) so far{}",
-                sw.secs(),
+                sw.elapsed().as_secs_f64(),
                 delta.new_intervals,
                 delta.tree_pairs,
                 delta.total_races,
@@ -597,7 +598,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         if delta.finished {
             break false;
         }
-        if timeout_secs > 0 && sw.secs() >= timeout_secs as f64 {
+        if timeout_secs > 0 && sw.elapsed().as_secs_f64() >= timeout_secs as f64 {
             break true;
         }
         std::thread::sleep(interval);
@@ -606,7 +607,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     if timed_out && !json {
         println!(
             "[watch] timeout after {:.1}s; session still in flight — partial results:",
-            sw.secs()
+            sw.elapsed().as_secs_f64()
         );
     }
     let result = live.into_result().map_err(|e| e.to_string())?;
@@ -977,9 +978,9 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     let name = w.spec().name;
 
     let sim = OmpSim::new();
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     w.execute(&sim, &cfg);
-    let base_secs = sw.secs();
+    let base_secs = sw.elapsed().as_secs_f64();
     let footprint = sim.peak_footprint();
 
     let mut table =
@@ -991,12 +992,12 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             Arc::new(ArcherTool::new(ArcherConfig { flush_shadow: flush, ..Default::default() }));
         let sim = OmpSim::with_tool(tool.clone());
         tool.attach_baseline_source(sim.footprint_handle());
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         w.execute(&sim, &cfg);
         let stats = tool.stats();
         table.row(&[
             label.into(),
-            format!("{:.3}s", sw.secs()),
+            format!("{:.3}s", sw.elapsed().as_secs_f64()),
             format_bytes(stats.modeled_total_bytes()),
             tool.races().len().to_string(),
         ]);
@@ -1004,12 +1005,12 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 
     let session = std::env::temp_dir().join(format!("sword-cmp-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&session);
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let (_, stats) = run_collected(SwordConfig::new(&session), SimConfig::default(), |sim| {
         w.execute(sim, &cfg);
     })
     .map_err(|e| e.to_string())?;
-    let da = sw.secs();
+    let da = sw.elapsed().as_secs_f64();
     let result = analyze(&SessionDir::new(&session), &AnalysisConfig::default())
         .map_err(|e| e.to_string())?;
     let _ = std::fs::remove_dir_all(&session);
@@ -1097,7 +1098,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     let obs = flags.has("obs").then(Obs::new);
     let fuzz_journal = obs.as_ref().map(|o| o.journal.for_thread(Layer::Cli, "fuzz"));
     let campaign_start = fuzz_journal.as_ref().map(|j| j.now_us());
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let every = (opts.iters / 10).max(25);
     let summary = run_fuzz(&opts, |i, so_far| {
         if (i + 1) % every == 0 {
@@ -1108,7 +1109,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
                 so_far.programs_with_races,
                 so_far.oracle_pairs,
                 so_far.failures.len(),
-                sw.secs()
+                sw.elapsed().as_secs_f64()
             );
             if let Some(j) = &fuzz_journal {
                 j.instant(
@@ -1247,7 +1248,7 @@ mod tests {
             .expect("run --stats");
         // The collector persisted its flush counters for `analyze --stats`.
         let info = SessionDir::new(&session).read_info().expect("info");
-        assert!(sword_metrics::FlushSnapshot::from_info(&info).is_some());
+        assert!(sword_runtime::FlushSnapshot::from_info(&info).is_some());
         run(&s(&["meta", session.to_str().unwrap()])).expect("meta");
         run(&s(&["analyze", session.to_str().unwrap(), "--workers", "1"])).expect("analyze");
         run(&s(&["analyze", session.to_str().unwrap(), "--json"])).expect("analyze --json");

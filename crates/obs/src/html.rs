@@ -10,9 +10,12 @@
 use std::fmt::Write as _;
 
 use crate::journal::Layer;
-use crate::report::PAPER_PER_THREAD_BOUND_BYTES;
-use crate::report::{format_bytes, last_metrics_snapshot, span_rows, ReportInput};
+use crate::report::{
+    last_metrics_snapshot, memory_rows, span_rows, ReportInput, BOUNDED_MEM_GAUGE,
+    PAPER_PER_THREAD_BOUND_BYTES,
+};
 use crate::sites::hot_sites_from_metrics;
+use crate::table::format_bytes;
 
 /// One race, pre-rendered by the analyzer for its dashboard card.
 #[derive(Clone, Debug)]
@@ -116,11 +119,7 @@ pub fn render_html(input: &HtmlInput) -> String {
 
     // --- Memory vs the paper bound ------------------------------------------
     let snapshot = last_metrics_snapshot(&input.report.events);
-    let mem_keys: Vec<(String, f64)> = snapshot
-        .iter()
-        .filter(|(k, _)| k.contains("bytes") && !k.starts_with("flush_"))
-        .cloned()
-        .collect();
+    let mem_keys = memory_rows(&snapshot);
     if !mem_keys.is_empty() {
         let threads =
             input.report.info.get("threads").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
@@ -128,7 +127,7 @@ pub fn render_html(input: &HtmlInput) -> String {
         out.push_str("<h2>Memory vs the paper's 3.3&nbsp;MB/thread bound</h2>\n<table>\n");
         for (name, value) in &mem_keys {
             let bytes = *value as u64;
-            let verdict = if bound > 0 && name.contains("mem") {
+            let verdict = if bound > 0 && name == BOUNDED_MEM_GAUGE {
                 if bytes <= bound {
                     format!(
                         "<span class=\"ok\">within</span> the {threads}&times;{} = {} bound",

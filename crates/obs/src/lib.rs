@@ -9,9 +9,14 @@
 //!   drained incrementally to a JSONL file next to the session so a
 //!   crashed run's telemetry survives for postmortem.
 //! - [`registry`]: named counter/gauge/histogram handles plus
-//!   read-on-demand sources wrapping the pre-existing ad-hoc metrics
-//!   (`FlushCounters`, `MemGauge`, pool occupancy), with Prometheus text
-//!   exposition and periodic snapshots appended to the journal.
+//!   read-on-demand sources over the layers' own cheap counters (the
+//!   collector's `sword_runtime::FlushCounters`, a [`MemGauge`], pool
+//!   occupancy), with Prometheus text exposition and periodic snapshots
+//!   appended to the journal.
+//! - [`MemGauge`]: the live/peak byte counter the analyzer's trees and
+//!   ARCHER's modeled shadow memory charge.
+//! - [`Table`] and [`format_bytes`]: the aligned text table and byte
+//!   formatting every plain-text report renders with.
 //! - [`export`]: `sword trace export --format chrome` renders the
 //!   journal as a Chrome `trace_event` timeline (one process row per
 //!   layer, one thread row per recording thread).
@@ -33,9 +38,11 @@ pub mod export;
 pub mod html;
 pub mod journal;
 pub mod json;
+mod mem_gauge;
 pub mod registry;
 pub mod report;
 pub mod sites;
+mod table;
 
 pub use export::{chrome_trace, write_chrome_trace, ExportFormat};
 pub use html::{render_html, HtmlInput, HtmlRace};
@@ -43,12 +50,14 @@ pub use journal::{
     read_journal, FlowPhase, Journal, JournalEvent, JournalRead, JournalSink, JournalTap, Layer,
     Span, ThreadJournal, DEFAULT_RING_CAPACITY,
 };
+pub use mem_gauge::MemGauge;
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use report::{
     histogram_rows, render_report, span_rows, HistogramRow, ReportInput, SpanRow,
     PAPER_PER_THREAD_BOUND_BYTES,
 };
 pub use sites::{hot_sites_from_metrics, HotSite, SiteCounters, SiteId, SiteStats, SiteTable};
+pub use table::{format_bytes, Table};
 
 /// One observability context: a journal plus a registry, shared by every
 /// layer of a run (the collector, the offline pass, and the CLI clone

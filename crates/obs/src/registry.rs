@@ -2,8 +2,9 @@
 //! read-on-demand source gauges, with Prometheus text exposition and
 //! journal snapshots.
 //!
-//! Existing ad-hoc metrics (`FlushCounters`, `MemGauge`, pool occupancy)
-//! are unified by registering *sources* — closures evaluated at
+//! The layers' own counters (`sword_runtime::FlushCounters`,
+//! [`MemGauge`](crate::MemGauge), pool occupancy) are unified by
+//! registering *sources* — closures evaluated at
 //! snapshot/exposition time — so the hot paths keep their cheap atomics
 //! and the registry is purely a naming and export layer over them.
 

@@ -7,6 +7,7 @@ use std::fmt::Write as _;
 
 use crate::journal::{JournalEvent, Layer};
 use crate::sites::hot_sites_from_metrics;
+use crate::table::format_bytes;
 
 /// The paper's per-thread tool-memory bound: two 25,000-event buffers
 /// plus runtime bookkeeping, quoted as "less than 3.3 MB per thread"
@@ -142,11 +143,7 @@ pub fn render_report(input: &ReportInput) -> String {
     }
 
     // --- Memory peaks vs the paper bound ----------------------------------
-    let mem_keys: Vec<(String, f64)> = snapshot
-        .iter()
-        .filter(|(k, _)| k.contains("bytes") && !k.starts_with("flush_"))
-        .cloned()
-        .collect();
+    let mem_keys = memory_rows(&snapshot);
     if !mem_keys.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "memory");
@@ -156,7 +153,7 @@ pub fn render_report(input: &ReportInput) -> String {
         for (name, value) in &mem_keys {
             let bytes = *value as u64;
             let mut line = format!("{name:<34} {:>12}", format_bytes(bytes));
-            if bound > 0 && name.contains("mem") {
+            if bound > 0 && name == BOUNDED_MEM_GAUGE {
                 let verdict = if bytes <= bound { "within" } else { "EXCEEDS" };
                 let _ = write!(
                     line,
@@ -299,19 +296,15 @@ pub fn last_metrics_snapshot(events: &[JournalEvent]) -> Vec<(String, f64)> {
     merged
 }
 
-/// Human-readable byte count; integral bytes below 1 KiB.
-pub(crate) fn format_bytes(bytes: u64) -> String {
-    const UNITS: [(&str, u64); 4] = [("GB", 1 << 30), ("MB", 1 << 20), ("KB", 1 << 10), ("B", 1)];
-    for (name, size) in UNITS {
-        if bytes >= size {
-            return if size == 1 {
-                format!("{bytes} {name}")
-            } else {
-                format!("{:.2} {}", bytes as f64 / size as f64, name)
-            };
-        }
-    }
-    "0 B".to_string()
+/// The one gauge the paper's per-thread bound judges: the collector's
+/// tool memory. The analyzer's tree gauges are offline memory, outside it.
+pub(crate) const BOUNDED_MEM_GAUGE: &str = "sword_collector_tool_mem_bytes";
+
+/// The memory gauges of a snapshot: the registry's `_mem_` rows. Traffic
+/// totals that count bytes (`sword_flush_raw_bytes`,
+/// `sword_exporter_bytes_total`, …) are not memory and stay out.
+pub(crate) fn memory_rows(snapshot: &[(String, f64)]) -> Vec<(String, f64)> {
+    snapshot.iter().filter(|(k, _)| k.contains("_mem_")).cloned().collect()
 }
 
 #[cfg(test)]
@@ -350,10 +343,14 @@ mod tests {
                 name: "metrics".into(),
                 t_us: 999,
                 dur_us: None,
+                // Registry names as the collector and analyzer publish
+                // them: the tree peak is over the 4-thread collector bound
+                // on purpose, and two byte totals are traffic, not memory.
                 args: vec![
                     ("sword_collector_tool_mem_bytes".into(), 2_000_000.0),
-                    ("sword_oa_tree_mem_bytes_peak".into(), 40_000.0),
-                    ("flush_raw_bytes".into(), 1.0),
+                    ("sword_analyzer_tree_mem_peak_bytes".into(), 40_000_000.0),
+                    ("sword_flush_raw_bytes".into(), 1_048_576.0),
+                    ("sword_exporter_bytes_total".into(), 4096.0),
                 ],
                 flow: None,
             },
@@ -371,14 +368,20 @@ mod tests {
         assert!(report.contains("flush path"));
         assert!(report.contains("ratio 4.00x"));
         assert!(report.contains("build-structure"));
-        assert!(report.contains("sword_collector_tool_mem_bytes"));
-        assert!(report.contains("within 4x3.30 MB"));
         assert!(report.contains("hottest spans"));
         assert!(report.contains("flush-handoff"));
         assert!(report.contains("WARNING: journal dropped 3 events at ring capacity"));
         assert!(report.contains("torn final line"));
-        // flush_ keys from snapshots are excluded from the memory table.
-        assert!(!report.contains("flush_raw_bytes        "));
+        // The memory section lists the `_mem_` gauges only, and judges
+        // the collector's gauge alone against the per-thread bound.
+        let line = |name: &str| report.lines().find(|l| l.starts_with(name)).map(str::to_string);
+        let collector = line("sword_collector_tool_mem_bytes").expect("collector gauge listed");
+        assert!(collector.contains("within 4x3.30 MB"), "{collector}");
+        let tree = line("sword_analyzer_tree_mem_peak_bytes").expect("tree gauge listed");
+        assert!(!tree.contains("bound"), "offline memory is not judged by it: {tree}");
+        assert!(!report.contains("EXCEEDS"), "{report}");
+        assert!(!report.contains("sword_flush_raw_bytes"), "traffic listed as memory:\n{report}");
+        assert!(!report.contains("sword_exporter_bytes_total"), "traffic as memory:\n{report}");
     }
 
     #[test]

@@ -5,14 +5,14 @@
 use std::io;
 use std::time::Instant;
 
-use sword_metrics::{DurationHist, MemGauge, StageTable};
-use sword_obs::{Layer, Obs, ThreadJournal};
+use sword_obs::{Layer, MemGauge, Obs, ThreadJournal};
 use sword_trace::{ImageCache, PcTable, SessionDir, SourceStats};
 
 use crate::intervals::session_rows;
 use crate::load::LoadedSession;
 use crate::pipeline::Core;
 use crate::race::{Race, RaceSet};
+use crate::stages::{DurationHist, StageTable};
 use crate::verdicts::VerdictCache;
 
 /// Shared per-tier decision counters (`sword_solver_tier{tier=…}`).

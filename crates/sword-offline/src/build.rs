@@ -16,7 +16,7 @@ use std::io;
 use std::time::Instant;
 
 use sword_itree::{IntervalTree, MergeOutcome, SummarizingBuilder};
-use sword_metrics::MemGauge;
+use sword_obs::MemGauge;
 use sword_trace::{
     AccessKind, Event, EventDecoder, ImageCache, LogSource, MappedLog, MemAccess, MutexId, PcId,
     SessionDir, SourceStats, ThreadId,

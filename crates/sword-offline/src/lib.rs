@@ -42,6 +42,7 @@ mod pipeline;
 pub mod race;
 mod regions;
 pub mod report;
+mod stages;
 pub mod verdicts;
 
 pub use analyze::{
@@ -51,4 +52,5 @@ pub use live::{LiveAnalyzer, PollDelta};
 pub use load::LoadedSession;
 pub use race::{AccessSite, Evidence, Race, RaceKey};
 pub use report::{render_explain, render_json, render_text};
+pub use stages::{DurationHist, StageMetrics, StageTable};
 pub use verdicts::VerdictCache;

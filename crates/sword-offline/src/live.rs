@@ -24,13 +24,13 @@ use std::fs::File;
 use std::io::{self, BufReader};
 use std::time::Instant;
 
-use sword_metrics::StageTable;
 use sword_obs::{Gauge, ThreadJournal};
 use sword_trace::{PcTable, RegionRecord, SessionDir, SessionPoller};
 
 use crate::analyze::{AnalysisConfig, AnalysisResult};
 use crate::pipeline::Core;
 use crate::race::Race;
+use crate::stages::StageTable;
 
 /// What one [`LiveAnalyzer::poll`] produced.
 #[derive(Clone, Debug, Default)]

@@ -42,7 +42,6 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sword_metrics::{DurationHist, StageTable};
 use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters, ThreadJournal};
 use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, ThreadId};
 
@@ -52,6 +51,7 @@ use crate::analyze::{
 use crate::build::{ReaderPool, TreeCache};
 use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
 use crate::race::{check_pair, CompareCtx, Race, RaceSet};
+use crate::stages::{DurationHist, StageTable};
 use crate::verdicts::VerdictCache;
 
 /// Most tasks a worker grabs from a victim's deque in one steal.

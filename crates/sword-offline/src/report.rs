@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use crate::analyze::{AnalysisResult, AnalysisStats};
     use crate::race::{Race, RaceKey};
-    use sword_metrics::{DurationHist, StageTable};
+    use crate::stages::{DurationHist, StageTable};
     use sword_trace::AccessKind;
 
     fn sample_hist(secs: &[f64]) -> DurationHist {

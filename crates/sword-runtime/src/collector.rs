@@ -47,7 +47,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
 use sword_compress::{encode_frame_into, Compressor};
-use sword_metrics::{FlushCounters, FlushSnapshot};
 use sword_obs::{FlowPhase, Gauge, Histogram, Journal, JournalSink, Layer, Obs, ThreadJournal};
 use sword_ompsim::{
     OmpSim, ParallelBeginInfo, SimConfig, TaskCreateInfo, TaskUid, ThreadContext, Tool,
@@ -57,6 +56,7 @@ use sword_trace::{
     SessionDir, ThreadId,
 };
 
+use crate::flush_stats::{FlushCounters, FlushSnapshot};
 use crate::pool::BufferPool;
 use crate::thread_log::{Hot, ThreadLog, MAX_EVENT_BYTES, PAPER_BUFFER_EVENTS};
 

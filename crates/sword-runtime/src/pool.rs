@@ -14,7 +14,7 @@
 //! When the budget is exhausted — I/O persistently slower than event
 //! production — [`BufferPool::acquire`] blocks until a worker returns a
 //! buffer. That stall is the system's backpressure (and is measured by the
-//! caller via [`sword_metrics::FlushCounters::add_stall`]); the
+//! caller via [`crate::FlushCounters::add_stall`]); the
 //! alternative, allocating past the budget, would break the paper's
 //! bounded-memory claim exactly when the run can least afford it.
 
@@ -193,7 +193,7 @@ mod tests {
         // strictly monotone across rounds — a regression to zero or a
         // plateau means backpressure is no longer being measured.
         let pool = Arc::new(BufferPool::new(32, 2));
-        let counters = sword_metrics::FlushCounters::default();
+        let counters = crate::FlushCounters::default();
         let mut last_stall = 0u64;
         for round in 0..3 {
             let held = (pool.acquire(), pool.acquire());

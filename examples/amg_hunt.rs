@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use sword::archer::{ArcherConfig, ArcherTool};
-use sword::metrics::{format_bytes, NodeModel};
+use sword::obs::format_bytes;
 use sword::offline::{analyze, AnalysisConfig};
 use sword::ompsim::{OmpSim, SimConfig};
 use sword::runtime::{run_collected, SwordConfig};
@@ -22,13 +22,16 @@ use sword::trace::SessionDir;
 use sword::workloads::hpc::{amg_baseline_bytes, amg_workload};
 use sword::workloads::{RunConfig, Workload};
 
+/// The model node: 64 MB, of which 1/32 is reserved for system software.
+const NODE_BYTES: u64 = 64 << 20;
+const NODE_AVAILABLE: u64 = NODE_BYTES - NODE_BYTES / 32;
+
 fn main() {
-    let node = NodeModel::with_total(64 << 20);
     let cfg = RunConfig { threads: 6, size: 0 };
     println!(
         "model node: {} total, {} available\n",
-        format_bytes(node.total_bytes),
-        format_bytes(node.available())
+        format_bytes(NODE_BYTES),
+        format_bytes(NODE_AVAILABLE)
     );
 
     for n in [20u64, 40] {
@@ -37,7 +40,7 @@ fn main() {
 
         // ARCHER on the model node.
         let tool = Arc::new(ArcherTool::new(ArcherConfig {
-            node_budget: Some(node.available()),
+            node_budget: Some(NODE_AVAILABLE),
             ..Default::default()
         }));
         let sim = OmpSim::with_tool(tool.clone());

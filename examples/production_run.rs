@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use sword::archer::{ArcherConfig, ArcherTool};
-use sword::metrics::{format_bytes, NodeModel, Placement};
+use sword::obs::format_bytes;
 use sword::offline::{analyze_loaded, AnalysisConfig, LoadedSession};
 use sword::ompsim::{OmpSim, SimConfig};
 use sword::runtime::{run_collected, SwordConfig};
@@ -25,6 +25,10 @@ use sword::trace::SessionDir;
 const DECLARED_ELEMS: u64 = 30_000_000; // 30M f64 = 240 MB declared
 const REAL_BACKING: usize = 1 << 15;
 const TOUCH_STRIDE: u64 = 64; // sparse refresh pass over the state
+
+/// The model node: 256 MB, of which 1/32 is reserved for system software.
+const NODE_BYTES: u64 = 256 << 20;
+const NODE_AVAILABLE: u64 = NODE_BYTES - NODE_BYTES / 32;
 
 fn production_program(sim: &OmpSim) {
     let state = sim.alloc_phantom::<f64>(DECLARED_ELEMS, REAL_BACKING, 1.0);
@@ -46,19 +50,18 @@ fn production_program(sim: &OmpSim) {
 }
 
 fn main() {
-    let node = NodeModel::with_total(256 << 20);
     let baseline = DECLARED_ELEMS * 8;
     println!(
         "node: {} ({} available) — application state: {} ({}% of node)\n",
-        format_bytes(node.total_bytes),
-        format_bytes(node.available()),
+        format_bytes(NODE_BYTES),
+        format_bytes(NODE_AVAILABLE),
         format_bytes(baseline),
-        baseline * 100 / node.total_bytes
+        baseline * 100 / NODE_BYTES
     );
 
     // Shadow-memory detector on this node: killed.
     let tool = Arc::new(ArcherTool::new(ArcherConfig {
-        node_budget: Some(node.available()),
+        node_budget: Some(NODE_AVAILABLE),
         ..Default::default()
     }));
     let sim = OmpSim::with_tool(tool.clone());
@@ -79,8 +82,7 @@ fn main() {
         production_program(sim);
     })
     .expect("collection");
-    let place = node.place(baseline, collect.tool_memory_bytes);
-    assert!(matches!(place, Placement::Fits { .. }));
+    assert!(baseline + collect.tool_memory_bytes <= NODE_AVAILABLE, "the run fits the node");
     println!(
         "sword: completed — {} events, {} bounded collector memory, {} logs on disk",
         collect.events,

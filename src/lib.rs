@@ -54,7 +54,6 @@
 //! | [`offline`] | `sword-offline` | the offline race analyzer (§III-B) |
 //! | [`archer`] | `archer-sim` | the ARCHER/TSan happens-before baseline |
 //! | [`workloads`] | `sword-workloads` | DRB / OmpSCR / HPC benchmark suites (§IV) |
-//! | [`metrics`] | `sword-metrics` | memory gauges, node model, timing |
 //! | [`obs`] | `sword-obs` | span journal, metrics registry, Chrome trace export, run reports |
 //! | [`fuzz`] | `sword-fuzz-gen` | generative differential testing: program fuzzer, race oracle, fault injection |
 
@@ -64,7 +63,6 @@ pub use archer_sim as archer;
 pub use sword_compress as compress;
 pub use sword_fuzz_gen as fuzz;
 pub use sword_itree as itree;
-pub use sword_metrics as metrics;
 pub use sword_obs as obs;
 pub use sword_offline as offline;
 pub use sword_ompsim as ompsim;
