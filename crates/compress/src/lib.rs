@@ -42,6 +42,7 @@ use std::io::{self, Read, Write};
 
 mod lz;
 
+use lz::max_decompressed_len;
 pub use lz::{compress, decompress, max_compressed_len, Compressor, DecodeError};
 
 /// Magic bytes opening every frame: "SWLZ".
@@ -172,12 +173,33 @@ impl<W: Write> FrameWriter<W> {
     }
 }
 
-/// A parsed frame header.
+/// A parsed frame header: what a reader needs to fetch and decode the
+/// payload that follows it.
 #[derive(Clone, Copy, Debug)]
-struct FrameHeader {
-    raw_len: usize,
-    payload_len: usize,
-    flags: u8,
+pub struct FrameHeader {
+    /// Uncompressed length of the frame's block.
+    pub raw_len: usize,
+    /// Payload bytes following the header.
+    pub payload_len: usize,
+    /// `true` when the payload *is* the block (stored uncompressed).
+    pub stored: bool,
+}
+
+/// Parses one frame header: the magic, both lengths and the flags. A
+/// stored frame must carry exactly its block, so a stored header whose
+/// lengths differ is rejected here, before any payload is read. Every
+/// frame reader goes through this one function.
+pub fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> io::Result<FrameHeader> {
+    if header[..4] != FRAME_MAGIC {
+        return Err(bad_data("bad frame magic"));
+    }
+    let raw_len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
+    let payload_len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+    let stored = header[12] & FLAG_STORED != 0;
+    if stored && payload_len != raw_len {
+        return Err(bad_data("stored frame length mismatch"));
+    }
+    Ok(FrameHeader { raw_len, payload_len, stored })
 }
 
 /// Reads frames produced by [`FrameWriter`].
@@ -212,14 +234,7 @@ impl<R: Read> FrameReader<R> {
             }
             got += n;
         }
-        if header[..4] != FRAME_MAGIC {
-            return Err(bad_data("bad frame magic"));
-        }
-        Ok(Some(FrameHeader {
-            raw_len: u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize,
-            payload_len: u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize,
-            flags: header[12],
-        }))
+        parse_header(&header).map(Some)
     }
 
     /// Uncompressed length of the next frame without consuming it, or
@@ -245,15 +260,12 @@ impl<R: Read> FrameReader<R> {
     /// Returns `Ok(None)` at a clean end of stream, the decompressed length
     /// otherwise.
     pub fn read_frame(&mut self, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
-        let Some(FrameHeader { raw_len, payload_len, flags }) = self.next_header()? else {
+        let Some(FrameHeader { raw_len, payload_len, stored }) = self.next_header()? else {
             return Ok(None);
         };
         self.payload.resize(payload_len, 0);
         self.inner.read_exact(&mut self.payload)?;
-        if flags & FLAG_STORED != 0 {
-            if payload_len != raw_len {
-                return Err(bad_data("stored frame length mismatch"));
-            }
+        if stored {
             out.extend_from_slice(&self.payload);
         } else {
             let before = out.len();
@@ -285,16 +297,16 @@ fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// One frame parsed *in place* from a byte image: the payload borrows the
-/// image, so stored frames can be consumed zero-copy and compressed frames
-/// decompressed straight into a caller-recycled arena. This is the
-/// decode-into counterpart of [`FrameReader`], for readers that hold a
-/// whole log image in memory instead of streaming it.
+/// One frame's payload, borrowed from wherever the reader holds it — a
+/// byte buffer [`parse_frame`] walks, or the payload buffer a
+/// frame-at-a-time reader filled — with what its header says about it.
+/// This is the decode-into counterpart of [`FrameReader`]: the block is
+/// decoded into a caller-recycled arena instead of appended to a stream.
 #[derive(Clone, Copy, Debug)]
 pub struct FrameView<'a> {
     /// Uncompressed length of the frame's block.
     pub raw_len: usize,
-    /// The frame's payload bytes, borrowed from the image.
+    /// The frame's payload bytes.
     pub payload: &'a [u8],
     /// `true` when the payload *is* the block (stored uncompressed).
     pub stored: bool,
@@ -303,11 +315,15 @@ pub struct FrameView<'a> {
 impl FrameView<'_> {
     /// Decompresses this frame's block into `arena`, replacing its
     /// contents but keeping its allocation — the recycled-arena decode
-    /// path. Stored frames copy; for those prefer using
-    /// [`FrameView::payload`] directly (no copy at all). Length-checked
-    /// like [`FrameReader::read_frame`].
+    /// path. The arena grows to exactly the block's length, so it never
+    /// holds more than the largest block it decoded. Stored frames copy;
+    /// for those prefer using [`FrameView::payload`] directly (no copy at
+    /// all). Length-checked like [`FrameReader::read_frame`].
     pub fn decode_into(&self, arena: &mut Vec<u8>) -> io::Result<()> {
         arena.clear();
+        // A corrupt header may claim more than the payload can decode to;
+        // reserve no more than that.
+        arena.reserve_exact(self.raw_len.min(max_decompressed_len(self.payload.len())));
         if self.stored {
             arena.extend_from_slice(self.payload);
         } else {
@@ -323,32 +339,22 @@ impl FrameView<'_> {
 
 /// Parses the frame starting at `buf[0]`, returning its borrowed
 /// [`FrameView`] and the total encoded bytes it occupies (header +
-/// payload). Returns `Ok(None)` on an empty `buf` (clean end of image).
+/// payload). Returns `Ok(None)` on an empty `buf` (clean end of the
+/// frames).
 ///
-/// A header torn mid-way is `InvalidData`; a payload extending past the
-/// image is `UnexpectedEof` — the same split [`FrameReader`] reports on a
-/// truncated stream, so mapped and streamed readers degrade alike.
+/// A header torn mid-way is `InvalidData`; a payload extending past
+/// `buf` is `UnexpectedEof` — the same split [`FrameReader`] reports on a
+/// truncated stream, so buffered and streamed readers degrade alike.
 pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(FrameView<'_>, usize)>> {
     if buf.is_empty() {
         return Ok(None);
     }
-    if buf.len() < FRAME_HEADER_LEN {
-        return Err(bad_data("truncated frame header"));
-    }
-    if buf[..4] != FRAME_MAGIC {
-        return Err(bad_data("bad frame magic"));
-    }
-    let raw_len = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
-    let payload_len = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-    let flags = buf[12];
+    let header = buf.get(..FRAME_HEADER_LEN).ok_or_else(|| bad_data("truncated frame header"))?;
+    let FrameHeader { raw_len, payload_len, stored } = parse_header(header.try_into().unwrap())?;
     let end =
         FRAME_HEADER_LEN.checked_add(payload_len).filter(|&end| end <= buf.len()).ok_or_else(
             || io::Error::new(io::ErrorKind::UnexpectedEof, "frame payload past end of image"),
         )?;
-    let stored = flags & FLAG_STORED != 0;
-    if stored && payload_len != raw_len {
-        return Err(bad_data("stored frame length mismatch"));
-    }
     Ok(Some((FrameView { raw_len, payload: &buf[FRAME_HEADER_LEN..end], stored }, end)))
 }
 

@@ -299,6 +299,13 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<(), DecodeError> {
     }
 }
 
+/// Most bytes [`decompress`] can produce from `input_len` bytes of
+/// stream. A literal adds one byte; a match adds at most 18 bytes for its
+/// token and two offset bytes, plus 255 for each byte of its 255-chain.
+pub(crate) fn max_decompressed_len(input_len: usize) -> usize {
+    input_len.saturating_mul(255)
+}
+
 /// Reads a 255-chain, refusing totals above `cap` (adversarial chains
 /// otherwise force huge downstream reservations).
 fn read_chain(input: &[u8], pos: &mut usize, cap: usize) -> Result<usize, DecodeError> {
@@ -434,6 +441,17 @@ mod tests {
         let mut out = b"prefix:".to_vec();
         decompress(&c, &mut out).unwrap();
         assert_eq!(out, b"prefix:hello world hello world");
+    }
+
+    #[test]
+    fn max_decompressed_len_holds() {
+        // Long zero runs are the codec's best case: one 255-chain byte
+        // per 255 output bytes.
+        let data = vec![0u8; 1 << 20];
+        let mut c = Vec::new();
+        compress(&data, &mut c);
+        assert!(data.len() <= max_decompressed_len(c.len()), "{} from {}", data.len(), c.len());
+        assert!(data.len() * 10 > max_decompressed_len(c.len()), "the bound is near-tight");
     }
 
     #[test]

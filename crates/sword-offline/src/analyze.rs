@@ -6,7 +6,7 @@ use std::io;
 use std::time::Instant;
 
 use sword_obs::{Layer, MemGauge, Obs, ThreadJournal};
-use sword_trace::{ImageCache, PcTable, SessionDir, SourceStats};
+use sword_trace::{PcTable, SessionDir, SourceStats};
 
 use crate::intervals::session_rows;
 use crate::load::LoadedSession;
@@ -87,13 +87,6 @@ pub struct AnalysisConfig {
     /// build and drop trees. Shared by `clone`;
     /// its peak is the analyzer's measured tree memory (Figures 6–8).
     pub mem_gauge: MemGauge,
-    /// Shared log-source activity counters (bytes mapped, arena reuse),
-    /// surfaced as registry rows when `--obs` is on.
-    pub source_stats: SourceStats,
-    /// Shared store of loaded log images: every worker's reader pool
-    /// draws from it, so each log file is read once per analysis rather
-    /// than once per worker. Fresh (empty) per config by default.
-    pub image_cache: ImageCache,
 }
 
 impl Default for AnalysisConfig {
@@ -106,8 +99,6 @@ impl Default for AnalysisConfig {
             obs: None,
             sites: None,
             mem_gauge: MemGauge::new(),
-            source_stats: SourceStats::new(),
-            image_cache: ImageCache::new(),
         }
     }
 }
@@ -190,23 +181,23 @@ impl AnalysisConfig {
     }
 
     /// Registers the analysis core's activity rows (idempotent, like
-    /// [`AnalysisConfig::register_mem_sources`]): log bytes mapped, arena
+    /// [`AnalysisConfig::register_mem_sources`]): log bytes read, arena
     /// recycling, and the verdict cache's hit accounting.
-    pub(crate) fn register_core_sources(&self, cache: &VerdictCache) {
+    pub(crate) fn register_core_sources(&self, sources: &SourceStats, cache: &VerdictCache) {
         if let Some(obs) = &self.obs {
-            let s = self.source_stats.clone();
+            let s = sources.clone();
             obs.registry.source(
-                "sword_log_mapped_bytes",
-                "Log bytes held as zero-copy in-memory images",
-                move || s.bytes_mapped() as f64,
+                "sword_log_read_bytes",
+                "Log bytes read from the thread log files (frame headers and fetched payloads)",
+                move || s.bytes_read() as f64,
             );
-            let s = self.source_stats.clone();
+            let s = sources.clone();
             obs.registry.source(
                 "sword_arena_reuse_total",
                 "Frame decodes that recycled an existing decompression arena",
                 move || s.arena_reuses() as f64,
             );
-            let s = self.source_stats.clone();
+            let s = sources.clone();
             obs.registry.source(
                 "sword_arena_alloc_total",
                 "Frame decodes that had to grow a decompression arena",

@@ -1,25 +1,28 @@
 //! Streaming construction of per-interval summary trees.
 //!
-//! An interval's events are pulled out of the log's zero-copy mapped
-//! image ([`MappedLog`]), decoded in place, and folded into a
+//! An interval's events are pulled out of the log one frame at a time
+//! ([`MappedLog`]), decoded in place, and folded into a
 //! [`SummarizingBuilder`]: consecutive same-provenance accesses collapse
 //! into strided interval-tree nodes, mutex acquire/release events maintain
 //! the held-lock set attached to each node. Only an event torn across a
 //! frame boundary is ever copied (into a small carry buffer); everything
-//! else decodes straight off the image's borrowed bytes. A loop body whose
+//! else decodes straight off the source's frame buffer. A loop body whose
 //! encoding repeats byte for byte is not decoded again: each repetition
 //! becomes one more stride on the progressions the body extends (the
 //! repeat step, DESIGN.md §5 "Repeated loop bodies").
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::io;
+use std::collections::VecDeque;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use sword_itree::{IntervalTree, MergeOutcome, SummarizingBuilder};
 use sword_obs::MemGauge;
 use sword_trace::{
-    AccessKind, Event, EventDecoder, ImageCache, LogSource, MappedLog, MemAccess, MutexId, PcId,
-    SessionDir, SourceStats, ThreadId,
+    AccessKind, Event, EventDecoder, LogSource, MappedLog, MemAccess, MutexId, PcId, SessionDir,
+    SourceStats, ThreadId,
 };
 
 use crate::intervals::Interval;
@@ -369,8 +372,8 @@ fn decode_events(
 /// Builds the summary tree for one barrier interval by streaming
 /// `[data_begin, data_begin + size)` out of `source`. Events decode
 /// directly from the source's borrowed slices.
-pub fn build_tree(
-    source: &mut MappedLog,
+pub fn build_tree<R: Read + Seek>(
+    source: &mut MappedLog<R>,
     tid: ThreadId,
     data_begin: u64,
     size: u64,
@@ -426,30 +429,89 @@ fn intern_set(sets: &mut Vec<Vec<MutexId>>, held: &[MutexId]) -> u32 {
     (sets.len() - 1) as u32
 }
 
-/// Per-worker pool of open log sources: random-access, so each thread's
-/// log is opened once.
-#[derive(Debug, Default)]
+/// Most thread-log files one analysis holds open at once, shared out
+/// among its workers' pools (see [`ReaderPool::sharing`]). Well under
+/// the usual 1024-descriptor soft limit, however many workers and
+/// threads a session has.
+pub const OPEN_LOGS_BUDGET: usize = 256;
+
+/// A thread-log file opened on first use and closable between reads. It
+/// keeps its position across a close, so the source over it never
+/// notices.
+#[derive(Debug)]
+struct LogFile {
+    path: PathBuf,
+    file: Option<File>,
+    pos: u64,
+}
+
+impl LogFile {
+    fn file(&mut self) -> io::Result<&mut File> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => {
+                let mut file = File::open(&self.path)?;
+                file.seek(SeekFrom::Start(self.pos))?;
+                file
+            }
+        };
+        Ok(self.file.insert(file))
+    }
+}
+
+impl Read for LogFile {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.file()?.read(buf)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
+impl Seek for LogFile {
+    fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+        self.pos = match (to, &self.file) {
+            (SeekFrom::Start(pos), None) => pos,
+            _ => self.file()?.seek(to)?,
+        };
+        Ok(self.pos)
+    }
+}
+
+/// Per-worker pool of log sources: random-access, so each thread's log
+/// is indexed once. A pool holds at most `max_open` files open; past
+/// that it closes the least recently read one, whose source keeps its
+/// frame index and reopens the file when it is read again.
+#[derive(Debug)]
 pub struct ReaderPool {
     stats: SourceStats,
-    /// Shared file images: pools cloned from one cache (all the workers
-    /// of one analysis) load each log once between them.
-    images: ImageCache,
-    sources: HashMap<ThreadId, MappedLog>,
+    sources: HashMap<ThreadId, MappedLog<LogFile>>,
+    /// Threads whose files may be open, least recently read first.
+    open: VecDeque<ThreadId>,
+    max_open: usize,
+}
+
+impl Default for ReaderPool {
+    fn default() -> Self {
+        ReaderPool::sharing(SourceStats::new(), OPEN_LOGS_BUDGET)
+    }
 }
 
 impl ReaderPool {
-    /// An empty pool with private counters and images.
+    /// An empty pool with private counters and the whole
+    /// [`OPEN_LOGS_BUDGET`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty pool reporting source activity into `stats` and sharing
-    /// file images through `images`.
-    pub fn sharing(stats: SourceStats, images: ImageCache) -> Self {
-        ReaderPool { stats, images, sources: HashMap::new() }
+    /// An empty pool reporting source activity into `stats` and holding
+    /// at most `max_open` (at least one) files open: a worker's share of
+    /// [`OPEN_LOGS_BUDGET`].
+    pub fn sharing(stats: SourceStats, max_open: usize) -> Self {
+        let max_open = max_open.max(1);
+        ReaderPool { stats, sources: HashMap::new(), open: VecDeque::new(), max_open }
     }
 
-    /// Builds the tree for one interval, opening the thread's log on
+    /// Builds the tree for one interval, indexing the thread's log on
     /// first use. `_chunk_bytes` is unused: [`MappedLog`] hands out
     /// frame-sized slices.
     pub fn build(
@@ -460,13 +522,22 @@ impl ReaderPool {
         size: u64,
         _chunk_bytes: usize,
     ) -> io::Result<BiTree> {
+        // Make room for this thread's file before it is opened.
+        if let Some(at) = self.open.iter().position(|&t| t == tid) {
+            self.open.remove(at);
+        } else if self.open.len() >= self.max_open {
+            let lru = self.open.pop_front();
+            if let Some(source) = lru.and_then(|t| self.sources.get_mut(&t)) {
+                source.get_mut().file = None;
+            }
+        }
+        self.open.push_back(tid);
         let source = match self.sources.entry(tid) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(MappedLog::open_cached(
-                &dir.thread_log(tid),
-                self.stats.clone(),
-                &self.images,
-            )?),
+            Entry::Vacant(e) => {
+                let file = LogFile { path: dir.thread_log(tid), file: None, pos: 0 };
+                e.insert(MappedLog::new(file, self.stats.clone())?)
+            }
         };
         build_tree(source, tid, data_begin, size)
     }
@@ -594,8 +665,8 @@ mod tests {
     }
 
     /// Writes `bytes` as a log of `frame_bytes`-sized frames (the last
-    /// may be shorter) and maps it.
-    fn framed_log(bytes: &[u8], frame_bytes: usize) -> MappedLog {
+    /// may be shorter) and opens it.
+    fn framed_log(bytes: &[u8], frame_bytes: usize) -> MappedLog<std::io::Cursor<Vec<u8>>> {
         let mut w = sword_trace::LogWriter::new(Vec::new());
         for block in bytes.chunks(frame_bytes) {
             w.write_block(block).unwrap();

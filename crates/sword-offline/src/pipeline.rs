@@ -43,12 +43,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters, ThreadJournal};
-use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, ThreadId};
+use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, ThreadId};
 
 use crate::analyze::{
     finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats,
 };
-use crate::build::{ReaderPool, TreeCache};
+use crate::build::{ReaderPool, TreeCache, OPEN_LOGS_BUDGET};
 use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
 use crate::race::{check_pair, CompareCtx, Race, RaceSet};
 use crate::stages::{DurationHist, StageTable};
@@ -255,6 +255,8 @@ pub(crate) struct Core {
     config: AnalysisConfig,
     /// The shared solver-witness memo.
     cache: VerdictCache,
+    /// Log-source counters every worker's reader pool charges.
+    sources: SourceStats,
     structure: Structure,
     /// One per worker thread a round has needed so far, at most
     /// `config.workers`.
@@ -275,12 +277,14 @@ impl Core {
     pub(crate) fn new(dir: &SessionDir, config: &AnalysisConfig, stages: StageTable) -> Core {
         config.register_mem_sources();
         let cache = VerdictCache::default();
-        config.register_core_sources(&cache);
+        let sources = SourceStats::new();
+        config.register_core_sources(&sources, &cache);
         Core {
             dir: dir.clone(),
             config: config.clone(),
             structure: Structure::new(&cache),
             cache,
+            sources,
             workers: Vec::new(),
             races: RaceSet::new(),
             stats: WorkerStats::default(),
@@ -364,7 +368,10 @@ impl Core {
         while self.workers.len() < threads {
             let wi = self.workers.len();
             self.workers.push(WorkerCtx {
-                pool: ReaderPool::sharing(config.source_stats.clone(), config.image_cache.clone()),
+                pool: ReaderPool::sharing(
+                    self.sources.clone(),
+                    OPEN_LOGS_BUDGET / config.workers.max(1),
+                ),
                 trees: TreeCache::new(config.mem_gauge.clone()),
                 journal: config.journal_for(format!("oa-worker-{wi}")),
                 solver_hist: config.solver_hist(),

@@ -6,9 +6,10 @@
 //! is what the collector writes through. [`LogReader`] is the paper's
 //! streaming algorithm (§III-B) in its plainest form: it streams frames
 //! forward, keeping only the window needed for the currently requested
-//! range. The analyzer reads through [`crate::MappedLog`] instead; this
-//! reader is the small reference its tests compare range contents
-//! against.
+//! range. The analyzer reads through [`crate::MappedLog`] instead, which
+//! indexes the frame headers once and then fetches only the frames a
+//! range touches, in any order; this reader is the small reference its
+//! tests compare range contents against.
 
 use std::io::{self, Read, Write};
 

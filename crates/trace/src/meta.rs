@@ -77,6 +77,11 @@ impl MetaRecord {
         if span == 0 {
             return Err(MetaParseError::BadField("span"));
         }
+        // The interval's end must be addressable: a range past u64::MAX
+        // would wrap every offset computed from it.
+        if data_begin.checked_add(size).is_none() {
+            return Err(MetaParseError::BadField("size"));
+        }
         Ok(MetaRecord { pid, ppid, bid, offset, span, level, data_begin, size })
     }
 }
@@ -211,20 +216,22 @@ pub fn write_meta<W: Write>(w: &mut W, records: &[MetaRecord]) -> io::Result<()>
     Ok(())
 }
 
-/// Reads all meta records from a reader.
+/// Reads all meta records from a reader. A bad row is an `InvalidData`
+/// error naming its 1-based line number, blank lines included.
 pub fn read_meta<R: BufRead>(r: R) -> io::Result<Vec<MetaRecord>> {
     let mut out = Vec::new();
-    for line in r.lines() {
+    for (i, line) in r.lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        out.push(
-            MetaRecord::parse_line(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        );
+        out.push(MetaRecord::parse_line(&line).map_err(|e| line_error(e, i + 1))?);
     }
     Ok(out)
+}
+
+fn line_error(e: MetaParseError, line: usize) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("{e} on line {line}"))
 }
 
 /// Writes region records line by line.
@@ -235,18 +242,16 @@ pub fn write_regions<W: Write>(w: &mut W, records: &[RegionRecord]) -> io::Resul
     Ok(())
 }
 
-/// Reads all region records from a reader.
+/// Reads all region records from a reader; a bad row errors like
+/// [`read_meta`]'s.
 pub fn read_regions<R: BufRead>(r: R) -> io::Result<Vec<RegionRecord>> {
     let mut out = Vec::new();
-    for line in r.lines() {
+    for (i, line) in r.lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        out.push(
-            RegionRecord::parse_line(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        );
+        out.push(RegionRecord::parse_line(&line).map_err(|e| line_error(e, i + 1))?);
     }
     Ok(out)
 }
@@ -302,6 +307,19 @@ mod tests {
         assert!(MetaRecord::parse_line("x\t-\t0\t0\t4\t1\t0\t0").is_err());
         // zero span invalid
         assert!(MetaRecord::parse_line("0\t-\t0\t0\t0\t1\t0\t0").is_err());
+    }
+
+    #[test]
+    fn meta_rejects_a_range_that_wraps_u64() {
+        // data_begin + size = u64::MAX still addresses; one more wraps.
+        let last = format!("0\t-\t0\t0\t2\t1\t{}\t5", u64::MAX - 5);
+        assert_eq!(MetaRecord::parse_line(&last).unwrap().size, 5);
+        let wraps = format!("0\t-\t0\t0\t2\t1\t{}\t20", u64::MAX - 5);
+        assert_eq!(MetaRecord::parse_line(&wraps), Err(MetaParseError::BadField("size")));
+        let file = format!("0\t-\t0\t0\t2\t1\t0\t10\n\n{wraps}\n");
+        let err = read_meta(file.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "invalid meta field `size` on line 3");
     }
 
     #[test]
@@ -456,6 +474,8 @@ mod proptests {
             any::<u64>(),
         )
             .prop_map(|(pid, ppid, bid, offset, span, level, data_begin, size)| {
+                // Valid rows address their end: data_begin + size fits u64.
+                let size = size.min(u64::MAX - data_begin);
                 MetaRecord { pid, ppid, bid, offset, span, level, data_begin, size }
             })
     }

@@ -1,39 +1,43 @@
 //! Log sources: how the offline phase gets at a thread's uncompressed
 //! event bytes.
 //!
-//! [`MappedLog`] holds the whole compressed log file as one immutable
-//! in-memory image with a frame index built from a header-only scan.
-//! Range reads hand out *borrowed* slices: stored frames are served
-//! straight from the image with no copy at all, compressed frames are
-//! decompressed into one recycled per-source arena
-//! ([`sword_compress::FrameView::decode_into`]) and served from there.
-//! Random access is free, so a reader pool never reopens a log. This
-//! crate forbids `unsafe`, so the image is one `fs::read` where a real
-//! `mmap(2)` would slot in — same single allocation, same zero-copy
-//! reads off it.
+//! [`MappedLog`] reads a log one frame at a time, where the frame lies.
+//! Opening a log scans its frame headers only and keeps a few bytes of
+//! index per frame; the payloads stay on disk. A range read seeks to
+//! each frame it touches and reads that frame's payload into one
+//! recycled per-source buffer: a stored frame lands there as it is, a
+//! compressed frame is read into a payload buffer and decoded into it
+//! ([`sword_compress::FrameView::decode_into`]). So a source holds one
+//! frame's block and payload plus its index, however long the log is,
+//! and the same source serves random-access ranges for the whole
+//! analysis. A read past the indexed prefix resumes the header scan over
+//! whatever the file has grown by, which is how a live log is followed.
 //!
 //! Torn or truncated logs degrade to clean errors, raised when a read
 //! first reaches the damage. The forward-streaming [`crate::LogReader`]
 //! is the reference the tests hold range contents against.
 
-use std::collections::HashMap;
-use std::fs;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufReader, Cursor, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use sword_compress::parse_frame;
+use sword_compress::{parse_header, FrameView, FRAME_HEADER_LEN};
+
+/// Buffer of the header scan: a run of small compressed frames is
+/// indexed from one read.
+const SCAN_BUF_BYTES: usize = 8 * 1024;
 
 /// Shared counters of log-source activity, updated by every source that
 /// was opened with a clone of the same stats handle. The offline layer
-/// surfaces these as registry rows (bytes mapped, arena reuse).
+/// surfaces these as registry rows (bytes read, arena reuse).
 #[derive(Clone, Debug, Default)]
 pub struct SourceStats(Arc<SourceStatsInner>);
 
 #[derive(Debug, Default)]
 struct SourceStatsInner {
-    bytes_mapped: AtomicU64,
+    bytes_read: AtomicU64,
     arena_reuses: AtomicU64,
     arena_allocs: AtomicU64,
 }
@@ -44,9 +48,10 @@ impl SourceStats {
         Self::default()
     }
 
-    /// Total log bytes held as in-memory images across all opens.
-    pub fn bytes_mapped(&self) -> u64 {
-        self.0.bytes_mapped.load(Ordering::Relaxed)
+    /// Log bytes read from the backing readers: frame headers while
+    /// indexing, and the payload of every frame a range read fetched.
+    pub fn bytes_read(&self) -> u64 {
+        self.0.bytes_read.load(Ordering::Relaxed)
     }
 
     /// Frame decompressions that landed in an already-sized arena
@@ -60,8 +65,8 @@ impl SourceStats {
         self.0.arena_allocs.load(Ordering::Relaxed)
     }
 
-    fn add_mapped(&self, bytes: u64) {
-        self.0.bytes_mapped.fetch_add(bytes, Ordering::Relaxed);
+    fn add_read(&self, bytes: usize) {
+        self.0.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     fn count_decode(&self, reused: bool) {
@@ -86,163 +91,163 @@ pub trait LogSource {
     ) -> io::Result<()>;
 }
 
-/// One frame of a [`MappedLog`] image.
+/// Where one frame of a [`MappedLog`] lies.
 #[derive(Clone, Copy, Debug)]
 struct FrameEntry {
     /// Uncompressed offset of the frame's first byte.
     raw_begin: u64,
+    /// Offset of the frame's payload in the backing reader.
+    payload_pos: u64,
     /// Uncompressed length.
     raw_len: u32,
-    /// Payload byte range within the image.
-    payload_begin: usize,
     payload_len: u32,
-    /// Payload is the block itself (stored frame): serve it zero-copy.
+    /// The payload is the block itself (stored frame).
     stored: bool,
 }
 
-/// Shared store of loaded log images, keyed by path. Each analysis
-/// worker opens its own [`MappedLog`] per thread log (sources are
-/// stateful: they hold a private decode arena), but the underlying file
-/// image is immutable — sharing it here means a session's logs are read
-/// and held once per analysis instead of once per worker, the way a real
-/// `mmap(2)` would share pages between readers of one file.
-#[derive(Clone, Debug, Default)]
-pub struct ImageCache(Arc<Mutex<HashMap<std::path::PathBuf, Arc<Vec<u8>>>>>);
-
-impl ImageCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The image for `path`, loading it on first request. `stats`
-    /// charges `bytes_mapped` only on an actual load.
-    fn load(&self, path: &Path, stats: &SourceStats) -> io::Result<Arc<Vec<u8>>> {
-        let mut map = self.0.lock().expect("image cache lock");
-        if let Some(image) = map.get(path) {
-            return Ok(Arc::clone(image));
-        }
-        let image = Arc::new(fs::read(path)?);
-        stats.add_mapped(image.len() as u64);
-        map.insert(path.to_path_buf(), Arc::clone(&image));
-        Ok(image)
-    }
-}
-
-/// Whole-file immutable log image with zero-copy range reads.
+/// A thread log read frame by frame from its backing reader (module
+/// docs): a file for the analyzer, a [`Cursor`] over bytes in tests.
 #[derive(Debug)]
-pub struct MappedLog {
-    /// Backing file, when there is one: lets a live (still-growing) log
-    /// remap its appended tail on demand. `None` for fixed images.
-    path: Option<std::path::PathBuf>,
-    image: Arc<Vec<u8>>,
+pub struct MappedLog<R = File> {
+    reader: R,
     index: Vec<FrameEntry>,
     /// Uncompressed length covered by `index` (the valid prefix).
     raw_len: u64,
-    /// Image offset where the frame scan stopped (resumes here after a
-    /// remap appends more bytes).
-    scan_pos: usize,
-    /// Why the index scan stopped early, if it did; reads past `raw_len`
-    /// reproduce this error — when the torn region is first reached —
-    /// instead of failing eagerly at open.
+    /// Reader offset where the frame scan stopped; the next scan resumes
+    /// here.
+    scan_pos: u64,
+    /// Why the last scan stopped short of the reader's end, if it did;
+    /// reads past `raw_len` reproduce this error — when the torn region
+    /// is first reached — instead of failing eagerly at open.
     tail_error: Option<(io::ErrorKind, String)>,
-    /// Recycled decompression arena and the frame it currently holds.
-    arena: Vec<u8>,
-    arena_frame: Option<usize>,
+    /// The block of frame `block_frame`, recycled from frame to frame.
+    block: Vec<u8>,
+    block_frame: Option<usize>,
+    /// A compressed frame's payload, read here and decoded into `block`.
+    payload: Vec<u8>,
     stats: SourceStats,
 }
 
 impl MappedLog {
-    /// Maps the log file at `path` into memory and indexes its frames.
-    /// The mapping refreshes itself if the file grows (live sessions).
+    /// Opens the log file at `path` and indexes its frames. Reads past
+    /// the indexed prefix pick up whatever the file has grown by (live
+    /// sessions).
     pub fn open(path: &Path, stats: SourceStats) -> io::Result<MappedLog> {
-        let mut log = Self::from_bytes(fs::read(path)?, stats);
-        log.path = Some(path.to_path_buf());
-        Ok(log)
+        MappedLog::new(File::open(path)?, stats)
     }
+}
 
-    /// Like [`MappedLog::open`], but the file image comes from (and is
-    /// left in) `cache`: sources opened through the same cache share one
-    /// image per file. Only the frame index and decode arena are
-    /// per-source.
-    pub fn open_cached(
-        path: &Path,
-        stats: SourceStats,
-        cache: &ImageCache,
-    ) -> io::Result<MappedLog> {
-        let image = cache.load(path, &stats)?;
-        let mut log = Self::from_image(image, stats);
-        log.path = Some(path.to_path_buf());
-        Ok(log)
+impl MappedLog<Cursor<Vec<u8>>> {
+    /// A source over log bytes already in memory.
+    pub fn from_bytes(log: Vec<u8>, stats: SourceStats) -> Self {
+        MappedLog::new(Cursor::new(log), stats).expect("seeks and in-bounds reads of a Vec succeed")
     }
+}
 
-    /// Builds a mapped log over an already-materialized fixed image.
-    pub fn from_bytes(image: Vec<u8>, stats: SourceStats) -> MappedLog {
-        stats.add_mapped(image.len() as u64);
-        Self::from_image(Arc::new(image), stats)
-    }
-
-    fn from_image(image: Arc<Vec<u8>>, stats: SourceStats) -> MappedLog {
+impl<R: Read + Seek> MappedLog<R> {
+    /// A source over `reader`, with its frames indexed. Fails only on an
+    /// I/O error of the reader; a damaged frame stops the index and is
+    /// reported by the first read that reaches it.
+    pub fn new(reader: R, stats: SourceStats) -> io::Result<Self> {
         let mut log = MappedLog {
-            path: None,
-            image,
+            reader,
             index: Vec::new(),
             raw_len: 0,
             scan_pos: 0,
             tail_error: None,
-            arena: Vec::new(),
-            arena_frame: None,
+            block: Vec::new(),
+            block_frame: None,
+            payload: Vec::new(),
             stats,
         };
-        log.scan();
-        log
+        log.scan()?;
+        Ok(log)
     }
 
-    /// Extends the frame index over image bytes not yet scanned.
-    fn scan(&mut self) {
+    /// Extends the frame index over the reader's bytes past `scan_pos`,
+    /// reading one header per frame and no payload. The scan only moves
+    /// forward, so headers come through one buffer and payloads are
+    /// skipped in it: a run of small frames costs one read, not two
+    /// syscalls a frame. A frame the reader does not hold in full stops
+    /// the scan, and a later scan resumes there: a frame torn only
+    /// because the writer was mid-append completes once the rest is
+    /// written.
+    fn scan(&mut self) -> io::Result<()> {
         self.tail_error = None;
-        loop {
-            match parse_frame(&self.image[self.scan_pos..]) {
-                Ok(None) => break,
-                Ok(Some((view, consumed))) => {
-                    self.index.push(FrameEntry {
-                        raw_begin: self.raw_len,
-                        raw_len: view.raw_len as u32,
-                        payload_begin: self.scan_pos + consumed - view.payload.len(),
-                        payload_len: view.payload.len() as u32,
-                        stored: view.stored,
-                    });
-                    self.raw_len += view.raw_len as u64;
-                    self.scan_pos += consumed;
-                }
+        let end = self.reader.seek(SeekFrom::End(0))?;
+        if self.scan_pos >= end {
+            return Ok(());
+        }
+        self.reader.seek(SeekFrom::Start(self.scan_pos))?;
+        let mut headers = BufReader::with_capacity(SCAN_BUF_BYTES, &mut self.reader);
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        while self.scan_pos < end {
+            let payload_pos = self.scan_pos + FRAME_HEADER_LEN as u64;
+            if payload_pos > end {
+                self.tail_error =
+                    Some((io::ErrorKind::InvalidData, "truncated frame header".into()));
+                break;
+            }
+            headers.read_exact(&mut header)?;
+            self.stats.add_read(FRAME_HEADER_LEN);
+            let h = match parse_header(&header) {
+                Ok(h) => h,
                 Err(e) => {
                     self.tail_error = Some((e.kind(), e.to_string()));
                     break;
                 }
+            };
+            let frame_end = payload_pos + h.payload_len as u64;
+            if frame_end > end {
+                self.tail_error =
+                    Some((io::ErrorKind::UnexpectedEof, "frame payload past end of log".into()));
+                break;
             }
+            self.index.push(FrameEntry {
+                raw_begin: self.raw_len,
+                payload_pos,
+                raw_len: h.raw_len as u32,
+                payload_len: h.payload_len as u32,
+                stored: h.stored,
+            });
+            self.raw_len += h.raw_len as u64;
+            self.scan_pos = frame_end;
+            headers.seek_relative(h.payload_len as i64)?;
         }
+        Ok(())
     }
 
-    /// Appends any bytes the backing file has grown by since the last
-    /// (re)map and continues the frame scan over them. A frame that was
-    /// torn only because the writer was mid-append completes here.
-    fn remap_tail(&mut self) -> io::Result<()> {
-        use std::io::{Read as _, Seek, SeekFrom};
-        let Some(path) = &self.path else { return Ok(()) };
-        let mut f = fs::File::open(path)?;
-        // A shared (cached) image stays fixed for its other holders:
-        // growing detaches this source onto a private copy.
-        let image = Arc::make_mut(&mut self.image);
-        let before = image.len();
-        f.seek(SeekFrom::Start(before as u64))?;
-        f.read_to_end(image)?;
-        let grown = image.len() - before;
-        if grown == 0 {
+    /// Makes `block` hold frame `fi`'s uncompressed bytes.
+    fn load(&mut self, fi: usize) -> io::Result<()> {
+        if self.block_frame == Some(fi) {
             return Ok(());
         }
-        self.stats.add_mapped(grown as u64);
-        self.scan();
+        self.block_frame = None;
+        let f = self.index[fi];
+        let len = f.payload_len as usize;
+        let into = if f.stored { &mut self.block } else { &mut self.payload };
+        into.clear();
+        into.reserve_exact(len);
+        into.resize(len, 0);
+        self.reader.seek(SeekFrom::Start(f.payload_pos))?;
+        self.reader.read_exact(into)?;
+        self.stats.add_read(len);
+        if !f.stored {
+            let cap = self.block.capacity();
+            let view =
+                FrameView { raw_len: f.raw_len as usize, payload: &self.payload, stored: false };
+            view.decode_into(&mut self.block)?;
+            self.stats.count_decode(cap > 0 && self.block.capacity() == cap);
+        }
+        self.block_frame = Some(fi);
         Ok(())
+    }
+
+    /// The backing reader. Every read of the source seeks before it
+    /// reads, so between reads the reader may be let go of and reopened
+    /// (a pool of sources closing files it holds too many of).
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.reader
     }
 
     /// Total uncompressed bytes addressable through the valid prefix.
@@ -250,20 +255,32 @@ impl MappedLog {
         self.raw_len
     }
 
-    /// The error a read past the valid prefix reproduces: the indexing
-    /// error for a torn image, EOF for a plain short range.
-    fn past_end_error(&self, begin: u64, len: u64) -> io::Error {
+    /// Bytes held by the frame buffers (their capacities): at most the
+    /// largest block plus the largest compressed payload read so far,
+    /// whatever the length of the log.
+    pub fn buffer_bytes(&self) -> usize {
+        self.block.capacity() + self.payload.capacity()
+    }
+
+    /// Bytes held by the frame index: a fixed few per frame.
+    pub fn index_bytes(&self) -> usize {
+        self.index.capacity() * std::mem::size_of::<FrameEntry>()
+    }
+
+    /// The error a read of `begin..end` past the valid prefix reproduces:
+    /// the indexing error for a torn log, EOF for a plain short range.
+    fn past_end_error(&self, begin: u64, end: u64) -> io::Error {
         match &self.tail_error {
             Some((kind, msg)) => io::Error::new(*kind, msg.clone()),
             None => io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                format!("log ended before range {}..{}", begin, begin + len),
+                format!("log ended before range {begin}..{end}"),
             ),
         }
     }
 }
 
-impl LogSource for MappedLog {
+impl<R: Read + Seek> LogSource for MappedLog<R> {
     fn read_range_with(
         &mut self,
         begin: u64,
@@ -274,11 +291,16 @@ impl LogSource for MappedLog {
         if len == 0 {
             return Ok(());
         }
-        let end = begin + len;
+        let end = begin.checked_add(len).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("log range {begin}+{len} wraps past u64::MAX"),
+            )
+        })?;
         if end > self.raw_len {
-            self.remap_tail()?;
+            self.scan()?;
             if end > self.raw_len {
-                return Err(self.past_end_error(begin, len));
+                return Err(self.past_end_error(begin, end));
             }
         }
         // First frame whose range reaches past `begin`.
@@ -286,29 +308,10 @@ impl LogSource for MappedLog {
         let mut pos = begin;
         while pos < end {
             let f = self.index[fi];
-            let frame_end = f.raw_begin + f.raw_len as u64;
+            self.load(fi)?;
             let lo = (pos - f.raw_begin) as usize;
-            let hi = (end.min(frame_end) - f.raw_begin) as usize;
-            if f.stored {
-                let payload =
-                    &self.image[f.payload_begin..f.payload_begin + f.payload_len as usize];
-                sink(&payload[lo..hi])?;
-            } else {
-                if self.arena_frame != Some(fi) {
-                    let payload =
-                        &self.image[f.payload_begin..f.payload_begin + f.payload_len as usize];
-                    let view = sword_compress::FrameView {
-                        raw_len: f.raw_len as usize,
-                        payload,
-                        stored: false,
-                    };
-                    let cap = self.arena.capacity();
-                    view.decode_into(&mut self.arena)?;
-                    self.stats.count_decode(cap > 0 && self.arena.capacity() == cap);
-                    self.arena_frame = Some(fi);
-                }
-                sink(&self.arena[lo..hi])?;
-            }
+            let hi = (end.min(f.raw_begin + f.raw_len as u64) - f.raw_begin) as usize;
+            sink(&self.block[lo..hi])?;
             pos = f.raw_begin + hi as u64;
             fi += 1;
         }
@@ -386,9 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn mapped_stored_frames_borrow_the_image() {
+    fn stored_frames_are_never_decompressed() {
         // A single incompressible block: its frame is stored, so a read
-        // must not touch the arena at all.
+        // lands its payload in the block buffer and decodes nothing.
         let mut x = 7u64;
         let noisy: Vec<u8> = (0..2000)
             .map(|_| {
@@ -398,10 +401,20 @@ mod tests {
             .collect();
         let log = build_log(std::slice::from_ref(&noisy));
         let stats = SourceStats::new();
-        let mut mapped = MappedLog::from_bytes(log, stats.clone());
+        let mut mapped = MappedLog::from_bytes(log.clone(), stats.clone());
         assert_eq!(collect(&mut mapped, 10, 500, 64), noisy[10..510]);
+        assert_eq!(collect(&mut mapped, 0, 2000, 64), noisy);
         assert_eq!(stats.arena_reuses() + stats.arena_allocs(), 0, "no decompression happened");
-        assert!(stats.bytes_mapped() > 0);
+        assert_eq!(stats.bytes_read(), log.len() as u64, "one header, then the payload once");
+    }
+
+    #[test]
+    fn a_range_that_wraps_u64_is_invalid_data() {
+        let log = build_log(&[vec![1u8; 100]]);
+        let mut mapped = MappedLog::from_bytes(log, SourceStats::new());
+        let err = mapped.read_range_with(u64::MAX - 5, 20, 64, &mut |_| Ok(())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("wraps"), "{err}");
     }
 
     #[test]
