@@ -288,7 +288,10 @@ pub struct AnalysisStats {
     pub wall_secs: f64,
     /// Longest single task, in either mode (proxy for the paper's
     /// distributed MT column: with one task per node, the makespan is the
-    /// longest task).
+    /// longest task). A task's time is the sum of its tree builds and its
+    /// compares wherever they ran: a build another worker did for it
+    /// counts here, and once in the `tree-build` stage on that worker. So
+    /// `makespan(1)` stays the total task work.
     pub max_task_secs: f64,
 }
 

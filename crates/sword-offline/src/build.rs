@@ -610,10 +610,22 @@ impl TreeCache {
         stats.nodes += tree.node_count() as u64;
         stats.events += tree.accesses;
         stats.bytes_read += tree.bytes_read;
+        self.adopt(key, tree);
+        Ok(())
+    }
+
+    /// `true` when the tree for `key` is cached.
+    pub(crate) fn contains(&self, key: &(ThreadId, u64)) -> bool {
+        self.entries.contains_key(key)
+    }
+
+    /// Caches a tree built or cached by another worker for a task this one
+    /// finishes. It charges the memory gauge but no build counters: the
+    /// task's [`TreeCache::ensure`] hits it and charges those.
+    pub(crate) fn adopt(&mut self, key: (ThreadId, u64), tree: BiTree) {
         self.nodes_held += tree.node_count();
         self.mem.alloc(tree.heap_bytes());
         self.entries.insert(key, CacheEntry { last_use: self.clock, tree });
-        Ok(())
     }
 
     /// Evicts least-recently-used trees until the node budget holds or
@@ -627,10 +639,18 @@ impl TreeCache {
                 .filter(|(k, _)| !pinned.contains(k))
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(k, _)| *k);
-            let Some(e) = victim.and_then(|key| self.entries.remove(&key)) else { break };
-            self.nodes_held -= e.tree.node_count();
-            self.mem.free(e.tree.heap_bytes());
+            if victim.and_then(|key| self.take(&key)).is_none() {
+                break;
+            }
         }
+    }
+
+    /// Removes the tree for `key`: evicted, or moved to another worker.
+    pub(crate) fn take(&mut self, key: &(ThreadId, u64)) -> Option<BiTree> {
+        let e = self.entries.remove(key)?;
+        self.nodes_held -= e.tree.node_count();
+        self.mem.free(e.tree.heap_bytes());
+        Some(e.tree)
     }
 
     pub(crate) fn get(&self, key: &(ThreadId, u64)) -> Option<&BiTree> {

@@ -9,10 +9,10 @@
 //!                       ▼
 //!        build-structure (Structure::extend: file rows, emit touched tasks)
 //!                       ▼
-//!        pair-schedule ──(per-worker deques)──► workers
-//!        (filter + sort + deal)  + stealing    tree-build
-//!                                              compare
-//!                       ┌──(result channel)──┘
+//!        pair-schedule ──(per-worker deques)──► workers ◄──(board)──┐
+//!        (filter + sort + deal)  + stealing    tree-build ──────────┘
+//!                                              compare    a big task's
+//!                       ┌──(result channel)──┘            builds, shared
 //!                       ▼
 //!                  dedup-report
 //!               (streaming reducer)
@@ -23,23 +23,30 @@
 //! and deals contiguous chunks into one deque per worker. Workers drain
 //! their own deque front-to-back and steal a batch from the back of a
 //! victim's when they run dry, so the pool stays saturated even when task
-//! costs are skewed. Results stream through a bounded channel into a
-//! reducer that merges each task's race set the moment it arrives.
+//! costs are skewed. A task too large for that — its missing trees carry
+//! `BYTES_PER_STARTED_THREAD` of log — posts their builds on the round's
+//! [`Board`]; every worker builds a posted tree before it pops its next
+//! task, and the one that lands the task's last tree compares, so one
+//! task no longer sets a round's end. Results stream through a bounded
+//! channel into a reducer that merges each task's race set the moment it
+//! arrives.
 //!
-//! A round runs on up to `min(workers, tasks)` threads: the calling thread
-//! is worker 0 and the reducer, the rest are started and joined inside the
-//! round, one per `BYTES_PER_STARTED_THREAD` of log it brought — a
-//! one-worker round, a small poll, or one with no rows starts none. What a
-//! worker keeps between rounds (reader pool, tree cache, recorders) lives
-//! in the [`Core`], so a poll reuses the trees and open logs of the polls
-//! before it. A task compares a member pair only when the round owes it
-//! ([`Structure::owed`]): batch is the one-round case, not another rule.
+//! A round runs on up to `min(workers, owed builds, 1 + log / 256 KiB)`
+//! threads: the calling thread is worker 0 and the reducer, the rest are
+//! started and joined inside the round, one per `BYTES_PER_STARTED_THREAD`
+//! of log it brought and no more than it has trees to build — a
+//! one-worker round, a small poll, or one with no rows starts none, a poll
+//! of one large task starts one. What a worker keeps between rounds
+//! (reader pool, tree cache, recorders) lives in the [`Core`], so a poll
+//! reuses the trees and open logs of the polls before it. A task compares
+//! a member pair only when the round owes it ([`Structure::owed`]): batch
+//! is the one-round case, not another rule.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters, ThreadJournal};
@@ -48,7 +55,7 @@ use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, Th
 use crate::analyze::{
     finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats,
 };
-use crate::build::{ReaderPool, TreeCache, OPEN_LOGS_BUDGET};
+use crate::build::{BiTree, ReaderPool, TreeCache, DEFAULT_CHUNK_BYTES, OPEN_LOGS_BUDGET};
 use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
 use crate::race::{check_pair, CompareCtx, Race, RaceSet};
 use crate::stages::{DurationHist, StageTable};
@@ -67,6 +74,8 @@ const RESULT_QUEUE: usize = 256;
 /// Log bytes a round must bring per thread it starts beside the calling
 /// one: ≈ 2 ms of tree building against ≈ 0.1 ms to start, feed and join
 /// a thread. Most polls of a `watch` bring less and run where they are.
+/// A task whose missing trees carry this much shares their builds
+/// ([`Board`]).
 const BYTES_PER_STARTED_THREAD: u64 = 256 << 10;
 
 /// Per-worker counters, accumulated across a round's tasks and merged
@@ -220,6 +229,215 @@ fn next_task(deques: &[Mutex<VecDeque<Task>>], wi: usize) -> Option<Task> {
     None
 }
 
+/// Where a claimed build sits on the [`Board`]: (split, build).
+type Slot = (usize, usize);
+
+/// A cached tree's key: its thread and the first log byte of its interval.
+type TreeKey = (ThreadId, u64);
+
+/// A built tree and the seconds its build took, or the build's error.
+type Landed = io::Result<(BiTree, f64)>;
+
+/// The tree builds a round's workers share. A task whose missing trees
+/// are at least two and carry [`BYTES_PER_STARTED_THREAD`] of log posts
+/// them here as one split, and builds its own largest unclaimed one until
+/// none is left; before popping its next task every worker claims a
+/// posted build, largest first. The worker that lands a task's last tree
+/// runs its compares: the owner when its own build lands last, else the
+/// owner hands the task on and goes on with its deque. This is help-first
+/// scheduling at tree granularity (Guo et al., IPDPS 2009): one task
+/// holding more than `1/workers` of a round's work no longer sets the
+/// round's end.
+struct Board<'a> {
+    /// Posted builds nobody has claimed: the one load a worker pays
+    /// before its next task while nothing is posted. A hint only (it
+    /// publishes nothing; claims are made under the lock), so `Relaxed`.
+    open: AtomicUsize,
+    /// Dealt tasks whose owner has not finished or handed them on. A
+    /// worker whose deques are dry waits for them instead of leaving,
+    /// since one may still post. The last decrement notifies under the
+    /// lock a waiter reads it under, so no waiter misses it.
+    unfinished: AtomicUsize,
+    splits: Mutex<Vec<Split<'a>>>,
+    /// Notified when builds are posted and when the last task finishes.
+    posted: Condvar,
+}
+
+/// One task's posted builds.
+struct Split<'a> {
+    builds: Vec<Build<'a>>,
+    /// Builds not landed yet.
+    pending: usize,
+    /// The rest of the task, once its owner has handed it on.
+    rest: Option<Rest<'a>>,
+}
+
+struct Build<'a> {
+    member: &'a Interval,
+    claimed: bool,
+    landed: Option<Landed>,
+}
+
+/// What finishing a task needs besides its posted trees.
+struct Rest<'a> {
+    pairs: Vec<(&'a Interval, &'a Interval)>,
+    /// The task's trees in file-position order.
+    owing: Vec<&'a Interval>,
+    /// Trees the owner had cached, moving with the task.
+    held: Vec<(TreeKey, BiTree)>,
+    /// The task's work so far besides its posted builds.
+    secs: f64,
+}
+
+/// A task ready for its compares, on whichever worker got it.
+struct Finish<'a> {
+    rest: Rest<'a>,
+    landed: Vec<(&'a Interval, Landed)>,
+}
+
+impl<'a> Board<'a> {
+    fn new(tasks: usize) -> Self {
+        Board {
+            open: AtomicUsize::new(0),
+            unfinished: AtomicUsize::new(tasks),
+            splits: Mutex::new(Vec::new()),
+            posted: Condvar::new(),
+        }
+    }
+
+    /// The board's lock. A worker that panicked holding it left nothing
+    /// half-written (every update is a field store), so poison is ignored
+    /// and the panic surfaces where the round joins that worker.
+    fn lock(&self) -> MutexGuard<'_, Vec<Split<'a>>> {
+        self.splits.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Posts `members`' builds as one split and returns its index.
+    fn post(&self, members: Vec<&'a Interval>) -> usize {
+        let builds: Vec<Build<'a>> = members
+            .into_iter()
+            .map(|member| Build { member, claimed: false, landed: None })
+            .collect();
+        let mut splits = self.lock();
+        self.open.fetch_add(builds.len(), Ordering::Relaxed);
+        splits.push(Split { pending: builds.len(), builds, rest: None });
+        self.posted.notify_all();
+        splits.len() - 1
+    }
+
+    /// Claims the largest unclaimed build of split `only`, or of any.
+    fn claim(&self, splits: &mut [Split<'a>], only: Option<usize>) -> Option<(Slot, &'a Interval)> {
+        let (si, bi) = splits
+            .iter()
+            .enumerate()
+            .filter(|(si, _)| only.is_none_or(|o| o == *si))
+            .flat_map(|(si, split)| split.builds.iter().enumerate().map(move |(bi, b)| (si, bi, b)))
+            .filter(|(_, _, b)| !b.claimed)
+            .max_by_key(|(_, _, b)| b.member.meta.size)
+            .map(|(si, bi, _)| (si, bi))?;
+        let build = &mut splits[si].builds[bi];
+        build.claimed = true;
+        self.open.fetch_sub(1, Ordering::Relaxed);
+        Some(((si, bi), build.member))
+    }
+
+    /// A build of split `si` for its owner.
+    fn claim_own(&self, si: usize) -> Option<(Slot, &'a Interval)> {
+        self.claim(&mut self.lock(), Some(si))
+    }
+
+    /// A posted build for a worker about to pop its next task.
+    fn claim_any(&self) -> Option<(Slot, &'a Interval)> {
+        if self.open.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        self.claim(&mut self.lock(), None)
+    }
+
+    /// A posted build for a worker whose deques are dry, waiting while a
+    /// task that may still post runs; `None` once none can.
+    fn claim_or_wait(&self) -> Option<(Slot, &'a Interval)> {
+        let mut splits = self.lock();
+        loop {
+            if let Some(claimed) = self.claim(&mut splits, None) {
+                return Some(claimed);
+            }
+            if self.unfinished.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            splits = self.posted.wait(splits).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Hands in a claimed build. The task is the caller's to finish when
+    /// this was its last build and its owner has handed it on.
+    fn land(&self, (si, bi): Slot, landed: Landed) -> Option<Finish<'a>> {
+        let mut splits = self.lock();
+        let split = &mut splits[si];
+        split.builds[bi].landed = Some(landed);
+        split.pending -= 1;
+        if split.pending > 0 {
+            return None;
+        }
+        let rest = split.rest.take()?;
+        Some(Finish { rest, landed: take_landed(split) })
+    }
+
+    /// Settles split `si` once its owner has claimed all of its builds:
+    /// when every one has landed the owner finishes the task itself;
+    /// otherwise the task, with the trees `held()` takes out of the
+    /// owner's cache, waits here for whoever lands its last build.
+    fn settle(
+        &self,
+        si: usize,
+        rest: Rest<'a>,
+        held: impl FnOnce() -> Vec<(TreeKey, BiTree)>,
+    ) -> Option<Finish<'a>> {
+        let mut splits = self.lock();
+        let split = &mut splits[si];
+        if split.pending == 0 {
+            return Some(Finish { rest, landed: take_landed(split) });
+        }
+        split.rest = Some(Rest { held: held(), ..rest });
+        None
+    }
+
+    /// Counts one task finished or handed on; the last wakes every
+    /// waiting worker.
+    fn task_finished(&self) {
+        if self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _splits = self.lock();
+            self.posted.notify_all();
+        }
+    }
+}
+
+/// A split's landed trees, taken off the board.
+fn take_landed<'a>(split: &mut Split<'a>) -> Vec<(&'a Interval, Landed)> {
+    let builds = std::mem::take(&mut split.builds);
+    builds.into_iter().map(|b| (b.member, b.landed.expect("every build landed"))).collect()
+}
+
+/// Counts a task finished or handed on when dropped, on unwinding too, so
+/// no worker waits for a task whose owner panicked.
+struct Finishing<'b, 'a>(&'b Board<'a>);
+
+impl Drop for Finishing<'_, '_> {
+    fn drop(&mut self) {
+        self.0.task_finished();
+    }
+}
+
+/// A finished task, before its outcome is recorded and sent.
+struct Done {
+    result: io::Result<RaceSet>,
+    /// The task's work: its builds and compares, wherever they ran.
+    secs: f64,
+    /// Journal time its span starts at.
+    s0: Option<u64>,
+    tree_pairs: u64,
+}
+
 /// What one worker keeps from round to round: its open logs, its trees
 /// (an interval shared by its tasks, or needed again by a later round, is
 /// built once), and its `--obs` recorders (`None` when observability is
@@ -242,6 +460,9 @@ struct Round<'a> {
     config: &'a AnalysisConfig,
     cache: &'a VerdictCache,
     deques: &'a [Mutex<VecDeque<Task>>],
+    board: &'a Board<'a>,
+    /// Threads the round runs on: a split needs a second.
+    threads: usize,
     pipe_obs: Option<&'a PipelineObs>,
     /// When the deques were dealt: each task's deque wait is measured
     /// from here.
@@ -350,7 +571,17 @@ impl Core {
         let scheduled = tasks.len() as u64;
         let first_round = tasks.iter().filter(|t| structure.first_round_of(t)).count() as u64;
         let worth_starting = (structure.fresh_bytes() / BYTES_PER_STARTED_THREAD) as usize;
-        let threads = config.workers.max(1).min(tasks.len()).min(1 + worth_starting);
+        // No more threads than the round has trees to build (counted
+        // until there are enough), and one for tasks that build none.
+        let most = config.workers.max(1).min(1 + worth_starting);
+        let mut builds = 0;
+        for task in &tasks {
+            if builds >= most {
+                break;
+            }
+            builds += owing(structure, regions, task).1.len();
+        }
+        let threads = if tasks.is_empty() { 0 } else { most.min(builds.max(1)) };
         let deques: Vec<Mutex<VecDeque<Task>>> = {
             let chunk = tasks.len().div_ceil(threads.max(1)).max(1);
             let mut dealt = tasks.into_iter();
@@ -378,6 +609,7 @@ impl Core {
                 sites: config.sites.as_ref().map(|_| SiteCounters::new()),
             });
         }
+        let board = Board::new(scheduled as usize);
         let round = Round {
             dir: &self.dir,
             regions,
@@ -385,6 +617,8 @@ impl Core {
             config,
             cache: &self.cache,
             deques: &deques,
+            board: &board,
+            threads,
             pipe_obs,
             dealt_us,
         };
@@ -506,10 +740,13 @@ impl Core {
     }
 }
 
-impl Round<'_> {
-    /// Worker `wi`'s share of the round: drains its deque, then steals,
-    /// handing each task's outcome to `sink` (which returns `false` when
-    /// nobody is listening any more), and returns its counters.
+impl<'a> Round<'a> {
+    /// Worker `wi`'s share of the round: before each task a posted build
+    /// of another worker's task, if there is one; then its deque, then
+    /// stealing; with nothing left, the builds a task still running may
+    /// post. Hands each task's outcome it finishes to `sink` (which
+    /// returns `false` when nobody is listening any more), and returns its
+    /// counters.
     fn work(
         &self,
         wi: usize,
@@ -517,23 +754,27 @@ impl Round<'_> {
         mut sink: impl FnMut(io::Result<TaskOutcome>) -> bool,
     ) -> WorkerStats {
         let mut stats = WorkerStats::default();
-        while let Some(task) = next_task(self.deques, wi) {
-            if let Some(p) = self.pipe_obs {
-                p.note_dequeue(self.dealt_us);
-            }
-            let s0 = ctx.journal.as_ref().map(|j| j.now_us());
-            let t0 = Instant::now();
-            let tree_pairs_before = stats.tree_pairs;
-            let mut races = RaceSet::new();
-            let result = self.run_task(&task, ctx, &mut races, &mut stats);
-            let secs = t0.elapsed().as_secs_f64();
+        loop {
+            let done = if let Some((slot, member)) = self.board.claim_any() {
+                self.help(slot, member, ctx, &mut stats)
+            } else if let Some(task) = next_task(self.deques, wi) {
+                if let Some(p) = self.pipe_obs {
+                    p.note_dequeue(self.dealt_us);
+                }
+                let _finishing = Finishing(self.board);
+                self.start(&task, ctx, &mut stats)
+            } else if let Some((slot, member)) = self.board.claim_or_wait() {
+                self.help(slot, member, ctx, &mut stats)
+            } else {
+                break;
+            };
+            let Some(Done { result, secs, s0, tree_pairs }) = done else { continue };
             stats.max_task_secs = stats.max_task_secs.max(secs);
             stats.task_hist.record(secs);
             // The task span starts this outcome's causal flow; the
             // reducer's merge instant ends it.
             let flow = self.pipe_obs.map(|p| p.obs.journal.next_flow_id());
             if let (Some(j), Some(s0)) = (&ctx.journal, s0) {
-                let tree_pairs = stats.tree_pairs - tree_pairs_before;
                 j.span_closed_flow(
                     "task",
                     s0,
@@ -542,64 +783,146 @@ impl Round<'_> {
                     flow.map(|f| (f, FlowPhase::Start)),
                 );
             }
-            if !sink(result.map(|()| TaskOutcome { races, secs, flow })) {
+            if !sink(result.map(|races| TaskOutcome { races, secs, flow })) {
                 break;
             }
         }
         stats
     }
 
-    /// Executes one comparison task against the worker's tree cache:
-    /// settles the member pairs the round owes, trims the cache to budget
-    /// with the trees those pairs name pinned, ensures exactly those trees
-    /// (built on miss, reused on hit), and compares every pair out of the
-    /// cache.
-    fn run_task(
+    /// Starts one comparison task: settles the member pairs the round owes
+    /// and the trees they name. When the missing ones are worth sharing
+    /// it posts them, builds until none is left unclaimed, and finishes
+    /// the task only if its trees have all landed by then; otherwise the
+    /// task is handed on (`None`).
+    fn start(&self, task: &Task, ctx: &mut WorkerCtx, stats: &mut WorkerStats) -> Option<Done> {
+        let t0 = Instant::now();
+        let s0 = ctx.journal.as_ref().map(|j| j.now_us());
+        let (pairs, owing) = owing(self.structure, self.regions, task);
+        let worth_sharing = |members: &[&Interval]| {
+            members.len() >= 2
+                && members.iter().map(|m| m.meta.size).sum::<u64>() >= BYTES_PER_STARTED_THREAD
+        };
+        let missing: Vec<&Interval> = if self.threads > 1 && worth_sharing(&owing) {
+            owing.iter().copied().filter(|m| !ctx.trees.contains(&tree_key(m))).collect()
+        } else {
+            Vec::new()
+        };
+        let rest = Rest { pairs, owing, held: Vec::new(), secs: 0.0 };
+        if !worth_sharing(&missing) {
+            return Some(self.finish(Finish { rest, landed: Vec::new() }, ctx, stats, t0, s0));
+        }
+        let rest = Rest { secs: t0.elapsed().as_secs_f64(), ..rest };
+        let pinned: Vec<TreeKey> = rest.owing.iter().map(|m| tree_key(m)).collect();
+        let split = self.board.post(missing);
+        while let Some((slot, member)) = self.board.claim_own(split) {
+            let built = self.build(member, ctx, &pinned, stats);
+            // Not settled yet, so no landing finishes the task.
+            let _ = self.board.land(slot, built);
+        }
+        let hits = || pinned.iter().filter_map(|k| ctx.trees.take(k).map(|t| (*k, t))).collect();
+        let finish = self.board.settle(split, rest, hits)?;
+        Some(self.finish(finish, ctx, stats, Instant::now(), s0))
+    }
+
+    /// Builds a posted tree for another worker's task and lands it;
+    /// finishes that task when this was its last tree and its owner has
+    /// moved on.
+    fn help(
         &self,
-        task: &Task,
+        slot: Slot,
+        member: &Interval,
+        ctx: &mut WorkerCtx,
+        stats: &mut WorkerStats,
+    ) -> Option<Done> {
+        let built = self.build(member, ctx, &[], stats);
+        let finish = self.board.land(slot, built)?;
+        let s0 = ctx.journal.as_ref().map(|j| j.now_us());
+        Some(self.finish(finish, ctx, stats, Instant::now(), s0))
+    }
+
+    /// Builds `member`'s tree with this worker's reader pool, after
+    /// trimming its cache (`pinned`: the trees of the task it is in the
+    /// middle of, if any). The build counts in this worker's tree-build
+    /// stage time.
+    fn build(
+        &self,
+        member: &Interval,
+        ctx: &mut WorkerCtx,
+        pinned: &[TreeKey],
+        stats: &mut WorkerStats,
+    ) -> Landed {
+        ctx.trees.evict(pinned);
+        let s0 = ctx.journal.as_ref().map(|j| j.now_us());
+        let t0 = Instant::now();
+        let (tid, begin, size) = (member.tid, member.meta.data_begin, member.meta.size);
+        let built = ctx.pool.build(self.dir, tid, begin, size, DEFAULT_CHUNK_BYTES);
+        let secs = t0.elapsed().as_secs_f64();
+        stats.build_secs += secs;
+        journal_stage(&ctx.journal, "build", s0, ("bytes", size as f64));
+        built.map(|tree| (tree, secs))
+    }
+
+    /// Finishes a task: takes in the trees that came with it and runs
+    /// its compares. Its work is what came with it plus the time since
+    /// `t0`.
+    fn finish(
+        &self,
+        finish: Finish<'a>,
+        ctx: &mut WorkerCtx,
+        stats: &mut WorkerStats,
+        t0: Instant,
+        s0: Option<u64>,
+    ) -> Done {
+        let Finish { rest: Rest { pairs, owing, held, mut secs }, landed } = finish;
+        let tree_pairs = stats.tree_pairs;
+        for (key, tree) in held {
+            ctx.trees.adopt(key, tree);
+        }
+        let mut races = RaceSet::new();
+        let result = landed
+            .into_iter()
+            .try_for_each(|(member, built)| {
+                let (tree, build_secs) = built?;
+                secs += build_secs;
+                ctx.trees.adopt(tree_key(member), tree);
+                Ok(())
+            })
+            .and_then(|()| self.compare(&pairs, &owing, ctx, &mut races, stats));
+        Done {
+            result: result.map(|()| races),
+            secs: secs + t0.elapsed().as_secs_f64(),
+            s0,
+            tree_pairs: stats.tree_pairs - tree_pairs,
+        }
+    }
+
+    /// Compares a task's pairs against the worker's tree cache: trims the
+    /// cache to budget with the trees `owing` names pinned, ensures exactly
+    /// those trees (built on miss, reused on hit), and compares every pair
+    /// out of the cache.
+    fn compare(
+        &self,
+        pairs: &[(&Interval, &Interval)],
+        owing: &[&Interval],
         ctx: &mut WorkerCtx,
         races: &mut RaceSet,
         stats: &mut WorkerStats,
     ) -> io::Result<()> {
-        // Of the owed pairs, drop those that cannot race: an empty
-        // interval; same-tid members (program order — cross pairs, and the
-        // fragments a task chain leaves in one (pid, bid) group). Across
-        // regions, prefix-related fork labels need the barrier-aware check
-        // per pair, and `depend` edges order task bodies whose labels
-        // alone say "concurrent".
-        let cross = match *task {
-            Task::Intra { .. } => None,
-            Task::Cross { all_concurrent, .. } => Some(all_concurrent),
-        };
-        let mut pairs = self.structure.owed(task);
-        pairs.retain(|(ma, mb)| {
-            ma.meta.size > 0
-                && mb.meta.size > 0
-                && ma.tid != mb.tid
-                && cross.is_none_or(|all_concurrent| {
-                    (all_concurrent || intervals_concurrent(ma, mb))
-                        && !dep_ordered(self.regions, ma, mb)
-                })
-        });
-
         // Trim before building, so the previous task's trees are not held
         // beside this one's; build in file-position order for the reader
         // pool's sake.
-        let key = |m: &Interval| (m.tid, m.meta.data_begin);
-        let mut owing: Vec<&Interval> = pairs.iter().flat_map(|&(ma, mb)| [ma, mb]).collect();
-        owing.sort_by_key(|m| (m.meta.data_begin, m.tid));
-        owing.dedup_by_key(|m| key(m));
-        let pinned: Vec<_> = owing.iter().map(|m| key(m)).collect();
+        let pinned: Vec<TreeKey> = owing.iter().map(|m| tree_key(m)).collect();
         ctx.trees.evict(&pinned);
-        for member in &owing {
+        for member in owing {
             ctx.trees.ensure(self.dir, member, &mut ctx.pool, stats)?;
         }
 
         let t0 = Instant::now();
-        for (ma, mb) in pairs {
+        for &(ma, mb) in pairs {
             let (ta, tb) = (
-                ctx.trees.get(&key(ma)).expect("pinned"),
-                ctx.trees.get(&key(mb)).expect("pinned"),
+                ctx.trees.get(&tree_key(ma)).expect("pinned"),
+                ctx.trees.get(&tree_key(mb)).expect("pinned"),
             );
             if ta.node_count() == 0 || tb.node_count() == 0 {
                 continue;
@@ -622,4 +945,40 @@ impl Round<'_> {
         stats.compare_secs += t0.elapsed().as_secs_f64();
         Ok(())
     }
+}
+
+/// A member's key in a [`TreeCache`].
+fn tree_key(m: &Interval) -> TreeKey {
+    (m.tid, m.meta.data_begin)
+}
+
+/// The member pairs `task` owes that can race, and the members they name
+/// in file-position order: the trees the task needs. Dropped are pairs
+/// with an empty interval, same-tid pairs (program order — cross pairs,
+/// and the fragments a task chain leaves in one (pid, bid) group), and
+/// across regions, pairs whose prefix-related fork labels the
+/// barrier-aware check orders, or whose task bodies `depend` edges order
+/// though their labels alone say "concurrent".
+fn owing<'s>(
+    structure: &'s Structure,
+    regions: &HashMap<u64, RegionRecord>,
+    task: &Task,
+) -> (Vec<(&'s Interval, &'s Interval)>, Vec<&'s Interval>) {
+    let cross = match *task {
+        Task::Intra { .. } => None,
+        Task::Cross { all_concurrent, .. } => Some(all_concurrent),
+    };
+    let mut pairs = structure.owed(task);
+    pairs.retain(|(ma, mb)| {
+        ma.meta.size > 0
+            && mb.meta.size > 0
+            && ma.tid != mb.tid
+            && cross.is_none_or(|all_concurrent| {
+                (all_concurrent || intervals_concurrent(ma, mb)) && !dep_ordered(regions, ma, mb)
+            })
+    });
+    let mut members: Vec<&Interval> = pairs.iter().flat_map(|&(ma, mb)| [ma, mb]).collect();
+    members.sort_by_key(|m| (m.meta.data_begin, m.tid));
+    members.dedup_by_key(|m| (m.tid, m.meta.data_begin));
+    (pairs, members)
 }

@@ -705,6 +705,24 @@ fn focus_regions_restricts_analysis() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The makespan model's contract on `result`: one node does all the
+/// task work, more nodes never take longer, and no number of nodes beats
+/// the longest task.
+fn assert_makespan_monotone(result: &AnalysisResult) {
+    assert!(result.task_hist.count() > 0);
+    let total: f64 = result.task_hist.total_secs();
+    let m1 = result.makespan(1);
+    assert!((m1 - total).abs() < 1e-9, "one node does all the work");
+    let mut prev = m1;
+    for nodes in [2usize, 4, 8, 1000] {
+        let m = result.makespan(nodes);
+        assert!(m <= prev + 1e-12, "makespan must not grow with more nodes");
+        assert!(m >= result.stats.max_task_secs - 1e-12, "bounded below by the longest task");
+        prev = m;
+    }
+    assert!((result.makespan(100_000) - result.stats.max_task_secs).abs() < 1e-9);
+}
+
 #[test]
 fn makespan_model_is_monotone() {
     let result = pipeline("makespan", |sim| {
@@ -720,18 +738,43 @@ fn makespan_model_is_monotone() {
             });
         });
     });
-    assert!(result.task_hist.count() > 0);
-    let total: f64 = result.task_hist.total_secs();
-    let m1 = result.makespan(1);
-    assert!((m1 - total).abs() < 1e-9, "one node does all the work");
-    let mut prev = m1;
-    for nodes in [2usize, 4, 8, 1000] {
-        let m = result.makespan(nodes);
-        assert!(m <= prev + 1e-12, "makespan must not grow with more nodes");
-        assert!(m >= result.stats.max_task_secs - 1e-12, "bounded below by the longest task");
-        prev = m;
-    }
-    assert!((result.makespan(100_000) - result.stats.max_task_secs).abs() < 1e-9);
+    assert_makespan_monotone(&result);
+
+    // A gather whose two trees carry far more than 256 KiB of log each:
+    // at two workers its task's builds are shared, and the task's sample
+    // is still the sum of its builds and compares, wherever they ran.
+    let n = 1u64 << 16;
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let idx: Vec<u64> = (0..2 * n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % (4 * n)
+        })
+        .collect();
+    let config = AnalysisConfig::sequential().with_workers(2);
+    let result = pipeline_with("makespan-split", config, |sim| {
+        let src = sim.alloc::<u64>(4 * n, 1);
+        sim.run(|ctx| {
+            ctx.parallel(2, |w| {
+                w.for_static_nowait(0..2 * n, |i| {
+                    w.read(&src, idx[i as usize]);
+                })
+            });
+        });
+    });
+    assert_eq!((result.stats.tasks, result.stats.trees_built), (1, 2));
+    assert_makespan_monotone(&result);
+    // Every build belongs to one task, so the task samples cover the
+    // tree-build and compare stages, builds of another worker included.
+    let stage = |name: &str| result.stages.get(name).map_or(0.0, |s| s.busy_secs);
+    let work = stage("tree-build") + stage("compare");
+    assert!(
+        result.makespan(1) >= work - 1e-9,
+        "task work {} < stage work {work}",
+        result.makespan(1)
+    );
 }
 
 /// Region-count scaling stress (the LULESH blow-up at larger scale).
