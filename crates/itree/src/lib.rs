@@ -6,47 +6,58 @@
 //! plus the access metadata (R/W, program counter, mutex set, atomicity),
 //! so a contiguous or strided sweep over an array costs one node instead
 //! of one node per access. Race detection then compares the trees of
-//! concurrent threads: coarse `[begin, end)` overlap is found by one merge
-//! sweep over the two trees' begin-sorted nodes, and candidates are
-//! confirmed with the exact strided-overlap constraint solve from
-//! [`sword_solver`].
+//! concurrent threads: coarse `[begin, end)` overlap between two nodes of
+//! which at least one writes is found by one merge sweep over the two
+//! trees' begin-sorted nodes, and candidates are confirmed with the exact
+//! strided-overlap constraint solve from [`sword_solver`].
 //!
 //! The paper's tree is an augmented red-black tree because it is built by
 //! insertion. This one is not: the [`SummarizingBuilder`] appends nodes
 //! while it folds and sorts them once when it finishes, and a finished
-//! tree is never modified, so it is just the sorted node slice. Building
-//! a tree from `N` accesses is `O(N + M log M)`; comparing two trees of
-//! `n` and `m` nodes is `O(n + m + pairs)`, where `pairs` is the number of
-//! candidate pairs reported; summarization makes `M ≤ N` (often `M ≪ N`).
+//! tree is never modified, so it is just the node slice. A tree whose
+//! reads outnumber its writes more than sixteen times sorts only its
+//! writes and keeps its reads in insertion order; a compare filters those
+//! reads against the other tree's writes and sorts the few that survive.
+//! Building a tree from `N` accesses into `M` nodes is `O(N + M log M)`,
+//! or `O(N + W log W)` for a read-heavy tree of `W` writes; comparing two
+//! trees of `n` and `m` nodes is `O(n + m + v)`, where `v` counts the
+//! overlapping pairs among the swept nodes — the candidate pairs
+//! reported, plus read pairs of trees that sort their reads, visited but
+//! not reported — plus a binary search per unsorted read. Summarization
+//! makes `M ≤ N` (often `M ≪ N`).
 //!
 //! # Example
 //!
 //! ```
 //! use sword_itree::{count_exact_overlaps, SummarizingBuilder};
 //!
-//! // Two threads sweep adjacent halves of an array; merge keys model
-//! // (source line, is_write).
-//! let mut t0: SummarizingBuilder<(&str, bool), ()> = SummarizingBuilder::new();
+//! // Two threads sweep adjacent halves of an array: thread 0 writes, and
+//! // thread 1 reads. Merge keys model (source line, is_write), and each
+//! // node's value is whether it writes.
+//! let mut t0: SummarizingBuilder<(&str, bool), bool> = SummarizingBuilder::new();
 //! let mut t1 = SummarizingBuilder::new();
 //! for i in 0..500u64 {
-//!     t0.insert_with(("w", true), 0x1000 + i * 8, 8, || ());
+//!     t0.insert_with(("w", true), 0x1000 + i * 8, 8, || true);
 //! }
 //! for i in 499..1000u64 {
-//!     t1.insert_with(("r", false), 0x1000 + i * 8, 8, || ());
+//!     t1.insert_with(("r", false), 0x1000 + i * 8, 8, || false);
 //! }
-//! let a = t0.finish();
-//! let b = t1.finish();
+//! let a = t0.finish(|&writes| writes);
+//! let b = t1.finish(|&writes| writes);
 //!
 //! // 500 accesses each, one strided node each…
 //! assert_eq!((a.len(), b.len()), (1, 1));
 //! // …and exactly the boundary element overlaps.
 //! assert_eq!(count_exact_overlaps(&a, &b), 1);
+//! // Two readers never meet.
+//! assert_eq!(count_exact_overlaps(&b, &b), 0);
 //! ```
 
 #![forbid(unsafe_code)]
 
 mod hash;
 mod tree;
+mod walk;
 
 pub use hash::{FxBuildHasher, FxHasher};
 pub use sword_solver::{strided_overlap, Fingerprint, StridedInterval};
@@ -119,6 +130,7 @@ struct MergeSlot {
 /// overwrites its node's interval (the begin never moves), and
 /// [`finish`](SummarizingBuilder::finish) sorts the nodes once — nothing
 /// queries a tree under construction, so nothing pays for ordering one.
+/// A read-heavy tree sorts only its writes there (see [`IntervalTree`]).
 #[derive(Clone, Debug)]
 pub struct SummarizingBuilder<K: Hash + Eq + Clone, V> {
     /// Nodes in insertion order.
@@ -153,8 +165,14 @@ const KEY_CACHE_WAYS: usize = 64;
 impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// Creates an empty builder.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty builder with room for `nodes` nodes: a build
+    /// that stays within it allocates its node array once.
+    pub fn with_capacity(nodes: usize) -> Self {
         SummarizingBuilder {
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
             rings: Vec::new(),
             index: HashMap::default(),
             memo: vec![None; KEY_CACHE_WAYS],
@@ -294,17 +312,19 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     }
 
     /// Finishes the build: flushes open progressions and unconfirmed
-    /// pendings, then sorts the nodes (see the type's docs). The result is
-    /// the tree that inserting every node when it was created would have
-    /// produced.
-    pub fn finish(mut self) -> IntervalTree<V> {
+    /// pendings, then lays the nodes out (see the type's docs). A node is
+    /// a write where `is_write` says so of its value, and a read, which
+    /// meets only writes, elsewhere. The result iterates as the tree that
+    /// inserting every node when it was created would, reordered so that
+    /// writes go before reads at one begin.
+    pub fn finish(mut self, is_write: impl Fn(&V) -> bool) -> IntervalTree<V> {
         let rings = std::mem::take(&mut self.rings);
         for ring in rings {
             for slot in ring.into_iter().flatten() {
                 self.retire(slot);
             }
         }
-        IntervalTree::link(self.nodes)
+        IntervalTree::link(self.nodes, is_write)
     }
 }
 
@@ -372,15 +392,15 @@ fn match_slot(iv: &StridedInterval, pending: Option<u64>, addr: u64) -> SlotMatc
 }
 
 /// Visits every pair of intervals — one from each tree — whose coarse
-/// `[begin, end)` ranges overlap, each exactly once and in no promised
-/// order. This is the tree-vs-tree comparison of the paper's offline
-/// algorithm; the caller applies the exact strided/mutex/atomic race
-/// conditions to each candidate pair.
+/// `[begin, end)` ranges overlap and of which at least one is a write,
+/// each exactly once and in no promised order. This is the tree-vs-tree
+/// comparison of the paper's offline algorithm; the caller applies the
+/// exact strided/mutex/atomic race conditions to each candidate pair.
 pub fn for_each_candidate_pair<VA, VB, F>(a: &IntervalTree<VA>, b: &IntervalTree<VB>, mut f: F)
 where
     F: FnMut(&StridedInterval, &VA, &StridedInterval, &VB),
 {
-    sweep(a.nodes(), b.nodes(), |x, y| f(&x.interval, &x.value, &y.interval, &y.value));
+    walk::sweep(a, b, |x, y| f(&x.interval, &x.value, &y.interval, &y.value));
 }
 
 /// Like [`for_each_candidate_pair`], but hands the caller each node's
@@ -390,60 +410,9 @@ pub fn for_each_candidate_pair_fp<VA, VB, F>(a: &IntervalTree<VA>, b: &IntervalT
 where
     F: FnMut(&StridedInterval, Fingerprint, &VA, &StridedInterval, Fingerprint, &VB),
 {
-    sweep(a.nodes(), b.nodes(), |x, y| {
-        let fx = Fingerprint::unpack(x.fp, &x.interval);
-        let fy = Fingerprint::unpack(y.fp, &y.interval);
-        f(&x.interval, fx, &x.value, &y.interval, fy, &y.value);
+    walk::sweep(a, b, |x, y| {
+        f(&x.interval, x.fingerprint(), &x.value, &y.interval, y.fingerprint(), &y.value);
     });
-}
-
-/// The join behind both candidate walks: one merge sweep over two
-/// begin-sorted slices, in O(n + m + pairs). Each side keeps the nodes it
-/// has passed that may still be open; a node meets the other side's open
-/// nodes when the sweep reaches its begin, after those that end at or
-/// before it are dropped. Equal begins take `a` first, so such a pair is
-/// met once, when its `b` node arrives.
-fn sweep<VA, VB>(a: &[Node<VA>], b: &[Node<VB>], mut f: impl FnMut(&Node<VA>, &Node<VB>)) {
-    let (mut open_a, mut open_b): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => x.interval.begin() <= y.interval.begin(),
-            // One side is spent; the other still meets its open nodes.
-            (Some(_), None) if !open_b.is_empty() => true,
-            (None, Some(_)) if !open_a.is_empty() => false,
-            _ => break,
-        };
-        if take_a {
-            let x = &a[i];
-            meet(x.interval.begin(), &mut open_b, b, |y| f(x, y));
-            open_a.push(i as u32);
-            i += 1;
-        } else {
-            let y = &b[j];
-            meet(y.interval.begin(), &mut open_a, a, |x| f(x, y));
-            open_b.push(j as u32);
-            j += 1;
-        }
-    }
-}
-
-/// Drops from `open` the nodes of `other` that end at or before `begin`,
-/// and hands `f` the rest. Each of those began at or before `begin` and
-/// ends after it, so it overlaps the interval beginning there (intervals
-/// are never empty: [`StridedInterval::new`] refuses a zero size).
-#[inline]
-fn meet<V>(begin: u64, open: &mut Vec<u32>, other: &[Node<V>], mut f: impl FnMut(&Node<V>)) {
-    let mut k = 0;
-    while k < open.len() {
-        let node = &other[open[k] as usize];
-        if node.interval.end() <= begin {
-            open.swap_remove(k);
-        } else {
-            f(node);
-            k += 1;
-        }
-    }
 }
 
 /// Convenience: counts candidate pairs that also pass the exact
@@ -531,7 +500,7 @@ mod tests {
         }
         assert_eq!(b.access_count(), 1000);
         assert_eq!(b.node_count(), 1);
-        let t = b.finish();
+        let t = b.finish(|_| true);
         let (_, ivl, _) = t.iter().next().unwrap();
         assert_eq!(*ivl, iv(0x1000, 8, 999, 8));
     }
@@ -544,7 +513,7 @@ mod tests {
             b.insert_with(1, i * 32, 8, || ());
         }
         assert_eq!(b.node_count(), 1);
-        let t = b.finish();
+        let t = b.finish(|_| true);
         assert_eq!(*t.iter().next().unwrap().1, iv(0, 32, 99, 8));
     }
 
@@ -597,7 +566,7 @@ mod tests {
         by_extend.extend_front(1, 1000);
         assert_eq!(by_extend.access_count(), by_insert.access_count());
         let nodes = |b: SummarizingBuilder<u32, u32>| -> Vec<_> {
-            b.finish().iter().map(|(_, iv, v)| (*iv, *v)).collect()
+            b.finish(|_| true).iter().map(|(_, iv, v)| (*iv, *v)).collect()
         };
         let extended = nodes(by_extend);
         assert_eq!(extended, nodes(by_insert));
@@ -657,21 +626,26 @@ mod tests {
         // and read of a[499] by T1 overlap.
         let base = 0x100u64;
         let elt = 4u64;
-        let mut t0: SummarizingBuilder<(u32, bool), ()> = SummarizingBuilder::new();
+        // A node's value is whether it writes.
+        let mut t0: SummarizingBuilder<(u32, bool), bool> = SummarizingBuilder::new();
         for i in 1..500u64 {
-            t0.insert_with((1, true), base + i * elt, elt, || ()); // write a[i]
-            t0.insert_with((1, false), base + (i - 1) * elt, elt, || ()); // read a[i-1]
+            t0.insert_with((1, true), base + i * elt, elt, || true); // write a[i]
+            t0.insert_with((1, false), base + (i - 1) * elt, elt, || false); // read a[i-1]
         }
-        let mut t1: SummarizingBuilder<(u32, bool), ()> = SummarizingBuilder::new();
+        let mut t1: SummarizingBuilder<(u32, bool), bool> = SummarizingBuilder::new();
         for i in 500..1000u64 {
-            t1.insert_with((1, true), base + i * elt, elt, || ());
-            t1.insert_with((1, false), base + (i - 1) * elt, elt, || ());
+            t1.insert_with((1, true), base + i * elt, elt, || true);
+            t1.insert_with((1, false), base + (i - 1) * elt, elt, || false);
         }
         assert_eq!(t0.node_count(), 2);
         assert_eq!(t1.node_count(), 2);
-        let a = t0.finish();
-        let b = t1.finish();
-        // Candidates: T0.writes [a1..a500) vs T1.reads [a499..a999).
+        let a = t0.finish(|&w| w);
+        let b = t1.finish(|&w| w);
+        // Candidates: T0.writes [a1..a500) vs T1.reads [a499..a999); the
+        // reads [a0..a499) of T0 meet T1's writes [a500..a1000) nowhere.
+        let mut candidates = 0;
+        for_each_candidate_pair(&a, &b, |_, _, _, _| candidates += 1);
+        assert_eq!(candidates, 1);
         assert_eq!(count_exact_overlaps(&a, &b), 1);
     }
 
@@ -798,8 +772,11 @@ mod proptests {
         }
     }
 
-    /// Runs `stream` through the real builder and the reference.
-    fn assert_builder_matches_reference(stream: &[(u32, u64, u64)]) {
+    /// Runs `stream` through the real builder and the reference. A node
+    /// writes when `write_every` divides the stream position of the
+    /// access that created it (never when it is 0).
+    fn assert_builder_matches_reference(stream: &[(u32, u64, u64)], write_every: u32) {
+        let writes = |v: &u32| write_every != 0 && v.is_multiple_of(write_every);
         let mut bulk: SummarizingBuilder<u32, u32> = SummarizingBuilder::new();
         let mut reference = InsertingBuilder::default();
         for (i, &(key, addr, size)) in stream.iter().enumerate() {
@@ -807,10 +784,16 @@ mod proptests {
             reference.insert(key, addr, size, i as u32);
         }
         let nodes = bulk.node_count();
-        let tree = bulk.finish();
+        let tree = bulk.finish(writes);
         tree.assert_invariants();
         assert!(tree.len() >= nodes, "finish only adds the flushed pendings");
-        assert_eq!(inorder(&tree), reference.finish());
+        // The reference's order, writes moved before reads at one begin.
+        let mut expect = reference.finish();
+        expect.sort_by_key(|(iv, v)| (iv.begin(), !writes(v)));
+        assert_eq!(inorder(&tree), expect);
+        let reads = expect.iter().filter(|(_, v)| !writes(v)).count();
+        let split = (tree.len() - reads) * tree::SORT_READS_AT < reads;
+        assert_eq!(tree.unsorted_reads(), if split { reads } else { 0 });
     }
 
     #[test]
@@ -829,7 +812,38 @@ mod proptests {
             (3, 0x108, 8), // same begin as the flushed pending, created later
             (1, 0x418, 8), // B's next element, but D is ahead in the ring and pends it
         ];
-        assert_builder_matches_reference(&stream);
+        // All writes, reads sorted among writes, reads alone.
+        for write_every in [1, 2, 0] {
+            assert_builder_matches_reference(&stream, write_every);
+        }
+    }
+
+    #[test]
+    fn a_read_heavy_tree_keeps_its_reads_in_insertion_order() {
+        // 17 reads per write: one write above the threshold.
+        let mut b: SummarizingBuilder<u32, bool> = SummarizingBuilder::new();
+        for i in 0..34u64 {
+            b.insert_with(1, 0x8000 - i * 64, 8, || false);
+        }
+        b.insert_with(2, 0x10, 4, || true);
+        b.insert_with(2, 0x9000, 4, || true);
+        let t = b.finish(|&w| w);
+        t.assert_invariants();
+        assert_eq!(t.unsorted_reads(), 34);
+        let begins: Vec<u64> = t.nodes()[..34].iter().map(|n| n.interval.begin()).collect();
+        assert!(begins.windows(2).all(|w| w[0] > w[1]), "insertion order, descending here");
+        let all: Vec<u64> = t.iter().map(|(_, iv, _)| iv.begin()).collect();
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "iter() sorts them: {all:?}");
+        assert_eq!(t.bounds(), Some((0x10, 0x9004)));
+        assert_eq!(t.write_bounds(), Some((0x10, 0x9004)));
+        // Sixteen reads per write sort.
+        let mut b: SummarizingBuilder<u32, bool> = SummarizingBuilder::new();
+        for i in 0..32u64 {
+            b.insert_with(1, 0x8000 - i * 64, 8, || false);
+        }
+        b.insert_with(2, 0x10, 4, || true);
+        b.insert_with(2, 0x9000, 4, || true);
+        assert_eq!(b.finish(|&w| w).unsorted_reads(), 0);
     }
 
     proptest! {
@@ -881,7 +895,7 @@ mod proptests {
                 nodes.push(Node::new(StridedInterval::single(iv.base, iv.size), v));
                 nodes.last_mut().unwrap().interval = iv;
             }
-            let mut bulk = IntervalTree::link(nodes);
+            let mut bulk = IntervalTree::link(nodes, |_| true);
             bulk.assert_invariants();
             prop_assert_eq!(inorder(&bulk), inorder(&reference));
             // Sorted by (begin, insertion index): a stable sort of `seq`.
@@ -912,8 +926,11 @@ mod proptests {
                 (0u32..3, (0u64..24).prop_map(|a| 0x100 + a * 4), prop::sample::select(vec![4u64, 8])),
                 0..300,
             ),
+            // All writes, reads sorted among writes, reads kept unsorted
+            // (few writes), no writes.
+            write_every in prop::sample::select(vec![1u32, 2, 7, 40, 0]),
         ) {
-            assert_builder_matches_reference(&stream);
+            assert_builder_matches_reference(&stream, write_every);
         }
 
         #[test]
@@ -930,7 +947,8 @@ mod proptests {
                     oracle.push((addr, 4));
                 }
             }
-            let t = b.finish();
+            // Reads alone: the range query scans them unsorted.
+            let t = b.finish(|_| false);
             t.assert_invariants();
             // Every oracle access address is covered by some tree interval.
             for (addr, size) in oracle {
@@ -954,7 +972,7 @@ mod proptests {
             for i in 0..n {
                 b.insert_with((), start + i * stride, 4, || ());
             }
-            let t = b.finish();
+            let t = b.finish(|_| true);
             if n >= 3 {
                 prop_assert_eq!(t.len(), 1);
                 let (_, iv, _) = t.iter().next().unwrap();

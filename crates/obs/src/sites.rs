@@ -3,7 +3,8 @@
 //!
 //! The offline analyzer's `compare` stage accumulates, per program
 //! counter, how much work each source line caused — accesses scanned,
-//! candidate node pairs checked, exact solver calls, racy pairs — so a
+//! candidate node pairs checked (overlapping pairs of which one side
+//! writes), exact solver calls, racy pairs — so a
 //! report can show *where* the analysis cost went, the way LLOV-style
 //! per-line attribution does for verdicts.
 //!
@@ -34,7 +35,8 @@ pub struct SiteStats {
     /// Accesses covered by the summarized nodes this site contributed to
     /// candidate pairs (revisits across pairs counted each time).
     pub scanned: u64,
-    /// Candidate node pairs (coarse range overlap) involving this site.
+    /// Candidate node pairs (coarse range overlap, one side a write)
+    /// involving this site.
     pub pairs: u64,
     /// Exact constraint solves involving this site.
     pub solver_calls: u64,
@@ -162,9 +164,11 @@ impl SiteTable {
             ("sword_site_scanned_total", "Accesses scanned during compare, all sites", |s| {
                 s.scanned
             }),
-            ("sword_site_pairs_total", "Candidate pairs checked during compare, all sites", |s| {
-                s.pairs
-            }),
+            (
+                "sword_site_pairs_total",
+                "Candidate pairs (one side writes) checked during compare, all sites",
+                |s| s.pairs,
+            ),
             ("sword_site_solver_calls_total", "Exact solves during compare, all sites", |s| {
                 s.solver_calls
             }),
@@ -188,7 +192,11 @@ impl SiteTable {
             let loc = escape_label(&resolve(site));
             let rows = [
                 ("sword_site_scanned", "Accesses scanned during compare", stats.scanned),
-                ("sword_site_pairs", "Candidate pairs checked during compare", stats.pairs),
+                (
+                    "sword_site_pairs",
+                    "Candidate pairs (one side writes) checked during compare",
+                    stats.pairs,
+                ),
                 ("sword_site_solver_calls", "Exact solves during compare", stats.solver_calls),
                 ("sword_site_races", "Racy node pairs (pre-dedup)", stats.races),
             ];

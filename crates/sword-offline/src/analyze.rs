@@ -266,7 +266,8 @@ pub struct AnalysisStats {
     pub bytes_read: u64,
     /// Tree pairs compared.
     pub tree_pairs: u64,
-    /// Candidate node pairs (coarse range overlap).
+    /// Candidate node pairs: coarse range overlap between two nodes of
+    /// which at least one writes (two reads never meet in the walk).
     pub candidate_pairs: u64,
     /// Exact constraint solves.
     pub solver_calls: u64,

@@ -22,7 +22,7 @@ use sword_itree::{IntervalTree, MergeOutcome, SummarizingBuilder};
 use sword_obs::MemGauge;
 use sword_trace::{
     AccessKind, Event, EventDecoder, LogSource, MappedLog, MemAccess, MutexId, PcId, SessionDir,
-    SourceStats, ThreadId,
+    SourceStats, ThreadId, MIN_ACCESS_BYTES,
 };
 
 use crate::intervals::Interval;
@@ -122,6 +122,17 @@ struct Fold {
     repeats: Repeats,
 }
 
+/// The smallest interval log, in bytes, whose build reserves its node
+/// array up front. A smaller one grows its few nodes cheaply, and its
+/// reserved-then-shrunk bound would only fragment the heap: the LULESH
+/// shape builds thousands of such trees.
+const RESERVE_FROM_BYTES: u64 = 256 << 10;
+
+/// The most nodes a build reserves up front (48 MiB of address space at
+/// 48 B a node), so a huge interval reserves no more than it could fill
+/// soon; past it the node array grows as a `Vec` does.
+const RESERVED_NODES_MAX: u64 = 1 << 20;
+
 /// How many recent accesses the repeat step remembers; a loop body it
 /// folds has fewer accesses than this.
 const REPEAT_WINDOW: usize = 64;
@@ -202,9 +213,22 @@ impl Repeats {
 }
 
 impl Fold {
-    fn new() -> Fold {
+    /// A fold for an interval of `size` log bytes. A large interval's
+    /// node array is reserved once: every node begins at an access, and
+    /// the log holds at most `size / MIN_ACCESS_BYTES` of them. Grown by
+    /// doubling instead, a large tree's array passes through buffers the
+    /// allocator keeps resident once freed, and how much of that the
+    /// analyzer's peak holds depends on which worker frees what when.
+    /// Reserved pages a build never touches are never resident; `finish`
+    /// gives them back.
+    fn new(size: u64) -> Fold {
+        let nodes = if size < RESERVE_FROM_BYTES {
+            0
+        } else {
+            (size / MIN_ACCESS_BYTES).min(RESERVED_NODES_MAX) as usize
+        };
         Fold {
-            builder: SummarizingBuilder::new(),
+            builder: SummarizingBuilder::with_capacity(nodes),
             held: Vec::new(),
             mutex_sets: vec![Vec::new()],
             current_mset: 0,
@@ -378,7 +402,7 @@ pub fn build_tree<R: Read + Seek>(
     data_begin: u64,
     size: u64,
 ) -> io::Result<BiTree> {
-    let mut fold = Fold::new();
+    let mut fold = Fold::new(size);
     let mut decoder = EventDecoder::new();
     let mut carry: Vec<u8> = Vec::new();
     let mut seen = 0u64;
@@ -414,7 +438,8 @@ pub fn build_tree<R: Read + Seek>(
     }
 
     let Fold { builder, mutex_sets, accesses, .. } = fold;
-    Ok(BiTree { tid, tree: builder.finish(), mutex_sets, accesses, bytes_read: size })
+    let tree = builder.finish(|m| m.kind.is_write());
+    Ok(BiTree { tid, tree, mutex_sets, accesses, bytes_read: size })
 }
 
 fn intern_set(sets: &mut Vec<Vec<MutexId>>, held: &[MutexId]) -> u32 {

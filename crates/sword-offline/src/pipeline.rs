@@ -746,7 +746,8 @@ impl<'a> Round<'a> {
     /// stealing; with nothing left, the builds a task still running may
     /// post. Hands each task's outcome it finishes to `sink` (which
     /// returns `false` when nobody is listening any more), and returns its
-    /// counters.
+    /// counters. Journals the share as one `work` span whose `tasks` arg
+    /// counts the tasks it finished, 0 included.
     fn work(
         &self,
         wi: usize,
@@ -754,6 +755,8 @@ impl<'a> Round<'a> {
         mut sink: impl FnMut(io::Result<TaskOutcome>) -> bool,
     ) -> WorkerStats {
         let mut stats = WorkerStats::default();
+        let share_s0 = ctx.journal.as_ref().map(|j| j.now_us());
+        let mut finished = 0u64;
         loop {
             let done = if let Some((slot, member)) = self.board.claim_any() {
                 self.help(slot, member, ctx, &mut stats)
@@ -763,12 +766,13 @@ impl<'a> Round<'a> {
                 }
                 let _finishing = Finishing(self.board);
                 self.start(&task, ctx, &mut stats)
-            } else if let Some((slot, member)) = self.board.claim_or_wait() {
+            } else if let Some((slot, member)) = self.wait_for_build(ctx) {
                 self.help(slot, member, ctx, &mut stats)
             } else {
                 break;
             };
             let Some(Done { result, secs, s0, tree_pairs }) = done else { continue };
+            finished += 1;
             stats.max_task_secs = stats.max_task_secs.max(secs);
             stats.task_hist.record(secs);
             // The task span starts this outcome's causal flow; the
@@ -787,7 +791,21 @@ impl<'a> Round<'a> {
                 break;
             }
         }
+        journal_stage(&ctx.journal, "work", share_s0, ("tasks", finished as f64));
         stats
+    }
+
+    /// A posted build for a worker whose deques are dry, waiting while a
+    /// task that may still post runs; `None` once none can. While one
+    /// runs, the worker first trims its cache to budget: the trees of the
+    /// task it finished last would otherwise stay resident beside the
+    /// running task's, and which worker goes idle first, holding what,
+    /// is a matter of timing.
+    fn wait_for_build(&self, ctx: &mut WorkerCtx) -> Option<(Slot, &'a Interval)> {
+        if self.board.unfinished.load(Ordering::Acquire) > 0 {
+            ctx.trees.evict(&[]);
+        }
+        self.board.claim_or_wait()
     }
 
     /// Starts one comparison task: settles the member pairs the round owes

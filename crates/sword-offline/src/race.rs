@@ -298,7 +298,8 @@ impl RaceSet {
 /// Statistics of one tree-vs-tree comparison.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PairStats {
-    /// Node pairs whose coarse ranges overlapped.
+    /// Node pairs whose coarse ranges overlapped and of which at least
+    /// one writes.
     pub candidates: u64,
     /// Exact constraint solves performed.
     pub solver_calls: u64,
@@ -402,13 +403,8 @@ pub fn check_pair(
 ) -> PairStats {
     let mut stats = PairStats::default();
     let mut sites = sites;
-    // Bounding-box reject: when the two trees' covered address ranges are
-    // disjoint, the candidate walk cannot yield a single pair, so skipping
-    // it is counter-neutral (candidates would be 0 either way).
-    if let (Some((a_lo, a_hi)), Some((b_lo, b_hi))) = (a.tree.bounds(), b.tree.bounds()) {
-        if a_hi <= b_lo || b_hi <= a_lo {
-            return stats;
-        }
+    if !writes_reach(a, b) {
+        return stats;
     }
     let mut pending: Vec<PendingSolve> = Vec::new();
     for_each_candidate_pair_fp(&a.tree, &b.tree, |ia, fa, ma, ib, fb, mb| {
@@ -505,6 +501,19 @@ pub fn check_pair(
     stats
 }
 
+/// The bounding-box reject of [`check_pair`]: `false` when neither tree's
+/// writes reach into the other tree's covered range. The walk meets only
+/// pairs with a write, so it could not yield a single one, and skipping
+/// it is counter-neutral (candidates would be 0 either way). Two
+/// read-only trees never walk.
+fn writes_reach(a: &BiTree, b: &BiTree) -> bool {
+    let reach = |writes: Option<(u64, u64)>, all: Option<(u64, u64)>| match (writes, all) {
+        (Some((wl, wh)), Some((lo, hi))) => wl < hi && lo < wh,
+        _ => false,
+    };
+    reach(a.tree.write_bounds(), b.tree.bounds()) || reach(b.tree.write_bounds(), a.tree.bounds())
+}
+
 /// Test helper: a synthetic evidence record for Race-literal tests
 /// across the crate.
 #[cfg(test)]
@@ -533,15 +542,21 @@ pub(crate) fn test_evidence(pc_a: PcId, pc_b: PcId, addr: u64) -> Evidence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sword_itree::IntervalTree;
+    use sword_itree::SummarizingBuilder;
     use sword_osl::Label;
     use sword_trace::MetaRecord;
 
+    /// A tree of exactly `nodes`, each folded from its accesses under a
+    /// key of its own, with the analyzer's node class.
     fn tree_of(tid: ThreadId, nodes: &[(StridedInterval, AccessMeta)]) -> BiTree {
-        let mut tree = IntervalTree::new();
-        for (iv, m) in nodes {
-            tree.insert(*iv, *m);
+        let mut builder = SummarizingBuilder::new();
+        for (k, (iv, m)) in nodes.iter().enumerate() {
+            for x in 0..iv.len() {
+                builder.insert_with(k, iv.base + x * iv.stride, iv.size, || *m);
+            }
         }
+        let tree = builder.finish(|m| m.kind.is_write());
+        assert_eq!(tree.len(), nodes.len(), "one node per interval");
         BiTree {
             tid,
             tree,
@@ -698,6 +713,41 @@ mod tests {
         );
         assert_eq!(stats.solver_calls, 0);
         assert!(races.is_empty());
+    }
+
+    #[test]
+    fn read_only_trees_are_never_walked() {
+        let iv = StridedInterval::new(0x100, 8, 9, 8);
+        let a = tree_of(0, &[(iv, meta(AccessKind::Read, 1, 0))]);
+        let b = tree_of(1, &[(iv, meta(AccessKind::AtomicRead, 2, 0))]);
+        assert!(!writes_reach(&a, &b), "two readers over one range");
+        let mut races = RaceSet::new();
+        let mut sites = SiteCounters::new();
+        let cache = VerdictCache::default();
+        let stats =
+            run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &cache, &mut races, None, Some(&mut sites));
+        assert_eq!(stats, PairStats::default());
+        assert!(races.is_empty());
+        let table = sword_obs::SiteTable::new();
+        table.absorb(sites);
+        assert!(table.snapshot().is_empty(), "no pair credited");
+        // A write reopens the walk where it reaches the other tree, from
+        // either side.
+        let w = tree_of(2, &[(iv, meta(AccessKind::Write, 3, 0))]);
+        assert!(writes_reach(&a, &w) && writes_reach(&w, &a));
+        let far = tree_of(
+            2,
+            &[
+                (StridedInterval::single(0x1000, 8), meta(AccessKind::Write, 3, 0)),
+                (iv, meta(AccessKind::Read, 4, 0)),
+            ],
+        );
+        assert!(
+            !writes_reach(&a, &far) && !writes_reach(&far, &a),
+            "its write lies past a's range"
+        );
+        let stats = run_pair(&a, &ctx_of(0), &far, &ctx_of(2), &cache, &mut races, None, None);
+        assert_eq!(stats, PairStats::default());
     }
 
     #[test]

@@ -330,9 +330,12 @@ fn worker_count_never_changes_a_live_result() {
 
 #[test]
 fn live_polls_run_on_the_worker_pool() {
-    // With two workers a poll deals its tasks to two threads, and each
-    // journals its task spans under its own name; an idle poll journals
-    // nothing on the pool at all.
+    // With two workers a poll starts a second thread, and each worker it
+    // runs on journals its share of the round under its own name, with
+    // the tasks it finished; an idle poll journals nothing on the pool at
+    // all. Which worker finishes which task is the scheduler's call: the
+    // tasks here take microseconds, and worker 0 may finish all of them
+    // before worker 1 starts, so only the shares are counted on.
     use sword_obs::Obs;
 
     let dir = record("pool", many_tasks_workload);
@@ -342,21 +345,31 @@ fn live_polls_run_on_the_worker_pool() {
     let mut live = LiveAnalyzer::new(&src, &config);
     assert!(live.poll().expect("poll").finished, "a finished session is one poll");
     let events = obs.journal.drain();
-    for worker in ["oa-worker-0", "oa-worker-1"] {
-        assert!(
-            events.iter().any(|e| e.name == "task" && &*e.thread == worker),
-            "no task span on {worker}"
-        );
-    }
+    let shares: Vec<(&str, f64)> = events
+        .iter()
+        .filter(|e| e.name == "work")
+        .map(|e| (&*e.thread, e.args.iter().find(|(k, _)| k == "tasks").expect("tasks arg").1))
+        .collect();
+    let mut workers: Vec<&str> = shares.iter().map(|(w, _)| *w).collect();
+    workers.sort_unstable();
+    assert_eq!(workers, ["oa-worker-0", "oa-worker-1"], "one share per worker, two workers");
+    let tasks = events.iter().filter(|e| e.name == "task").count();
+    assert!(tasks > 1, "the poll dealt {tasks} tasks");
+    assert_eq!(
+        shares.iter().map(|(_, n)| n).sum::<f64>(),
+        tasks as f64,
+        "the shares cover every task"
+    );
     assert!(!events.iter().any(|e| &*e.thread == "oa-worker-2"), "workers = 2 means two");
     let tiny = record("pool-tiny", clean_workload);
     let mut small = LiveAnalyzer::new(&SessionDir::new(&tiny), &config);
     assert!(small.poll().expect("poll").tree_pairs > 0);
     let events = obs.journal.drain();
     assert!(
-        events.iter().all(|e| e.name != "task" || &*e.thread == "oa-worker-0"),
+        events.iter().all(|e| !e.thread.starts_with("oa-worker-") || &*e.thread == "oa-worker-0"),
         "a few kilobytes of log are analyzed where the poll runs"
     );
+    assert!(events.iter().any(|e| e.name == "work"), "on worker 0");
     std::fs::remove_dir_all(&tiny).unwrap();
 
     let idle = live.poll().expect("idle poll");

@@ -39,6 +39,11 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// The fewest bytes an access encodes in: its tag and two one-byte
+/// varints. A log of `n` bytes holds at most `n / MIN_ACCESS_BYTES`
+/// accesses.
+pub const MIN_ACCESS_BYTES: u64 = 3;
+
 // Tag layout: bit 0 distinguishes access (0) from mutex op (1).
 const TAG_MUTEX_BIT: u8 = 0x01;
 const MUTEX_ACQUIRE: u8 = 0;
@@ -613,6 +618,15 @@ mod tests {
     }
 
     #[test]
+    fn the_shortest_access_is_min_access_bytes() {
+        let a = Event::Access(MemAccess::new(0x1000, 8, Read, 7));
+        let (mut enc, mut buf) = (EventEncoder::new(), Vec::new());
+        enc.encode(&a, &mut buf);
+        // Zero address and PC deltas: one byte each after the tag.
+        assert_eq!(enc.encode(&a, &mut buf) as u64, MIN_ACCESS_BYTES);
+    }
+
+    #[test]
     fn hot_shape_edges_match_the_general_path() {
         // A buffer as the collector's pool sizes it — 24 bytes per event
         // of capacity — with room for `events` more, the two before them
@@ -888,6 +902,16 @@ mod proptests {
             for e in &b { enc.encode(e, &mut buf); }
             prop_assert_eq!(EventDecoder::new().decode_all(&buf[..split]).unwrap(), a);
             prop_assert_eq!(EventDecoder::new().decode_all(&buf[split..]).unwrap(), b);
+        }
+
+        /// The bound a tree build reserves its nodes by.
+        #[test]
+        fn no_access_encodes_in_fewer_than_min_access_bytes(events in arb_stream(64)) {
+            let (mut enc, mut buf) = (EventEncoder::new(), Vec::new());
+            for e in &events {
+                let n = enc.encode(e, &mut buf) as u64;
+                prop_assert!(!matches!(e, Event::Access(_)) || n >= MIN_ACCESS_BYTES);
+            }
         }
 
         #[test]

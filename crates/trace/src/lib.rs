@@ -29,7 +29,7 @@ pub mod session;
 pub mod source;
 
 pub use encode::CodecError;
-pub use encode::{EventDecoder, EventEncoder};
+pub use encode::{EventDecoder, EventEncoder, MIN_ACCESS_BYTES};
 pub use event::{AccessKind, Event, MemAccess, MutexId, PcId, RegionId, ThreadId};
 pub use log::{LogReader, LogWriter};
 pub use meta::{read_meta, read_regions, write_meta, write_regions, MetaParseError};

@@ -54,7 +54,7 @@ fn main() {
             b.insert_with(("read a[i-1]", false), BASE + (i - 1) * 4, 4, || "read a[i-1]");
             b.insert_with(("write a[i]", true), BASE + i * 4, 4, || "write a[i]");
         }
-        let t = b.finish();
+        let t = b.finish(|label| label.starts_with("write"));
         println!("thread {}..{}: {} accesses -> {} tree nodes", lo, hi, (hi - lo) * 2, t.len());
         for (_, iv, label) in t.iter() {
             println!(
@@ -72,13 +72,10 @@ fn main() {
     let (a, b) = (&trees[0], &trees[1]);
     let mut candidates = 0;
     let mut races = Vec::new();
+    // The walk meets only pairs of which one side writes; the exact
+    // overlap decides, as in the analyzer.
     for_each_candidate_pair(a, b, |ia, la, ib, lb| {
         candidates += 1;
-        // R/W filter + exact overlap, as the analyzer applies.
-        let is_write = |l: &&str| l.starts_with("write");
-        if !is_write(la) && !is_write(lb) {
-            return;
-        }
         if let Some(addr) = strided_overlap_witness(ia, ib) {
             races.push((la.to_string(), lb.to_string(), addr));
         }

@@ -71,7 +71,8 @@ fn intern(sets: &mut Vec<Vec<MutexId>>, held: &[MutexId]) -> u32 {
 }
 
 /// The per-event fold: decode everything, insert every access under the
-/// analyzer's key `(pc, kind, size, mutex set)`.
+/// analyzer's key `(pc, kind, size, mutex set)`, and finish with the
+/// analyzer's node class (a write meets reads, two reads never meet).
 fn reference(bytes: &[u8]) -> Outcome {
     let events = EventDecoder::new().decode_all(bytes).expect("generated streams decode");
     let mut builder: SummarizingBuilder<(u32, u8, u8, u32), AccessMeta> = SummarizingBuilder::new();
@@ -109,7 +110,7 @@ fn reference(bytes: &[u8]) -> Outcome {
         }
     }
     let accesses = builder.access_count();
-    let nodes = builder.finish().iter().map(|(_, iv, m)| (*iv, *m)).collect();
+    let nodes = builder.finish(|m| m.kind.is_write()).iter().map(|(_, iv, m)| (*iv, *m)).collect();
     Ok(Built { nodes, mutex_sets, accesses })
 }
 
