@@ -113,7 +113,7 @@ const MOVE_BELOW_BYTES: usize = 64 << 10;
 /// would hold the tree twice. A small one moves to an array of its own
 /// size, since shrinking in place keeps it in whatever its builder
 /// reserved — page-mapped when that was a large log's bound, a few
-/// hundred nodes rounded up to whole pages in every cached tree.
+/// hundred nodes rounded up to whole pages in every held tree.
 fn fit<V>(mut nodes: Vec<Node<V>>) -> Vec<Node<V>> {
     if nodes.capacity() > nodes.len() && std::mem::size_of_val(nodes.as_slice()) < MOVE_BELOW_BYTES
     {

@@ -83,9 +83,10 @@ pub struct AnalysisConfig {
     /// so the overhead of attribution itself can be measured against a
     /// clean baseline.
     pub sites: Option<sword_obs::SiteTable>,
-    /// Live bytes held in interval trees, updated as the workers' caches
-    /// build and drop trees. Shared by `clone`;
-    /// its peak is the analyzer's measured tree memory (Figures 6–8).
+    /// Live bytes held in interval trees, charged while a task holds its
+    /// trees and credited when it drops them, so it reads 0 between
+    /// rounds and polls. Shared by `clone`; its peak is the analyzer's
+    /// measured tree memory (Figures 6–8).
     pub mem_gauge: MemGauge,
 }
 
@@ -253,9 +254,10 @@ pub struct AnalysisStats {
     pub tasks: u64,
     /// Interval trees requested: one per task, per round, for every member
     /// that owes a pair there (the lone non-empty member of a group gets
-    /// none). A cache hit counts like a build, so the row depends on the
-    /// session and the cut, not on workers or cache size; a group filled
-    /// over several polls requests its older members again.
+    /// none). A tree another worker built counts for the task that holds
+    /// it, so the row depends on the session and the cut, not on workers;
+    /// a group filled over several polls requests its older members
+    /// again.
     pub trees_built: u64,
     /// Total nodes of the requested trees (the paper's `M`).
     pub nodes: u64,

@@ -568,129 +568,69 @@ impl ReaderPool {
     }
 }
 
-/// Node budget of a [`TreeCache`] (matches a few thousand typical
-/// intervals without rebuilds while staying bounded).
-const TREE_CACHE_NODES: usize = 64 * 1024;
-
-/// Bounded LRU cache of interval trees keyed by `(tid, data_begin)` —
-/// the analysis core's tree store, one per worker, kept from round to
-/// round. Intervals compared by many tasks (or again by a later poll) are
-/// built once per cache instead of once per task, while the node budget
-/// keeps the per-worker memory bound: a task trims the cache to budget
-/// before it builds, so a worker holds at most the budget plus one task's
-/// trees.
-pub(crate) struct TreeCache {
-    entries: HashMap<(ThreadId, u64), CacheEntry>,
-    clock: u64,
-    nodes_held: usize,
-    /// Cached tree bytes, charged on insert and credited on eviction or
-    /// drop, so the analyzer's memory gauge covers every held tree.
+/// The trees of one comparison task, held while its pairs are compared
+/// and dropped with it: the analyzer keeps no tree past the task that
+/// asked for it, so a worker holds one task's trees at a time and none
+/// between rounds or polls. Held tree bytes are charged to the memory
+/// gauge and credited on drop.
+pub(crate) struct TaskTrees {
+    /// `(data_begin, tree)` sorted by `(data_begin, tid)`: the task's
+    /// file-position order.
+    trees: Vec<(u64, BiTree)>,
     mem: MemGauge,
 }
 
-struct CacheEntry {
-    last_use: u64,
-    tree: BiTree,
-}
-
-impl TreeCache {
+impl TaskTrees {
     pub(crate) fn new(mem: MemGauge) -> Self {
-        TreeCache { entries: HashMap::new(), clock: 0, nodes_held: 0, mem }
+        TaskTrees { trees: Vec::new(), mem }
     }
 
-    /// Builds and caches the tree for `member` unless already present.
-    ///
-    /// A cache hit charges the tree's build counters (trees built, nodes,
-    /// events, bytes) to `stats` like a build does: the statistics count
-    /// *logical* tree requests, independent of worker count, scheduling
-    /// and cache geometry — the same contract `solver_calls` keeps under
-    /// the verdict memo. Only the measured build time shrinks.
-    pub(crate) fn ensure(
+    /// Builds and holds `member`'s tree; the build counts in the worker's
+    /// tree-build stage time.
+    pub(crate) fn build(
         &mut self,
         dir: &SessionDir,
         member: &Interval,
         pool: &mut ReaderPool,
         stats: &mut WorkerStats,
     ) -> io::Result<()> {
-        let key = (member.tid, member.meta.data_begin);
-        self.clock += 1;
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.last_use = self.clock;
-            stats.trees_built += 1;
-            stats.nodes += e.tree.node_count() as u64;
-            stats.events += e.tree.accesses;
-            stats.bytes_read += e.tree.bytes_read;
-            return Ok(());
-        }
         let t0 = Instant::now();
-        let tree = pool.build(
-            dir,
-            member.tid,
-            member.meta.data_begin,
-            member.meta.size,
-            DEFAULT_CHUNK_BYTES,
-        )?;
+        let (tid, begin, size) = (member.tid, member.meta.data_begin, member.meta.size);
+        let tree = pool.build(dir, tid, begin, size, DEFAULT_CHUNK_BYTES)?;
         stats.build_secs += t0.elapsed().as_secs_f64();
+        self.hold(member, tree, stats);
+        Ok(())
+    }
+
+    /// Holds `member`'s tree, built here or by another worker. Charges the
+    /// tree's build counters (trees built, nodes, events, bytes): they
+    /// count *logical* tree requests, one per tree a task holds, whoever
+    /// built it.
+    pub(crate) fn hold(&mut self, member: &Interval, tree: BiTree, stats: &mut WorkerStats) {
         stats.trees_built += 1;
         stats.nodes += tree.node_count() as u64;
         stats.events += tree.accesses;
         stats.bytes_read += tree.bytes_read;
-        self.adopt(key, tree);
-        Ok(())
-    }
-
-    /// `true` when the tree for `key` is cached.
-    pub(crate) fn contains(&self, key: &(ThreadId, u64)) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Caches a tree built or cached by another worker for a task this one
-    /// finishes. It charges the memory gauge but no build counters: the
-    /// task's [`TreeCache::ensure`] hits it and charges those.
-    pub(crate) fn adopt(&mut self, key: (ThreadId, u64), tree: BiTree) {
-        self.nodes_held += tree.node_count();
         self.mem.alloc(tree.heap_bytes());
-        self.entries.insert(key, CacheEntry { last_use: self.clock, tree });
+        let key = (member.meta.data_begin, member.tid);
+        let at = self.trees.partition_point(|(begin, t)| (*begin, t.tid) < key);
+        self.trees.insert(at, (member.meta.data_begin, tree));
     }
 
-    /// Evicts least-recently-used trees until the node budget holds or
-    /// only the pinned keys (the task about to be compared) are left.
-    /// Pinned keys need not be cached yet: a task trims before it builds.
-    pub(crate) fn evict(&mut self, pinned: &[(ThreadId, u64)]) {
-        while self.nodes_held > TREE_CACHE_NODES {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(k, _)| !pinned.contains(k))
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            if victim.and_then(|key| self.take(&key)).is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Removes the tree for `key`: evicted, or moved to another worker.
-    pub(crate) fn take(&mut self, key: &(ThreadId, u64)) -> Option<BiTree> {
-        let e = self.entries.remove(key)?;
-        self.nodes_held -= e.tree.node_count();
-        self.mem.free(e.tree.heap_bytes());
-        Some(e.tree)
-    }
-
-    pub(crate) fn get(&self, key: &(ThreadId, u64)) -> Option<&BiTree> {
-        self.entries.get(key).map(|e| &e.tree)
+    /// `member`'s tree, if this task holds it.
+    pub(crate) fn get(&self, member: &Interval) -> Option<&BiTree> {
+        let key = (member.meta.data_begin, member.tid);
+        let at = self.trees.binary_search_by_key(&key, |(begin, t)| (*begin, t.tid)).ok()?;
+        Some(&self.trees[at].1)
     }
 }
 
-impl Drop for TreeCache {
-    /// Credits every still-cached tree back to the memory gauge, so the
-    /// gauge's live value returns to zero once an analysis (and its
-    /// per-worker caches) finishes while its peak keeps the measured
-    /// tree memory.
+impl Drop for TaskTrees {
+    /// Credits the task's trees back to the memory gauge, whose peak keeps
+    /// the measured tree memory.
     fn drop(&mut self) {
-        for e in self.entries.values() {
-            self.mem.free(e.tree.heap_bytes());
+        for (_, t) in &self.trees {
+            self.mem.free(t.heap_bytes());
         }
     }
 }
@@ -1003,47 +943,23 @@ mod tests {
             vec![Event::MutexAcquire(3), acc(0x40, AccessKind::Write, 2), Event::MutexRelease(3)];
         let (dir, members) = session_of("gauge", &[scattered(1000, 7), locked]);
         let mem = MemGauge::new();
-        let mut cache = TreeCache::new(mem.clone());
+        let mut trees = TaskTrees::new(mem.clone());
         let (mut pool, mut stats) = (ReaderPool::new(), WorkerStats::default());
         for m in &members {
-            cache.ensure(&dir, m, &mut pool, &mut stats).unwrap();
+            trees.build(&dir, m, &mut pool, &mut stats).unwrap();
         }
         let expect: u64 = members
             .iter()
-            .map(|m| cache.get(&(m.tid, 0)).unwrap())
+            .map(|m| trees.get(m).unwrap())
             .map(|t| t.tree.arena_bytes() as u64 + set_bytes(t))
             .sum();
         assert_eq!(mem.live(), expect);
         // An interval, its metadata and a fingerprint: no link fields.
-        let t = cache.get(&(0, 0)).unwrap();
+        let t = trees.get(&members[0]).unwrap();
         assert_eq!(t.tree.arena_bytes(), t.node_count() * 48);
-        drop(cache);
+        drop(trees);
         assert_eq!(mem.live(), 0);
         assert_eq!(mem.peak(), expect);
-        std::fs::remove_dir_all(dir.path()).unwrap();
-    }
-
-    #[test]
-    fn evict_drops_unpinned_trees_when_the_pinned_ones_are_not_cached() {
-        // One cached tree over the node budget, and a task that names a
-        // tree not built yet: the trim runs before that build, so the
-        // cache holds fewer entries than the task pins and must still let
-        // the old tree go.
-        let big = TREE_CACHE_NODES as u64 + 1000;
-        let (dir, members) = session_of("evict", &[scattered(big, 11), scattered(10, 13)]);
-        let mem = MemGauge::new();
-        let mut cache = TreeCache::new(mem.clone());
-        let (mut pool, mut stats) = (ReaderPool::new(), WorkerStats::default());
-        cache.ensure(&dir, &members[0], &mut pool, &mut stats).unwrap();
-        assert!(cache.get(&(0, 0)).unwrap().node_count() > TREE_CACHE_NODES);
-        let pinned = [(1, 0), (2, 0)];
-        cache.evict(&pinned);
-        assert!(cache.get(&(0, 0)).is_none(), "the unpinned tree over budget is evicted");
-        assert_eq!(mem.live(), 0);
-        // A pinned tree over budget stays.
-        cache.ensure(&dir, &members[0], &mut pool, &mut stats).unwrap();
-        cache.evict(&[(0, 0)]);
-        assert!(cache.get(&(0, 0)).is_some());
         std::fs::remove_dir_all(dir.path()).unwrap();
     }
 
@@ -1051,14 +967,15 @@ mod tests {
     fn cache_holds_one_tasks_trees_not_two() {
         // The scatter shape: two threads gather through a random index
         // table over two rounds, so every interval's tree is about one
-        // node per gather, and each round's trees exceed the cache's node
-        // budget. One analysis worker (the gauge is shared by workers, so
-        // with more the peak depends on how their tasks overlap): once a
-        // task's trees are built, the previous task's must be gone.
+        // node per gather, over `BIG` nodes each. One analysis worker (the
+        // gauge is shared by workers, so with more the peak depends on how
+        // their tasks overlap): once a task's trees are built, the
+        // previous task's must be gone.
         use sword_ompsim::SimConfig;
         use sword_runtime::{run_collected, SwordConfig};
 
-        let n = 2 * (TREE_CACHE_NODES as u64 + 8192);
+        const BIG: usize = 64 * 1024;
+        let n = 2 * (BIG as u64 + 8192);
         let table = n.next_power_of_two();
         let idx: Vec<u64> =
             random_words(n, 0x9E37_79B9_7F4A_7C15).map(|x| x & (table - 1)).collect();
@@ -1099,10 +1016,10 @@ mod tests {
             if trees.len() < 2 {
                 continue;
             }
-            big_trees += trees.iter().filter(|t| t.node_count() > TREE_CACHE_NODES).count();
+            big_trees += trees.iter().filter(|t| t.node_count() > BIG).count();
             largest = largest.max(trees.iter().map(BiTree::heap_bytes).sum::<u64>());
         }
-        assert_eq!(big_trees, 4, "every gather interval's tree exceeds the budget on its own");
+        assert_eq!(big_trees, 4, "every gather interval's tree has over 64 k nodes");
 
         let config = crate::AnalysisConfig::sequential();
         crate::analyze(&dir, &config).unwrap();

@@ -5,16 +5,16 @@
 //! rows newly covered by the flush watermark and hands them to the
 //! analysis core as one round — the structure, scheduler, worker pool (up
 //! to `AnalysisConfig::workers` threads, the polling one among them; a
-//! small or idle poll starts none), tree caches and pair rule that batch
-//! `analyze` runs as a single round over the whole session. A round
+//! small or idle poll starts none) and pair rule that batch `analyze`
+//! runs as a single round over the whole session. A round
 //! compares exactly the member pairs whose later interval it brought, so
 //! the race set grows monotonically and every unordered pair is compared
 //! once however the watermark advanced: once the session finishes,
 //! [`into_result`] equals `analyze` on the directory — races, evidence,
 //! and every counter that does not depend on the cut
-//! ([`crate::AnalysisStats`] names the tree-request rows that do). Trees
-//! stay in the workers' bounded LRU caches between polls, so a long watch
-//! holds O(budget) nodes, not the whole log.
+//! ([`crate::AnalysisStats`] names the tree-request rows that do). A
+//! task's trees are dropped once it has compared them, so between polls
+//! a watch holds no tree at all, however long the log grows.
 //!
 //! [`poll`]: LiveAnalyzer::poll
 //! [`into_result`]: LiveAnalyzer::into_result

@@ -23,7 +23,7 @@
 //! and deals contiguous chunks into one deque per worker. Workers drain
 //! their own deque front-to-back and steal a batch from the back of a
 //! victim's when they run dry, so the pool stays saturated even when task
-//! costs are skewed. A task too large for that — its missing trees carry
+//! costs are skewed. A task too large for that — its trees carry
 //! `BYTES_PER_STARTED_THREAD` of log — posts their builds on the round's
 //! [`Board`]; every worker builds a posted tree before it pops its next
 //! task, and the one that lands the task's last tree compares, so one
@@ -36,11 +36,13 @@
 //! started and joined inside the round, one per `BYTES_PER_STARTED_THREAD`
 //! of log it brought and no more than it has trees to build — a
 //! one-worker round, a small poll, or one with no rows starts none, a poll
-//! of one large task starts one. What a worker keeps between rounds
-//! (reader pool, tree cache, recorders) lives in the [`Core`], so a poll
-//! reuses the trees and open logs of the polls before it. A task compares
-//! a member pair only when the round owes it ([`Structure::owed`]): batch
-//! is the one-round case, not another rule.
+//! of one large task starts one. A task builds the trees its owed pairs
+//! name, compares them and drops them ([`TaskTrees`]): a worker holds one
+//! task's trees at a time and none between rounds. What a worker does keep
+//! between rounds (reader pool, recorders) lives in the [`Core`], so a
+//! poll reuses the open logs of the polls before it. A task compares a
+//! member pair only when the round owes it ([`Structure::owed`]): batch is
+//! the one-round case, not another rule.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -55,7 +57,7 @@ use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, Th
 use crate::analyze::{
     finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats,
 };
-use crate::build::{BiTree, ReaderPool, TreeCache, DEFAULT_CHUNK_BYTES, OPEN_LOGS_BUDGET};
+use crate::build::{BiTree, ReaderPool, TaskTrees, DEFAULT_CHUNK_BYTES, OPEN_LOGS_BUDGET};
 use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
 use crate::race::{check_pair, CompareCtx, Race, RaceSet};
 use crate::stages::{DurationHist, StageTable};
@@ -74,8 +76,7 @@ const RESULT_QUEUE: usize = 256;
 /// Log bytes a round must bring per thread it starts beside the calling
 /// one: ≈ 2 ms of tree building against ≈ 0.1 ms to start, feed and join
 /// a thread. Most polls of a `watch` bring less and run where they are.
-/// A task whose missing trees carry this much shares their builds
-/// ([`Board`]).
+/// A task whose trees carry this much shares their builds ([`Board`]).
 const BYTES_PER_STARTED_THREAD: u64 = 256 << 10;
 
 /// Per-worker counters, accumulated across a round's tasks and merged
@@ -232,14 +233,11 @@ fn next_task(deques: &[Mutex<VecDeque<Task>>], wi: usize) -> Option<Task> {
 /// Where a claimed build sits on the [`Board`]: (split, build).
 type Slot = (usize, usize);
 
-/// A cached tree's key: its thread and the first log byte of its interval.
-type TreeKey = (ThreadId, u64);
-
 /// A built tree and the seconds its build took, or the build's error.
 type Landed = io::Result<(BiTree, f64)>;
 
-/// The tree builds a round's workers share. A task whose missing trees
-/// are at least two and carry [`BYTES_PER_STARTED_THREAD`] of log posts
+/// The tree builds a round's workers share. A task whose trees are at
+/// least two and carry [`BYTES_PER_STARTED_THREAD`] of log posts
 /// them here as one split, and builds its own largest unclaimed one until
 /// none is left; before popping its next task every worker claims a
 /// posted build, largest first. The worker that lands a task's last tree
@@ -281,10 +279,9 @@ struct Build<'a> {
 /// What finishing a task needs besides its posted trees.
 struct Rest<'a> {
     pairs: Vec<(&'a Interval, &'a Interval)>,
-    /// The task's trees in file-position order.
+    /// The task's trees still to build, in file-position order: all of
+    /// them when none were posted, none when they were.
     owing: Vec<&'a Interval>,
-    /// Trees the owner had cached, moving with the task.
-    held: Vec<(TreeKey, BiTree)>,
     /// The task's work so far besides its posted builds.
     secs: f64,
 }
@@ -385,20 +382,14 @@ impl<'a> Board<'a> {
 
     /// Settles split `si` once its owner has claimed all of its builds:
     /// when every one has landed the owner finishes the task itself;
-    /// otherwise the task, with the trees `held()` takes out of the
-    /// owner's cache, waits here for whoever lands its last build.
-    fn settle(
-        &self,
-        si: usize,
-        rest: Rest<'a>,
-        held: impl FnOnce() -> Vec<(TreeKey, BiTree)>,
-    ) -> Option<Finish<'a>> {
+    /// otherwise the task waits here for whoever lands its last build.
+    fn settle(&self, si: usize, rest: Rest<'a>) -> Option<Finish<'a>> {
         let mut splits = self.lock();
         let split = &mut splits[si];
         if split.pending == 0 {
             return Some(Finish { rest, landed: take_landed(split) });
         }
-        split.rest = Some(Rest { held: held(), ..rest });
+        split.rest = Some(rest);
         None
     }
 
@@ -438,13 +429,10 @@ struct Done {
     tree_pairs: u64,
 }
 
-/// What one worker keeps from round to round: its open logs, its trees
-/// (an interval shared by its tasks, or needed again by a later round, is
-/// built once), and its `--obs` recorders (`None` when observability is
-/// off).
+/// What one worker keeps from round to round: its open logs and its
+/// `--obs` recorders (`None` when observability is off).
 struct WorkerCtx {
     pool: ReaderPool,
-    trees: TreeCache,
     journal: Option<ThreadJournal>,
     solver_hist: Option<Histogram>,
     /// Per-site attribution accumulator (lock-free on the hot path),
@@ -603,7 +591,6 @@ impl Core {
                     self.sources.clone(),
                     OPEN_LOGS_BUDGET / config.workers.max(1),
                 ),
-                trees: TreeCache::new(config.mem_gauge.clone()),
                 journal: config.journal_for(format!("oa-worker-{wi}")),
                 solver_hist: config.solver_hist(),
                 sites: config.sites.as_ref().map(|_| SiteCounters::new()),
@@ -766,7 +753,7 @@ impl<'a> Round<'a> {
                 }
                 let _finishing = Finishing(self.board);
                 self.start(&task, ctx, &mut stats)
-            } else if let Some((slot, member)) = self.wait_for_build(ctx) {
+            } else if let Some((slot, member)) = self.board.claim_or_wait() {
                 self.help(slot, member, ctx, &mut stats)
             } else {
                 break;
@@ -795,51 +782,30 @@ impl<'a> Round<'a> {
         stats
     }
 
-    /// A posted build for a worker whose deques are dry, waiting while a
-    /// task that may still post runs; `None` once none can. While one
-    /// runs, the worker first trims its cache to budget: the trees of the
-    /// task it finished last would otherwise stay resident beside the
-    /// running task's, and which worker goes idle first, holding what,
-    /// is a matter of timing.
-    fn wait_for_build(&self, ctx: &mut WorkerCtx) -> Option<(Slot, &'a Interval)> {
-        if self.board.unfinished.load(Ordering::Acquire) > 0 {
-            ctx.trees.evict(&[]);
-        }
-        self.board.claim_or_wait()
-    }
-
     /// Starts one comparison task: settles the member pairs the round owes
-    /// and the trees they name. When the missing ones are worth sharing
-    /// it posts them, builds until none is left unclaimed, and finishes
-    /// the task only if its trees have all landed by then; otherwise the
-    /// task is handed on (`None`).
+    /// and the trees they name. When those are worth sharing it posts
+    /// them, builds until none is left unclaimed, and finishes the task
+    /// only if its trees have all landed by then; otherwise the task is
+    /// handed on (`None`).
     fn start(&self, task: &Task, ctx: &mut WorkerCtx, stats: &mut WorkerStats) -> Option<Done> {
         let t0 = Instant::now();
         let s0 = ctx.journal.as_ref().map(|j| j.now_us());
         let (pairs, owing) = owing(self.structure, self.regions, task);
-        let worth_sharing = |members: &[&Interval]| {
-            members.len() >= 2
-                && members.iter().map(|m| m.meta.size).sum::<u64>() >= BYTES_PER_STARTED_THREAD
-        };
-        let missing: Vec<&Interval> = if self.threads > 1 && worth_sharing(&owing) {
-            owing.iter().copied().filter(|m| !ctx.trees.contains(&tree_key(m))).collect()
-        } else {
-            Vec::new()
-        };
-        let rest = Rest { pairs, owing, held: Vec::new(), secs: 0.0 };
-        if !worth_sharing(&missing) {
+        let shared = self.threads > 1
+            && owing.len() >= 2
+            && owing.iter().map(|m| m.meta.size).sum::<u64>() >= BYTES_PER_STARTED_THREAD;
+        if !shared {
+            let rest = Rest { pairs, owing, secs: 0.0 };
             return Some(self.finish(Finish { rest, landed: Vec::new() }, ctx, stats, t0, s0));
         }
-        let rest = Rest { secs: t0.elapsed().as_secs_f64(), ..rest };
-        let pinned: Vec<TreeKey> = rest.owing.iter().map(|m| tree_key(m)).collect();
-        let split = self.board.post(missing);
+        let split = self.board.post(owing);
+        let rest = Rest { pairs, owing: Vec::new(), secs: t0.elapsed().as_secs_f64() };
         while let Some((slot, member)) = self.board.claim_own(split) {
-            let built = self.build(member, ctx, &pinned, stats);
+            let built = self.build(member, ctx, stats);
             // Not settled yet, so no landing finishes the task.
             let _ = self.board.land(slot, built);
         }
-        let hits = || pinned.iter().filter_map(|k| ctx.trees.take(k).map(|t| (*k, t))).collect();
-        let finish = self.board.settle(split, rest, hits)?;
+        let finish = self.board.settle(split, rest)?;
         Some(self.finish(finish, ctx, stats, Instant::now(), s0))
     }
 
@@ -853,24 +819,15 @@ impl<'a> Round<'a> {
         ctx: &mut WorkerCtx,
         stats: &mut WorkerStats,
     ) -> Option<Done> {
-        let built = self.build(member, ctx, &[], stats);
+        let built = self.build(member, ctx, stats);
         let finish = self.board.land(slot, built)?;
         let s0 = ctx.journal.as_ref().map(|j| j.now_us());
         Some(self.finish(finish, ctx, stats, Instant::now(), s0))
     }
 
-    /// Builds `member`'s tree with this worker's reader pool, after
-    /// trimming its cache (`pinned`: the trees of the task it is in the
-    /// middle of, if any). The build counts in this worker's tree-build
-    /// stage time.
-    fn build(
-        &self,
-        member: &Interval,
-        ctx: &mut WorkerCtx,
-        pinned: &[TreeKey],
-        stats: &mut WorkerStats,
-    ) -> Landed {
-        ctx.trees.evict(pinned);
+    /// Builds a posted tree with this worker's reader pool. The build
+    /// counts in this worker's tree-build stage time.
+    fn build(&self, member: &Interval, ctx: &mut WorkerCtx, stats: &mut WorkerStats) -> Landed {
         let s0 = ctx.journal.as_ref().map(|j| j.now_us());
         let t0 = Instant::now();
         let (tid, begin, size) = (member.tid, member.meta.data_begin, member.meta.size);
@@ -881,9 +838,10 @@ impl<'a> Round<'a> {
         built.map(|tree| (tree, secs))
     }
 
-    /// Finishes a task: takes in the trees that came with it and runs
-    /// its compares. Its work is what came with it plus the time since
-    /// `t0`.
+    /// Finishes a task: holds the trees that landed for it, builds the
+    /// ones it still owes (in file-position order, for the reader pool's
+    /// sake), runs its compares and drops its trees. Its work is what came
+    /// with it plus the time since `t0`.
     fn finish(
         &self,
         finish: Finish<'a>,
@@ -892,21 +850,22 @@ impl<'a> Round<'a> {
         t0: Instant,
         s0: Option<u64>,
     ) -> Done {
-        let Finish { rest: Rest { pairs, owing, held, mut secs }, landed } = finish;
+        let Finish { rest: Rest { pairs, owing, mut secs }, landed } = finish;
         let tree_pairs = stats.tree_pairs;
-        for (key, tree) in held {
-            ctx.trees.adopt(key, tree);
-        }
+        let mut trees = TaskTrees::new(self.config.mem_gauge.clone());
         let mut races = RaceSet::new();
         let result = landed
             .into_iter()
             .try_for_each(|(member, built)| {
                 let (tree, build_secs) = built?;
                 secs += build_secs;
-                ctx.trees.adopt(tree_key(member), tree);
+                trees.hold(member, tree, stats);
                 Ok(())
             })
-            .and_then(|()| self.compare(&pairs, &owing, ctx, &mut races, stats));
+            .and_then(|()| {
+                owing.iter().try_for_each(|m| trees.build(self.dir, m, &mut ctx.pool, stats))
+            })
+            .map(|()| self.compare(&pairs, &trees, ctx, &mut races, stats));
         Done {
             result: result.map(|()| races),
             secs: secs + t0.elapsed().as_secs_f64(),
@@ -915,33 +874,19 @@ impl<'a> Round<'a> {
         }
     }
 
-    /// Compares a task's pairs against the worker's tree cache: trims the
-    /// cache to budget with the trees `owing` names pinned, ensures exactly
-    /// those trees (built on miss, reused on hit), and compares every pair
-    /// out of the cache.
+    /// Compares a task's pairs out of its trees.
     fn compare(
         &self,
         pairs: &[(&Interval, &Interval)],
-        owing: &[&Interval],
+        trees: &TaskTrees,
         ctx: &mut WorkerCtx,
         races: &mut RaceSet,
         stats: &mut WorkerStats,
-    ) -> io::Result<()> {
-        // Trim before building, so the previous task's trees are not held
-        // beside this one's; build in file-position order for the reader
-        // pool's sake.
-        let pinned: Vec<TreeKey> = owing.iter().map(|m| tree_key(m)).collect();
-        ctx.trees.evict(&pinned);
-        for member in owing {
-            ctx.trees.ensure(self.dir, member, &mut ctx.pool, stats)?;
-        }
-
+    ) {
         let t0 = Instant::now();
         for &(ma, mb) in pairs {
-            let (ta, tb) = (
-                ctx.trees.get(&tree_key(ma)).expect("pinned"),
-                ctx.trees.get(&tree_key(mb)).expect("pinned"),
-            );
+            let tree = |m| trees.get(m).expect("a task holds every tree its pairs name");
+            let (ta, tb) = (tree(ma), tree(mb));
             if ta.node_count() == 0 || tb.node_count() == 0 {
                 continue;
             }
@@ -961,13 +906,7 @@ impl<'a> Round<'a> {
             stats.prescreened += pair_stats.prescreened;
         }
         stats.compare_secs += t0.elapsed().as_secs_f64();
-        Ok(())
     }
-}
-
-/// A member's key in a [`TreeCache`].
-fn tree_key(m: &Interval) -> TreeKey {
-    (m.tid, m.meta.data_begin)
 }
 
 /// The member pairs `task` owes that can race, and the members they name

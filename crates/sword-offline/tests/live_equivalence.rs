@@ -38,8 +38,8 @@ fn record(tag: &str, program: impl FnOnce(&OmpSim)) -> PathBuf {
 /// publishes: logs, regions, and PCs are present from the start (regions
 /// may only run ahead of the rows that reference them), while each
 /// thread's meta file grows by `step` rows per publish. The analyzer is
-/// polled after every publish — including empty ones — and its final
-/// result is returned.
+/// polled after every publish — including empty ones — and must hold no
+/// tree between polls; its final result is returned.
 fn staged_replay(
     src: &SessionDir,
     tag: &str,
@@ -87,6 +87,7 @@ fn staged_replay(
         dst.write_live(LiveStatus { generation, finished: revealed >= max_rows })
             .expect("publish watermark");
         let delta = live.poll().expect("poll");
+        assert_eq!(config.mem_gauge.live(), 0, "a tree outlived its poll");
         if delta.finished {
             break;
         }
@@ -94,6 +95,7 @@ fn staged_replay(
     // An idle poll after completion must be a no-op.
     let idle = live.poll().expect("idle poll");
     assert!(idle.new_intervals == 0 && idle.new_races.is_empty(), "idle poll changed state");
+    assert_eq!(config.mem_gauge.live(), 0, "an idle poll holds a tree");
     let result = live.into_result().expect("live result");
     std::fs::remove_dir_all(&dir).unwrap();
     result
@@ -202,6 +204,34 @@ fn tasking_workload(sim: &OmpSim) {
     });
 }
 
+/// Two threads gather through a random index table in two regions, so no
+/// tree summarises and each interval carries more than 256 KiB of log:
+/// with a second worker, a task posts its two builds on the round's board.
+fn gather_workload(sim: &OmpSim) {
+    let n = 1u64 << 17;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let idx: Vec<u64> = (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % (4 * n)
+        })
+        .collect();
+    let src = sim.alloc::<u64>(4 * n, 1);
+    let dst = sim.alloc::<u64>(n, 0);
+    sim.run(|ctx| {
+        for _ in 0..2 {
+            ctx.parallel(2, |w| {
+                w.for_static(0..n, |i| {
+                    let v = w.read(&src, idx[i as usize]);
+                    w.write(&dst, i, v);
+                });
+            });
+        }
+    });
+}
+
 fn clean_workload(sim: &OmpSim) {
     let a = sim.alloc::<f64>(512, 1.0);
     sim.run(|ctx| {
@@ -263,6 +293,31 @@ fn live_equals_batch_on_tasking_workload() {
 }
 
 #[test]
+fn no_tree_outlives_its_poll() {
+    // A task builds the trees its pairs name, compares them and drops
+    // them, so between polls (the replay asserts it after each one) the
+    // analyzer holds no tree, on one worker or on several that share a
+    // task's builds.
+    use sword_obs::Obs;
+
+    for (tag, program) in
+        [("t-mixed", mixed_workload as fn(&OmpSim)), ("t-gather", gather_workload)]
+    {
+        let dir = record(tag, program);
+        let src = SessionDir::new(&dir);
+        for workers in [1, 2, 4] {
+            let obs = Obs::new();
+            let config = AnalysisConfig::sequential().with_workers(workers).with_obs(obs.clone());
+            let live = staged_replay(&src, &format!("{tag}-{workers}"), &config, 1);
+            assert!(live.stats.tree_pairs > 0 && config.mem_gauge.peak() > 0, "{tag}: no trees");
+            let shared = obs.journal.drain().iter().any(|e| e.name == "build");
+            assert_eq!(shared, tag == "t-gather" && workers > 1, "{tag} at {workers} workers");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
 fn poll_cadence_is_invariant() {
     // One row at a time, three at a time, or everything in one publish —
     // the result must not depend on how the watermark advanced.
@@ -298,8 +353,8 @@ fn many_tasks_workload(sim: &OmpSim) {
 #[test]
 fn worker_count_never_changes_a_live_result() {
     // `watch --workers N` runs every poll on N workers. One worker or
-    // four, per-worker tree caches or one: races, evidence and every
-    // count row — the logical tree requests included — must be equal.
+    // four, whoever builds which tree: races, evidence and every count
+    // row — the logical tree requests included — must be equal.
     let counts = |r: &AnalysisResult| sword_offline::AnalysisStats {
         wall_secs: 0.0,
         max_task_secs: 0.0,
