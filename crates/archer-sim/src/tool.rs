@@ -1,8 +1,8 @@
 //! The ARCHER detector as an `ompsim` tool.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sword_obs::MemGauge;
@@ -170,6 +170,12 @@ struct State {
     stats: ArcherStats,
 }
 
+/// Locks the engine's state, poisoned or not: a callback that panicked
+/// under the lock must not turn every later callback into a second panic.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The ARCHER happens-before detector. Attach to an
 /// [`sword_ompsim::OmpSim`] as its tool.
 ///
@@ -214,19 +220,19 @@ impl ArcherTool {
     /// Declares the application's baseline footprint for the node-budget
     /// model (call after allocating workload buffers).
     pub fn set_baseline_bytes(&self, bytes: u64) {
-        self.state.lock().baseline_bytes = bytes;
+        lock(&self.state).baseline_bytes = bytes;
     }
 
     /// Attaches a live baseline counter (e.g.
     /// `OmpSim::footprint_handle()`), so the node-budget model tracks the
     /// application footprint as it grows.
     pub fn attach_baseline_source(&self, source: std::sync::Arc<std::sync::atomic::AtomicU64>) {
-        self.state.lock().baseline_source = Some(source);
+        lock(&self.state).baseline_source = Some(source);
     }
 
     /// `true` once the node model has killed the run.
     pub fn is_oom(&self) -> bool {
-        self.state.lock().stats.oom
+        lock(&self.state).stats.oom
     }
 
     /// Deduplicated races sorted by source pair. Empty if the run OOMed
@@ -234,7 +240,7 @@ impl ArcherTool {
     /// races found *before* the kill are still returned, matching how a
     /// user would read partial tool output.
     pub fn races(&self) -> Vec<ArcherRace> {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         let mut v: Vec<ArcherRace> = state.races.values().cloned().collect();
         v.sort_by_key(|r| (r.pc_lo, r.pc_hi));
         v
@@ -242,7 +248,7 @@ impl ArcherTool {
 
     /// Run statistics.
     pub fn stats(&self) -> ArcherStats {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         let mut stats = state.stats.clone();
         stats.shadow_words = state.shadow.len() as u64;
         stats.races = state.races.len() as u64;
@@ -255,7 +261,7 @@ impl ArcherTool {
     /// accesses arrive here — so the tool keeps [`Tool::max_run`] at 1 and
     /// its [`Tool::access`] hands each one-element run straight on.
     pub fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if state.stats.oom {
             return; // the process was killed; nothing more is recorded
         }
@@ -356,7 +362,7 @@ impl ArcherTool {
 
 impl Tool for ArcherTool {
     fn parallel_begin(&self, info: &ParallelBeginInfo<'_>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let fork_vc = {
             let ts = Self::thread_mut(&mut state, info.fork_tid);
             ts.vc.clone()
@@ -369,7 +375,7 @@ impl Tool for ArcherTool {
     }
 
     fn parallel_end(&self, region: RegionId, fork_tid: ThreadId) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if let Some(sync) = state.regions.remove(&region) {
             let join = sync.join_vc;
             let ts = Self::thread_mut(&mut state, fork_tid);
@@ -386,7 +392,7 @@ impl Tool for ArcherTool {
     }
 
     fn thread_begin(&self, ctx: &ThreadContext<'_>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let fork_vc = state.regions.get(&ctx.region).map(|r| r.fork_vc.clone());
         let ts = Self::thread_mut(&mut state, ctx.tid);
         if let Some(fork_vc) = fork_vc {
@@ -396,7 +402,7 @@ impl Tool for ArcherTool {
     }
 
     fn thread_end(&self, ctx: &ThreadContext<'_>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let vc = Self::thread_mut(&mut state, ctx.tid).vc.clone();
         if let Some(sync) = state.regions.get_mut(&ctx.region) {
             sync.join_vc.join(&vc);
@@ -405,7 +411,7 @@ impl Tool for ArcherTool {
     }
 
     fn barrier_begin(&self, ctx: &ThreadContext<'_>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let vc = Self::thread_mut(&mut state, ctx.tid).vc.clone();
         let sync = state.barriers.entry((ctx.region, ctx.bid)).or_insert_with(|| BarrierSync {
             acc: VectorClock::new(),
@@ -416,7 +422,7 @@ impl Tool for ArcherTool {
     }
 
     fn barrier_end(&self, ctx: &ThreadContext<'_>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         // `ctx.bid` was already advanced past the barrier we crossed.
         let key = (ctx.region, ctx.bid - 1);
         let (acc, done) = match state.barriers.get_mut(&key) {
@@ -435,7 +441,7 @@ impl Tool for ArcherTool {
     }
 
     fn task_create(&self, outer: &ThreadContext<'_>, info: &TaskCreateInfo<'_>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let create_vc = Self::thread_mut(&mut state, outer.tid).vc.clone();
         state
             .tasks
@@ -444,7 +450,7 @@ impl Tool for ArcherTool {
     }
 
     fn task_begin(&self, _outer: &ThreadContext<'_>, task: &ThreadContext<'_>, uid: TaskUid) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         // The body's clock floor: the creation point joined with every
         // `depend` predecessor's completion.
         let mut floor = match state.tasks.get(&uid) {
@@ -464,7 +470,7 @@ impl Tool for ArcherTool {
     }
 
     fn task_end(&self, task: &ThreadContext<'_>, _outer: &ThreadContext<'_>, uid: TaskUid) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let end_vc = Self::thread_mut(&mut state, task.tid).vc.clone();
         if let Some(sync) = state.tasks.get_mut(&uid) {
             sync.end_vc = Some(end_vc);
@@ -476,7 +482,7 @@ impl Tool for ArcherTool {
     }
 
     fn task_sync(&self, restored: &ThreadContext<'_>, synced: &[TaskUid]) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let mut acc = VectorClock::new();
         for uid in synced {
             // Synced tasks never get referenced again (depend edges do
@@ -491,7 +497,7 @@ impl Tool for ArcherTool {
     }
 
     fn mutex_acquired(&self, ctx: &ThreadContext<'_>, mutex: MutexId) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let lock_vc = state.locks.get(&mutex).cloned();
         let ts = Self::thread_mut(&mut state, ctx.tid);
         if let Some(lock_vc) = lock_vc {
@@ -501,7 +507,7 @@ impl Tool for ArcherTool {
     }
 
     fn mutex_released(&self, ctx: &ThreadContext<'_>, mutex: MutexId) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let vc = Self::thread_mut(&mut state, ctx.tid).vc.clone();
         state.locks.entry(mutex).and_modify(|l| l.join(&vc)).or_insert(vc);
         Self::tick(&mut state, ctx.tid);

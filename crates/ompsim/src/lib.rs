@@ -65,6 +65,8 @@
 // One `unsafe` block, in `team_pool`, allowed there by name.
 #![deny(unsafe_code)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 mod memory;
 mod runtime;
 mod sequencer;
@@ -80,3 +82,10 @@ pub use sword_trace::{AccessKind, MemAccess, MutexId, PcId, RegionId, ThreadId};
 pub use tool::{
     NullTool, ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool, ToolLocal,
 };
+
+/// Locks `mutex`, poisoned or not. User code runs under the runtime's
+/// locks (`critical`, `ordered`), and a body that panics must not leave
+/// the lock unusable for the next region or the next run.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

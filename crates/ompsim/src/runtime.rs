@@ -6,12 +6,12 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
-use parking_lot::{Condvar, Mutex};
 use sword_osl::{Label, TASK_SPAN};
 use sword_trace::{AccessKind, MemAccess, MutexId, PcId, PcTable, RegionId, ThreadId};
 
+use crate::lock;
 use crate::memory::{TrackedBuf, TrackedValue};
 use crate::team_pool::{fits_machine, Parking, TeamPool};
 use crate::tool::{ParallelBeginInfo, TaskCreateInfo, TaskUid, ThreadContext, Tool, ToolLocal};
@@ -254,7 +254,7 @@ impl OmpSim {
 
     /// Gets or creates the named lock backing `critical(name)` sections.
     pub fn named_lock(&self, name: &str) -> OmpLock {
-        let mut reg = self.mutexes.lock();
+        let mut reg = lock(&self.mutexes);
         if let Some(&idx) = reg.by_name.get(name) {
             return reg.locks[idx].clone();
         }
@@ -267,7 +267,7 @@ impl OmpSim {
 
     /// Creates a fresh anonymous lock (an `omp_init_lock` equivalent).
     pub fn new_lock(&self) -> OmpLock {
-        let mut reg = self.mutexes.lock();
+        let mut reg = lock(&self.mutexes);
         let id = reg.locks.len() as MutexId;
         let lock = OmpLock { id, lock: Arc::new(Mutex::new(())) };
         reg.locks.push(lock.clone());
@@ -276,7 +276,7 @@ impl OmpSim {
 
     /// Snapshot of the program-counter table for session persistence.
     pub fn export_pcs(&self) -> PcTable {
-        self.pc_table.lock().clone()
+        lock(&self.pc_table).clone()
     }
 
     /// Interns a synthetic source location and returns its id.
@@ -288,18 +288,18 @@ impl OmpSim {
     /// up front and attribute accesses through the `*_pc` methods of
     /// [`Ctx`], so race reports keep per-statement identities.
     pub fn intern_site(&self, file: &str, line: u32) -> PcId {
-        self.pc_table.lock().intern(file, line)
+        lock(&self.pc_table).intern(file, line)
     }
 
     fn intern_pc(&self, loc: &'static Location<'static>) -> PcId {
-        self.pc_table.lock().intern(loc.file(), loc.line())
+        lock(&self.pc_table).intern(loc.file(), loc.line())
     }
 
     /// Hands out `n` thread ids deterministically: pooled ids first
     /// (ascending), fresh ids after — so consecutive same-width regions
     /// reuse the same ids, as a real OpenMP thread pool does.
     fn acquire_tids(&self, n: u64) -> Vec<ThreadId> {
-        let mut pool = self.tid_pool.lock();
+        let mut pool = lock(&self.tid_pool);
         pool.sort_unstable();
         let take = (n as usize).min(pool.len());
         let mut ids: Vec<ThreadId> = pool.drain(..take).collect();
@@ -310,7 +310,7 @@ impl OmpSim {
     }
 
     fn release_tids(&self, ids: &[ThreadId]) {
-        self.tid_pool.lock().extend_from_slice(ids);
+        lock(&self.tid_pool).extend_from_slice(ids);
     }
 }
 
@@ -420,14 +420,14 @@ impl TeamState {
 
     /// Shared cursor for the `key`-th dynamic loop of the region.
     fn dyn_cursor(&self, key: u64, start: u64) -> Arc<AtomicU64> {
-        let mut map = self.dyn_loops.lock();
+        let mut map = lock(&self.dyn_loops);
         map.entry(key).or_insert_with(|| Arc::new(AtomicU64::new(start))).clone()
     }
 
     /// Shared cursor for the `key`-th guided loop (mutex-guarded so the
     /// decreasing chunk size is computed atomically with the claim).
     fn guided_cursor(&self, key: u64, start: u64) -> Arc<Mutex<u64>> {
-        let mut map = self.guided_loops.lock();
+        let mut map = lock(&self.guided_loops);
         map.entry(key).or_insert_with(|| Arc::new(Mutex::new(start))).clone()
     }
 
@@ -438,7 +438,7 @@ impl TeamState {
         start: u64,
         mk_lock: impl FnOnce() -> OmpLock,
     ) -> Arc<OrderedLoop> {
-        let mut map = self.ordered_loops.lock();
+        let mut map = lock(&self.ordered_loops);
         map.entry(key).or_insert_with(|| Arc::new(OrderedLoop::new(start, mk_lock()))).clone()
     }
 }
@@ -911,14 +911,9 @@ impl<'rt> Ctx<'rt> {
     /// protocol `ol`: blocks run in ascending iteration order, each under
     /// the loop's synthetic lock (see [`OrderedLoop`]).
     pub fn ordered(&self, ol: &OrderedLoop, i: u64, body: impl FnOnce()) {
-        {
-            let mut next = ol.next.lock();
-            while *next != i {
-                ol.cv.wait(&mut next);
-            }
-        }
+        drop(ol.cv.wait_while(lock(&ol.next), |next| *next != i));
         self.with_lock(&ol.lock, body);
-        *ol.next.lock() = i + 1;
+        *lock(&ol.next) = i + 1;
         ol.cv.notify_all();
     }
 
@@ -1081,7 +1076,7 @@ impl<'rt> Ctx<'rt> {
                 let span = r.span;
                 loop {
                     let (start, end) = {
-                        let mut cur = cursor.lock();
+                        let mut cur = lock(&cursor);
                         if *cur >= range.end {
                             break;
                         }
@@ -1205,7 +1200,7 @@ impl<'rt> Ctx<'rt> {
 
     /// Runs `body` holding `lock`, emitting mutex events to the tool.
     pub fn with_lock<R>(&self, lock: &OmpLock, body: impl FnOnce() -> R) -> R {
-        let guard = lock.lock.lock();
+        let guard = crate::lock(&lock.lock);
         self.with_tool(|t, tc| t.mutex_acquired(tc, lock.id));
         let r = body();
         self.with_tool(|t, tc| t.mutex_released(tc, lock.id));
@@ -1442,7 +1437,6 @@ impl std::fmt::Debug for Ctx<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Mutex as StdMutex;
 
     #[test]
     fn master_context_is_sequential() {
@@ -1473,7 +1467,7 @@ mod tests {
     #[test]
     fn worker_labels_follow_osl_rules() {
         let sim = OmpSim::new();
-        let labels = StdMutex::new(Vec::new());
+        let labels = Mutex::new(Vec::new());
         sim.run(|ctx| {
             ctx.parallel(3, |w| {
                 labels.lock().unwrap().push(w.label());
@@ -1503,13 +1497,13 @@ mod tests {
     fn sequential_regions_are_ordered() {
         let sim = OmpSim::new();
         let (l1, l2) = sim.run(|ctx| {
-            let l1 = StdMutex::new(None);
+            let l1 = Mutex::new(None);
             ctx.parallel(2, |w| {
                 if w.team_index() == 0 {
                     *l1.lock().unwrap() = Some(w.label());
                 }
             });
-            let l2 = StdMutex::new(None);
+            let l2 = Mutex::new(None);
             ctx.parallel(2, |w| {
                 if w.team_index() == 0 {
                     *l2.lock().unwrap() = Some(w.label());
@@ -1523,7 +1517,7 @@ mod tests {
     #[test]
     fn barrier_bumps_label_and_bid() {
         let sim = OmpSim::new();
-        let seen = StdMutex::new(Vec::new());
+        let seen = Mutex::new(Vec::new());
         sim.run(|ctx| {
             ctx.parallel(4, |w| {
                 let before = w.label();
@@ -1541,7 +1535,7 @@ mod tests {
     #[test]
     fn nested_parallelism_levels_and_concurrency() {
         let sim = OmpSim::new();
-        let inner_labels = StdMutex::new(Vec::new());
+        let inner_labels = Mutex::new(Vec::new());
         sim.run(|ctx| {
             ctx.parallel(2, |w| {
                 w.parallel(2, |inner| {
@@ -1566,8 +1560,8 @@ mod tests {
     #[test]
     fn thread_ids_are_pooled_across_regions() {
         let sim = OmpSim::new();
-        let round1 = StdMutex::new(Vec::new());
-        let round2 = StdMutex::new(Vec::new());
+        let round1 = Mutex::new(Vec::new());
+        let round2 = Mutex::new(Vec::new());
         sim.run(|ctx| {
             ctx.parallel(4, |w| {
                 round1.lock().unwrap().push(w.tid());
@@ -1588,7 +1582,7 @@ mod tests {
     #[test]
     fn for_static_partitions_exactly() {
         let sim = OmpSim::new();
-        let hits = StdMutex::new(vec![0u32; 100]);
+        let hits = Mutex::new(vec![0u32; 100]);
         sim.run(|ctx| {
             ctx.parallel(7, |w| {
                 w.for_static(0..100, |i| {
@@ -1612,7 +1606,7 @@ mod tests {
     #[test]
     fn for_static_chunked_covers_range() {
         let sim = OmpSim::new();
-        let hits = StdMutex::new(vec![0u32; 53]);
+        let hits = Mutex::new(vec![0u32; 53]);
         sim.run(|ctx| {
             ctx.parallel(4, |w| {
                 w.for_static_chunked(0..53, 5, |i| {
@@ -1626,7 +1620,7 @@ mod tests {
     #[test]
     fn for_dynamic_covers_range() {
         let sim = OmpSim::new();
-        let hits = StdMutex::new(vec![0u32; 97]);
+        let hits = Mutex::new(vec![0u32; 97]);
         sim.run(|ctx| {
             ctx.parallel(5, |w| {
                 w.for_dynamic(0..97, 4, |i| {
@@ -1668,7 +1662,7 @@ mod tests {
     #[test]
     fn sections_distribute_all() {
         let sim = OmpSim::new();
-        let done = StdMutex::new(vec![false; 10]);
+        let done = Mutex::new(vec![false; 10]);
         sim.run(|ctx| {
             ctx.parallel(3, |w| {
                 w.sections(10, |i| {
@@ -1694,6 +1688,28 @@ mod tests {
             });
         });
         assert_eq!(counter.get_seq(0), 8000);
+    }
+
+    #[test]
+    fn a_critical_body_that_panics_leaves_the_section_usable() {
+        // `with_lock` runs user code under the section's guard: a panic
+        // there poisons the lock, and the next run must still get in.
+        let sim = OmpSim::new();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run(|ctx| {
+                ctx.parallel(2, |w| {
+                    w.critical("c", || assert_ne!(w.team_index(), 1, "boom"));
+                });
+            })
+        }));
+        assert!(died.is_err(), "the member's panic reaches the caller");
+        let entered = AtomicUsize::new(0);
+        sim.run(|ctx| {
+            ctx.parallel(2, |w| {
+                w.critical("c", || entered.fetch_add(1, Ordering::Relaxed));
+            });
+        });
+        assert_eq!(entered.into_inner(), 2);
     }
 
     #[test]
@@ -1725,7 +1741,7 @@ mod tests {
     #[test]
     fn target_region_is_a_nested_team() {
         let sim = OmpSim::new();
-        let labels = StdMutex::new(Vec::new());
+        let labels = Mutex::new(Vec::new());
         sim.run(|ctx| {
             ctx.parallel(2, |host| {
                 host.single_nowait(|| {
@@ -1754,7 +1770,7 @@ mod tests {
             }
             let partials = sim.alloc::<f64>(threads as u64, 0.0);
             let result = sim.alloc::<f64>(1, 0.0);
-            let per_thread = StdMutex::new(Vec::new());
+            let per_thread = Mutex::new(Vec::new());
             sim.run(|ctx| {
                 ctx.parallel(threads, |w| {
                     let mut local = 0.0;
@@ -1782,7 +1798,7 @@ mod tests {
         let sim = OmpSim::new();
         let partials = sim.alloc::<i64>(5, 0);
         let result = sim.alloc::<i64>(1, 0);
-        let got = StdMutex::new(0i64);
+        let got = Mutex::new(0i64);
         sim.run(|ctx| {
             ctx.parallel(5, |w| {
                 let local = 100 - w.team_index() as i64 * 7;
@@ -2024,7 +2040,7 @@ mod tests {
 
     #[derive(Default)]
     struct PcCollector {
-        pcs: StdMutex<Vec<PcId>>,
+        pcs: Mutex<Vec<PcId>>,
     }
 
     impl Tool for PcCollector {
@@ -2036,8 +2052,8 @@ mod tests {
     /// Records the full task callback choreography for contract tests.
     #[derive(Default)]
     struct TaskRecorder {
-        events: StdMutex<Vec<String>>,
-        labels: StdMutex<Vec<(String, Label)>>,
+        events: Mutex<Vec<String>>,
+        labels: Mutex<Vec<(String, Label)>>,
     }
 
     impl Tool for TaskRecorder {
@@ -2202,7 +2218,7 @@ mod tests {
     fn barrier_is_a_task_scheduling_point() {
         let tool = Arc::new(TaskRecorder::default());
         let sim = OmpSim::with_tool(tool.clone());
-        let labels = StdMutex::new(Vec::new());
+        let labels = Mutex::new(Vec::new());
         sim.run(|ctx| {
             ctx.parallel(2, |w| {
                 if w.team_index() == 1 {
@@ -2279,7 +2295,7 @@ mod tests {
     #[test]
     fn pinned_loops_cover_ranges_exactly() {
         let sim = OmpSim::new();
-        let hits = StdMutex::new(vec![0u32; 61]);
+        let hits = Mutex::new(vec![0u32; 61]);
         sim.run(|ctx| {
             ctx.parallel(3, |w| {
                 w.for_dynamic_pinned(0..61, 4, |i| {
@@ -2296,7 +2312,7 @@ mod tests {
     #[test]
     fn for_guided_covers_range() {
         let sim = OmpSim::new();
-        let hits = StdMutex::new(vec![0u32; 97]);
+        let hits = Mutex::new(vec![0u32; 97]);
         sim.run(|ctx| {
             ctx.parallel(5, |w| {
                 w.for_guided(0..97, 3, |i| {
@@ -2314,7 +2330,7 @@ mod tests {
     #[test]
     fn ordered_blocks_run_in_iteration_order() {
         let sim = OmpSim::new();
-        let order = StdMutex::new(Vec::new());
+        let order = Mutex::new(Vec::new());
         sim.run(|ctx| {
             ctx.parallel(4, |w| {
                 w.for_static_ordered(0..16, |i, ol| {

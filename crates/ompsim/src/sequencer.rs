@@ -15,7 +15,9 @@
 //! without any program synchronization. Workloads that need a *visible*
 //! HB edge (Figure 1(b)'s lock) use `critical`/locks instead.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
+
+use crate::lock;
 
 /// A ticket-ordered turnstile.
 #[derive(Debug, Default)]
@@ -32,16 +34,13 @@ impl Sequencer {
 
     /// Blocks until the counter reaches `ticket`.
     pub fn wait_for(&self, ticket: u64) {
-        let mut cur = self.state.lock();
-        while *cur < ticket {
-            self.cv.wait(&mut cur);
-        }
+        drop(self.cv.wait_while(lock(&self.state), |cur| *cur < ticket));
     }
 
     /// Advances the counter by one and wakes waiters. Saturating, so
     /// advancing a poisoned sequencer stays poisoned instead of wrapping.
     pub fn advance(&self) {
-        let mut cur = self.state.lock();
+        let mut cur = lock(&self.state);
         *cur = cur.saturating_add(1);
         self.cv.notify_all();
     }
@@ -52,14 +51,14 @@ impl Sequencer {
     /// enclosing join can observe the original failure instead of
     /// deadlocking.
     pub fn poison(&self) {
-        let mut cur = self.state.lock();
+        let mut cur = lock(&self.state);
         *cur = u64::MAX;
         self.cv.notify_all();
     }
 
     /// Current ticket value.
     pub fn current(&self) -> u64 {
-        *self.state.lock()
+        *lock(&self.state)
     }
 
     /// Runs `f` as turn `ticket`: waits for the counter to reach it, runs,
@@ -88,11 +87,11 @@ mod tests {
                 let seq = &seq;
                 let order = &order;
                 s.spawn(move || {
-                    seq.turn(t, || order.lock().push(t));
+                    seq.turn(t, || lock(order).push(t));
                 });
             }
         });
-        assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
+        assert_eq!(*lock(&order), (0..8).collect::<Vec<_>>());
         assert_eq!(seq.current(), 8);
     }
 
@@ -111,14 +110,14 @@ mod tests {
             let seq = &seq;
             let log = &log;
             s.spawn(move || {
-                seq.turn(0, || log.lock().push('a'));
-                seq.turn(2, || log.lock().push('c'));
+                seq.turn(0, || lock(log).push('a'));
+                seq.turn(2, || lock(log).push('c'));
             });
             s.spawn(move || {
-                seq.turn(1, || log.lock().push('b'));
+                seq.turn(1, || lock(log).push('b'));
             });
         });
-        assert_eq!(*log.lock(), "abc");
+        assert_eq!(*lock(&log), "abc");
     }
 
     #[test]

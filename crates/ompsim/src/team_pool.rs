@@ -14,11 +14,11 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 
 /// How long a waiter polls before it parks. Bounded in time, not in
 /// iterations: one `spin_loop` is 10 to 140 cycles depending on the part.
@@ -90,18 +90,17 @@ impl Parking {
         }
         #[cfg(test)]
         probe::count(|w| w.parks += 1);
-        let mut guard = self.lock.lock();
+        let guard = lock(&self.lock);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        while !ready() {
-            self.cv.wait(&mut guard);
-        }
+        let guard = self.cv.wait_while(guard, |_| !ready());
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
     }
 
     /// Wakes the parked waiters; costs one load when there are none.
     pub(crate) fn wake(&self) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.lock.lock());
+            drop(lock(&self.lock));
             self.cv.notify_all();
         }
     }
@@ -123,7 +122,7 @@ struct Latch {
 
 impl Latch {
     fn record(&self, payload: Payload) {
-        self.panic.lock().get_or_insert(payload);
+        lock(&self.panic).get_or_insert(payload);
     }
 
     fn count_down(&self) {
@@ -162,7 +161,7 @@ struct Worker {
 
 impl Worker {
     fn post(&self, job: Option<Job>) {
-        *self.mail.lock() = job;
+        *lock(&self.mail) = job;
         self.posted.fetch_add(1, Ordering::SeqCst);
         self.parking.wake();
     }
@@ -174,7 +173,7 @@ impl Worker {
         loop {
             self.parking.wait(spin, || self.posted.load(Ordering::SeqCst) != seen);
             seen += 1;
-            let Some(Job { run, slot, latch, spin: fits }) = self.mail.lock().take() else {
+            let Some(Job { run, slot, latch, spin: fits }) = lock(&self.mail).take() else {
                 return;
             };
             spin = fits;
@@ -242,7 +241,7 @@ impl TeamPool {
             latch.record(payload);
         }
         drop(join);
-        let first_panic = latch.panic.lock().take();
+        let first_panic = lock(&latch.panic).take();
         if let Some(payload) = first_panic {
             resume_unwind(payload);
         }
@@ -253,13 +252,13 @@ impl TeamPool {
     fn check_out(&self, n: u64) -> Vec<Arc<Worker>> {
         let n = n as usize;
         let mut team = {
-            let mut idle = self.idle.lock();
+            let mut idle = lock(&self.idle);
             let keep = idle.len().saturating_sub(n);
             idle.split_off(keep)
         };
         while team.len() < n {
             let worker = Arc::new(Worker::default());
-            let mut threads = self.threads.lock();
+            let mut threads = lock(&self.threads);
             let spawned =
                 std::thread::Builder::new().name(format!("omp-worker-{}", threads.len())).spawn({
                     let worker = Arc::clone(&worker);
@@ -269,7 +268,7 @@ impl TeamPool {
                 Ok(handle) => threads.push(handle),
                 Err(e) => {
                     // Nothing was posted yet: the others stay usable.
-                    self.idle.lock().append(&mut team);
+                    lock(&self.idle).append(&mut team);
                     panic!("cannot spawn an omp-sim worker thread: {e}");
                 }
             }
@@ -280,17 +279,17 @@ impl TeamPool {
 
     #[cfg(test)]
     pub(crate) fn threads_spawned(&self) -> usize {
-        self.threads.lock().len()
+        lock(&self.threads).len()
     }
 }
 
 impl Drop for TeamPool {
     fn drop(&mut self) {
         // `&mut self`: no fork is in flight, so every worker is idle.
-        for worker in self.idle.get_mut().drain(..) {
+        for worker in lock(&self.idle).drain(..) {
             worker.post(None);
         }
-        for thread in self.threads.get_mut().drain(..) {
+        for thread in lock(&self.threads).drain(..) {
             // A worker catches its members' panics; it has none of its own.
             let _ = thread.join();
         }
@@ -310,7 +309,7 @@ struct Join<'a> {
 impl Drop for Join<'_> {
     fn drop(&mut self) {
         self.latch.wait(self.spin);
-        self.pool.idle.lock().append(&mut self.workers);
+        lock(&self.pool.idle).append(&mut self.workers);
     }
 }
 

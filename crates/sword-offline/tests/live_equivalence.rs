@@ -535,8 +535,7 @@ fn mid_run_polling_reports_races_before_the_run_ends() {
     // the session is still unfinished and later intervals don't exist yet.
     let dir = session_dir("midrun");
     let collector = Arc::new(
-        SwordCollector::new(SwordConfig::new(&dir).sync_flush().buffer_events(1).live())
-            .expect("collector"),
+        SwordCollector::new(SwordConfig::new(&dir).buffer_events(1).live()).expect("collector"),
     );
     let session = collector.session().clone();
     let config = AnalysisConfig::sequential();

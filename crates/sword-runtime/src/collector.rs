@@ -2,7 +2,7 @@
 //! parallel compression workers feeding one ordered file writer, and
 //! session persistence.
 //!
-//! Flush-path architecture (async mode):
+//! Flush-path architecture:
 //!
 //! ```text
 //! app threads ──full buffer──▶ flush channel ──▶ compression workers
@@ -19,8 +19,9 @@
 //! compress out of order; the writer buffers out-of-order arrivals and
 //! writes strictly by sequence, so each thread's log file receives its
 //! blocks in exactly the order that thread produced them — the invariant
-//! the per-thread meta byte ranges and the live watermark protocol from
-//! PR 1 depend on.
+//! the per-thread meta byte ranges and the live watermark protocol depend
+//! on. The writer's count of blocks written in that order is also what
+//! [`SwordCollector::publish_progress`] waits on.
 //!
 //! In front of that pipeline every logical thread owns a *lane*: at
 //! `thread_begin`/`task_begin` the collector checks the thread-owned half
@@ -40,12 +41,11 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, MutexGuard};
 use sword_compress::{encode_frame_into, Compressor};
 use sword_obs::{FlowPhase, Gauge, Histogram, Journal, JournalSink, Layer, Obs, ThreadJournal};
 use sword_ompsim::{
@@ -57,6 +57,7 @@ use sword_trace::{
 };
 
 use crate::flush_stats::{FlushCounters, FlushSnapshot};
+use crate::lock;
 use crate::pool::BufferPool;
 use crate::thread_log::{Hot, ThreadLog, MAX_EVENT_BYTES, PAPER_BUFFER_EVENTS};
 
@@ -67,15 +68,12 @@ pub struct SwordConfig {
     pub session_dir: PathBuf,
     /// Bounded buffer capacity in events (paper default: 25,000).
     pub buffer_events: usize,
-    /// Compress and write buffers on a background thread (paper behaviour)
-    /// or inline (ablation).
-    pub async_flush: bool,
     /// Publish watermarked metadata snapshots while the run is still
     /// executing, so a live analyzer can follow along (see
     /// [`SwordCollector::publish_progress`]).
     pub live_publish: bool,
     /// Compression workers between the app threads and the ordered file
-    /// writer (async mode only; at least 1).
+    /// writer (at least 1).
     pub compress_workers: usize,
     /// Observability context. When set, the collector journals spans
     /// (flush handoffs, compression, writes) to `<session>/obs.jsonl`,
@@ -97,7 +95,6 @@ impl SwordConfig {
         SwordConfig {
             session_dir: session_dir.into(),
             buffer_events: PAPER_BUFFER_EVENTS,
-            async_flush: true,
             live_publish: false,
             compress_workers: default_compress_workers(),
             obs: None,
@@ -121,12 +118,6 @@ impl SwordConfig {
     /// Clamped to at least one event.
     pub fn buffer_events(mut self, events: usize) -> Self {
         self.buffer_events = events.max(1);
-        self
-    }
-
-    /// Chooses synchronous flushing.
-    pub fn sync_flush(mut self) -> Self {
-        self.async_flush = false;
         self
     }
 
@@ -252,15 +243,46 @@ impl StageObs {
 /// Writer-thread result: (raw bytes, compressed bytes).
 type WriterTotals = (u64, u64);
 
-enum FlushPath {
-    /// Compression worker pool feeding one ordered writer thread.
-    Async {
-        tx: Mutex<Option<Sender<FlushJob>>>,
-        workers: Mutex<Vec<JoinHandle<()>>>,
-        writer: Mutex<Option<JoinHandle<io::Result<WriterTotals>>>>,
-    },
-    /// Inline writes under a lock (ablation mode).
-    Sync { writers: Mutex<HashMap<ThreadId, LogWriter<BufWriter<File>>>> },
+/// How far the ordered writer has come, for
+/// [`SwordCollector::publish_progress`] to wait on: the blocks it has
+/// written in sequence order (in live mode also flushed and confirmed),
+/// or `u64::MAX` once it can write no more.
+#[derive(Default)]
+struct Progress {
+    written: Mutex<u64>,
+    advanced: Condvar,
+}
+
+impl Progress {
+    fn reach(&self, written: u64) {
+        let mut current = lock(&self.written);
+        *current = written.max(*current);
+        drop(current);
+        self.advanced.notify_all();
+    }
+
+    /// Blocks until `blocks` blocks are written or the writer is gone.
+    fn wait_for(&self, blocks: u64) {
+        drop(self.advanced.wait_while(lock(&self.written), |w| *w < blocks));
+    }
+}
+
+/// Ends every wait on the writer's [`Progress`] when dropped. The writer
+/// holds one for its whole life, so however it ends — done, failed or
+/// panicked — `publish_progress` returns; a compression worker holds one
+/// that fires only if it panics, since the block in its hands leaves a
+/// gap the writer would wait at forever.
+struct Halt {
+    progress: Arc<Progress>,
+    only_on_panic: bool,
+}
+
+impl Drop for Halt {
+    fn drop(&mut self) {
+        if !self.only_on_panic || std::thread::panicking() {
+            self.progress.reach(u64::MAX);
+        }
+    }
 }
 
 /// One logical thread's slot in the collector: the shared half of its
@@ -315,7 +337,7 @@ impl CollectorObs {
     /// Drains journal rings to the sink (tolerating I/O failure: telemetry
     /// must never fail the run).
     fn flush_journal(&self) {
-        let mut guard = self.sink.lock();
+        let mut guard = lock(&self.sink);
         let (sink, last_dropped) = &mut *guard;
         let _ = sink.drain_from(&self.obs.journal, last_dropped);
     }
@@ -384,12 +406,12 @@ impl Inner {
     fn lock_log<'a>(&self, slot: &'a Slot) -> MutexGuard<'a, ThreadLog> {
         #[cfg(test)]
         self.probes.log_locks.fetch_add(1, Ordering::Relaxed);
-        slot.lock()
+        lock(slot)
     }
 
     /// Every slot registered so far.
     fn slot_list(&self) -> Vec<(ThreadId, Slot)> {
-        self.slots.lock().iter().map(|(tid, s)| (*tid, Arc::clone(s))).collect()
+        lock(&self.slots).iter().map(|(tid, s)| (*tid, Arc::clone(s))).collect()
     }
 
     /// Publishes a consistent metadata snapshot covering only durably
@@ -402,8 +424,8 @@ impl Inner {
     /// of the reader's meta-then-regions order, preserving that guarantee
     /// across the atomic file replacements.
     fn publish(&self, finished: bool) -> io::Result<()> {
-        let mut generation = self.generation.lock();
-        let confirmed: HashMap<ThreadId, u64> = self.confirmed.lock().clone();
+        let mut generation = lock(&self.generation);
+        let confirmed: HashMap<ThreadId, u64> = lock(&self.confirmed).clone();
         let slots = self.slot_list();
         let mut metas = Vec::with_capacity(slots.len());
         for (tid, slot) in slots {
@@ -413,7 +435,7 @@ impl Inner {
                 log.meta.iter().take_while(|r| r.data_begin + r.size <= limit).cloned().collect();
             metas.push((tid, rows));
         }
-        let regions = self.regions.lock().clone();
+        let regions = lock(&self.regions).clone();
         let mut buf = Vec::new();
         meta::write_regions(&mut buf, &regions)?;
         self.session.write_file_atomic(&self.session.regions_path(), &buf)?;
@@ -435,14 +457,17 @@ impl Inner {
 /// I/O. A failed send to the writer means the writer died on an I/O error
 /// — the worker keeps draining so app threads never deadlock on the pool.
 fn compression_worker(
-    rx: Receiver<FlushJob>,
+    rx: Arc<Mutex<Receiver<FlushJob>>>,
     writer_tx: Sender<WriteJob>,
     pool: Arc<BufferPool>,
     counters: Arc<FlushCounters>,
     obs: Option<(ThreadJournal, StageObs)>,
 ) {
     let mut compressor = Compressor::new();
-    for job in rx {
+    loop {
+        // The workers share one receiver; its lock is held across `recv`
+        // only, never while compressing.
+        let Ok(job) = lock(&rx).recv() else { break };
         let t0 = obs.as_ref().map(|(j, _)| j.now_us());
         // Dequeue side of the flush channel: settle the depth gauge and
         // record the enqueue-to-dequeue wait the producer stamped.
@@ -516,7 +541,7 @@ fn write_one(
         // Flush so the bytes are readable by a concurrent analyzer, then
         // raise the watermark and (throttled) republish.
         w.flush()?;
-        shared.confirmed.lock().insert(job.tid, w.offset());
+        lock(&shared.confirmed).insert(job.tid, w.offset());
         if last_publish.elapsed() >= LIVE_PUBLISH_INTERVAL {
             shared.publish(false)?;
             *last_publish = Instant::now();
@@ -581,7 +606,7 @@ fn register_collector_sources(
         "sword_collector_tool_mem_bytes",
         "bounded collector footprint: pool capacity + per-thread bookkeeping",
         move || {
-            let slots = i.slots.lock().len() as u64;
+            let slots = lock(&i.slots).len() as u64;
             (p.created_bytes() + slots * THREAD_BOOKKEEPING_BYTES) as f64
         },
     );
@@ -599,7 +624,12 @@ pub struct SwordCollector {
     config: SwordConfig,
     inner: Arc<Inner>,
     region_count: AtomicU64,
-    flush: FlushPath,
+    /// The flush channel to the compression workers; `None` once
+    /// finalize has closed it.
+    tx: Mutex<Option<Sender<FlushJob>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    writer: Mutex<Option<JoinHandle<io::Result<WriterTotals>>>>,
+    progress: Arc<Progress>,
     pool: Arc<BufferPool>,
     counters: Arc<FlushCounters>,
     /// Global flush handoff order; the ordered writer restores it.
@@ -629,7 +659,7 @@ impl SwordCollector {
             probes: Probes::default(),
         });
         let counters = Arc::new(FlushCounters::new());
-        let worker_count = if config.async_flush { config.compress_workers.max(1) } else { 0 };
+        let worker_count = config.compress_workers.max(1);
         // Budget: one in-flight slot per worker now; two more per thread
         // as each registers (double buffering) — see `slot`.
         let pool =
@@ -644,76 +674,62 @@ impl SwordCollector {
             None => None,
         };
         let stage = config.obs.as_ref().map(StageObs::new);
-        let flush = if config.async_flush {
-            let (tx, rx) = unbounded::<FlushJob>();
-            let (writer_tx, writer_rx) = unbounded::<WriteJob>();
-            let mut workers = Vec::with_capacity(worker_count);
-            for i in 0..worker_count {
-                let rx = rx.clone();
-                let writer_tx = writer_tx.clone();
-                let pool = Arc::clone(&pool);
-                let counters = Arc::clone(&counters);
-                let worker_obs = obs_ctx.as_ref().zip(stage.as_ref()).map(|(ctx, stage)| {
-                    (
-                        ctx.obs.journal.for_thread(Layer::Runtime, format!("compress-{i}")),
-                        stage.clone(),
-                    )
-                });
-                workers.push(
-                    std::thread::Builder::new().name(format!("sword-compress-{i}")).spawn(
-                        move || compression_worker(rx, writer_tx, pool, counters, worker_obs),
-                    )?,
-                );
-            }
-            // Workers hold the only remaining writer_tx clones: the writer
-            // channel closes exactly when the last worker exits.
-            drop(writer_tx);
-            drop(rx);
-            let shared = Arc::clone(&inner);
-            let writer_counters = Arc::clone(&counters);
-            let live = config.live_publish;
-            let mut writer_obs =
-                obs_ctx.as_ref().zip(stage.as_ref()).map(|(ctx, stage)| WriterObs {
-                    ctx: Arc::clone(ctx),
-                    journal: ctx.obs.journal.for_thread(Layer::Runtime, "writer"),
-                    queue_depth: ctx
-                        .obs
-                        .registry
-                        .gauge("sword_writer_queue_depth", "frames waiting in the reorder buffer"),
-                    stage: stage.clone(),
-                    last_flush: Instant::now(),
-                });
-            let writer = std::thread::Builder::new().name("sword-writer".into()).spawn(
-                move || -> io::Result<WriterTotals> {
-                    let mut writers: HashMap<ThreadId, LogWriter<BufWriter<File>>> = HashMap::new();
-                    let mut pending: BTreeMap<u64, WriteJob> = BTreeMap::new();
-                    let mut next_seq = 0u64;
-                    let mut last_publish = Instant::now();
-                    for job in writer_rx {
-                        pending.insert(job.seq, job);
-                        if let Some(o) = writer_obs.as_mut() {
-                            o.note_queue(pending.len());
-                        }
-                        // Write every contiguous frame; later sequence
-                        // numbers wait here until the gap fills, keeping
-                        // each thread's log in production order.
-                        while let Some(job) = pending.remove(&next_seq) {
-                            next_seq += 1;
-                            write_one(
-                                &shared,
-                                &writer_counters,
-                                live,
-                                &mut writers,
-                                &mut last_publish,
-                                writer_obs.as_ref(),
-                                job,
-                            )?;
-                        }
+        let progress = Arc::new(Progress::default());
+        let (tx, rx) = channel::<FlushJob>();
+        let rx = Arc::new(Mutex::new(rx));
+        let (writer_tx, writer_rx) = channel::<WriteJob>();
+        let mut workers = Vec::with_capacity(worker_count);
+        for i in 0..worker_count {
+            let rx = Arc::clone(&rx);
+            let writer_tx = writer_tx.clone();
+            let pool = Arc::clone(&pool);
+            let counters = Arc::clone(&counters);
+            let halt = Halt { progress: Arc::clone(&progress), only_on_panic: true };
+            let worker_obs = obs_ctx.as_ref().zip(stage.as_ref()).map(|(ctx, stage)| {
+                (ctx.obs.journal.for_thread(Layer::Runtime, format!("compress-{i}")), stage.clone())
+            });
+            workers.push(std::thread::Builder::new().name(format!("sword-compress-{i}")).spawn(
+                move || {
+                    let _halt = halt;
+                    compression_worker(rx, writer_tx, pool, counters, worker_obs)
+                },
+            )?);
+        }
+        // Workers hold the only remaining writer_tx clones: the writer
+        // channel closes exactly when the last worker exits.
+        drop(writer_tx);
+        let shared = Arc::clone(&inner);
+        let writer_counters = Arc::clone(&counters);
+        let halt = Halt { progress: Arc::clone(&progress), only_on_panic: false };
+        let live = config.live_publish;
+        let mut writer_obs = obs_ctx.as_ref().zip(stage.as_ref()).map(|(ctx, stage)| WriterObs {
+            ctx: Arc::clone(ctx),
+            journal: ctx.obs.journal.for_thread(Layer::Runtime, "writer"),
+            queue_depth: ctx
+                .obs
+                .registry
+                .gauge("sword_writer_queue_depth", "frames waiting in the reorder buffer"),
+            stage: stage.clone(),
+            last_flush: Instant::now(),
+        });
+        let writer = std::thread::Builder::new().name("sword-writer".into()).spawn(
+            move || -> io::Result<WriterTotals> {
+                // Dropped when this thread ends, however it ends.
+                let halt = halt;
+                let mut writers: HashMap<ThreadId, LogWriter<BufWriter<File>>> = HashMap::new();
+                let mut pending: BTreeMap<u64, WriteJob> = BTreeMap::new();
+                let mut next_seq = 0u64;
+                let mut last_publish = Instant::now();
+                for job in writer_rx {
+                    pending.insert(job.seq, job);
+                    if let Some(o) = writer_obs.as_mut() {
+                        o.note_queue(pending.len());
                     }
-                    // Channel closed. A sequence gap can remain only if a
-                    // handoff was lost to a dead worker (error already
-                    // recorded); persist what arrived, still in order.
-                    for (_, job) in std::mem::take(&mut pending) {
+                    // Write every contiguous frame; later sequence
+                    // numbers wait here until the gap fills, keeping
+                    // each thread's log in production order.
+                    while let Some(job) = pending.remove(&next_seq) {
+                        next_seq += 1;
                         write_one(
                             &shared,
                             &writer_counters,
@@ -724,29 +740,40 @@ impl SwordCollector {
                             job,
                         )?;
                     }
-                    let mut raw = 0;
-                    let mut compressed = 0;
-                    for (_, mut w) in writers {
-                        w.flush()?;
-                        raw += w.raw_bytes();
-                        compressed += w.written_bytes();
-                    }
-                    Ok((raw, compressed))
-                },
-            )?;
-            FlushPath::Async {
-                tx: Mutex::new(Some(tx)),
-                workers: Mutex::new(workers),
-                writer: Mutex::new(Some(writer)),
-            }
-        } else {
-            FlushPath::Sync { writers: Mutex::new(HashMap::new()) }
-        };
+                    halt.progress.reach(next_seq);
+                }
+                // Channel closed. A sequence gap can remain only if a
+                // handoff was lost to a dead worker (error already
+                // recorded); persist what arrived, still in order.
+                for (_, job) in std::mem::take(&mut pending) {
+                    write_one(
+                        &shared,
+                        &writer_counters,
+                        live,
+                        &mut writers,
+                        &mut last_publish,
+                        writer_obs.as_ref(),
+                        job,
+                    )?;
+                }
+                let mut raw = 0;
+                let mut compressed = 0;
+                for (_, mut w) in writers {
+                    w.flush()?;
+                    raw += w.raw_bytes();
+                    compressed += w.written_bytes();
+                }
+                Ok((raw, compressed))
+            },
+        )?;
         Ok(SwordCollector {
             config,
             inner,
             region_count: AtomicU64::new(0),
-            flush,
+            tx: Mutex::new(Some(tx)),
+            workers: Mutex::new(workers),
+            writer: Mutex::new(Some(writer)),
+            progress,
             pool,
             counters,
             flush_seq: AtomicU64::new(0),
@@ -767,24 +794,20 @@ impl SwordCollector {
         &self.inner.session
     }
 
-    /// Publishes a watermarked metadata snapshot right now, covering every
-    /// barrier interval whose log bytes are durably flushed.
+    /// Publishes a watermarked metadata snapshot covering every barrier
+    /// interval whose log bytes were handed off before the call.
     ///
-    /// With synchronous flushing this first flushes all writers inline, so
-    /// the snapshot covers everything logged so far; with the async writer
-    /// it publishes whatever the writer thread has confirmed (which may
-    /// trail the most recent buffers still in flight). The writer thread
-    /// also auto-publishes on a short throttle in live mode, so calling
-    /// this is optional — it exists to force a deterministic publish point.
+    /// It first waits until the ordered writer has written — and, in live
+    /// mode, flushed and confirmed — every block shipped so far (or until
+    /// the writer has exited, when nothing more will be confirmed), then
+    /// publishes. Without live mode the writer confirms nothing before
+    /// finalize, so the snapshot holds no rows. The writer also publishes
+    /// on a short throttle in live mode, so calling this is optional: it
+    /// is the deterministic publish point.
     pub fn publish_progress(&self) -> io::Result<()> {
-        if let FlushPath::Sync { writers } = &self.flush {
-            let mut writers = writers.lock();
-            let mut confirmed = self.inner.confirmed.lock();
-            for (tid, w) in writers.iter_mut() {
-                w.flush()?;
-                confirmed.insert(*tid, w.offset());
-            }
-        }
+        // Relaxed suffices: a hand-off ordered before this call took its
+        // number before it returned, and the blocks travel by channel.
+        self.progress.wait_for(self.flush_seq.load(Ordering::Relaxed));
         self.inner.publish(false)
     }
 
@@ -799,7 +822,7 @@ impl SwordCollector {
     /// First I/O error encountered, if any (the collector drops data after
     /// an error rather than corrupting the session).
     pub fn take_error(&self) -> Option<io::Error> {
-        self.inner.error.lock().take()
+        lock(&self.inner.error).take()
     }
 
     /// Run summary. Exact after `program_end`; mid-run, a thread inside a
@@ -825,7 +848,7 @@ impl SwordCollector {
         // IS the bounded event-path footprint: 2·threads + workers
         // buffers, regardless of run length or application size.
         stats.tool_memory_bytes += self.pool.created_bytes();
-        if let Some((raw, compressed)) = *self.writer_totals.lock() {
+        if let Some((raw, compressed)) = *lock(&self.writer_totals) {
             stats.raw_bytes = raw;
             stats.compressed_bytes = compressed;
         }
@@ -839,7 +862,7 @@ impl SwordCollector {
     }
 
     fn record_error(&self, e: io::Error) {
-        self.inner.error.lock().get_or_insert(e);
+        lock(&self.inner.error).get_or_insert(e);
     }
 
     /// A callback arrived on a context that holds no lane (it never saw
@@ -857,7 +880,7 @@ impl SwordCollector {
     fn slot(&self, tid: ThreadId) -> Slot {
         #[cfg(test)]
         self.inner.probes.slot_lookups.fetch_add(1, Ordering::Relaxed);
-        let mut slots = self.inner.slots.lock();
+        let mut slots = lock(&self.inner.slots);
         Arc::clone(slots.entry(tid).or_insert_with(|| {
             // Double buffering: each thread funds two pool slots — the
             // buffer it fills and the drained one it swaps in at flush
@@ -924,57 +947,25 @@ impl SwordCollector {
 
     fn ship(&self, tid: ThreadId, block: Vec<u8>, flow: Option<u64>) {
         self.counters.record_flush();
-        match &self.flush {
-            FlushPath::Async { tx, .. } => {
-                let tx = tx.lock();
-                let Some(tx) = tx.as_ref() else {
-                    // The pipeline is already shut: give the buffer back
-                    // and say what went missing.
-                    drop(tx);
-                    self.pool.release(block);
-                    return self.record_error(io::Error::other(format!(
-                        "thread {tid} flushed after finalize; the block is lost"
-                    )));
-                };
-                // Take the sequence number only for a live channel so
-                // the ordered writer never waits on a gap that was
-                // never sent.
-                let seq = self.flush_seq.fetch_add(1, Ordering::Relaxed);
-                // Stamp the flush-channel hop (finalize-path ships,
-                // which had no handoff span, mint a fresh flow here).
-                let trace = self.stage.as_ref().map(|s| s.enqueue(flow, true));
-                // Workers only exit on finish; a send failure is
-                // recorded once.
-                if tx.send(FlushJob { seq, tid, block, trace }).is_err() {
-                    self.record_error(io::Error::other("sword compression workers gone"));
-                }
-            }
-            FlushPath::Sync { writers } => {
-                let start = Instant::now();
-                let mut writers = writers.lock();
-                let result = (|| -> io::Result<()> {
-                    let w = match writers.entry(tid) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            let f = File::create(self.inner.session.thread_log(tid))?;
-                            e.insert(LogWriter::new(BufWriter::new(f)))
-                        }
-                    };
-                    let before = w.written_bytes();
-                    w.write_block(&block)?;
-                    self.counters.add_compress(
-                        elapsed_nanos(start),
-                        block.len() as u64,
-                        w.written_bytes() - before,
-                    );
-                    Ok(())
-                })();
-                drop(writers);
-                self.pool.release(block);
-                if let Err(e) = result {
-                    self.record_error(e);
-                }
-            }
+        let tx = lock(&self.tx);
+        let Some(tx) = tx.as_ref() else {
+            // The pipeline is already shut: give the buffer back and say
+            // what went missing.
+            drop(tx);
+            self.pool.release(block);
+            return self.record_error(io::Error::other(format!(
+                "thread {tid} flushed after finalize; the block is lost"
+            )));
+        };
+        // Take the sequence number only for a live channel so the ordered
+        // writer never waits on a gap that was never sent.
+        let seq = self.flush_seq.fetch_add(1, Ordering::Relaxed);
+        // Stamp the flush-channel hop (finalize-path ships, which had no
+        // handoff span, mint a fresh flow here).
+        let trace = self.stage.as_ref().map(|s| s.enqueue(flow, true));
+        // Workers only exit on finish; a send failure is recorded once.
+        if tx.send(FlushJob { seq, tid, block, trace }).is_err() {
+            self.record_error(io::Error::other("sword compression workers gone"));
         }
     }
 
@@ -1043,40 +1034,25 @@ impl SwordCollector {
         // Stop the flush pipeline and collect byte totals: close the
         // flush channel, join the compression workers (their exit drops
         // the last writer senders), then join the ordered writer.
-        let totals = match &self.flush {
-            FlushPath::Async { tx, workers, writer } => {
-                tx.lock().take(); // close the flush channel
-                for handle in workers.lock().drain(..) {
-                    if handle.join().is_err() {
-                        self.record_error(io::Error::other("sword compression worker panicked"));
-                    }
-                }
-                match writer.lock().take() {
-                    Some(handle) => handle
-                        .join()
-                        .map_err(|_| io::Error::other("sword writer thread panicked"))??,
-                    None => (0, 0),
-                }
+        lock(&self.tx).take(); // close the flush channel
+        for handle in lock(&self.workers).drain(..) {
+            if handle.join().is_err() {
+                self.record_error(io::Error::other("sword compression worker panicked"));
             }
-            FlushPath::Sync { writers } => {
-                let mut raw = 0;
-                let mut compressed = 0;
-                let mut writers = writers.lock();
-                for (_, w) in writers.iter_mut() {
-                    w.flush()?;
-                    raw += w.raw_bytes();
-                    compressed += w.written_bytes();
-                }
-                (raw, compressed)
+        }
+        let totals = match lock(&self.writer).take() {
+            Some(handle) => {
+                handle.join().map_err(|_| io::Error::other("sword writer thread panicked"))??
             }
+            None => (0, 0),
         };
-        *self.writer_totals.lock() = Some(totals);
+        *lock(&self.writer_totals) = Some(totals);
         // Every log byte is on disk now, so lift the watermark past all
         // rows and publish the complete metadata as the final generation.
         // Regions land before metas and each file is replaced atomically:
         // a live watcher mid-finalize still sees only consistent states.
         {
-            let mut confirmed = self.inner.confirmed.lock();
+            let mut confirmed = lock(&self.inner.confirmed);
             for (tid, _) in &slots {
                 confirmed.insert(*tid, u64::MAX);
             }
@@ -1109,7 +1085,7 @@ impl SwordCollector {
 
 impl Tool for SwordCollector {
     fn program_end(&self) {
-        let mut finished = self.finished.lock();
+        let mut finished = lock(&self.finished);
         if *finished {
             return;
         }
@@ -1121,7 +1097,7 @@ impl Tool for SwordCollector {
 
     fn parallel_begin(&self, info: &ParallelBeginInfo<'_>) {
         self.region_count.fetch_add(1, Ordering::Relaxed);
-        self.inner.regions.lock().push(RegionRecord {
+        lock(&self.inner.regions).push(RegionRecord {
             pid: info.region,
             ppid: info.parent_region,
             level: info.level,
@@ -1151,7 +1127,7 @@ impl Tool for SwordCollector {
         // The task pseudo-region enters the region table like a nested
         // region, with its `depend` predecessors attached — the offline
         // analyzers layer the dependence partial order above the labels.
-        self.inner.regions.lock().push(RegionRecord {
+        lock(&self.inner.regions).push(RegionRecord {
             pid: info.region,
             ppid: Some(info.parent_region),
             level: info.level,
@@ -1246,16 +1222,9 @@ mod tests {
         dir
     }
 
-    fn collect_simple(
-        tag: &str,
-        async_flush: bool,
-        buffer_events: usize,
-    ) -> (SessionDir, SwordStats) {
+    fn collect_simple(tag: &str, buffer_events: usize) -> (SessionDir, SwordStats) {
         let dir = tmp_session(tag);
-        let mut config = SwordConfig::new(&dir).buffer_events(buffer_events);
-        if !async_flush {
-            config = config.sync_flush();
-        }
+        let config = SwordConfig::new(&dir).buffer_events(buffer_events);
         let (_, stats) = run_collected(config, SimConfig::default(), |sim| {
             let a = sim.alloc::<f64>(256, 0.0);
             sim.run(|ctx| {
@@ -1322,7 +1291,7 @@ mod tests {
 
     #[test]
     fn session_files_written() {
-        let (session, stats) = collect_simple("files", true, 1000);
+        let (session, stats) = collect_simple("files", 1000);
         assert_eq!(session.thread_ids().unwrap().len(), 4);
         assert!(session.regions_path().exists());
         assert!(session.pcs_path().exists());
@@ -1338,7 +1307,7 @@ mod tests {
 
     #[test]
     fn meta_rows_cover_log_exactly() {
-        let (session, _) = collect_simple("meta", true, 64);
+        let (session, _) = collect_simple("meta", 64);
         for tid in session.thread_ids().unwrap() {
             let rows =
                 read_meta(BufReader::new(File::open(session.thread_meta(tid)).unwrap())).unwrap();
@@ -1638,11 +1607,12 @@ mod tests {
 
     #[test]
     fn runs_and_single_accesses_write_the_same_session() {
-        // One OS thread at a time (teams of one; tasks run inline), sync
-        // flushing: everything a session holds but its timing rows is a
-        // function of the program. Intervals longer than a run, mutex
-        // events between accesses, a task and its continuation, a nested
-        // region inside an open interval, a tail shorter than a run.
+        // One OS thread at a time (teams of one; tasks run inline): the
+        // ordered writer puts each thread's blocks in production order, so
+        // everything a session holds but its timing rows is a function of
+        // the program. Intervals longer than a run, mutex events between
+        // accesses, a task and its continuation, a nested region inside an
+        // open interval, a tail shorter than a run.
         let program = |sim: &OmpSim| {
             let a = sim.alloc::<u64>(4096, 0);
             sim.run(|ctx| {
@@ -1664,7 +1634,7 @@ mod tests {
         };
         let collect = |tag: &str, buffer_events: usize, one_at_a_time: bool| {
             let dir = tmp_session(tag);
-            let config = SwordConfig::new(&dir).sync_flush().buffer_events(buffer_events);
+            let config = SwordConfig::new(&dir).buffer_events(buffer_events);
             let collector = Arc::new(SwordCollector::new(config).unwrap());
             let tool: Arc<dyn Tool> = if one_at_a_time {
                 Arc::new(OneAtATime(collector.clone()))
@@ -1709,14 +1679,24 @@ mod tests {
             for (name, bytes) in &runs_files {
                 assert!(bytes == &ones_files[name], "{name} differs at {buffer_events} events");
             }
-            let timeless = |stats: &SwordStats| SwordStats {
-                flush: FlushSnapshot {
-                    stall_nanos: 0,
-                    compress_nanos: 0,
-                    write_nanos: 0,
-                    ..stats.flush
-                },
-                ..stats.clone()
+            // How many buffers the pool creates within its budget
+            // depends on how far the compression workers fall behind:
+            // timing, like the nanos.
+            let timeless = |stats: &SwordStats| {
+                let budget = 2 * stats.threads + default_compress_workers() as u64;
+                let bound = budget * (buffer_events * MAX_EVENT_BYTES) as u64
+                    + stats.threads * THREAD_BOOKKEEPING_BYTES;
+                assert!(stats.tool_memory_bytes <= bound, "{} > {bound}", stats.tool_memory_bytes);
+                SwordStats {
+                    tool_memory_bytes: 0,
+                    flush: FlushSnapshot {
+                        stall_nanos: 0,
+                        compress_nanos: 0,
+                        write_nanos: 0,
+                        ..stats.flush
+                    },
+                    ..stats.clone()
+                }
             };
             assert_eq!(timeless(&runs_stats), timeless(&ones_stats));
             assert_eq!(runs_stats.events, 300 + 70 * 4 + 130 + 65 + 1 + 129 + 3);
@@ -1746,7 +1726,7 @@ mod tests {
         // the pool also checks every buffer it gets back.
         for buffer_events in [1usize, 3] {
             let dir = tmp_session(&format!("no-growth-{buffer_events}"));
-            let config = SwordConfig::new(&dir).sync_flush().buffer_events(buffer_events);
+            let config = SwordConfig::new(&dir).buffer_events(buffer_events);
             let collector = SwordCollector::new(config).unwrap();
             let label = sword_osl::Label::root().fork(0, 1);
             let tool_data = sword_ompsim::ToolLocal::new();
@@ -1787,7 +1767,7 @@ mod tests {
             // is what is allocated.
             let mut capacities = collector.pool.free_capacities();
             for (_, slot) in collector.inner.slot_list() {
-                let parked = slot.lock().parked.as_ref().expect("parked").buffer_capacity_bytes();
+                let parked = lock(&slot).parked.as_ref().expect("parked").buffer_capacity_bytes();
                 capacities.extend((parked > 0).then_some(parked));
             }
             assert_eq!(capacities.len(), collector.pool.created());
@@ -1803,7 +1783,7 @@ mod tests {
 
     #[test]
     fn intervals_decode_standalone() {
-        let (session, _) = collect_simple("decode", true, 32);
+        let (session, _) = collect_simple("decode", 32);
         let tid = session.thread_ids().unwrap()[0];
         let rows =
             read_meta(BufReader::new(File::open(session.thread_meta(tid)).unwrap())).unwrap();
@@ -1824,29 +1804,6 @@ mod tests {
             }
         }
         fs::remove_dir_all(session.path()).unwrap();
-    }
-
-    #[test]
-    fn sync_and_async_flush_produce_identical_streams() {
-        let (s_async, st_async) = collect_simple("async", true, 16);
-        let (s_sync, st_sync) = collect_simple("sync", false, 16);
-        assert_eq!(st_async.events, st_sync.events);
-        assert_eq!(st_async.raw_bytes, st_sync.raw_bytes);
-        for tid in s_async.thread_ids().unwrap() {
-            let read_all = |s: &SessionDir| {
-                let mut r = LogReader::new(File::open(s.thread_log(tid)).unwrap());
-                let mut v = Vec::new();
-                r.read_to_end(&mut v).unwrap();
-                v
-            };
-            // Note: per-tid streams may differ across runs only if thread
-            // scheduling differed; the loop is static so they match.
-            let a = read_all(&s_async);
-            let b = read_all(&s_sync);
-            assert_eq!(a.len(), b.len(), "tid {tid}");
-        }
-        fs::remove_dir_all(s_async.path()).unwrap();
-        fs::remove_dir_all(s_sync.path()).unwrap();
     }
 
     #[test]
@@ -1954,21 +1911,20 @@ mod tests {
     #[test]
     fn tasking_session_rows_and_regions() {
         let dir = tmp_session("tasks");
-        let (_, stats) =
-            run_collected(SwordConfig::new(&dir).sync_flush(), SimConfig::default(), |sim| {
-                let a = sim.alloc::<u64>(8, 0);
-                sim.run(|ctx| {
-                    ctx.parallel(1, |w| {
-                        w.write(&a, 0, 1); // pre-chain
-                        w.task_depend(&[(0, sword_ompsim::DepMode::Out)], |t| t.write(&a, 1, 2));
-                        w.task_depend(&[(0, sword_ompsim::DepMode::In)], |t| t.write(&a, 2, 3));
-                        w.write(&a, 3, 4); // continuation
-                        w.taskwait();
-                        w.write(&a, 4, 5); // post-sync
-                    });
+        let (_, stats) = run_collected(SwordConfig::new(&dir), SimConfig::default(), |sim| {
+            let a = sim.alloc::<u64>(8, 0);
+            sim.run(|ctx| {
+                ctx.parallel(1, |w| {
+                    w.write(&a, 0, 1); // pre-chain
+                    w.task_depend(&[(0, sword_ompsim::DepMode::Out)], |t| t.write(&a, 1, 2));
+                    w.task_depend(&[(0, sword_ompsim::DepMode::In)], |t| t.write(&a, 2, 3));
+                    w.write(&a, 3, 4); // continuation
+                    w.taskwait();
+                    w.write(&a, 4, 5); // post-sync
                 });
-            })
-            .unwrap();
+            });
+        })
+        .unwrap();
         // Master + worker + two task tids, each with its own log file.
         assert_eq!(stats.threads, 3, "worker and both tasks logged");
         let session = SessionDir::new(&dir);
@@ -2022,7 +1978,7 @@ mod tests {
 
     #[test]
     fn buffer_bound_is_respected() {
-        let (session, stats) = collect_simple("bound", true, 8);
+        let (session, stats) = collect_simple("bound", 8);
         // 8-event buffers: tiny bounded memory, many flushes.
         assert!(stats.flushes >= stats.events / 8);
         assert!(stats.tool_memory_bytes < 64 * 1024, "{}", stats.tool_memory_bytes);
@@ -2041,101 +1997,66 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn log_write_failure_surfaces_as_error() {
-        // Sabotage one thread's log path by pre-creating a *directory*
-        // there: File::create fails, the collector records the error, and
-        // run_collected reports it instead of silently dropping data.
-        let dir = tmp_session("sabotage");
-        let session = SessionDir::new(&dir);
-        session.create().unwrap();
-        // Worker tids start after the master's tid 0: block tid 1.
-        fs::create_dir_all(session.thread_log(1)).unwrap();
-        let result = run_collected(
-            SwordConfig::new(&dir).sync_flush().buffer_events(1),
-            SimConfig::default(),
-            |sim| {
-                let a = sim.alloc::<u64>(64, 0);
-                sim.run(|ctx| {
-                    ctx.parallel(2, |w| {
-                        w.for_static(0..64, |i| {
-                            w.write(&a, i, i);
-                        });
+    /// A collector on a fresh session whose tid 1 cannot get a log: a
+    /// directory sits where the file goes, so the writer fails on that
+    /// thread's first block. Planted after `SwordCollector::new`, whose
+    /// clean-up of old logs would otherwise trip over it.
+    fn with_unwritable_tid_1(
+        tag: &str,
+        config: impl FnOnce(SwordConfig) -> SwordConfig,
+    ) -> Arc<SwordCollector> {
+        let dir = tmp_session(tag);
+        let collector = Arc::new(SwordCollector::new(config(SwordConfig::new(&dir))).unwrap());
+        fs::create_dir_all(collector.session().thread_log(1)).unwrap();
+        collector
+    }
+
+    /// Two regions of two members each writing 32 elements, with `between`
+    /// called after each.
+    fn two_regions(collector: &Arc<SwordCollector>, mut between: impl FnMut()) {
+        let sim = OmpSim::with_tool_and_config(collector.clone(), SimConfig::default());
+        let a = sim.alloc::<u64>(64, 0);
+        sim.run(|ctx| {
+            for round in 0..2 {
+                ctx.parallel(2, |w| {
+                    w.for_static(0..64, |i| {
+                        w.write(&a, i, i + round);
                     });
                 });
-            },
-        );
-        assert!(result.is_err(), "sabotaged log file must surface an I/O error");
-        fs::remove_dir_all(&dir).unwrap();
+                between();
+            }
+        });
     }
 
     #[test]
     fn async_writer_failure_surfaces_at_finalize() {
-        let dir = tmp_session("sabotage-async");
-        let session = SessionDir::new(&dir);
-        session.create().unwrap();
-        fs::create_dir_all(session.thread_log(1)).unwrap();
-        let result =
-            run_collected(SwordConfig::new(&dir).buffer_events(1), SimConfig::default(), |sim| {
-                let a = sim.alloc::<u64>(64, 0);
-                sim.run(|ctx| {
-                    ctx.parallel(2, |w| {
-                        w.for_static(0..64, |i| {
-                            w.write(&a, i, i);
-                        });
-                    });
-                });
-            });
-        assert!(result.is_err(), "async writer errors must reach the caller");
-        fs::remove_dir_all(&dir).unwrap();
+        let collector = with_unwritable_tid_1("sabotage-async", |c| c.buffer_events(1));
+        two_regions(&collector, || {});
+        let err = collector.take_error().expect("writer errors must reach the caller");
+        assert_eq!(err.kind(), io::ErrorKind::IsADirectory, "{err}");
+        fs::remove_dir_all(collector.session().path()).unwrap();
     }
 
     #[test]
-    fn live_publish_exposes_progress_mid_run() {
-        let dir = tmp_session("live");
-        let collector = Arc::new(
-            SwordCollector::new(SwordConfig::new(&dir).sync_flush().buffer_events(1).live())
-                .unwrap(),
-        );
-        let session = collector.session().clone();
-        let sim = OmpSim::with_tool_and_config(collector.clone(), SimConfig::default());
-        let a = sim.alloc::<u64>(64, 0);
-        let mut mid = None;
-        sim.run(|ctx| {
-            ctx.parallel(2, |w| {
-                w.for_static(0..64, |i| {
-                    w.write(&a, i, i);
-                });
-            });
-            collector.publish_progress().unwrap();
-            let status = session.read_live().unwrap().unwrap();
-            let rows: usize = session
-                .thread_ids()
-                .unwrap()
-                .iter()
-                .map(|&tid| {
-                    read_meta(BufReader::new(File::open(session.thread_meta(tid)).unwrap()))
-                        .unwrap()
-                        .len()
-                })
-                .sum();
-            mid = Some((status, rows));
-            ctx.parallel(2, |w| {
-                w.for_static(0..64, |i| {
-                    w.write(&a, i, i + 1);
-                });
-            });
+    fn publish_progress_returns_when_the_writer_is_dead() {
+        // The writer exits on tid 1's first block. Every later
+        // `publish_progress` waits for blocks nobody will confirm and
+        // must return anyway; the run still ends in the writer's error.
+        let collector = with_unwritable_tid_1("sabotage-live", |c| c.buffer_events(1).live());
+        let mut publishes = 0;
+        two_regions(&collector, || {
+            let _ = collector.publish_progress();
+            publishes += 1;
         });
-        collector.write_pcs(&sim.export_pcs()).unwrap();
-        assert!(collector.take_error().is_none());
-        let (mid_status, mid_rows) = mid.unwrap();
-        assert!(!mid_status.finished);
-        assert!(mid_status.generation >= 1);
-        assert!(mid_rows >= 2, "first region's intervals visible mid-run, got {mid_rows}");
-        let final_status = session.read_live().unwrap().unwrap();
-        assert!(final_status.finished, "finalize marks the session finished");
-        assert!(final_status.generation > mid_status.generation);
-        let final_rows: usize = session
+        assert_eq!(publishes, 2);
+        let err = collector.take_error().expect("writer errors must reach the caller");
+        assert_eq!(err.kind(), io::ErrorKind::IsADirectory, "{err}");
+        fs::remove_dir_all(collector.session().path()).unwrap();
+    }
+
+    /// Meta rows on disk right now, across all threads.
+    fn published_rows(session: &SessionDir) -> usize {
+        session
             .thread_ids()
             .unwrap()
             .iter()
@@ -2144,9 +2065,45 @@ mod tests {
                     .unwrap()
                     .len()
             })
-            .sum();
-        assert!(final_rows > mid_rows, "final metadata extends the mid-run prefix");
-        fs::remove_dir_all(&dir).unwrap();
+            .sum()
+    }
+
+    #[test]
+    fn live_publish_exposes_progress_mid_run() {
+        // One-event buffers through three compression workers: the first
+        // region's blocks are still racing to the writer when the region
+        // ends. `publish_progress` waits for them, so every row of that
+        // region is published, in every one of the repetitions.
+        for rep in 0..20 {
+            let dir = tmp_session(&format!("live-{rep}"));
+            let config = SwordConfig::new(&dir).compress_workers(3).buffer_events(1).live();
+            let collector = Arc::new(SwordCollector::new(config).unwrap());
+            let session = collector.session().clone();
+            let mut mid = None;
+            two_regions(&collector, || {
+                if mid.is_none() {
+                    collector.publish_progress().unwrap();
+                    let recorded = collector.stats().barrier_intervals as usize;
+                    let status = session.read_live().unwrap().unwrap();
+                    mid = Some((status, published_rows(&session), recorded));
+                }
+            });
+            assert!(collector.take_error().is_none());
+            let (mid_status, mid_rows, recorded) = mid.unwrap();
+            assert!(!mid_status.finished);
+            assert!(mid_status.generation >= 1);
+            // Two members, each split in two by the loop's barrier.
+            assert_eq!(recorded, 4, "repetition {rep}");
+            assert_eq!(
+                mid_rows, recorded,
+                "repetition {rep}: the first region's rows, all of them"
+            );
+            let final_status = session.read_live().unwrap().unwrap();
+            assert!(final_status.finished, "finalize marks the session finished");
+            assert!(final_status.generation > mid_status.generation);
+            assert_eq!(published_rows(&session), 2 * recorded, "final metadata holds both regions");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -2269,7 +2226,7 @@ mod tests {
 
     #[test]
     fn stats_compression_ratio() {
-        let (session, stats) = collect_simple("ratio", true, 25_000);
+        let (session, stats) = collect_simple("ratio", 25_000);
         assert!(stats.compression_ratio() > 1.5, "{}", stats.compression_ratio());
         fs::remove_dir_all(session.path()).unwrap();
     }

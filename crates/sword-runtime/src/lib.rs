@@ -29,6 +29,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 mod collector;
 mod flush_stats;
 mod pool;
@@ -45,6 +47,12 @@ pub const PAPER_BYTES_PER_THREAD: u64 = (33 << 20) / 10;
 /// The paper's total-memory formula `N × (B + C)` at paper scale.
 pub fn paper_model_bytes(threads: u64) -> u64 {
     threads * PAPER_BYTES_PER_THREAD
+}
+
+/// Locks `mutex`, poisoned or not: a panic under one of the collector's
+/// locks must not turn every later callback into a second panic.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@
 //! alternative, allocating past the budget, would break the paper's
 //! bounded-memory claim exactly when the run can least afford it.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
+
+use crate::lock;
 
 /// A bounded pool of equally-sized byte buffers.
 #[derive(Debug)]
@@ -54,29 +56,25 @@ impl BufferPool {
     /// Raises the buffer budget by `extra` (a new thread or worker
     /// registering its share).
     pub fn grow_budget(&self, extra: usize) {
-        self.state.lock().budget += extra;
+        lock(&self.state).budget += extra;
         self.available.notify_all();
     }
 
     /// Takes a drained buffer, allocating only while under budget;
     /// otherwise blocks until [`BufferPool::release`] returns one.
     pub fn acquire(&self) -> Vec<u8> {
-        let mut state = self.state.lock();
-        let mut stalled = false;
-        loop {
-            if let Some(buf) = state.free.pop() {
-                return buf;
-            }
-            if state.created < state.budget {
-                state.created += 1;
-                return Vec::with_capacity(self.buffer_bytes);
-            }
-            if !stalled {
-                stalled = true;
-                state.stalls += 1;
-            }
-            self.available.wait(&mut state);
+        let exhausted = |s: &mut PoolState| s.free.is_empty() && s.created >= s.budget;
+        let mut state = lock(&self.state);
+        if exhausted(&mut state) {
+            state.stalls += 1;
+            state =
+                self.available.wait_while(state, exhausted).unwrap_or_else(PoisonError::into_inner);
         }
+        if let Some(buf) = state.free.pop() {
+            return buf;
+        }
+        state.created += 1;
+        Vec::with_capacity(self.buffer_bytes)
     }
 
     /// Returns a buffer to the pool (cleared, capacity kept). A buffer
@@ -87,7 +85,7 @@ impl BufferPool {
     pub fn release(&self, mut buf: Vec<u8>) {
         debug_assert_eq!(buf.capacity(), self.buffer_bytes, "a pool buffer was reallocated");
         buf.clear();
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.free.push(buf);
         drop(state);
         self.available.notify_one();
@@ -97,31 +95,31 @@ impl BufferPool {
     /// contribution to the collector's bounded-memory accounting. Counts
     /// buffers currently held by threads and in flight, not just spares.
     pub fn created_bytes(&self) -> u64 {
-        (self.state.lock().created * self.buffer_bytes) as u64
+        (lock(&self.state).created * self.buffer_bytes) as u64
     }
 
     /// Buffers handed out over the pool's lifetime.
     #[cfg(test)]
     pub fn created(&self) -> usize {
-        self.state.lock().created
+        lock(&self.state).created
     }
 
     /// Real capacity of every drained spare.
     #[cfg(test)]
     pub fn free_capacities(&self) -> Vec<usize> {
-        self.state.lock().free.iter().map(Vec::capacity).collect()
+        lock(&self.state).free.iter().map(Vec::capacity).collect()
     }
 
     /// Pool occupancy for the metrics registry: (drained spares waiting,
     /// buffers created, budget).
     pub fn occupancy(&self) -> (usize, usize, usize) {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         (state.free.len(), state.created, state.budget)
     }
 
     /// Acquires that blocked at the budget (backpressure stall events).
     pub fn stalls(&self) -> u64 {
-        self.state.lock().stalls
+        lock(&self.state).stalls
     }
 }
 
