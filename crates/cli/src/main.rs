@@ -6,8 +6,8 @@
 //!     spans/metrics to `<session>/obs.jsonl`; `--stats` prints the
 //!     metrics-registry snapshot (flush counters, pool gauges, memory).
 //!     `--listen ADDR` additionally serves the live registry over HTTP
-//!     (`/metrics`, `/status`, `/races`, `/healthz`, `/events`) for the
-//!     whole command; see `sword top`.
+//!     (`/metrics`, `/status`, `/races`, `/healthz`) for the whole
+//!     command; see `sword top`.
 //! sword analyze <session-dir> [--workers N] [--stats] [--obs]
 //!     Offline race analysis of a collected session. `--stats` adds the
 //!     stage table and, when recorded, the run's flush-path counters;
@@ -23,9 +23,10 @@
 //!     alongside the registry.
 //! sword top <addr|session-dir> [--iters N] [--interval-ms N]
 //!     Polling terminal view of a telemetry endpoint started with
-//!     `--listen` (queue depths, latency quantiles, races so far,
-//!     memory vs the paper bound) — or of a session directory's
-//!     persisted `metrics.prom`/`live.meta` when no exporter is up.
+//!     `--listen` (races so far, queue depths, latency quantiles from
+//!     `/status`'s flat metrics) — or of a session directory's persisted
+//!     `metrics.prom`/`live.meta` when no exporter is up. Both targets
+//!     render the same tables from the same kind of snapshot.
 //! sword trace export <session-dir> [--format chrome] [--out FILE]
 //!     Convert the session's observability journal to a Chrome
 //!     `trace_event` file (chrome://tracing, ui.perfetto.dev).
@@ -70,7 +71,7 @@ use sword_obs::{
     format_bytes, render_html, ExportFormat, HtmlInput, HtmlRace, JournalSink, Layer, Obs,
     ReportInput, SiteTable, Table,
 };
-use sword_obs_http::{http_get, JsonFn, ServerConfig, TelemetryHandles, TelemetryServer};
+use sword_obs_http::{http_get, JsonFn, TelemetryHandles, TelemetryServer};
 use sword_offline::{analyze, AnalysisConfig, LiveAnalyzer};
 use sword_ompsim::{OmpSim, SimConfig};
 use sword_runtime::{run_collected, SwordConfig};
@@ -260,10 +261,10 @@ fn start_listener(
     let Some(addr) = flags.map.get("listen") else {
         return Ok(None);
     };
-    let server = TelemetryServer::start(ServerConfig::bind(addr), handles)
-        .map_err(|e| format!("--listen {addr}: {e}"))?;
+    let server =
+        TelemetryServer::start(addr, handles).map_err(|e| format!("--listen {addr}: {e}"))?;
     println!(
-        "telemetry: http://{0}/status  (also /metrics /races /healthz /events; try `sword top {0}`)",
+        "telemetry: http://{0}/status  (also /metrics /races /healthz; try `sword top {0}`)",
         server.local_addr()
     );
     Ok(Some(server))
@@ -643,12 +644,10 @@ fn top_frame_http(addr: &str) -> Result<(String, bool), String> {
     let body = http_get(addr, "/status", std::time::Duration::from_secs(5))
         .map_err(|e| format!("GET http://{addr}/status: {e}"))?;
     let doc = sword_obs::json::parse(&body).map_err(|e| format!("bad /status JSON: {e}"))?;
-    let mut out = String::new();
-    let field = |key: &str| doc.get(key).map(render_json_scalar);
-    out.push_str(&format!("sword top — http://{addr}\n"));
-    for key in ["session", "generation", "finished", "races", "polls", "uptime_us", "sse_clients"] {
-        if let Some(v) = field(key) {
-            out.push_str(&format!("  {key:<12} {v}\n"));
+    let mut out = format!("sword top — http://{addr}\n");
+    for key in ["session", "generation", "finished", "races", "polls", "uptime_us"] {
+        if let Some(v) = doc.get(key) {
+            out.push_str(&format!("  {key:<12} {}\n", render_json_scalar(v)));
         }
     }
     if let Some(dropped) = doc.get("journal_dropped_events").and_then(Value::as_u64) {
@@ -656,33 +655,14 @@ fn top_frame_http(addr: &str) -> Result<(String, bool), String> {
             out.push_str(&format!("  WARNING: journal dropped {dropped} events\n"));
         }
     }
-    if let Some(queues) = doc.get("queues").and_then(Value::as_obj) {
-        if !queues.is_empty() {
-            let mut t = Table::new("queue depths", &["stage", "depth"]);
-            for (name, v) in queues {
-                t.row(&[name.clone(), render_json_scalar(v)]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-    }
-    if let Some(hists) = doc.get("histograms").and_then(Value::as_arr) {
-        if !hists.is_empty() {
-            let mut t =
-                Table::new("latency quantiles", &["histogram", "count", "p50", "p95", "p99"]);
-            for row in hists {
-                t.row(&[
-                    row.get("name").and_then(Value::as_str).unwrap_or("?").to_string(),
-                    row.get("count").map(render_json_scalar).unwrap_or_default(),
-                    row.get("p50").map(render_json_scalar).unwrap_or_default(),
-                    row.get("p95").map(render_json_scalar).unwrap_or_default(),
-                    row.get("p99").map(render_json_scalar).unwrap_or_default(),
-                ]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-    }
+    let metrics: Vec<(String, f64)> = doc
+        .get("metrics")
+        .and_then(Value::as_obj)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|(name, v)| Some((name.clone(), v.as_f64()?)))
+        .collect();
+    out.push_str(&top_tables(&metrics));
     let finished = doc.get("finished") == Some(&Value::Bool(true));
     Ok((out, finished))
 }
@@ -690,9 +670,17 @@ fn top_frame_http(addr: &str) -> Result<(String, bool), String> {
 /// Renders a JSON scalar the way the tables expect (integers unpadded).
 fn render_json_scalar(v: &Value) -> String {
     match v {
-        Value::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => format!("{}", *n as i64),
+        Value::Num(n) => render_number(*n),
         Value::Str(s) => s.clone(),
         other => other.render(),
+    }
+}
+
+fn render_number(n: f64) -> String {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
     }
 }
 
@@ -701,8 +689,7 @@ fn render_json_scalar(v: &Value) -> String {
 /// exporter (useful post-run, or when the run was started without
 /// `--listen`).
 fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
-    let mut out = String::new();
-    out.push_str(&format!("sword top — {}\n", session.path().display()));
+    let mut out = format!("sword top — {}\n", session.path().display());
     let mut finished = false;
     if let Ok(Some(live)) = session.read_live() {
         finished = live.finished;
@@ -715,10 +702,15 @@ fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
         return Ok((out, finished));
     }
     let prom = std::fs::read_to_string(&prom_path).map_err(|e| e.to_string())?;
-    // Flatten the exposition: plain `name value` samples, with summary
-    // quantile labels folded into `_p50`/`_p95`/`_p99` suffixes so the
-    // shared histogram-row view applies.
-    let mut flat: Vec<(String, f64)> = Vec::new();
+    out.push_str(&top_tables(&prometheus_snapshot(&prom)));
+    Ok((out, finished))
+}
+
+/// Flattens a Prometheus exposition into the registry's snapshot shape:
+/// plain `name value` samples, with summary quantile labels folded into
+/// `_p50`/`_p95`/`_p99` suffixes; bucket rows are skipped.
+fn prometheus_snapshot(prom: &str) -> Vec<(String, f64)> {
+    let mut flat = Vec::new();
     for line in prom.lines() {
         if line.starts_with('#') || line.is_empty() {
             continue;
@@ -736,19 +728,23 @@ fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
         };
         flat.push((name, value));
     }
+    flat
+}
+
+/// The tables of a `sword top` frame, from one flat registry snapshot:
+/// every `*_queue_depth` gauge, and the quantiles of every histogram
+/// family with samples.
+fn top_tables(snapshot: &[(String, f64)]) -> String {
+    let mut out = String::new();
     let mut queues = Table::new("queue depths", &["stage", "depth"]);
-    let mut have_queues = false;
-    for (name, value) in &flat {
-        if name.ends_with("_queue_depth") {
-            queues.row(&[name.clone(), format!("{}", *value as i64)]);
-            have_queues = true;
-        }
+    for (name, value) in snapshot.iter().filter(|(name, _)| name.ends_with("_queue_depth")) {
+        queues.row(&[name.clone(), render_number(*value)]);
     }
-    if have_queues {
+    if !queues.is_empty() {
         out.push_str(&queues.render());
         out.push('\n');
     }
-    let rows = sword_obs::histogram_rows(&flat);
+    let rows = sword_obs::histogram_rows(snapshot);
     if !rows.is_empty() {
         let mut t = Table::new("latency quantiles", &["histogram", "count", "p50", "p95", "p99"]);
         for r in &rows {
@@ -763,7 +759,7 @@ fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
         out.push_str(&t.render());
         out.push('\n');
     }
-    Ok((out, finished))
+    out
 }
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
@@ -1488,20 +1484,6 @@ mod tests {
         assert_eq!(sword_obs::json::parse(&health).unwrap().get("ok"), Some(&Value::Bool(true)));
         let races = http_get(&addr, "/races", Duration::from_secs(2)).unwrap();
         assert!(sword_obs::json::parse(&races).unwrap().as_arr().is_some());
-        // SSE: the stream head arrives even when no events flow yet.
-        {
-            use std::io::{BufRead, BufReader, Write};
-            let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-            stream
-                .write_all(
-                    format!("GET /events?limit=1 HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes(),
-                )
-                .unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-            let mut first = String::new();
-            BufReader::new(stream).read_line(&mut first).unwrap();
-            assert!(first.starts_with("HTTP/1.1 200"), "{first}");
-        }
         // `sword top` renders frames from the same live endpoint.
         run(&s(&["top", &addr, "--iters", "2", "--interval-ms", "10"])).expect("top vs http");
         watcher.join().unwrap().expect("watch --listen");
@@ -1539,6 +1521,54 @@ mod tests {
     }
 
     #[test]
+    fn top_renders_the_same_tables_from_status_and_metrics_prom() {
+        // One registry, read both ways `sword top` reads: `/status`'s flat
+        // `metrics` object and a session's `metrics.prom`.
+        let dir = std::env::temp_dir().join(format!("sword-cli-top-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = SessionDir::new(&dir);
+        session.create().unwrap();
+        let obs = Obs::new();
+        obs.registry.gauge("sword_flush_queue_depth", "depth").set(5);
+        obs.registry.gauge("sword_task_queue_depth", "depth").set(0);
+        obs.registry.counter("sword_flushes_total", "flushes").add(7);
+        let wait = obs.registry.histogram("sword_flush_queue_wait_us", "wait");
+        for v in [3, 40, 40, 900, 12_000] {
+            wait.record(v);
+        }
+        obs.registry.histogram("sword_solver_call_nanos", "no samples: no row");
+        // The provider runs inside the `/status` request, just before the
+        // snapshot, so the exposition it writes holds the registry state
+        // the snapshot reads (exporter self-metering included).
+        let (registry, prom_path) = (obs.registry.clone(), session.metrics_path());
+        let status: JsonFn = Arc::new(move || {
+            std::fs::write(&prom_path, registry.render_prometheus()).unwrap();
+            Value::Obj(vec![])
+        });
+        let server = TelemetryServer::start(
+            "127.0.0.1:0",
+            TelemetryHandles::new(obs.clone()).with_status(status),
+        )
+        .unwrap();
+        let (http_frame, _) = top_frame_http(&server.local_addr().to_string()).unwrap();
+        server.shutdown();
+        let (session_frame, _) = top_frame_session(&session).unwrap();
+
+        let tables =
+            |frame: &str| frame[frame.find("== ").expect("frame has tables")..].to_string();
+        assert_eq!(tables(&http_frame), tables(&session_frame));
+        let tables = tables(&http_frame);
+        assert!(tables.starts_with("== queue depths =="), "{tables}");
+        assert!(tables.contains("sword_flush_queue_depth  5"), "{tables}");
+        assert!(tables.contains("sword_task_queue_depth   0"), "{tables}");
+        assert!(tables.contains("== latency quantiles =="), "{tables}");
+        assert!(tables.contains("sword_flush_queue_wait_us  5"), "{tables}");
+        assert!(!tables.contains("sword_solver_call_nanos"), "{tables}");
+        assert!(!tables.contains("sword_flushes_total"), "{tables}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn verdicts_identical_with_and_without_exporter() {
         use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -1563,9 +1593,7 @@ mod tests {
 
         let obs = Obs::new();
         let config = AnalysisConfig::default().with_obs(obs.clone());
-        let server =
-            TelemetryServer::start(ServerConfig::bind("127.0.0.1:0"), TelemetryHandles::new(obs))
-                .unwrap();
+        let server = TelemetryServer::start("127.0.0.1:0", TelemetryHandles::new(obs)).unwrap();
         let addr = server.local_addr().to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let hits = Arc::new(AtomicU32::new(0));

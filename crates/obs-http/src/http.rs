@@ -13,22 +13,14 @@ use std::net::TcpStream;
 /// larger is rejected; the exporter never needs bodies.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// A parsed request line: method, path, and decoded query pairs.
+/// A parsed request line: method and path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
     /// HTTP method (`GET` for every endpoint we serve).
     pub method: String,
-    /// Path without the query string (e.g. `/metrics`).
+    /// Path without the query string (e.g. `/metrics`); no endpoint
+    /// takes parameters.
     pub path: String,
-    /// Query pairs in order (`?layer=runtime&limit=10`).
-    pub query: Vec<(String, String)>,
-}
-
-impl Request {
-    /// First value of a query parameter.
-    pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
 }
 
 /// Reads and parses one request head from the stream. Returns `None`
@@ -55,39 +47,8 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
         return Ok(None);
     };
-    let (path, query_str) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let mut query = Vec::new();
-    for pair in query_str.split('&').filter(|s| !s.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        query.push((percent_decode(k), percent_decode(v)));
-    }
-    Ok(Some(Request { method: method.to_string(), path: path.to_string(), query }))
-}
-
-// Decodes %XX escapes and '+' (space); bad escapes pass through.
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let hex = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => out.push(b' '),
-            b'%' if i + 2 < bytes.len() => match (hex(bytes[i + 1]), hex(bytes[i + 2])) {
-                (Some(hi), Some(lo)) => {
-                    out.push(hi * 16 + lo);
-                    i += 2;
-                }
-                _ => out.push(b'%'),
-            },
-            b => out.push(b),
-        }
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
+    let path = target.split_once('?').map_or(target, |(path, _)| path);
+    Ok(Some(Request { method: method.to_string(), path: path.to_string() }))
 }
 
 /// Writes a complete response with a body and closes the exchange.
@@ -112,16 +73,6 @@ pub fn write_response(
     Ok(head.len() + body.len())
 }
 
-/// Writes just the head of a streaming (SSE) response; the body follows
-/// incrementally and the connection stays open until the server or the
-/// client hangs up.
-pub fn write_stream_head(stream: &mut TcpStream) -> io::Result<()> {
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n",
-    )?;
-    stream.flush()
-}
-
 fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -130,18 +81,5 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         503 => "Service Unavailable",
         _ => "Unknown",
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percent_decoding() {
-        assert_eq!(percent_decode("a+b"), "a b");
-        assert_eq!(percent_decode("runtime%2Coffline"), "runtime,offline");
-        assert_eq!(percent_decode("bad%zz"), "bad%zz");
-        assert_eq!(percent_decode("trail%2"), "trail%2");
     }
 }

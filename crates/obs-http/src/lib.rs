@@ -3,42 +3,46 @@
 //! A small blocking HTTP/1.1 server over `std::net::TcpListener` — no
 //! external crates, in keeping with the workspace's std-only
 //! discipline — that any long-running mode (`sword run --live`,
-//! `sword watch`, `sword analyze`) mounts with `--listen ADDR`:
+//! `sword watch`, `sword analyze`) mounts with `--listen ADDR`. Every
+//! endpoint answers one snapshot and closes the connection:
 //!
 //! | endpoint    | payload |
 //! |-------------|---------|
 //! | `/metrics`  | Prometheus text exposition straight from the live [`sword_obs::Registry`] |
-//! | `/status`   | JSON snapshot: watermark, queue depths, races so far, memory vs. the paper bound |
+//! | `/status`   | JSON snapshot: provider fields (session, watermark, races so far) and the flat `metrics` view |
 //! | `/races`    | current race list with evidence ids |
-//! | `/healthz`  | liveness + overload/backpressure state |
-//! | `/events`   | SSE stream of journal events (`?layer=` filters, `?limit=` one-shot reads) |
+//! | `/healthz`  | liveness, shed count, worker count, uptime |
 //!
-//! The exporter obeys the discipline it reports on: a bounded worker
-//! pool and accept queue (overflow answers 503 and counts a shed),
-//! snapshot responses cached for a short TTL so scrape storms cannot
-//! amplify registry reads, per-client bounded SSE taps that drop events
-//! rather than buffer, and its own cost metered into the registry it
-//! serves (`sword_exporter_*`).
+//! The exporter obeys the discipline it reports on: a fixed pool of two
+//! worker threads behind an accept queue of 32 connections (a
+//! connection beyond it is answered 503 and counted as a shed), and
+//! its own cost metered into the registry it serves
+//! (`sword_exporter_*`). The only setting is the listen address.
 
 #![forbid(unsafe_code)]
 
-pub mod http;
-pub mod sse;
+mod http;
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sword_obs::json::Value;
-use sword_obs::{Counter, Gauge, Histogram, Layer, Obs};
+use sword_obs::{Counter, Histogram, Obs};
 
-use http::{read_request, write_response, Request};
-use sse::{stream_events, SseClient};
+use http::{read_request, write_response};
+
+// Worker threads serving requests. Two bound how much rendering a
+// scrape storm can cause to the run being observed.
+const WORKERS: usize = 2;
+
+// Accepted connections waiting for a worker; a connection that finds
+// the queue full is shed with 503.
+const PENDING: usize = 32;
 
 /// A provider of one JSON document (status extras, race lists). Called
 /// on demand from exporter worker threads; must only *read* shared
@@ -49,7 +53,7 @@ pub type JsonFn = Arc<dyn Fn() -> Value + Send + Sync>;
 /// mode-specific providers.
 #[derive(Clone)]
 pub struct TelemetryHandles {
-    /// Journal (SSE source) and registry (/metrics, /status).
+    /// Registry (`/metrics`, `/status`) and journal (drop counter).
     pub obs: Obs,
     /// Extra top-level `/status` fields (session path, watermark,
     /// races-so-far, thread count) merged into the snapshot.
@@ -78,45 +82,6 @@ impl TelemetryHandles {
     }
 }
 
-/// Server tuning knobs. Defaults are sized so the exporter's footprint
-/// stays far below one collector thread's budget: 2 workers, a
-/// 32-connection accept queue, 8 SSE clients × 1024-event taps.
-#[derive(Clone, Debug)]
-pub struct ServerConfig {
-    /// Bind address, e.g. `127.0.0.1:9464` (`:0` picks a free port).
-    pub addr: String,
-    /// Worker threads serving snapshot endpoints.
-    pub workers: usize,
-    /// Accept-queue bound; connections beyond it are shed with 503.
-    pub pending: usize,
-    /// Snapshot cache TTL in milliseconds for `/metrics` and `/status`.
-    pub cache_ms: u64,
-    /// Per-SSE-client tap capacity (events buffered before shedding).
-    pub sse_queue: usize,
-    /// Concurrent SSE client cap; further clients are shed with 503.
-    pub max_sse_clients: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            pending: 32,
-            cache_ms: 100,
-            sse_queue: 1024,
-            max_sse_clients: 8,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Config bound to `addr` with default tuning.
-    pub fn bind(addr: impl Into<String>) -> ServerConfig {
-        ServerConfig { addr: addr.into(), ..ServerConfig::default() }
-    }
-}
-
 // Exporter self-metering handles, registered into the registry the
 // exporter itself serves — its cost is visible on every scrape.
 struct ExporterMetrics {
@@ -124,9 +89,6 @@ struct ExporterMetrics {
     request_nanos: Histogram,
     bytes: Counter,
     shed: Counter,
-    sse_clients: Gauge,
-    sse_dropped_events: Counter,
-    sse_dropped_clients: Counter,
 }
 
 impl ExporterMetrics {
@@ -141,15 +103,6 @@ impl ExporterMetrics {
                 "sword_exporter_shed_total",
                 "telemetry connections shed under overload (503)",
             ),
-            sse_clients: r.gauge("sword_exporter_sse_clients", "connected SSE event streams"),
-            sse_dropped_events: r.counter(
-                "sword_exporter_sse_dropped_events_total",
-                "SSE events dropped for slow clients",
-            ),
-            sse_dropped_clients: r.counter(
-                "sword_exporter_sse_dropped_clients_total",
-                "SSE clients disconnected for stalling",
-            ),
         }
     }
 }
@@ -157,11 +110,8 @@ impl ExporterMetrics {
 struct Shared {
     handles: TelemetryHandles,
     metrics: ExporterMetrics,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     started: Instant,
-    cache: Mutex<HashMap<&'static str, (Instant, String)>>,
-    sse_active: AtomicUsize,
 }
 
 /// A running telemetry server. Dropping it without [`shutdown`] leaves
@@ -177,28 +127,25 @@ pub struct TelemetryServer {
 }
 
 impl TelemetryServer {
-    /// Binds and starts serving. Endpoint threads hold only clones of
-    /// the registry/journal handles, so everything served reflects live
-    /// state without copying it.
-    pub fn start(config: ServerConfig, handles: TelemetryHandles) -> io::Result<TelemetryServer> {
-        let listener = TcpListener::bind(&config.addr)?;
+    /// Binds `addr` (e.g. `127.0.0.1:9464`; port 0 picks a free one) and
+    /// starts serving. Endpoint threads hold only clones of the registry
+    /// and journal handles, so everything served reflects live state
+    /// without copying it.
+    pub fn start(addr: &str, handles: TelemetryHandles) -> io::Result<TelemetryServer> {
+        let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = ExporterMetrics::register(&handles.obs);
-        let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             handles,
             metrics,
-            config,
-            shutdown: Arc::clone(&shutdown),
+            shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            cache: Mutex::new(HashMap::new()),
-            sse_active: AtomicUsize::new(0),
         });
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(shared.config.pending.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(PENDING);
         let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::new();
-        for i in 0..shared.config.workers.max(1) {
+        let mut workers = Vec::with_capacity(WORKERS);
+        for i in 0..WORKERS {
             let rx = Arc::clone(&rx);
             let shared = Arc::clone(&shared);
             workers.push(
@@ -222,8 +169,7 @@ impl TelemetryServer {
     }
 
     /// Stops accepting, drains the worker pool, and joins every server
-    /// thread. SSE clients observe the flag within their keep-alive
-    /// interval and disconnect.
+    /// thread.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
@@ -233,12 +179,6 @@ impl TelemetryServer {
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        // Give detached SSE threads a bounded window to observe the
-        // flag so their taps unsubscribe before the journal's next use.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while self.shared.sse_active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
         }
     }
 }
@@ -282,7 +222,7 @@ fn worker_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, shared: Arc<Shared>) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let t0 = Instant::now();
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
@@ -300,19 +240,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         return;
     }
     let written = match request.path.as_str() {
-        "/events" => {
-            serve_sse(stream, &request, shared);
-            shared.metrics.request_nanos.record(t0.elapsed().as_nanos() as u64);
-            return;
-        }
-        "/metrics" => {
-            let body =
-                cached(shared, "/metrics", || shared.handles.obs.registry.render_prometheus());
-            write_response(&mut stream, 200, "text/plain; version=0.0.4", &body)
-        }
+        "/metrics" => write_response(
+            &mut stream,
+            200,
+            "text/plain; version=0.0.4",
+            &shared.handles.obs.registry.render_prometheus(),
+        ),
         "/status" => {
-            let body = cached(shared, "/status", || status_json(shared).render());
-            write_response(&mut stream, 200, "application/json", &body)
+            write_response(&mut stream, 200, "application/json", &status_json(shared).render())
         }
         "/races" => {
             let body = match &shared.handles.races {
@@ -330,67 +265,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     shared.metrics.request_nanos.record(t0.elapsed().as_nanos() as u64);
 }
 
-// SSE clients park for the life of the stream, so they get their own
-// thread instead of occupying the bounded snapshot pool; the count is
-// capped and excess clients are shed.
-fn serve_sse(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) {
-    let cap = shared.config.max_sse_clients.max(1);
-    // Subscribe before the client count becomes visible: whoever sees the
-    // count rise may record and drain at once, and a tap that lands after
-    // that drain has missed those events for good.
-    let tap = shared.handles.obs.journal.tap(shared.config.sse_queue);
-    if shared.sse_active.fetch_add(1, Ordering::SeqCst) >= cap {
-        shared.sse_active.fetch_sub(1, Ordering::SeqCst);
-        shared.metrics.shed.inc();
-        let _ = write_response(
-            &mut stream,
-            503,
-            "application/json",
-            "{\"ok\":false,\"error\":\"sse client limit\"}",
-        );
-        return;
-    }
-    shared.metrics.sse_clients.set(shared.sse_active.load(Ordering::SeqCst) as u64);
-    let layers: Vec<Layer> = request
-        .query_param("layer")
-        .map(|v| v.split(',').filter_map(Layer::from_name).collect())
-        .unwrap_or_default();
-    let limit = request.query_param("limit").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let client =
-        SseClient { tap, layers, limit, dropped_events: shared.metrics.sse_dropped_events.clone() };
-    let thread_shared = Arc::clone(shared);
-    let spawned = std::thread::Builder::new().name("obs-http-sse".to_string()).spawn(move || {
-        let result = stream_events(&mut stream, client, &thread_shared.shutdown);
-        match result {
-            Ok(n) => thread_shared.metrics.bytes.add(n as u64),
-            Err(_) => thread_shared.metrics.sse_dropped_clients.inc(),
-        }
-        thread_shared.sse_active.fetch_sub(1, Ordering::SeqCst);
-        thread_shared
-            .metrics
-            .sse_clients
-            .set(thread_shared.sse_active.load(Ordering::SeqCst) as u64);
-    });
-    if spawned.is_err() {
-        shared.sse_active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-// Serves a cached snapshot when it is younger than the TTL; otherwise
-// recomputes. Under a scrape storm each window costs one registry read.
-fn cached(shared: &Shared, key: &'static str, render: impl FnOnce() -> String) -> String {
-    let ttl = Duration::from_millis(shared.config.cache_ms);
-    let mut cache = shared.cache.lock().expect("cache lock");
-    if let Some((at, body)) = cache.get(key) {
-        if at.elapsed() < ttl {
-            return body.clone();
-        }
-    }
-    let body = render();
-    cache.insert(key, (Instant::now(), body.clone()));
-    body
-}
-
 fn status_json(shared: &Shared) -> Value {
     let obs = &shared.handles.obs;
     let mut pairs = vec![
@@ -398,50 +272,24 @@ fn status_json(shared: &Shared) -> Value {
         ("now_us".to_string(), Value::Num(obs.journal.now_us() as f64)),
         ("uptime_us".to_string(), Value::Num(shared.started.elapsed().as_micros() as f64)),
         ("journal_dropped_events".to_string(), Value::Num(obs.journal.dropped_events() as f64)),
-        ("sse_clients".to_string(), Value::Num(shared.sse_active.load(Ordering::SeqCst) as f64)),
     ];
     if let Some(f) = &shared.handles.status {
         if let Value::Obj(extra) = f() {
             pairs.extend(extra);
         }
     }
-    let snapshot = obs.registry.snapshot();
-    let metrics: Vec<(String, Value)> =
-        snapshot.iter().map(|(k, v)| (k.clone(), Value::Num(*v))).collect();
-    // Pre-grouped views so dashboards need no name parsing: every
-    // `*_queue_depth` gauge, and quantiles per histogram family.
-    let queues: Vec<(String, Value)> = snapshot
-        .iter()
-        .filter(|(k, _)| k.ends_with("_queue_depth"))
-        .map(|(k, v)| (k.clone(), Value::Num(*v)))
-        .collect();
-    let stages: Vec<Value> = sword_obs::histogram_rows(&snapshot)
-        .into_iter()
-        .map(|row| {
-            Value::Obj(vec![
-                ("name".to_string(), Value::Str(row.name)),
-                ("count".to_string(), Value::Num(row.count as f64)),
-                ("p50".to_string(), Value::Num(row.p50 as f64)),
-                ("p95".to_string(), Value::Num(row.p95 as f64)),
-                ("p99".to_string(), Value::Num(row.p99 as f64)),
-                ("max".to_string(), Value::Num(row.max as f64)),
-            ])
-        })
-        .collect();
-    pairs.push(("queues".to_string(), Value::Obj(queues)));
-    pairs.push(("histograms".to_string(), Value::Arr(stages)));
+    // The flat registry snapshot, in registration order: `sword top`
+    // groups it into its tables, dashboards read it as is.
+    let metrics = obs.registry.snapshot().into_iter().map(|(k, v)| (k, Value::Num(v))).collect();
     pairs.push(("metrics".to_string(), Value::Obj(metrics)));
     Value::Obj(pairs)
 }
 
 fn healthz_json(shared: &Shared) -> String {
-    let overload = shared.sse_active.load(Ordering::SeqCst) >= shared.config.max_sse_clients.max(1);
     Value::Obj(vec![
         ("ok".to_string(), Value::Bool(true)),
-        ("overload".to_string(), Value::Bool(overload)),
-        ("sse_clients".to_string(), Value::Num(shared.sse_active.load(Ordering::SeqCst) as f64)),
         ("shed_total".to_string(), Value::Num(shared.metrics.shed.get() as f64)),
-        ("workers".to_string(), Value::Num(shared.config.workers as f64)),
+        ("workers".to_string(), Value::Num(WORKERS as f64)),
         ("uptime_us".to_string(), Value::Num(shared.started.elapsed().as_micros() as f64)),
     ])
     .render()
@@ -476,4 +324,64 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<String>
         return Err(io::Error::other(format!("HTTP {status} from {path}")));
     }
     Ok(response[split + 4..].to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    fn shed_total(obs: &Obs) -> f64 {
+        let snapshot = obs.registry.snapshot();
+        snapshot.iter().find(|(name, _)| name == "sword_exporter_shed_total").unwrap().1
+    }
+
+    // Whether the exporter answered this connection 503 on its own.
+    fn was_shed(mut stream: &TcpStream, wait: Duration) -> bool {
+        stream.set_read_timeout(Some(wait)).unwrap();
+        let mut head = [0u8; 12];
+        matches!(stream.read(&mut head), Ok(n) if head[..n].starts_with(b"HTTP/1.1 503"))
+    }
+
+    #[test]
+    fn a_full_accept_queue_sheds_with_503_and_counts_it() {
+        let obs = Obs::new();
+        let server = TelemetryServer::start("127.0.0.1:0", TelemetryHandles::new(obs.clone()))
+            .expect("bind");
+        let addr = server.local_addr();
+        // Connections that send nothing: each worker blocks reading one
+        // (for up to its 2 s read timeout) and the queue fills with the
+        // rest. Whether or not the workers have taken theirs yet, these
+        // leave no room for one more.
+        let idle: Vec<TcpStream> =
+            (0..WORKERS + PENDING).map(|_| TcpStream::connect(addr).unwrap()).collect();
+
+        // The next connection finds the queue full: 503 at the door,
+        // before it sends a byte.
+        let next = TcpStream::connect(addr).unwrap();
+        assert!(was_shed(&next, Duration::from_secs(2)), "a full queue must shed");
+        // The acceptor handles connections in order, so any idle one it
+        // shed already holds its 503. Every shed is counted.
+        let idle_shed = idle.iter().filter(|s| was_shed(s, Duration::from_millis(20))).count();
+        let mut shed = 1 + idle_shed as u64;
+        assert_eq!(shed_total(&obs), shed as f64);
+
+        // Closing the idle connections frees the pool, and `/healthz`
+        // serves the count (a retry that is shed itself counts too).
+        drop(idle);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let health = loop {
+            match http_get(&addr.to_string(), "/healthz", Duration::from_secs(1)) {
+                Ok(body) => break body,
+                Err(e) => {
+                    shed += u64::from(e.to_string().contains("HTTP 503"));
+                    assert!(Instant::now() < deadline, "pool never recovered: {e}");
+                }
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let doc = sword_obs::json::parse(&health).unwrap();
+        assert_eq!(doc.get("shed_total").and_then(Value::as_u64), Some(shed));
+        server.shutdown();
+    }
 }

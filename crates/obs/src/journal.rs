@@ -20,9 +20,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::json::{self, Value};
 
@@ -204,38 +203,6 @@ struct Ring {
     events: Mutex<VecDeque<JournalEvent>>,
 }
 
-struct TapSender {
-    tx: SyncSender<JournalEvent>,
-    dropped: Arc<AtomicU64>,
-}
-
-/// A live subscription to drained journal events (see [`Journal::tap`]).
-/// Events are forwarded at drain time through a bounded channel; when the
-/// subscriber falls behind, the newest events are dropped and counted
-/// instead of buffering without bound (slow-client shedding at the
-/// source). Dropping the tap unsubscribes it.
-pub struct JournalTap {
-    rx: Receiver<JournalEvent>,
-    dropped: Arc<AtomicU64>,
-}
-
-impl JournalTap {
-    /// Receives the next forwarded event, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<JournalEvent> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Receives a forwarded event if one is ready.
-    pub fn try_recv(&self) -> Option<JournalEvent> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Events dropped because this tap's channel was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 struct JournalInner {
     epoch: Instant,
     capacity: usize,
@@ -245,7 +212,6 @@ struct JournalInner {
     meta: Arc<Ring>,
     dropped: AtomicU64,
     next_flow: AtomicU64,
-    taps: Mutex<Vec<TapSender>>,
 }
 
 /// The shared journal: hands out per-thread recorders and drains them.
@@ -285,7 +251,6 @@ impl Journal {
                 meta,
                 dropped: AtomicU64::new(0),
                 next_flow: AtomicU64::new(1),
-                taps: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -295,21 +260,6 @@ impl Journal {
     /// trace viewers can draw the arrow between them.
     pub fn next_flow_id(&self) -> u64 {
         self.inner.next_flow.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Subscribes to drained events through a bounded channel of
-    /// `capacity` events. Forwarding happens at drain time (the periodic
-    /// sink pass), never on the recording hot path; a full channel drops
-    /// the event for that tap and bumps its drop counter.
-    pub fn tap(&self, capacity: usize) -> JournalTap {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
-        let dropped = Arc::new(AtomicU64::new(0));
-        self.inner
-            .taps
-            .lock()
-            .expect("journal lock")
-            .push(TapSender { tx, dropped: Arc::clone(&dropped) });
-        JournalTap { rx, dropped }
     }
 
     /// Records a pre-built event into the shared meta ring (same bounded
@@ -354,30 +304,7 @@ impl Journal {
             out.extend(events.drain(..));
         }
         out.sort_by_key(|e| e.t_us);
-        self.forward_to_taps(&out);
         out
-    }
-
-    fn forward_to_taps(&self, events: &[JournalEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let mut taps = self.inner.taps.lock().expect("journal lock");
-        if taps.is_empty() {
-            return;
-        }
-        taps.retain(|tap| {
-            for event in events {
-                match tap.tx.try_send(event.clone()) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        tap.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return false,
-                }
-            }
-            true
-        });
     }
 }
 
@@ -691,32 +618,6 @@ mod tests {
         let line = flowed.to_json().render();
         let back = JournalEvent::from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, flowed);
-    }
-
-    #[test]
-    fn tap_forwards_drained_events_and_sheds_when_full() {
-        let journal = Journal::new(64);
-        let tj = journal.for_thread(Layer::Runtime, "app-0");
-        let tap = journal.tap(4);
-        for i in 0..10 {
-            tj.instant(format!("e{i}"), vec![]);
-        }
-        // Nothing is forwarded until a drain pass runs.
-        assert!(tap.try_recv().is_none());
-        let drained = journal.drain();
-        assert_eq!(drained.len(), 10);
-        // The tap holds the oldest 4; the rest were shed, not buffered.
-        let mut got = Vec::new();
-        while let Some(e) = tap.try_recv() {
-            got.push(e.name);
-        }
-        assert_eq!(got, vec!["e0", "e1", "e2", "e3"]);
-        assert_eq!(tap.dropped(), 6);
-        // Dropping the tap unsubscribes it: the next drain must not
-        // error or leak.
-        drop(tap);
-        tj.instant("after", vec![]);
-        assert_eq!(journal.drain().len(), 1);
     }
 
     #[test]

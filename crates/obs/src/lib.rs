@@ -47,8 +47,8 @@ mod table;
 pub use export::{chrome_trace, write_chrome_trace, ExportFormat};
 pub use html::{render_html, HtmlInput, HtmlRace};
 pub use journal::{
-    read_journal, FlowPhase, Journal, JournalEvent, JournalRead, JournalSink, JournalTap, Layer,
-    Span, ThreadJournal, DEFAULT_RING_CAPACITY,
+    read_journal, FlowPhase, Journal, JournalEvent, JournalRead, JournalSink, Layer, Span,
+    ThreadJournal, DEFAULT_RING_CAPACITY,
 };
 pub use mem_gauge::MemGauge;
 pub use registry::{Counter, Gauge, Histogram, Registry};

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sword_obs::Obs;
-use sword_obs_http::{http_get, ServerConfig, TelemetryHandles, TelemetryServer};
+use sword_obs_http::{http_get, TelemetryHandles, TelemetryServer};
 use sword_ompsim::SimConfig;
 use sword_runtime::{run_collected, SwordConfig, PAPER_BUFFER_EVENTS};
 
@@ -101,7 +101,7 @@ fn run(mode: Mode, buffer_events: usize, events_per_thread: u64, tag: &str) -> R
     }
     let server = (mode == Mode::ObsScraped).then(|| {
         TelemetryServer::start(
-            ServerConfig::bind("127.0.0.1:0"),
+            "127.0.0.1:0",
             TelemetryHandles::new(obs.clone().expect("scraped implies obs")),
         )
         .expect("exporter")

@@ -10,7 +10,8 @@
 //!   the compare stage, divided by the candidate pairs it credited, stays
 //!   under [`ADDED_NS_PER_CANDIDATE_MAX`] in optimized builds (CI runs it
 //!   under `--release`; see ci.yml). Debug codegen doesn't inline the
-//!   accumulator, so unoptimized builds only get a coarse bound.
+//!   accumulator, so unoptimized builds only get a coarse bound,
+//!   [`DEBUG_ADDED_NS_PER_CANDIDATE_MAX`].
 //!
 //! The time bound used to be a ratio — "<5% of compare-stage time" — read
 //! off a compare stage that ran for about a millisecond: it failed a
@@ -49,6 +50,15 @@ const MIN_MEASURED_SECS: f64 = 0.050;
 /// Wall nanoseconds attribution may add per candidate pair it credits
 /// (optimized builds; measured 0.8–2.4 on the two-core sandbox).
 const ADDED_NS_PER_CANDIDATE_MAX: f64 = 4.0;
+/// The same bound for unoptimized builds, where the credits are calls
+/// with bounds checks. In 40 debug runs on a two-core host the single
+/// rounds read a median of 37 ns per candidate (quartiles 25 and 42),
+/// and the best of five reached 40.6: the debug cost itself, not noise,
+/// sat on the old bound of 10 × [`ADDED_NS_PER_CANDIDATE_MAX`] = 40 ns
+/// and failed one run in 40. Three times the measured debug cost leaves
+/// room for a slower host and still fails a credit path that gets three
+/// times dearer.
+const DEBUG_ADDED_NS_PER_CANDIDATE_MAX: f64 = 120.0;
 
 /// Collects a compare-heavy session: in every barrier interval each
 /// thread sweeps the whole shared buffer tid-strided once per site, so
@@ -122,13 +132,21 @@ fn site_attribution_credits_twice_per_candidate_and_stays_cheap() {
         shortest = shortest.min(plain);
     }
     std::fs::remove_dir_all(&dir).ok();
+    eprintln!(
+        "site attribution: added ns per candidate {added_ns:.1?}, shortest plain compare {:.1} ms",
+        shortest * 1e3
+    );
     assert!(
         cfg!(debug_assertions) || shortest >= MIN_MEASURED_SECS,
         "a {:.1} ms compare stage is too short to time; raise INTERVALS",
         shortest * 1e3
     );
     let best = added_ns.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = if cfg!(debug_assertions) { 10.0 } else { 1.0 } * ADDED_NS_PER_CANDIDATE_MAX;
+    let max = if cfg!(debug_assertions) {
+        DEBUG_ADDED_NS_PER_CANDIDATE_MAX
+    } else {
+        ADDED_NS_PER_CANDIDATE_MAX
+    };
     assert!(
         best <= max,
         "per-site attribution added more than {max} ns per candidate pair in every round \
