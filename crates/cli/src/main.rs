@@ -174,7 +174,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "list" => Flags::parse("list", &[], &args[1..]).and_then(|_| cmd_list()),
         "run" => cmd_run(&args[1..]),
         "analyze" => cmd_analyze(&args[1..]),
-        "watch" => cmd_watch(&args[1..]),
+        "watch" => cmd_watch(&args[1..], Obs::new),
         "top" => cmd_top(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
         "report" => cmd_report(&args[1..]),
@@ -239,15 +239,45 @@ fn render_registry(obs: &Obs) -> String {
 /// session's `obs.jsonl`, creating it when the collection ran without
 /// `--obs`.
 fn append_journal(session: &SessionDir, obs: &Obs) -> Result<(), String> {
-    obs.snapshot_to_journal();
-    let path = session.obs_path();
-    let mut sink =
-        if path.exists() { JournalSink::append(&path) } else { JournalSink::create(&path) }
-            .map_err(|e| e.to_string())?;
-    let mut dropped = 0u64;
-    sink.drain_from(&obs.journal, &mut dropped).map_err(|e| e.to_string())?;
-    println!("observability journal: {}", path.display());
-    Ok(())
+    JournalFile::open(session)?.finish(obs)
+}
+
+/// A session's `obs.jsonl`, open for appending (created when absent), the
+/// journal's drop count at the last drain, and the first drain failure.
+struct JournalFile {
+    sink: JournalSink,
+    dropped: u64,
+    error: Option<String>,
+}
+
+impl JournalFile {
+    fn open(session: &SessionDir) -> Result<JournalFile, String> {
+        let sink = JournalSink::append(session.obs_path()).map_err(|e| e.to_string())?;
+        Ok(JournalFile { sink, dropped: 0, error: None })
+    }
+
+    /// Moves every event the rings hold to the file, so they never fill.
+    /// A failed write is kept for [`JournalFile::finish`] to report: it
+    /// does not stop the analysis.
+    fn drain(&mut self, obs: &Obs) {
+        if let Err(e) = self.sink.drain_from(&obs.journal, &mut self.dropped) {
+            self.error.get_or_insert_with(|| format!("{}: {e}", self.sink.path().display()));
+        }
+    }
+
+    /// Appends a final registry snapshot, drains, and names the file, or
+    /// returns the first write that failed.
+    fn finish(mut self, obs: &Obs) -> Result<(), String> {
+        obs.snapshot_to_journal();
+        self.drain(obs);
+        match self.error {
+            Some(e) => Err(format!("observability journal: {e}")),
+            None => {
+                println!("observability journal: {}", self.sink.path().display());
+                Ok(())
+            }
+        }
+    }
 }
 
 /// Starts the embedded telemetry exporter when `--listen ADDR` was given.
@@ -490,7 +520,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_watch(args: &[String]) -> Result<(), String> {
+/// `sword watch`; `new_obs` makes the observability context when `--obs`
+/// or `--listen` asks for one.
+fn cmd_watch(args: &[String], new_obs: fn() -> Obs) -> Result<(), String> {
     let Some(dir) = args.first() else {
         return Err("missing session directory".into());
     };
@@ -501,7 +533,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         &args[1..],
     )?;
     let mut config = analysis_config(&flags)?;
-    let obs = (flags.has("obs") || flags.map.contains_key("listen")).then(Obs::new);
+    let obs = (flags.has("obs") || flags.map.contains_key("listen")).then(new_obs);
     let sites = obs.as_ref().filter(|_| flags.has("obs")).map(|_| SiteTable::new());
     if let Some(o) = &obs {
         config = config.with_obs(o.clone());
@@ -548,12 +580,22 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         None => None,
     };
 
+    // A long watch makes more events than a ring holds: `--obs` drains
+    // them to the session's journal after every poll.
+    let mut journal = obs
+        .as_ref()
+        .filter(|_| flags.has("obs"))
+        .map(|_| JournalFile::open(&session))
+        .transpose()?;
     let mut live = LiveAnalyzer::new(&session, &config);
     let sw = Instant::now();
     let mut polls = 0u64;
     let timed_out = loop {
         let delta = live.poll().map_err(|e| e.to_string())?;
         polls += 1;
+        if let (Some(j), Some(o)) = (&mut journal, &obs) {
+            j.drain(o);
+        }
         if server.is_some() {
             *shared_progress.lock().expect("progress lock") = (polls, delta.total_races as u64);
             if !delta.new_races.is_empty() {
@@ -627,15 +669,14 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             println!("{}", render_registry(o));
         }
     }
-    if let Some(o) = &obs {
-        if flags.has("obs") {
-            append_journal(&session, o)?;
-        }
-    }
+    let journaled = match (journal, &obs) {
+        (Some(j), Some(o)) => j.finish(o),
+        _ => Ok(()),
+    };
     if let Some(server) = server {
         server.shutdown();
     }
-    Ok(())
+    journaled
 }
 
 /// One rendered `sword top` frame plus whether the target reported a
@@ -1624,6 +1665,80 @@ mod tests {
             "exporter must not perturb verdicts"
         );
         assert!(bare_text.contains("\"races\""), "guard: split kept the verdict section");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn watch_obs_journals_every_poll_of_a_long_watch() {
+        // A stalled session polled every 5 ms for a second, with rings of
+        // 8 events: far more `poll` spans than one ring holds. Each must
+        // land in obs.jsonl; a drain only at exit would keep the first 8
+        // and write a `dropped_events` marker.
+        const RING: usize = 8;
+        let dir = std::env::temp_dir().join(format!("sword-cli-watch-obs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = SessionDir::new(&dir);
+        session.create().unwrap();
+        std::fs::write(session.thread_meta(0), "").unwrap();
+        session.write_live(sword_trace::LiveStatus { generation: 1, finished: false }).unwrap();
+        let args =
+            s(&[dir.to_str().unwrap(), "--obs", "--interval-ms", "5", "--timeout-secs", "1"]);
+        cmd_watch(&args, || Obs::with_ring_capacity(RING)).expect("watch --obs");
+        let read = sword_obs::read_journal(&session.obs_path()).expect("obs.jsonl");
+        let count = |name: &str| read.events.iter().filter(|e| e.name == name).count();
+        assert!(count("poll") > 4 * RING, "{} poll spans", count("poll"));
+        assert_eq!(count("dropped_events"), 0);
+        // The final snapshot agrees: the journal dropped nothing at all.
+        let last = read.events.iter().rev().find(|e| e.name == "metrics").expect("final snapshot");
+        let dropped = last.args.iter().find(|(k, _)| k == "sword_journal_dropped_events_total");
+        assert_eq!(dropped.map(|(_, v)| *v), Some(0.0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn watch_obs_and_a_collector_sink_share_obs_jsonl_without_tearing() {
+        // `run --live --obs` and `watch --obs` on one session both write
+        // obs.jsonl for the whole run. The collector's sink, opened first
+        // as the run opens it, drains a batch every 2 ms while the watch
+        // drains after every poll: every line must parse, and every event
+        // of both must be there.
+        let dir =
+            std::env::temp_dir().join(format!("sword-cli-watch-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = SessionDir::new(&dir);
+        session.create().unwrap();
+        std::fs::write(session.thread_meta(0), "").unwrap();
+        session.write_live(sword_trace::LiveStatus { generation: 1, finished: false }).unwrap();
+        let mut sink = JournalSink::create(session.obs_path()).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let collector = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let obs = Obs::new();
+                let flush = obs.journal.for_thread(Layer::Runtime, "flush");
+                let (mut written, mut dropped) = (0usize, 0u64);
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    for _ in 0..40 {
+                        flush.instant("flush", vec![("seq".into(), written as f64)]);
+                        written += 1;
+                    }
+                    sink.drain_from(&obs.journal, &mut dropped).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                written
+            })
+        };
+        let args =
+            s(&[dir.to_str().unwrap(), "--obs", "--interval-ms", "2", "--timeout-secs", "1"]);
+        cmd_watch(&args, Obs::new).expect("watch --obs");
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let written = collector.join().unwrap();
+        let read = sword_obs::read_journal(&session.obs_path()).expect("every line parses");
+        assert!(!read.truncated_tail);
+        let count = |name: &str| read.events.iter().filter(|e| e.name == name).count();
+        assert_eq!(count("flush"), written);
+        assert!(count("poll") > 20, "{} poll spans", count("poll"));
+        assert_eq!(read.events.iter().filter(|e| e.name == "metrics").count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,7 +29,8 @@
 //! # Example
 //!
 //! ```
-//! use sword_itree::{count_exact_overlaps, SummarizingBuilder};
+//! use sword_itree::{for_each_candidate_pair_fp, SummarizingBuilder};
+//! use sword_solver::solve_tiered;
 //!
 //! // Two threads sweep adjacent halves of an array: thread 0 writes, and
 //! // thread 1 reads. Merge keys model (source line, is_write), and each
@@ -47,10 +48,16 @@
 //!
 //! // 500 accesses each, one strided node each…
 //! assert_eq!((a.len(), b.len()), (1, 1));
-//! // …and exactly the boundary element overlaps.
-//! assert_eq!(count_exact_overlaps(&a, &b), 1);
+//! // …and the one candidate pair shares exactly the boundary element.
+//! let mut shared = Vec::new();
+//! for_each_candidate_pair_fp(&a, &b, |ia, _, _, ib, _, _| {
+//!     shared.extend(solve_tiered(ia, ib, true).0.map(|w| w.addr));
+//! });
+//! assert_eq!(shared, [0x1000 + 499 * 8]);
 //! // Two readers never meet.
-//! assert_eq!(count_exact_overlaps(&b, &b), 0);
+//! let mut candidates = 0;
+//! for_each_candidate_pair_fp(&b, &b, |_, _, _, _, _, _| candidates += 1);
+//! assert_eq!(candidates, 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,7 +67,7 @@ mod tree;
 mod walk;
 
 pub use hash::{FxBuildHasher, FxHasher};
-pub use sword_solver::{strided_overlap, Fingerprint, StridedInterval};
+pub use sword_solver::{Fingerprint, StridedInterval};
 pub use tree::{IntervalTree, NodeRef};
 
 use tree::Node;
@@ -396,16 +403,9 @@ fn match_slot(iv: &StridedInterval, pending: Option<u64>, addr: u64) -> SlotMatc
 /// each exactly once and in no promised order. This is the tree-vs-tree
 /// comparison of the paper's offline algorithm; the caller applies the
 /// exact strided/mutex/atomic race conditions to each candidate pair.
-pub fn for_each_candidate_pair<VA, VB, F>(a: &IntervalTree<VA>, b: &IntervalTree<VB>, mut f: F)
-where
-    F: FnMut(&StridedInterval, &VA, &StridedInterval, &VB),
-{
-    walk::sweep(a, b, |x, y| f(&x.interval, &x.value, &y.interval, &y.value));
-}
-
-/// Like [`for_each_candidate_pair`], but hands the caller each node's
-/// cached stride-class [`Fingerprint`] so the congruence pre-screen can run
-/// during the sweep without recomputing `base % stride` per pair.
+/// Each side comes with its node's cached stride-class [`Fingerprint`], so
+/// the congruence pre-screen can run during the sweep without
+/// recomputing `base % stride` per pair.
 pub fn for_each_candidate_pair_fp<VA, VB, F>(a: &IntervalTree<VA>, b: &IntervalTree<VB>, mut f: F)
 where
     F: FnMut(&StridedInterval, Fingerprint, &VA, &StridedInterval, Fingerprint, &VB),
@@ -415,21 +415,10 @@ where
     });
 }
 
-/// Convenience: counts candidate pairs that also pass the exact
-/// strided-overlap constraint check.
-pub fn count_exact_overlaps<VA, VB>(a: &IntervalTree<VA>, b: &IntervalTree<VB>) -> usize {
-    let mut n = 0;
-    for_each_candidate_pair(a, b, |ia, _, ib, _| {
-        if strided_overlap(ia, ib) {
-            n += 1;
-        }
-    });
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sword_solver::solve_tiered;
 
     fn iv(base: u64, stride: u64, count: u64, size: u64) -> StridedInterval {
         StridedInterval::new(base, stride, count, size)
@@ -643,10 +632,11 @@ mod tests {
         let b = t1.finish(|&w| w);
         // Candidates: T0.writes [a1..a500) vs T1.reads [a499..a999); the
         // reads [a0..a499) of T0 meet T1's writes [a500..a1000) nowhere.
-        let mut candidates = 0;
-        for_each_candidate_pair(&a, &b, |_, _, _, _| candidates += 1);
-        assert_eq!(candidates, 1);
-        assert_eq!(count_exact_overlaps(&a, &b), 1);
+        let mut overlaps = Vec::new();
+        for_each_candidate_pair_fp(&a, &b, |ia, _, _, ib, _, _| {
+            overlaps.push(solve_tiered(ia, ib, true).0.map(|w| w.addr));
+        });
+        assert_eq!(overlaps, [Some(base + 499 * elt)], "one candidate, the boundary element");
     }
 
     #[test]
@@ -657,10 +647,11 @@ mod tests {
         a.insert(iv(10, 8, 4, 4), ());
         let mut b = IntervalTree::new();
         b.insert(iv(14, 8, 4, 4), ());
-        let mut candidates = 0;
-        for_each_candidate_pair(&a, &b, |_, _, _, _| candidates += 1);
-        assert_eq!(candidates, 1);
-        assert_eq!(count_exact_overlaps(&a, &b), 0);
+        let mut overlaps = Vec::new();
+        for_each_candidate_pair_fp(&a, &b, |ia, _, _, ib, _, _| {
+            overlaps.push(solve_tiered(ia, ib, true).0);
+        });
+        assert_eq!(overlaps, [None], "one candidate, no shared byte");
     }
 
     #[test]

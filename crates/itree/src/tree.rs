@@ -16,7 +16,7 @@
 //!
 //! A range query is a binary search on the run bounded below by the
 //! longest span, plus a scan of the unsorted reads. Two trees are joined
-//! by one merge sweep (see [`crate::for_each_candidate_pair`]).
+//! by one merge sweep (see [`crate::for_each_candidate_pair_fp`]).
 
 use std::ops::Range;
 

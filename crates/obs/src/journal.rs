@@ -17,7 +17,7 @@
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -447,10 +447,13 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Append-only JSONL writer for the journal file.
+/// Append-only JSONL writer for the journal file. The file is always
+/// open in append mode and each batch goes out in one write, so several
+/// sinks on one file (a live run's collector and a `watch`) interleave
+/// whole batches and never overwrite each other's lines.
 pub struct JournalSink {
     path: PathBuf,
-    file: BufWriter<File>,
+    file: File,
 }
 
 impl std::fmt::Debug for JournalSink {
@@ -460,18 +463,19 @@ impl std::fmt::Debug for JournalSink {
 }
 
 impl JournalSink {
-    /// Creates (truncating) the journal file.
+    /// Creates (truncating) the journal file, then writes to it as
+    /// [`JournalSink::append`] does.
     pub fn create(path: impl Into<PathBuf>) -> io::Result<JournalSink> {
         let path = path.into();
-        let file = BufWriter::new(File::create(&path)?);
-        Ok(JournalSink { path, file })
+        File::create(&path)?;
+        JournalSink::append(path)
     }
 
     /// Opens the journal file for appending (the offline pass appends its
     /// spans to the collector's journal).
     pub fn append(path: impl Into<PathBuf>) -> io::Result<JournalSink> {
         let path = path.into();
-        let file = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(JournalSink { path, file })
     }
 
@@ -480,15 +484,15 @@ impl JournalSink {
         &self.path
     }
 
-    /// Appends events as JSONL lines and flushes, so a crash loses at
+    /// Appends events as JSONL lines in one write, so a crash loses at
     /// most the events still buffered in rings.
     pub fn write_events(&mut self, events: &[JournalEvent]) -> io::Result<()> {
+        let mut batch = String::new();
         for event in events {
-            let line = event.to_json().render();
-            self.file.write_all(line.as_bytes())?;
-            self.file.write_all(b"\n")?;
+            batch.push_str(&event.to_json().render());
+            batch.push('\n');
         }
-        self.file.flush()
+        self.file.write_all(batch.as_bytes())
     }
 
     /// Drains the journal into the file; records a `dropped_events`

@@ -150,7 +150,7 @@ pub fn solve_linear2(
 /// witness `(addr, x0 = x, s0 = max(−d, 0), x1 = y, s1 = max(d, 0))`.
 /// Because holey intervals have `size < stride`, these offsets are exactly
 /// what `locate(addr)` would recover, so the result is byte-identical to
-/// the reference `strided_overlap_witness_full` path.
+/// the reference scan's located witness.
 ///
 /// With `step_gcd` the scan steps only over `d ≡ b.base − a.base (mod
 /// gcd(Δ0, Δ1))` — every skipped `d` fails the solver's divisibility test,

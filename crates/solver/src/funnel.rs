@@ -19,20 +19,21 @@
 //!    stepping only over congruence-admissible byte-offset differences.
 //!
 //! **Witness-canonicalization invariant:** every tier reproduces the exact
-//! `OverlapWitness` the reference path
-//! ([`strided_overlap_witness`][crate::strided_overlap_witness] followed by
-//! `locate`) produces — same verdict, same bytes. Screens may only *reject*
-//! pairs the reference also rejects; tiers that accept must construct the
-//! identical minimal witness. This keeps race evidence byte-identical
-//! whichever tier decides (proptested in this crate against the reference
-//! and the paper-formulation [`ilp`][crate::ilp] solve).
+//! `OverlapWitness` the reference path (an ascending unit-step scan over
+//! byte-offset differences, followed by `locate`) produces — same verdict,
+//! same bytes. Screens may only *reject* pairs the reference also rejects;
+//! tiers that accept must construct the identical minimal witness. This
+//! keeps race evidence byte-identical whichever tier decides (held in this
+//! crate's tests to the reference scan and to the paper's formulation
+//! solved by a branch-and-bound ILP, exhaustively over a small box and by
+//! proptest beyond it).
 
 use crate::diophantine::holey_witness;
 use crate::{dense_vs_strided, OverlapWitness, StridedInterval};
 
 /// Which layer of the screening funnel decided a pair. `Prescreen` is
 /// recorded by the analyzer's walk-level fingerprint screen (same algebra as
-/// `GcdReject`, applied before the verdict cache is consulted); the solver
+/// `GcdReject`, applied before the pair is queued for a solve); the solver
 /// itself never returns it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Tier {
@@ -180,7 +181,7 @@ pub fn congruence_admissible(
 }
 
 /// Resolves a witness address into both intervals' index spaces — the same
-/// canonicalization the reference `strided_overlap_witness_full` applies.
+/// canonicalization the reference applies.
 #[inline]
 fn locate_witness(a: &StridedInterval, b: &StridedInterval, addr: u64) -> OverlapWitness {
     let (x0, s0) = a.locate(addr).expect("witness address is a member of a");
@@ -223,14 +224,7 @@ pub fn solve_tiered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strided_overlap_witness;
-
-    fn reference_full(a: &StridedInterval, b: &StridedInterval) -> Option<OverlapWitness> {
-        let addr = strided_overlap_witness(a, b)?;
-        let (x0, s0) = a.locate(addr).unwrap();
-        let (x1, s1) = b.locate(addr).unwrap();
-        Some(OverlapWitness { addr, x0, s0, x1, s1 })
-    }
+    use crate::reference::located;
 
     #[test]
     fn tiers_decide_the_expected_pairs() {
@@ -261,7 +255,7 @@ mod tests {
         for (a, b, want) in cases {
             let (w, tier) = solve_tiered(&a, &b, true);
             assert_eq!(tier, want, "a={a:?} b={b:?}");
-            assert_eq!(w, reference_full(&a, &b), "witness identity a={a:?} b={b:?}");
+            assert_eq!(w, located(&a, &b), "witness identity a={a:?} b={b:?}");
         }
     }
 

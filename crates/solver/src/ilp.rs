@@ -5,10 +5,10 @@
 //! for the LP relaxation, with branch-and-bound on fractional variables for
 //! integrality. It is written for the *shape* of SWORD's systems — a
 //! handful of variables with box bounds and one or two equalities — not for
-//! industrial LPs; the production race-check path uses the specialized
-//! Diophantine solve in [`crate::diophantine`], and this solver cross-checks
-//! it (see the `ilp_agrees_with_diophantine` property test and the solver
-//! ablation bench).
+//! industrial LPs; the race check uses the specialized Diophantine solve in
+//! [`crate::diophantine`], and this solver, compiled only into this crate's
+//! tests, cross-checks it (the `ilp_agrees_with_diophantine` property test
+//! and the exhaustive small-box test).
 
 use crate::rational::Rational;
 

@@ -13,16 +13,17 @@
 //! ```
 //!
 //! The paper feeds this to GNU GLPK. That system is a two-variable linear
-//! Diophantine equation per byte-offset difference, so this crate provides
-//! an exact, allocation-free number-theoretic solve ([`strided_overlap`]) as
-//! the production path, plus a small exact-rational branch-and-bound ILP
-//! ([`ilp`]) that accepts the paper's formulation verbatim and is the
-//! reference the proptests and the solver ablation bench compare against.
+//! Diophantine equation per byte-offset difference, so this crate decides
+//! it exactly and without allocating: [`solve_tiered`] is the one decision,
+//! returning the canonical witness and the [`Tier`] that decided. Its
+//! references — a unit-step witness scan and a branch-and-bound ILP over
+//! exact rationals that takes the paper's formulation verbatim — are
+//! compiled only into this crate's tests, which hold every tier to them.
 //!
 //! # Example — the paper's Figure 4
 //!
 //! ```
-//! use sword_solver::{strided_overlap, strided_overlap_witness, StridedInterval};
+//! use sword_solver::{solve_tiered, StridedInterval, Tier};
 //!
 //! // T0: 4-byte accesses at 10, 18, 26, 34, 42; T1: at 14, 22, 30, 38, 46.
 //! let t0 = StridedInterval::new(10, 8, 4, 4);
@@ -30,26 +31,33 @@
 //!
 //! // Their [begin, end) ranges overlap…
 //! assert!(t0.range_overlaps(&t1));
-//! // …but no byte is shared: the interleaved strides never meet.
-//! assert!(!strided_overlap(&t0, &t1));
+//! // …but no byte is shared: the interleaved strides never meet, and the
+//! // gcd congruence proves it without a search.
+//! assert_eq!(solve_tiered(&t0, &t1, true), (None, Tier::GcdReject));
 //!
-//! // Shift T1 one byte left and the constraint becomes satisfiable,
-//! // with a concrete witness address for the race report.
+//! // Shift T1 one byte left and the constraint becomes satisfiable, with
+//! // a concrete witness for the race report: byte 45 is byte 3 of T0's
+//! // last access (x0 = 4) and byte 0 of T1's (x1 = 4).
 //! let t1_shifted = StridedInterval::new(13, 8, 4, 4);
-//! let witness = strided_overlap_witness(&t0, &t1_shifted).unwrap();
-//! assert!(t0.contains(witness) && t1_shifted.contains(witness));
+//! let (witness, tier) = solve_tiered(&t0, &t1_shifted, true);
+//! let w = witness.unwrap();
+//! assert_eq!((w.addr, w.x0, w.s0, w.x1, w.s1), (45, 4, 3, 4, 0));
+//! assert_eq!(tier, Tier::Diophantine);
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod diophantine;
 pub mod funnel;
+#[cfg(test)]
 pub mod ilp;
+#[cfg(test)]
 pub mod rational;
+#[cfg(test)]
+mod reference;
 
 pub use diophantine::{holey_witness, solve_linear2, Linear2Solution};
 pub use funnel::{congruence_admissible, solve_tiered, Fingerprint, Tier};
-pub use ilp::{IlpProblem, IlpStatus, Relation};
 
 /// A strided access interval: addresses `{ base + stride*k + j : 0 <= k <=
 /// count, 0 <= j < size }`.
@@ -172,81 +180,6 @@ pub struct OverlapWitness {
     pub s1: u64,
 }
 
-/// Exact check: do two strided intervals share at least one byte address?
-///
-/// This decides satisfiability of the paper's §III-B constraint system. It
-/// first applies the cheap `[begin, end)` range test, then dense/dense fast
-/// paths, and finally solves one bounded linear Diophantine equation per
-/// byte-offset difference `d = s1 - s0 ∈ (-sz0, sz1)` — at most
-/// `sz0 + sz1 - 1 ≤ 15` solves for scalar accesses.
-pub fn strided_overlap(a: &StridedInterval, b: &StridedInterval) -> bool {
-    solve_tiered(a, b, true).0.is_some()
-}
-
-/// Like [`strided_overlap`], but returns a concrete shared byte address —
-/// the witness SWORD's race reports print alongside the two source lines.
-///
-/// This is the *reference implementation* that defines the canonical
-/// witness: ascending unit-step scan over byte-offset differences, first
-/// satisfiable equation wins. The production path
-/// ([`strided_overlap_witness_full`] → [`funnel::solve_tiered`]) is
-/// proptested to reproduce it byte-for-byte through every tier.
-pub fn strided_overlap_witness(a: &StridedInterval, b: &StridedInterval) -> Option<u64> {
-    if !a.range_overlaps(b) {
-        return None;
-    }
-    // Dense intervals cover their whole range: range overlap is exact, and
-    // the witness is the first byte of the ranges' intersection.
-    if a.is_dense() && b.is_dense() {
-        return Some(a.begin().max(b.begin()));
-    }
-    // One dense, one strided: find a strided access landing in the dense
-    // range.
-    if a.is_dense() {
-        return dense_vs_strided(a, b);
-    }
-    if b.is_dense() {
-        return dense_vs_strided(b, a);
-    }
-
-    // Both strided with holes: Δ0·x0 + b0 + s0 = Δ1·x1 + b1 + s1
-    // ⇔ Δ0·x0 − Δ1·x1 = (b1 − b0) + d with d = s1 − s0.
-    let d_lo = -(a.size as i128) + 1;
-    let d_hi = b.size as i128 - 1;
-    let rhs_base = b.base as i128 - a.base as i128;
-    for d in d_lo..=d_hi {
-        if let Some(sol) = solve_linear2(
-            a.stride as i128,
-            -(b.stride as i128),
-            rhs_base + d,
-            0,
-            a.count as i128,
-            0,
-            b.count as i128,
-        ) {
-            // Recover byte offsets: s1 - s0 = d with both in range.
-            let s0 = (-d).max(0);
-            let addr = a.base as i128 + a.stride as i128 * sol.x + s0;
-            return Some(addr as u64);
-        }
-    }
-    None
-}
-
-/// Like [`strided_overlap_witness`], but resolves the witness address
-/// back into both intervals' index spaces, producing the full variable
-/// assignment `(x0, s0, x1, s1)` of the §III-B constraint system — what a
-/// race report needs to show *which* loop iterations collide, not just
-/// which byte. Dispatches through the screening funnel
-/// ([`funnel::solve_tiered`]); the result is byte-identical to locating
-/// the reference witness.
-pub fn strided_overlap_witness_full(
-    a: &StridedInterval,
-    b: &StridedInterval,
-) -> Option<OverlapWitness> {
-    solve_tiered(a, b, true).0
-}
-
 /// `dense` covers a contiguous byte range; finds a byte of `strided`
 /// inside it, if any.
 pub(crate) fn dense_vs_strided(dense: &StridedInterval, strided: &StridedInterval) -> Option<u64> {
@@ -291,29 +224,15 @@ pub(crate) fn div_ceil_i128(a: i128, b: i128) -> i128 {
     }
 }
 
-/// Builds the paper's §III-B ILP feasibility problem for two intervals, for
-/// use with [`ilp::IlpProblem`]. Variables are `x0, s0, x1, s1` in that
-/// order. Used by tests and the ablation bench to cross-check
-/// [`strided_overlap`] against a general solver, mirroring the paper's GLPK
-/// formulation.
-pub fn overlap_ilp(a: &StridedInterval, b: &StridedInterval) -> IlpProblem {
-    let mut p = IlpProblem::feasibility(4);
-    // Δ0·x0 + s0 − Δ1·x1 − s1 = b1 − b0
-    p.add_constraint(
-        vec![a.stride as i128, 1, -(b.stride as i128), -1],
-        Relation::Eq,
-        b.base as i128 - a.base as i128,
-    );
-    p.set_bounds(0, 0, a.count as i128);
-    p.set_bounds(1, 0, a.size as i128 - 1);
-    p.set_bounds(2, 0, b.count as i128);
-    p.set_bounds(3, 0, b.size as i128 - 1);
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::strided_overlap_witness;
+
+    /// The verdict alone.
+    pub(super) fn overlaps(a: &StridedInterval, b: &StridedInterval) -> bool {
+        solve_tiered(a, b, true).0.is_some()
+    }
 
     #[test]
     fn paper_figure4_disjoint_interleaved() {
@@ -323,20 +242,20 @@ mod tests {
         let t0 = StridedInterval::new(10, 8, 4, 4);
         let t1 = StridedInterval::new(14, 8, 4, 4);
         assert!(t0.range_overlaps(&t1), "coarse ranges do overlap");
-        assert!(!strided_overlap(&t0, &t1), "no address in common");
+        assert!(!overlaps(&t0, &t1), "no address in common");
     }
 
     #[test]
     fn shifted_by_one_byte_overlaps() {
         let t0 = StridedInterval::new(10, 8, 4, 4);
         let t1 = StridedInterval::new(13, 8, 4, 4); // 13..17 meets 10..14
-        assert!(strided_overlap(&t0, &t1));
+        assert!(overlaps(&t0, &t1));
     }
 
     #[test]
     fn identical_intervals_overlap() {
         let t = StridedInterval::new(100, 16, 10, 8);
-        assert!(strided_overlap(&t, &t.clone()));
+        assert!(overlaps(&t, &t.clone()));
     }
 
     #[test]
@@ -344,9 +263,9 @@ mod tests {
         let a = StridedInterval::single(100, 4);
         let b = StridedInterval::single(103, 4);
         let c = StridedInterval::single(104, 4);
-        assert!(strided_overlap(&a, &b));
-        assert!(!strided_overlap(&a, &c));
-        assert!(strided_overlap(&b, &c));
+        assert!(overlaps(&a, &b));
+        assert!(!overlaps(&a, &c));
+        assert!(overlaps(&b, &c));
     }
 
     #[test]
@@ -355,12 +274,12 @@ mod tests {
         let dense = StridedInterval::new(0, 1, 39, 1);
         assert!(dense.is_dense());
         let far = StridedInterval::new(100, 8, 4, 4);
-        assert!(!strided_overlap(&dense, &far));
+        assert!(!overlaps(&dense, &far));
         let touching = StridedInterval::new(36, 64, 3, 4);
-        assert!(strided_overlap(&dense, &touching));
+        assert!(overlaps(&dense, &touching));
         // Strided whose first access starts below but reaches into range.
         let reach = StridedInterval::new(38, 64, 0, 4);
-        assert!(strided_overlap(&dense, &reach));
+        assert!(overlaps(&dense, &reach));
     }
 
     #[test]
@@ -368,9 +287,9 @@ mod tests {
         // Access covering [28,36) against dense [30,40): overlaps.
         let dense = StridedInterval::new(30, 1, 9, 1);
         let s = StridedInterval::new(4, 24, 1, 8); // accesses [4,12), [28,36)
-        assert!(strided_overlap(&dense, &s));
+        assert!(overlaps(&dense, &s));
         let s2 = StridedInterval::new(4, 18, 1, 8); // [4,12), [22,30): just misses
-        assert!(!strided_overlap(&dense, &s2));
+        assert!(!overlaps(&dense, &s2));
     }
 
     #[test]
@@ -379,11 +298,11 @@ mod tests {
         // x=2,y=1 gives 6=6. Counts must reach it.
         let a = StridedInterval::new(0, 3, 10, 1);
         let b = StridedInterval::new(1, 5, 10, 1);
-        assert!(strided_overlap(&a, &b));
+        assert!(overlaps(&a, &b));
         // Tight counts that cannot reach the first meeting point (6):
         let a2 = StridedInterval::new(0, 3, 1, 1); // {0,3}
         let b2 = StridedInterval::new(1, 5, 1, 1); // {1,6}
-        assert!(!strided_overlap(&a2, &b2));
+        assert!(!overlaps(&a2, &b2));
     }
 
     #[test]
@@ -392,10 +311,10 @@ mod tests {
         // 12..16 — never meet.
         let a = StridedInterval::new(0, 8, 100, 4);
         let b = StridedInterval::new(4, 8, 100, 4);
-        assert!(!strided_overlap(&a, &b));
+        assert!(!overlaps(&a, &b));
         // Phase 3: access [3,7) meets [0,4) at byte 3.
         let c = StridedInterval::new(3, 8, 100, 4);
-        assert!(strided_overlap(&a, &c));
+        assert!(overlaps(&a, &c));
     }
 
     #[test]
@@ -424,7 +343,7 @@ mod tests {
             (StridedInterval::new(0, 1, 39, 1), StridedInterval::new(36, 64, 3, 4)),
         ];
         for (a, b) in cases {
-            assert_eq!(strided_overlap(&a, &b), strided_overlap(&b, &a));
+            assert_eq!(overlaps(&a, &b), overlaps(&b, &a));
         }
     }
 
@@ -465,14 +384,66 @@ mod tests {
     fn full_witness_assigns_all_four_variables() {
         let a = StridedInterval::new(10, 8, 4, 4);
         let b = StridedInterval::new(13, 8, 4, 4);
-        let w = strided_overlap_witness_full(&a, &b).expect("overlaps");
+        let w = solve_tiered(&a, &b, true).0.expect("overlaps");
         assert_eq!(w.addr, a.base + a.stride * w.x0 + w.s0);
         assert_eq!(w.addr, b.base + b.stride * w.x1 + w.s1);
         assert!(w.x0 <= a.count && w.s0 < a.size);
         assert!(w.x1 <= b.count && w.s1 < b.size);
         // Disjoint interleavings yield no witness at all.
         let c = StridedInterval::new(14, 8, 4, 4);
-        assert!(strided_overlap_witness_full(&a, &c).is_none());
+        assert!(solve_tiered(&a, &c, true).0.is_none());
+    }
+
+    /// Every pair of intervals in a small box, both ways round: both gcd
+    /// settings of the one decision return the located reference witness,
+    /// and its verdict is the paper's ILP verdict and the brute-force one.
+    /// Bases reach past the largest extent, so disjoint, touching and
+    /// nested pairs all occur; strides 1–5 against sizes 1–3 give dense
+    /// intervals and holey ones with coprime and shared-factor strides.
+    #[test]
+    fn exhaustive_small_box_matches_reference_and_ilp() {
+        use crate::ilp::IlpStatus;
+        use crate::reference::{located, overlap_ilp};
+        let mut box_: Vec<StridedInterval> = Vec::new();
+        for base in 0..5u64 {
+            for stride in 0..6u64 {
+                for count in 0..3u64 {
+                    for size in 1..4u64 {
+                        let iv = StridedInterval::new(base, stride, count, size);
+                        if !box_.contains(&iv) {
+                            box_.push(iv);
+                        }
+                    }
+                }
+            }
+        }
+        // Each interval's bytes as a bit mask (every address is below 64).
+        let mask = |t: &StridedInterval| -> u64 {
+            (0..=t.count)
+                .flat_map(|k| (0..t.size).map(move |j| t.base + t.stride * k + j))
+                .fold(0, |m, byte| m | 1 << byte)
+        };
+        let (mut pairs, mut overlapping) = (0u64, 0u64);
+        for (i, a) in box_.iter().enumerate() {
+            for b in &box_[i..] {
+                // The ILP and the byte sets are symmetric; the witness is not.
+                let feasible = overlap_ilp(a, b).solve() == IlpStatus::Feasible;
+                assert_eq!(mask(a) & mask(b) != 0, feasible, "brute force a={a:?} b={b:?}");
+                for (x, y) in [(a, b), (b, a)] {
+                    let reference = located(x, y);
+                    assert_eq!(reference.is_some(), feasible, "ILP a={x:?} b={y:?}");
+                    for gcd_screen in [true, false] {
+                        let (w, tier) = solve_tiered(x, y, gcd_screen);
+                        assert_eq!(w, reference, "gcd={gcd_screen} {tier:?} a={x:?} b={y:?}");
+                    }
+                }
+                pairs += 1;
+                overlapping += u64::from(feasible);
+            }
+        }
+        // Both verdicts occur in bulk, not in a corner of the box.
+        assert_eq!(box_.len(), 240);
+        assert!(overlapping > pairs / 4 && overlapping < pairs * 3 / 4, "{overlapping}/{pairs}");
     }
 
     #[test]
@@ -489,6 +460,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::ilp::IlpStatus;
+    use crate::reference::{overlap_ilp, strided_overlap_witness};
+    use crate::tests::overlaps;
     use proptest::prelude::*;
 
     fn arb_interval() -> impl Strategy<Value = StridedInterval> {
@@ -511,7 +485,7 @@ mod proptests {
         #[test]
         fn overlap_matches_bruteforce(a in arb_interval(), b in arb_interval()) {
             let expect = !bytes_of(&a).is_disjoint(&bytes_of(&b));
-            prop_assert_eq!(strided_overlap(&a, &b), expect, "a={:?} b={:?}", a, b);
+            prop_assert_eq!(overlaps(&a, &b), expect, "a={:?} b={:?}", a, b);
             if let Some(w) = strided_overlap_witness(&a, &b) {
                 prop_assert!(a.contains(w) && b.contains(w), "witness {} a={:?} b={:?}", w, a, b);
             }
@@ -519,7 +493,7 @@ mod proptests {
 
         #[test]
         fn overlap_symmetric(a in arb_interval(), b in arb_interval()) {
-            prop_assert_eq!(strided_overlap(&a, &b), strided_overlap(&b, &a));
+            prop_assert_eq!(overlaps(&a, &b), overlaps(&b, &a));
         }
 
         #[test]
@@ -529,7 +503,7 @@ mod proptests {
 
         #[test]
         fn self_overlap(a in arb_interval()) {
-            prop_assert!(strided_overlap(&a, &a.clone()));
+            prop_assert!(overlaps(&a, &a.clone()));
         }
 
         #[test]
@@ -546,19 +520,19 @@ mod proptests {
 
         #[test]
         fn full_witness_satisfies_constraints(a in arb_interval(), b in arb_interval()) {
-            if let Some(w) = strided_overlap_witness_full(&a, &b) {
+            if let Some(w) = solve_tiered(&a, &b, true).0 {
                 prop_assert_eq!(w.addr, a.base + a.stride * w.x0 + w.s0);
                 prop_assert_eq!(w.addr, b.base + b.stride * w.x1 + w.s1);
                 prop_assert!(w.x0 <= a.count && w.s0 < a.size);
                 prop_assert!(w.x1 <= b.count && w.s1 < b.size);
             } else {
-                prop_assert!(!strided_overlap(&a, &b));
+                prop_assert!(!overlaps(&a, &b));
             }
         }
 
         #[test]
         fn ilp_agrees_with_diophantine(a in arb_interval(), b in arb_interval()) {
-            let fast = strided_overlap(&a, &b);
+            let fast = overlaps(&a, &b);
             let general = overlap_ilp(&a, &b).solve() == IlpStatus::Feasible;
             prop_assert_eq!(fast, general, "a={:?} b={:?}", a, b);
         }

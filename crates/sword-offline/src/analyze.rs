@@ -13,37 +13,26 @@ use crate::load::LoadedSession;
 use crate::pipeline::Core;
 use crate::race::{Race, RaceSet};
 use crate::stages::{DurationHist, StageTable};
-use crate::verdicts::VerdictCache;
 
-/// Shared per-tier decision counters (`sword_solver_tier{tier=…}`).
-/// Logical-charging like the rest of the analysis core: a memoized answer
-/// records the tier that originally decided the pair, so counts are
-/// identical whatever the memo holds, batch or live.
+/// Per-tier decision counters of one analysis core
+/// (`sword_solver_tier{tier=…}`): one count per candidate pair the
+/// prescreen rejected and per solve, by the tier that decided it. Clones
+/// share the counts.
 #[derive(Clone, Debug, Default)]
-pub struct TierCounters {
+pub(crate) struct TierCounters {
     counts: std::sync::Arc<[std::sync::atomic::AtomicU64; sword_solver::Tier::ALL.len()]>,
 }
 
 impl TierCounters {
-    /// A fresh zeroed counter set.
-    pub fn new() -> Self {
-        TierCounters::default()
-    }
-
     /// Records one pair decided by `tier`.
     #[inline]
-    pub fn record(&self, tier: sword_solver::Tier) {
+    pub(crate) fn record(&self, tier: sword_solver::Tier) {
         self.counts[tier.index()].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Pairs decided by `tier` so far.
-    pub fn get(&self, tier: sword_solver::Tier) -> u64 {
+    pub(crate) fn get(&self, tier: sword_solver::Tier) -> u64 {
         self.counts[tier.index()].load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// All `(tier, count)` rows in funnel order.
-    pub fn snapshot(&self) -> Vec<(sword_solver::Tier, u64)> {
-        sword_solver::Tier::ALL.iter().map(|&t| (t, self.get(t))).collect()
     }
 }
 
@@ -56,9 +45,6 @@ pub struct AnalysisConfig {
     /// `min(workers, its tasks)` of them, the calling thread included,
     /// and starts another only per 256 KiB of log it brought.
     pub workers: usize,
-    /// Shared per-tier decision counters, surfaced as
-    /// `sword_solver_tier{tier=…}` registry rows when `--obs` is on.
-    pub tiers: TierCounters,
     /// Restrict analysis to these parallel-region ids (`None` = all).
     /// This is the targeted-analysis mode the per-region metadata enables
     /// (§III-B: "extract from the log file the chunk of data for a
@@ -94,7 +80,6 @@ impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            tiers: TierCounters::new(),
             focus_regions: None,
             suppressions: Vec::new(),
             obs: None,
@@ -154,8 +139,10 @@ impl AnalysisConfig {
     /// The solver-latency histogram handle, when `--obs` is on.
     pub(crate) fn solver_hist(&self) -> Option<sword_obs::Histogram> {
         self.obs.as_ref().map(|o| {
-            o.registry
-                .histogram("sword_solver_call_nanos", "Exact strided-overlap solve latency (ns)")
+            o.registry.histogram(
+                "sword_solver_call_nanos",
+                "Latency of every exact strided-overlap solve (ns)",
+            )
         })
     }
 
@@ -183,8 +170,8 @@ impl AnalysisConfig {
 
     /// Registers the analysis core's activity rows (idempotent, like
     /// [`AnalysisConfig::register_mem_sources`]): log bytes read, arena
-    /// recycling, and the verdict cache's hit accounting.
-    pub(crate) fn register_core_sources(&self, sources: &SourceStats, cache: &VerdictCache) {
+    /// recycling, and the core's per-tier decision counts.
+    pub(crate) fn register_core_sources(&self, sources: &SourceStats, tiers: &TierCounters) {
         if let Some(obs) = &self.obs {
             let s = sources.clone();
             obs.registry.source(
@@ -204,26 +191,8 @@ impl AnalysisConfig {
                 "Frame decodes that had to grow a decompression arena",
                 move || s.arena_allocs() as f64,
             );
-            let c = cache.clone();
-            obs.registry.source(
-                "sword_verdict_cache_hits_total",
-                "Solver verdicts answered from the shared memo",
-                move || c.solve_hits() as f64,
-            );
-            let c = cache.clone();
-            obs.registry.source(
-                "sword_verdict_cache_misses_total",
-                "Solver verdicts actually computed",
-                move || c.solve_misses() as f64,
-            );
-            let c = cache.clone();
-            obs.registry.source(
-                "sword_verdict_cache_hit_rate",
-                "Fraction of solver verdict lookups answered from the shared memo",
-                move || c.hit_rate(),
-            );
             for tier in sword_solver::Tier::ALL {
-                let t = self.tiers.clone();
+                let t = tiers.clone();
                 obs.registry.source(
                     &format!("sword_solver_tier{{tier=\"{}\"}}", tier.as_str()),
                     "Candidate pairs decided by this layer of the solver funnel",

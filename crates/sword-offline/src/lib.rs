@@ -45,9 +45,7 @@ pub mod report;
 mod stages;
 pub mod verdicts;
 
-pub use analyze::{
-    analyze, analyze_loaded, AnalysisConfig, AnalysisResult, AnalysisStats, TierCounters,
-};
+pub use analyze::{analyze, analyze_loaded, AnalysisConfig, AnalysisResult, AnalysisStats};
 pub use live::{LiveAnalyzer, PollDelta};
 pub use load::LoadedSession;
 pub use race::{AccessSite, Evidence, Race, RaceKey};

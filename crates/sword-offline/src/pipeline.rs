@@ -55,11 +55,11 @@ use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters, ThreadJournal}
 use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, ThreadId};
 
 use crate::analyze::{
-    finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats,
+    finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats, TierCounters,
 };
 use crate::build::{BiTree, ReaderPool, TaskTrees, DEFAULT_CHUNK_BYTES, OPEN_LOGS_BUDGET};
 use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
-use crate::race::{check_pair, CompareCtx, Race, RaceSet};
+use crate::race::{check_pair, Race, RaceSet};
 use crate::stages::{DurationHist, StageTable};
 use crate::verdicts::VerdictCache;
 
@@ -446,7 +446,7 @@ struct Round<'a> {
     regions: &'a HashMap<u64, RegionRecord>,
     structure: &'a Structure,
     config: &'a AnalysisConfig,
-    cache: &'a VerdictCache,
+    tiers: &'a TierCounters,
     deques: &'a [Mutex<VecDeque<Task>>],
     board: &'a Board<'a>,
     /// Threads the round runs on: a split needs a second.
@@ -462,8 +462,8 @@ struct Round<'a> {
 pub(crate) struct Core {
     dir: SessionDir,
     config: AnalysisConfig,
-    /// The shared solver-witness memo.
-    cache: VerdictCache,
+    /// Per-tier decision counts of every compare this core ran.
+    tiers: TierCounters,
     /// Log-source counters every worker's reader pool charges.
     sources: SourceStats,
     structure: Structure,
@@ -485,14 +485,14 @@ impl Core {
     /// A core that has analyzed nothing yet, recording into `stages`.
     pub(crate) fn new(dir: &SessionDir, config: &AnalysisConfig, stages: StageTable) -> Core {
         config.register_mem_sources();
-        let cache = VerdictCache::default();
+        let tiers = TierCounters::default();
         let sources = SourceStats::new();
-        config.register_core_sources(&sources, &cache);
+        config.register_core_sources(&sources, &tiers);
         Core {
             dir: dir.clone(),
             config: config.clone(),
-            structure: Structure::new(&cache),
-            cache,
+            structure: Structure::new(&VerdictCache::default()),
+            tiers,
             sources,
             workers: Vec::new(),
             races: RaceSet::new(),
@@ -602,7 +602,7 @@ impl Core {
             regions,
             structure,
             config,
-            cache: &self.cache,
+            tiers: &self.tiers,
             deques: &deques,
             board: &board,
             threads,
@@ -896,7 +896,7 @@ impl<'a> Round<'a> {
                 ma,
                 tb,
                 mb,
-                &CompareCtx { cache: self.cache, tiers: &self.config.tiers },
+                self.tiers,
                 races,
                 ctx.solver_hist.as_ref(),
                 ctx.sites.as_mut(),

@@ -7,13 +7,12 @@ use std::time::Instant;
 use sword_itree::for_each_candidate_pair_fp;
 use sword_obs::{Histogram, SiteCounters};
 use sword_osl::explain_concurrency;
-use sword_solver::{congruence_admissible, OverlapWitness, StridedInterval, Tier};
+use sword_solver::{congruence_admissible, solve_tiered, OverlapWitness, StridedInterval, Tier};
 use sword_trace::{AccessKind, PcId, PcTable, ThreadId};
 
 use crate::analyze::TierCounters;
 use crate::build::{AccessMeta, BiTree};
 use crate::intervals::Interval;
-use crate::verdicts::VerdictCache;
 
 /// Dedup key: the unordered pair of source locations, which is how the
 /// paper's tables count races.
@@ -66,7 +65,7 @@ pub struct AccessSite {
 }
 
 /// The full evidence chain of one reported race: both witnessing
-/// accesses (in canonical order, see [`check_pair`]), the offset-span
+/// accesses (in the compare's canonical side order), the offset-span
 /// derivation of why their intervals are concurrent, and the solver's
 /// concrete model of the overlap constraint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -308,16 +307,6 @@ pub struct PairStats {
     pub prescreened: u64,
 }
 
-/// The per-run solve context `check_pair` shares across every tree pair:
-/// the shared verdict memo and the per-tier decision counters.
-#[derive(Clone, Copy)]
-pub struct CompareCtx<'a> {
-    /// Shared verdict memo.
-    pub cache: &'a VerdictCache,
-    /// Shared per-tier decision counters.
-    pub tiers: &'a TierCounters,
-}
-
 /// One candidate pair that survived the screens, in canonical side order,
 /// queued for the stride-class-sorted solve loop.
 struct PendingSolve {
@@ -360,7 +349,7 @@ fn side_key(
 /// then the exact strided-overlap constraint. The funnel screens run
 /// first: a bounding-box reject over the whole tree pair, the walk-level
 /// fingerprint congruence screen per candidate (counted in `prescreened`,
-/// never reaching the verdict cache), and stride-class batching of the
+/// never reaching the solver), and stride-class batching of the
 /// surviving solves. All screens are result-neutral: they reject only
 /// pairs the solver would reject, and reorder only order-independent work.
 ///
@@ -382,21 +371,17 @@ fn side_key(
 /// `sites`, when present, accumulates per-PC attribution (accesses
 /// scanned, pairs checked, solver calls, racy pairs).
 ///
-/// `ctx.cache` memoizes exact solves across structurally-identical
-/// interval pairs (in canonical side order, so the memoized witness is
-/// exactly the witness a fresh solve would return). `solver_calls` counts
-/// *logical* solves — memo hits included — which is what keeps the
-/// batch/live counter contract independent of cache state; the latency
-/// histogram records actual computes only, and `ctx.tiers` records the
-/// deciding funnel tier per logical solve (memoized answers replay the
-/// tier that originally decided).
+/// Every pair that survives the screens is one `solve_tiered` call:
+/// `solver_calls` counts them, the latency histogram records each, and
+/// `tiers` counts the deciding funnel tier of each solve and each
+/// prescreened pair.
 #[allow(clippy::too_many_arguments)]
-pub fn check_pair(
+pub(crate) fn check_pair(
     a: &BiTree,
     ca: &Interval,
     b: &BiTree,
     cb: &Interval,
-    ctx: &CompareCtx<'_>,
+    tiers: &TierCounters,
     races: &mut RaceSet,
     solver_nanos: Option<&Histogram>,
     sites: Option<&mut SiteCounters>,
@@ -417,11 +402,11 @@ pub fn check_pair(
         }
         // Fingerprint pre-screen: the congruence reject, run during the
         // walk from the cached node fingerprints. Rejected pairs never
-        // reach the verdict cache — exactly the pairs the solver's
-        // GcdReject tier would refuse, so verdicts are unchanged.
+        // reach the solver — exactly the pairs its GcdReject tier would
+        // refuse, so verdicts are unchanged.
         if !congruence_admissible(ia, fa, ib, fb) {
             stats.prescreened += 1;
-            ctx.tiers.record(Tier::Prescreen);
+            tiers.record(Tier::Prescreen);
             return;
         }
         // Canonical side order: the solve and its witness must not
@@ -449,15 +434,12 @@ pub fn check_pair(
         if let Some(s) = sites.as_deref_mut() {
             s.solve(m0.pc, m1.pc);
         }
-        let (witness, tier) = ctx.cache.solve(i0, i1, &mut |compute| {
-            let t0 = solver_nanos.map(|_| Instant::now());
-            let w = compute();
-            if let (Some(hist), Some(t0)) = (solver_nanos, t0) {
-                hist.record(t0.elapsed().as_nanos() as u64);
-            }
-            w
-        });
-        ctx.tiers.record(tier);
+        let t0 = solver_nanos.map(|_| Instant::now());
+        let (witness, tier) = solve_tiered(i0, i1, true);
+        if let (Some(hist), Some(t0)) = (solver_nanos, t0) {
+            hist.record(t0.elapsed().as_nanos() as u64);
+        }
+        tiers.record(tier);
         if let Some(w) = witness {
             if let Some(s) = sites.as_deref_mut() {
                 s.race(m0.pc, m1.pc);
@@ -596,13 +578,11 @@ mod tests {
         ca: &Interval,
         b: &BiTree,
         cb: &Interval,
-        cache: &VerdictCache,
         races: &mut RaceSet,
         hist: Option<&Histogram>,
         sites: Option<&mut SiteCounters>,
     ) -> PairStats {
-        let tiers = TierCounters::new();
-        check_pair(a, ca, b, cb, &CompareCtx { cache, tiers: &tiers }, races, hist, sites)
+        check_pair(a, ca, b, cb, &TierCounters::default(), races, hist, sites)
     }
 
     #[test]
@@ -613,16 +593,7 @@ mod tests {
             tree_of(1, &[(StridedInterval::new(0x100, 8, 99, 8), meta(AccessKind::Read, 2, 0))]);
         let mut races = RaceSet::new();
         let hist = Histogram::default();
-        let stats = run_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            &VerdictCache::default(),
-            &mut races,
-            Some(&hist),
-            None,
-        );
+        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, Some(&hist), None);
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.solver_calls, 1);
         assert_eq!(hist.count(), 1, "each exact solve records one latency sample");
@@ -651,18 +622,14 @@ mod tests {
     fn evidence_is_argument_order_independent() {
         // The whole point of canonical side ordering: swapping the
         // caller's argument order must not change the recorded race.
-        // A shared cache makes the second call a memo hit, so this also
-        // proves memoized evidence equals computed evidence.
-        let shared = VerdictCache::default();
         let a =
             tree_of(0, &[(StridedInterval::new(0x100, 16, 50, 8), meta(AccessKind::Write, 3, 0))]);
         let b =
             tree_of(1, &[(StridedInterval::new(0x104, 16, 50, 8), meta(AccessKind::Write, 9, 0))]);
         let mut fwd = RaceSet::new();
-        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &shared, &mut fwd, None, None);
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut fwd, None, None);
         let mut rev = RaceSet::new();
-        run_pair(&b, &ctx_of(1), &a, &ctx_of(0), &shared, &mut rev, None, None);
-        assert_eq!(shared.solve_hits(), 1, "the swapped call hit the memo");
+        run_pair(&b, &ctx_of(1), &a, &ctx_of(0), &mut rev, None, None);
         assert!(!fwd.is_empty(), "the pair overlaps, so a race is recorded");
         assert_eq!(fwd.into_sorted(), rev.into_sorted());
     }
@@ -674,16 +641,7 @@ mod tests {
         let b = tree_of(1, &[(StridedInterval::new(0x100, 8, 9, 8), meta(AccessKind::Read, 2, 0))]);
         let mut races = RaceSet::new();
         let mut sites = SiteCounters::new();
-        run_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            &VerdictCache::default(),
-            &mut races,
-            None,
-            Some(&mut sites),
-        );
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, Some(&mut sites));
         let table = sword_obs::SiteTable::new();
         table.absorb(sites);
         let snap = table.snapshot();
@@ -701,16 +659,7 @@ mod tests {
         let a = tree_of(0, &[(StridedInterval::new(0x100, 8, 9, 8), meta(AccessKind::Read, 1, 0))]);
         let b = tree_of(1, &[(StridedInterval::new(0x100, 8, 9, 8), meta(AccessKind::Read, 2, 0))]);
         let mut races = RaceSet::new();
-        let stats = run_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            &VerdictCache::default(),
-            &mut races,
-            None,
-            None,
-        );
+        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, None);
         assert_eq!(stats.solver_calls, 0);
         assert!(races.is_empty());
     }
@@ -723,9 +672,7 @@ mod tests {
         assert!(!writes_reach(&a, &b), "two readers over one range");
         let mut races = RaceSet::new();
         let mut sites = SiteCounters::new();
-        let cache = VerdictCache::default();
-        let stats =
-            run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &cache, &mut races, None, Some(&mut sites));
+        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, Some(&mut sites));
         assert_eq!(stats, PairStats::default());
         assert!(races.is_empty());
         let table = sword_obs::SiteTable::new();
@@ -746,7 +693,7 @@ mod tests {
             !writes_reach(&a, &far) && !writes_reach(&far, &a),
             "its write lies past a's range"
         );
-        let stats = run_pair(&a, &ctx_of(0), &far, &ctx_of(2), &cache, &mut races, None, None);
+        let stats = run_pair(&a, &ctx_of(0), &far, &ctx_of(2), &mut races, None, None);
         assert_eq!(stats, PairStats::default());
     }
 
@@ -755,7 +702,7 @@ mod tests {
         let a = tree_of(0, &[(StridedInterval::single(0x100, 8), meta(AccessKind::Write, 1, 1))]);
         let b = tree_of(1, &[(StridedInterval::single(0x100, 8), meta(AccessKind::Write, 2, 1))]);
         let mut races = RaceSet::new();
-        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &VerdictCache::default(), &mut races, None, None);
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, None);
         assert!(races.is_empty());
     }
 
@@ -767,18 +714,8 @@ mod tests {
         let a = tree_of(0, &[(StridedInterval::new(10, 8, 4, 4), meta(AccessKind::Write, 1, 0))]);
         let b = tree_of(1, &[(StridedInterval::new(14, 8, 4, 4), meta(AccessKind::Write, 2, 0))]);
         let mut races = RaceSet::new();
-        let tiers = TierCounters::new();
-        let cache = VerdictCache::default();
-        let stats = check_pair(
-            &a,
-            &ctx_of(0),
-            &b,
-            &ctx_of(1),
-            &CompareCtx { cache: &cache, tiers: &tiers },
-            &mut races,
-            None,
-            None,
-        );
+        let tiers = TierCounters::default();
+        let stats = check_pair(&a, &ctx_of(0), &b, &ctx_of(1), &tiers, &mut races, None, None);
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.solver_calls, 0, "the prescreen retired the pair");
         assert_eq!(stats.prescreened, 1);
@@ -802,7 +739,7 @@ mod tests {
         let a = tree_of(0, &nodes_a);
         let b = tree_of(1, &nodes_b);
         let mut races = RaceSet::new();
-        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &VerdictCache::default(), &mut races, None, None);
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, None);
         assert_eq!(races.len(), 1);
         assert_eq!(races.raw_pairs, 10);
         let race = &races.into_sorted()[0];

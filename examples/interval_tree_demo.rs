@@ -10,15 +10,16 @@
 //! Their `[begin, end)` ranges overlap, so the interval tree reports a
 //! candidate pair — but the exact constraint
 //! `Δ0·x0 + b0 + s0 = Δ1·x1 + b1 + s1` is unsatisfiable: no byte is
-//! shared, no race.
+//! shared, no race. The analyzer's one decision, `solve_tiered`, says so
+//! and names the tier that decided.
 //!
 //! Part 2 replays §III-B's interval-tree example: `a[i] = a[i-1]` over
 //! 1000 ints split between two threads. Each thread's ~1000 accesses
 //! summarize into two tree nodes, and exactly one node pair (the chunk
 //! boundary element) passes the exact check.
 
-use sword::itree::{for_each_candidate_pair, SummarizingBuilder};
-use sword::solver::{overlap_ilp, strided_overlap_witness, IlpStatus, StridedInterval};
+use sword::itree::{for_each_candidate_pair_fp, SummarizingBuilder};
+use sword::solver::{solve_tiered, StridedInterval, Tier};
 
 fn main() {
     // ---- Part 1: Figure 4 -------------------------------------------------
@@ -28,20 +29,26 @@ fn main() {
     println!("  T0 accesses: {:?} -> bytes {}..{}", t0, t0.begin(), t0.end());
     println!("  T1 accesses: {:?} -> bytes {}..{}", t1, t1.begin(), t1.end());
     println!("  coarse ranges overlap: {}", t0.range_overlaps(&t1));
-    println!("  exact shared byte:     {:?}", strided_overlap_witness(&t0, &t1));
+    let (witness, tier) = solve_tiered(&t0, &t1, true);
+    println!("  exact shared byte:     {witness:?} (decided by {})", tier.as_str());
     assert!(t0.range_overlaps(&t1));
-    assert_eq!(strided_overlap_witness(&t0, &t1), None);
-
-    // The same decision through the paper's ILP formulation.
-    let ilp = overlap_ilp(&t0, &t1);
-    println!("  ILP (GLPK stand-in) verdict: {:?}", ilp.solve());
-    assert_eq!(ilp.solve(), IlpStatus::Infeasible);
+    assert_eq!((witness, tier), (None, Tier::GcdReject));
 
     // Shift T1 one byte left and the constraint becomes satisfiable.
     let t1_shifted = StridedInterval::new(13, 8, 4, 4);
-    let witness = strided_overlap_witness(&t0, &t1_shifted);
-    println!("  shifted T1 {:?}: shared byte {:?}\n", t1_shifted, witness);
-    assert!(witness.is_some());
+    let (witness, tier) = solve_tiered(&t0, &t1_shifted, true);
+    let w = witness.expect("the shifted intervals share a byte");
+    println!(
+        "  shifted T1 {:?}: shared byte {} = T0 access {} byte {} = T1 access {} byte {} ({})\n",
+        t1_shifted,
+        w.addr,
+        w.x0,
+        w.s0,
+        w.x1,
+        w.s1,
+        tier.as_str()
+    );
+    assert!(t0.contains(w.addr) && t1_shifted.contains(w.addr));
 
     // ---- Part 2: §III-B interval-tree example ------------------------------
     // a[i] = a[i-1], 1000 ints, 2 threads with static halves. Merge key
@@ -74,10 +81,10 @@ fn main() {
     let mut races = Vec::new();
     // The walk meets only pairs of which one side writes; the exact
     // overlap decides, as in the analyzer.
-    for_each_candidate_pair(a, b, |ia, la, ib, lb| {
+    for_each_candidate_pair_fp(a, b, |ia, _, la, ib, _, lb| {
         candidates += 1;
-        if let Some(addr) = strided_overlap_witness(ia, ib) {
-            races.push((la.to_string(), lb.to_string(), addr));
+        if let (Some(w), _) = solve_tiered(ia, ib, true) {
+            races.push((la.to_string(), lb.to_string(), w.addr));
         }
     });
     println!("\ncandidate node pairs: {candidates}");
