@@ -242,8 +242,9 @@ fn append_journal(session: &SessionDir, obs: &Obs) -> Result<(), String> {
     JournalFile::open(session)?.finish(obs)
 }
 
-/// A session's `obs.jsonl`, open for appending (created when absent), the
-/// journal's drop count at the last drain, and the first drain failure.
+/// A journal file — a session's `obs.jsonl`, open for appending (created
+/// when absent), or the fuzzer's own — with the journal's drop count at
+/// the last drain and the first drain failure.
 struct JournalFile {
     sink: JournalSink,
     dropped: u64,
@@ -253,6 +254,12 @@ struct JournalFile {
 impl JournalFile {
     fn open(session: &SessionDir) -> Result<JournalFile, String> {
         let sink = JournalSink::append(session.obs_path()).map_err(|e| e.to_string())?;
+        Ok(JournalFile { sink, dropped: 0, error: None })
+    }
+
+    /// A new (or truncated) journal file at `path`.
+    fn create(path: PathBuf) -> Result<JournalFile, String> {
+        let sink = JournalSink::create(path).map_err(|e| e.to_string())?;
         Ok(JournalFile { sink, dropped: 0, error: None })
     }
 
@@ -1111,6 +1118,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         args,
     )?;
     let defaults = FuzzOptions::default();
+    let obs = flags.has("obs").then(Obs::new);
     let opts = FuzzOptions {
         seed: flags.get_u64("seed", defaults.seed)?,
         iters: flags.get_u64("iters", defaults.iters)?,
@@ -1123,6 +1131,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         fault_inject: flags.has("fault-inject"),
         tasking: flags.has("tasking"),
         corpus_dir: flags.map.get("corpus").map(PathBuf::from),
+        obs: obs.clone(),
     };
     println!(
         "fuzzing: {} iterations from seed {}, teams {:?}{}{}",
@@ -1132,12 +1141,26 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         if opts.tasking { ", tasking profile" } else { "" },
         if opts.fault_inject { ", with fault injection" } else { "" }
     );
-    let obs = flags.has("obs").then(Obs::new);
+    // The fuzzer has no session directory: its journal goes to a
+    // standalone file next to the corpus (or in the temp dir), drained
+    // after every program so the rings never hold more than one program's
+    // analyses.
+    let mut journal = match &obs {
+        Some(_) => {
+            let out_dir = opts.corpus_dir.clone().unwrap_or_else(std::env::temp_dir);
+            std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
+            Some(JournalFile::create(out_dir.join("fuzz-obs.jsonl"))?)
+        }
+        None => None,
+    };
     let fuzz_journal = obs.as_ref().map(|o| o.journal.for_thread(Layer::Cli, "fuzz"));
     let campaign_start = fuzz_journal.as_ref().map(|j| j.now_us());
     let sw = Instant::now();
     let every = (opts.iters / 10).max(25);
     let summary = run_fuzz(&opts, |i, so_far| {
+        if let (Some(o), Some(file)) = (&obs, &mut journal) {
+            file.drain(o);
+        }
         if (i + 1) % every == 0 {
             println!(
                 "  [{:5}/{}] {} racy, {} oracle pairs, {} failure(s), {:.1}s",
@@ -1160,7 +1183,9 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         }
     });
     println!("{}", summary.render());
-    if let (Some(o), Some(j), Some(start)) = (&obs, &fuzz_journal, campaign_start) {
+    if let (Some(o), Some(file), Some(j), Some(start)) =
+        (&obs, journal, &fuzz_journal, campaign_start)
+    {
         let dur = j.now_us().saturating_sub(start);
         j.span_closed(
             "fuzz-campaign",
@@ -1171,15 +1196,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
                 ("failures".into(), summary.failures.len() as f64),
             ],
         );
-        // The fuzzer has no session directory; its journal goes to a
-        // standalone file next to the corpus (or in the temp dir).
-        let out_dir = opts.corpus_dir.clone().unwrap_or_else(std::env::temp_dir);
-        std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
-        let out = out_dir.join("fuzz-obs.jsonl");
-        let mut sink = JournalSink::create(&out).map_err(|e| e.to_string())?;
-        let mut dropped = 0u64;
-        sink.drain_from(&o.journal, &mut dropped).map_err(|e| e.to_string())?;
-        println!("observability journal: {}", out.display());
+        file.finish(o)?;
     }
     if summary.failures.is_empty() {
         Ok(())
@@ -1458,6 +1475,16 @@ mod tests {
             read.events.iter().any(|e| e.layer == Layer::Cli && e.name == "fuzz-campaign"),
             "campaign span journaled"
         );
+        // The campaign's analyses record into the same sink: their stage
+        // spans, and the solver rows in the final registry snapshot.
+        assert!(read
+            .events
+            .iter()
+            .any(|e| e.layer == Layer::Offline && e.name == "build-structure"));
+        let metrics = read.events.iter().rev().find(|e| e.name == "metrics").expect("a snapshot");
+        for row in ["sword_solver_tier{", "sword_solver_call_nanos_count"] {
+            assert!(metrics.args.iter().any(|(k, _)| k.starts_with(row)), "{row} recorded");
+        }
         std::fs::remove_dir_all(&corpus).unwrap();
     }
 

@@ -27,6 +27,7 @@ use std::sync::Arc;
 use std::{fs, process};
 
 use archer_sim::{ArcherConfig, ArcherTool};
+use sword_obs::Obs;
 use sword_offline::{analyze, AnalysisConfig, LiveAnalyzer};
 use sword_ompsim::{OmpSim, SimConfig};
 use sword_runtime::{run_collected, SwordConfig};
@@ -112,6 +113,11 @@ impl From<io::Error> for PipelineError {
 /// copies of the session (see [`crate::fault`]) asserting graceful
 /// degradation. Always removes its scratch session directory.
 pub fn check_program(prog: &Program, fault_inject: bool) -> CheckReport {
+    check(prog, fault_inject, None)
+}
+
+/// [`check_program`], with every analysis recording into `obs`.
+fn check(prog: &Program, fault_inject: bool, obs: Option<&Obs>) -> CheckReport {
     let mut report = CheckReport::default();
     let oracle = match catch(|| oracle::analyze(prog)) {
         Ok(o) => o,
@@ -124,7 +130,7 @@ pub fn check_program(prog: &Program, fault_inject: bool) -> CheckReport {
     report.verdicts.oracle.clone_from(&oracle.pairs);
 
     let dir = unique_dir("check");
-    match catch(|| run_sword(prog, &oracle, &dir)) {
+    match catch(|| run_sword(prog, &oracle, &dir, obs)) {
         Ok(Ok(out)) => {
             report.verdicts.sword_batch = out.batch;
             report.verdicts.sword_live = out.live;
@@ -159,6 +165,7 @@ pub fn check_program(prog: &Program, fault_inject: bool) -> CheckReport {
                     &SessionDir::new(&dir),
                     &report.verdicts.sword_batch.clone(),
                     &mut report,
+                    obs,
                 );
             }
         }
@@ -194,21 +201,30 @@ struct SwordOutcome {
     live_evidence: Vec<String>,
 }
 
+/// `config`, recording into `obs` when there is one.
+pub(crate) fn observed(config: AnalysisConfig, obs: Option<&Obs>) -> AnalysisConfig {
+    match obs {
+        Some(obs) => config.with_obs(obs.clone()),
+        None => config,
+    }
+}
+
 /// Collects a session for `prog` in `dir`, then analyzes it both in batch
 /// and incrementally.
 fn run_sword(
     prog: &Program,
     oracle: &Oracle,
     dir: &std::path::Path,
+    obs: Option<&Obs>,
 ) -> Result<SwordOutcome, PipelineError> {
     let cfg = SwordConfig::new(dir).buffer_events(128).live();
     let ((), _stats) =
         run_collected(cfg, SimConfig::default(), |sim| run_program(sim, prog, &oracle.plan))?;
     let session = SessionDir::new(dir);
-    let batch = analyze(&session, &AnalysisConfig::default())?;
+    let batch = analyze(&session, &observed(AnalysisConfig::default(), obs))?;
     let batch_pairs = stmt_pairs(&session, batch.races.iter().map(|r| (r.key.pc_lo, r.key.pc_hi)))?;
 
-    let live_cfg = AnalysisConfig::sequential();
+    let live_cfg = observed(AnalysisConfig::sequential(), obs);
     let mut live = LiveAnalyzer::new(&session, &live_cfg);
     let mut polls = 0u32;
     loop {
@@ -315,6 +331,10 @@ pub struct FuzzOptions {
     pub tasking: bool,
     /// Where to persist shrunk reproducers of failures.
     pub corpus_dir: Option<PathBuf>,
+    /// Observability sink (`--obs`): every analysis of the campaign,
+    /// fault injection's and the shrinker's included, journals its
+    /// stages and records its rows here.
+    pub obs: Option<Obs>,
 }
 
 impl Default for FuzzOptions {
@@ -326,6 +346,7 @@ impl Default for FuzzOptions {
             fault_inject: false,
             tasking: false,
             corpus_dir: None,
+            obs: None,
         }
     }
 }
@@ -392,16 +413,16 @@ pub fn run_fuzz(opts: &FuzzOptions, mut progress: impl FnMut(u64, &FuzzSummary))
             GenConfig::with_team(team)
         };
         let prog = generate(seed, &cfg);
-        let report = check_program(&prog, opts.fault_inject);
+        let obs = opts.obs.as_ref();
+        let report = check(&prog, opts.fault_inject, obs);
         summary.iters += 1;
         if !report.verdicts.oracle.is_empty() {
             summary.programs_with_races += 1;
         }
         summary.oracle_pairs += report.verdicts.oracle.len() as u64;
         if !report.ok() {
-            let shrunk =
-                crate::shrink::shrink(&prog, |p| !check_program(p, opts.fault_inject).ok());
-            let shrunk_report = check_program(&shrunk, opts.fault_inject);
+            let shrunk = crate::shrink::shrink(&prog, |p| !check(p, opts.fault_inject, obs).ok());
+            let shrunk_report = check(&shrunk, opts.fault_inject, obs);
             let failures = if shrunk_report.ok() {
                 // Shrinking raced the failure away (flaky repro) — keep
                 // the original evidence.

@@ -26,10 +26,11 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use sword_obs::Obs;
 use sword_offline::{analyze, AnalysisConfig, LiveAnalyzer};
 use sword_trace::SessionDir;
 
-use crate::driver::{catch, stmt_pairs, CheckReport, PipelineError, StmtPair};
+use crate::driver::{catch, observed, stmt_pairs, CheckReport, PipelineError, StmtPair};
 use crate::oracle::Oracle;
 
 /// How a fault's verdicts must relate to the pristine run's.
@@ -51,12 +52,14 @@ struct Fault {
 }
 
 /// Runs the whole fault catalogue against `pristine`, appending any
-/// contract violation to `report.failures`.
+/// contract violation to `report.failures`. Every analysis records into
+/// `obs` when there is one.
 pub fn inject(
     oracle: &Oracle,
     pristine: &SessionDir,
     pristine_batch: &BTreeSet<StmtPair>,
     report: &mut CheckReport,
+    obs: Option<&Obs>,
 ) {
     let faults = match catalogue(pristine) {
         Ok(f) => f,
@@ -66,7 +69,7 @@ pub fn inject(
         }
     };
     for fault in faults {
-        if let Err(e) = run_fault(oracle, pristine, pristine_batch, &fault, report) {
+        if let Err(e) = run_fault(oracle, pristine, pristine_batch, &fault, report, obs) {
             report.failures.push(format!("fault {}: harness i/o error: {e}", fault.name));
         }
     }
@@ -78,6 +81,7 @@ fn run_fault(
     pristine_batch: &BTreeSet<StmtPair>,
     fault: &Fault,
     report: &mut CheckReport,
+    obs: Option<&Obs>,
 ) -> io::Result<()> {
     let copy_root = crate::driver::unique_dir("fault");
     copy_session(pristine.path(), &copy_root)?;
@@ -85,7 +89,7 @@ fn run_fault(
     (fault.apply)(&copy)?;
 
     for (stage, outcome) in
-        [("batch", catch(|| batch_pairs(&copy))), ("live", catch(|| live_pairs(&copy)))]
+        [("batch", catch(|| batch_pairs(&copy, obs))), ("live", catch(|| live_pairs(&copy, obs)))]
     {
         match outcome {
             Err(panic_msg) => report
@@ -113,13 +117,19 @@ fn run_fault(
     fs::remove_dir_all(&copy_root)
 }
 
-fn batch_pairs(session: &SessionDir) -> Result<BTreeSet<StmtPair>, PipelineError> {
-    let result = analyze(session, &AnalysisConfig::sequential())?;
+fn batch_pairs(
+    session: &SessionDir,
+    obs: Option<&Obs>,
+) -> Result<BTreeSet<StmtPair>, PipelineError> {
+    let result = analyze(session, &observed(AnalysisConfig::sequential(), obs))?;
     stmt_pairs(session, result.races.iter().map(|r| (r.key.pc_lo, r.key.pc_hi)))
 }
 
-fn live_pairs(session: &SessionDir) -> Result<BTreeSet<StmtPair>, PipelineError> {
-    let cfg = AnalysisConfig::sequential();
+fn live_pairs(
+    session: &SessionDir,
+    obs: Option<&Obs>,
+) -> Result<BTreeSet<StmtPair>, PipelineError> {
+    let cfg = observed(AnalysisConfig::sequential(), obs);
     let mut live = LiveAnalyzer::new(session, &cfg);
     let mut polls = 0u32;
     loop {

@@ -68,7 +68,7 @@ mod walk;
 
 pub use hash::{FxBuildHasher, FxHasher};
 pub use sword_solver::{Fingerprint, StridedInterval};
-pub use tree::{IntervalTree, NodeRef};
+pub use tree::{IntervalTree, NodeInterval, NodeRef};
 
 use tree::Node;
 
@@ -142,6 +142,8 @@ struct MergeSlot {
 pub struct SummarizingBuilder<K: Hash + Eq + Clone, V> {
     /// Nodes in insertion order.
     nodes: Vec<Node<V>>,
+    /// The wide nodes' intervals (see [`IntervalTree::wide_nodes`]).
+    wide: Vec<StridedInterval>,
     /// Most-recent-first rings of live progressions, one per distinct
     /// key, indexed by [`SummarizingBuilder::index`].
     rings: Vec<[Option<MergeSlot>; MERGE_HISTORY]>,
@@ -180,6 +182,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     pub fn with_capacity(nodes: usize) -> Self {
         SummarizingBuilder {
             nodes: Vec::with_capacity(nodes),
+            wide: Vec::new(),
             rings: Vec::new(),
             index: HashMap::default(),
             memo: vec![None; KEY_CACHE_WAYS],
@@ -301,7 +304,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
 
     fn push(&mut self, iv: StridedInterval, value: V) -> NodeRef {
         let node = NodeRef(u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes"));
-        self.nodes.push(Node::new(iv, value));
+        self.nodes.push(Node::new(iv, value, &mut self.wide));
         node
     }
 
@@ -311,7 +314,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// representative's value).
     fn retire(&mut self, slot: MergeSlot) {
         let node = &mut self.nodes[slot.node.0 as usize];
-        node.interval = slot.iv;
+        node.set_interval(slot.iv, &mut self.wide);
         if let Some(p) = slot.pending {
             let value = node.value.clone();
             self.push(StridedInterval::single(p, slot.iv.size), value);
@@ -331,7 +334,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
                 self.retire(slot);
             }
         }
-        IntervalTree::link(self.nodes, is_write)
+        IntervalTree::link(self.nodes, self.wide, is_write)
     }
 }
 
@@ -411,7 +414,8 @@ where
     F: FnMut(&StridedInterval, Fingerprint, &VA, &StridedInterval, Fingerprint, &VB),
 {
     walk::sweep(a, b, |x, y| {
-        f(&x.interval, x.fingerprint(), &x.value, &y.interval, y.fingerprint(), &y.value);
+        let (ix, iy) = (x.interval(a.wide()), y.interval(b.wide()));
+        f(&ix, x.fingerprint(&ix), &x.value, &iy, y.fingerprint(&iy), &y.value);
     });
 }
 
@@ -640,6 +644,33 @@ mod tests {
     }
 
     #[test]
+    fn intervals_that_do_not_pack_go_wide_and_come_back_whole() {
+        let mut b: SummarizingBuilder<u32, ()> = SummarizingBuilder::new();
+        // A narrow node at its push that retires past a u32 count.
+        for i in 0..3u64 {
+            b.insert_with(1, 0x1000 + i * 8, 8, || ());
+        }
+        b.extend_front(0, 1 << 32);
+        // A size of 300 is wide from its push; its retire updates it in
+        // place.
+        for i in 0..3u64 {
+            b.insert_with(2, 0x10 + i * 300, 300, || ());
+        }
+        let t = b.finish(|_| true);
+        t.assert_invariants();
+        assert_eq!(t.wide_nodes(), 2);
+        let nodes: Vec<StridedInterval> = t.iter().map(|(_, iv, _)| *iv).collect();
+        assert_eq!(nodes, [iv(0x10, 300, 2, 300), iv(0x1000, 8, 2 + (1 << 32), 8)]);
+        // An interval that packs costs no wide entry.
+        let mut t = IntervalTree::new();
+        t.insert(iv(0, (1 << 24) - 1, u32::MAX.into(), 255), ());
+        assert_eq!(t.wide_nodes(), 0);
+        t.insert(iv(0, 1 << 24, 1, 8), ());
+        assert_eq!(t.wide_nodes(), 1);
+        t.assert_invariants();
+    }
+
+    #[test]
     fn candidate_pairs_require_exact_check() {
         // Figure 4: interleaved stride-8 size-4 accesses. Range overlap
         // yields a candidate, exact check rejects it.
@@ -821,7 +852,7 @@ mod proptests {
         let t = b.finish(|&w| w);
         t.assert_invariants();
         assert_eq!(t.unsorted_reads(), 34);
-        let begins: Vec<u64> = t.nodes()[..34].iter().map(|n| n.interval.begin()).collect();
+        let begins: Vec<u64> = t.nodes()[..34].iter().map(|n| n.begin()).collect();
         assert!(begins.windows(2).all(|w| w[0] > w[1]), "insertion order, descending here");
         let all: Vec<u64> = t.iter().map(|(_, iv, _)| iv.begin()).collect();
         assert!(all.windows(2).all(|w| w[0] < w[1]), "iter() sorts them: {all:?}");
@@ -880,13 +911,13 @@ mod proptests {
             // The builder's usage: a node is pushed as a single access and
             // its tail is extended in place afterwards, so `fp` is stale
             // when the link pass starts.
-            let mut nodes = Vec::new();
+            let (mut nodes, mut wide) = (Vec::new(), Vec::new());
             for &(iv, v) in seq {
                 reference.insert(iv, v);
-                nodes.push(Node::new(StridedInterval::single(iv.base, iv.size), v));
-                nodes.last_mut().unwrap().interval = iv;
+                nodes.push(Node::new(StridedInterval::single(iv.base, iv.size), v, &mut wide));
+                nodes.last_mut().unwrap().set_interval(iv, &mut wide);
             }
-            let mut bulk = IntervalTree::link(nodes, |_| true);
+            let mut bulk = IntervalTree::link(nodes, wide, |_| true);
             bulk.assert_invariants();
             prop_assert_eq!(inorder(&bulk), inorder(&reference));
             // Sorted by (begin, insertion index): a stable sort of `seq`.
@@ -894,7 +925,7 @@ mod proptests {
             stable.sort_by_key(|(iv, _)| iv.begin());
             prop_assert_eq!(inorder(&bulk), stable);
             let hits = |t: &IntervalTree<u32>, lo, hi| -> Vec<(StridedInterval, u32)> {
-                t.range_overlaps(lo, hi).iter().map(|&h| (*t.interval(h), *t.value(h))).collect()
+                t.range_overlaps(lo, hi).iter().map(|&h| (t.interval(h), *t.value(h))).collect()
             };
             for &(lo, width) in &queries {
                 prop_assert_eq!(hits(&bulk, lo, lo + width), hits(&reference, lo, lo + width));

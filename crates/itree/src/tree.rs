@@ -18,7 +18,7 @@
 //! longest span, plus a scan of the unsorted reads. Two trees are joined
 //! by one merge sweep (see [`crate::for_each_candidate_pair_fp`]).
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
 use sword_solver::{Fingerprint, StridedInterval};
 
@@ -33,23 +33,109 @@ const FP_BITS: u32 = READ - 1;
 /// writes more than this many times.
 pub(crate) const SORT_READS_AT: usize = 16;
 
+/// Bits of [`Node::stride_size`] that hold a narrow node's stride; its
+/// size takes the 8 bits above them.
+const STRIDE_BITS: u32 = 24;
+
+const STRIDE_MASK: u32 = (1 << STRIDE_BITS) - 1;
+
+/// A summary-tree node: 32 B with the analyzer's 12-byte `AccessMeta` as
+/// its value. The interval is packed. A *narrow* node, which is every
+/// node the analyzer builds from a log, holds the interval itself: a
+/// `count` below 2³², a stride below 2²⁴ and a size in `1..256`. Any
+/// other interval is *wide*: it goes to its tree's wide list, and its
+/// node keeps the base and the interval's position there, with size 0
+/// as the marker. The base is always in the node, so the sort and the
+/// sweep's begin order never read the wide list.
 #[derive(Clone, Debug)]
 pub(crate) struct Node<V> {
-    pub interval: StridedInterval,
-    pub value: V,
+    /// The interval's first byte.
+    base: u64,
+    /// A narrow node's `count`; a wide node's position in the wide list.
+    count: u32,
+    /// A narrow node's stride in the low [`STRIDE_BITS`] and its size in
+    /// the high 8; 0 in a wide node.
+    stride_size: u32,
     /// The node's class ([`READ`]) and, in the other 31 bits, the packed
-    /// stride-class fingerprint of `interval` (see [`Fingerprint::pack`]),
-    /// so the candidate sweep can run the congruence pre-screen without
-    /// re-dividing. It rides in the node's padding. While
+    /// stride-class fingerprint of the interval (see
+    /// [`Fingerprint::pack`]), so the candidate sweep can run the
+    /// congruence pre-screen without re-dividing. While
     /// [`IntervalTree::link`] sorts, the low bits hold the node's
     /// insertion index instead.
     pub fp: u32,
+    pub value: V,
+}
+
+/// `iv` as a narrow node's `(count, stride_size)`, if it is narrow.
+#[inline]
+fn narrow(iv: &StridedInterval) -> Option<(u32, u32)> {
+    let count = u32::try_from(iv.count).ok()?;
+    let fits = iv.stride <= u64::from(STRIDE_MASK) && (1..256).contains(&iv.size);
+    fits.then_some((count, iv.stride as u32 | (iv.size as u32) << STRIDE_BITS))
+}
+
+/// Appends `iv` to `wide`: a wide node's `(count, stride_size)`.
+#[cold]
+fn widen(iv: StridedInterval, wide: &mut Vec<StridedInterval>) -> (u32, u32) {
+    let at = u32::try_from(wide.len()).expect("fewer than 2^32 wide nodes");
+    wide.push(iv);
+    (at, 0)
 }
 
 impl<V> Node<V> {
-    /// A write node with its interval's fingerprint.
-    pub(crate) fn new(interval: StridedInterval, value: V) -> Self {
-        Node { interval, value, fp: pack(&interval) }
+    /// A write node with its interval's fingerprint; a wide interval goes
+    /// to `wide`.
+    pub(crate) fn new(
+        interval: StridedInterval,
+        value: V,
+        wide: &mut Vec<StridedInterval>,
+    ) -> Self {
+        let (count, stride_size) = narrow(&interval).unwrap_or_else(|| widen(interval, wide));
+        Node { base: interval.base, count, stride_size, fp: pack(&interval), value }
+    }
+
+    /// Makes `iv`, which begins where the node does, the node's interval:
+    /// the builder's retire, where a progression's node takes its final
+    /// extent. A wide node keeps its place in `wide`. Leaves `fp` alone.
+    pub(crate) fn set_interval(&mut self, iv: StridedInterval, wide: &mut Vec<StridedInterval>) {
+        debug_assert_eq!(iv.base, self.base, "a node's begin never moves");
+        if self.is_wide() {
+            wide[self.count as usize] = iv;
+        } else {
+            (self.count, self.stride_size) = narrow(&iv).unwrap_or_else(|| widen(iv, wide));
+        }
+    }
+
+    /// `true` for a wide node, whose interval is in the wide list.
+    #[inline]
+    pub(crate) fn is_wide(&self) -> bool {
+        self.stride_size >> STRIDE_BITS == 0
+    }
+
+    /// The interval's first byte.
+    #[inline]
+    pub(crate) fn begin(&self) -> u64 {
+        self.base
+    }
+
+    /// The node's interval; `wide` is its tree's wide list.
+    #[inline]
+    pub(crate) fn interval(&self, wide: &[StridedInterval]) -> StridedInterval {
+        if self.is_wide() {
+            return wide[self.count as usize];
+        }
+        StridedInterval {
+            base: self.base,
+            stride: u64::from(self.stride_size & STRIDE_MASK),
+            count: u64::from(self.count),
+            size: u64::from(self.stride_size >> STRIDE_BITS),
+        }
+    }
+
+    /// One past the interval's last byte.
+    #[inline]
+    pub(crate) fn end(&self, wide: &[StridedInterval]) -> u64 {
+        self.interval(wide).end()
     }
 
     /// `true` for a read: it meets only writes.
@@ -58,11 +144,11 @@ impl<V> Node<V> {
         self.fp & READ != 0
     }
 
-    /// The interval's stride-class fingerprint.
+    /// The stride-class fingerprint of `iv`, the node's interval.
     #[inline]
-    pub(crate) fn fingerprint(&self) -> Fingerprint {
+    pub(crate) fn fingerprint(&self, iv: &StridedInterval) -> Fingerprint {
         let packed = self.fp & FP_BITS;
-        Fingerprint::unpack(if packed == FP_BITS { u32::MAX } else { packed }, &self.interval)
+        Fingerprint::unpack(if packed == FP_BITS { u32::MAX } else { packed }, iv)
     }
 }
 
@@ -94,11 +180,11 @@ impl Default for Extent {
 }
 
 impl Extent {
-    fn add<V>(&mut self, node: &Node<V>) {
-        let (b, e) = (node.interval.begin(), node.interval.end());
+    fn add(&mut self, iv: &StridedInterval, read: bool) {
+        let (b, e) = (iv.begin(), iv.end());
         let widen = |(lo, hi): (u64, u64)| (lo.min(b), hi.max(e));
         self.all = widen(self.all);
-        if !node.is_read() {
+        if !read {
             self.writes = widen(self.writes);
         }
         self.max_span = self.max_span.max(e - b);
@@ -139,6 +225,9 @@ fn boxed((lo, hi): (u64, u64)) -> Option<(u64, u64)> {
 pub struct IntervalTree<V> {
     /// Unsorted reads, then the run (see the module docs).
     nodes: Vec<Node<V>>,
+    /// The wide nodes' intervals, at the positions the nodes hold (see
+    /// [`Node`]). Empty in every tree built from a log.
+    wide: Vec<StridedInterval>,
     /// How many reads lead `nodes` in insertion order.
     unsorted: usize,
     extent: Extent,
@@ -156,6 +245,20 @@ pub struct IntervalTree<V> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeRef(pub(crate) u32);
 
+/// A node's interval as [`IntervalTree::iter`] yields it: unpacked from
+/// the node, and a [`StridedInterval`] through `Deref`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NodeInterval(StridedInterval);
+
+impl Deref for NodeInterval {
+    type Target = StridedInterval;
+
+    #[inline]
+    fn deref(&self) -> &StridedInterval {
+        &self.0
+    }
+}
+
 impl<V> Default for IntervalTree<V> {
     fn default() -> Self {
         Self::new()
@@ -170,7 +273,12 @@ impl<V> IntervalTree<V> {
 
     /// Creates an empty tree with room for `cap` nodes.
     pub fn with_capacity(cap: usize) -> Self {
-        IntervalTree { nodes: Vec::with_capacity(cap), unsorted: 0, extent: Extent::default() }
+        IntervalTree {
+            nodes: Vec::with_capacity(cap),
+            wide: Vec::new(),
+            unsorted: 0,
+            extent: Extent::default(),
+        }
     }
 
     /// Number of intervals stored.
@@ -191,16 +299,25 @@ impl<V> IntervalTree<V> {
         self.unsorted
     }
 
-    /// Bytes held by the node slice — used by the memory accounting that
-    /// feeds the paper's overhead tables.
+    /// How many nodes hold an interval too wide to pack (see the
+    /// crate-private `Node`): a `count` of 2³² or more, a stride of 2²⁴
+    /// or more, or a size outside `1..256`. The analyzer's builds make
+    /// none: strides stay within its stride bound and sizes fit a byte.
+    pub fn wide_nodes(&self) -> usize {
+        self.wide.len()
+    }
+
+    /// Bytes held by the node slice and the wide list — used by the
+    /// memory accounting that feeds the paper's overhead tables.
     pub fn arena_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<Node<V>>()
+            + self.wide.capacity() * std::mem::size_of::<StridedInterval>()
     }
 
     /// The interval stored at `handle`.
     #[inline]
-    pub fn interval(&self, handle: NodeRef) -> &StridedInterval {
-        &self.nodes[handle.0 as usize].interval
+    pub fn interval(&self, handle: NodeRef) -> StridedInterval {
+        self.nodes[handle.0 as usize].interval(&self.wide)
     }
 
     /// The value stored at `handle`.
@@ -227,6 +344,12 @@ impl<V> IntervalTree<V> {
         &self.nodes
     }
 
+    /// The wide nodes' intervals, which [`Node::interval`] reads.
+    #[inline]
+    pub(crate) fn wide(&self) -> &[StridedInterval] {
+        &self.wide
+    }
+
     /// Positions of the run in [`IntervalTree::nodes`].
     #[inline]
     pub(crate) fn run(&self) -> Range<usize> {
@@ -234,13 +357,17 @@ impl<V> IntervalTree<V> {
     }
 
     /// Makes a tree of `nodes` — given in insertion order, their `fp`
-    /// arbitrary — whose node is a write where `is_write` says so, in
-    /// place: the insertion index and class ride in `fp` while the sort
-    /// runs (a side array of keys would cost 16 B per node at the
-    /// analyzer's memory peak). A read-heavy tree first moves its reads,
+    /// arbitrary, their wide intervals in `wide` — whose node is a write
+    /// where `is_write` says so, in place: the insertion index and class
+    /// ride in `fp` while the sort runs (a side array of keys would cost
+    /// 16 B per node at the analyzer's memory peak). A read-heavy tree first moves its reads,
     /// in order, to the front. Then fills `fp` and the tree-wide fields,
     /// and gives back the builder's spare capacity (see [`fit`]).
-    pub(crate) fn link(mut nodes: Vec<Node<V>>, is_write: impl Fn(&V) -> bool) -> Self {
+    pub(crate) fn link(
+        mut nodes: Vec<Node<V>>,
+        mut wide: Vec<StridedInterval>,
+        is_write: impl Fn(&V) -> bool,
+    ) -> Self {
         assert!(nodes.len() <= READ as usize, "interval tree node capacity exceeded");
         let mut reads = 0;
         for (i, node) in nodes.iter_mut().enumerate() {
@@ -264,13 +391,15 @@ impl<V> IntervalTree<V> {
             }
             reads
         };
-        nodes[unsorted..].sort_unstable_by_key(|n| (n.interval.begin(), n.fp));
+        nodes[unsorted..].sort_unstable_by_key(|n| (n.begin(), n.fp));
         let mut extent = Extent::default();
         for node in &mut nodes {
-            node.fp = pack(&node.interval) | (node.fp & READ);
-            extent.add(node);
+            let iv = node.interval(&wide);
+            node.fp = pack(&iv) | (node.fp & READ);
+            extent.add(&iv, node.is_read());
         }
-        IntervalTree { nodes: fit(nodes), unsorted, extent }
+        wide.shrink_to_fit();
+        IntervalTree { nodes: fit(nodes), wide, unsorted, extent }
     }
 
     /// Inserts a write with its value into the run, after every node of a
@@ -281,17 +410,14 @@ impl<V> IntervalTree<V> {
     pub fn insert(&mut self, interval: StridedInterval, value: V) -> NodeRef {
         assert!(self.nodes.len() < READ as usize, "interval tree node capacity exceeded");
         let begin = interval.begin();
-        let goes_after = |n: &Node<V>| {
-            let b = n.interval.begin();
-            b < begin || b == begin && !n.is_read()
-        };
+        let goes_after = |n: &Node<V>| n.begin() < begin || n.begin() == begin && !n.is_read();
         let run = &self.nodes[self.run()];
         let at = match run.last() {
             Some(last) if !goes_after(last) => self.unsorted + run.partition_point(goes_after),
             _ => self.nodes.len(),
         };
-        let node = Node::new(interval, value);
-        self.extent.add(&node);
+        let node = Node::new(interval, value, &mut self.wide);
+        self.extent.add(&interval, false);
         self.nodes.insert(at, node);
         NodeRef(at as u32)
     }
@@ -308,8 +434,8 @@ impl<V> IntervalTree<V> {
     /// a sort through the positions would visit at random.
     pub(crate) fn sorted_reads(&self, mut keep: impl FnMut(&StridedInterval) -> bool) -> Vec<u32> {
         let mut keys: Vec<(u64, u32)> = (self.nodes[..self.unsorted].iter().enumerate())
-            .filter(|(_, n)| keep(&n.interval))
-            .map(|(k, n)| (n.interval.begin(), k as u32))
+            .filter(|(_, n)| keep(&n.interval(&self.wide)))
+            .map(|(k, n)| (n.begin(), k as u32))
             .collect();
         keys.sort_unstable();
         keys.into_iter().map(|(_, k)| k).collect()
@@ -320,7 +446,7 @@ impl<V> IntervalTree<V> {
     pub(crate) fn write_cover(&self) -> Vec<(u64, u64)> {
         let mut cover: Vec<(u64, u64)> = Vec::new();
         for n in self.nodes[self.run()].iter().filter(|n| !n.is_read()) {
-            let (b, e) = (n.interval.begin(), n.interval.end());
+            let (b, e) = (n.begin(), n.end(&self.wide));
             match cover.last_mut() {
                 Some((_, hi)) if b <= *hi => *hi = (*hi).max(e),
                 _ => cover.push((b, e)),
@@ -331,10 +457,10 @@ impl<V> IntervalTree<V> {
 
     /// Iterates all nodes in ascending begin order, writes before reads
     /// at one begin.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeRef, &StridedInterval, &V)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeRef, NodeInterval, &V)> + '_ {
         self.in_order(self.run(), self.sorted_reads(|_| true)).map(|i| {
             let n = &self.nodes[i];
-            (NodeRef(i as u32), &n.interval, &n.value)
+            (NodeRef(i as u32), NodeInterval(n.interval(&self.wide)), &n.value)
         })
     }
 
@@ -351,12 +477,13 @@ impl<V> IntervalTree<V> {
         let overlaps = |iv: &StridedInterval| iv.begin() < hi && lo < iv.end();
         let from = lo.saturating_sub(self.extent.max_span);
         let run = &self.nodes[self.run()];
-        let first = self.unsorted + run.partition_point(|n| n.interval.begin() < from);
-        let last = self.unsorted + run.partition_point(|n| n.interval.begin() < hi);
+        let first = self.unsorted + run.partition_point(|n| n.begin() < from);
+        let last = self.unsorted + run.partition_point(|n| n.begin() < hi);
         for i in self.in_order(first..last, self.sorted_reads(overlaps)) {
             let n = &self.nodes[i];
-            if overlaps(&n.interval) {
-                f(NodeRef(i as u32), &n.interval, &n.value);
+            let iv = n.interval(&self.wide);
+            if overlaps(&iv) {
+                f(NodeRef(i as u32), &iv, &n.value);
             }
         }
     }
@@ -376,7 +503,7 @@ impl<V> IntervalTree<V> {
         assert!(unsorted.iter().all(Node::is_read), "a write among the unsorted reads");
         assert!(unsorted.is_empty() || run.iter().all(|n| !n.is_read()), "reads in two places");
         for (i, pair) in run.windows(2).enumerate() {
-            let key = |n: &Node<V>| (n.interval.begin(), n.is_read());
+            let key = |n: &Node<V>| (n.begin(), n.is_read());
             assert!(
                 key(&pair[0]) <= key(&pair[1]),
                 "run order broken at {}",
@@ -384,10 +511,19 @@ impl<V> IntervalTree<V> {
             );
         }
         let mut extent = Extent::default();
+        let mut wide: Vec<u32> = Vec::new();
         for (i, n) in self.nodes.iter().enumerate() {
-            assert_eq!(n.fp & FP_BITS, pack(&n.interval), "fingerprint stale at {i}");
-            extent.add(n);
+            let iv = n.interval(&self.wide);
+            assert_eq!(iv.base, n.begin(), "wide interval of another begin at {i}");
+            assert_eq!(n.fp & FP_BITS, pack(&iv), "fingerprint stale at {i}");
+            if n.is_wide() {
+                assert!(narrow(&iv).is_none(), "a narrow interval in the wide list at {i}");
+                wide.push(n.count);
+            }
+            extent.add(&iv, n.is_read());
         }
+        wide.sort_unstable();
+        assert!(wide.iter().copied().eq(0..self.wide.len() as u32), "wide list not one per node");
         assert_eq!(self.extent, extent, "tree-wide fields stale");
     }
 }
@@ -408,9 +544,7 @@ impl<V> Iterator for InOrder<'_, V> {
     fn next(&mut self) -> Option<usize> {
         let read = self.reads.get(self.next).map(|&k| k as usize);
         let take_run = match (self.run.start < self.run.end, read) {
-            (true, Some(r)) => {
-                self.nodes[self.run.start].interval.begin() <= self.nodes[r].interval.begin()
-            }
+            (true, Some(r)) => self.nodes[self.run.start].begin() <= self.nodes[r].begin(),
             (run_left, _) => run_left,
         };
         if take_run {
@@ -436,7 +570,8 @@ mod tests {
     /// `len` nodes in an array with room for `cap`.
     fn reserved(cap: usize, len: u64) -> Vec<Node<()>> {
         let mut nodes = Vec::with_capacity(cap);
-        nodes.extend((0..len).map(|i| Node::new(StridedInterval::single(i * 64, 8), ())));
+        let wide = &mut Vec::new();
+        nodes.extend((0..len).map(|i| Node::new(StridedInterval::single(i * 64, 8), (), wide)));
         nodes
     }
 

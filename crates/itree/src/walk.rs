@@ -6,6 +6,8 @@
 //! tree's write cover — a semi-join — and only the survivors are sorted
 //! and swept. Every other node is swept from its tree's sorted run.
 
+use sword_solver::StridedInterval;
+
 use crate::tree::{IntervalTree, Node, READ};
 
 /// Calls `f` once for every pair — one node of `a`, one of `b` — whose
@@ -20,12 +22,13 @@ pub(crate) fn sweep<VA, VB>(
 ) {
     let (ra, rb) = (reads_meeting(a, b), reads_meeting(b, a));
     // A side whose unsorted reads all fail the filter is its run alone.
-    let (run_a, run_b, f) = (&a.nodes()[a.run()], &b.nodes()[b.run()], &mut f);
+    let (run_a, run_b) = ((&a.nodes()[a.run()], a.wide()), (&b.nodes()[b.run()], b.wide()));
+    let (all_a, all_b, f) = ((a.nodes(), a.wide()), (b.nodes(), b.wide()), &mut f);
     match (ra.is_empty(), rb.is_empty()) {
         (true, true) => join(run_a, run_b, f),
-        (false, true) => join((a.nodes(), merged(a, ra)), run_b, f),
-        (true, false) => join(run_a, (b.nodes(), merged(b, rb)), f),
-        (false, false) => join((a.nodes(), merged(a, ra)), (b.nodes(), merged(b, rb)), f),
+        (false, true) => join((all_a, merged(a, ra)), run_b, f),
+        (true, false) => join(run_a, (all_b, merged(b, rb)), f),
+        (false, false) => join((all_a, merged(a, ra)), (all_b, merged(b, rb)), f),
     }
 }
 
@@ -48,37 +51,41 @@ fn reads_meeting<V, W>(t: &IntervalTree<V>, other: &IntervalTree<W>) -> Vec<u32>
     })
 }
 
+/// A node slice with its tree's wide list, which unpacks the slice's
+/// wide nodes.
+type Nodes<'t, V> = (&'t [Node<V>], &'t [StridedInterval]);
+
 /// One side of the sweep: its nodes in begin order, each with its
 /// position in [`Side::slice`], which the open lists hold.
 trait Side<V> {
-    fn slice(&self) -> &[Node<V>];
+    fn slice(&self) -> Nodes<'_, V>;
     fn get(&self, i: usize) -> Option<(usize, &Node<V>)>;
 }
 
 /// A sorted run.
-impl<V> Side<V> for &[Node<V>] {
+impl<V> Side<V> for Nodes<'_, V> {
     #[inline]
-    fn slice(&self) -> &[Node<V>] {
-        self
+    fn slice(&self) -> Nodes<'_, V> {
+        *self
     }
 
     #[inline]
     fn get(&self, i: usize) -> Option<(usize, &Node<V>)> {
-        <[Node<V>]>::get(self, i).map(|n| (i, n))
+        self.0.get(i).map(|n| (i, n))
     }
 }
 
 /// A run merged with the reads that passed the filter, as positions.
-impl<V> Side<V> for (&[Node<V>], Vec<u32>) {
+impl<V> Side<V> for (Nodes<'_, V>, Vec<u32>) {
     #[inline]
-    fn slice(&self) -> &[Node<V>] {
+    fn slice(&self) -> Nodes<'_, V> {
         self.0
     }
 
     #[inline]
     fn get(&self, i: usize) -> Option<(usize, &Node<V>)> {
         let k = *self.1.get(i)? as usize;
-        Some((k, &self.0[k]))
+        Some((k, &self.0 .0[k]))
     }
 }
 
@@ -101,7 +108,7 @@ where
     loop {
         let (x, y) = (a.get(i), b.get(j));
         let take_a = match (x, y) {
-            (Some((_, x)), Some((_, y))) => x.interval.begin() <= y.interval.begin(),
+            (Some((_, x)), Some((_, y))) => x.begin() <= y.begin(),
             // One side is spent; the other still meets its open nodes.
             (Some(_), None) if !open_b.is_empty() => true,
             (None, Some(_)) if !open_a.is_empty() => false,
@@ -145,14 +152,15 @@ impl Open {
     ///
     /// [`StridedInterval::new`]: sword_solver::StridedInterval::new
     #[inline]
-    fn meet<U, V>(&mut self, node: &Node<U>, other: &[Node<V>], mut f: impl FnMut(&Node<V>)) {
-        let begin = node.interval.begin();
+    fn meet<U, V>(&mut self, node: &Node<U>, other: Nodes<'_, V>, mut f: impl FnMut(&Node<V>)) {
+        let (other, wide) = other;
+        let begin = node.begin();
         let both_read = node.fp & READ;
         let mut k = 0;
         while k < self.0.len() {
             let entry = self.0[k];
             let open = &other[(entry & !READ) as usize];
-            if open.interval.end() <= begin {
+            if open.end(wide) <= begin {
                 self.0.swap_remove(k);
             } else {
                 if entry & both_read == 0 {
@@ -189,13 +197,13 @@ mod tests {
             let (t, other) = (tree(&reads), tree(&other));
             prop_assert_eq!(t.unsorted_reads(), reads.len());
             let reached = |k: &u32| {
-                let iv = &t.nodes()[*k as usize].interval;
+                let iv = t.nodes()[*k as usize].interval(t.wide());
                 other.nodes().iter().any(|w| {
-                    !w.is_read() && w.interval.begin() < iv.end() && iv.begin() < w.interval.end()
+                    !w.is_read() && w.begin() < iv.end() && iv.begin() < w.end(other.wide())
                 })
             };
             let mut expect: Vec<u32> = (0..reads.len() as u32).filter(reached).collect();
-            expect.sort_by_key(|&k| t.nodes()[k as usize].interval.begin());
+            expect.sort_by_key(|&k| t.nodes()[k as usize].begin());
             prop_assert_eq!(reads_meeting(&t, &other), expect);
         }
     }

@@ -295,14 +295,20 @@ impl Journal {
     }
 
     /// Removes and returns all buffered events, oldest first per ring,
-    /// merged and sorted by start time.
+    /// merged and sorted by start time. A ring whose recorders are all
+    /// dropped can take no more events: it is drained a last time and
+    /// forgotten, so a process that registers recorders over and over
+    /// (one analysis after another) holds only the live ones.
     pub fn drain(&self) -> Vec<JournalEvent> {
-        let rings: Vec<Arc<Ring>> = self.inner.rings.lock().expect("journal lock").clone();
+        let mut rings = self.inner.rings.lock().expect("journal lock");
         let mut out = Vec::new();
-        for ring in rings {
-            let mut events = ring.events.lock().expect("ring lock");
-            out.extend(events.drain(..));
-        }
+        rings.retain(|ring| {
+            // Decided before the drain: no recorder is left to push after it.
+            let live = Arc::strong_count(ring) > 1;
+            out.extend(ring.events.lock().expect("ring lock").drain(..));
+            live
+        });
+        drop(rings);
         out.sort_by_key(|e| e.t_us);
         out
     }
@@ -600,6 +606,23 @@ mod tests {
         let tj2 = journal.for_thread(Layer::Offline, "worker-0");
         tj2.instant("ok", vec![]);
         assert_eq!(journal.drain().len(), 1);
+    }
+
+    #[test]
+    fn a_ring_without_recorders_is_drained_once_more_and_forgotten() {
+        let journal = Journal::new(8);
+        let kept = journal.for_thread(Layer::Offline, "kept");
+        let gone = journal.for_thread(Layer::Offline, "gone");
+        gone.instant("last", vec![]);
+        drop(gone);
+        let rings = || journal.inner.rings.lock().unwrap().len();
+        assert_eq!(rings(), 3, "the meta ring and two recorders");
+        let events = journal.drain();
+        assert_eq!(events.iter().map(|e| &*e.name).collect::<Vec<_>>(), ["last"]);
+        assert_eq!(rings(), 2);
+        kept.instant("still", vec![]);
+        journal.record(JournalEvent { name: "meta".into(), ..events[0].clone() });
+        assert_eq!(journal.drain().len(), 2, "live rings and the meta ring stay");
     }
 
     #[test]

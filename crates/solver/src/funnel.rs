@@ -109,9 +109,9 @@ impl Fingerprint {
     /// Sentinel marking a holey phase too large for the packed form.
     const PACK_OVERFLOW: u32 = u32::MAX;
 
-    /// Packs the fingerprint into 32 bits so tree nodes can cache it inside
-    /// existing struct padding instead of growing (a 16-byte field per node
-    /// measurably slows the candidate walk on big trees). `holey` is not
+    /// Packs the fingerprint into 32 bits so tree nodes can cache it in one
+    /// word of their 32 bytes (a 16-byte field per node measurably slows
+    /// the candidate walk on big trees). `holey` is not
     /// stored — it is derivable from the interval — and phases are tiny in
     /// practice (`phase < stride`, and collector strides are page-bounded).
     #[inline]

@@ -146,6 +146,16 @@ impl AnalysisConfig {
         })
     }
 
+    /// The `sword_analyzer_wide_nodes` counter, when `--obs` is on.
+    pub(crate) fn wide_nodes_counter(&self) -> Option<sword_obs::Counter> {
+        self.obs.as_ref().map(|o| {
+            o.registry.counter(
+                "sword_analyzer_wide_nodes",
+                "Tree nodes whose interval was too wide to pack into a node",
+            )
+        })
+    }
+
     /// Registers the tree-memory gauge as registry sources (idempotent:
     /// re-registering replaces the previous closure over the same gauge).
     pub(crate) fn register_mem_sources(&self) {

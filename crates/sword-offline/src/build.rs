@@ -67,7 +67,7 @@ impl BiTree {
 
     /// Heap bytes of this summary tree, charged to the analyzer's memory
     /// gauge while the tree is held (the Figure 6–8 offline-memory rows):
-    /// the tree's node slice ([`IntervalTree::arena_bytes`]) plus the
+    /// the tree's nodes ([`IntervalTree::arena_bytes`]) plus the
     /// interned mutex sets.
     pub fn heap_bytes(&self) -> u64 {
         let sets: usize = self.mutex_sets.capacity() * std::mem::size_of::<Vec<MutexId>>()
@@ -128,8 +128,8 @@ struct Fold {
 /// shape builds thousands of such trees.
 const RESERVE_FROM_BYTES: u64 = 256 << 10;
 
-/// The most nodes a build reserves up front (48 MiB of address space at
-/// 48 B a node), so a huge interval reserves no more than it could fill
+/// The most nodes a build reserves up front (32 MiB of address space at
+/// 32 B a node), so a huge interval reserves no more than it could fill
 /// soon; past it the node array grows as a `Vec` does.
 const RESERVED_NODES_MAX: u64 = 1 << 20;
 
@@ -609,6 +609,7 @@ impl TaskTrees {
     pub(crate) fn hold(&mut self, member: &Interval, tree: BiTree, stats: &mut WorkerStats) {
         stats.trees_built += 1;
         stats.nodes += tree.node_count() as u64;
+        stats.wide_nodes += tree.tree.wide_nodes() as u64;
         stats.events += tree.accesses;
         stats.bytes_read += tree.bytes_read;
         self.mem.alloc(tree.heap_bytes());
@@ -954,12 +955,50 @@ mod tests {
             .map(|t| t.tree.arena_bytes() as u64 + set_bytes(t))
             .sum();
         assert_eq!(mem.live(), expect);
-        // An interval, its metadata and a fingerprint: no link fields.
+        // A packed interval, its metadata and a fingerprint: no link
+        // fields.
         let t = trees.get(&members[0]).unwrap();
-        assert_eq!(t.tree.arena_bytes(), t.node_count() * 48);
+        assert_eq!(t.tree.arena_bytes(), t.node_count() * 32);
         drop(trees);
         assert_eq!(mem.live(), 0);
         assert_eq!(mem.peak(), expect);
+        std::fs::remove_dir_all(dir.path()).unwrap();
+    }
+
+    #[test]
+    fn a_node_is_32_bytes() {
+        assert_eq!(IntervalTree::<AccessMeta>::with_capacity(1).arena_bytes(), 32);
+    }
+
+    #[test]
+    fn held_trees_count_their_wide_nodes() {
+        let (dir, members) = session_of("wide", &[scattered(100, 3)]);
+        let mem = MemGauge::new();
+        let mut trees = TaskTrees::new(mem.clone());
+        let (mut pool, mut stats) = (ReaderPool::new(), WorkerStats::default());
+        // A tree built from a log has no wide node.
+        trees.build(&dir, &members[0], &mut pool, &mut stats).unwrap();
+        assert_eq!(stats.wide_nodes, 0);
+        // Two of three do not pack: a size of 300 and a stride of 2^24.
+        let meta = AccessMeta { kind: AccessKind::Write, pc: 1, mset: 0 };
+        let mut tree = IntervalTree::with_capacity(3);
+        for iv in [
+            sword_itree::StridedInterval::single(0x40, 300),
+            sword_itree::StridedInterval::new(0x80, 1 << 24, 3, 8),
+            sword_itree::StridedInterval::new(0x100, 8, 3, 8),
+        ] {
+            tree.insert(iv, meta);
+        }
+        let wide =
+            BiTree { tid: 1, tree, mutex_sets: vec![Vec::new()], accesses: 3, bytes_read: 0 };
+        let bytes = wide.heap_bytes();
+        assert!(bytes >= (3 + 2) * 32 + set_bytes(&wide), "the gauge charges the wide list");
+        let other = Interval { tid: 1, ..members[0].clone() };
+        let (live, nodes) = (mem.live(), stats.nodes);
+        trees.hold(&other, wide, &mut stats);
+        assert_eq!((stats.wide_nodes, stats.nodes), (2, nodes + 3));
+        assert_eq!(mem.live(), live + bytes);
+        drop(trees);
         std::fs::remove_dir_all(dir.path()).unwrap();
     }
 

@@ -85,6 +85,9 @@ const BYTES_PER_STARTED_THREAD: u64 = 256 << 10;
 pub(crate) struct WorkerStats {
     pub trees_built: u64,
     pub nodes: u64,
+    /// Nodes of those trees too wide to pack
+    /// ([`sword_itree::IntervalTree::wide_nodes`]).
+    pub wide_nodes: u64,
     pub events: u64,
     pub bytes_read: u64,
     pub tree_pairs: u64,
@@ -107,6 +110,7 @@ impl WorkerStats {
     pub(crate) fn merge(&mut self, other: &WorkerStats) {
         self.trees_built += other.trees_built;
         self.nodes += other.nodes;
+        self.wide_nodes += other.wide_nodes;
         self.events += other.events;
         self.bytes_read += other.bytes_read;
         self.tree_pairs += other.tree_pairs;
@@ -464,6 +468,8 @@ pub(crate) struct Core {
     config: AnalysisConfig,
     /// Per-tier decision counts of every compare this core ran.
     tiers: TierCounters,
+    /// `sword_analyzer_wide_nodes`, when `--obs` is on.
+    wide_nodes: Option<sword_obs::Counter>,
     /// Log-source counters every worker's reader pool charges.
     sources: SourceStats,
     structure: Structure,
@@ -493,6 +499,7 @@ impl Core {
             config: config.clone(),
             structure: Structure::new(&VerdictCache::default()),
             tiers,
+            wide_nodes: config.wide_nodes_counter(),
             sources,
             workers: Vec::new(),
             races: RaceSet::new(),
@@ -686,6 +693,9 @@ impl Core {
         self.stages.record("tree-build", merged.build_secs, merged.trees_built, merged.bytes_read);
         self.stages.record("compare", merged.compare_secs, merged.tree_pairs, 0);
         self.stats.merge(&merged);
+        if let Some(wide) = &self.wide_nodes {
+            wide.add(merged.wide_nodes);
+        }
         self.stages.record("dedup-report", dedup_secs, outcomes, 0);
         Ok(new_races)
     }

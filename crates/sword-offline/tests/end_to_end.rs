@@ -875,6 +875,8 @@ fn obs_journals_every_stage_and_gauges_tree_memory() {
     );
     assert_eq!(config.mem_gauge.live(), 0);
     assert!(config.mem_gauge.peak() > 0);
+    // Every node a log builds packs: the row exists and reads 0.
+    assert_eq!(snapshot["sword_analyzer_wide_nodes"], 0.0);
 }
 
 #[test]

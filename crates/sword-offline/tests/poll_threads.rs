@@ -7,6 +7,8 @@
 
 #![cfg(target_os = "linux")]
 
+use std::time::{Duration, Instant};
+
 use sword_obs::Obs;
 use sword_offline::{AnalysisConfig, LiveAnalyzer};
 use sword_ompsim::SimConfig;
@@ -18,6 +20,20 @@ fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
     let row = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("a Threads: row");
     row.trim().parse().expect("a thread count")
+}
+
+/// The thread count once it reads `expect`, or the last reading after
+/// about 2 s: a thread whose `join` has returned can stay listed for a
+/// moment while the kernel reaps it.
+fn threads_settling_at(expect: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let threads = process_threads();
+        if threads == expect || Instant::now() >= deadline {
+            return threads;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// `n` xorshift64 words from `seed`.
@@ -50,18 +66,18 @@ fn polls_leave_no_thread_behind_and_idle_polls_start_none() {
 
     let config = AnalysisConfig::default().with_workers(4);
     let mut live = LiveAnalyzer::new(&SessionDir::new(&dir), &config);
-    assert_eq!(process_threads(), at_start, "no thread before the first poll");
+    assert_eq!(threads_settling_at(at_start), at_start, "no thread before the first poll");
     let delta = live.poll().expect("poll");
     assert!(delta.finished && delta.tree_pairs > 0, "the poll had work for the pool");
-    assert_eq!(process_threads(), at_start, "a poll joins every worker it started");
+    assert_eq!(threads_settling_at(at_start), at_start, "a poll joins every worker it started");
     // A `watch` at its default interval polls five times a second for as
     // long as the run lasts; almost all of those polls are idle.
     for _ in 0..3 {
         assert_eq!(live.poll().expect("idle poll").new_intervals, 0);
-        assert_eq!(process_threads(), at_start, "an idle poll starts nothing");
+        assert_eq!(threads_settling_at(at_start), at_start, "an idle poll starts nothing");
     }
     drop(live);
-    assert_eq!(process_threads(), at_start);
+    assert_eq!(threads_settling_at(at_start), at_start);
     std::fs::remove_dir_all(&dir).unwrap();
 
     // One region, one barrier interval per thread, each a gather that
@@ -93,7 +109,11 @@ fn polls_leave_no_thread_behind_and_idle_polls_start_none() {
     let mut live = LiveAnalyzer::new(&session, &config);
     let delta = live.poll().expect("poll");
     assert!(delta.finished && delta.tree_pairs == 1, "one pair: {delta:?}");
-    assert_eq!(process_threads(), at_start, "the second worker was joined inside the poll");
+    assert_eq!(
+        threads_settling_at(at_start),
+        at_start,
+        "the second worker was joined inside the poll"
+    );
     let events = obs.journal.drain();
     let builders: std::collections::BTreeSet<&str> =
         events.iter().filter(|e| e.name == "build").map(|e| &*e.thread).collect();
@@ -102,6 +122,6 @@ fn polls_leave_no_thread_behind_and_idle_polls_start_none() {
     let tasks = events.iter().filter(|e| e.name == "task").count();
     assert_eq!(tasks, 1, "the poll ran one task");
     drop(live);
-    assert_eq!(process_threads(), at_start);
+    assert_eq!(threads_settling_at(at_start), at_start);
     std::fs::remove_dir_all(&dir).unwrap();
 }

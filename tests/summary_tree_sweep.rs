@@ -41,8 +41,8 @@ fn reference_pairs(a: &IntervalTree<u32>, b: &IntervalTree<u32>) -> Vec<(Key, Ke
     let mut out = Vec::new();
     for (_, ia, va) in a.iter() {
         for (_, ib, vb) in b.iter() {
-            if overlaps(ib, ia.begin(), ia.end()) && (writes(va) || writes(vb)) {
-                out.push((key(ia, *va), key(ib, *vb)));
+            if overlaps(&ib, ia.begin(), ia.end()) && (writes(va) || writes(vb)) {
+                out.push((key(&ia, *va), key(&ib, *vb)));
             }
         }
     }
@@ -76,9 +76,9 @@ fn check_sweep(a: &IntervalTree<u32>, b: &IntervalTree<u32>) -> Result<(), Strin
 /// Checks `range_overlaps` on `[lo, hi)` against a filter over `iter()`.
 fn check_range(t: &IntervalTree<u32>, lo: u64, hi: u64) -> Result<(), String> {
     let got: Vec<Key> =
-        t.range_overlaps(lo, hi).into_iter().map(|h| key(t.interval(h), *t.value(h))).collect();
+        t.range_overlaps(lo, hi).into_iter().map(|h| key(&t.interval(h), *t.value(h))).collect();
     let expect: Vec<Key> =
-        t.iter().filter(|(_, iv, _)| overlaps(iv, lo, hi)).map(|(_, iv, v)| key(iv, *v)).collect();
+        t.iter().filter(|(_, iv, _)| overlaps(iv, lo, hi)).map(|(_, iv, v)| key(&iv, *v)).collect();
     prop_assert_eq!(got, expect, "range [{}, {})", lo, hi);
     Ok(())
 }
@@ -118,6 +118,34 @@ fn arb_iv() -> impl Strategy<Value = StridedInterval> {
     let long = (0u64..400, 8u64..64, 10u64..60, 1u64..9);
     (0u8..8, short, long).prop_map(|(pick, short, long)| {
         let (b, st, c, sz) = if pick == 0 { long } else { short };
+        StridedInterval::new(b, st, c, sz)
+    })
+}
+
+/// `true` when `iv` packs into a node: a `count` below 2³², a stride
+/// below 2²⁴ and a size in `1..256`. Any other interval is a wide node.
+fn packs(iv: &StridedInterval) -> bool {
+    iv.count < 1 << 32 && iv.stride < 1 << 24 && (1..256).contains(&iv.size)
+}
+
+/// [`arb_iv`]'s intervals, some of size 20 (which packs), mixed with
+/// wide ones: a stride of 2²⁴ or more, a count of 2³² or more, or a
+/// size of 300. A wide node begins among the narrow ones and spans
+/// most of them.
+fn arb_mixed_iv() -> impl Strategy<Value = StridedInterval> {
+    let sized_20 = (0u64..400, 0u64..16, 0u64..6).prop_map(|(b, st, c)| (b, st, c, 20));
+    let wide = prop_oneof![
+        (0u64..400, (1u64 << 24)..1 << 25, 0u64..4, 1u64..9),
+        (0u64..400, 1u64..64, (1u64 << 32)..1 << 33, 1u64..9),
+        (0u64..400, 0u64..64, 0u64..6, Just(300u64)),
+    ];
+    // Four in seven narrow, one of size 20, two wide.
+    (0u8..7, arb_iv(), sized_20, wide).prop_map(|(pick, narrow, sized_20, wide)| {
+        let (b, st, c, sz) = match pick {
+            0..=3 => return narrow,
+            4 => sized_20,
+            _ => wide,
+        };
         StridedInterval::new(b, st, c, sz)
     })
 }
@@ -211,7 +239,7 @@ proptest! {
         // writes holds the same nodes.
         let mut t = built(&stream, 0, every);
         let mut reference: Vec<Key> =
-            built(&stream, 0, 1).iter().map(|(_, iv, v)| key(iv, v & !WRITE)).collect();
+            built(&stream, 0, 1).iter().map(|(_, iv, v)| key(&iv, v & !WRITE)).collect();
         check_iter(&t, &reference)?;
         // Writes inserted later go into the sorted run.
         for (i, iv) in later.iter().enumerate() {
@@ -226,6 +254,26 @@ proptest! {
             check_range(&t, lo % 16, lo % 16 + width)?;
         }
         check_range(&t, 0, u64::MAX)?;
+    }
+
+    #[test]
+    fn wide_and_narrow_nodes_come_back_exactly_and_meet_as_the_nested_loop_says(
+        a in prop::collection::vec(arb_mixed_iv(), 0..40),
+        b in prop::collection::vec(arb_mixed_iv(), 0..40),
+        queries in prop::collection::vec((0u64..700, 0u64..120), 8),
+    ) {
+        let (ta, tb) = (inserted(&a, 0), inserted(&b, 1 << 20));
+        for (t, ivs, first) in [(&ta, &a, 0), (&tb, &b, 1 << 20)] {
+            let reference: Vec<Key> =
+                ivs.iter().enumerate().map(|(i, iv)| key(iv, first + i as u32)).collect();
+            check_iter(t, &reference)?;
+            prop_assert_eq!(t.wide_nodes(), ivs.iter().filter(|iv| !packs(iv)).count());
+        }
+        check_sweep(&ta, &tb)?;
+        for &(lo, width) in &queries {
+            check_range(&ta, lo, lo + width)?;
+        }
+        check_range(&ta, 0, u64::MAX)?;
     }
 
     #[test]
