@@ -10,7 +10,8 @@
 //!     command; see `sword top`.
 //! sword analyze <session-dir> [--workers N] [--stats] [--obs]
 //!     Offline race analysis of a collected session. `--stats` adds the
-//!     stage table and, when recorded, the run's flush-path counters;
+//!     stage table (from the metrics registry), the run's flush-path
+//!     counters when recorded, and the registry snapshot;
 //!     `--obs` appends pipeline spans to the session's journal;
 //!     `--listen ADDR` serves the analyzer's registry while it runs.
 //! sword watch <session-dir> [--interval-ms N] [--timeout-secs N] [--obs]
@@ -442,8 +443,9 @@ fn print_analysis(
     } else {
         print!("{}", sword_offline::render_text(&result, &pcs));
     }
-    if stats {
-        println!("{}", result.stages.render());
+    // `--stats` attaches an `Obs`: the stage table is its registry's.
+    if let Some(o) = config.obs.as_ref().filter(|_| stats) {
+        println!("{}", sword_offline::render_stages(&o.registry));
         // The collector leaves its flush-path counters in the session
         // info file; older sessions without them just skip the table.
         if let Some(flush) =
@@ -451,9 +453,7 @@ fn print_analysis(
         {
             println!("{}", flush.render());
         }
-        if let Some(o) = &config.obs {
-            println!("{}", render_registry(o));
-        }
+        println!("{}", render_registry(o));
     }
     Ok(result)
 }
@@ -478,7 +478,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         &args[1..],
     )?;
     let mut config = analysis_config(&flags)?;
-    let obs = (flags.has("obs") || flags.map.contains_key("listen")).then(Obs::new);
+    let obs =
+        (flags.has("obs") || flags.has("stats") || flags.map.contains_key("listen")).then(Obs::new);
     // Per-site attribution rides along with the journal: the compare
     // stage's counters become labeled gauges in the registry, and the
     // final snapshot carries them into obs.jsonl for `sword report`.
@@ -540,7 +541,8 @@ fn cmd_watch(args: &[String], new_obs: fn() -> Obs) -> Result<(), String> {
         &args[1..],
     )?;
     let mut config = analysis_config(&flags)?;
-    let obs = (flags.has("obs") || flags.map.contains_key("listen")).then(new_obs);
+    let obs =
+        (flags.has("obs") || flags.has("stats") || flags.map.contains_key("listen")).then(new_obs);
     let sites = obs.as_ref().filter(|_| flags.has("obs")).map(|_| SiteTable::new());
     if let Some(o) = &obs {
         config = config.with_obs(o.clone());
@@ -670,11 +672,9 @@ fn cmd_watch(args: &[String], new_obs: fn() -> Obs) -> Result<(), String> {
     } else {
         print!("{}", sword_offline::render_text(&result, &pcs));
     }
-    if show_stats {
-        println!("{}", result.stages.render());
-        if let Some(o) = &obs {
-            println!("{}", render_registry(o));
-        }
+    if let Some(o) = obs.as_ref().filter(|_| show_stats) {
+        println!("{}", sword_offline::render_stages(&o.registry));
+        println!("{}", render_registry(o));
     }
     let journaled = match (journal, &obs) {
         (Some(j), Some(o)) => j.finish(o),
@@ -1001,7 +1001,10 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         w.execute(sim, &cfg);
     })
     .map_err(|e| e.to_string())?;
-    let config = analysis_config(&flags)?;
+    let mut config = analysis_config(&flags)?;
+    if flags.has("stats") {
+        config = config.with_obs(Obs::new());
+    }
     let found =
         print_analysis(&SessionDir::new(&session), &config, flags.has("json"), flags.has("stats"))?
             .races
@@ -1485,6 +1488,19 @@ mod tests {
         for row in ["sword_solver_tier{", "sword_solver_call_nanos_count"] {
             assert!(metrics.args.iter().any(|(k, _)| k.starts_with(row)), "{row} recorded");
         }
+        // Every analysis adds into the same rows: each solve has one
+        // deciding tier, so the tier rows (less the prescreen, which
+        // retires pairs before the solver) add up to the solves.
+        let row = |name: &str| metrics.args.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+        let solves = row("sword_solver_call_nanos_count").expect("solve count");
+        let decided: f64 = metrics
+            .args
+            .iter()
+            .filter(|(k, _)| k.starts_with("sword_solver_tier{") && !k.contains("prescreen"))
+            .map(|(_, v)| v)
+            .sum();
+        assert!(solves > 0.0, "the campaign solved nothing");
+        assert_eq!(decided, solves, "tier rows against solves");
         std::fs::remove_dir_all(&corpus).unwrap();
     }
 

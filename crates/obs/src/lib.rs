@@ -8,13 +8,13 @@
 //!   per-thread ring buffers (overflow drops and counts, never grows),
 //!   drained incrementally to a JSONL file next to the session so a
 //!   crashed run's telemetry survives for postmortem.
-//! - [`registry`]: named counter/gauge/histogram handles plus
-//!   read-on-demand sources over the layers' own cheap counters (the
-//!   collector's `sword_runtime::FlushCounters`, a [`MemGauge`], pool
-//!   occupancy), with Prometheus text exposition and periodic snapshots
-//!   appended to the journal.
-//! - [`MemGauge`]: the live/peak byte counter the analyzer's trees and
-//!   ARCHER's modeled shadow memory charge.
+//! - [`registry`]: named counter/gauge/histogram handles — the one
+//!   store of the collector's flush counts and the analyzer's stage,
+//!   tier and tree-memory rows — plus read-on-demand sources over live
+//!   state (pool occupancy, queue depths), with Prometheus text
+//!   exposition and periodic snapshots appended to the journal.
+//! - [`MemGauge`]: the live/peak byte counter the analyzer's trees (as
+//!   two registry gauges) and ARCHER's modeled shadow memory charge.
 //! - [`Table`] and [`format_bytes`]: the aligned text table and byte
 //!   formatting every plain-text report renders with.
 //! - [`export`]: `sword trace export --format chrome` renders the

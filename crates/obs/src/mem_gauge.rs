@@ -1,21 +1,18 @@
 //! [`MemGauge`]: a thread-safe byte counter each detector updates as it
 //! allocates and frees analysis state, so memory numbers are measured
-//! from the actual data structures, not estimated. The registry exposes
-//! one as a read-on-demand source.
+//! from the actual data structures, not estimated. Its live and peak
+//! values are two [`Gauge`]s, so a registry can own them as rows
+//! ([`MemGauge::from_gauges`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+
+use crate::Gauge;
 
 /// A shared gauge of live tool-allocated bytes with peak tracking.
 #[derive(Clone, Debug, Default)]
 pub struct MemGauge {
-    inner: Arc<GaugeInner>,
-}
-
-#[derive(Debug, Default)]
-struct GaugeInner {
-    live: AtomicU64,
-    peak: AtomicU64,
+    live: Gauge,
+    peak: Gauge,
 }
 
 impl MemGauge {
@@ -24,49 +21,40 @@ impl MemGauge {
         Self::default()
     }
 
+    /// A gauge over two existing gauge handles, e.g. registry rows: a
+    /// gauge built from the same rows shares its live and peak values.
+    pub fn from_gauges(live: Gauge, peak: Gauge) -> Self {
+        MemGauge { live, peak }
+    }
+
     /// Records an allocation of `bytes`.
     pub fn alloc(&self, bytes: u64) {
-        let live = self.inner.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.inner.peak.fetch_max(live, Ordering::Relaxed);
+        let live = self.live.cell().fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.cell().fetch_max(live, Ordering::Relaxed);
     }
 
     /// Records a release of `bytes`.
     pub fn free(&self, bytes: u64) {
-        let prev = self.inner.live.fetch_sub(bytes, Ordering::Relaxed);
+        let prev = self.live.cell().fetch_sub(bytes, Ordering::Relaxed);
         debug_assert!(prev >= bytes, "gauge underflow: freeing {bytes} of {prev}");
-    }
-
-    /// Adjusts by a signed delta (for resize-style updates).
-    pub fn adjust(&self, delta: i64) {
-        if delta >= 0 {
-            self.alloc(delta as u64);
-        } else {
-            self.free((-delta) as u64);
-        }
     }
 
     /// Sets the live value directly, keeping the peak (for tools that
     /// recompute a modeled total rather than tracking alloc/free deltas,
     /// e.g. archer-sim's shadow/VC accounting).
     pub fn set(&self, bytes: u64) {
-        self.inner.live.store(bytes, Ordering::Relaxed);
-        self.inner.peak.fetch_max(bytes, Ordering::Relaxed);
+        self.live.set(bytes);
+        self.peak.cell().fetch_max(bytes, Ordering::Relaxed);
     }
 
     /// Currently live bytes.
     pub fn live(&self) -> u64 {
-        self.inner.live.load(Ordering::Relaxed)
+        self.live.get()
     }
 
     /// High-water mark.
     pub fn peak(&self) -> u64 {
-        self.inner.peak.load(Ordering::Relaxed)
-    }
-
-    /// Resets both counters (between repetitions).
-    pub fn reset(&self) {
-        self.inner.live.store(0, Ordering::Relaxed);
-        self.inner.peak.store(0, Ordering::Relaxed);
+        self.peak.get()
     }
 }
 
@@ -83,11 +71,9 @@ mod tests {
         g.free(120);
         assert_eq!(g.live(), 30);
         assert_eq!(g.peak(), 150);
-        g.adjust(-30);
-        g.adjust(10);
-        assert_eq!(g.live(), 10);
-        g.reset();
-        assert_eq!((g.live(), g.peak()), (0, 0));
+        g.free(30);
+        g.alloc(10);
+        assert_eq!((g.live(), g.peak()), (10, 150));
     }
 
     #[test]
@@ -107,6 +93,20 @@ mod tests {
         let g2 = g.clone();
         g2.alloc(64);
         assert_eq!(g.live(), 64);
+    }
+
+    #[test]
+    fn gauge_over_registry_rows_is_shared_by_name() {
+        let reg = crate::Registry::new();
+        let rows =
+            || MemGauge::from_gauges(reg.gauge("m_bytes", "live"), reg.gauge("m_peak", "peak"));
+        let (a, b) = (rows(), rows());
+        a.alloc(100);
+        b.alloc(50);
+        a.free(100);
+        assert_eq!((b.live(), b.peak()), (50, 150));
+        let snap = reg.snapshot();
+        assert_eq!(snap, vec![("m_bytes".to_string(), 50.0), ("m_peak".to_string(), 150.0)]);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! read-on-demand source gauges, with Prometheus text exposition and
 //! journal snapshots.
 //!
-//! The layers' own counters (`sword_runtime::FlushCounters`,
-//! [`MemGauge`](crate::MemGauge), pool occupancy) are unified by
-//! registering *sources* — closures evaluated at
-//! snapshot/exposition time — so the hot paths keep their cheap atomics
-//! and the registry is purely a naming and export layer over them.
+//! The registry is where the layers keep their counts: the collector's
+//! flush counters, the analyzer's stage, tier and tree-memory rows are
+//! handles fetched by name once and updated with one atomic each, so
+//! every layer sharing a registry adds into the same rows. *Sources* —
+//! closures evaluated at snapshot/exposition time — are only for live
+//! state that is not a count: pool occupancy, queue depths, the
+//! collector's bounded footprint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,6 +49,11 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+
+    /// The gauge's cell, for updates other than `set` ([`crate::MemGauge`]).
+    pub(crate) fn cell(&self) -> &AtomicU64 {
+        &self.0
     }
 }
 
@@ -101,16 +108,6 @@ impl Histogram {
     /// Largest sample.
     pub fn max(&self) -> u64 {
         self.0.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
     }
 
     /// Approximate quantile (upper bound of the bucket containing it).

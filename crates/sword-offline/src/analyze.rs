@@ -5,36 +5,14 @@
 use std::io;
 use std::time::Instant;
 
-use sword_obs::{Layer, MemGauge, Obs, ThreadJournal};
-use sword_trace::{PcTable, SessionDir, SourceStats};
+use sword_obs::{Layer, Obs, ThreadJournal};
+use sword_trace::{PcTable, SessionDir};
 
 use crate::intervals::session_rows;
 use crate::load::LoadedSession;
 use crate::pipeline::Core;
 use crate::race::{Race, RaceSet};
-use crate::stages::{DurationHist, StageTable};
-
-/// Per-tier decision counters of one analysis core
-/// (`sword_solver_tier{tier=…}`): one count per candidate pair the
-/// prescreen rejected and per solve, by the tier that decided it. Clones
-/// share the counts.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TierCounters {
-    counts: std::sync::Arc<[std::sync::atomic::AtomicU64; sword_solver::Tier::ALL.len()]>,
-}
-
-impl TierCounters {
-    /// Records one pair decided by `tier`.
-    #[inline]
-    pub(crate) fn record(&self, tier: sword_solver::Tier) {
-        self.counts[tier.index()].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Pairs decided by `tier` so far.
-    pub(crate) fn get(&self, tier: sword_solver::Tier) -> u64 {
-        self.counts[tier.index()].load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
+use crate::stages::Stage;
 
 /// Analyzer configuration.
 #[derive(Clone, Debug)]
@@ -58,9 +36,11 @@ pub struct AnalysisConfig {
     /// triaged-benign races like HPCCG's same-value norm write while
     /// hunting new ones).
     pub suppressions: Vec<String>,
-    /// Observability sink (`--obs`): pipeline stages and per-task spans
-    /// go to its journal, solver latency and tree memory to its registry.
-    /// `None` (the default) keeps the analyzer entirely uninstrumented.
+    /// Observability sink (`--obs`, `--stats`): pipeline stages and
+    /// per-task spans go to its journal; stage, task, solver-tier,
+    /// log-read and tree-memory rows to its registry, where analyses
+    /// sharing it add up. `None` (the default) keeps the analyzer entirely
+    /// uninstrumented.
     pub obs: Option<Obs>,
     /// Per-source-site attribution table. When present, `compare` workers
     /// accumulate per-PC counters (accesses scanned, pairs checked,
@@ -69,11 +49,6 @@ pub struct AnalysisConfig {
     /// so the overhead of attribution itself can be measured against a
     /// clean baseline.
     pub sites: Option<sword_obs::SiteTable>,
-    /// Live bytes held in interval trees, charged while a task holds its
-    /// trees and credited when it drops them, so it reads 0 between
-    /// rounds and polls. Shared by `clone`; its peak is the analyzer's
-    /// measured tree memory (Figures 6–8).
-    pub mem_gauge: MemGauge,
 }
 
 impl Default for AnalysisConfig {
@@ -84,7 +59,6 @@ impl Default for AnalysisConfig {
             suppressions: Vec::new(),
             obs: None,
             sites: None,
-            mem_gauge: MemGauge::new(),
         }
     }
 }
@@ -134,82 +108,6 @@ impl AnalysisConfig {
         thread: impl Into<std::sync::Arc<str>>,
     ) -> Option<ThreadJournal> {
         self.obs.as_ref().map(|o| o.journal.for_thread(Layer::Offline, thread))
-    }
-
-    /// The solver-latency histogram handle, when `--obs` is on.
-    pub(crate) fn solver_hist(&self) -> Option<sword_obs::Histogram> {
-        self.obs.as_ref().map(|o| {
-            o.registry.histogram(
-                "sword_solver_call_nanos",
-                "Latency of every exact strided-overlap solve (ns)",
-            )
-        })
-    }
-
-    /// The `sword_analyzer_wide_nodes` counter, when `--obs` is on.
-    pub(crate) fn wide_nodes_counter(&self) -> Option<sword_obs::Counter> {
-        self.obs.as_ref().map(|o| {
-            o.registry.counter(
-                "sword_analyzer_wide_nodes",
-                "Tree nodes whose interval was too wide to pack into a node",
-            )
-        })
-    }
-
-    /// Registers the tree-memory gauge as registry sources (idempotent:
-    /// re-registering replaces the previous closure over the same gauge).
-    pub(crate) fn register_mem_sources(&self) {
-        if let Some(obs) = &self.obs {
-            let g = self.mem_gauge.clone();
-            obs.registry.source(
-                "sword_analyzer_tree_mem_bytes",
-                "Live bytes held in the analyzer's interval trees",
-                move || g.live() as f64,
-            );
-            let g = self.mem_gauge.clone();
-            obs.registry.source(
-                "sword_analyzer_tree_mem_peak_bytes",
-                "Peak bytes held in the analyzer's interval trees",
-                move || g.peak() as f64,
-            );
-            if let Some(sites) = &self.sites {
-                sites.register_totals(&obs.registry);
-            }
-        }
-    }
-
-    /// Registers the analysis core's activity rows (idempotent, like
-    /// [`AnalysisConfig::register_mem_sources`]): log bytes read, arena
-    /// recycling, and the core's per-tier decision counts.
-    pub(crate) fn register_core_sources(&self, sources: &SourceStats, tiers: &TierCounters) {
-        if let Some(obs) = &self.obs {
-            let s = sources.clone();
-            obs.registry.source(
-                "sword_log_read_bytes",
-                "Log bytes read from the thread log files (frame headers and fetched payloads)",
-                move || s.bytes_read() as f64,
-            );
-            let s = sources.clone();
-            obs.registry.source(
-                "sword_arena_reuse_total",
-                "Frame decodes that recycled an existing decompression arena",
-                move || s.arena_reuses() as f64,
-            );
-            let s = sources.clone();
-            obs.registry.source(
-                "sword_arena_alloc_total",
-                "Frame decodes that had to grow a decompression arena",
-                move || s.arena_allocs() as f64,
-            );
-            for tier in sword_solver::Tier::ALL {
-                let t = tiers.clone();
-                obs.registry.source(
-                    &format!("sword_solver_tier{{tier=\"{}\"}}", tier.as_str()),
-                    "Candidate pairs decided by this layer of the solver funnel",
-                    move || t.get(tier) as f64,
-                );
-            }
-        }
     }
 }
 
@@ -268,12 +166,11 @@ pub struct AnalysisStats {
     /// Total analysis wall time (the paper's single-node OA column); for
     /// a live watch, the time spent inside polls.
     pub wall_secs: f64,
-    /// Longest single task, in either mode (proxy for the paper's
-    /// distributed MT column: with one task per node, the makespan is the
-    /// longest task). A task's time is the sum of its tree builds and its
-    /// compares wherever they ran: a build another worker did for it
-    /// counts here, and once in the `tree-build` stage on that worker. So
-    /// `makespan(1)` stays the total task work.
+    /// Longest single task, in either mode: the paper's distributed MT
+    /// column when each task runs on its own node. A task's time is the
+    /// sum of its tree builds and its compares wherever they ran: a build
+    /// another worker did for it counts here, and once in the
+    /// `tree-build` stage on that worker.
     pub max_task_secs: f64,
 }
 
@@ -284,47 +181,12 @@ pub struct AnalysisResult {
     pub races: Vec<Race>,
     /// Run statistics.
     pub stats: AnalysisStats,
-    /// Fixed-bucket histogram of per-task wall seconds, for the
-    /// distributed-analysis model (bounded regardless of task count).
-    pub task_hist: DurationHist,
-    /// Per-stage wall time and throughput of the pipeline
-    /// (discover, load-meta, build-structure, pair-schedule, tree-build,
-    /// compare, dedup-report).
-    pub stages: StageTable,
 }
 
 impl AnalysisResult {
     /// Number of distinct races.
     pub fn race_count(&self) -> usize {
         self.races.len()
-    }
-
-    /// Models distributing the comparison tasks over `nodes` cluster
-    /// nodes (the paper runs its offline analysis "across a cluster of
-    /// nodes"): longest-processing-time-first greedy assignment over the
-    /// task histogram's bucket means, returning the makespan.
-    /// `makespan(1)` is exactly the total task time (bucket means
-    /// preserve the sum); with more nodes than tasks it converges to the
-    /// longest task ([`AnalysisStats::max_task_secs`], which the
-    /// histogram keeps exactly).
-    pub fn makespan(&self, nodes: usize) -> f64 {
-        let nodes = nodes.max(1);
-        let mut sorted: Vec<(f64, u64)> = self.task_hist.buckets().collect();
-        sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut loads = vec![0.0f64; nodes];
-        for (mean, count) in sorted {
-            for _ in 0..count {
-                let min = loads
-                    .iter_mut()
-                    .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-                    .expect("nodes >= 1");
-                *min += mean;
-            }
-        }
-        // Bucket means smooth individual samples, but no schedule can
-        // beat the longest task; clamping to the exact maximum keeps the
-        // many-node limit exact.
-        loads.into_iter().fold(0.0, f64::max).max(self.task_hist.max_secs())
     }
 }
 
@@ -346,19 +208,19 @@ pub(crate) fn journal_stage(
 /// Loads a session directory and analyzes it, timing the discover and
 /// load-meta stages along with the pipeline proper.
 pub fn analyze(dir: &SessionDir, config: &AnalysisConfig) -> io::Result<AnalysisResult> {
+    let core = Core::new(dir, config);
     let journal = config.journal_for("analyzer");
-    let mut stages = StageTable::new();
     let t0 = Instant::now();
     let s0 = journal.as_ref().map(|j| j.now_us());
     let threads = dir.thread_ids()?;
-    stages.record("discover", t0.elapsed().as_secs_f64(), threads.len() as u64, 0);
+    core.record(Stage::Discover, t0.elapsed().as_secs_f64(), threads.len() as u64, 0);
     journal_stage(&journal, "discover", s0, ("threads", threads.len() as f64));
     let t0 = Instant::now();
     let s0 = journal.as_ref().map(|j| j.now_us());
     let session = LoadedSession::load(dir)?;
-    stages.record("load-meta", t0.elapsed().as_secs_f64(), session.interval_count() as u64, 0);
+    core.record(Stage::LoadMeta, t0.elapsed().as_secs_f64(), session.interval_count() as u64, 0);
     journal_stage(&journal, "load-meta", s0, ("intervals", session.interval_count() as f64));
-    analyze_with_stages(&session, config, stages)
+    analyze_with(core, &session)
 }
 
 /// Analyzes an already-loaded session.
@@ -366,16 +228,11 @@ pub fn analyze_loaded(
     session: &LoadedSession,
     config: &AnalysisConfig,
 ) -> io::Result<AnalysisResult> {
-    analyze_with_stages(session, config, StageTable::new())
+    analyze_with(Core::new(&session.dir, config), session)
 }
 
-fn analyze_with_stages(
-    session: &LoadedSession,
-    config: &AnalysisConfig,
-    stages: StageTable,
-) -> io::Result<AnalysisResult> {
+fn analyze_with(mut core: Core, session: &LoadedSession) -> io::Result<AnalysisResult> {
     let start = Instant::now();
-    let mut core = Core::new(&session.dir, config, stages);
     core.round(&session.regions, session_rows(session))?;
     let mut result = core.into_result(
         session.threads.len() as u64,

@@ -19,7 +19,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use sword_itree::{IntervalTree, MergeOutcome, SummarizingBuilder};
-use sword_obs::MemGauge;
 use sword_trace::{
     AccessKind, Event, EventDecoder, LogSource, MappedLog, MemAccess, MutexId, PcId, SessionDir,
     SourceStats, ThreadId, MIN_ACCESS_BYTES,
@@ -27,6 +26,7 @@ use sword_trace::{
 
 use crate::intervals::Interval;
 use crate::pipeline::WorkerStats;
+use crate::stages::Rows;
 
 /// Slice-size hint passed to [`LogSource::read_range_with`]: 64 KiB of
 /// encoded events at a time.
@@ -571,18 +571,19 @@ impl ReaderPool {
 /// The trees of one comparison task, held while its pairs are compared
 /// and dropped with it: the analyzer keeps no tree past the task that
 /// asked for it, so a worker holds one task's trees at a time and none
-/// between rounds or polls. Held tree bytes are charged to the memory
-/// gauge and credited on drop.
-pub(crate) struct TaskTrees {
+/// between rounds or polls. With registry rows (`--obs`), held tree bytes
+/// are charged to the tree gauge and credited on drop, and wide nodes
+/// are counted.
+pub(crate) struct TaskTrees<'r> {
     /// `(data_begin, tree)` sorted by `(data_begin, tid)`: the task's
     /// file-position order.
     trees: Vec<(u64, BiTree)>,
-    mem: MemGauge,
+    rows: Option<&'r Rows>,
 }
 
-impl TaskTrees {
-    pub(crate) fn new(mem: MemGauge) -> Self {
-        TaskTrees { trees: Vec::new(), mem }
+impl<'r> TaskTrees<'r> {
+    pub(crate) fn new(rows: Option<&'r Rows>) -> Self {
+        TaskTrees { trees: Vec::new(), rows }
     }
 
     /// Builds and holds `member`'s tree; the build counts in the worker's
@@ -609,10 +610,12 @@ impl TaskTrees {
     pub(crate) fn hold(&mut self, member: &Interval, tree: BiTree, stats: &mut WorkerStats) {
         stats.trees_built += 1;
         stats.nodes += tree.node_count() as u64;
-        stats.wide_nodes += tree.tree.wide_nodes() as u64;
         stats.events += tree.accesses;
         stats.bytes_read += tree.bytes_read;
-        self.mem.alloc(tree.heap_bytes());
+        if let Some(rows) = self.rows {
+            rows.tree_mem.alloc(tree.heap_bytes());
+            rows.wide_nodes.add(tree.tree.wide_nodes() as u64);
+        }
         let key = (member.meta.data_begin, member.tid);
         let at = self.trees.partition_point(|(begin, t)| (*begin, t.tid) < key);
         self.trees.insert(at, (member.meta.data_begin, tree));
@@ -626,12 +629,12 @@ impl TaskTrees {
     }
 }
 
-impl Drop for TaskTrees {
-    /// Credits the task's trees back to the memory gauge, whose peak keeps
+impl Drop for TaskTrees<'_> {
+    /// Credits the task's trees back to the tree gauge, whose peak keeps
     /// the measured tree memory.
     fn drop(&mut self) {
-        for (_, t) in &self.trees {
-            self.mem.free(t.heap_bytes());
+        if let Some(rows) = self.rows {
+            rows.tree_mem.free(self.trees.iter().map(|(_, t)| t.heap_bytes()).sum());
         }
     }
 }
@@ -639,6 +642,7 @@ impl Drop for TaskTrees {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sword_obs::Registry;
     use sword_trace::{EventEncoder, MemAccess};
 
     fn encode(events: &[Event]) -> Vec<u8> {
@@ -943,8 +947,8 @@ mod tests {
         let locked =
             vec![Event::MutexAcquire(3), acc(0x40, AccessKind::Write, 2), Event::MutexRelease(3)];
         let (dir, members) = session_of("gauge", &[scattered(1000, 7), locked]);
-        let mem = MemGauge::new();
-        let mut trees = TaskTrees::new(mem.clone());
+        let rows = Rows::new(&Registry::new());
+        let (mem, mut trees) = (&rows.tree_mem, TaskTrees::new(Some(&rows)));
         let (mut pool, mut stats) = (ReaderPool::new(), WorkerStats::default());
         for m in &members {
             trees.build(&dir, m, &mut pool, &mut stats).unwrap();
@@ -973,12 +977,12 @@ mod tests {
     #[test]
     fn held_trees_count_their_wide_nodes() {
         let (dir, members) = session_of("wide", &[scattered(100, 3)]);
-        let mem = MemGauge::new();
-        let mut trees = TaskTrees::new(mem.clone());
+        let rows = Rows::new(&Registry::new());
+        let (mem, mut trees) = (&rows.tree_mem, TaskTrees::new(Some(&rows)));
         let (mut pool, mut stats) = (ReaderPool::new(), WorkerStats::default());
         // A tree built from a log has no wide node.
         trees.build(&dir, &members[0], &mut pool, &mut stats).unwrap();
-        assert_eq!(stats.wide_nodes, 0);
+        assert_eq!(rows.wide_nodes.get(), 0);
         // Two of three do not pack: a size of 300 and a stride of 2^24.
         let meta = AccessMeta { kind: AccessKind::Write, pc: 1, mset: 0 };
         let mut tree = IntervalTree::with_capacity(3);
@@ -996,7 +1000,7 @@ mod tests {
         let other = Interval { tid: 1, ..members[0].clone() };
         let (live, nodes) = (mem.live(), stats.nodes);
         trees.hold(&other, wide, &mut stats);
-        assert_eq!((stats.wide_nodes, stats.nodes), (2, nodes + 3));
+        assert_eq!((rows.wide_nodes.get(), stats.nodes), (2, nodes + 3));
         assert_eq!(mem.live(), live + bytes);
         drop(trees);
         std::fs::remove_dir_all(dir.path()).unwrap();
@@ -1060,10 +1064,12 @@ mod tests {
         }
         assert_eq!(big_trees, 4, "every gather interval's tree has over 64 k nodes");
 
-        let config = crate::AnalysisConfig::sequential();
-        crate::analyze(&dir, &config).unwrap();
-        assert_eq!(config.mem_gauge.live(), 0);
-        assert_eq!(config.mem_gauge.peak(), largest, "peak holds exactly one task's trees");
+        let obs = sword_obs::Obs::new();
+        crate::analyze(&dir, &crate::AnalysisConfig::sequential().with_obs(obs.clone())).unwrap();
+        let snap: HashMap<String, f64> = obs.registry.snapshot().into_iter().collect();
+        assert_eq!(snap["sword_analyzer_tree_mem_bytes"], 0.0);
+        let peak = snap["sword_analyzer_tree_mem_peak_bytes"];
+        assert_eq!(peak, largest as f64, "peak holds exactly one task's trees");
         std::fs::remove_dir_all(&path).unwrap();
     }
 

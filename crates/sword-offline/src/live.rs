@@ -30,7 +30,7 @@ use sword_trace::{PcTable, RegionRecord, SessionDir, SessionPoller};
 use crate::analyze::{AnalysisConfig, AnalysisResult};
 use crate::pipeline::Core;
 use crate::race::Race;
-use crate::stages::StageTable;
+use crate::stages::Stage;
 
 /// What one [`LiveAnalyzer::poll`] produced.
 #[derive(Clone, Debug, Default)]
@@ -88,7 +88,7 @@ impl LiveAnalyzer {
             regions: HashMap::new(),
             pcs: PcTable::new(),
             pcs_loaded: false,
-            core: Core::new(dir, config, StageTable::new()),
+            core: Core::new(dir, config),
             wall_secs: 0.0,
             finished: false,
             journal: config.journal_for("live-poller"),
@@ -104,11 +104,6 @@ impl LiveAnalyzer {
     /// Distinct races accumulated so far.
     pub fn race_count(&self) -> usize {
         self.core.races.len()
-    }
-
-    /// The per-stage timing table accumulated across polls.
-    pub fn stages(&self) -> &StageTable {
-        &self.core.stages
     }
 
     /// The PC table as currently loaded (may be empty until the run
@@ -136,7 +131,7 @@ impl LiveAnalyzer {
         let t0 = Instant::now();
         let session_delta = self.poller.poll()?;
         let new_intervals = session_delta.interval_count();
-        self.core.stages.record("load-meta", t0.elapsed().as_secs_f64(), new_intervals as u64, 0);
+        self.core.record(Stage::LoadMeta, t0.elapsed().as_secs_f64(), new_intervals as u64, 0);
         let finished = session_delta.status.is_none_or(|s| s.finished);
         self.finished = finished;
         // Regions first: any pid a new row references is covered by this

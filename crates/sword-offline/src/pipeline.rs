@@ -55,12 +55,12 @@ use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters, ThreadJournal}
 use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, ThreadId};
 
 use crate::analyze::{
-    finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats, TierCounters,
+    finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats,
 };
 use crate::build::{BiTree, ReaderPool, TaskTrees, DEFAULT_CHUNK_BYTES, OPEN_LOGS_BUDGET};
 use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
 use crate::race::{check_pair, Race, RaceSet};
-use crate::stages::{DurationHist, StageTable};
+use crate::stages::{nanos, Rows, Stage};
 use crate::verdicts::VerdictCache;
 
 /// Most tasks a worker grabs from a victim's deque in one steal.
@@ -85,9 +85,6 @@ const BYTES_PER_STARTED_THREAD: u64 = 256 << 10;
 pub(crate) struct WorkerStats {
     pub trees_built: u64,
     pub nodes: u64,
-    /// Nodes of those trees too wide to pack
-    /// ([`sword_itree::IntervalTree::wide_nodes`]).
-    pub wide_nodes: u64,
     pub events: u64,
     pub bytes_read: u64,
     pub tree_pairs: u64,
@@ -98,8 +95,6 @@ pub(crate) struct WorkerStats {
     /// across funnel configurations).
     pub prescreened: u64,
     pub max_task_secs: f64,
-    /// Fixed-footprint histogram of per-task durations.
-    pub task_hist: DurationHist,
     /// Wall time inside tree construction (the tree-build stage).
     pub build_secs: f64,
     /// Wall time inside tree comparison (the compare stage).
@@ -110,7 +105,6 @@ impl WorkerStats {
     pub(crate) fn merge(&mut self, other: &WorkerStats) {
         self.trees_built += other.trees_built;
         self.nodes += other.nodes;
-        self.wide_nodes += other.wide_nodes;
         self.events += other.events;
         self.bytes_read += other.bytes_read;
         self.tree_pairs += other.tree_pairs;
@@ -120,7 +114,6 @@ impl WorkerStats {
         if other.max_task_secs > self.max_task_secs {
             self.max_task_secs = other.max_task_secs;
         }
-        self.task_hist.merge(&other.task_hist);
         self.build_secs += other.build_secs;
         self.compare_secs += other.compare_secs;
     }
@@ -438,7 +431,6 @@ struct Done {
 struct WorkerCtx {
     pool: ReaderPool,
     journal: Option<ThreadJournal>,
-    solver_hist: Option<Histogram>,
     /// Per-site attribution accumulator (lock-free on the hot path),
     /// folded into the shared table by [`Core::into_result`].
     sites: Option<SiteCounters>,
@@ -449,8 +441,7 @@ struct Round<'a> {
     dir: &'a SessionDir,
     regions: &'a HashMap<u64, RegionRecord>,
     structure: &'a Structure,
-    config: &'a AnalysisConfig,
-    tiers: &'a TierCounters,
+    rows: Option<&'a Rows>,
     deques: &'a [Mutex<VecDeque<Task>>],
     board: &'a Board<'a>,
     /// Threads the round runs on: a split needs a second.
@@ -466,12 +457,12 @@ struct Round<'a> {
 pub(crate) struct Core {
     dir: SessionDir,
     config: AnalysisConfig,
-    /// Per-tier decision counts of every compare this core ran.
-    tiers: TierCounters,
-    /// `sword_analyzer_wide_nodes`, when `--obs` is on.
-    wide_nodes: Option<sword_obs::Counter>,
-    /// Log-source counters every worker's reader pool charges.
+    /// Its rows in the `Obs` registry, when `--obs` is on.
+    rows: Option<Rows>,
+    /// Log-source counters every worker's reader pool charges, and their
+    /// values when the registry's rows last caught up with them.
     sources: SourceStats,
+    sources_seen: [u64; 3],
     structure: Structure,
     /// One per worker thread a round has needed so far, at most
     /// `config.workers`.
@@ -480,7 +471,6 @@ pub(crate) struct Core {
     pub(crate) stats: WorkerStats,
     /// Tasks counted in the round they first existed.
     tasks: u64,
-    pub(crate) stages: StageTable,
     journal: Option<ThreadJournal>,
     sched_journal: Option<ThreadJournal>,
     reduce_journal: Option<ThreadJournal>,
@@ -488,24 +478,22 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// A core that has analyzed nothing yet, recording into `stages`.
-    pub(crate) fn new(dir: &SessionDir, config: &AnalysisConfig, stages: StageTable) -> Core {
-        config.register_mem_sources();
-        let tiers = TierCounters::default();
-        let sources = SourceStats::new();
-        config.register_core_sources(&sources, &tiers);
+    /// A core that has analyzed nothing yet.
+    pub(crate) fn new(dir: &SessionDir, config: &AnalysisConfig) -> Core {
+        if let (Some(obs), Some(sites)) = (&config.obs, &config.sites) {
+            sites.register_totals(&obs.registry);
+        }
         Core {
             dir: dir.clone(),
             config: config.clone(),
             structure: Structure::new(&VerdictCache::default()),
-            tiers,
-            wide_nodes: config.wide_nodes_counter(),
-            sources,
+            rows: config.obs.as_ref().map(|o| Rows::new(&o.registry)),
+            sources: SourceStats::new(),
+            sources_seen: [0; 3],
             workers: Vec::new(),
             races: RaceSet::new(),
             stats: WorkerStats::default(),
             tasks: 0,
-            stages,
             journal: config.journal_for("analyzer"),
             sched_journal: config.journal_for("oa-scheduler"),
             reduce_journal: config.journal_for("oa-reducer"),
@@ -534,7 +522,7 @@ impl Core {
         let groups_before = self.structure.groups.len();
         self.structure.extend(regions, rows)?;
         let new_groups = (self.structure.groups.len() - groups_before) as u64;
-        self.stages.record("build-structure", t0.elapsed().as_secs_f64(), new_groups, 0);
+        self.record(Stage::BuildStructure, t0.elapsed().as_secs_f64(), new_groups, 0);
         journal_stage(&self.journal, "build-structure", s0, ("groups", new_groups as f64));
         let (structure, config) = (&self.structure, &self.config);
         let (reduce_journal, pipe_obs) = (&self.reduce_journal, self.pipe_obs.as_ref());
@@ -599,7 +587,6 @@ impl Core {
                     OPEN_LOGS_BUDGET / config.workers.max(1),
                 ),
                 journal: config.journal_for(format!("oa-worker-{wi}")),
-                solver_hist: config.solver_hist(),
                 sites: config.sites.as_ref().map(|_| SiteCounters::new()),
             });
         }
@@ -608,8 +595,7 @@ impl Core {
             dir: &self.dir,
             regions,
             structure,
-            config,
-            tiers: &self.tiers,
+            rows: self.rows.as_ref(),
             deques: &deques,
             board: &board,
             threads,
@@ -623,7 +609,10 @@ impl Core {
         let mut first_error: Option<io::Error> = None;
         let mut dedup_secs = 0.0f64;
         let mut outcomes = 0u64;
-        // Stage: dedup-report. Merges every task's races as it arrives.
+        let (rows, sources, sources_seen) =
+            (self.rows.as_ref(), &self.sources, &mut self.sources_seen);
+        // Stage: dedup-report. Merges every task's races as it arrives,
+        // and catches the log-read rows up with the task's reads.
         let reduce_s0 = reduce_journal.as_ref().map(|j| j.now_us());
         let mut reduce = |msg: io::Result<TaskOutcome>| match msg {
             Ok(outcome) => {
@@ -637,6 +626,9 @@ impl Core {
                 }
                 races.merge(outcome.races);
                 outcomes += 1;
+                if let Some(rows) = rows {
+                    rows.catch_up_reads(sources, sources_seen);
+                }
                 dedup_secs += t0.elapsed().as_secs_f64();
             }
             // Keep going after an error so no worker blocks on a full
@@ -689,15 +681,22 @@ impl Core {
         self.races.merge(races);
         dedup_secs += t0.elapsed().as_secs_f64();
         self.tasks += first_round;
-        self.stages.record("pair-schedule", schedule_secs, scheduled, 0);
-        self.stages.record("tree-build", merged.build_secs, merged.trees_built, merged.bytes_read);
-        self.stages.record("compare", merged.compare_secs, merged.tree_pairs, 0);
+        self.record(Stage::PairSchedule, schedule_secs, scheduled, 0);
+        self.record(Stage::TreeBuild, merged.build_secs, merged.trees_built, merged.bytes_read);
+        self.record(Stage::Compare, merged.compare_secs, merged.tree_pairs, 0);
+        self.record(Stage::DedupReport, dedup_secs, outcomes, 0);
         self.stats.merge(&merged);
-        if let Some(wide) = &self.wide_nodes {
-            wide.add(merged.wide_nodes);
+        if let Some(rows) = &self.rows {
+            rows.catch_up_reads(&self.sources, &mut self.sources_seen);
         }
-        self.stages.record("dedup-report", dedup_secs, outcomes, 0);
         Ok(new_races)
+    }
+
+    /// Adds `secs`/`items`/`bytes` to `stage`'s rows, when `--obs` is on.
+    pub(crate) fn record(&self, stage: Stage, secs: f64, items: u64, bytes: u64) {
+        if let Some(rows) = &self.rows {
+            rows.stage(stage, secs, items, bytes);
+        }
     }
 
     /// The result over everything analyzed so far, for a session of
@@ -733,7 +732,7 @@ impl Core {
             ..AnalysisStats::default()
         };
         let races = finalize_races(self.races, pcs, &self.config.suppressions, &mut stats);
-        AnalysisResult { races, stats, task_hist: self.stats.task_hist, stages: self.stages }
+        AnalysisResult { races, stats }
     }
 }
 
@@ -771,7 +770,9 @@ impl<'a> Round<'a> {
             let Some(Done { result, secs, s0, tree_pairs }) = done else { continue };
             finished += 1;
             stats.max_task_secs = stats.max_task_secs.max(secs);
-            stats.task_hist.record(secs);
+            if let Some(rows) = self.rows {
+                rows.task_nanos.record(nanos(secs));
+            }
             // The task span starts this outcome's causal flow; the
             // reducer's merge instant ends it.
             let flow = self.pipe_obs.map(|p| p.obs.journal.next_flow_id());
@@ -862,7 +863,7 @@ impl<'a> Round<'a> {
     ) -> Done {
         let Finish { rest: Rest { pairs, owing, mut secs }, landed } = finish;
         let tree_pairs = stats.tree_pairs;
-        let mut trees = TaskTrees::new(self.config.mem_gauge.clone());
+        let mut trees = TaskTrees::new(self.rows);
         let mut races = RaceSet::new();
         let result = landed
             .into_iter()
@@ -901,16 +902,7 @@ impl<'a> Round<'a> {
                 continue;
             }
             stats.tree_pairs += 1;
-            let pair_stats = check_pair(
-                ta,
-                ma,
-                tb,
-                mb,
-                self.tiers,
-                races,
-                ctx.solver_hist.as_ref(),
-                ctx.sites.as_mut(),
-            );
+            let pair_stats = check_pair(ta, ma, tb, mb, self.rows, races, ctx.sites.as_mut());
             stats.candidates += pair_stats.candidates;
             stats.solver_calls += pair_stats.solver_calls;
             stats.prescreened += pair_stats.prescreened;

@@ -5,14 +5,14 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use sword_itree::for_each_candidate_pair_fp;
-use sword_obs::{Histogram, SiteCounters};
+use sword_obs::SiteCounters;
 use sword_osl::explain_concurrency;
 use sword_solver::{congruence_admissible, solve_tiered, OverlapWitness, StridedInterval, Tier};
 use sword_trace::{AccessKind, PcId, PcTable, ThreadId};
 
-use crate::analyze::TierCounters;
 use crate::build::{AccessMeta, BiTree};
 use crate::intervals::Interval;
+use crate::stages::Rows;
 
 /// Dedup key: the unordered pair of source locations, which is how the
 /// paper's tables count races.
@@ -363,27 +363,25 @@ fn side_key(
 /// `ca`/`cb` carry each tree's barrier-interval provenance (labels, log
 /// byte ranges) into the evidence record.
 ///
-/// `solver_nanos`, when present, receives the latency of every exact
-/// solve (the registry's `sword_solver_call_nanos` histogram); timing is
-/// taken only around the solver itself, so candidate filtering stays
-/// unmeasured and uninstrumented runs pay nothing.
+/// `rows`, when present (`--obs`), count the deciding funnel tier of
+/// each solve and each prescreened pair, and receive the latency of
+/// every exact solve (the registry's `sword_solver_call_nanos`
+/// histogram); timing is taken only around the solver itself, so
+/// candidate filtering stays unmeasured and uninstrumented runs pay
+/// nothing.
 ///
 /// `sites`, when present, accumulates per-PC attribution (accesses
 /// scanned, pairs checked, solver calls, racy pairs).
 ///
-/// Every pair that survives the screens is one `solve_tiered` call:
-/// `solver_calls` counts them, the latency histogram records each, and
-/// `tiers` counts the deciding funnel tier of each solve and each
-/// prescreened pair.
-#[allow(clippy::too_many_arguments)]
+/// Every pair that survives the screens is one `solve_tiered` call, and
+/// `solver_calls` counts them.
 pub(crate) fn check_pair(
     a: &BiTree,
     ca: &Interval,
     b: &BiTree,
     cb: &Interval,
-    tiers: &TierCounters,
+    rows: Option<&Rows>,
     races: &mut RaceSet,
-    solver_nanos: Option<&Histogram>,
     sites: Option<&mut SiteCounters>,
 ) -> PairStats {
     let mut stats = PairStats::default();
@@ -406,7 +404,9 @@ pub(crate) fn check_pair(
         // refuse, so verdicts are unchanged.
         if !congruence_admissible(ia, fa, ib, fb) {
             stats.prescreened += 1;
-            tiers.record(Tier::Prescreen);
+            if let Some(rows) = rows {
+                rows.tier(Tier::Prescreen);
+            }
             return;
         }
         // Canonical side order: the solve and its witness must not
@@ -434,12 +434,12 @@ pub(crate) fn check_pair(
         if let Some(s) = sites.as_deref_mut() {
             s.solve(m0.pc, m1.pc);
         }
-        let t0 = solver_nanos.map(|_| Instant::now());
+        let t0 = rows.map(|_| Instant::now());
         let (witness, tier) = solve_tiered(i0, i1, true);
-        if let (Some(hist), Some(t0)) = (solver_nanos, t0) {
-            hist.record(t0.elapsed().as_nanos() as u64);
+        if let (Some(rows), Some(t0)) = (rows, t0) {
+            rows.call_nanos.record(t0.elapsed().as_nanos() as u64);
+            rows.tier(tier);
         }
-        tiers.record(tier);
         if let Some(w) = witness {
             if let Some(s) = sites.as_deref_mut() {
                 s.race(m0.pc, m1.pc);
@@ -571,18 +571,16 @@ mod tests {
         AccessMeta { kind, pc, mset }
     }
 
-    /// Runs `check_pair` with a throwaway tier-counter set.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs `check_pair` without registry rows.
     fn run_pair(
         a: &BiTree,
         ca: &Interval,
         b: &BiTree,
         cb: &Interval,
         races: &mut RaceSet,
-        hist: Option<&Histogram>,
         sites: Option<&mut SiteCounters>,
     ) -> PairStats {
-        check_pair(a, ca, b, cb, &TierCounters::default(), races, hist, sites)
+        check_pair(a, ca, b, cb, None, races, sites)
     }
 
     #[test]
@@ -592,11 +590,11 @@ mod tests {
         let b =
             tree_of(1, &[(StridedInterval::new(0x100, 8, 99, 8), meta(AccessKind::Read, 2, 0))]);
         let mut races = RaceSet::new();
-        let hist = Histogram::default();
-        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, Some(&hist), None);
+        let rows = Rows::new(&sword_obs::Registry::new());
+        let stats = check_pair(&a, &ctx_of(0), &b, &ctx_of(1), Some(&rows), &mut races, None);
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.solver_calls, 1);
-        assert_eq!(hist.count(), 1, "each exact solve records one latency sample");
+        assert_eq!(rows.call_nanos.count(), 1, "each exact solve records one latency sample");
         assert_eq!(races.len(), 1);
         let race = races.into_sorted().pop().unwrap();
         assert_eq!(race.key, RaceKey::new(1, 2));
@@ -627,9 +625,9 @@ mod tests {
         let b =
             tree_of(1, &[(StridedInterval::new(0x104, 16, 50, 8), meta(AccessKind::Write, 9, 0))]);
         let mut fwd = RaceSet::new();
-        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut fwd, None, None);
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut fwd, None);
         let mut rev = RaceSet::new();
-        run_pair(&b, &ctx_of(1), &a, &ctx_of(0), &mut rev, None, None);
+        run_pair(&b, &ctx_of(1), &a, &ctx_of(0), &mut rev, None);
         assert!(!fwd.is_empty(), "the pair overlaps, so a race is recorded");
         assert_eq!(fwd.into_sorted(), rev.into_sorted());
     }
@@ -641,7 +639,7 @@ mod tests {
         let b = tree_of(1, &[(StridedInterval::new(0x100, 8, 9, 8), meta(AccessKind::Read, 2, 0))]);
         let mut races = RaceSet::new();
         let mut sites = SiteCounters::new();
-        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, Some(&mut sites));
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, Some(&mut sites));
         let table = sword_obs::SiteTable::new();
         table.absorb(sites);
         let snap = table.snapshot();
@@ -659,7 +657,7 @@ mod tests {
         let a = tree_of(0, &[(StridedInterval::new(0x100, 8, 9, 8), meta(AccessKind::Read, 1, 0))]);
         let b = tree_of(1, &[(StridedInterval::new(0x100, 8, 9, 8), meta(AccessKind::Read, 2, 0))]);
         let mut races = RaceSet::new();
-        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, None);
+        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None);
         assert_eq!(stats.solver_calls, 0);
         assert!(races.is_empty());
     }
@@ -672,7 +670,7 @@ mod tests {
         assert!(!writes_reach(&a, &b), "two readers over one range");
         let mut races = RaceSet::new();
         let mut sites = SiteCounters::new();
-        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, Some(&mut sites));
+        let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, Some(&mut sites));
         assert_eq!(stats, PairStats::default());
         assert!(races.is_empty());
         let table = sword_obs::SiteTable::new();
@@ -693,7 +691,7 @@ mod tests {
             !writes_reach(&a, &far) && !writes_reach(&far, &a),
             "its write lies past a's range"
         );
-        let stats = run_pair(&a, &ctx_of(0), &far, &ctx_of(2), &mut races, None, None);
+        let stats = run_pair(&a, &ctx_of(0), &far, &ctx_of(2), &mut races, None);
         assert_eq!(stats, PairStats::default());
     }
 
@@ -702,7 +700,7 @@ mod tests {
         let a = tree_of(0, &[(StridedInterval::single(0x100, 8), meta(AccessKind::Write, 1, 1))]);
         let b = tree_of(1, &[(StridedInterval::single(0x100, 8), meta(AccessKind::Write, 2, 1))]);
         let mut races = RaceSet::new();
-        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, None);
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None);
         assert!(races.is_empty());
     }
 
@@ -714,12 +712,15 @@ mod tests {
         let a = tree_of(0, &[(StridedInterval::new(10, 8, 4, 4), meta(AccessKind::Write, 1, 0))]);
         let b = tree_of(1, &[(StridedInterval::new(14, 8, 4, 4), meta(AccessKind::Write, 2, 0))]);
         let mut races = RaceSet::new();
-        let tiers = TierCounters::default();
-        let stats = check_pair(&a, &ctx_of(0), &b, &ctx_of(1), &tiers, &mut races, None, None);
+        let reg = sword_obs::Registry::new();
+        let rows = Rows::new(&reg);
+        let stats = check_pair(&a, &ctx_of(0), &b, &ctx_of(1), Some(&rows), &mut races, None);
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.solver_calls, 0, "the prescreen retired the pair");
         assert_eq!(stats.prescreened, 1);
-        assert_eq!(tiers.get(Tier::Prescreen), 1);
+        let snap = reg.snapshot();
+        let row = |name: &str| snap.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+        assert_eq!(row("sword_solver_tier{tier=\"prescreen\"}"), Some(1.0));
         assert!(races.is_empty());
     }
 
@@ -739,7 +740,7 @@ mod tests {
         let a = tree_of(0, &nodes_a);
         let b = tree_of(1, &nodes_b);
         let mut races = RaceSet::new();
-        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None, None);
+        run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, None);
         assert_eq!(races.len(), 1);
         assert_eq!(races.raw_pairs, 10);
         let race = &races.into_sorted()[0];

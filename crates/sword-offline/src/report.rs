@@ -176,16 +176,7 @@ mod tests {
     use super::*;
     use crate::analyze::{AnalysisResult, AnalysisStats};
     use crate::race::{Race, RaceKey};
-    use crate::stages::{DurationHist, StageTable};
     use sword_trace::AccessKind;
-
-    fn sample_hist(secs: &[f64]) -> DurationHist {
-        let mut h = DurationHist::new();
-        for &s in secs {
-            h.record(s);
-        }
-        h
-    }
 
     fn sample() -> (AnalysisResult, PcTable) {
         let mut pcs = PcTable::new();
@@ -203,8 +194,6 @@ mod tests {
                 evidence: crate::race::test_evidence(a, b, 0x100),
             }],
             stats: AnalysisStats { threads: 2, races: 1, ..Default::default() },
-            task_hist: sample_hist(&[0.1]),
-            stages: StageTable::new(),
         };
         (result, pcs)
     }
@@ -241,12 +230,7 @@ mod tests {
 
     #[test]
     fn json_empty_result() {
-        let result = AnalysisResult {
-            races: vec![],
-            stats: AnalysisStats::default(),
-            task_hist: DurationHist::new(),
-            stages: StageTable::new(),
-        };
+        let result = AnalysisResult { races: vec![], stats: AnalysisStats::default() };
         let json = render_json(&result, &PcTable::new());
         assert!(json.contains("\"races\": [\n  ]"));
     }
@@ -257,12 +241,7 @@ mod tests {
         let text = render_text(&result, &pcs);
         assert!(text.contains("1 data race(s)"));
         assert!(text.contains("kernel.rs:20"));
-        let empty = AnalysisResult {
-            races: vec![],
-            stats: AnalysisStats::default(),
-            task_hist: DurationHist::new(),
-            stages: StageTable::new(),
-        };
+        let empty = AnalysisResult { races: vec![], stats: AnalysisStats::default() };
         assert!(render_text(&empty, &pcs).contains("no data races detected"));
     }
 

@@ -2,10 +2,12 @@
 //! collector, then the offline analyzer must find exactly the planted
 //! races — and nothing else.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sword_offline::{analyze, AnalysisConfig, AnalysisResult};
+use sword_obs::Obs;
+use sword_offline::{analyze, AnalysisConfig, AnalysisResult, LiveAnalyzer};
 use sword_ompsim::{DepMode, OmpSim, Sequencer, SimConfig};
 use sword_runtime::{run_collected, SwordConfig};
 use sword_trace::SessionDir;
@@ -674,6 +676,57 @@ fn corrupted_sessions_error_instead_of_panicking() {
 }
 
 #[test]
+fn a_bid_past_u32_is_an_error_not_a_race() {
+    // Thread 0 writes before the barrier and thread 1 after it: no race.
+    // Damaging thread 1's row to bid 2^32 + (thread 0's bid) must not file
+    // it into thread 0's barrier interval, where the two would compare
+    // as concurrent.
+    let dir = session_dir("bid-past-u32");
+    run_collected(SwordConfig::new(&dir), SimConfig::default(), |sim| {
+        let a = sim.alloc::<f64>(1, 0.0);
+        sim.run(|ctx| {
+            ctx.parallel(2, |w| {
+                if w.team_index() == 0 {
+                    w.write(&a, 0, 1.0);
+                }
+                w.barrier();
+                if w.team_index() == 1 {
+                    w.write(&a, 0, 2.0);
+                }
+            });
+        });
+    })
+    .unwrap();
+    let session = SessionDir::new(&dir);
+    let sane = analyze(&session, &AnalysisConfig::sequential()).unwrap();
+    assert_eq!(sane.race_count(), 0);
+    let tids = session.thread_ids().unwrap();
+    assert_eq!(tids.len(), 2);
+    let rows = |tid| std::fs::read_to_string(session.thread_meta(tid)).unwrap();
+    // Columns: pid, ppid, bid, offset, span, level, data_begin, size.
+    let writing_bid = |text: &str| -> u64 {
+        let row = text.lines().map(|l| l.split('\t').collect::<Vec<_>>()).find(|c| c[7] != "0");
+        row.expect("a row with accesses")[2].parse().unwrap()
+    };
+    let (first, second) = (rows(tids[0]), rows(tids[1]));
+    let damaged_bid = (1u64 << 32) + writing_bid(&first);
+    let damaged: Vec<String> = second
+        .lines()
+        .map(|line| {
+            let mut cols: Vec<String> = line.split('\t').map(str::to_string).collect();
+            if cols[7] != "0" {
+                cols[2] = damaged_bid.to_string();
+            }
+            cols.join("\t")
+        })
+        .collect();
+    std::fs::write(session.thread_meta(tids[1]), damaged.join("\n") + "\n").unwrap();
+    let err = analyze(&session, &AnalysisConfig::sequential()).map(|r| r.races.len());
+    assert!(err.is_err(), "a damaged bid analyzed as {err:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn focus_regions_restricts_analysis() {
     // Two racy regions; focusing on one must report only its races (and
     // do strictly less work).
@@ -705,41 +758,18 @@ fn focus_regions_restricts_analysis() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The makespan model's contract on `result`: one node does all the
-/// task work, more nodes never take longer, and no number of nodes beats
-/// the longest task.
-fn assert_makespan_monotone(result: &AnalysisResult) {
-    assert!(result.task_hist.count() > 0);
-    let total: f64 = result.task_hist.total_secs();
-    let m1 = result.makespan(1);
-    assert!((m1 - total).abs() < 1e-9, "one node does all the work");
-    let mut prev = m1;
-    for nodes in [2usize, 4, 8, 1000] {
-        let m = result.makespan(nodes);
-        assert!(m <= prev + 1e-12, "makespan must not grow with more nodes");
-        assert!(m >= result.stats.max_task_secs - 1e-12, "bounded below by the longest task");
-        prev = m;
-    }
-    assert!((result.makespan(100_000) - result.stats.max_task_secs).abs() < 1e-9);
+/// Registry rows of `obs`, by name.
+fn registry_rows(obs: &Obs) -> BTreeMap<String, f64> {
+    obs.registry.snapshot().into_iter().collect()
+}
+
+/// `stage`'s `metric` row.
+fn stage_row(rows: &BTreeMap<String, f64>, metric: &str, stage: &str) -> f64 {
+    rows[&format!("{metric}{{stage=\"{stage}\"}}")]
 }
 
 #[test]
-fn makespan_model_is_monotone() {
-    let result = pipeline("makespan", |sim| {
-        let a = sim.alloc::<f64>(500, 0.0);
-        sim.run(|ctx| {
-            ctx.parallel(4, |w| {
-                for _phase in 0..6 {
-                    w.for_static(0..500, |i| {
-                        let v = w.read(&a, i);
-                        w.write(&a, i, v + 1.0);
-                    });
-                }
-            });
-        });
-    });
-    assert_makespan_monotone(&result);
-
+fn task_samples_cover_the_build_and_compare_work() {
     // A gather whose two trees carry far more than 256 KiB of log each:
     // at two workers its task's builds are shared, and the task's sample
     // is still the sum of its builds and compares, wherever they ran.
@@ -753,8 +783,9 @@ fn makespan_model_is_monotone() {
             x % (4 * n)
         })
         .collect();
-    let config = AnalysisConfig::sequential().with_workers(2);
-    let result = pipeline_with("makespan-split", config, |sim| {
+    let obs = Obs::new();
+    let config = AnalysisConfig::sequential().with_workers(2).with_obs(obs.clone());
+    let result = pipeline_with("task-split", config, |sim| {
         let src = sim.alloc::<u64>(4 * n, 1);
         sim.run(|ctx| {
             ctx.parallel(2, |w| {
@@ -765,16 +796,113 @@ fn makespan_model_is_monotone() {
         });
     });
     assert_eq!((result.stats.tasks, result.stats.trees_built), (1, 2));
-    assert_makespan_monotone(&result);
+    let rows = registry_rows(&obs);
+    assert_eq!(rows["sword_analyzer_task_nanos_count"], 1.0);
     // Every build belongs to one task, so the task samples cover the
     // tree-build and compare stages, builds of another worker included.
-    let stage = |name: &str| result.stages.get(name).map_or(0.0, |s| s.busy_secs);
-    let work = stage("tree-build") + stage("compare");
-    assert!(
-        result.makespan(1) >= work - 1e-9,
-        "task work {} < stage work {work}",
-        result.makespan(1)
-    );
+    let busy = |stage| stage_row(&rows, "sword_stage_busy_nanos", stage);
+    let work = busy("tree-build") + busy("compare");
+    let tasks = rows["sword_analyzer_task_nanos_sum"];
+    assert!(tasks >= work, "task work {tasks} ns < stage work {work} ns");
+    assert!(rows["sword_analyzer_task_nanos_max"] * 1e-9 <= result.stats.max_task_secs + 1e-9);
+}
+
+/// Collects `program` into a fresh session directory.
+fn collect(tag: &str, program: impl FnOnce(&OmpSim)) -> SessionDir {
+    let dir = session_dir(tag);
+    run_collected(SwordConfig::new(&dir), SimConfig::default(), program).expect("collection");
+    SessionDir::new(&dir)
+}
+
+/// Four threads over six barrier-separated phases: many tasks and trees.
+fn phases(sim: &OmpSim) {
+    let a = sim.alloc::<f64>(500, 0.0);
+    sim.run(|ctx| {
+        ctx.parallel(4, |w| {
+            for _phase in 0..6 {
+                w.for_static(0..500, |i| {
+                    let v = w.read(&a, i);
+                    w.write(&a, i, v + 1.0);
+                });
+            }
+        });
+    });
+}
+
+#[test]
+fn stage_rows_agree_with_analysis_stats() {
+    let session = collect("stage-rows", phases);
+    let check = |mode: &str, obs: &Obs, result: &AnalysisResult| {
+        let rows = registry_rows(obs);
+        let s = &result.stats;
+        let items = |stage| stage_row(&rows, "sword_stage_items_total", stage);
+        assert_eq!(items("tree-build"), s.trees_built as f64, "{mode}: trees");
+        assert_eq!(items("compare"), s.tree_pairs as f64, "{mode}: tree pairs");
+        let bytes = stage_row(&rows, "sword_stage_bytes_total", "tree-build");
+        assert_eq!(bytes, s.bytes_read as f64, "{mode}: bytes");
+        assert!(s.trees_built > 0 && s.tree_pairs > 0, "{mode}: no work");
+    };
+    for workers in [1, 2] {
+        let obs = Obs::new();
+        let config = AnalysisConfig::sequential().with_workers(workers).with_obs(obs.clone());
+        let result = analyze(&session, &config).expect("batch");
+        check(&format!("batch at {workers} workers"), &obs, &result);
+        let rows = registry_rows(&obs);
+        assert_eq!(stage_row(&rows, "sword_stage_items_total", "discover"), 4.0, "threads");
+    }
+    let obs = Obs::new();
+    let mut live = LiveAnalyzer::new(&session, &AnalysisConfig::sequential().with_obs(obs.clone()));
+    assert!(live.poll().expect("poll").finished);
+    let result = live.into_result().expect("live");
+    check("live", &obs, &result);
+    std::fs::remove_dir_all(session.path()).unwrap();
+}
+
+#[test]
+fn a_shared_registry_adds_up_its_analyses() {
+    let first = collect("shared-a", |sim| {
+        let c = sim.alloc::<u64>(1, 0);
+        sim.run(|ctx| {
+            ctx.parallel(4, |w| {
+                let v = w.read(&c, 0);
+                w.write(&c, 0, v + 1);
+            });
+        });
+    });
+    let second = collect("shared-b", |sim| {
+        let a = sim.alloc::<i64>(1000, 0);
+        sim.run(|ctx| {
+            ctx.parallel(2, |w| {
+                w.for_static(1..1000, |i| {
+                    let v = w.read(&a, i - 1);
+                    w.write(&a, i, v);
+                });
+            });
+        });
+    });
+    let run = |session: &SessionDir, obs: &Obs| {
+        analyze(session, &AnalysisConfig::sequential().with_obs(obs.clone())).expect("analysis");
+    };
+    let (solo_a, solo_b, shared) = (Obs::new(), Obs::new(), Obs::new());
+    run(&first, &solo_a);
+    run(&second, &solo_b);
+    run(&first, &shared);
+    run(&second, &shared);
+    let (a, b, both) = (registry_rows(&solo_a), registry_rows(&solo_b), registry_rows(&shared));
+    let mut summed =
+        vec!["sword_log_read_bytes".to_string(), "sword_solver_call_nanos_count".into()];
+    summed.extend(both.keys().filter(|k| k.starts_with("sword_solver_tier{")).cloned());
+    assert_eq!(summed.len(), 2 + 6);
+    for row in &summed {
+        assert_eq!(both[row], a[row] + b[row], "{row}");
+    }
+    let solves = "sword_solver_call_nanos_count";
+    assert!(a[solves] > 0.0 && b[solves] > 0.0, "both analyses solve");
+    let peak = "sword_analyzer_tree_mem_peak_bytes";
+    assert!(both[peak] >= a[peak].max(b[peak]) && a[peak] > 0.0 && b[peak] > 0.0);
+    for session in [first, second] {
+        std::fs::remove_dir_all(session.path()).unwrap();
+    }
 }
 
 /// Region-count scaling stress (the LULESH blow-up at larger scale).
@@ -832,8 +960,8 @@ fn stats_are_coherent() {
 fn obs_journals_every_stage_and_gauges_tree_memory() {
     // An instrumented analysis must journal every pipeline stage with
     // Offline-layer attribution, record solver latencies, and measure a
-    // non-zero tree-memory peak through the shared gauge.
-    use sword_obs::{Layer, Obs};
+    // non-zero tree-memory peak through the registry's gauge.
+    use sword_obs::Layer;
 
     let obs = Obs::new();
     let config = AnalysisConfig::sequential().with_obs(obs.clone());
@@ -873,8 +1001,6 @@ fn obs_journals_every_stage_and_gauges_tree_memory() {
         snapshot["sword_analyzer_tree_mem_bytes"], 0.0,
         "all trees released once analysis finishes"
     );
-    assert_eq!(config.mem_gauge.live(), 0);
-    assert!(config.mem_gauge.peak() > 0);
     // Every node a log builds packs: the row exists and reads 0.
     assert_eq!(snapshot["sword_analyzer_wide_nodes"], 0.0);
 }
@@ -882,10 +1008,10 @@ fn obs_journals_every_stage_and_gauges_tree_memory() {
 #[test]
 fn uninstrumented_analysis_records_nothing() {
     // The default config must stay observability-free: no journal, no
-    // registry, no gauges beyond the (inert) shared MemGauge.
+    // registry, no gauges.
     let config = AnalysisConfig::sequential();
     assert!(config.obs.is_none());
-    let result = pipeline_with("obs-off", config.clone(), |sim| {
+    let result = pipeline_with("obs-off", config, |sim| {
         let a = sim.alloc::<i64>(100, 0);
         sim.run(|ctx| {
             ctx.parallel(2, |w| {
@@ -896,8 +1022,6 @@ fn uninstrumented_analysis_records_nothing() {
         });
     });
     assert_eq!(result.race_count(), 0);
-    // The gauge still balances even when nobody reads it.
-    assert_eq!(config.mem_gauge.live(), 0);
 }
 
 #[test]

@@ -16,6 +16,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use sword_obs::Obs;
 use sword_offline::{analyze, AnalysisConfig, AnalysisResult, LiveAnalyzer};
 use sword_ompsim::{OmpSim, SimConfig};
 use sword_runtime::{run_collected, SwordCollector, SwordConfig};
@@ -39,7 +40,8 @@ fn record(tag: &str, program: impl FnOnce(&OmpSim)) -> PathBuf {
 /// may only run ahead of the rows that reference them), while each
 /// thread's meta file grows by `step` rows per publish. The analyzer is
 /// polled after every publish — including empty ones — and must hold no
-/// tree between polls; its final result is returned.
+/// tree between polls (read from the registry's tree gauge; a fresh `Obs`
+/// is attached when `config` carries none); its final result is returned.
 fn staged_replay(
     src: &SessionDir,
     tag: &str,
@@ -69,6 +71,10 @@ fn staged_replay(
         .collect();
     let max_rows = metas.iter().map(|(_, lines)| lines.len()).max().unwrap_or(0);
 
+    let obs = config.obs.clone().unwrap_or_default();
+    let config = &config.clone().with_obs(obs.clone());
+    // The live bytes of the registry's tree gauge.
+    let tree_bytes = || obs.registry.gauge("sword_analyzer_tree_mem_bytes", "").get();
     let mut live = LiveAnalyzer::new(&dst, config);
     let mut revealed = 0usize;
     let mut generation = 0u64;
@@ -87,7 +93,7 @@ fn staged_replay(
         dst.write_live(LiveStatus { generation, finished: revealed >= max_rows })
             .expect("publish watermark");
         let delta = live.poll().expect("poll");
-        assert_eq!(config.mem_gauge.live(), 0, "a tree outlived its poll");
+        assert_eq!(tree_bytes(), 0, "a tree outlived its poll");
         if delta.finished {
             break;
         }
@@ -95,7 +101,7 @@ fn staged_replay(
     // An idle poll after completion must be a no-op.
     let idle = live.poll().expect("idle poll");
     assert!(idle.new_intervals == 0 && idle.new_races.is_empty(), "idle poll changed state");
-    assert_eq!(config.mem_gauge.live(), 0, "an idle poll holds a tree");
+    assert_eq!(tree_bytes(), 0, "an idle poll holds a tree");
     let result = live.into_result().expect("live result");
     std::fs::remove_dir_all(&dir).unwrap();
     result
@@ -298,8 +304,6 @@ fn no_tree_outlives_its_poll() {
     // them, so between polls (the replay asserts it after each one) the
     // analyzer holds no tree, on one worker or on several that share a
     // task's builds.
-    use sword_obs::Obs;
-
     for (tag, program) in
         [("t-mixed", mixed_workload as fn(&OmpSim)), ("t-gather", gather_workload)]
     {
@@ -309,7 +313,8 @@ fn no_tree_outlives_its_poll() {
             let obs = Obs::new();
             let config = AnalysisConfig::sequential().with_workers(workers).with_obs(obs.clone());
             let live = staged_replay(&src, &format!("{tag}-{workers}"), &config, 1);
-            assert!(live.stats.tree_pairs > 0 && config.mem_gauge.peak() > 0, "{tag}: no trees");
+            let peak = obs.registry.gauge("sword_analyzer_tree_mem_peak_bytes", "").get();
+            assert!(live.stats.tree_pairs > 0 && peak > 0, "{tag}: no trees");
             let shared = obs.journal.drain().iter().any(|e| e.name == "build");
             assert_eq!(shared, tag == "t-gather" && workers > 1, "{tag} at {workers} workers");
         }
@@ -391,8 +396,6 @@ fn live_polls_run_on_the_worker_pool() {
     // all. Which worker finishes which task is the scheduler's call: the
     // tasks here take microseconds, and worker 0 may finish all of them
     // before worker 1 starts, so only the shares are counted on.
-    use sword_obs::Obs;
-
     let dir = record("pool", many_tasks_workload);
     let src = SessionDir::new(&dir);
     let obs = Obs::new();

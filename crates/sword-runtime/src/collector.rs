@@ -47,7 +47,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sword_compress::{encode_frame_into, Compressor};
-use sword_obs::{FlowPhase, Gauge, Histogram, Journal, JournalSink, Layer, Obs, ThreadJournal};
+use sword_obs::{
+    FlowPhase, Gauge, Histogram, Journal, JournalSink, Layer, Obs, Registry, ThreadJournal,
+};
 use sword_ompsim::{
     OmpSim, ParallelBeginInfo, SimConfig, TaskCreateInfo, TaskUid, ThreadContext, Tool,
 };
@@ -56,7 +58,7 @@ use sword_trace::{
     SessionDir, ThreadId,
 };
 
-use crate::flush_stats::{FlushCounters, FlushSnapshot};
+use crate::flush_stats::{FlushRows, FlushSnapshot};
 use crate::lock;
 use crate::pool::BufferPool;
 use crate::thread_log::{Hot, ThreadLog, MAX_EVENT_BYTES, PAPER_BUFFER_EVENTS};
@@ -75,11 +77,13 @@ pub struct SwordConfig {
     /// Compression workers between the app threads and the ordered file
     /// writer (at least 1).
     pub compress_workers: usize,
-    /// Observability context. When set, the collector journals spans
-    /// (flush handoffs, compression, writes) to `<session>/obs.jsonl`,
-    /// registers its flush/pool/memory metrics as registry sources, and
+    /// Observability context. When set, the collector counts its flush
+    /// path into its registry (and not into one of its own), journals
+    /// spans (flush handoffs, compression, writes) to
+    /// `<session>/obs.jsonl`, registers its pool and memory sources, and
     /// writes `<session>/metrics.prom` at finalize. `None` (default)
-    /// records nothing beyond the always-on [`FlushCounters`].
+    /// records nothing beyond the flush counts [`SwordStats::flush`]
+    /// reads.
     pub obs: Option<Obs>,
 }
 
@@ -460,7 +464,7 @@ fn compression_worker(
     rx: Arc<Mutex<Receiver<FlushJob>>>,
     writer_tx: Sender<WriteJob>,
     pool: Arc<BufferPool>,
-    counters: Arc<FlushCounters>,
+    flush: FlushRows,
     obs: Option<(ThreadJournal, StageObs)>,
 ) {
     let mut compressor = Compressor::new();
@@ -479,7 +483,9 @@ fn compression_worker(
         let mut frame = Vec::new();
         encode_frame_into(&mut compressor, &job.block, &mut frame);
         let raw_len = job.block.len() as u64;
-        counters.add_compress(elapsed_nanos(start), raw_len, frame.len() as u64);
+        flush.compress_nanos.add(elapsed_nanos(start));
+        flush.raw_bytes.add(raw_len);
+        flush.compressed_bytes.add(frame.len() as u64);
         if let (Some((journal, _)), Some(t0)) = (&obs, t0) {
             journal.span_closed_flow(
                 "compress",
@@ -507,7 +513,7 @@ fn compression_worker(
 /// only after the file write (and, in live mode, a flush) completes.
 fn write_one(
     shared: &Inner,
-    counters: &FlushCounters,
+    flush: &FlushRows,
     live: bool,
     writers: &mut HashMap<ThreadId, LogWriter<BufWriter<File>>>,
     last_publish: &mut Instant,
@@ -524,7 +530,7 @@ fn write_one(
         }
     };
     w.write_encoded_block(&job.frame, job.raw_len)?;
-    counters.add_write(elapsed_nanos(start));
+    flush.write_nanos.add(elapsed_nanos(start));
     if let (Some(o), Some(t0)) = (obs, t0) {
         if let Some(tag) = job.trace {
             o.stage.write_wait_us.record(t0.saturating_sub(tag.enqueued_us));
@@ -550,40 +556,10 @@ fn write_one(
     Ok(())
 }
 
-/// Registers the collector's always-on metrics as registry sources:
-/// flush-path counters, pool occupancy, and the bounded tool-memory
-/// figure. Sources are read-on-demand closures over the existing atomics,
-/// so registration adds zero hot-path work — the registry is a naming and
-/// export layer, not a second accounting mechanism.
-fn register_collector_sources(
-    obs: &Obs,
-    counters: &Arc<FlushCounters>,
-    pool: &Arc<BufferPool>,
-    inner: &Arc<Inner>,
-) {
+/// Registers the collector's live state as registry sources: pool
+/// occupancy and the bounded tool-memory figure, read at snapshot time.
+fn register_collector_sources(obs: &Obs, pool: &Arc<BufferPool>, inner: &Arc<Inner>) {
     let reg = &obs.registry;
-    let c = Arc::clone(counters);
-    reg.source("sword_flushes_total", "buffer flush handoffs", move || c.snapshot().flushes as f64);
-    let c = Arc::clone(counters);
-    reg.source("sword_flush_stall_nanos", "app-thread backpressure stall time", move || {
-        c.snapshot().stall_nanos as f64
-    });
-    let c = Arc::clone(counters);
-    reg.source("sword_flush_compress_nanos", "compression busy time", move || {
-        c.snapshot().compress_nanos as f64
-    });
-    let c = Arc::clone(counters);
-    reg.source("sword_flush_write_nanos", "file-writer busy time", move || {
-        c.snapshot().write_nanos as f64
-    });
-    let c = Arc::clone(counters);
-    reg.source("sword_flush_raw_bytes", "uncompressed bytes flushed", move || {
-        c.snapshot().raw_bytes as f64
-    });
-    let c = Arc::clone(counters);
-    reg.source("sword_flush_compressed_bytes", "compressed bytes written", move || {
-        c.snapshot().compressed_bytes as f64
-    });
     let p = Arc::clone(pool);
     reg.source("sword_pool_buffers_free", "drained spare buffers in the pool", move || {
         p.occupancy().0 as f64
@@ -631,7 +607,7 @@ pub struct SwordCollector {
     writer: Mutex<Option<JoinHandle<io::Result<WriterTotals>>>>,
     progress: Arc<Progress>,
     pool: Arc<BufferPool>,
-    counters: Arc<FlushCounters>,
+    flush: FlushRows,
     /// Global flush handoff order; the ordered writer restores it.
     flush_seq: AtomicU64,
     writer_totals: Mutex<Option<(u64, u64)>>,
@@ -658,7 +634,8 @@ impl SwordCollector {
             #[cfg(test)]
             probes: Probes::default(),
         });
-        let counters = Arc::new(FlushCounters::new());
+        let flush =
+            FlushRows::new(&config.obs.as_ref().map_or_else(Registry::new, |o| o.registry.clone()));
         let worker_count = config.compress_workers.max(1);
         // Budget: one in-flight slot per worker now; two more per thread
         // as each registers (double buffering) — see `slot`.
@@ -668,7 +645,7 @@ impl SwordCollector {
             Some(obs) => {
                 let sink = JournalSink::create(inner.session.obs_path())?;
                 let ctx = Arc::new(CollectorObs { obs: obs.clone(), sink: Mutex::new((sink, 0)) });
-                register_collector_sources(obs, &counters, &pool, &inner);
+                register_collector_sources(obs, &pool, &inner);
                 Some(ctx)
             }
             None => None,
@@ -683,7 +660,7 @@ impl SwordCollector {
             let rx = Arc::clone(&rx);
             let writer_tx = writer_tx.clone();
             let pool = Arc::clone(&pool);
-            let counters = Arc::clone(&counters);
+            let flush = flush.clone();
             let halt = Halt { progress: Arc::clone(&progress), only_on_panic: true };
             let worker_obs = obs_ctx.as_ref().zip(stage.as_ref()).map(|(ctx, stage)| {
                 (ctx.obs.journal.for_thread(Layer::Runtime, format!("compress-{i}")), stage.clone())
@@ -691,7 +668,7 @@ impl SwordCollector {
             workers.push(std::thread::Builder::new().name(format!("sword-compress-{i}")).spawn(
                 move || {
                     let _halt = halt;
-                    compression_worker(rx, writer_tx, pool, counters, worker_obs)
+                    compression_worker(rx, writer_tx, pool, flush, worker_obs)
                 },
             )?);
         }
@@ -699,7 +676,7 @@ impl SwordCollector {
         // channel closes exactly when the last worker exits.
         drop(writer_tx);
         let shared = Arc::clone(&inner);
-        let writer_counters = Arc::clone(&counters);
+        let writer_flush = flush.clone();
         let halt = Halt { progress: Arc::clone(&progress), only_on_panic: false };
         let live = config.live_publish;
         let mut writer_obs = obs_ctx.as_ref().zip(stage.as_ref()).map(|(ctx, stage)| WriterObs {
@@ -732,7 +709,7 @@ impl SwordCollector {
                         next_seq += 1;
                         write_one(
                             &shared,
-                            &writer_counters,
+                            &writer_flush,
                             live,
                             &mut writers,
                             &mut last_publish,
@@ -748,7 +725,7 @@ impl SwordCollector {
                 for (_, job) in std::mem::take(&mut pending) {
                     write_one(
                         &shared,
-                        &writer_counters,
+                        &writer_flush,
                         live,
                         &mut writers,
                         &mut last_publish,
@@ -775,7 +752,7 @@ impl SwordCollector {
             writer: Mutex::new(Some(writer)),
             progress,
             pool,
-            counters,
+            flush,
             flush_seq: AtomicU64::new(0),
             writer_totals: Mutex::new(None),
             finished: Mutex::new(false),
@@ -852,7 +829,7 @@ impl SwordCollector {
             stats.raw_bytes = raw;
             stats.compressed_bytes = compressed;
         }
-        stats.flush = self.counters.snapshot();
+        stats.flush = self.flush.snapshot();
         stats
     }
 
@@ -946,7 +923,7 @@ impl SwordCollector {
     }
 
     fn ship(&self, tid: ThreadId, block: Vec<u8>, flow: Option<u64>) {
-        self.counters.record_flush();
+        self.flush.flushes.inc();
         let tx = lock(&self.tx);
         let Some(tx) = tx.as_ref() else {
             // The pipeline is already shut: give the buffer back and say
@@ -991,7 +968,7 @@ impl SwordCollector {
         let start = Instant::now();
         let fresh = self.pool.acquire();
         let stall = elapsed_nanos(start);
-        self.counters.add_stall(stall);
+        self.flush.stall_nanos.add(stall);
         let block = lane.hot.swap_buffer(fresh);
         // The handoff span starts this block's causal flow; the
         // compress and write spans downstream continue it.
@@ -1065,7 +1042,7 @@ impl SwordCollector {
         info.insert("regions".to_string(), self.region_count.load(Ordering::Relaxed).to_string());
         // Flush-path counters are complete here (workers and writer have
         // joined), so the offline analyzer can report them post-hoc.
-        self.counters.snapshot().to_info(&mut info);
+        self.flush.snapshot().to_info(&mut info);
         self.inner.session.write_info(&info)?;
         // Close out the observability side: a finalize marker, one last
         // registry snapshot, the remaining journal rings, and the

@@ -1,71 +1,61 @@
-//! The flush path's own counters: [`FlushCounters`], updated lock-free
-//! by app threads, compression workers and the ordered writer, and
-//! [`FlushSnapshot`], the copy [`crate::SwordStats::flush`] carries and
-//! `session.meta` persists.
+//! The flush path's counts: [`FlushRows`], the collector's rows in its
+//! metrics registry, updated lock-free by app threads, compression
+//! workers and the ordered writer, and [`FlushSnapshot`], the copy
+//! [`crate::SwordStats::flush`] carries and `session.meta` persists.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use sword_obs::{format_bytes, Counter, Registry, Table};
 
-use sword_obs::{format_bytes, Table};
-
-/// Shared atomic counters for the online collector's flush path.
-///
-/// App threads, compression workers, and the ordered file writer each
-/// update their own counters lock-free; [`FlushCounters::snapshot`] reads
-/// a coherent-enough view for reporting (counters are monotonic, so a
-/// snapshot taken mid-run may mix instants but never goes backwards).
-#[derive(Debug, Default)]
-pub struct FlushCounters {
-    flushes: AtomicU64,
-    stall_nanos: AtomicU64,
-    compress_nanos: AtomicU64,
-    write_nanos: AtomicU64,
-    raw_bytes: AtomicU64,
-    compressed_bytes: AtomicU64,
+/// The flush path's six counters, kept as rows of the collector's
+/// registry (`sword_flushes_total`, `sword_flush_*`): app threads,
+/// compression workers and the ordered file writer each add to their own
+/// rows with one atomic add.
+#[derive(Clone, Debug)]
+pub(crate) struct FlushRows {
+    /// Buffer handoffs from app threads.
+    pub(crate) flushes: Counter,
+    /// App-thread nanoseconds stalled waiting for a drained buffer (the
+    /// cost the double-buffering pool exists to eliminate).
+    pub(crate) stall_nanos: Counter,
+    /// Compression-worker busy nanoseconds, and the blocks' byte sizes.
+    pub(crate) compress_nanos: Counter,
+    pub(crate) raw_bytes: Counter,
+    pub(crate) compressed_bytes: Counter,
+    /// File-writer busy nanoseconds.
+    pub(crate) write_nanos: Counter,
 }
 
-impl FlushCounters {
-    /// Fresh counters at zero.
-    pub fn new() -> Self {
-        Self::default()
+impl FlushRows {
+    /// Fetches (or registers) the rows in `registry`.
+    pub(crate) fn new(registry: &Registry) -> Self {
+        FlushRows {
+            flushes: registry.counter("sword_flushes_total", "buffer flush handoffs"),
+            stall_nanos: registry
+                .counter("sword_flush_stall_nanos", "app-thread backpressure stall time"),
+            compress_nanos: registry.counter("sword_flush_compress_nanos", "compression busy time"),
+            raw_bytes: registry.counter("sword_flush_raw_bytes", "uncompressed bytes flushed"),
+            compressed_bytes: registry
+                .counter("sword_flush_compressed_bytes", "compressed bytes written"),
+            write_nanos: registry.counter("sword_flush_write_nanos", "file-writer busy time"),
+        }
     }
 
-    /// Records one buffer handoff from an app thread.
-    pub fn record_flush(&self) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds nanoseconds an app thread spent stalled waiting for a drained
-    /// buffer (the cost the double-buffering pool exists to eliminate).
-    pub fn add_stall(&self, nanos: u64) {
-        self.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds compression-worker busy time and the block's byte sizes.
-    pub fn add_compress(&self, nanos: u64, raw_bytes: u64, compressed_bytes: u64) {
-        self.compress_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.raw_bytes.fetch_add(raw_bytes, Ordering::Relaxed);
-        self.compressed_bytes.fetch_add(compressed_bytes, Ordering::Relaxed);
-    }
-
-    /// Adds file-writer busy time.
-    pub fn add_write(&self, nanos: u64) {
-        self.write_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Reads the current counter values.
-    pub fn snapshot(&self) -> FlushSnapshot {
+    /// The counts so far (counters are monotonic, so a snapshot taken
+    /// mid-run may mix instants but never goes backwards).
+    pub(crate) fn snapshot(&self) -> FlushSnapshot {
         FlushSnapshot {
-            flushes: self.flushes.load(Ordering::Relaxed),
-            stall_nanos: self.stall_nanos.load(Ordering::Relaxed),
-            compress_nanos: self.compress_nanos.load(Ordering::Relaxed),
-            write_nanos: self.write_nanos.load(Ordering::Relaxed),
-            raw_bytes: self.raw_bytes.load(Ordering::Relaxed),
-            compressed_bytes: self.compressed_bytes.load(Ordering::Relaxed),
+            flushes: self.flushes.get(),
+            stall_nanos: self.stall_nanos.get(),
+            compress_nanos: self.compress_nanos.get(),
+            write_nanos: self.write_nanos.get(),
+            raw_bytes: self.raw_bytes.get(),
+            compressed_bytes: self.compressed_bytes.get(),
         }
     }
 }
 
-/// A point-in-time copy of [`FlushCounters`], embeddable in run summaries.
+/// A point-in-time copy of the collector's flush counters (its registry's
+/// `sword_flushes_total` and `sword_flush_*` rows), embeddable in run
+/// summaries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushSnapshot {
     /// Buffer flushes handed off by app threads.
@@ -154,13 +144,14 @@ mod tests {
 
     #[test]
     fn flush_counters_accumulate_and_snapshot() {
-        let c = FlushCounters::new();
-        c.record_flush();
-        c.record_flush();
-        c.add_stall(1_000);
-        c.add_compress(5_000, 1000, 100);
-        c.add_compress(5_000, 1000, 100);
-        c.add_write(2_000);
+        let reg = Registry::new();
+        let c = FlushRows::new(&reg);
+        c.flushes.add(2);
+        c.stall_nanos.add(1_000);
+        c.compress_nanos.add(10_000);
+        c.raw_bytes.add(2000);
+        c.compressed_bytes.add(200);
+        c.write_nanos.add(2_000);
         let s = c.snapshot();
         assert_eq!(s.flushes, 2);
         assert_eq!(s.stall_nanos, 1_000);
@@ -175,18 +166,22 @@ mod tests {
         assert!(rendered.contains("flush path"));
         assert!(rendered.contains("compression ratio"));
         assert!(rendered.contains("10.0x"));
+        // The counts are the registry's rows.
+        let snap: std::collections::BTreeMap<String, f64> = reg.snapshot().into_iter().collect();
+        assert_eq!(snap["sword_flushes_total"], 2.0);
+        assert_eq!(snap["sword_flush_raw_bytes"], 2000.0);
     }
 
     #[test]
     fn flush_counters_concurrent_updates() {
-        let c = FlushCounters::new();
+        let c = FlushRows::new(&Registry::new());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = &c;
                 s.spawn(move || {
                     for _ in 0..500 {
-                        c.record_flush();
-                        c.add_compress(10, 100, 10);
+                        c.flushes.inc();
+                        c.raw_bytes.add(100);
                     }
                 });
             }

@@ -37,7 +37,7 @@ mod pool;
 mod thread_log;
 
 pub use collector::{run_collected, SwordCollector, SwordConfig, SwordStats};
-pub use flush_stats::{FlushCounters, FlushSnapshot};
+pub use flush_stats::FlushSnapshot;
 pub use thread_log::PAPER_BUFFER_EVENTS;
 
 /// The paper's per-thread memory constant: 2 MB buffer + 1.3 MB auxiliary

@@ -14,7 +14,7 @@
 //! When the budget is exhausted — I/O persistently slower than event
 //! production — [`BufferPool::acquire`] blocks until a worker returns a
 //! buffer. That stall is the system's backpressure (and is measured by the
-//! caller via [`crate::FlushCounters::add_stall`]); the
+//! caller into the `sword_flush_stall_nanos` registry row); the
 //! alternative, allocating past the budget, would break the paper's
 //! bounded-memory claim exactly when the run can least afford it.
 
@@ -186,12 +186,12 @@ mod tests {
     #[test]
     fn blocked_acquire_stall_accounting_is_monotone_and_nonzero() {
         // Mirrors the collector's push_event pattern: time each acquire
-        // that hits the budget and feed it to FlushCounters::add_stall.
+        // that hits the budget and add it to `FlushRows::stall_nanos`.
         // The counter must be non-zero after the first real stall and
         // strictly monotone across rounds — a regression to zero or a
         // plateau means backpressure is no longer being measured.
         let pool = Arc::new(BufferPool::new(32, 2));
-        let counters = crate::FlushCounters::default();
+        let counters = crate::flush_stats::FlushRows::new(&sword_obs::Registry::new());
         let mut last_stall = 0u64;
         for round in 0..3 {
             let held = (pool.acquire(), pool.acquire());
@@ -205,7 +205,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             pool.release(held.0);
             let (buf, nanos) = waiter.join().unwrap();
-            counters.add_stall(nanos);
+            counters.stall_nanos.add(nanos);
             let snap = counters.snapshot();
             assert!(snap.stall_nanos > 0, "round {round}: stall not recorded");
             assert!(

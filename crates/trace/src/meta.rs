@@ -65,15 +65,15 @@ impl MetaRecord {
         let mut field = |name: &'static str| {
             it.next().filter(|s| !s.is_empty()).ok_or(MetaParseError::MissingField(name))
         };
-        let pid = parse_u64(field("pid")?, "pid")?;
+        let pid = parse_num(field("pid")?, "pid")?;
         let ppid_raw = field("ppid")?;
-        let ppid = if ppid_raw == "-" { None } else { Some(parse_u64(ppid_raw, "ppid")?) };
-        let bid = parse_u64(field("bid")?, "bid")? as u32;
-        let offset = parse_u64(field("offset")?, "offset")?;
-        let span = parse_u64(field("span")?, "span")?;
-        let level = parse_u64(field("level")?, "level")? as u32;
-        let data_begin = parse_u64(field("data_begin")?, "data_begin")?;
-        let size = parse_u64(field("size")?, "size")?;
+        let ppid = if ppid_raw == "-" { None } else { Some(parse_num(ppid_raw, "ppid")?) };
+        let bid = parse_num(field("bid")?, "bid")?;
+        let offset = parse_num(field("offset")?, "offset")?;
+        let span = parse_num(field("span")?, "span")?;
+        let level = parse_num(field("level")?, "level")?;
+        let data_begin: u64 = parse_num(field("data_begin")?, "data_begin")?;
+        let size = parse_num(field("size")?, "size")?;
         if span == 0 {
             return Err(MetaParseError::BadField("span"));
         }
@@ -149,16 +149,16 @@ impl RegionRecord {
         let mut field = |name: &'static str| {
             it.next().filter(|s| !s.is_empty()).ok_or(MetaParseError::MissingField(name))
         };
-        let pid = parse_u64(field("pid")?, "pid")?;
+        let pid = parse_num(field("pid")?, "pid")?;
         let ppid_raw = field("ppid")?;
-        let ppid = if ppid_raw == "-" { None } else { Some(parse_u64(ppid_raw, "ppid")?) };
-        let level = parse_u64(field("level")?, "level")? as u32;
-        let span = parse_u64(field("span")?, "span")?;
+        let ppid = if ppid_raw == "-" { None } else { Some(parse_num(ppid_raw, "ppid")?) };
+        let level = parse_num(field("level")?, "level")?;
+        let span = parse_num(field("span")?, "span")?;
         let label_raw = it.next().unwrap_or("");
         let mut fork_label = Vec::new();
         if !label_raw.is_empty() {
             for part in label_raw.split(',') {
-                fork_label.push(parse_u64(part, "fork_label")?);
+                fork_label.push(parse_num(part, "fork_label")?);
             }
         }
         if fork_label.len() % 2 != 0 {
@@ -176,7 +176,7 @@ impl RegionRecord {
         if let Some(deps_raw) = it.next() {
             if !deps_raw.is_empty() {
                 for part in deps_raw.split(',') {
-                    deps.push(parse_u64(part, "deps")?);
+                    deps.push(parse_num(part, "deps")?);
                 }
             }
         }
@@ -204,7 +204,10 @@ impl std::fmt::Display for MetaParseError {
 
 impl std::error::Error for MetaParseError {}
 
-fn parse_u64(s: &str, name: &'static str) -> Result<u64, MetaParseError> {
+/// Parses one numeric field. A value out of `T`'s range is a bad field,
+/// never truncated: a `bid` of 2³² + k read as `k` would file its row into
+/// another barrier interval's group.
+fn parse_num<T: std::str::FromStr>(s: &str, name: &'static str) -> Result<T, MetaParseError> {
     s.parse().map_err(|_| MetaParseError::BadField(name))
 }
 
@@ -307,6 +310,18 @@ mod tests {
         assert!(MetaRecord::parse_line("x\t-\t0\t0\t4\t1\t0\t0").is_err());
         // zero span invalid
         assert!(MetaRecord::parse_line("0\t-\t0\t0\t0\t1\t0\t0").is_err());
+    }
+
+    #[test]
+    fn meta_rejects_a_bid_or_level_past_u32() {
+        let row = |bid: u64, level: u64| format!("0\t-\t{bid}\t0\t2\t{level}\t0\t8");
+        let max = u64::from(u32::MAX);
+        assert_eq!(MetaRecord::parse_line(&row(max, 1)).unwrap().bid, u32::MAX);
+        assert_eq!(MetaRecord::parse_line(&row(max + 1, 1)), Err(MetaParseError::BadField("bid")));
+        let level = MetaRecord::parse_line(&row(0, max + 3));
+        assert_eq!(level, Err(MetaParseError::BadField("level")));
+        let region = format!("0\t-\t{}\t2\t0,1", max + 1);
+        assert_eq!(RegionRecord::parse_line(&region), Err(MetaParseError::BadField("level")));
     }
 
     #[test]

@@ -124,9 +124,12 @@ fn evidence(src: &SessionDir, r: &AnalysisResult) -> Vec<String> {
     r.races.iter().map(|x| format!("{}\n{}", x.render(&pcs), x.render_evidence(&pcs))).collect()
 }
 
-/// The logical counters, none of which may depend on who built a tree.
-fn counters(r: &AnalysisResult) -> [u64; 9] {
+/// The logical counters, none of which may depend on who built a tree;
+/// the last is the task samples in `obs`'s registry.
+fn counters(r: &AnalysisResult, obs: &Obs) -> [u64; 9] {
     let s = &r.stats;
+    let snapshot = obs.registry.snapshot();
+    let task_samples = snapshot.iter().find(|(k, _)| k == "sword_analyzer_task_nanos_count");
     [
         s.trees_built,
         s.nodes,
@@ -136,7 +139,7 @@ fn counters(r: &AnalysisResult) -> [u64; 9] {
         s.candidate_pairs,
         s.solver_calls,
         s.prescreened_pairs,
-        r.task_hist.count(),
+        task_samples.map_or(0, |(_, v)| *v as u64),
     ]
 }
 
@@ -163,7 +166,7 @@ fn a_round_whose_largest_task_is_most_of_its_work_is_worker_count_invariant() {
         assert!(!batch.races.is_empty(), "the norm store races");
         let chains = evidence(&session, &batch);
         assert_eq!(evidence(&session, &live), chains, "live vs batch at {workers} workers");
-        let (b, l) = (counters(&batch), counters(&live));
+        let (b, l) = (counters(&batch, &batch_obs), counters(&live, &live_obs));
         // The report and the comparison effort do not depend on the cut.
         assert_eq!(b[4..8], l[4..8], "compare counters, live vs batch at {workers} workers");
         assert_eq!(b[3], l[3], "tasks, live vs batch");
