@@ -445,7 +445,7 @@ fn print_analysis(
     }
     // `--stats` attaches an `Obs`: the stage table is its registry's.
     if let Some(o) = config.obs.as_ref().filter(|_| stats) {
-        println!("{}", sword_offline::render_stages(&o.registry));
+        println!("{}", sword_obs::render_stages(&o.registry.snapshot()));
         // The collector leaves its flush-path counters in the session
         // info file; older sessions without them just skip the table.
         if let Some(flush) =
@@ -673,7 +673,7 @@ fn cmd_watch(args: &[String], new_obs: fn() -> Obs) -> Result<(), String> {
         print!("{}", sword_offline::render_text(&result, &pcs));
     }
     if let Some(o) = obs.as_ref().filter(|_| show_stats) {
-        println!("{}", sword_offline::render_stages(&o.registry));
+        println!("{}", sword_obs::render_stages(&o.registry.snapshot()));
         println!("{}", render_registry(o));
     }
     let journaled = match (journal, &obs) {

@@ -4,14 +4,13 @@
 //! Everything is emitted by hand into one file — inline CSS, no
 //! JavaScript, no external assets — following the same zero-dependency
 //! discipline as [`crate::json`]. Expandable race cards use plain
-//! `<details>` elements; the stage timeline draws proportional bars with
-//! inline-styled `<div>` widths.
+//! `<details>` elements; the stage table is the text report's
+//! ([`render_stages`]), preformatted.
 
 use std::fmt::Write as _;
 
-use crate::journal::Layer;
 use crate::report::{
-    last_metrics_snapshot, memory_rows, span_rows, ReportInput, BOUNDED_MEM_GAUGE,
+    last_metrics_snapshot, memory_rows, render_stages, ReportInput, BOUNDED_MEM_GAUGE,
     PAPER_PER_THREAD_BOUND_BYTES,
 };
 use crate::sites::hot_sites_from_metrics;
@@ -65,12 +64,11 @@ border-bottom:1px solid #ddd;padding-bottom:.2rem}\
 table{border-collapse:collapse;width:100%}\
 td,th{text-align:left;padding:.2rem .6rem .2rem 0;font-variant-numeric:tabular-nums}\
 th{color:#666;font-weight:600}\
-.bar{background:#4a7bd0;height:.7rem;border-radius:2px;min-width:2px}\
 .ok{color:#1a7a3a;font-weight:600}.bad{color:#b02020;font-weight:600}\
 details.race{border:1px solid #ddd;border-radius:4px;margin:.5rem 0;\
 background:#fff;padding:.3rem .8rem}\
 details.race summary{cursor:pointer;font-weight:600}\
-details.race pre{font:12px/1.4 ui-monospace,monospace;overflow-x:auto;\
+pre{font:12px/1.4 ui-monospace,monospace;overflow-x:auto;\
 background:#f4f4f8;padding:.6rem;border-radius:3px}\
 .muted{color:#666}";
 
@@ -96,29 +94,14 @@ pub fn render_html(input: &HtmlInput) -> String {
         out.push_str("</table>\n");
     }
 
-    // --- Stage timeline ----------------------------------------------------
-    let stages = span_rows(&input.report.events, Some(Layer::Offline));
+    // --- Pipeline stages ---------------------------------------------------
+    let snapshot = last_metrics_snapshot(&input.report.events);
+    let stages = render_stages(&snapshot);
     if !stages.is_empty() {
-        let widest = stages.iter().map(|s| s.total_us).max().unwrap_or(1).max(1);
-        out.push_str("<h2>Offline pipeline stages</h2>\n<table>\n");
-        out.push_str("<tr><th>stage</th><th>calls</th><th>total</th><th>max</th><th></th></tr>\n");
-        for s in &stages {
-            let pct = (s.total_us as f64 / widest as f64 * 100.0).max(1.0);
-            let _ = writeln!(
-                out,
-                "<tr><td>{}</td><td>{}</td><td>{:.2} ms</td><td>{:.2} ms</td>\
-                 <td style=\"width:40%\"><div class=\"bar\" style=\"width:{pct:.0}%\"></div></td></tr>",
-                esc(&s.name),
-                s.count,
-                s.total_us as f64 / 1e3,
-                s.max_us as f64 / 1e3,
-            );
-        }
-        out.push_str("</table>\n");
+        let _ = writeln!(out, "<h2>Offline pipeline stages</h2>\n<pre>{}</pre>", esc(&stages));
     }
 
     // --- Memory vs the paper bound ------------------------------------------
-    let snapshot = last_metrics_snapshot(&input.report.events);
     let mem_keys = memory_rows(&snapshot);
     if !mem_keys.is_empty() {
         let threads =
@@ -201,33 +184,24 @@ pub fn render_html(input: &HtmlInput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::JournalEvent;
+    use crate::journal::{JournalEvent, Layer};
 
     #[test]
     fn dashboard_is_self_contained_with_one_card_per_race() {
-        let events = vec![
-            JournalEvent {
-                layer: Layer::Offline,
-                thread: "analyzer".into(),
-                name: "compare".into(),
-                t_us: 0,
-                dur_us: Some(1500),
-                args: vec![],
-                flow: None,
-            },
-            JournalEvent {
-                layer: Layer::Cli,
-                thread: "metrics".into(),
-                name: "metrics".into(),
-                t_us: 10,
-                dur_us: None,
-                args: vec![
-                    ("sword_collector_tool_mem_bytes".into(), 1_000_000.0),
-                    ("sword_site_pairs{site=\"a.rs:1\"}".into(), 4.0),
-                ],
-                flow: None,
-            },
-        ];
+        let events = vec![JournalEvent {
+            layer: Layer::Cli,
+            thread: "metrics".into(),
+            name: "metrics".into(),
+            t_us: 10,
+            dur_us: None,
+            args: vec![
+                ("sword_collector_tool_mem_bytes".into(), 1_000_000.0),
+                ("sword_site_pairs{site=\"a.rs:1\"}".into(), 4.0),
+                ("sword_stage_busy_nanos{stage=\"compare\"}".into(), 1_500_000.0),
+                ("sword_stage_items_total{stage=\"compare\"}".into(), 6.0),
+            ],
+            flow: None,
+        }];
         let mut info = std::collections::BTreeMap::new();
         info.insert("threads".to_string(), "2".to_string());
         let input = HtmlInput {
@@ -260,7 +234,8 @@ mod tests {
         assert!(html.contains("evidence &amp; &lt;chain&gt;"));
         // All sections present.
         assert!(html.contains("Offline pipeline stages"));
-        assert!(html.contains("class=\"bar\""));
+        let table = esc(&render_stages(&last_metrics_snapshot(&input.report.events)));
+        assert!(html.contains(&table) && table.contains("compare"), "the text report's table");
         assert!(html.contains("3.3&nbsp;MB/thread"));
         assert!(html.contains("within"));
         assert!(html.contains("Hot sites"));

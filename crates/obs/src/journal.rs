@@ -340,7 +340,6 @@ impl ThreadJournal {
             name: name.into(),
             start_us: self.journal.now_us(),
             args: Vec::new(),
-            flow: None,
         }
     }
 
@@ -378,25 +377,14 @@ impl ThreadJournal {
 
     /// Records an instant event.
     pub fn instant(&self, name: impl Into<Key>, args: Vec<(Key, f64)>) {
-        self.instant_flow(name, args, None);
-    }
-
-    /// [`ThreadJournal::instant`] with causal-flow membership.
-    pub fn instant_flow(
-        &self,
-        name: impl Into<Key>,
-        args: Vec<(Key, f64)>,
-        flow: Option<(u64, FlowPhase)>,
-    ) {
-        let now = self.journal.now_us();
         self.push(JournalEvent {
             layer: self.ring.layer,
             thread: Arc::clone(&self.ring.label),
             name: name.into(),
-            t_us: now,
+            t_us: self.journal.now_us(),
             dur_us: None,
             args,
-            flow,
+            flow: None,
         });
     }
 
@@ -417,7 +405,6 @@ pub struct Span<'a> {
     name: Key,
     start_us: u64,
     args: Vec<(Key, f64)>,
-    flow: Option<(u64, FlowPhase)>,
 }
 
 impl Span<'_> {
@@ -426,29 +413,16 @@ impl Span<'_> {
         self.args.push((key.into(), value));
         self
     }
-
-    /// Attaches a numeric attribute to an existing guard (for values
-    /// known only mid-span).
-    pub fn set_arg(&mut self, key: impl Into<Key>, value: f64) {
-        self.args.push((key.into(), value));
-    }
-
-    /// Places this span on a causal flow.
-    pub fn flow(mut self, id: u64, phase: FlowPhase) -> Self {
-        self.flow = Some((id, phase));
-        self
-    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         let end = self.recorder.now_us();
-        self.recorder.span_closed_flow(
+        self.recorder.span_closed(
             std::mem::take(&mut self.name),
             self.start_us,
             end.saturating_sub(self.start_us),
             std::mem::take(&mut self.args),
-            self.flow.take(),
         );
     }
 }
@@ -630,7 +604,7 @@ mod tests {
         let event = JournalEvent {
             layer: Layer::Offline,
             thread: "oa-worker-1".into(),
-            name: "task".into(),
+            name: "work".into(),
             t_us: 123456,
             dur_us: Some(789),
             args: vec![("nodes".into(), 42.0)],
@@ -648,15 +622,13 @@ mod tests {
     }
 
     #[test]
-    fn flow_ids_are_unique_and_span_guard_carries_flow() {
+    fn flow_ids_are_unique_and_closed_spans_carry_flow() {
         let journal = Journal::new(16);
         let a = journal.next_flow_id();
         let b = journal.next_flow_id();
         assert_ne!(a, b);
         let tj = journal.for_thread(Layer::Runtime, "app-0");
-        {
-            let _span = tj.span("handoff").flow(a, FlowPhase::Start);
-        }
+        tj.span_closed_flow("handoff", 0, 5, vec![], Some((a, FlowPhase::Start)));
         let events = journal.drain();
         assert_eq!(events[0].flow, Some((a, FlowPhase::Start)));
     }

@@ -7,12 +7,15 @@
 //! - [`journal`]: scoped spans and instant events recorded into bounded
 //!   per-thread ring buffers (overflow drops and counts, never grows),
 //!   drained incrementally to a JSONL file next to the session so a
-//!   crashed run's telemetry survives for postmortem.
+//!   crashed run's telemetry survives for postmortem. Producers record
+//!   per flush, stage and worker share, never per analysis task (task
+//!   times are a registry histogram), so an analysis fits its rings.
 //! - [`registry`]: named counter/gauge/histogram handles — the one
-//!   store of the collector's flush counts and the analyzer's stage,
-//!   tier and tree-memory rows — plus read-on-demand sources over live
-//!   state (pool occupancy, queue depths), with Prometheus text
-//!   exposition and periodic snapshots appended to the journal.
+//!   store of the collector's flush counts and queue depth and the
+//!   analyzer's stage, task-queue, tier and tree-memory rows — plus
+//!   read-on-demand sources over state other structures own (pool
+//!   occupancy, journal drops), with Prometheus text exposition and
+//!   periodic snapshots appended to the journal.
 //! - [`MemGauge`]: the live/peak byte counter the analyzer's trees (as
 //!   two registry gauges) and ARCHER's modeled shadow memory charge.
 //! - [`Table`] and [`format_bytes`]: the aligned text table and byte
@@ -21,8 +24,9 @@
 //!   journal as a Chrome `trace_event` timeline (one process row per
 //!   layer, one thread row per recording thread).
 //! - [`report`]: `sword report` renders a consolidated run report —
-//!   flush path, pipeline stages, memory peaks against the paper's
-//!   3.3 MB/thread bound, hot sites, and the hottest spans.
+//!   flush path, the analyzer's stage table ([`render_stages`], the one
+//!   `--stats` and the HTML dashboard print too), memory peaks against
+//!   the paper's 3.3 MB/thread bound, hot sites, and the hottest spans.
 //! - [`sites`]: per-source-site attribution of compare-stage work
 //!   (accesses scanned, pairs checked, solver calls, races), published
 //!   through the registry as labeled gauges.
@@ -53,8 +57,8 @@ pub use journal::{
 pub use mem_gauge::MemGauge;
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use report::{
-    histogram_rows, render_report, span_rows, HistogramRow, ReportInput, SpanRow,
-    PAPER_PER_THREAD_BOUND_BYTES,
+    histogram_rows, render_report, render_stages, span_rows, stage_row, HistogramRow, ReportInput,
+    SpanRow, PAPER_PER_THREAD_BOUND_BYTES, STAGES,
 };
 pub use sites::{hot_sites_from_metrics, HotSite, SiteCounters, SiteId, SiteStats, SiteTable};
 pub use table::{format_bytes, Table};

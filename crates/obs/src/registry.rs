@@ -3,12 +3,12 @@
 //! journal snapshots.
 //!
 //! The registry is where the layers keep their counts: the collector's
-//! flush counters, the analyzer's stage, tier and tree-memory rows are
-//! handles fetched by name once and updated with one atomic each, so
-//! every layer sharing a registry adds into the same rows. *Sources* —
-//! closures evaluated at snapshot/exposition time — are only for live
-//! state that is not a count: pool occupancy, queue depths, the
-//! collector's bounded footprint.
+//! flush counters and queue depth, the analyzer's stage, tier, task-queue
+//! and tree-memory rows are handles fetched by name once and updated with
+//! one atomic each, so every layer sharing a registry adds into the same
+//! rows. *Sources* — closures evaluated at snapshot/exposition time — are
+//! only for state another structure owns: pool occupancy, the journal's
+//! drop count, the collector's bounded footprint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +36,9 @@ impl Counter {
     }
 }
 
-/// Instantaneous gauge handle (set-style, e.g. queue depth or lag).
+/// Instantaneous gauge handle: set-style (a lag), or moved up and down by
+/// the producers and consumers of a queue (its depth), so users sharing a
+/// registry add up.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
@@ -44,6 +46,16 @@ impl Gauge {
     /// Sets the current value.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtracts `n`, which an earlier [`Gauge::add`] must have added.
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -338,6 +350,10 @@ mod tests {
         let g = reg.gauge("sword_writer_queue_depth", "queue depth");
         g.set(7);
         assert_eq!(g.get(), 7);
+        g.add(3);
+        reg.gauge("sword_writer_queue_depth", "queue depth").sub(2);
+        assert_eq!(g.get(), 8, "add and sub move the one row");
+        g.sub(1);
 
         let h = reg.histogram("sword_solver_call_nanos", "solver latency");
         for v in [100, 200, 1500, 100_000] {

@@ -1,13 +1,60 @@
-//! Consolidated run report: flush path, pipeline stages, memory peaks
-//! against the paper's per-thread bound, and the top-N hottest spans —
-//! all derived from the session's journal and info file.
+//! Consolidated run report: flush path, the analyzer's stage table,
+//! memory peaks against the paper's per-thread bound, and the top-N
+//! hottest spans — all derived from the session's journal and info file.
+//! The stage table ([`render_stages`]) is a function of a flat registry
+//! snapshot, so `--stats`, `sword report` and `report --html` print the
+//! same table.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::journal::{JournalEvent, Layer};
 use crate::sites::hot_sites_from_metrics;
-use crate::table::format_bytes;
+use crate::table::{format_bytes, Table};
+
+/// The analyzer's pipeline stages, in pipeline order: the `stage` label
+/// of its `sword_stage_*` registry rows and the name of its stage spans.
+pub const STAGES: [&str; 7] = [
+    "discover",
+    "load-meta",
+    "build-structure",
+    "pair-schedule",
+    "tree-build",
+    "compare",
+    "dedup-report",
+];
+
+/// A stage's registry row name for `metric`
+/// (`sword_stage_busy_nanos{stage="compare"}`).
+pub fn stage_row(metric: &str, stage: &str) -> String {
+    format!("{metric}{{stage=\"{stage}\"}}")
+}
+
+/// Renders the per-stage table from a flat registry snapshot's stage
+/// rows, in pipeline order; stages without rows are left out, and a
+/// snapshot no analysis recorded into renders as the empty string.
+pub fn render_stages(snapshot: &[(String, f64)]) -> String {
+    let get = |key: String| snapshot.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+    let mut t = Table::new("pipeline stages", &["stage", "busy (s)", "items", "items/s", "bytes"]);
+    for stage in STAGES {
+        let row = |metric| get(stage_row(metric, stage));
+        let Some(busy) = row("sword_stage_busy_nanos") else { continue };
+        let secs = busy / 1e9;
+        let items = row("sword_stage_items_total").unwrap_or(0.0);
+        let rate = if secs > 0.0 { items / secs } else { 0.0 };
+        t.row(&[
+            stage.to_string(),
+            format!("{secs:.4}"),
+            format!("{items}"),
+            format!("{rate:.0}"),
+            format_bytes(row("sword_stage_bytes_total").unwrap_or(0.0) as u64),
+        ]);
+    }
+    if t.is_empty() {
+        return String::new();
+    }
+    t.render()
+}
 
 /// The paper's per-thread tool-memory bound: two 25,000-event buffers
 /// plus runtime bookkeeping, quoted as "less than 3.3 MB per thread"
@@ -28,7 +75,7 @@ pub struct ReportInput {
 }
 
 /// One aggregated span row: every completed span of one name within a
-/// layer, folded. Shared by the text report and the HTML dashboard.
+/// layer, folded.
 #[derive(Clone, Debug)]
 pub struct SpanRow {
     /// Recording layer.
@@ -109,22 +156,11 @@ pub fn render_report(input: &ReportInput) -> String {
         );
     }
 
-    // --- Pipeline stages (offline-layer spans, aggregated) ----------------
-    let stage_rows = span_rows(&input.events, Some(Layer::Offline));
-    if !stage_rows.is_empty() {
+    // --- Pipeline stages (the analyzer's registry rows) -------------------
+    let stages = render_stages(&snapshot);
+    if !stages.is_empty() {
         let _ = writeln!(out);
-        let _ = writeln!(out, "offline pipeline stages");
-        let _ = writeln!(out, "-----------------------");
-        for agg in &stage_rows {
-            let _ = writeln!(
-                out,
-                "{:<18} calls {:<6} total {:>9.2} ms  max {:>8.2} ms",
-                agg.name,
-                agg.count,
-                agg.total_us as f64 / 1e3,
-                agg.max_us as f64 / 1e3,
-            );
-        }
+        out.push_str(&stages);
     }
 
     // --- Latency quantiles (registry histograms) --------------------------
@@ -184,7 +220,7 @@ pub fn render_report(input: &ReportInput) -> String {
     }
 
     // --- Hottest spans ----------------------------------------------------
-    let mut hottest: Vec<SpanRow> = span_rows(&input.events, None);
+    let mut hottest: Vec<SpanRow> = span_rows(&input.events);
     hottest.sort_by_key(|agg| std::cmp::Reverse(agg.total_us));
     if !hottest.is_empty() {
         let top_n = if input.top_n == 0 { 10 } else { input.top_n };
@@ -206,15 +242,11 @@ pub fn render_report(input: &ReportInput) -> String {
     out
 }
 
-/// Aggregates completed spans by `(layer, name)`, optionally restricted
-/// to one layer, in first-seen order.
-pub fn span_rows(events: &[JournalEvent], layer: Option<Layer>) -> Vec<SpanRow> {
+/// Aggregates completed spans by `(layer, name)`, in first-seen order.
+pub fn span_rows(events: &[JournalEvent]) -> Vec<SpanRow> {
     let mut rows: Vec<SpanRow> = Vec::new();
     for e in events {
         let Some(dur) = e.dur_us else { continue };
-        if layer.is_some_and(|l| e.layer != l) {
-            continue;
-        }
         match rows.iter_mut().find(|agg| agg.name == e.name && agg.layer == e.layer) {
             Some(agg) => {
                 agg.count += 1;
@@ -351,6 +383,8 @@ mod tests {
                     ("sword_analyzer_tree_mem_peak_bytes".into(), 40_000_000.0),
                     ("sword_flush_raw_bytes".into(), 1_048_576.0),
                     ("sword_exporter_bytes_total".into(), 4096.0),
+                    ("sword_stage_busy_nanos{stage=\"build-structure\"}".into(), 900_000.0),
+                    ("sword_stage_items_total{stage=\"build-structure\"}".into(), 3.0),
                 ],
                 flow: None,
             },
@@ -364,10 +398,14 @@ mod tests {
                 flow: None,
             },
         ];
-        let report = render_report(&ReportInput { events, info, truncated_tail: true, top_n: 5 });
+        let input = ReportInput { events: events.clone(), info, truncated_tail: true, top_n: 5 };
+        let report = render_report(&input);
         assert!(report.contains("flush path"));
         assert!(report.contains("ratio 4.00x"));
-        assert!(report.contains("build-structure"));
+        // The stage table is the registry's, as `--stats` prints it.
+        let stages = render_stages(&last_metrics_snapshot(&events));
+        assert!(report.contains(&stages), "{report}");
+        assert!(stages.lines().any(|l| l.starts_with("build-structure  0.0009    3")), "{stages}");
         assert!(report.contains("hottest spans"));
         assert!(report.contains("flush-handoff"));
         assert!(report.contains("WARNING: journal dropped 3 events at ring capacity"));

@@ -78,18 +78,13 @@ pub fn guided_chunks(range: Range<u64>, min_chunk: u64, span: u64) -> Vec<(u64, 
 /// Runtime configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Team size used by [`Ctx::parallel_default`].
-    pub default_threads: usize,
     /// First virtual address handed to tracked buffers.
     pub addr_base: u64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            default_threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            addr_base: 0x1000_0000,
-        }
+        SimConfig { addr_base: 0x1000_0000 }
     }
 }
 
@@ -122,7 +117,6 @@ pub struct OmpSim {
     /// untooled): how many accesses a context holds back before it
     /// delivers them.
     run_len: usize,
-    config: SimConfig,
     next_tid: AtomicU32,
     tid_pool: Mutex<Vec<ThreadId>>,
     next_region: AtomicU64,
@@ -143,15 +137,13 @@ impl OmpSim {
 
     /// An untooled runtime with explicit config.
     pub fn with_config(config: SimConfig) -> Self {
-        let addr_base = config.addr_base;
         OmpSim {
             tool: None,
             run_len: 0,
-            config,
             next_tid: AtomicU32::new(0),
             tid_pool: Mutex::new(Vec::new()),
             next_region: AtomicU64::new(0),
-            next_addr: AtomicU64::new(addr_base),
+            next_addr: AtomicU64::new(config.addr_base),
             footprint: Arc::new(AtomicU64::new(0)),
             peak_footprint: AtomicU64::new(0),
             pc_table: Mutex::new(PcTable::new()),
@@ -171,11 +163,6 @@ impl OmpSim {
         sim.run_len = tool.max_run().max(1);
         sim.tool = Some(tool);
         sim
-    }
-
-    /// Team size used when a workload does not specify one.
-    pub fn default_threads(&self) -> usize {
-        self.config.default_threads
     }
 
     /// Runs the instrumented program `f` under this runtime. The closure
@@ -675,14 +662,6 @@ impl<'rt> Ctx<'rt> {
         if let Some(t) = &self.sim.tool {
             t.parallel_end(region, self.tid);
         }
-    }
-
-    /// [`Ctx::parallel`] with the runtime's configured default team size.
-    pub fn parallel_default<F>(&self, body: F)
-    where
-        F: Fn(&Ctx<'rt>) + Sync,
-    {
-        self.parallel(self.sim.config.default_threads, body);
     }
 
     /// `#pragma omp target teams parallel` equivalent — the paper's

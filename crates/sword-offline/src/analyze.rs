@@ -36,11 +36,11 @@ pub struct AnalysisConfig {
     /// triaged-benign races like HPCCG's same-value norm write while
     /// hunting new ones).
     pub suppressions: Vec<String>,
-    /// Observability sink (`--obs`, `--stats`): pipeline stages and
-    /// per-task spans go to its journal; stage, task, solver-tier,
-    /// log-read and tree-memory rows to its registry, where analyses
-    /// sharing it add up. `None` (the default) keeps the analyzer entirely
-    /// uninstrumented.
+    /// Observability sink (`--obs`, `--stats`): stage, task, task-queue,
+    /// solver-tier, log-read and tree-memory rows go to its registry,
+    /// where analyses sharing it add up; its journal gets the stage spans
+    /// and one `work` span per worker and round, never one per task.
+    /// `None` (the default) keeps the analyzer entirely uninstrumented.
     pub obs: Option<Obs>,
     /// Per-source-site attribution table. When present, `compare` workers
     /// accumulate per-PC counters (accesses scanned, pairs checked,
@@ -190,36 +190,16 @@ impl AnalysisResult {
     }
 }
 
-/// Records one finished stage into the analyzer's journal (no-op when
-/// observability is off): the span covers `[start of stage, now]` on the
-/// given recorder, with one summary argument.
-pub(crate) fn journal_stage(
-    journal: &Option<ThreadJournal>,
-    name: &'static str,
-    start_us: Option<u64>,
-    arg: (&'static str, f64),
-) {
-    if let (Some(j), Some(start)) = (journal, start_us) {
-        let dur = j.now_us().saturating_sub(start);
-        j.span_closed(name, start, dur, vec![(arg.0.into(), arg.1)]);
-    }
-}
-
 /// Loads a session directory and analyzes it, timing the discover and
 /// load-meta stages along with the pipeline proper.
 pub fn analyze(dir: &SessionDir, config: &AnalysisConfig) -> io::Result<AnalysisResult> {
     let core = Core::new(dir, config);
-    let journal = config.journal_for("analyzer");
     let t0 = Instant::now();
-    let s0 = journal.as_ref().map(|j| j.now_us());
     let threads = dir.thread_ids()?;
     core.record(Stage::Discover, t0.elapsed().as_secs_f64(), threads.len() as u64, 0);
-    journal_stage(&journal, "discover", s0, ("threads", threads.len() as f64));
     let t0 = Instant::now();
-    let s0 = journal.as_ref().map(|j| j.now_us());
     let session = LoadedSession::load(dir)?;
     core.record(Stage::LoadMeta, t0.elapsed().as_secs_f64(), session.interval_count() as u64, 0);
-    journal_stage(&journal, "load-meta", s0, ("intervals", session.interval_count() as f64));
     analyze_with(core, &session)
 }
 

@@ -50,5 +50,4 @@ pub use live::{LiveAnalyzer, PollDelta};
 pub use load::LoadedSession;
 pub use race::{AccessSite, Evidence, Race, RaceKey};
 pub use report::{render_explain, render_json, render_text};
-pub use stages::render_stages;
 pub use verdicts::VerdictCache;

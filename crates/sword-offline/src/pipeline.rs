@@ -43,24 +43,29 @@
 //! poll reuses the open logs of the polls before it. A task compares a
 //! member pair only when the round owes it ([`Structure::owed`]): batch is
 //! the one-round case, not another rule.
+//!
+//! With `--obs` the round journals stages, not tasks: the calling
+//! thread's stages on `analyzer` (the span of each is the time its
+//! registry row was charged), one `work` span per worker and round, and a
+//! `build` span per shared tree build. Task times go to the
+//! `sword_analyzer_task_nanos` histogram only, so the journal is bounded
+//! by rounds and workers, not by the session's intervals.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use sword_obs::{Counter, FlowPhase, Histogram, Obs, SiteCounters, ThreadJournal};
+use sword_obs::{Counter, SiteCounters, ThreadJournal, STAGES};
 use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, ThreadId};
 
-use crate::analyze::{
-    finalize_races, journal_stage, AnalysisConfig, AnalysisResult, AnalysisStats,
-};
+use crate::analyze::{finalize_races, AnalysisConfig, AnalysisResult, AnalysisStats};
 use crate::build::{BiTree, ReaderPool, TaskTrees, DEFAULT_CHUNK_BYTES, OPEN_LOGS_BUDGET};
 use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
 use crate::race::{check_pair, Race, RaceSet};
-use crate::stages::{nanos, Rows, Stage};
+use crate::stages::{close_span, nanos, Rows, Stage};
 use crate::verdicts::VerdictCache;
 
 /// Most tasks a worker grabs from a victim's deque in one steal.
@@ -119,74 +124,20 @@ impl WorkerStats {
     }
 }
 
-/// What one comparison task hands the reducer.
-struct TaskOutcome {
-    races: RaceSet,
-    secs: f64,
-    /// Causal-flow id minted by the worker's task span, so the reducer's
-    /// merge instant continues the scheduler → worker → reducer chain.
-    flow: Option<u64>,
-}
-
-/// Causal-tracing handles for the analyzer pipeline: the task-deque wait
-/// histogram, the live task-queue depth, and the result-channel
-/// backpressure counter. Present exactly when `--obs` is on.
-struct PipelineObs {
-    obs: Obs,
-    task_wait_us: Histogram,
-    queue_depth: Arc<AtomicU64>,
-    backpressure: Counter,
-}
-
-impl PipelineObs {
-    fn new(obs: &Obs) -> PipelineObs {
-        let queue_depth = Arc::new(AtomicU64::new(0));
-        let d = Arc::clone(&queue_depth);
-        obs.registry.source(
-            "sword_task_queue_depth",
-            "comparison tasks still waiting in the worker deques",
-            move || d.load(Ordering::Relaxed) as f64,
-        );
-        PipelineObs {
-            obs: obs.clone(),
-            task_wait_us: obs.registry.histogram(
-                "sword_task_queue_wait_us",
-                "schedule-to-dequeue wait of a comparison task",
-            ),
-            queue_depth,
-            backpressure: obs.registry.counter(
-                "sword_result_backpressure_total",
-                "worker sends that blocked on a full result channel",
-            ),
-        }
-    }
-
-    /// Notes one task leaving the deques: settles the depth gauge and
-    /// records its wait since the scheduler dealt the deques.
-    fn note_dequeue(&self, dealt_us: u64) {
-        // Saturating: a stolen task can be counted on a slightly stale
-        // depth; never underflow.
-        let _ = self
-            .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| Some(d.saturating_sub(1)));
-        self.task_wait_us.record(self.obs.journal.now_us().saturating_sub(dealt_us));
-    }
-}
-
-/// Sends a worker's result, counting result-channel backpressure: a full
-/// channel means the reducer is the bottleneck, so the blocked send is
-/// tallied before falling back to the blocking path.
+/// Sends a worker's result, counting result-channel backpressure when
+/// `--obs` is on: a full channel means the reducer is the bottleneck, so
+/// the blocked send is tallied before falling back to the blocking path.
 fn send_outcome(
-    tx: &SyncSender<io::Result<TaskOutcome>>,
-    obs: Option<&PipelineObs>,
-    msg: io::Result<TaskOutcome>,
+    tx: &SyncSender<io::Result<RaceSet>>,
+    backpressure: Option<&Counter>,
+    msg: io::Result<RaceSet>,
 ) -> bool {
-    let msg = match obs {
-        Some(p) => match tx.try_send(msg) {
+    let msg = match backpressure {
+        Some(counter) => match tx.try_send(msg) {
             Ok(()) => return true,
             Err(TrySendError::Disconnected(_)) => return false,
             Err(TrySendError::Full(msg)) => {
-                p.backpressure.inc();
+                counter.inc();
                 msg
             }
         },
@@ -421,9 +372,6 @@ struct Done {
     result: io::Result<RaceSet>,
     /// The task's work: its builds and compares, wherever they ran.
     secs: f64,
-    /// Journal time its span starts at.
-    s0: Option<u64>,
-    tree_pairs: u64,
 }
 
 /// What one worker keeps from round to round: its open logs and its
@@ -446,10 +394,9 @@ struct Round<'a> {
     board: &'a Board<'a>,
     /// Threads the round runs on: a split needs a second.
     threads: usize,
-    pipe_obs: Option<&'a PipelineObs>,
     /// When the deques were dealt: each task's deque wait is measured
     /// from here.
-    dealt_us: u64,
+    dealt: Instant,
 }
 
 /// The incremental analyzer behind both entry points (module docs): the
@@ -471,10 +418,8 @@ pub(crate) struct Core {
     pub(crate) stats: WorkerStats,
     /// Tasks counted in the round they first existed.
     tasks: u64,
+    /// The calling thread's stage spans, when `--obs` is on.
     journal: Option<ThreadJournal>,
-    sched_journal: Option<ThreadJournal>,
-    reduce_journal: Option<ThreadJournal>,
-    pipe_obs: Option<PipelineObs>,
 }
 
 impl Core {
@@ -495,9 +440,6 @@ impl Core {
             stats: WorkerStats::default(),
             tasks: 0,
             journal: config.journal_for("analyzer"),
-            sched_journal: config.journal_for("oa-scheduler"),
-            reduce_journal: config.journal_for("oa-reducer"),
-            pipe_obs: config.obs.as_ref().map(PipelineObs::new),
         }
     }
 
@@ -518,19 +460,15 @@ impl Core {
 
         // Stage: build-structure.
         let t0 = Instant::now();
-        let s0 = self.journal.as_ref().map(|j| j.now_us());
         let groups_before = self.structure.groups.len();
         self.structure.extend(regions, rows)?;
         let new_groups = (self.structure.groups.len() - groups_before) as u64;
         self.record(Stage::BuildStructure, t0.elapsed().as_secs_f64(), new_groups, 0);
-        journal_stage(&self.journal, "build-structure", s0, ("groups", new_groups as f64));
         let (structure, config) = (&self.structure, &self.config);
-        let (reduce_journal, pipe_obs) = (&self.reduce_journal, self.pipe_obs.as_ref());
 
         // Stage: pair-schedule. Filters the round's tasks to the focus
         // regions, orders them by file position, and deals contiguous
         // chunks into per-worker deques.
-        let s0 = self.sched_journal.as_ref().map(|j| j.now_us());
         let t0 = Instant::now();
         let in_focus = |group: usize| -> bool {
             match &config.focus_regions {
@@ -570,14 +508,13 @@ impl Core {
             let mut dealt = tasks.into_iter();
             (0..threads).map(|_| Mutex::new(dealt.by_ref().take(chunk).collect())).collect()
         };
-        let schedule_secs = t0.elapsed().as_secs_f64();
-        journal_stage(&self.sched_journal, "pair-schedule", s0, ("tasks", scheduled as f64));
-        if let Some(p) = pipe_obs {
-            p.queue_depth.store(scheduled, Ordering::Relaxed);
+        self.record(Stage::PairSchedule, t0.elapsed().as_secs_f64(), scheduled, 0);
+        if let Some(rows) = &self.rows {
+            rows.queue_depth.add(scheduled);
         }
         // All tasks are dealt at one moment; each task's deque wait is
         // measured from here.
-        let dealt_us = pipe_obs.map(|p| p.obs.journal.now_us()).unwrap_or(0);
+        let dealt = Instant::now();
 
         while self.workers.len() < threads {
             let wi = self.workers.len();
@@ -599,10 +536,9 @@ impl Core {
             deques: &deques,
             board: &board,
             threads,
-            pipe_obs,
-            dealt_us,
+            dealt,
         };
-        let (result_tx, result_rx) = sync_channel::<io::Result<TaskOutcome>>(RESULT_QUEUE);
+        let (result_tx, result_rx) = sync_channel::<io::Result<RaceSet>>(RESULT_QUEUE);
 
         let mut races = RaceSet::new();
         let mut merged = WorkerStats::default();
@@ -613,18 +549,10 @@ impl Core {
             (self.rows.as_ref(), &self.sources, &mut self.sources_seen);
         // Stage: dedup-report. Merges every task's races as it arrives,
         // and catches the log-read rows up with the task's reads.
-        let reduce_s0 = reduce_journal.as_ref().map(|j| j.now_us());
-        let mut reduce = |msg: io::Result<TaskOutcome>| match msg {
-            Ok(outcome) => {
+        let mut reduce = |msg: io::Result<RaceSet>| match msg {
+            Ok(task_races) => {
                 let t0 = Instant::now();
-                if let (Some(j), Some(flow)) = (reduce_journal, outcome.flow) {
-                    j.instant_flow(
-                        "merge",
-                        vec![("task_secs".into(), outcome.secs)],
-                        Some((flow, FlowPhase::End)),
-                    );
-                }
-                races.merge(outcome.races);
+                races.merge(task_races);
                 outcomes += 1;
                 if let Some(rows) = rows {
                     rows.catch_up_reads(sources, sources_seen);
@@ -647,7 +575,8 @@ impl Core {
                 .zip(1..)
                 .map(|(ctx, wi)| {
                     let (tx, round) = (result_tx.clone(), &round);
-                    s.spawn(move || round.work(wi, ctx, |msg| send_outcome(&tx, pipe_obs, msg)))
+                    let backpressure = rows.map(|r| &r.backpressure);
+                    s.spawn(move || round.work(wi, ctx, |msg| send_outcome(&tx, backpressure, msg)))
                 })
                 .collect();
             drop(result_tx);
@@ -667,7 +596,6 @@ impl Core {
                 merged.merge(&handle.join().expect("analysis worker panicked"));
             }
         });
-        journal_stage(reduce_journal, "dedup-report", reduce_s0, ("outcomes", outcomes as f64));
 
         if let Some(e) = first_error {
             return Err(e);
@@ -681,7 +609,6 @@ impl Core {
         self.races.merge(races);
         dedup_secs += t0.elapsed().as_secs_f64();
         self.tasks += first_round;
-        self.record(Stage::PairSchedule, schedule_secs, scheduled, 0);
         self.record(Stage::TreeBuild, merged.build_secs, merged.trees_built, merged.bytes_read);
         self.record(Stage::Compare, merged.compare_secs, merged.tree_pairs, 0);
         self.record(Stage::DedupReport, dedup_secs, outcomes, 0);
@@ -692,10 +619,19 @@ impl Core {
         Ok(new_races)
     }
 
-    /// Adds `secs`/`items`/`bytes` to `stage`'s rows, when `--obs` is on.
+    /// Charges `stage` with one measurement, when `--obs` is on: `secs`,
+    /// `items` and `bytes` to its rows and, for a stage the calling thread
+    /// runs, a span of the same `secs` ending now on the `analyzer`
+    /// journal. Tree-build and compare are every worker's busy time,
+    /// which the workers' `work` and `build` spans show.
     pub(crate) fn record(&self, stage: Stage, secs: f64, items: u64, bytes: u64) {
         if let Some(rows) = &self.rows {
             rows.stage(stage, secs, items, bytes);
+        }
+        if let Some(j) = &self.journal {
+            if !matches!(stage, Stage::TreeBuild | Stage::Compare) {
+                close_span(j, STAGES[stage as usize], secs, ("items", items as f64));
+            }
         }
     }
 
@@ -743,22 +679,24 @@ impl<'a> Round<'a> {
     /// post. Hands each task's outcome it finishes to `sink` (which
     /// returns `false` when nobody is listening any more), and returns its
     /// counters. Journals the share as one `work` span whose `tasks` arg
-    /// counts the tasks it finished, 0 included.
+    /// counts the tasks it finished, 0 included; each task's time goes to
+    /// the task histogram, not the journal.
     fn work(
         &self,
         wi: usize,
         ctx: &mut WorkerCtx,
-        mut sink: impl FnMut(io::Result<TaskOutcome>) -> bool,
+        mut sink: impl FnMut(io::Result<RaceSet>) -> bool,
     ) -> WorkerStats {
         let mut stats = WorkerStats::default();
-        let share_s0 = ctx.journal.as_ref().map(|j| j.now_us());
+        let t0 = Instant::now();
         let mut finished = 0u64;
         loop {
             let done = if let Some((slot, member)) = self.board.claim_any() {
                 self.help(slot, member, ctx, &mut stats)
             } else if let Some(task) = next_task(self.deques, wi) {
-                if let Some(p) = self.pipe_obs {
-                    p.note_dequeue(self.dealt_us);
+                if let Some(rows) = self.rows {
+                    rows.queue_depth.sub(1);
+                    rows.task_wait_us.record(self.dealt.elapsed().as_micros() as u64);
                 }
                 let _finishing = Finishing(self.board);
                 self.start(&task, ctx, &mut stats)
@@ -767,29 +705,19 @@ impl<'a> Round<'a> {
             } else {
                 break;
             };
-            let Some(Done { result, secs, s0, tree_pairs }) = done else { continue };
+            let Some(Done { result, secs }) = done else { continue };
             finished += 1;
             stats.max_task_secs = stats.max_task_secs.max(secs);
             if let Some(rows) = self.rows {
                 rows.task_nanos.record(nanos(secs));
             }
-            // The task span starts this outcome's causal flow; the
-            // reducer's merge instant ends it.
-            let flow = self.pipe_obs.map(|p| p.obs.journal.next_flow_id());
-            if let (Some(j), Some(s0)) = (&ctx.journal, s0) {
-                j.span_closed_flow(
-                    "task",
-                    s0,
-                    j.now_us().saturating_sub(s0),
-                    vec![("tree_pairs".into(), tree_pairs as f64)],
-                    flow.map(|f| (f, FlowPhase::Start)),
-                );
-            }
-            if !sink(result.map(|races| TaskOutcome { races, secs, flow })) {
+            if !sink(result) {
                 break;
             }
         }
-        journal_stage(&ctx.journal, "work", share_s0, ("tasks", finished as f64));
+        if let Some(j) = &ctx.journal {
+            close_span(j, "work", t0.elapsed().as_secs_f64(), ("tasks", finished as f64));
+        }
         stats
     }
 
@@ -800,14 +728,13 @@ impl<'a> Round<'a> {
     /// handed on (`None`).
     fn start(&self, task: &Task, ctx: &mut WorkerCtx, stats: &mut WorkerStats) -> Option<Done> {
         let t0 = Instant::now();
-        let s0 = ctx.journal.as_ref().map(|j| j.now_us());
         let (pairs, owing) = owing(self.structure, self.regions, task);
         let shared = self.threads > 1
             && owing.len() >= 2
             && owing.iter().map(|m| m.meta.size).sum::<u64>() >= BYTES_PER_STARTED_THREAD;
         if !shared {
             let rest = Rest { pairs, owing, secs: 0.0 };
-            return Some(self.finish(Finish { rest, landed: Vec::new() }, ctx, stats, t0, s0));
+            return Some(self.finish(Finish { rest, landed: Vec::new() }, ctx, stats, t0));
         }
         let split = self.board.post(owing);
         let rest = Rest { pairs, owing: Vec::new(), secs: t0.elapsed().as_secs_f64() };
@@ -817,7 +744,7 @@ impl<'a> Round<'a> {
             let _ = self.board.land(slot, built);
         }
         let finish = self.board.settle(split, rest)?;
-        Some(self.finish(finish, ctx, stats, Instant::now(), s0))
+        Some(self.finish(finish, ctx, stats, Instant::now()))
     }
 
     /// Builds a posted tree for another worker's task and lands it;
@@ -832,20 +759,23 @@ impl<'a> Round<'a> {
     ) -> Option<Done> {
         let built = self.build(member, ctx, stats);
         let finish = self.board.land(slot, built)?;
-        let s0 = ctx.journal.as_ref().map(|j| j.now_us());
-        Some(self.finish(finish, ctx, stats, Instant::now(), s0))
+        Some(self.finish(finish, ctx, stats, Instant::now()))
     }
 
     /// Builds a posted tree with this worker's reader pool. The build
-    /// counts in this worker's tree-build stage time.
+    /// counts in this worker's tree-build stage time and, with `--obs`, is
+    /// journaled as a `build` span. Only a task whose trees carry
+    /// `BYTES_PER_STARTED_THREAD` of log posts builds, so these spans come
+    /// with the log's bytes, not with the session's intervals.
     fn build(&self, member: &Interval, ctx: &mut WorkerCtx, stats: &mut WorkerStats) -> Landed {
-        let s0 = ctx.journal.as_ref().map(|j| j.now_us());
         let t0 = Instant::now();
         let (tid, begin, size) = (member.tid, member.meta.data_begin, member.meta.size);
         let built = ctx.pool.build(self.dir, tid, begin, size, DEFAULT_CHUNK_BYTES);
         let secs = t0.elapsed().as_secs_f64();
         stats.build_secs += secs;
-        journal_stage(&ctx.journal, "build", s0, ("bytes", size as f64));
+        if let Some(j) = &ctx.journal {
+            close_span(j, "build", secs, ("bytes", size as f64));
+        }
         built.map(|tree| (tree, secs))
     }
 
@@ -859,10 +789,8 @@ impl<'a> Round<'a> {
         ctx: &mut WorkerCtx,
         stats: &mut WorkerStats,
         t0: Instant,
-        s0: Option<u64>,
     ) -> Done {
         let Finish { rest: Rest { pairs, owing, mut secs }, landed } = finish;
-        let tree_pairs = stats.tree_pairs;
         let mut trees = TaskTrees::new(self.rows);
         let mut races = RaceSet::new();
         let result = landed
@@ -877,12 +805,7 @@ impl<'a> Round<'a> {
                 owing.iter().try_for_each(|m| trees.build(self.dir, m, &mut ctx.pool, stats))
             })
             .map(|()| self.compare(&pairs, &trees, ctx, &mut races, stats));
-        Done {
-            result: result.map(|()| races),
-            secs: secs + t0.elapsed().as_secs_f64(),
-            s0,
-            tree_pairs: stats.tree_pairs - tree_pairs,
-        }
+        Done { result: result.map(|()| races), secs: secs + t0.elapsed().as_secs_f64() }
     }
 
     /// Compares a task's pairs out of its trees.

@@ -1,27 +1,16 @@
 //! The analyzer's own accounting, kept in its `Obs` registry: [`Rows`],
 //! the handles one analysis core fetches by name (per-stage busy time,
-//! items and bytes, task times, solver tiers, log reads, tree memory),
-//! and [`render_stages`], the stage table `--stats` prints from a
-//! registry. A registry shared by several analyses adds them up.
+//! items and bytes, task times, the task queue, solver tiers, log reads,
+//! tree memory). A registry shared by several analyses adds them up, and
+//! `sword_obs::render_stages` prints the stage rows as the one stage
+//! table.
 
-use std::collections::HashMap;
-
-use sword_obs::{format_bytes, Counter, Histogram, MemGauge, Registry, Table};
+use sword_obs::{stage_row, Counter, Gauge, Histogram, MemGauge, Registry, ThreadJournal, STAGES};
 use sword_solver::Tier;
 use sword_trace::SourceStats;
 
-/// The pipeline's stages, in pipeline order ([`Stage`] indexes it).
-const STAGES: [&str; 7] = [
-    "discover",
-    "load-meta",
-    "build-structure",
-    "pair-schedule",
-    "tree-build",
-    "compare",
-    "dedup-report",
-];
-
-/// One stage of the pipeline (the crate's `pipeline` module docs).
+/// One stage of the pipeline (the crate's `pipeline` module docs),
+/// indexing [`STAGES`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Stage {
     Discover,
@@ -31,11 +20,6 @@ pub(crate) enum Stage {
     TreeBuild,
     Compare,
     DedupReport,
-}
-
-/// A stage's registry row name for `metric`.
-fn stage_row(metric: &str, stage: &str) -> String {
-    format!("{metric}{{stage=\"{stage}\"}}")
 }
 
 /// One stage's rows: summed busy time of every worker that ran it (for
@@ -68,6 +52,12 @@ pub(crate) struct Rows {
     /// between rounds and polls. Its peak is the analyzer's measured tree
     /// memory (Figures 6–8).
     pub(crate) tree_mem: MemGauge,
+    /// Comparison tasks dealt to the worker deques and not yet popped.
+    pub(crate) queue_depth: Gauge,
+    /// Each task's wait from the deal to its pop (µs).
+    pub(crate) task_wait_us: Histogram,
+    /// Worker sends that blocked on a full result channel.
+    pub(crate) backpressure: Counter,
 }
 
 impl Rows {
@@ -134,6 +124,18 @@ impl Rows {
                     "Peak bytes held in the analyzer's interval trees",
                 ),
             ),
+            queue_depth: registry.gauge(
+                "sword_task_queue_depth",
+                "comparison tasks still waiting in the worker deques",
+            ),
+            task_wait_us: registry.histogram(
+                "sword_task_queue_wait_us",
+                "schedule-to-dequeue wait of a comparison task",
+            ),
+            backpressure: registry.counter(
+                "sword_result_backpressure_total",
+                "worker sends that blocked on a full result channel",
+            ),
         }
     }
 
@@ -167,30 +169,24 @@ pub(crate) fn nanos(secs: f64) -> u64 {
     (secs * 1e9) as u64
 }
 
-/// Renders the per-stage table from `registry`'s stage rows, in pipeline
-/// order; stages without rows (no analysis ran on it) are left out.
-pub fn render_stages(registry: &Registry) -> String {
-    let snapshot: HashMap<String, f64> = registry.snapshot().into_iter().collect();
-    let mut t = Table::new("pipeline stages", &["stage", "busy (s)", "items", "items/s", "bytes"]);
-    for stage in STAGES {
-        let row = |metric| snapshot.get(&stage_row(metric, stage)).copied();
-        let Some(busy) = row("sword_stage_busy_nanos") else { continue };
-        let secs = busy / 1e9;
-        let items = row("sword_stage_items_total").unwrap_or(0.0);
-        let rate = if secs > 0.0 { items / secs } else { 0.0 };
-        t.row(&[
-            stage.to_string(),
-            format!("{secs:.4}"),
-            format!("{items}"),
-            format!("{rate:.0}"),
-            format_bytes(row("sword_stage_bytes_total").unwrap_or(0.0) as u64),
-        ]);
-    }
-    t.render()
+/// Closes a span of `secs`, measured by the caller's clock, ending now:
+/// the journal shows the time the registry rows were charged.
+pub(crate) fn close_span(
+    j: &ThreadJournal,
+    name: &'static str,
+    secs: f64,
+    arg: (&'static str, f64),
+) {
+    let dur = (secs * 1e6) as u64;
+    j.span_closed(name, j.now_us().saturating_sub(dur), dur, vec![(arg.0.into(), arg.1)]);
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use sword_obs::render_stages;
+
     use super::*;
 
     #[test]
@@ -204,7 +200,7 @@ mod tests {
         assert_eq!(snap[&stage_row("sword_stage_items_total", "load-meta")], 15.0);
         assert_eq!(snap[&stage_row("sword_stage_bytes_total", "load-meta")], 150.0);
         assert_eq!(snap[&stage_row("sword_stage_busy_nanos", "load-meta")], 1e9);
-        let table = render_stages(&reg);
+        let table = render_stages(&reg.snapshot());
         let lines: Vec<&str> = table.lines().collect();
         let at = |stage: &str| lines.iter().position(|l| l.starts_with(stage)).unwrap();
         // Pipeline order, whatever order the stages were recorded in.
@@ -212,7 +208,7 @@ mod tests {
         assert!(lines[at("load-meta")].contains("15"), "{table}");
         assert!(lines[at("compare")].contains(" 4"), "{table}");
         assert_eq!(STAGES.iter().filter(|s| table.contains(*s)).count(), 7);
-        assert!(!render_stages(&Registry::new()).contains("discover"));
+        assert_eq!(render_stages(&Registry::new().snapshot()), "", "no analysis, no table");
     }
 
     #[test]
@@ -232,7 +228,11 @@ mod tests {
         assert_eq!(snap["sword_analyzer_tree_mem_peak_bytes"], 96.0);
         // Fetched by name, so the second core registered no row: three
         // per stage, six tiers, three reads, the wide-node counter, two
-        // tree gauges and two six-row histograms.
-        assert_eq!(reg.snapshot().len(), 3 * STAGES.len() + Tier::ALL.len() + 3 + 1 + 2 + 2 * 6);
+        // tree gauges, the queue depth, the backpressure counter and
+        // three six-row histograms.
+        assert_eq!(
+            reg.snapshot().len(),
+            3 * STAGES.len() + Tier::ALL.len() + 3 + 1 + 2 + 1 + 1 + 3 * 6
+        );
     }
 }

@@ -987,11 +987,15 @@ fn obs_journals_every_stage_and_gauges_tree_memory() {
             "missing stage span {stage:?}"
         );
     }
-    let task_span = events.iter().find(|e| e.name == "task").expect("per-task worker span");
-    assert!(task_span.thread.starts_with("oa-worker-"), "got {:?}", task_span.thread);
+    let work_span = events.iter().find(|e| e.name == "work").expect("a worker's share span");
+    assert!(work_span.thread.starts_with("oa-worker-"), "got {:?}", work_span.thread);
 
     let snapshot: std::collections::BTreeMap<String, f64> =
         obs.registry.snapshot().into_iter().collect();
+    assert_eq!(
+        snapshot["sword_analyzer_task_nanos_count"], result.stats.tasks as f64,
+        "every task is one histogram sample"
+    );
     assert_eq!(
         snapshot["sword_solver_call_nanos_count"], result.stats.solver_calls as f64,
         "every exact solve lands in the latency histogram"
@@ -1003,6 +1007,51 @@ fn obs_journals_every_stage_and_gauges_tree_memory() {
     );
     // Every node a log builds packs: the row exists and reads 0.
     assert_eq!(snapshot["sword_analyzer_wide_nodes"], 0.0);
+}
+
+#[test]
+fn a_small_ring_holds_an_analysis_of_many_tasks() {
+    // The analyzer journals stages and worker shares, not tasks: 1,200
+    // tasks fit a 64-event ring with nothing dropped. Each calling-thread
+    // stage span is the measurement its registry rows were charged with.
+    let session = collect("small-ring", |sim| {
+        let a = sim.alloc::<u64>(2, 0);
+        sim.run(|ctx| {
+            for _ in 0..1200 {
+                ctx.parallel(2, |w| w.write(&a, w.team_index(), 1));
+            }
+        });
+    });
+    for workers in [1, 2] {
+        let obs = Obs::with_ring_capacity(64);
+        let config = AnalysisConfig::sequential().with_workers(workers).with_obs(obs.clone());
+        let result = analyze(&session, &config).expect("analysis");
+        assert_eq!(result.stats.tasks, 1200, "one task per region");
+        assert_eq!(obs.journal.dropped_events(), 0, "{workers} workers");
+        let events = obs.journal.drain();
+        let rows = registry_rows(&obs);
+        let shares: f64 = events
+            .iter()
+            .filter(|e| e.name == "work")
+            .map(|e| e.args.iter().find(|(k, _)| k == "tasks").expect("tasks arg").1)
+            .sum();
+        assert_eq!(shares, rows["sword_analyzer_task_nanos_count"], "the shares cover every task");
+        assert_eq!(shares, 1200.0);
+        assert_eq!(rows["sword_task_queue_wait_us_count"], 1200.0, "every task left the deques");
+        assert_eq!(rows["sword_task_queue_depth"], 0.0);
+        for stage in ["discover", "load-meta", "build-structure", "pair-schedule", "dedup-report"] {
+            let spans: Vec<_> = events.iter().filter(|e| e.name == stage).collect();
+            assert_eq!(spans.len(), 1, "{stage}: one span per stage and round");
+            let span = spans[0];
+            assert_eq!(&*span.thread, "analyzer", "{stage}");
+            let busy_us = stage_row(&rows, "sword_stage_busy_nanos", stage) / 1e3;
+            let dur = span.dur_us.expect("a span") as f64;
+            assert!((dur - busy_us).abs() <= 1.0, "{stage}: span {dur} µs, row {busy_us} µs");
+            let items = span.args.iter().find(|(k, _)| k == "items").expect("items arg").1;
+            assert_eq!(items, stage_row(&rows, "sword_stage_items_total", stage), "{stage}");
+        }
+    }
+    std::fs::remove_dir_all(session.path()).unwrap();
 }
 
 #[test]

@@ -411,13 +411,11 @@ fn live_polls_run_on_the_worker_pool() {
     let mut workers: Vec<&str> = shares.iter().map(|(w, _)| *w).collect();
     workers.sort_unstable();
     assert_eq!(workers, ["oa-worker-0", "oa-worker-1"], "one share per worker, two workers");
-    let tasks = events.iter().filter(|e| e.name == "task").count();
-    assert!(tasks > 1, "the poll dealt {tasks} tasks");
-    assert_eq!(
-        shares.iter().map(|(_, n)| n).sum::<f64>(),
-        tasks as f64,
-        "the shares cover every task"
-    );
+    let snapshot = obs.registry.snapshot();
+    let row = |name: &str| snapshot.iter().find(|(k, _)| k == name).expect("a registry row").1;
+    let tasks = row("sword_analyzer_task_nanos_count");
+    assert!(tasks > 1.0, "the poll dealt {tasks} tasks");
+    assert_eq!(shares.iter().map(|(_, n)| n).sum::<f64>(), tasks, "the shares cover every task");
     assert!(!events.iter().any(|e| &*e.thread == "oa-worker-2"), "workers = 2 means two");
     let tiny = record("pool-tiny", clean_workload);
     let mut small = LiveAnalyzer::new(&SessionDir::new(&tiny), &config);
@@ -434,7 +432,7 @@ fn live_polls_run_on_the_worker_pool() {
     assert_eq!(idle.new_intervals, 0);
     let events = obs.journal.drain();
     assert!(
-        events.iter().all(|e| &*e.thread == "live-poller"),
+        events.iter().all(|e| !e.thread.starts_with("oa-worker-")),
         "an idle poll reached the pool: {:?}",
         events.iter().map(|e| (&*e.thread, &*e.name)).collect::<Vec<_>>()
     );

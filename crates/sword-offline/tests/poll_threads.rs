@@ -119,8 +119,9 @@ fn polls_leave_no_thread_behind_and_idle_polls_start_none() {
         events.iter().filter(|e| e.name == "build").map(|e| &*e.thread).collect();
     let expect = ["oa-worker-0", "oa-worker-1"].into_iter().collect();
     assert_eq!(builders, expect, "each worker built one of the task's two trees");
-    let tasks = events.iter().filter(|e| e.name == "task").count();
-    assert_eq!(tasks, 1, "the poll ran one task");
+    let snapshot = obs.registry.snapshot();
+    let tasks = snapshot.iter().find(|(k, _)| k == "sword_analyzer_task_nanos_count").expect("row");
+    assert_eq!(tasks.1, 1.0, "the poll ran one task");
     drop(live);
     assert_eq!(threads_settling_at(at_start), at_start);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -205,19 +205,16 @@ struct StageObs {
     journal: Journal,
     flush_wait_us: Histogram,
     write_wait_us: Histogram,
-    flush_depth: Arc<AtomicU64>,
+    flush_depth: Gauge,
 }
 
 impl StageObs {
     fn new(obs: &Obs) -> StageObs {
-        let flush_depth = Arc::new(AtomicU64::new(0));
-        let d = Arc::clone(&flush_depth);
-        obs.registry.source(
-            "sword_flush_queue_depth",
-            "filled buffers waiting for a compression worker",
-            move || d.load(Ordering::Relaxed) as f64,
-        );
         StageObs {
+            flush_depth: obs.registry.gauge(
+                "sword_flush_queue_depth",
+                "filled buffers waiting for a compression worker",
+            ),
             journal: obs.journal.clone(),
             flush_wait_us: obs.registry.histogram(
                 "sword_flush_queue_wait_us",
@@ -227,7 +224,6 @@ impl StageObs {
                 "sword_write_queue_wait_us",
                 "enqueue-to-dequeue wait on the writer channel",
             ),
-            flush_depth,
         }
     }
 
@@ -235,7 +231,7 @@ impl StageObs {
     /// `depth` is set); reuses the producer's flow id when given.
     fn enqueue(&self, flow: Option<u64>, count_depth: bool) -> FlowTag {
         if count_depth {
-            self.flush_depth.fetch_add(1, Ordering::Relaxed);
+            self.flush_depth.add(1);
         }
         FlowTag {
             flow: flow.unwrap_or_else(|| self.journal.next_flow_id()),
@@ -476,7 +472,7 @@ fn compression_worker(
         // Dequeue side of the flush channel: settle the depth gauge and
         // record the enqueue-to-dequeue wait the producer stamped.
         if let (Some((_, stage)), Some(tag), Some(t0)) = (&obs, job.trace, t0) {
-            stage.flush_depth.fetch_sub(1, Ordering::Relaxed);
+            stage.flush_depth.sub(1);
             stage.flush_wait_us.record(t0.saturating_sub(tag.enqueued_us));
         }
         let start = Instant::now();
