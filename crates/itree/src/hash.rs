@@ -1,8 +1,8 @@
-//! A minimal multiply-rotate hasher for small fixed-shape keys.
+//! Minimal rotate-xor hashers for small fixed-shape keys.
 //!
 //! The summarizing builder hashes its merge key — a few machine words —
-//! once per recorded access, and the analyzer's memo tables hash small
-//! structural keys once per lookup. SipHash's per-hash setup cost is
+//! once per recorded access to index its key cache, and probes its key
+//! map on a miss. SipHash's per-hash setup cost is
 //! pure overhead there: none of these tables hold attacker-controlled
 //! keys (they are derived from the program's own PCs, strides, and fork
 //! labels), so a fast non-cryptographic mix in the style of rustc's
@@ -15,23 +15,29 @@ use std::hash::{BuildHasher, Hasher};
 /// bit dispersion under multiplication).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// One-word-at-a-time multiply-rotate hasher.
+/// One-word-at-a-time rotate-xor hasher. FxHash, for maps, multiplies
+/// every word in (`EACH`); an `IndexHasher` multiplies once, in
+/// `finish`, for a direct-mapped index taken from the hash's high bits,
+/// where a key of a few words would chain as many dependent multiplies.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FxHasher {
+pub struct FxHasher<const EACH: bool = true> {
     hash: u64,
 }
 
-impl FxHasher {
+/// A multiply per hash: only its high bits are spread.
+pub(crate) type IndexHasher = FxHasher<false>;
+
+impl<const EACH: bool> FxHasher<EACH> {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(if EACH { SEED } else { 1 });
     }
 }
 
-impl Hasher for FxHasher {
+impl<const EACH: bool> Hasher for FxHasher<EACH> {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.wrapping_mul(if EACH { 1 } else { SEED })
     }
 
     #[inline]
@@ -116,6 +122,21 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), hashes.len(), "no collisions on a small dense key set");
         assert!(hashes.iter().any(|h| h >> 56 != hashes[0] >> 56), "high bits vary");
+    }
+
+    #[test]
+    fn an_index_hash_spreads_nearby_keys_over_its_high_bits() {
+        // The builder's key shape, (pc, kind, size, mutex set), for 64
+        // consecutive sites of one kind, size and set: their 6-bit memo
+        // indices fill most of the 64 slots.
+        let index = |k: &(u32, u8, u8, u32)| {
+            std::hash::BuildHasherDefault::<IndexHasher>::default().hash_one(k) >> 58
+        };
+        let mut slots: Vec<u64> = (0..64u32).map(|pc| index(&(pc, 1, 8, 0))).collect();
+        assert_eq!(index(&(7, 1, 8, 0)), slots[7], "equal keys index equal");
+        slots.sort_unstable();
+        slots.dedup();
+        assert!(slots.len() >= 32, "{} of 64 slots", slots.len());
     }
 
     #[test]

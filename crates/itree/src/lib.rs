@@ -70,10 +70,11 @@ pub use hash::{FxBuildHasher, FxHasher};
 pub use sword_solver::{Fingerprint, StridedInterval};
 pub use tree::{IntervalTree, NodeInterval, NodeRef};
 
+use hash::IndexHasher;
 use tree::Node;
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 /// Outcome of a [`SummarizingBuilder::insert_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,10 +153,11 @@ pub struct SummarizingBuilder<K: Hash + Eq + Clone, V> {
     /// setup cost dominates the lookup.
     index: HashMap<K, u32, FxBuildHasher>,
     /// Direct-mapped one-way cache in front of `index`, indexed by the
-    /// key hash's high bits — the per-access fast path. An instrumented
-    /// loop body cycles through a handful of source lines (a 5-operand
-    /// stencil touches 5 keys per iteration), so almost every access
-    /// resolves here with one compare instead of a map probe.
+    /// high bits of the key's [`IndexHasher`] hash — the per-access fast
+    /// path. An instrumented loop body cycles through a handful of source
+    /// lines (a 5-operand stencil touches 5 keys per iteration), so
+    /// almost every access resolves here with one compare instead of a
+    /// map probe.
     memo: Vec<Option<(K, u32)>>,
     accesses: u64,
 }
@@ -206,9 +208,10 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// map.
     #[inline]
     fn ring_of(&mut self, key: &K) -> u32 {
-        // The Fx multiply concentrates entropy in the high bits; the low
-        // bits of a product are too regular to index with.
-        let h = std::hash::BuildHasher::hash_one(&FxBuildHasher, key);
+        // The one multiply concentrates entropy in the high bits; the low
+        // bits of a product are too regular to index with. A hit checks
+        // the whole key, so the index need not tell keys apart.
+        let h = BuildHasherDefault::<IndexHasher>::default().hash_one(key);
         let mi = (h >> 58) as usize & (KEY_CACHE_WAYS - 1);
         if let Some((k, ri)) = &self.memo[mi] {
             if k == key {
@@ -406,16 +409,15 @@ fn match_slot(iv: &StridedInterval, pending: Option<u64>, addr: u64) -> SlotMatc
 /// each exactly once and in no promised order. This is the tree-vs-tree
 /// comparison of the paper's offline algorithm; the caller applies the
 /// exact strided/mutex/atomic race conditions to each candidate pair.
-/// Each side comes with its node's cached stride-class [`Fingerprint`], so
-/// the congruence pre-screen can run during the sweep without
-/// recomputing `base % stride` per pair.
+/// Each side comes with its interval's stride-class [`Fingerprint`],
+/// computed for the pair, for the congruence pre-screen.
 pub fn for_each_candidate_pair_fp<VA, VB, F>(a: &IntervalTree<VA>, b: &IntervalTree<VB>, mut f: F)
 where
     F: FnMut(&StridedInterval, Fingerprint, &VA, &StridedInterval, Fingerprint, &VB),
 {
     walk::sweep(a, b, |x, y| {
         let (ix, iy) = (x.interval(a.wide()), y.interval(b.wide()));
-        f(&ix, x.fingerprint(&ix), &x.value, &iy, y.fingerprint(&iy), &y.value);
+        f(&ix, Fingerprint::of(&ix), &x.value, &iy, Fingerprint::of(&iy), &y.value);
     });
 }
 
@@ -661,13 +663,41 @@ mod tests {
         assert_eq!(t.wide_nodes(), 2);
         let nodes: Vec<StridedInterval> = t.iter().map(|(_, iv, _)| *iv).collect();
         assert_eq!(nodes, [iv(0x10, 300, 2, 300), iv(0x1000, 8, 2 + (1 << 32), 8)]);
-        // An interval that packs costs no wide entry.
+        // An interval that packs costs no wide entry: strides take 23
+        // bits.
         let mut t = IntervalTree::new();
-        t.insert(iv(0, (1 << 24) - 1, u32::MAX.into(), 255), ());
+        t.insert(iv(0, (1 << 23) - 1, u32::MAX.into(), 255), ());
         assert_eq!(t.wide_nodes(), 0);
-        t.insert(iv(0, 1 << 24, 1, 8), ());
+        t.insert(iv(0, 1 << 23, 1, 8), ());
         assert_eq!(t.wide_nodes(), 1);
         t.assert_invariants();
+        let strides: Vec<u64> = t.iter().map(|(_, iv, _)| iv.stride).collect();
+        assert_eq!(strides, [(1 << 23) - 1, 1 << 23]);
+    }
+
+    #[test]
+    fn a_wide_or_narrow_read_keeps_its_class_and_interval() {
+        // The class shares the stride's word: the widest narrow stride and
+        // a wide stride, each as a read and as a write, linked from
+        // single-access nodes that retire to their final extent.
+        let strides = [(1 << 23) - 1, 1 << 23];
+        let expect: Vec<(StridedInterval, bool)> = (0..4u64)
+            .map(|k| (iv(0x1000 * (1 + k), strides[k as usize / 2], 2, 8), k % 2 == 0))
+            .collect();
+        let (mut nodes, mut wide) = (Vec::new(), Vec::new());
+        for &(interval, write) in &expect {
+            let single = StridedInterval::single(interval.base, interval.size);
+            nodes.push(Node::new(single, write, &mut wide));
+            nodes.last_mut().unwrap().set_interval(interval, &mut wide);
+        }
+        let t = IntervalTree::link(nodes, wide, |&w| w);
+        t.assert_invariants();
+        assert_eq!(t.wide_nodes(), 2);
+        let got: Vec<(StridedInterval, bool)> = t.iter().map(|(_, iv, &w)| (*iv, w)).collect();
+        assert_eq!(got, expect);
+        let reads: Vec<bool> = t.nodes().iter().map(Node::is_read).collect();
+        assert_eq!(reads, [false, true, false, true]);
+        assert_eq!(t.write_bounds(), Some((0x1000, 0x3000 + 2 * (1 << 23) + 8)));
     }
 
     #[test]
@@ -717,6 +747,20 @@ mod proptests {
 
     fn inorder<V: Clone>(t: &IntervalTree<V>) -> Vec<(StridedInterval, V)> {
         t.iter().map(|(_, iv, v)| (*iv, v.clone())).collect()
+    }
+
+    /// `nodes` with each `(begin, class)` group sorted, after checking
+    /// that the groups come in begin order, writes first: what a linked
+    /// tree promises, whose ties keep no insertion order.
+    fn by_group(
+        nodes: &[(StridedInterval, u32)],
+        read: impl Fn(&u32) -> bool,
+    ) -> Vec<(StridedInterval, u32)> {
+        let key = |(iv, v): &(StridedInterval, u32)| (iv.begin(), read(v));
+        assert!(nodes.windows(2).all(|w| key(&w[0]) <= key(&w[1])), "(begin, class) order");
+        let mut sorted = nodes.to_vec();
+        sorted.sort_by_key(|(iv, v)| (iv.begin(), read(v), iv.stride, iv.count, iv.size, *v));
+        sorted
     }
 
     /// One live progression of the reference builder: (index into
@@ -809,10 +853,11 @@ mod proptests {
         let tree = bulk.finish(writes);
         tree.assert_invariants();
         assert!(tree.len() >= nodes, "finish only adds the flushed pendings");
-        // The reference's order, writes moved before reads at one begin.
+        // The reference's nodes, writes before reads at one begin.
         let mut expect = reference.finish();
         expect.sort_by_key(|(iv, v)| (iv.begin(), !writes(v)));
-        assert_eq!(inorder(&tree), expect);
+        let read = |v: &u32| !writes(v);
+        assert_eq!(by_group(&inorder(&tree), read), by_group(&expect, read));
         let reads = expect.iter().filter(|(_, v)| !writes(v)).count();
         let split = (tree.len() - reads) * tree::SORT_READS_AT < reads;
         assert_eq!(tree.unsorted_reads(), if split { reads } else { 0 });
@@ -909,8 +954,7 @@ mod proptests {
             let seq = &pool[..len];
             let mut reference = IntervalTree::new();
             // The builder's usage: a node is pushed as a single access and
-            // its tail is extended in place afterwards, so `fp` is stale
-            // when the link pass starts.
+            // its tail is extended in place afterwards.
             let (mut nodes, mut wide) = (Vec::new(), Vec::new());
             for &(iv, v) in seq {
                 reference.insert(iv, v);
@@ -919,13 +963,16 @@ mod proptests {
             }
             let mut bulk = IntervalTree::link(nodes, wide, |_| true);
             bulk.assert_invariants();
-            prop_assert_eq!(inorder(&bulk), inorder(&reference));
-            // Sorted by (begin, insertion index): a stable sort of `seq`.
-            let mut stable = seq.to_vec();
-            stable.sort_by_key(|(iv, _)| iv.begin());
-            prop_assert_eq!(inorder(&bulk), stable);
+            // All writes: one group per begin, in no order inside it.
+            let groups = |nodes: &[(StridedInterval, u32)]| by_group(nodes, |_| false);
+            prop_assert_eq!(groups(&inorder(&bulk)), groups(&inorder(&reference)));
+            let mut by_begin = seq.to_vec();
+            by_begin.sort_by_key(|(iv, _)| iv.begin());
+            prop_assert_eq!(groups(&inorder(&bulk)), groups(&by_begin));
             let hits = |t: &IntervalTree<u32>, lo, hi| -> Vec<(StridedInterval, u32)> {
-                t.range_overlaps(lo, hi).iter().map(|&h| (t.interval(h), *t.value(h))).collect()
+                let hits: Vec<_> =
+                    t.range_overlaps(lo, hi).iter().map(|&h| (t.interval(h), *t.value(h))).collect();
+                groups(&hits)
             };
             for &(lo, width) in &queries {
                 prop_assert_eq!(hits(&bulk, lo, lo + width), hits(&reference, lo, lo + width));
@@ -937,7 +984,7 @@ mod proptests {
                 reference.insert(*iv, i as u32);
             }
             bulk.assert_invariants();
-            prop_assert_eq!(inorder(&bulk), inorder(&reference));
+            prop_assert_eq!(groups(&inorder(&bulk)), groups(&inorder(&reference)));
         }
 
         #[test]

@@ -11,8 +11,9 @@
 //!   few of them: it filters them against the other tree's writes and
 //!   sorts only the survivors.
 //! * `nodes[unsorted..]`, the *run*: every other node, sorted by
-//!   `(begin, class, insertion index)` with writes before reads at one
-//!   begin. A tree that keeps reads unsorted sorts only writes.
+//!   `(begin, class)` with writes before reads at one begin. Nodes of one
+//!   begin and class keep no particular order among themselves. A tree
+//!   that keeps reads unsorted sorts only writes.
 //!
 //! A range query is a binary search on the run bounded below by the
 //! longest span, plus a scan of the unsorted reads. Two trees are joined
@@ -20,29 +21,32 @@
 
 use std::ops::{Deref, Range};
 
-use sword_solver::{Fingerprint, StridedInterval};
+use sword_solver::StridedInterval;
 
-/// [`Node::fp`] bit of a read.
-pub(crate) const READ: u32 = 1 << 31;
-
-/// [`Node::fp`] bits of the packed fingerprint. All of them set stands
-/// for [`Fingerprint::pack`]'s overflow value, `u32::MAX`.
-const FP_BITS: u32 = READ - 1;
+/// A tree holds fewer nodes than this: the candidate sweep tags a node's
+/// position with its class in the bit above.
+pub(crate) const MAX_NODES: usize = 1 << 31;
 
 /// A tree sorts its reads with its writes unless they outnumber the
 /// writes more than this many times.
 pub(crate) const SORT_READS_AT: usize = 16;
 
-/// Bits of [`Node::stride_size`] that hold a narrow node's stride; its
-/// size takes the 8 bits above them.
-const STRIDE_BITS: u32 = 24;
+/// Bits of [`Node::stride_size`] that hold a narrow node's stride.
+const STRIDE_BITS: u32 = 23;
 
 const STRIDE_MASK: u32 = (1 << STRIDE_BITS) - 1;
 
-/// A summary-tree node: 32 B with the analyzer's 12-byte `AccessMeta` as
+/// [`Node::stride_size`] bit of a read, narrow or wide.
+const READ: u32 = 1 << STRIDE_BITS;
+
+/// Where a narrow node's size begins in [`Node::stride_size`]: it takes
+/// the 8 bits above [`READ`].
+const SIZE_SHIFT: u32 = STRIDE_BITS + 1;
+
+/// A summary-tree node: 24 B with the analyzer's 8-byte `AccessMeta` as
 /// its value. The interval is packed. A *narrow* node, which is every
 /// node the analyzer builds from a log, holds the interval itself: a
-/// `count` below 2³², a stride below 2²⁴ and a size in `1..256`. Any
+/// `count` below 2³², a stride below 2²³ and a size in `1..256`. Any
 /// other interval is *wide*: it goes to its tree's wide list, and its
 /// node keeps the base and the interval's position there, with size 0
 /// as the marker. The base is always in the node, so the sort and the
@@ -53,28 +57,23 @@ pub(crate) struct Node<V> {
     base: u64,
     /// A narrow node's `count`; a wide node's position in the wide list.
     count: u32,
-    /// A narrow node's stride in the low [`STRIDE_BITS`] and its size in
-    /// the high 8; 0 in a wide node.
+    /// The node's class in the [`READ`] bit; a narrow node's stride in
+    /// the [`STRIDE_BITS`] below it and its size in the 8 above it (0 in
+    /// a wide node).
     stride_size: u32,
-    /// The node's class ([`READ`]) and, in the other 31 bits, the packed
-    /// stride-class fingerprint of the interval (see
-    /// [`Fingerprint::pack`]), so the candidate sweep can run the
-    /// congruence pre-screen without re-dividing. While
-    /// [`IntervalTree::link`] sorts, the low bits hold the node's
-    /// insertion index instead.
-    pub fp: u32,
     pub value: V,
 }
 
-/// `iv` as a narrow node's `(count, stride_size)`, if it is narrow.
+/// `iv` as a narrow node's `(count, stride_size)`, a write's, if it is
+/// narrow.
 #[inline]
 fn narrow(iv: &StridedInterval) -> Option<(u32, u32)> {
     let count = u32::try_from(iv.count).ok()?;
     let fits = iv.stride <= u64::from(STRIDE_MASK) && (1..256).contains(&iv.size);
-    fits.then_some((count, iv.stride as u32 | (iv.size as u32) << STRIDE_BITS))
+    fits.then_some((count, iv.stride as u32 | (iv.size as u32) << SIZE_SHIFT))
 }
 
-/// Appends `iv` to `wide`: a wide node's `(count, stride_size)`.
+/// Appends `iv` to `wide`: a wide write's `(count, stride_size)`.
 #[cold]
 fn widen(iv: StridedInterval, wide: &mut Vec<StridedInterval>) -> (u32, u32) {
     let at = u32::try_from(wide.len()).expect("fewer than 2^32 wide nodes");
@@ -83,33 +82,29 @@ fn widen(iv: StridedInterval, wide: &mut Vec<StridedInterval>) -> (u32, u32) {
 }
 
 impl<V> Node<V> {
-    /// A write node with its interval's fingerprint; a wide interval goes
-    /// to `wide`.
-    pub(crate) fn new(
-        interval: StridedInterval,
-        value: V,
-        wide: &mut Vec<StridedInterval>,
-    ) -> Self {
-        let (count, stride_size) = narrow(&interval).unwrap_or_else(|| widen(interval, wide));
-        Node { base: interval.base, count, stride_size, fp: pack(&interval), value }
+    /// A write node; a wide interval goes to `wide`.
+    pub(crate) fn new(iv: StridedInterval, value: V, wide: &mut Vec<StridedInterval>) -> Self {
+        let (count, stride_size) = narrow(&iv).unwrap_or_else(|| widen(iv, wide));
+        Node { base: iv.base, count, stride_size, value }
     }
 
     /// Makes `iv`, which begins where the node does, the node's interval:
     /// the builder's retire, where a progression's node takes its final
-    /// extent. A wide node keeps its place in `wide`. Leaves `fp` alone.
+    /// extent. A wide node keeps its place in `wide`; the class stays.
     pub(crate) fn set_interval(&mut self, iv: StridedInterval, wide: &mut Vec<StridedInterval>) {
         debug_assert_eq!(iv.base, self.base, "a node's begin never moves");
         if self.is_wide() {
             wide[self.count as usize] = iv;
         } else {
-            (self.count, self.stride_size) = narrow(&iv).unwrap_or_else(|| widen(iv, wide));
+            let (count, stride_size) = narrow(&iv).unwrap_or_else(|| widen(iv, wide));
+            (self.count, self.stride_size) = (count, stride_size | self.stride_size & READ);
         }
     }
 
     /// `true` for a wide node, whose interval is in the wide list.
     #[inline]
     pub(crate) fn is_wide(&self) -> bool {
-        self.stride_size >> STRIDE_BITS == 0
+        self.stride_size >> SIZE_SHIFT == 0
     }
 
     /// The interval's first byte.
@@ -128,7 +123,7 @@ impl<V> Node<V> {
             base: self.base,
             stride: u64::from(self.stride_size & STRIDE_MASK),
             count: u64::from(self.count),
-            size: u64::from(self.stride_size >> STRIDE_BITS),
+            size: u64::from(self.stride_size >> SIZE_SHIFT),
         }
     }
 
@@ -141,21 +136,8 @@ impl<V> Node<V> {
     /// `true` for a read: it meets only writes.
     #[inline]
     pub(crate) fn is_read(&self) -> bool {
-        self.fp & READ != 0
+        self.stride_size & READ != 0
     }
-
-    /// The stride-class fingerprint of `iv`, the node's interval.
-    #[inline]
-    pub(crate) fn fingerprint(&self, iv: &StridedInterval) -> Fingerprint {
-        let packed = self.fp & FP_BITS;
-        Fingerprint::unpack(if packed == FP_BITS { u32::MAX } else { packed }, iv)
-    }
-}
-
-/// `iv`'s packed fingerprint in [`FP_BITS`]: phases that do not fit read
-/// as the overflow value, which unpacks by recomputing.
-fn pack(iv: &StridedInterval) -> u32 {
-    Fingerprint::of(iv).pack().min(FP_BITS)
 }
 
 /// The tree-wide fields, over the nodes [`Extent::add`] was given. A box
@@ -300,7 +282,7 @@ impl<V> IntervalTree<V> {
     }
 
     /// How many nodes hold an interval too wide to pack (see the
-    /// crate-private `Node`): a `count` of 2³² or more, a stride of 2²⁴
+    /// crate-private `Node`): a `count` of 2³² or more, a stride of 2²³
     /// or more, or a size outside `1..256`. The analyzer's builds make
     /// none: strides stay within its stride bound and sizes fit a byte.
     pub fn wide_nodes(&self) -> usize {
@@ -356,32 +338,32 @@ impl<V> IntervalTree<V> {
         self.unsorted..self.nodes.len()
     }
 
-    /// Makes a tree of `nodes` — given in insertion order, their `fp`
-    /// arbitrary, their wide intervals in `wide` — whose node is a write
-    /// where `is_write` says so, in place: the insertion index and class
-    /// ride in `fp` while the sort runs (a side array of keys would cost
-    /// 16 B per node at the analyzer's memory peak). A read-heavy tree first moves its reads,
-    /// in order, to the front. Then fills `fp` and the tree-wide fields,
-    /// and gives back the builder's spare capacity (see [`fit`]).
+    /// Makes a tree of `nodes` — given in insertion order, their wide
+    /// intervals in `wide` — whose node is a write where `is_write` says
+    /// so, in place: a read-heavy tree first moves its reads, in order,
+    /// to the front, and the run is sorted by `(begin, class)` alone (a
+    /// side array of insertion indices would cost more bytes per node
+    /// than a node at the analyzer's memory peak). Then gives back the
+    /// builder's spare capacity (see [`fit`]).
     pub(crate) fn link(
         mut nodes: Vec<Node<V>>,
         mut wide: Vec<StridedInterval>,
         is_write: impl Fn(&V) -> bool,
     ) -> Self {
-        assert!(nodes.len() <= READ as usize, "interval tree node capacity exceeded");
-        let mut reads = 0;
-        for (i, node) in nodes.iter_mut().enumerate() {
+        assert!(nodes.len() <= MAX_NODES, "interval tree node capacity exceeded");
+        let (mut reads, mut extent) = (0, Extent::default());
+        for node in &mut nodes {
             let read = !is_write(&node.value);
             reads += usize::from(read);
-            node.fp = i as u32 | if read { READ } else { 0 };
+            node.stride_size = node.stride_size & !READ | (u32::from(read) * READ);
+            extent.add(&node.interval(&wide), read);
         }
         let writes = nodes.len() - reads;
         let unsorted = if writes.saturating_mul(SORT_READS_AT) >= reads {
             0
         } else {
             // Each read swaps with the first write behind the reads
-            // already moved: the reads keep their order, and the writes'
-            // is restored from `fp` by the sort.
+            // already moved: the reads keep their order.
             let mut front = 0;
             for k in 0..nodes.len() {
                 if nodes[k].is_read() {
@@ -391,13 +373,7 @@ impl<V> IntervalTree<V> {
             }
             reads
         };
-        nodes[unsorted..].sort_unstable_by_key(|n| (n.begin(), n.fp));
-        let mut extent = Extent::default();
-        for node in &mut nodes {
-            let iv = node.interval(&wide);
-            node.fp = pack(&iv) | (node.fp & READ);
-            extent.add(&iv, node.is_read());
-        }
+        nodes[unsorted..].sort_unstable_by_key(|n| (n.begin(), n.is_read()));
         wide.shrink_to_fit();
         IntervalTree { nodes: fit(nodes), wide, unsorted, extent }
     }
@@ -408,7 +384,7 @@ impl<V> IntervalTree<V> {
     /// the shipped build never inserts (it links, see
     /// [`crate::SummarizingBuilder::finish`]).
     pub fn insert(&mut self, interval: StridedInterval, value: V) -> NodeRef {
-        assert!(self.nodes.len() < READ as usize, "interval tree node capacity exceeded");
+        assert!(self.nodes.len() < MAX_NODES, "interval tree node capacity exceeded");
         let begin = interval.begin();
         let goes_after = |n: &Node<V>| n.begin() < begin || n.begin() == begin && !n.is_read();
         let run = &self.nodes[self.run()];
@@ -515,7 +491,6 @@ impl<V> IntervalTree<V> {
         for (i, n) in self.nodes.iter().enumerate() {
             let iv = n.interval(&self.wide);
             assert_eq!(iv.base, n.begin(), "wide interval of another begin at {i}");
-            assert_eq!(n.fp & FP_BITS, pack(&iv), "fingerprint stale at {i}");
             if n.is_wide() {
                 assert!(narrow(&iv).is_none(), "a narrow interval in the wide list at {i}");
                 wide.push(n.count);
@@ -582,8 +557,8 @@ mod tests {
         let small = fit(small);
         assert_eq!((small.len(), small.capacity()), (3, 3));
         assert_ne!(small.as_ptr(), at, "a small tree leaves its reservation");
-        let large = fit(reserved(1 << 16, 4000));
+        let large = fit(reserved(1 << 16, 5000));
         assert!(std::mem::size_of_val(large.as_slice()) >= MOVE_BELOW_BYTES);
-        assert_eq!((large.len(), large.capacity()), (4000, 4000));
+        assert_eq!((large.len(), large.capacity()), (5000, 5000));
     }
 }

@@ -8,7 +8,7 @@
 
 use sword_solver::StridedInterval;
 
-use crate::tree::{IntervalTree, Node, READ};
+use crate::tree::{IntervalTree, Node};
 
 /// Calls `f` once for every pair — one node of `a`, one of `b` — whose
 /// `[begin, end)` ranges overlap and of which at least one is a write.
@@ -130,6 +130,10 @@ where
     }
 }
 
+/// An [`Open`] entry's bit of a read, above every node position (see
+/// [`crate::tree::MAX_NODES`]).
+const READ: u32 = 1 << 31;
+
 /// One side's open nodes: positions, with the [`READ`] bit of a read.
 #[derive(Default)]
 struct Open(Vec<u32>);
@@ -141,7 +145,7 @@ impl Open {
 
     #[inline]
     fn push<V>(&mut self, k: usize, node: &Node<V>) {
-        self.0.push(k as u32 | (node.fp & READ));
+        self.0.push(k as u32 | (u32::from(node.is_read()) * READ));
     }
 
     /// Drops the open nodes of `other` that end at or before `node`
@@ -155,7 +159,7 @@ impl Open {
     fn meet<U, V>(&mut self, node: &Node<U>, other: Nodes<'_, V>, mut f: impl FnMut(&Node<V>)) {
         let (other, wide) = other;
         let begin = node.begin();
-        let both_read = node.fp & READ;
+        let both_read = u32::from(node.is_read()) * READ;
         let mut k = 0;
         while k < self.0.len() {
             let entry = self.0[k];

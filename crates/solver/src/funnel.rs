@@ -83,9 +83,9 @@ impl Tier {
     }
 }
 
-/// Stride-class fingerprint of an interval, cached on interval-tree nodes so
-/// the candidate walk can run the congruence screen without re-dividing.
-/// `phase` is `base % stride` for holey intervals (0 for dense, unused).
+/// Stride-class fingerprint of an interval, which the congruence screen
+/// reads. `phase` is `base % stride` for holey intervals (0 for dense,
+/// unused).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     /// `base % stride` when `holey`, else 0.
@@ -103,40 +103,6 @@ impl Fingerprint {
             Fingerprint { phase: 0, holey: false }
         } else {
             Fingerprint { phase: iv.base % iv.stride, holey: true }
-        }
-    }
-
-    /// Sentinel marking a holey phase too large for the packed form.
-    const PACK_OVERFLOW: u32 = u32::MAX;
-
-    /// Packs the fingerprint into 32 bits so tree nodes can cache it in one
-    /// word of their 32 bytes (a 16-byte field per node measurably slows
-    /// the candidate walk on big trees). `holey` is not
-    /// stored — it is derivable from the interval — and phases are tiny in
-    /// practice (`phase < stride`, and collector strides are page-bounded).
-    #[inline]
-    pub fn pack(&self) -> u32 {
-        if !self.holey || self.phase >= u64::from(Self::PACK_OVERFLOW) {
-            if self.holey {
-                Self::PACK_OVERFLOW
-            } else {
-                0
-            }
-        } else {
-            self.phase as u32
-        }
-    }
-
-    /// Reverses [`Fingerprint::pack`] given the interval the packed value
-    /// was computed from. Divides only in the overflow case.
-    #[inline]
-    pub fn unpack(packed: u32, iv: &StridedInterval) -> Fingerprint {
-        if iv.is_dense() {
-            Fingerprint { phase: 0, holey: false }
-        } else if packed < Self::PACK_OVERFLOW {
-            Fingerprint { phase: u64::from(packed), holey: true }
-        } else {
-            Fingerprint::of(iv)
         }
     }
 }
@@ -174,7 +140,7 @@ pub fn congruence_admissible(
     }
     let g = gcd_u64(a.stride, b.stride);
     debug_assert!(g > 0, "holey intervals have non-zero stride");
-    // m = (a.base − b.base) mod g, computed from the cached phases: g
+    // m = (a.base − b.base) mod g, computed from the phases: g
     // divides each stride, so base ≡ phase (mod g).
     let m = (fa.phase % g + g - fb.phase % g) % g;
     m < b.size || g - m < a.size

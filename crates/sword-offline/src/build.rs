@@ -33,15 +33,42 @@ use crate::stages::Rows;
 pub const DEFAULT_CHUNK_BYTES: usize = 64 << 10;
 
 /// Metadata attached to every tree node: enough to apply the race
-/// conditions and report source locations.
+/// conditions and report source locations. 8 B: the access kind rides in
+/// the mutex-set word's top 2 bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct AccessMeta {
-    /// Read/write/atomic classification.
-    pub kind: AccessKind,
     /// Interned source location.
     pub pc: PcId,
+    /// The [`AccessKind`] code above [`MSET_BITS`] bits of mutex-set index.
+    kind_mset: u32,
+}
+
+/// Bits of an [`AccessMeta`]'s mutex-set index.
+const MSET_BITS: u32 = 30;
+
+/// The largest mutex-set index an [`AccessMeta`] holds.
+pub const MSET_MAX: u32 = (1 << MSET_BITS) - 1;
+
+impl AccessMeta {
+    /// The metadata of a `kind` access at `pc` holding the locks of set
+    /// `mset`, which is at most [`MSET_MAX`].
+    #[inline]
+    pub fn new(kind: AccessKind, pc: PcId, mset: u32) -> Self {
+        debug_assert!(mset <= MSET_MAX, "mutex-set index {mset} does not fit");
+        AccessMeta { pc, kind_mset: mset | u32::from(kind.code()) << MSET_BITS }
+    }
+
+    /// Read/write/atomic classification.
+    #[inline]
+    pub fn kind(self) -> AccessKind {
+        AccessKind::from_code((self.kind_mset >> MSET_BITS) as u8).expect("a 2-bit kind code")
+    }
+
     /// Index into the owning [`BiTree::mutex_sets`].
-    pub mset: u32,
+    #[inline]
+    pub fn mset(self) -> u32 {
+        self.kind_mset & MSET_MAX
+    }
 }
 
 /// The summarized accesses of one (thread, barrier interval).
@@ -82,15 +109,15 @@ impl BiTree {
     /// `true` when the two metadata records can race access-wise: at
     /// least one write, not both atomic, and disjoint mutex sets.
     pub fn can_race(&self, mine: &AccessMeta, other_tree: &BiTree, theirs: &AccessMeta) -> bool {
-        if !mine.kind.is_write() && !theirs.kind.is_write() {
+        if !mine.kind().is_write() && !theirs.kind().is_write() {
             return false;
         }
-        if mine.kind.is_atomic() && theirs.kind.is_atomic() {
+        if mine.kind().is_atomic() && theirs.kind().is_atomic() {
             return false;
         }
         sets_disjoint(
-            &self.mutex_sets[mine.mset as usize],
-            &other_tree.mutex_sets[theirs.mset as usize],
+            &self.mutex_sets[mine.mset() as usize],
+            &other_tree.mutex_sets[theirs.mset() as usize],
         )
     }
 }
@@ -128,8 +155,8 @@ struct Fold {
 /// shape builds thousands of such trees.
 const RESERVE_FROM_BYTES: u64 = 256 << 10;
 
-/// The most nodes a build reserves up front (32 MiB of address space at
-/// 32 B a node), so a huge interval reserves no more than it could fill
+/// The most nodes a build reserves up front (24 MiB of address space at
+/// 24 B a node), so a huge interval reserves no more than it could fill
 /// soon; past it the node array grows as a `Vec` does.
 const RESERVED_NODES_MAX: u64 = 1 << 20;
 
@@ -252,7 +279,7 @@ impl Fold {
         self.accesses += 1;
         let n = self.repeats.seen;
         self.repeats.seen += 1;
-        let meta = AccessMeta { kind: a.kind, pc: a.pc, mset: self.current_mset };
+        let meta = AccessMeta::new(a.kind, a.pc, self.current_mset);
         let outcome = self.builder.insert_with(
             (a.pc, a.kind.code(), a.size, self.current_mset),
             a.addr,
@@ -327,7 +354,7 @@ impl Fold {
         pos
     }
 
-    fn mutex(&mut self, event: Event) {
+    fn mutex(&mut self, event: Event, tid: ThreadId) -> io::Result<()> {
         self.repeats.streak = 0;
         match event {
             Event::MutexAcquire(m) => {
@@ -340,9 +367,10 @@ impl Fold {
                     self.held.remove(at);
                 }
             }
-            Event::Access(_) => return,
+            Event::Access(_) => return Ok(()),
         }
-        self.current_mset = intern_set(&mut self.mutex_sets, &self.held);
+        self.current_mset = intern_set(&mut self.mutex_sets, &self.held, tid)?;
+        Ok(())
     }
 }
 
@@ -375,7 +403,7 @@ fn decode_events(
                 ));
             }
             Ok(Event::Access(a)) => pos = fold.access(a, decoder, buf, mark, pos),
-            Ok(event) => fold.mutex(event),
+            Ok(event) => fold.mutex(event, tid)?,
             Err(_) if more => {
                 // Partial event at the slice boundary: leave the tail for
                 // the next slice. The decoder consumed nothing usable
@@ -438,20 +466,29 @@ pub fn build_tree<R: Read + Seek>(
     }
 
     let Fold { builder, mutex_sets, accesses, .. } = fold;
-    let tree = builder.finish(|m| m.kind.is_write());
+    let tree = builder.finish(|m| m.kind().is_write());
     Ok(BiTree { tid, tree, mutex_sets, accesses, bytes_read: size })
 }
 
-fn intern_set(sets: &mut Vec<Vec<MutexId>>, held: &[MutexId]) -> u32 {
+fn intern_set(sets: &mut Vec<Vec<MutexId>>, held: &[MutexId], tid: ThreadId) -> io::Result<u32> {
     // Linear scan: programs hold a handful of distinct lock sets per
     // interval.
-    for (i, s) in sets.iter().enumerate() {
-        if s.as_slice() == held {
-            return i as u32;
-        }
+    if let Some(i) = sets.iter().position(|s| s.as_slice() == held) {
+        return Ok(i as u32);
     }
+    let at = mset_index(sets.len(), tid)?;
     sets.push(held.to_vec());
-    (sets.len() - 1) as u32
+    Ok(at)
+}
+
+/// `at` as an [`AccessMeta`] mutex-set index: an error past
+/// [`MSET_MAX`], where the index would alias another set and invent or
+/// hide a race.
+fn mset_index(at: usize, tid: ThreadId) -> io::Result<u32> {
+    u32::try_from(at).ok().filter(|&i| i <= MSET_MAX).ok_or_else(|| {
+        let msg = format!("more than {} distinct held-lock sets in tid {tid}", MSET_MAX + 1);
+        io::Error::new(io::ErrorKind::InvalidData, msg)
+    })
 }
 
 /// Most thread-log files one analysis holds open at once, shared out
@@ -696,7 +733,7 @@ mod tests {
         assert_eq!(iv.begin(), 0x1000);
         assert_eq!(iv.len(), 1000);
         assert_eq!(meta.pc, 7);
-        assert_eq!(meta.kind, AccessKind::Write);
+        assert_eq!(meta.kind(), AccessKind::Write);
     }
 
     fn mixed_events() -> Vec<Event> {
@@ -823,7 +860,7 @@ mod tests {
         let t = tree_from(&events);
         assert_eq!(t.node_count(), 5);
         let by_pc: std::collections::HashMap<PcId, u32> =
-            t.tree.iter().map(|(_, _, m)| (m.pc, m.mset)).collect();
+            t.tree.iter().map(|(_, _, m)| (m.pc, m.mset())).collect();
         assert_eq!(t.mutex_sets[by_pc[&1] as usize], Vec::<MutexId>::new());
         assert_eq!(t.mutex_sets[by_pc[&2] as usize], vec![5]);
         assert_eq!(t.mutex_sets[by_pc[&3] as usize], vec![3, 5]);
@@ -959,10 +996,9 @@ mod tests {
             .map(|t| t.tree.arena_bytes() as u64 + set_bytes(t))
             .sum();
         assert_eq!(mem.live(), expect);
-        // A packed interval, its metadata and a fingerprint: no link
-        // fields.
+        // A packed interval and its metadata: no link fields.
         let t = trees.get(&members[0]).unwrap();
-        assert_eq!(t.tree.arena_bytes(), t.node_count() * 32);
+        assert_eq!(t.tree.arena_bytes(), t.node_count() * 24);
         drop(trees);
         assert_eq!(mem.live(), 0);
         assert_eq!(mem.peak(), expect);
@@ -970,8 +1006,30 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_32_bytes() {
-        assert_eq!(IntervalTree::<AccessMeta>::with_capacity(1).arena_bytes(), 32);
+    fn a_node_is_24_bytes() {
+        assert_eq!(IntervalTree::<AccessMeta>::with_capacity(1).arena_bytes(), 24);
+    }
+
+    #[test]
+    fn access_meta_is_8_bytes_and_round_trips_every_kind_and_set() {
+        assert_eq!(std::mem::size_of::<AccessMeta>(), 8);
+        for code in 0..4 {
+            let kind = AccessKind::from_code(code).unwrap();
+            for mset in [0, MSET_MAX] {
+                let m = AccessMeta::new(kind, u32::MAX, mset);
+                assert_eq!((m.kind(), m.pc, m.mset()), (kind, u32::MAX, mset));
+            }
+        }
+    }
+
+    #[test]
+    fn a_mutex_set_index_past_30_bits_is_invalid_data() {
+        assert_eq!(MSET_MAX, (1 << 30) - 1);
+        assert_eq!(mset_index(MSET_MAX as usize, 7).unwrap(), MSET_MAX);
+        let err = mset_index(1 << 30, 7).expect_err("the 2^30th set does not fit");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "more than 1073741824 distinct held-lock sets in tid 7");
+        assert!(mset_index(usize::MAX, 7).is_err());
     }
 
     #[test]
@@ -983,24 +1041,26 @@ mod tests {
         // A tree built from a log has no wide node.
         trees.build(&dir, &members[0], &mut pool, &mut stats).unwrap();
         assert_eq!(rows.wide_nodes.get(), 0);
-        // Two of three do not pack: a size of 300 and a stride of 2^24.
-        let meta = AccessMeta { kind: AccessKind::Write, pc: 1, mset: 0 };
-        let mut tree = IntervalTree::with_capacity(3);
+        // Two of four do not pack: a size of 300 and a stride of 2^23;
+        // a stride of 2^23 - 1 does.
+        let meta = AccessMeta::new(AccessKind::Write, 1, 0);
+        let mut tree = IntervalTree::with_capacity(4);
         for iv in [
             sword_itree::StridedInterval::single(0x40, 300),
-            sword_itree::StridedInterval::new(0x80, 1 << 24, 3, 8),
+            sword_itree::StridedInterval::new(0x80, 1 << 23, 3, 8),
+            sword_itree::StridedInterval::new(0x90, (1 << 23) - 1, 3, 8),
             sword_itree::StridedInterval::new(0x100, 8, 3, 8),
         ] {
             tree.insert(iv, meta);
         }
         let wide =
-            BiTree { tid: 1, tree, mutex_sets: vec![Vec::new()], accesses: 3, bytes_read: 0 };
+            BiTree { tid: 1, tree, mutex_sets: vec![Vec::new()], accesses: 4, bytes_read: 0 };
         let bytes = wide.heap_bytes();
-        assert!(bytes >= (3 + 2) * 32 + set_bytes(&wide), "the gauge charges the wide list");
+        assert!(bytes >= 4 * 24 + 2 * 32 + set_bytes(&wide), "the gauge charges the wide list");
         let other = Interval { tid: 1, ..members[0].clone() };
         let (live, nodes) = (mem.live(), stats.nodes);
         trees.hold(&other, wide, &mut stats);
-        assert_eq!((rows.wide_nodes.get(), stats.nodes), (2, nodes + 3));
+        assert_eq!((rows.wide_nodes.get(), stats.nodes), (2, nodes + 4));
         assert_eq!(mem.live(), live + bytes);
         drop(trees);
         std::fs::remove_dir_all(dir.path()).unwrap();

@@ -597,21 +597,25 @@ impl Core {
             }
         });
 
-        if let Some(e) = first_error {
-            return Err(e);
-        }
         // Fold the round into the session set, surfacing the source-line
-        // pairs seen for the first time.
+        // pairs seen for the first time. A failed round folds nothing but
+        // charges its stages, so the stage rows of a shared registry
+        // count the same rounds.
         let t0 = Instant::now();
-        let mut new_races: Vec<Race> =
-            races.iter().filter(|r| !self.races.contains(&r.key)).cloned().collect();
-        new_races.sort_by_key(|r| r.key);
-        self.races.merge(races);
+        let mut new_races: Vec<Race> = Vec::new();
+        if first_error.is_none() {
+            new_races.extend(races.iter().filter(|r| !self.races.contains(&r.key)).cloned());
+            new_races.sort_by_key(|r| r.key);
+            self.races.merge(races);
+        }
         dedup_secs += t0.elapsed().as_secs_f64();
-        self.tasks += first_round;
         self.record(Stage::TreeBuild, merged.build_secs, merged.trees_built, merged.bytes_read);
         self.record(Stage::Compare, merged.compare_secs, merged.tree_pairs, 0);
         self.record(Stage::DedupReport, dedup_secs, outcomes, 0);
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+        self.tasks += first_round;
         self.stats.merge(&merged);
         if let Some(rows) = &self.rows {
             rows.catch_up_reads(&self.sources, &mut self.sources_seen);

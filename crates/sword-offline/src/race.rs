@@ -338,7 +338,7 @@ fn side_key(
         iv.stride,
         iv.count,
         iv.size,
-        meta.kind.code(),
+        meta.kind().code(),
     )
 }
 
@@ -399,7 +399,7 @@ pub(crate) fn check_pair(
             return;
         }
         // Fingerprint pre-screen: the congruence reject, run during the
-        // walk from the cached node fingerprints. Rejected pairs never
+        // walk from the pair's fingerprints. Rejected pairs never
         // reach the solver — exactly the pairs its GcdReject tier would
         // refuse, so verdicts are unchanged.
         if !congruence_admissible(ia, fa, ib, fb) {
@@ -447,11 +447,11 @@ pub(crate) fn check_pair(
             let key = RaceKey::new(m0.pc, m1.pc);
             // Keep kinds aligned with the key's (lo, hi) order.
             let (kind_a, kind_b) =
-                if m0.pc <= m1.pc { (m0.kind, m1.kind) } else { (m1.kind, m0.kind) };
+                if m0.pc <= m1.pc { (m0.kind(), m1.kind()) } else { (m1.kind(), m0.kind()) };
             let site = |iv: &StridedInterval, meta: &AccessMeta, ctx: &Interval, x: u64, s: u64| {
                 AccessSite {
                     pc: meta.pc,
-                    kind: meta.kind,
+                    kind: meta.kind(),
                     tid: ctx.tid,
                     pid: ctx.meta.pid,
                     bid: ctx.meta.bid,
@@ -537,7 +537,7 @@ mod tests {
                 builder.insert_with(k, iv.base + x * iv.stride, iv.size, || *m);
             }
         }
-        let tree = builder.finish(|m| m.kind.is_write());
+        let tree = builder.finish(|m| m.kind().is_write());
         assert_eq!(tree.len(), nodes.len(), "one node per interval");
         BiTree {
             tid,
@@ -568,7 +568,7 @@ mod tests {
     }
 
     fn meta(kind: AccessKind, pc: PcId, mset: u32) -> AccessMeta {
-        AccessMeta { kind, pc, mset }
+        AccessMeta::new(kind, pc, mset)
     }
 
     /// Runs `check_pair` without registry rows.

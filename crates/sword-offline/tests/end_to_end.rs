@@ -859,6 +859,31 @@ fn stage_rows_agree_with_analysis_stats() {
 }
 
 #[test]
+fn a_failed_round_charges_every_stage_it_ran() {
+    // A log damaged mid-payload fails its tree build inside the round:
+    // the round's stage spans and rows must still describe one round, so
+    // a shared registry's rows keep counting the same rounds.
+    let session = collect("failed-round", phases);
+    let victim = session.thread_log(1);
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let mid = bytes.len() / 2;
+    for b in &mut bytes[mid..mid + 8] {
+        *b ^= 0xA5;
+    }
+    std::fs::write(&victim, &bytes).unwrap();
+    for workers in [1, 2] {
+        let obs = Obs::new();
+        let config = AnalysisConfig::sequential().with_workers(workers).with_obs(obs.clone());
+        assert!(analyze(&session, &config).is_err(), "{workers} workers: damaged log");
+        let events = obs.journal.drain();
+        let spans = |stage: &str| events.iter().filter(|e| e.name == stage).count();
+        assert_eq!(spans("pair-schedule"), 1, "{workers} workers: the round ran");
+        assert_eq!(spans("dedup-report"), spans("pair-schedule"), "{workers} workers");
+    }
+    std::fs::remove_dir_all(session.path()).unwrap();
+}
+
+#[test]
 fn a_shared_registry_adds_up_its_analyses() {
     let first = collect("shared-a", |sim| {
         let c = sim.alloc::<u64>(1, 0);

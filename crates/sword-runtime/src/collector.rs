@@ -360,7 +360,9 @@ struct WriterObs {
 }
 
 impl WriterObs {
-    /// Called once per received job with the reorder-buffer depth.
+    /// Called after each received job's writes, and once the channel
+    /// closes, with the frames still in the reorder buffer: those waiting
+    /// on a sequence gap.
     fn note_queue(&mut self, depth: usize) {
         self.queue_depth.set(depth as u64);
         if self.last_flush.elapsed() >= OBS_FLUSH_INTERVAL {
@@ -695,9 +697,6 @@ impl SwordCollector {
                 let mut last_publish = Instant::now();
                 for job in writer_rx {
                     pending.insert(job.seq, job);
-                    if let Some(o) = writer_obs.as_mut() {
-                        o.note_queue(pending.len());
-                    }
                     // Write every contiguous frame; later sequence
                     // numbers wait here until the gap fills, keeping
                     // each thread's log in production order.
@@ -712,6 +711,9 @@ impl SwordCollector {
                             writer_obs.as_ref(),
                             job,
                         )?;
+                    }
+                    if let Some(o) = writer_obs.as_mut() {
+                        o.note_queue(pending.len());
                     }
                     halt.progress.reach(next_seq);
                 }
@@ -728,6 +730,9 @@ impl SwordCollector {
                         writer_obs.as_ref(),
                         job,
                     )?;
+                }
+                if let Some(o) = writer_obs.as_mut() {
+                    o.note_queue(0);
                 }
                 let mut raw = 0;
                 let mut compressed = 0;
@@ -2194,6 +2199,25 @@ mod tests {
         assert!(prom.contains("# TYPE sword_collector_tool_mem_bytes gauge"));
         assert!(prom.contains("sword_flushes_total"));
         assert!(prom.contains("sword_writer_queue_depth"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writer_queue_depth_reads_zero_after_finalize() {
+        // Four threads hand off 2-event buffers, so frames reach the
+        // writer out of order; every one is written by finalize.
+        let dir = tmp_session("queue-depth");
+        let obs = Obs::new();
+        let config = SwordConfig::new(&dir).buffer_events(2).with_obs(obs.clone());
+        let (_, stats) = run_collected(config, SimConfig::default(), |sim| {
+            let a = sim.alloc::<u64>(256, 0);
+            sim.run(|ctx| ctx.parallel(4, |w| w.for_static(0..256, |i| w.write(&a, i, i))));
+        })
+        .unwrap();
+        assert!(stats.flushes > 4);
+        let depth =
+            obs.registry.snapshot().into_iter().find(|(k, _)| k == "sword_writer_queue_depth");
+        assert_eq!(depth, Some(("sword_writer_queue_depth".to_string(), 0.0)));
         fs::remove_dir_all(&dir).unwrap();
     }
 

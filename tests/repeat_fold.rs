@@ -87,7 +87,7 @@ fn reference(bytes: &[u8]) -> Outcome {
                     );
                     return Err((io::ErrorKind::InvalidData, msg));
                 }
-                let meta = AccessMeta { kind: a.kind, pc: a.pc, mset };
+                let meta = AccessMeta::new(a.kind, a.pc, mset);
                 builder.insert_with(
                     (a.pc, a.kind.code(), a.size, mset),
                     a.addr,
@@ -110,7 +110,8 @@ fn reference(bytes: &[u8]) -> Outcome {
         }
     }
     let accesses = builder.access_count();
-    let nodes = builder.finish(|m| m.kind.is_write()).iter().map(|(_, iv, m)| (*iv, *m)).collect();
+    let nodes =
+        builder.finish(|m| m.kind().is_write()).iter().map(|(_, iv, m)| (*iv, *m)).collect();
     Ok(Built { nodes, mutex_sets, accesses })
 }
 
@@ -328,7 +329,7 @@ fn a_lock_inside_the_body_and_a_lock_state_that_changes_between_phases() {
     };
     let b = check(&x_under_the_lock.events(), "x under the lock").unwrap();
     let x_nodes: Vec<_> =
-        b.nodes.iter().filter(|(_, m)| m.pc == 2).map(|(iv, m)| (iv.len(), m.mset)).collect();
+        b.nodes.iter().filter(|(_, m)| m.pc == 2).map(|(iv, m)| (iv.len(), m.mset())).collect();
     assert_eq!(x_nodes, vec![(3, 1), (299, 0)]);
 }
 

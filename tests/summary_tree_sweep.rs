@@ -123,19 +123,19 @@ fn arb_iv() -> impl Strategy<Value = StridedInterval> {
 }
 
 /// `true` when `iv` packs into a node: a `count` below 2³², a stride
-/// below 2²⁴ and a size in `1..256`. Any other interval is a wide node.
+/// below 2²³ and a size in `1..256`. Any other interval is a wide node.
 fn packs(iv: &StridedInterval) -> bool {
-    iv.count < 1 << 32 && iv.stride < 1 << 24 && (1..256).contains(&iv.size)
+    iv.count < 1 << 32 && iv.stride < 1 << 23 && (1..256).contains(&iv.size)
 }
 
 /// [`arb_iv`]'s intervals, some of size 20 (which packs), mixed with
-/// wide ones: a stride of 2²⁴ or more, a count of 2³² or more, or a
+/// wide ones: a stride of 2²³ or more, a count of 2³² or more, or a
 /// size of 300. A wide node begins among the narrow ones and spans
 /// most of them.
 fn arb_mixed_iv() -> impl Strategy<Value = StridedInterval> {
     let sized_20 = (0u64..400, 0u64..16, 0u64..6).prop_map(|(b, st, c)| (b, st, c, 20));
     let wide = prop_oneof![
-        (0u64..400, (1u64 << 24)..1 << 25, 0u64..4, 1u64..9),
+        (0u64..400, (1u64 << 23)..1 << 24, 0u64..4, 1u64..9),
         (0u64..400, 1u64..64, (1u64 << 32)..1 << 33, 1u64..9),
         (0u64..400, 0u64..64, 0u64..6, Just(300u64)),
     ];
