@@ -10,10 +10,12 @@
 //!     command; see `sword top`.
 //! sword analyze <session-dir> [--workers N] [--stats] [--obs]
 //!     Offline race analysis of a collected session. `--stats` adds the
-//!     stage table (from the metrics registry), the run's flush-path
-//!     counters when recorded, and the registry snapshot;
-//!     `--obs` appends pipeline spans to the session's journal;
-//!     `--listen ADDR` serves the analyzer's registry while it runs.
+//!     registry snapshot's sections (stages, queue depths, latency
+//!     quantiles, memory, hot sites — what `sword report` prints), the
+//!     run's flush path when recorded, and every registry row;
+//!     `--obs` appends pipeline spans and the final snapshot to the
+//!     session's journal; `--listen ADDR` serves the analyzer's registry
+//!     while it runs.
 //! sword watch <session-dir> [--interval-ms N] [--timeout-secs N] [--obs]
 //!                           [--workers N]
 //!     Incrementally analyze an in-progress session, reporting races as
@@ -24,18 +26,19 @@
 //!     alongside the registry.
 //! sword top <addr|session-dir> [--iters N] [--interval-ms N]
 //!     Polling terminal view of a telemetry endpoint started with
-//!     `--listen` (races so far, queue depths, latency quantiles from
-//!     `/status`'s flat metrics) — or of a session directory's persisted
-//!     `metrics.prom`/`live.meta` when no exporter is up. Both targets
-//!     render the same tables from the same kind of snapshot.
-//! sword trace export <session-dir> [--format chrome] [--out FILE]
+//!     `--listen` (`/status`'s fields and flat metrics) — or of a session
+//!     directory's `live.meta` and the last registry snapshot in its
+//!     `obs.jsonl`, which a running `--obs` collection appends every
+//!     250 ms. Both targets render their snapshot as `sword report` does.
+//! sword trace export <session-dir> [--out FILE]
 //!     Convert the session's observability journal to a Chrome
 //!     `trace_event` file (chrome://tracing, ui.perfetto.dev).
 //! sword report <session-dir> [--top N] [--html [FILE]]
-//!     Consolidated run report: flush path, pipeline stages, memory
-//!     peaks vs the paper's 3.3 MB/thread bound, per-site compare
-//!     attribution (hot sites), hottest spans, and the race table.
-//!     `--html` writes a single self-contained dashboard instead.
+//!     Consolidated run report: flush path, the journaled registry
+//!     snapshot (pipeline stages, queue depths, latency quantiles, memory
+//!     vs the paper's 3.3 MB/thread bound, per-site compare attribution),
+//!     hottest spans, and the race table. `--html` writes a single
+//!     self-contained dashboard instead.
 //! sword explain <session-dir> <race-id>
 //!     Full evidence chain for one reported race: the two accesses with
 //!     their barrier-interval coordinates, the offset-span label
@@ -69,8 +72,8 @@ use archer_sim::{ArcherConfig, ArcherTool};
 use sword_fuzz_gen::{run_fuzz, FuzzOptions};
 use sword_obs::json::Value;
 use sword_obs::{
-    format_bytes, render_html, ExportFormat, HtmlInput, HtmlRace, JournalSink, Layer, Obs,
-    ReportInput, SiteTable, Table,
+    format_bytes, render_html, render_snapshot, HtmlInput, HtmlRace, JournalSink, Layer, Obs,
+    ReportInput, Table,
 };
 use sword_obs_http::{http_get, JsonFn, TelemetryHandles, TelemetryServer};
 use sword_offline::{analyze, AnalysisConfig, LiveAnalyzer};
@@ -103,7 +106,7 @@ const USAGE: &str = "usage:
                              [--stats] [--obs] [--listen ADDR] [--workers N]
                              [--region id,...] [--suppress pat,...]
   sword top <addr|session-dir> [--iters N] [--interval-ms N]
-  sword trace export <session-dir> [--format chrome] [--out FILE]
+  sword trace export <session-dir> [--out FILE]
   sword report <session-dir> [--top N] [--html [FILE]]
   sword explain <session-dir> <race-id> [--workers N] [--region id,...]
                                         [--suppress pat,...]
@@ -116,6 +119,9 @@ const USAGE: &str = "usage:
 
 /// Flags every analyzing subcommand reads through [`analysis_config`].
 const ANALYSIS_FLAGS: [&str; 3] = ["workers", "region", "suppress"];
+
+/// Hot sites `--stats` and `sword top` list (`sword report`'s default).
+const TOP_SITES: usize = 10;
 
 /// Minimal flag parser: `--key value` pairs after positional args.
 struct Flags {
@@ -226,14 +232,29 @@ fn cmd_list() -> Result<(), String> {
 fn render_registry(obs: &Obs) -> String {
     let mut table = Table::new("metrics registry", &["metric", "value"]);
     for (name, value) in obs.registry.snapshot() {
-        let cell = if value.fract() == 0.0 && value.abs() < 1e15 {
-            format!("{}", value as i64)
-        } else {
-            format!("{value:.3}")
-        };
-        table.row(&[name, cell]);
+        table.row(&[name, format!("{value}")]);
     }
     table.render()
+}
+
+/// A session's `session.meta` and its thread count (empty and 0 before
+/// the collector finalized it).
+fn session_info(session: &SessionDir) -> (BTreeMap<String, String>, u64) {
+    let info = session.read_info().unwrap_or_default();
+    let threads = info.get("threads").and_then(|v| v.parse().ok()).unwrap_or(0);
+    (info, threads)
+}
+
+/// The `--stats` view of an analysis: its registry snapshot's sections,
+/// as `sword report` renders them, the run's flush path when the
+/// collector recorded one, then every registry row.
+fn print_stats(session: &SessionDir, obs: &Obs) {
+    let (info, threads) = session_info(session);
+    print!("{}", render_snapshot(&obs.registry.snapshot(), threads, TOP_SITES));
+    if let Some(flush) = sword_obs::render_flush(&info) {
+        println!("{flush}");
+    }
+    println!("{}", render_registry(obs));
 }
 
 /// Appends the drained journal (plus a final metrics snapshot) to the
@@ -443,17 +464,9 @@ fn print_analysis(
     } else {
         print!("{}", sword_offline::render_text(&result, &pcs));
     }
-    // `--stats` attaches an `Obs`: the stage table is its registry's.
+    // `--stats` attaches an `Obs`: the view is its registry's.
     if let Some(o) = config.obs.as_ref().filter(|_| stats) {
-        println!("{}", sword_obs::render_stages(&o.registry.snapshot()));
-        // The collector leaves its flush-path counters in the session
-        // info file; older sessions without them just skip the table.
-        if let Some(flush) =
-            session.read_info().ok().and_then(|info| sword_runtime::FlushSnapshot::from_info(&info))
-        {
-            println!("{}", flush.render());
-        }
-        println!("{}", render_registry(o));
+        print_stats(session, o);
     }
     Ok(result)
 }
@@ -478,17 +491,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         &args[1..],
     )?;
     let mut config = analysis_config(&flags)?;
+    // With an `Obs` attached the analysis also attributes its compare
+    // work to source sites: registry rows the final snapshot carries
+    // into obs.jsonl for `sword report`.
     let obs =
         (flags.has("obs") || flags.has("stats") || flags.map.contains_key("listen")).then(Obs::new);
-    // Per-site attribution rides along with the journal: the compare
-    // stage's counters become labeled gauges in the registry, and the
-    // final snapshot carries them into obs.jsonl for `sword report`.
-    let sites = obs.as_ref().filter(|_| flags.has("obs")).map(|_| SiteTable::new());
     if let Some(o) = &obs {
         config = config.with_obs(o.clone());
-    }
-    if let Some(st) = &sites {
-        config = config.with_site_attribution(st.clone());
     }
     let session = SessionDir::new(dir);
     // The /races list fills in when the analysis completes; until then
@@ -513,14 +522,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let pcs = read_pcs(&session)?;
         *shared_races.lock().expect("races lock") = races_json(&result.races, &pcs);
     }
-    if let Some(o) = &obs {
-        if let Some(st) = &sites {
-            let pcs = read_pcs(&session)?;
-            st.publish(&o.registry, |pc| pcs.display(pc));
-        }
-        if flags.has("obs") {
-            append_journal(&session, o)?;
-        }
+    if let Some(o) = obs.as_ref().filter(|_| flags.has("obs")) {
+        append_journal(&session, o)?;
     }
     if let Some(server) = server {
         server.shutdown();
@@ -543,12 +546,8 @@ fn cmd_watch(args: &[String], new_obs: fn() -> Obs) -> Result<(), String> {
     let mut config = analysis_config(&flags)?;
     let obs =
         (flags.has("obs") || flags.has("stats") || flags.map.contains_key("listen")).then(new_obs);
-    let sites = obs.as_ref().filter(|_| flags.has("obs")).map(|_| SiteTable::new());
     if let Some(o) = &obs {
         config = config.with_obs(o.clone());
-    }
-    if let Some(st) = &sites {
-        config = config.with_site_attribution(st.clone());
     }
     let json = flags.has("json");
     let show_stats = flags.has("stats");
@@ -664,17 +663,13 @@ fn cmd_watch(args: &[String], new_obs: fn() -> Obs) -> Result<(), String> {
     }
     let result = live.into_result().map_err(|e| e.to_string())?;
     let pcs = read_pcs(&session)?;
-    if let (Some(o), Some(st)) = (&obs, &sites) {
-        st.publish(&o.registry, |pc| pcs.display(pc));
-    }
     if json {
         print!("{}", sword_offline::render_json(&result, &pcs));
     } else {
         print!("{}", sword_offline::render_text(&result, &pcs));
     }
     if let Some(o) = obs.as_ref().filter(|_| show_stats) {
-        println!("{}", sword_obs::render_stages(&o.registry.snapshot()));
-        println!("{}", render_registry(o));
+        print_stats(&session, o);
     }
     let journaled = match (journal, &obs) {
         (Some(j), Some(o)) => j.finish(o),
@@ -695,12 +690,11 @@ fn top_frame_http(addr: &str) -> Result<(String, bool), String> {
     let mut out = format!("sword top — http://{addr}\n");
     for key in ["session", "generation", "finished", "races", "polls", "uptime_us"] {
         if let Some(v) = doc.get(key) {
-            out.push_str(&format!("  {key:<12} {}\n", render_json_scalar(v)));
-        }
-    }
-    if let Some(dropped) = doc.get("journal_dropped_events").and_then(Value::as_u64) {
-        if dropped > 0 {
-            out.push_str(&format!("  WARNING: journal dropped {dropped} events\n"));
+            let v = match v {
+                Value::Str(s) => s.clone(),
+                other => other.render(),
+            };
+            out.push_str(&format!("  {key:<12} {v}\n"));
         }
     }
     let metrics: Vec<(String, f64)> = doc
@@ -710,32 +704,15 @@ fn top_frame_http(addr: &str) -> Result<(String, bool), String> {
         .iter()
         .filter_map(|(name, v)| Some((name.clone(), v.as_f64()?)))
         .collect();
-    out.push_str(&top_tables(&metrics));
+    out.push_str(&render_snapshot(&metrics, 0, TOP_SITES));
     let finished = doc.get("finished") == Some(&Value::Bool(true));
     Ok((out, finished))
 }
 
-/// Renders a JSON scalar the way the tables expect (integers unpadded).
-fn render_json_scalar(v: &Value) -> String {
-    match v {
-        Value::Num(n) => render_number(*n),
-        Value::Str(s) => s.clone(),
-        other => other.render(),
-    }
-}
-
-fn render_number(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
-/// `sword top` against a session directory: renders the persisted
-/// `live.meta` status and `metrics.prom` exposition instead of a live
-/// exporter (useful post-run, or when the run was started without
-/// `--listen`).
+/// `sword top` against a session directory: its `live.meta` status and
+/// the registry snapshot its journal holds so far — `sword report`'s
+/// reader, so a running `--obs` collection (which appends a snapshot
+/// every 250 ms) can be watched with no exporter.
 fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
     let mut out = format!("sword top — {}\n", session.path().display());
     let mut finished = false;
@@ -744,70 +721,15 @@ fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
         out.push_str(&format!("  generation   {}\n", live.generation));
         out.push_str(&format!("  finished     {}\n", live.finished));
     }
-    let prom_path = session.metrics_path();
-    if !prom_path.exists() {
-        out.push_str("  (no metrics.prom yet — run with --obs, or poll a --listen address)\n");
+    let journal = session.obs_path();
+    if !journal.exists() {
+        out.push_str("  (no obs.jsonl yet — collect with --obs, or poll a --listen address)\n");
         return Ok((out, finished));
     }
-    let prom = std::fs::read_to_string(&prom_path).map_err(|e| e.to_string())?;
-    out.push_str(&top_tables(&prometheus_snapshot(&prom)));
+    let read = sword_obs::read_journal(&journal).map_err(|e| e.to_string())?;
+    let snapshot = sword_obs::report::last_metrics_snapshot(&read.events);
+    out.push_str(&render_snapshot(&snapshot, session_info(session).1, TOP_SITES));
     Ok((out, finished))
-}
-
-/// Flattens a Prometheus exposition into the registry's snapshot shape:
-/// plain `name value` samples, with summary quantile labels folded into
-/// `_p50`/`_p95`/`_p99` suffixes; bucket rows are skipped.
-fn prometheus_snapshot(prom: &str) -> Vec<(String, f64)> {
-    let mut flat = Vec::new();
-    for line in prom.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let Some((name, value)) = line.rsplit_once(' ') else { continue };
-        let Ok(value) = value.parse::<f64>() else { continue };
-        let name = match name.split_once('{') {
-            None => name.to_string(),
-            Some((base, labels)) => match labels.trim_end_matches('}') {
-                "quantile=\"0.5\"" => format!("{base}_p50"),
-                "quantile=\"0.95\"" => format!("{base}_p95"),
-                "quantile=\"0.99\"" => format!("{base}_p99"),
-                _ => continue,
-            },
-        };
-        flat.push((name, value));
-    }
-    flat
-}
-
-/// The tables of a `sword top` frame, from one flat registry snapshot:
-/// every `*_queue_depth` gauge, and the quantiles of every histogram
-/// family with samples.
-fn top_tables(snapshot: &[(String, f64)]) -> String {
-    let mut out = String::new();
-    let mut queues = Table::new("queue depths", &["stage", "depth"]);
-    for (name, value) in snapshot.iter().filter(|(name, _)| name.ends_with("_queue_depth")) {
-        queues.row(&[name.clone(), render_number(*value)]);
-    }
-    if !queues.is_empty() {
-        out.push_str(&queues.render());
-        out.push('\n');
-    }
-    let rows = sword_obs::histogram_rows(snapshot);
-    if !rows.is_empty() {
-        let mut t = Table::new("latency quantiles", &["histogram", "count", "p50", "p95", "p99"]);
-        for r in &rows {
-            t.row(&[
-                r.name.clone(),
-                format!("{}", r.count),
-                format!("{}", r.p50),
-                format!("{}", r.p95),
-                format!("{}", r.p99),
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-    }
-    out
 }
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
@@ -853,10 +775,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let Some(dir) = args.get(1) else {
         return Err("missing session directory".into());
     };
-    let flags = Flags::parse("trace export", &["format", "out"], &args[2..])?;
-    let format = flags.map.get("format").map(String::as_str).unwrap_or("chrome");
-    let ExportFormat::Chrome = ExportFormat::from_name(format)
-        .ok_or_else(|| format!("unknown trace format `{format}` (supported: chrome)"))?;
+    let flags = Flags::parse("trace export", &["out"], &args[2..])?;
     let session = SessionDir::new(dir);
     let journal_path = session.obs_path();
     if !journal_path.exists() {
@@ -1305,7 +1224,7 @@ mod tests {
             .expect("run --stats");
         // The collector persisted its flush counters for `analyze --stats`.
         let info = SessionDir::new(&session).read_info().expect("info");
-        assert!(sword_runtime::FlushSnapshot::from_info(&info).is_some());
+        assert!(sword_obs::render_flush(&info).is_some());
         run(&s(&["meta", session.to_str().unwrap()])).expect("meta");
         run(&s(&["analyze", session.to_str().unwrap(), "--workers", "1"])).expect("analyze");
         run(&s(&["analyze", session.to_str().unwrap(), "--json"])).expect("analyze --json");
@@ -1349,23 +1268,23 @@ mod tests {
         run(&s(&["run", "plusplus-orig-yes", "--session", dir, "--obs", "--stats"]))
             .expect("run --obs");
         run(&s(&["analyze", dir, "--obs", "--stats"])).expect("analyze --obs");
-        run(&s(&["trace", "export", dir, "--format", "chrome"])).expect("trace export");
+        run(&s(&["trace", "export", dir])).expect("trace export");
         run(&s(&["report", dir, "--top", "5"])).expect("report");
         run(&s(&["explain", dir, "0"])).expect("explain race 0");
         assert!(run(&s(&["explain", dir, "99"])).is_err(), "out-of-range race id");
 
         // The HTML dashboard is self-contained and carries one card per
         // reported race plus hot-site rows sourced from the journaled
-        // site gauges.
+        // site counters.
         run(&s(&["report", dir, "--html"])).expect("report --html");
         let html = std::fs::read_to_string(session.join("report.html")).expect("report.html");
         assert!(html.starts_with("<!DOCTYPE html>"));
         // plusplus-orig-yes dedups to two source pairs (read-write and
         // write-write on the shared counter) — one card each.
         assert_eq!(html.matches("<details class=\"race\"").count(), 2, "one card per race");
-        assert!(html.contains("Hot sites"), "hot-site section present");
+        assert!(html.contains("hot sites"), "hot-site section present");
         let journal = std::fs::read_to_string(SessionDir::new(&session).obs_path()).unwrap();
-        assert!(journal.contains("sword_site_pairs{site="), "site gauges journaled");
+        assert!(journal.contains("sword_site_pairs{site="), "site counters journaled");
 
         // The exported trace carries spans from all three layers, with
         // proper nesting per (pid, tid) lane.
@@ -1443,8 +1362,9 @@ mod tests {
         assert!(report.contains("within"), "memory must sit within the paper bound:\n{report}");
         assert!(report.contains("3.30 MB"), "per-thread bound quoted:\n{report}");
 
-        // Error paths: unknown format, journal-less session.
-        assert!(run(&s(&["trace", "export", dir, "--format", "svg"])).is_err());
+        // Error paths: a format flag (Chrome is the one format), journal-less session.
+        let err = run(&s(&["trace", "export", dir, "--format", "chrome"])).expect_err("--format");
+        assert_eq!(err, "unknown flag --format for trace export");
         let bare = std::env::temp_dir().join(format!("sword-cli-bare-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&bare);
         SessionDir::new(&bare).create().unwrap();
@@ -1605,9 +1525,9 @@ mod tests {
     }
 
     #[test]
-    fn top_renders_the_same_tables_from_status_and_metrics_prom() {
+    fn top_renders_the_same_tables_from_status_and_the_journal() {
         // One registry, read both ways `sword top` reads: `/status`'s flat
-        // `metrics` object and a session's `metrics.prom`.
+        // `metrics` object and the last snapshot in a session's obs.jsonl.
         let dir = std::env::temp_dir().join(format!("sword-cli-top-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let session = SessionDir::new(&dir);
@@ -1622,11 +1542,13 @@ mod tests {
         }
         obs.registry.histogram("sword_solver_call_nanos", "no samples: no row");
         // The provider runs inside the `/status` request, just before the
-        // snapshot, so the exposition it writes holds the registry state
-        // the snapshot reads (exporter self-metering included).
-        let (registry, prom_path) = (obs.registry.clone(), session.metrics_path());
+        // snapshot, so the snapshot it journals holds the registry state
+        // `/status` reads (exporter self-metering included).
+        let (journaled, path) = (obs.clone(), session.obs_path());
         let status: JsonFn = Arc::new(move || {
-            std::fs::write(&prom_path, registry.render_prometheus()).unwrap();
+            journaled.snapshot_to_journal();
+            let mut sink = JournalSink::append(&path).unwrap();
+            sink.drain_from(&journaled.journal, &mut 0).unwrap();
             Value::Obj(vec![])
         });
         let server = TelemetryServer::start(
@@ -1649,6 +1571,42 @@ mod tests {
         assert!(tables.contains("sword_flush_queue_wait_us  5"), "{tables}");
         assert!(!tables.contains("sword_solver_call_nanos"), "{tables}");
         assert!(!tables.contains("sword_flushes_total"), "{tables}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn top_shows_a_running_sessions_journal() {
+        use std::time::{Duration, Instant};
+
+        // A collection held open until its journal holds a registry
+        // snapshot: the collector appends one every 250 ms while it writes
+        // blocks, and `metrics.prom` only at finalize. `sword top` on the
+        // session shows the collector's queue depth before then.
+        let dir = std::env::temp_dir().join(format!("sword-cli-top-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = SessionDir::new(&dir);
+        let config = SwordConfig::new(&dir).with_obs(Obs::new()).buffer_events(256);
+        let (frame, _) = run_collected(config, SimConfig::default(), |sim| {
+            let a = sim.alloc::<u64>(1 << 14, 0);
+            let deadline = Instant::now() + Duration::from_secs(60);
+            sim.run(|ctx| {
+                let snapshotted = || {
+                    let read = sword_obs::read_journal(&session.obs_path());
+                    read.is_ok_and(|r| r.events.iter().any(|e| e.name == "metrics"))
+                };
+                // Regions whose buffers fill keep the writer receiving
+                // blocks, which is when it journals a due snapshot.
+                while !snapshotted() {
+                    assert!(Instant::now() < deadline, "no snapshot journaled mid-run");
+                    ctx.parallel(2, |w| w.for_static(0..1 << 14, |i| w.write(&a, i, i)));
+                }
+                assert!(!session.metrics_path().exists(), "finalize has not run");
+                top_frame_session(&session).expect("top frame").0
+            })
+        })
+        .expect("collection");
+        let depth = frame.lines().find(|l| l.starts_with("sword_flush_queue_depth"));
+        assert!(depth.is_some(), "{frame}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,7 @@
-//! One analysis, one stage table: `analyze --stats` prints it from the
-//! analyzer's registry, and `sword report` and `report --html` print it
-//! from the registry snapshot that analysis appended to `obs.jsonl`.
+//! One analysis, one view: `analyze --stats` renders the analyzer's
+//! registry, and `sword report` and `report --html` render the registry
+//! snapshot that analysis appended to `obs.jsonl`, through one function:
+//! the same stage table and the same hot sites.
 
 use std::process::Command;
 
@@ -13,30 +14,36 @@ fn sword(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("UTF-8 output")
 }
 
+/// The rows of the first table in `text` whose title starts with
+/// `title`, each split into its cells.
+fn table_rows(text: &str, title: &str) -> Vec<Vec<String>> {
+    text.lines()
+        .skip_while(|l| !l.starts_with(&format!("== {title}")))
+        .skip(3)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| l.split_whitespace().map(str::to_string).collect())
+        .collect()
+}
+
 /// The `(stage, items)` rows of the first `pipeline stages` table in
 /// `text`.
 fn stage_rows(text: &str) -> Vec<(String, String)> {
-    let table: Vec<&str> = text
-        .lines()
-        .skip_while(|l| *l != "== pipeline stages ==")
-        .skip(3)
-        .take_while(|l| !l.trim().is_empty())
-        .collect();
-    table
-        .iter()
-        .map(|l| {
-            let cells: Vec<&str> = l.split_whitespace().collect();
-            (cells[0].to_string(), cells[2].to_string())
-        })
-        .collect()
+    let rows = table_rows(text, "pipeline stages ==");
+    rows.into_iter().map(|cells| (cells[0].clone(), cells[2].clone())).collect()
+}
+
+/// Collects the canonical racy workload into a fresh session directory.
+fn collect(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sword-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    sword(&["run", "plusplus-orig-yes", "--session", dir.to_str().expect("UTF-8 path")]);
+    dir
 }
 
 #[test]
 fn report_and_stats_print_the_same_stage_table() {
-    let dir = std::env::temp_dir().join(format!("sword-stage-table-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = collect("stage-table");
     let session = dir.to_str().expect("UTF-8 path");
-    sword(&["run", "plusplus-orig-yes", "--session", session]);
     let stats = sword(&["analyze", session, "--obs", "--stats", "--workers", "2"]);
     let report = sword(&["report", session]);
 
@@ -51,5 +58,22 @@ fn report_and_stats_print_the_same_stage_table() {
     let html = std::fs::read_to_string(&html).expect("dashboard written");
     let html = html.replace("<pre>", "\n").replace("</pre>", "\n");
     assert_eq!(stage_rows(&html), rows, "report --html");
+    std::fs::remove_dir_all(&dir).expect("session removed");
+}
+
+#[test]
+fn report_and_stats_print_the_same_hot_sites() {
+    let dir = collect("hot-sites");
+    let session = dir.to_str().expect("UTF-8 path");
+    let stats = sword(&["analyze", session, "--obs", "--stats", "--workers", "2"]);
+    let report = sword(&["report", session]);
+    let rows = table_rows(&stats, "hot sites");
+    // plusplus-orig-yes races the read and the write of one counter
+    // (`drb.rs:237` and `:240`), hottest first.
+    let racy: Vec<&str> =
+        rows.iter().filter(|cells| cells[4] != "0").map(|cells| cells[0].as_str()).collect();
+    assert_eq!(racy.len(), 2, "{stats}");
+    assert!(racy[0].ends_with("drb.rs:240") && racy[1].ends_with("drb.rs:237"), "{racy:?}");
+    assert_eq!(table_rows(&report, "hot sites"), rows, "sword report:\n{report}");
     std::fs::remove_dir_all(&dir).expect("session removed");
 }

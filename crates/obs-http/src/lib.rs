@@ -53,7 +53,7 @@ pub type JsonFn = Arc<dyn Fn() -> Value + Send + Sync>;
 /// mode-specific providers.
 #[derive(Clone)]
 pub struct TelemetryHandles {
-    /// Registry (`/metrics`, `/status`) and journal (drop counter).
+    /// Registry (`/metrics`, `/status`) and journal (`now_us`).
     pub obs: Obs,
     /// Extra top-level `/status` fields (session path, watermark,
     /// races-so-far, thread count) merged into the snapshot.
@@ -271,15 +271,15 @@ fn status_json(shared: &Shared) -> Value {
         ("ok".to_string(), Value::Bool(true)),
         ("now_us".to_string(), Value::Num(obs.journal.now_us() as f64)),
         ("uptime_us".to_string(), Value::Num(shared.started.elapsed().as_micros() as f64)),
-        ("journal_dropped_events".to_string(), Value::Num(obs.journal.dropped_events() as f64)),
     ];
     if let Some(f) = &shared.handles.status {
         if let Value::Obj(extra) = f() {
             pairs.extend(extra);
         }
     }
-    // The flat registry snapshot, in registration order: `sword top`
-    // groups it into its tables, dashboards read it as is.
+    // The flat registry snapshot, in registration order (the journal's
+    // drop count is its `sword_journal_dropped_events_total` row): `sword
+    // top` renders it as every report does, dashboards read it as is.
     let metrics = obs.registry.snapshot().into_iter().map(|(k, v)| (k, Value::Num(v))).collect();
     pairs.push(("metrics".to_string(), Value::Obj(metrics)));
     Value::Obj(pairs)

@@ -78,7 +78,8 @@ fn status_endpoint_merges_provider_fields_and_flat_metrics() {
     assert_eq!(metrics.get("sword_flush_queue_depth").and_then(Value::as_u64), Some(5));
     assert_eq!(metrics.get("sword_stage_wait_nanos_count").and_then(Value::as_u64), Some(1));
     assert!(metrics.get("sword_stage_wait_nanos_p95").is_some());
-    for gone in ["queues", "histograms", "sse_clients"] {
+    assert_eq!(metrics.get("sword_journal_dropped_events_total").and_then(Value::as_u64), Some(0));
+    for gone in ["queues", "histograms", "sse_clients", "journal_dropped_events"] {
         assert!(doc.get(gone).is_none(), "{gone}: {body}");
     }
     server.shutdown();

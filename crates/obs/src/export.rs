@@ -14,23 +14,6 @@ use std::path::Path;
 use crate::journal::{FlowPhase, JournalEvent};
 use crate::json::Value;
 
-/// Supported export formats.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExportFormat {
-    /// Chrome `trace_event` JSON (array-of-events object form).
-    Chrome,
-}
-
-impl ExportFormat {
-    /// Parses a `--format` flag value.
-    pub fn from_name(s: &str) -> Option<ExportFormat> {
-        match s {
-            "chrome" => Some(ExportFormat::Chrome),
-            _ => None,
-        }
-    }
-}
-
 /// Converts journal events into a Chrome `trace_event` document.
 pub fn chrome_trace(events: &[JournalEvent]) -> Value {
     let mut out = Vec::new();

@@ -4,17 +4,12 @@
 //! Everything is emitted by hand into one file — inline CSS, no
 //! JavaScript, no external assets — following the same zero-dependency
 //! discipline as [`crate::json`]. Expandable race cards use plain
-//! `<details>` elements; the stage table is the text report's
-//! ([`render_stages`]), preformatted.
+//! `<details>` elements; the telemetry sections are the text report's
+//! ([`render_snapshot`]), preformatted.
 
 use std::fmt::Write as _;
 
-use crate::report::{
-    last_metrics_snapshot, memory_rows, render_stages, ReportInput, BOUNDED_MEM_GAUGE,
-    PAPER_PER_THREAD_BOUND_BYTES,
-};
-use crate::sites::hot_sites_from_metrics;
-use crate::table::format_bytes;
+use crate::report::{last_metrics_snapshot, render_snapshot, ReportInput};
 
 /// One race, pre-rendered by the analyzer for its dashboard card.
 #[derive(Clone, Debug)]
@@ -64,7 +59,6 @@ border-bottom:1px solid #ddd;padding-bottom:.2rem}\
 table{border-collapse:collapse;width:100%}\
 td,th{text-align:left;padding:.2rem .6rem .2rem 0;font-variant-numeric:tabular-nums}\
 th{color:#666;font-weight:600}\
-.ok{color:#1a7a3a;font-weight:600}.bad{color:#b02020;font-weight:600}\
 details.race{border:1px solid #ddd;border-radius:4px;margin:.5rem 0;\
 background:#fff;padding:.3rem .8rem}\
 details.race summary{cursor:pointer;font-weight:600}\
@@ -94,70 +88,12 @@ pub fn render_html(input: &HtmlInput) -> String {
         out.push_str("</table>\n");
     }
 
-    // --- Pipeline stages ---------------------------------------------------
-    let snapshot = last_metrics_snapshot(&input.report.events);
-    let stages = render_stages(&snapshot);
-    if !stages.is_empty() {
-        let _ = writeln!(out, "<h2>Offline pipeline stages</h2>\n<pre>{}</pre>", esc(&stages));
-    }
-
-    // --- Memory vs the paper bound ------------------------------------------
-    let mem_keys = memory_rows(&snapshot);
-    if !mem_keys.is_empty() {
-        let threads =
-            input.report.info.get("threads").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-        let bound = threads * PAPER_PER_THREAD_BOUND_BYTES;
-        out.push_str("<h2>Memory vs the paper's 3.3&nbsp;MB/thread bound</h2>\n<table>\n");
-        for (name, value) in &mem_keys {
-            let bytes = *value as u64;
-            let verdict = if bound > 0 && name == BOUNDED_MEM_GAUGE {
-                if bytes <= bound {
-                    format!(
-                        "<span class=\"ok\">within</span> the {threads}&times;{} = {} bound",
-                        esc(&format_bytes(PAPER_PER_THREAD_BOUND_BYTES)),
-                        esc(&format_bytes(bound)),
-                    )
-                } else {
-                    format!(
-                        "<span class=\"bad\">EXCEEDS</span> the {threads}&times;{} = {} bound",
-                        esc(&format_bytes(PAPER_PER_THREAD_BOUND_BYTES)),
-                        esc(&format_bytes(bound)),
-                    )
-                }
-            } else {
-                String::new()
-            };
-            let _ = writeln!(
-                out,
-                "<tr><th>{}</th><td>{}</td><td>{verdict}</td></tr>",
-                esc(name),
-                esc(&format_bytes(bytes)),
-            );
-        }
-        out.push_str("</table>\n");
-    }
-
-    // --- Hot sites -----------------------------------------------------------
-    let hot = hot_sites_from_metrics(&snapshot);
-    if !hot.is_empty() {
-        let top_n = if input.report.top_n == 0 { 10 } else { input.report.top_n };
-        out.push_str("<h2>Hot sites (compare-stage attribution)</h2>\n<table>\n");
-        out.push_str(
-            "<tr><th>site</th><th>scanned</th><th>pairs</th><th>solves</th>\
-             <th>racy pairs</th></tr>\n",
-        );
-        for h in hot.iter().take(top_n) {
-            let _ = writeln!(
-                out,
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                esc(&h.site),
-                h.stats.scanned,
-                h.stats.pairs,
-                h.stats.solver_calls,
-                h.stats.races,
-            );
-        }
-        out.push_str("</table>\n");
+    // --- The registry snapshot, as the text report renders it -------------
+    let report = &input.report;
+    let telemetry =
+        render_snapshot(&last_metrics_snapshot(&report.events), report.threads(), report.top_n);
+    if !telemetry.is_empty() {
+        let _ = writeln!(out, "<h2>Telemetry</h2>\n<pre>{}</pre>", esc(&telemetry));
     }
 
     // --- Race cards ----------------------------------------------------------
@@ -232,14 +168,14 @@ mod tests {
         // Markup-significant characters in race text are escaped.
         assert!(html.contains("a.rs:1 (Write) &lt;-&gt; a.rs:2 (Read)"));
         assert!(html.contains("evidence &amp; &lt;chain&gt;"));
-        // All sections present.
-        assert!(html.contains("Offline pipeline stages"));
-        let table = esc(&render_stages(&last_metrics_snapshot(&input.report.events)));
-        assert!(html.contains(&table) && table.contains("compare"), "the text report's table");
-        assert!(html.contains("3.3&nbsp;MB/thread"));
-        assert!(html.contains("within"));
-        assert!(html.contains("Hot sites"));
-        assert!(html.contains("a.rs:1"));
+        // The text report's sections, stages, memory verdict and hot
+        // sites included.
+        let report = &input.report;
+        let sections = esc(&render_snapshot(&last_metrics_snapshot(&report.events), 2, 10));
+        assert!(html.contains(&sections), "the text report's sections");
+        for section in ["pipeline stages", "within 2x3.30 MB", "hot sites", "a.rs:1"] {
+            assert!(sections.contains(section), "{section}");
+        }
         // No external references: a self-contained file.
         assert!(!html.contains("http://") && !html.contains("https://"));
         assert!(!html.contains("<script"));

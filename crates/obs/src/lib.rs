@@ -11,27 +11,32 @@
 //!   per flush, stage and worker share, never per analysis task (task
 //!   times are a registry histogram), so an analysis fits its rings.
 //! - [`registry`]: named counter/gauge/histogram handles — the one
-//!   store of the collector's flush counts and queue depth and the
-//!   analyzer's stage, task-queue, tier and tree-memory rows — plus
-//!   read-on-demand sources over state other structures own (pool
-//!   occupancy, journal drops), with Prometheus text exposition and
-//!   periodic snapshots appended to the journal.
+//!   store of the tool's own counts: the collector's flush counts and
+//!   queue depth, the analyzer's stage, task-queue, tier, tree-memory and
+//!   per-site rows — plus read-on-demand sources over state other
+//!   structures own (pool occupancy, journal drops), with Prometheus text
+//!   exposition and periodic snapshots appended to the journal.
 //! - [`MemGauge`]: the live/peak byte counter the analyzer's trees (as
 //!   two registry gauges) and ARCHER's modeled shadow memory charge.
 //! - [`Table`] and [`format_bytes`]: the aligned text table and byte
 //!   formatting every plain-text report renders with.
-//! - [`export`]: `sword trace export --format chrome` renders the
-//!   journal as a Chrome `trace_event` timeline (one process row per
-//!   layer, one thread row per recording thread).
-//! - [`report`]: `sword report` renders a consolidated run report —
-//!   flush path, the analyzer's stage table ([`render_stages`], the one
-//!   `--stats` and the HTML dashboard print too), memory peaks against
-//!   the paper's 3.3 MB/thread bound, hot sites, and the hottest spans.
+//! - [`report`]: [`render_snapshot`], the one view of a flat registry
+//!   snapshot — journal drops, the stage table, queue depths, latency
+//!   quantiles, memory against the paper's 3.3 MB/thread bound, hot
+//!   sites — which `--stats`, `sword top`, `sword report` and
+//!   `report --html` all print; [`render_report`] adds the journal
+//!   overview, the flush path and the hottest spans.
 //! - [`sites`]: per-source-site attribution of compare-stage work
-//!   (accesses scanned, pairs checked, solver calls, races), published
-//!   through the registry as labeled gauges.
-//! - [`html`]: `sword report --html` renders the same data as a single
-//!   self-contained HTML dashboard with one expandable card per race.
+//!   (accesses scanned, pairs checked, solver calls, races), added to
+//!   the registry as labeled counters.
+//! - [`html`]: `sword report --html` wraps the same sections in a
+//!   single self-contained HTML dashboard with one expandable card per
+//!   race.
+//! - [`export`]: `sword trace export` renders the journal as a Chrome
+//!   `trace_event` timeline (one process row per layer, one thread row
+//!   per recording thread). It needs spans, and the Prometheus
+//!   exposition needs help lines, types and buckets, so these two are
+//!   not views of the flat snapshot.
 //!
 //! The crate is std-only (the journal must be readable without any
 //! external JSON dependency, so [`json`] carries a minimal parser).
@@ -48,7 +53,7 @@ pub mod report;
 pub mod sites;
 mod table;
 
-pub use export::{chrome_trace, write_chrome_trace, ExportFormat};
+pub use export::{chrome_trace, write_chrome_trace};
 pub use html::{render_html, HtmlInput, HtmlRace};
 pub use journal::{
     read_journal, FlowPhase, Journal, JournalEvent, JournalRead, JournalSink, Layer, Span,
@@ -57,10 +62,10 @@ pub use journal::{
 pub use mem_gauge::MemGauge;
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use report::{
-    histogram_rows, render_report, render_stages, span_rows, stage_row, HistogramRow, ReportInput,
-    SpanRow, PAPER_PER_THREAD_BOUND_BYTES, STAGES,
+    render_flush, render_report, render_snapshot, render_stages, stage_row, ReportInput,
+    PAPER_PER_THREAD_BOUND_BYTES, STAGES,
 };
-pub use sites::{hot_sites_from_metrics, HotSite, SiteCounters, SiteId, SiteStats, SiteTable};
+pub use sites::{add_site_rows, hot_sites_from_metrics, HotSite, SiteCounters, SiteId, SiteStats};
 pub use table::{format_bytes, Table};
 
 /// One observability context: a journal plus a registry, shared by every

@@ -6,9 +6,10 @@
 //! flush counters and queue depth, the analyzer's stage, tier, task-queue
 //! and tree-memory rows are handles fetched by name once and updated with
 //! one atomic each, so every layer sharing a registry adds into the same
-//! rows. *Sources* — closures evaluated at snapshot/exposition time — are
-//! only for state another structure owns: pool occupancy, the journal's
-//! drop count, the collector's bounded footprint.
+//! rows; the analyzer adds its per-site attribution here too, as labeled
+//! counters. *Sources* — closures evaluated at snapshot/exposition time —
+//! are only for state another structure owns: pool occupancy, the
+//! journal's drop count, the collector's bounded footprint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -254,8 +255,10 @@ impl Registry {
         });
     }
 
-    /// Flat name→value view over every metric. Histograms expand to
-    /// `_count`, `_sum`, `_max`, `_p50`, and `_p99` entries.
+    /// Flat name→value view over every metric, in registration order: the
+    /// snapshot every report renders (`render_snapshot`). Histograms
+    /// expand to `_count`, `_sum`, `_max`, `_p50`, `_p95` and `_p99`
+    /// entries.
     pub fn snapshot(&self) -> Vec<(String, f64)> {
         let metrics = self.metrics.lock().expect("registry lock");
         let mut out = Vec::with_capacity(metrics.len());

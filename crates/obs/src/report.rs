@@ -1,9 +1,13 @@
-//! Consolidated run report: flush path, the analyzer's stage table,
-//! memory peaks against the paper's per-thread bound, and the top-N
-//! hottest spans — all derived from the session's journal and info file.
-//! The stage table ([`render_stages`]) is a function of a flat registry
-//! snapshot, so `--stats`, `sword report` and `report --html` print the
-//! same table.
+//! Rendering the registry snapshot, the one view every report shares.
+//!
+//! [`render_snapshot`] is a pure function of a flat registry snapshot
+//! (`&[(String, f64)]`, what `Registry::snapshot` returns and what a
+//! journaled `metrics` event carries): the journal-drop warning, the
+//! analyzer's stage table ([`render_stages`]), queue depths, latency
+//! quantiles, memory against the paper's per-thread bound, and hot
+//! sites. `--stats`, `sword top`, `sword report` and `report --html` all
+//! print it; [`render_report`] wraps it in the journal overview, the flush
+//! path ([`render_flush`], over `session.meta`) and the hottest spans.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -50,16 +54,134 @@ pub fn render_stages(snapshot: &[(String, f64)]) -> String {
             format_bytes(row("sword_stage_bytes_total").unwrap_or(0.0) as u64),
         ]);
     }
+    rendered(&t)
+}
+
+/// A table's text, or the empty string when it has no rows.
+fn rendered(t: &Table) -> String {
     if t.is_empty() {
-        return String::new();
+        String::new()
+    } else {
+        t.render()
     }
-    t.render()
 }
 
 /// The paper's per-thread tool-memory bound: two 25,000-event buffers
 /// plus runtime bookkeeping, quoted as "less than 3.3 MB per thread"
 /// (PAPER.md §IV).
 pub const PAPER_PER_THREAD_BOUND_BYTES: u64 = 3_460_300;
+
+/// The one gauge the paper's per-thread bound judges: the collector's
+/// tool memory. The analyzer's tree gauges are offline memory, outside it.
+const BOUNDED_MEM_GAUGE: &str = "sword_collector_tool_mem_bytes";
+
+/// The registry row counting journal events dropped at ring capacity.
+const DROPPED_ROW: &str = "sword_journal_dropped_events_total";
+
+/// Renders a flat registry snapshot, in order: a warning when the journal
+/// dropped events, the stage table, every `*_queue_depth` gauge, the
+/// quantiles of every histogram with samples, the `_mem_` gauges (the
+/// collector's judged against `threads` × the paper's per-thread bound;
+/// `threads` 0 judges nothing), and the `top_n` hottest sites. Sections
+/// without rows are left out; each one ends with a blank line.
+pub fn render_snapshot(snapshot: &[(String, f64)], threads: u64, top_n: usize) -> String {
+    let mut out = String::new();
+    let dropped = snapshot.iter().find(|(k, _)| k == DROPPED_ROW).map_or(0.0, |(_, v)| *v);
+    if dropped > 0.0 {
+        let _ = writeln!(
+            out,
+            "WARNING: journal dropped {dropped} events at ring capacity (telemetry below is \
+             incomplete)\n"
+        );
+    }
+    let mut sections = vec![render_stages(snapshot)];
+
+    let mut queues = Table::new("queue depths", &["queue", "depth"]);
+    for (name, value) in snapshot.iter().filter(|(name, _)| name.ends_with("_queue_depth")) {
+        queues.row(&[name.clone(), format!("{value}")]);
+    }
+    sections.push(rendered(&queues));
+
+    let mut quantiles =
+        Table::new("latency quantiles", &["histogram", "count", "p50", "p95", "p99", "max"]);
+    // Every histogram base name with `_count` and `_p50`/`_p95`/`_p99`
+    // expansions and at least one sample.
+    let get = |key: String| snapshot.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+    for (key, count) in snapshot.iter().filter(|(_, count)| *count >= 1.0) {
+        let Some(name) = key.strip_suffix("_count") else { continue };
+        let expansion = |suffix| get(format!("{name}_{suffix}"));
+        let (Some(p50), Some(p95), Some(p99)) =
+            (expansion("p50"), expansion("p95"), expansion("p99"))
+        else {
+            continue;
+        };
+        let max = expansion("max").unwrap_or(0.0);
+        let numbers = [*count, p50, p95, p99, max].map(|n| n.to_string());
+        quantiles.row(&[&[name.to_string()][..], &numbers].concat());
+    }
+    sections.push(rendered(&quantiles));
+
+    let bound = threads * PAPER_PER_THREAD_BOUND_BYTES;
+    let mut memory = Table::new("memory", &["gauge", "bytes", "paper bound"]);
+    for (name, value) in snapshot.iter().filter(|(k, _)| k.contains("_mem_")) {
+        let bytes = *value as u64;
+        let verdict = if bound > 0 && name == BOUNDED_MEM_GAUGE {
+            let verdict = if bytes <= bound { "within" } else { "EXCEEDS" };
+            format!(
+                "{verdict} {threads}x{} = {} bound",
+                format_bytes(PAPER_PER_THREAD_BOUND_BYTES),
+                format_bytes(bound),
+            )
+        } else {
+            String::new()
+        };
+        memory.row(&[name.clone(), format_bytes(bytes), verdict]);
+    }
+    sections.push(rendered(&memory));
+
+    let hot = hot_sites_from_metrics(snapshot);
+    let mut sites = Table::new(
+        format!("hot sites (compare-stage attribution, top {})", top_n.min(hot.len())),
+        &["site", "scanned", "pairs", "solves", "racy pairs"],
+    );
+    for h in hot.into_iter().take(top_n) {
+        let s = h.stats;
+        let numbers = [s.scanned, s.pairs, s.solver_calls, s.races].map(|n| n.to_string());
+        sites.row(&[&[h.site][..], &numbers].concat());
+    }
+    sections.push(rendered(&sites));
+
+    for section in sections.iter().filter(|s| !s.is_empty()) {
+        out.push_str(section);
+        out.push('\n');
+    }
+    out
+}
+
+/// Renders the collector's flush path from a session's info map (the
+/// `flush_*` keys `FlushSnapshot::to_info` writes). `None` for a session
+/// collected before flush accounting (no `flush_count`); other missing or
+/// malformed keys read as zero.
+pub fn render_flush(info: &BTreeMap<String, String>) -> Option<String> {
+    info.get("flush_count")?;
+    let get = |key: &str| info.get(key).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+    let (raw, compressed, compress_nanos) =
+        (get("flush_raw_bytes"), get("flush_compressed_bytes"), get("flush_compress_nanos"));
+    let ratio = if compressed == 0 { 1.0 } else { raw as f64 / compressed as f64 };
+    let throughput =
+        if compress_nanos == 0 { 0 } else { (raw as f64 * 1e9 / compress_nanos as f64) as u64 };
+    let ms = |key: &str| format!("{:.3} ms", get(key) as f64 / 1e6);
+    let mut t = Table::new("flush path", &["counter", "value"]);
+    t.row(&["flushes".into(), get("flush_count").to_string()]);
+    t.row(&["app-thread stall".into(), ms("flush_stall_nanos")]);
+    t.row(&["compression busy".into(), ms("flush_compress_nanos")]);
+    t.row(&["write busy".into(), ms("flush_write_nanos")]);
+    t.row(&["raw bytes".into(), format_bytes(raw)]);
+    t.row(&["compressed bytes".into(), format_bytes(compressed)]);
+    t.row(&["compression ratio".into(), format!("{ratio:.2}x")]);
+    t.row(&["compression throughput".into(), format!("{}/s", format_bytes(throughput))]);
+    Some(t.render())
+}
 
 /// Inputs to [`render_report`].
 #[derive(Clone, Debug, Default)]
@@ -70,40 +192,38 @@ pub struct ReportInput {
     pub info: BTreeMap<String, String>,
     /// True when the journal had a torn final line.
     pub truncated_tail: bool,
-    /// How many hottest spans to list.
+    /// How many hot sites and hottest spans to list.
     pub top_n: usize,
+}
+
+impl ReportInput {
+    /// The session's thread count from its info (0 when unknown).
+    pub(crate) fn threads(&self) -> u64 {
+        self.info.get("threads").and_then(|v| v.parse().ok()).unwrap_or(0)
+    }
 }
 
 /// One aggregated span row: every completed span of one name within a
 /// layer, folded.
-#[derive(Clone, Debug)]
-pub struct SpanRow {
-    /// Recording layer.
-    pub layer: Layer,
-    /// Span name.
-    pub name: String,
-    /// Completed spans folded in.
-    pub count: u64,
-    /// Sum of durations.
-    pub total_us: u64,
-    /// Longest single span.
-    pub max_us: u64,
+struct SpanRow {
+    layer: Layer,
+    name: String,
+    count: u64,
+    total_us: u64,
+    max_us: u64,
 }
 
-/// Renders the consolidated run report as plain text.
+/// Renders the consolidated run report as plain text: the journal
+/// overview, the flush path, the snapshot's sections
+/// ([`render_snapshot`]) and the hottest spans.
 pub fn render_report(input: &ReportInput) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "SWORD run report");
     let _ = writeln!(out, "================");
 
-    // --- Journal overview -------------------------------------------------
     let mut per_layer: BTreeMap<Layer, u64> = BTreeMap::new();
-    let mut dropped = 0u64;
     for e in &input.events {
         *per_layer.entry(e.layer).or_insert(0) += 1;
-        if e.name == "dropped_events" {
-            dropped += e.args.iter().find(|(k, _)| k == "count").map_or(0, |(_, v)| *v as u64);
-        }
     }
     let layers: Vec<String> =
         per_layer.iter().map(|(layer, n)| format!("{} {}", layer.as_str(), n)).collect();
@@ -113,137 +233,42 @@ pub fn render_report(input: &ReportInput) -> String {
         input.events.len(),
         if layers.is_empty() { "empty".to_string() } else { layers.join(", ") }
     );
-    // The registry counter covers drops the drain markers never saw
-    // (e.g. events shed after the final drain); report whichever is
-    // larger so a lossy journal is never presented as complete.
-    let snapshot = last_metrics_snapshot(&input.events);
-    let counter_dropped = snapshot
-        .iter()
-        .find(|(k, _)| k == "sword_journal_dropped_events_total")
-        .map_or(0, |(_, v)| *v as u64);
-    let dropped = dropped.max(counter_dropped);
-    if dropped > 0 {
-        let _ = writeln!(
-            out,
-            "WARNING: journal dropped {dropped} events at ring capacity (telemetry below is incomplete)"
-        );
-    }
     if input.truncated_tail {
         let _ = writeln!(out, "journal: torn final line skipped (run ended abruptly)");
     }
-
-    // --- Flush path (from persisted session info) -------------------------
-    if let Some(flushes) = input.info.get("flush_count") {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "flush path");
-        let _ = writeln!(out, "----------");
-        let get = |k: &str| input.info.get(k).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-        let raw = get("flush_raw_bytes");
-        let compressed = get("flush_compressed_bytes");
-        let ratio = if compressed > 0 { raw as f64 / compressed as f64 } else { 0.0 };
-        let _ = writeln!(
-            out,
-            "flushes {flushes}  raw {}  compressed {}  ratio {ratio:.2}x",
-            format_bytes(raw),
-            format_bytes(compressed),
-        );
-        let _ = writeln!(
-            out,
-            "app-thread stall {:.2} ms  compress {:.2} ms  write {:.2} ms",
-            get("flush_stall_nanos") as f64 / 1e6,
-            get("flush_compress_nanos") as f64 / 1e6,
-            get("flush_write_nanos") as f64 / 1e6,
-        );
+    let _ = writeln!(out);
+    if let Some(flush) = render_flush(&input.info) {
+        let _ = writeln!(out, "{flush}");
     }
+    out.push_str(&render_snapshot(
+        &last_metrics_snapshot(&input.events),
+        input.threads(),
+        input.top_n,
+    ));
 
-    // --- Pipeline stages (the analyzer's registry rows) -------------------
-    let stages = render_stages(&snapshot);
-    if !stages.is_empty() {
-        let _ = writeln!(out);
-        out.push_str(&stages);
-    }
-
-    // --- Latency quantiles (registry histograms) --------------------------
-    let quantile_rows = histogram_rows(&snapshot);
-    if !quantile_rows.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "latency quantiles");
-        let _ = writeln!(out, "-----------------");
-        for row in &quantile_rows {
-            let _ = writeln!(
-                out,
-                "{:<34} count {:<9} p50 {:<10} p95 {:<10} p99 {:<10} max {}",
-                row.name, row.count, row.p50, row.p95, row.p99, row.max,
-            );
-        }
-    }
-
-    // --- Memory peaks vs the paper bound ----------------------------------
-    let mem_keys = memory_rows(&snapshot);
-    if !mem_keys.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "memory");
-        let _ = writeln!(out, "------");
-        let threads = input.info.get("threads").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-        let bound = threads * PAPER_PER_THREAD_BOUND_BYTES;
-        for (name, value) in &mem_keys {
-            let bytes = *value as u64;
-            let mut line = format!("{name:<34} {:>12}", format_bytes(bytes));
-            if bound > 0 && name == BOUNDED_MEM_GAUGE {
-                let verdict = if bytes <= bound { "within" } else { "EXCEEDS" };
-                let _ = write!(
-                    line,
-                    "  ({verdict} {threads}x{} = {} bound)",
-                    format_bytes(PAPER_PER_THREAD_BOUND_BYTES),
-                    format_bytes(bound),
-                );
-            }
-            let _ = writeln!(out, "{line}");
-        }
-    }
-
-    // --- Hot sites (compare-stage attribution) ----------------------------
-    let hot = hot_sites_from_metrics(&snapshot);
-    if !hot.is_empty() {
-        let top_n = if input.top_n == 0 { 10 } else { input.top_n };
-        let _ = writeln!(out);
-        let _ =
-            writeln!(out, "hot sites (compare-stage attribution, top {})", top_n.min(hot.len()));
-        let _ = writeln!(out, "---------");
-        for h in hot.iter().take(top_n) {
-            let _ = writeln!(
-                out,
-                "{:<28} scanned {:<9} pairs {:<8} solves {:<8} racy pairs {}",
-                h.site, h.stats.scanned, h.stats.pairs, h.stats.solver_calls, h.stats.races,
-            );
-        }
-    }
-
-    // --- Hottest spans ----------------------------------------------------
-    let mut hottest: Vec<SpanRow> = span_rows(&input.events);
+    let mut hottest = span_rows(&input.events);
     hottest.sort_by_key(|agg| std::cmp::Reverse(agg.total_us));
-    if !hottest.is_empty() {
-        let top_n = if input.top_n == 0 { 10 } else { input.top_n };
-        let _ = writeln!(out);
-        let _ = writeln!(out, "hottest spans (top {})", top_n.min(hottest.len()));
-        let _ = writeln!(out, "-------------");
-        for agg in hottest.iter().take(top_n) {
-            let _ = writeln!(
-                out,
-                "{:<8} {:<22} calls {:<7} total {:>9.2} ms  max {:>8.2} ms",
-                agg.layer.as_str(),
-                agg.name,
-                agg.count,
-                agg.total_us as f64 / 1e3,
-                agg.max_us as f64 / 1e3,
-            );
-        }
+    let mut spans = Table::new(
+        format!("hottest spans (top {})", input.top_n.min(hottest.len())),
+        &["layer", "span", "calls", "total (ms)", "max (ms)"],
+    );
+    for agg in hottest.iter().take(input.top_n) {
+        spans.row(&[
+            agg.layer.as_str().to_string(),
+            agg.name.clone(),
+            agg.count.to_string(),
+            format!("{:.2}", agg.total_us as f64 / 1e3),
+            format!("{:.2}", agg.max_us as f64 / 1e3),
+        ]);
+    }
+    if !spans.is_empty() {
+        let _ = writeln!(out, "{}", spans.render());
     }
     out
 }
 
 /// Aggregates completed spans by `(layer, name)`, in first-seen order.
-pub fn span_rows(events: &[JournalEvent]) -> Vec<SpanRow> {
+fn span_rows(events: &[JournalEvent]) -> Vec<SpanRow> {
     let mut rows: Vec<SpanRow> = Vec::new();
     for e in events {
         let Some(dur) = e.dur_us else { continue };
@@ -265,78 +290,40 @@ pub fn span_rows(events: &[JournalEvent]) -> Vec<SpanRow> {
     rows
 }
 
-/// One histogram family reconstructed from a flat metrics snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramRow {
-    /// Histogram base name (e.g. `sword_solver_call_nanos`).
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Approximate 50th percentile (bucket upper bound).
-    pub p50: u64,
-    /// Approximate 95th percentile.
-    pub p95: u64,
-    /// Approximate 99th percentile.
-    pub p99: u64,
-    /// Largest sample.
-    pub max: u64,
-}
-
-/// Reconstructs histogram families from a flat snapshot: every base name
-/// with `_count` and `_p50`/`_p95`/`_p99` expansions and at least one
-/// sample.
-pub fn histogram_rows(snapshot: &[(String, f64)]) -> Vec<HistogramRow> {
-    let get = |k: &str| snapshot.iter().find(|(n, _)| n == k).map(|(_, v)| *v as u64);
-    let mut rows = Vec::new();
-    for (key, count) in snapshot {
-        let Some(name) = key.strip_suffix("_count") else { continue };
-        if *count < 1.0 {
-            continue;
-        }
-        let (Some(p50), Some(p95), Some(p99)) =
-            (get(&format!("{name}_p50")), get(&format!("{name}_p95")), get(&format!("{name}_p99")))
-        else {
-            continue;
-        };
-        rows.push(HistogramRow {
-            name: name.to_string(),
-            count: *count as u64,
-            p50,
-            p95,
-            p99,
-            max: get(&format!("{name}_max")).unwrap_or(0),
-        });
-    }
-    rows
-}
-
 /// The merged view of all `metrics` snapshot events: the latest value
 /// per key, in first-seen key order. Journals accumulate snapshots from
 /// several registries (the collector's at run time, the analyzer's when
 /// `analyze --obs` appends), so folding — rather than taking only the
-/// final event — keeps every layer's gauges visible.
+/// final event — keeps every layer's gauges visible. The drop row
+/// (`sword_journal_dropped_events_total`) is raised to the drops the
+/// journal's own `dropped_events` markers count: the row covers drops no
+/// marker saw (events shed after the final drain), the markers those of a
+/// registry whose row a later snapshot overwrote, and a lossy journal is
+/// never presented as complete.
 pub fn last_metrics_snapshot(events: &[JournalEvent]) -> Vec<(String, f64)> {
     let mut merged: Vec<(String, f64)> = Vec::new();
-    for e in events.iter().filter(|e| e.name == "metrics") {
-        for (key, value) in &e.args {
-            match merged.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = *value,
-                None => merged.push((key.to_string(), *value)),
+    let mut marked = 0.0;
+    for e in events {
+        let arg = |key: &str| e.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+        match &*e.name {
+            "metrics" => {
+                for (key, value) in &e.args {
+                    match merged.iter_mut().find(|(k, _)| k == key) {
+                        Some((_, v)) => *v = *value,
+                        None => merged.push((key.to_string(), *value)),
+                    }
+                }
             }
+            "dropped_events" => marked += arg("count").unwrap_or(0.0),
+            _ => {}
         }
     }
+    match merged.iter_mut().find(|(k, _)| k == DROPPED_ROW) {
+        Some((_, v)) => *v = v.max(marked),
+        None if marked > 0.0 => merged.push((DROPPED_ROW.to_string(), marked)),
+        None => {}
+    }
     merged
-}
-
-/// The one gauge the paper's per-thread bound judges: the collector's
-/// tool memory. The analyzer's tree gauges are offline memory, outside it.
-pub(crate) const BOUNDED_MEM_GAUGE: &str = "sword_collector_tool_mem_bytes";
-
-/// The memory gauges of a snapshot: the registry's `_mem_` rows. Traffic
-/// totals that count bytes (`sword_flush_raw_bytes`,
-/// `sword_exporter_bytes_total`, …) are not memory and stay out.
-pub(crate) fn memory_rows(snapshot: &[(String, f64)]) -> Vec<(String, f64)> {
-    snapshot.iter().filter(|(k, _)| k.contains("_mem_")).cloned().collect()
 }
 
 #[cfg(test)]
@@ -400,8 +387,9 @@ mod tests {
         ];
         let input = ReportInput { events: events.clone(), info, truncated_tail: true, top_n: 5 };
         let report = render_report(&input);
-        assert!(report.contains("flush path"));
-        assert!(report.contains("ratio 4.00x"));
+        assert!(report.contains("== flush path =="));
+        let ratio = report.lines().find(|l| l.starts_with("compression ratio")).unwrap();
+        assert!(ratio.contains("4.00x"), "{ratio}");
         // The stage table is the registry's, as `--stats` prints it.
         let stages = render_stages(&last_metrics_snapshot(&events));
         assert!(report.contains(&stages), "{report}");
@@ -442,9 +430,36 @@ mod tests {
             truncated_tail: false,
             top_n: 5,
         });
-        assert!(report.contains("hot sites"), "{report}");
-        assert!(report.contains("kernel.rs:10"), "{report}");
-        assert!(report.contains("pairs 42"), "{report}");
+        assert!(report.contains("== hot sites"), "{report}");
+        let row = report.lines().find(|l| l.starts_with("kernel.rs:10")).expect("site row");
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells, ["kernel.rs:10", "0", "42", "0", "2"], "{report}");
+    }
+
+    #[test]
+    fn snapshot_sections_render_in_order() {
+        let registry = crate::Registry::new();
+        registry.gauge("sword_flush_queue_depth", "depth").set(5);
+        registry.counter("sword_stage_busy_nanos{stage=\"compare\"}", "busy").add(1);
+        registry.histogram("sword_flush_queue_wait_us", "wait").record(40);
+        registry.histogram("sword_solver_call_nanos", "no samples: no row");
+        registry.gauge("sword_collector_tool_mem_bytes", "mem").set(1 << 20);
+        registry.counter("sword_site_pairs{site=\"a.rs:1\"}", "pairs").add(3);
+        registry.counter("sword_journal_dropped_events_total", "drops").add(2);
+        let text = render_snapshot(&registry.snapshot(), 2, 10);
+        let at = |needle: &str| text.find(needle).unwrap_or_else(|| panic!("{needle}:\n{text}"));
+        let order = [
+            "WARNING: journal dropped 2 events",
+            "== pipeline stages ==",
+            "== queue depths ==",
+            "== latency quantiles ==",
+            "== memory ==",
+            "== hot sites (compare-stage attribution, top 1) ==",
+        ];
+        assert!(order.windows(2).all(|w| at(w[0]) < at(w[1])), "{text}");
+        assert!(text.contains("within 2x3.30 MB"), "{text}");
+        assert!(!text.contains("sword_solver_call_nanos"), "{text}");
+        assert_eq!(render_snapshot(&[], 2, 10), "", "an empty snapshot renders nothing");
     }
 
     #[test]

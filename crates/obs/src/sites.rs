@@ -8,21 +8,14 @@
 //! report can show *where* the analysis cost went, the way LLOV-style
 //! per-line attribution does for verdicts.
 //!
-//! Two layers keep the hot path cheap:
-//!
-//! - [`SiteCounters`] is a per-worker accumulator (a dense `Vec` indexed
-//!   by site id — PC ids are small and dense — so a hot-path credit is
-//!   one bounds-checked index and an add, no hashing, no locks),
-//!   threaded through `check_pair`.
-//! - [`SiteTable`] is the shared, clonable sink the workers absorb their
-//!   accumulators into at task/poll boundaries. [`SiteTable::publish`]
-//!   exposes the result through the metrics [`Registry`] as labeled
-//!   gauges (`sword_site_pairs{site="file.rs:10"}`), which the registry
-//!   snapshot then carries into the journal — `sword report` and the
-//!   HTML dashboard read hot sites back from there.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+//! Each compare worker owns a [`SiteCounters`] (a dense `Vec` indexed by
+//! site id — PC ids are small and dense — so a hot-path credit is one
+//! bounds-checked index and an add, no hashing, no locks), threaded
+//! through `check_pair`. At the end of an analysis [`add_site_rows`]
+//! adds each worker's counters to the registry as labeled counters
+//! (`sword_site_pairs{site="file.rs:10"}`), and [`hot_sites_from_metrics`]
+//! reads them back out of any flat snapshot: the label format lives here
+//! and nowhere else.
 
 use crate::registry::Registry;
 
@@ -44,18 +37,9 @@ pub struct SiteStats {
     pub races: u64,
 }
 
-impl SiteStats {
-    fn add(&mut self, other: &SiteStats) {
-        self.scanned += other.scanned;
-        self.pairs += other.pairs;
-        self.solver_calls += other.solver_calls;
-        self.races += other.races;
-    }
-}
-
-/// Lock-free per-worker accumulator, absorbed into a [`SiteTable`] at
-/// task boundaries. Dense: slot `i` holds site id `i`'s stats (untouched
-/// slots stay at the all-zero default and are skipped on absorb).
+/// Lock-free per-worker accumulator, added to the registry by
+/// [`add_site_rows`]. Dense: slot `i` holds site id `i`'s stats
+/// (untouched slots stay at the all-zero default and add no row).
 #[derive(Clone, Debug, Default)]
 pub struct SiteCounters {
     slots: Vec<SiteStats>,
@@ -115,95 +99,43 @@ impl SiteCounters {
         self.slot(a).races += 1;
         self.slot(b).races += 1;
     }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
-/// Shared per-site attribution table (clone = same table).
-#[derive(Clone, Debug, Default)]
-pub struct SiteTable {
-    inner: Arc<Mutex<HashMap<SiteId, SiteStats>>>,
-}
+/// The four per-site metrics with their help texts, in [`SiteStats`]
+/// field order, each with a `_total` row over all sites.
+const SITE_METRICS: [(&str, &str); 4] = [
+    ("sword_site_scanned", "Accesses scanned during compare"),
+    ("sword_site_pairs", "Candidate pairs (one side writes) checked during compare"),
+    ("sword_site_solver_calls", "Exact solves during compare"),
+    ("sword_site_races", "Racy node pairs (pre-dedup)"),
+];
 
-impl SiteTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds a worker's accumulator into the table.
-    pub fn absorb(&self, counters: SiteCounters) {
-        if counters.is_empty() {
-            return;
+/// Adds a worker's accumulator to `registry` as counters: per site
+/// (`sword_site_pairs{site="file.rs:10"}` and friends, the location from
+/// `resolve`) and over all sites (`sword_site_pairs_total` …). Counters,
+/// so analyses sharing a registry add up; the totals rows exist, at 0,
+/// even when nothing was credited.
+pub fn add_site_rows(
+    registry: &Registry,
+    counters: &SiteCounters,
+    resolve: impl Fn(SiteId) -> String,
+) {
+    let values = |s: &SiteStats| [s.scanned, s.pairs, s.solver_calls, s.races];
+    let mut totals = [0u64; 4];
+    for (site, stats) in counters.slots.iter().enumerate() {
+        if *stats == SiteStats::default() {
+            continue;
         }
-        let mut inner = self.inner.lock().expect("site table poisoned");
-        for (site, stats) in counters.slots.into_iter().enumerate() {
-            if stats != SiteStats::default() {
-                inner.entry(site as SiteId).or_default().add(&stats);
-            }
-        }
-    }
-
-    /// The accumulated per-site stats, sorted by site id.
-    pub fn snapshot(&self) -> Vec<(SiteId, SiteStats)> {
-        let inner = self.inner.lock().expect("site table poisoned");
-        let mut v: Vec<(SiteId, SiteStats)> = inner.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by_key(|(site, _)| *site);
-        v
-    }
-
-    /// Registers whole-table totals as registry sources (idempotent —
-    /// re-registering replaces the closure over the same table).
-    pub fn register_totals(&self, registry: &Registry) {
-        type StatPick = fn(&SiteStats) -> u64;
-        let specs: [(&str, &str, StatPick); 5] = [
-            ("sword_sites_tracked", "Distinct source sites with compare-stage attribution", |_| 1),
-            ("sword_site_scanned_total", "Accesses scanned during compare, all sites", |s| {
-                s.scanned
-            }),
-            (
-                "sword_site_pairs_total",
-                "Candidate pairs (one side writes) checked during compare, all sites",
-                |s| s.pairs,
-            ),
-            ("sword_site_solver_calls_total", "Exact solves during compare, all sites", |s| {
-                s.solver_calls
-            }),
-            ("sword_site_races_total", "Racy node pairs (pre-dedup), all sites", |s| s.races),
-        ];
-        for (name, help, pick) in specs {
-            let table = self.clone();
-            registry.source(name, help, move || {
-                let inner = table.inner.lock().expect("site table poisoned");
-                inner.values().map(pick).sum::<u64>() as f64
-            });
+        let loc = escape_label(&resolve(site as SiteId));
+        for (((metric, help), value), total) in
+            SITE_METRICS.iter().zip(values(stats)).zip(&mut totals)
+        {
+            registry.counter(&format!("{metric}{{site=\"{loc}\"}}"), help).add(value);
+            *total += value;
         }
     }
-
-    /// Publishes every site's counters into the registry as labeled
-    /// gauges — `sword_site_pairs{site="file.rs:10"}` and friends —
-    /// resolving site ids to locations through `resolve`. Gauges are
-    /// idempotent (set, not add), so publishing twice is safe.
-    pub fn publish(&self, registry: &Registry, resolve: impl Fn(SiteId) -> String) {
-        for (site, stats) in self.snapshot() {
-            let loc = escape_label(&resolve(site));
-            let rows = [
-                ("sword_site_scanned", "Accesses scanned during compare", stats.scanned),
-                (
-                    "sword_site_pairs",
-                    "Candidate pairs (one side writes) checked during compare",
-                    stats.pairs,
-                ),
-                ("sword_site_solver_calls", "Exact solves during compare", stats.solver_calls),
-                ("sword_site_races", "Racy node pairs (pre-dedup)", stats.races),
-            ];
-            for (metric, help, value) in rows {
-                registry.gauge(&format!("{metric}{{site=\"{loc}\"}}"), help).set(value);
-            }
-        }
+    for ((metric, help), total) in SITE_METRICS.iter().zip(totals) {
+        registry.counter(&format!("{metric}_total"), &format!("{help}, all sites")).add(total);
     }
 }
 
@@ -212,8 +144,8 @@ fn escape_label(loc: &str) -> String {
     loc.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// One site's row parsed back out of a metrics snapshot — the reporting
-/// half of [`SiteTable::publish`].
+/// One site's rows parsed back out of a metrics snapshot — the reporting
+/// half of [`add_site_rows`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HotSite {
     /// Resolved source location (`file.rs:10`).
@@ -223,7 +155,7 @@ pub struct HotSite {
 }
 
 /// Reconstructs per-site attribution from metrics-snapshot key/value
-/// pairs (the inverse of [`SiteTable::publish`]), sorted hottest first:
+/// pairs (the inverse of [`add_site_rows`]), sorted hottest first:
 /// by races, then solver calls, then pairs.
 pub fn hot_sites_from_metrics(metrics: &[(String, f64)]) -> Vec<HotSite> {
     let mut by_site: Vec<HotSite> = Vec::new();
@@ -271,6 +203,11 @@ fn parse_site_key(key: &str) -> Option<(&str, String)> {
 mod tests {
     use super::*;
 
+    /// The registry's rows, by name.
+    fn rows(registry: &Registry) -> std::collections::BTreeMap<String, f64> {
+        registry.snapshot().into_iter().collect()
+    }
+
     #[test]
     fn counters_absorb_and_snapshot() {
         let mut c = SiteCounters::new();
@@ -279,45 +216,46 @@ mod tests {
         c.solve(1, 2);
         c.race(1, 2);
         c.pair(1, 1); // self-pair credits the site twice
-        let table = SiteTable::new();
-        table.absorb(c);
+        let registry = Registry::new();
+        add_site_rows(&registry, &c, |id| format!("k.rs:{id}"));
         let mut c2 = SiteCounters::new();
         c2.scanned(2, 5);
-        table.absorb(c2);
-        let snap = table.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, 1);
-        assert_eq!(snap[0].1, SiteStats { scanned: 10, pairs: 3, solver_calls: 1, races: 1 });
-        assert_eq!(snap[1].1, SiteStats { scanned: 5, pairs: 1, solver_calls: 1, races: 1 });
+        add_site_rows(&registry, &c2, |id| format!("k.rs:{id}"));
+        let hot = hot_sites_from_metrics(&registry.snapshot());
+        assert_eq!(hot.len(), 2, "site 0 was never credited: no row");
+        assert_eq!(hot[0].site, "k.rs:1");
+        assert_eq!(hot[0].stats, SiteStats { scanned: 10, pairs: 3, solver_calls: 1, races: 1 });
+        assert_eq!(hot[1].stats, SiteStats { scanned: 5, pairs: 1, solver_calls: 1, races: 1 });
     }
 
     #[test]
-    fn totals_are_registry_sources() {
-        let table = SiteTable::new();
+    fn totals_are_registry_counters() {
         let registry = Registry::new();
-        table.register_totals(&registry);
+        add_site_rows(&registry, &SiteCounters::new(), |id| id.to_string());
+        let empty = rows(&registry);
+        assert_eq!(empty.len(), 4, "only the totals: {empty:?}");
+        assert!(empty.values().all(|v| *v == 0.0));
         let mut c = SiteCounters::new();
         c.pair(1, 2);
         c.pair(1, 3);
-        table.absorb(c);
-        let snap = registry.snapshot();
-        let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-        assert_eq!(get("sword_sites_tracked"), Some(3.0));
-        assert_eq!(get("sword_site_pairs_total"), Some(4.0));
-        assert_eq!(get("sword_site_races_total"), Some(0.0));
+        add_site_rows(&registry, &c, |id| id.to_string());
+        add_site_rows(&registry, &c, |id| id.to_string());
+        let rows = rows(&registry);
+        assert_eq!(rows["sword_site_pairs_total"], 8.0, "two adds of four credits");
+        assert_eq!(rows["sword_site_pairs{site=\"1\"}"], 4.0);
+        assert_eq!(rows["sword_site_races_total"], 0.0);
+        assert_eq!(rows.keys().filter(|k| k.starts_with("sword_site_pairs{")).count(), 3);
     }
 
     #[test]
     fn publish_roundtrips_through_metrics() {
-        let table = SiteTable::new();
         let mut c = SiteCounters::new();
         c.scanned(0, 100);
         c.pair(0, 7);
         c.solve(0, 7);
         c.race(0, 7);
-        table.absorb(c);
         let registry = Registry::new();
-        table.publish(&registry, |id| format!("src/k\"ernel.rs:{id}"));
+        add_site_rows(&registry, &c, |id| format!("src/k\"ernel.rs:{id}"));
         let hot = hot_sites_from_metrics(&registry.snapshot());
         assert_eq!(hot.len(), 2);
         // Equal counters: ordered by site name.
@@ -334,6 +272,7 @@ mod tests {
             ("sword_site_pairs{site=\"a.rs:1\"}".to_string(), 99.0),
             ("sword_site_races{site=\"b.rs:2\"}".to_string(), 3.0),
             ("sword_site_pairs{site=\"b.rs:2\"}".to_string(), 1.0),
+            ("sword_site_pairs_total".to_string(), 100.0),
             ("unrelated_metric".to_string(), 7.0),
         ];
         let hot = hot_sites_from_metrics(&metrics);

@@ -36,19 +36,16 @@ pub struct AnalysisConfig {
     /// triaged-benign races like HPCCG's same-value norm write while
     /// hunting new ones).
     pub suppressions: Vec<String>,
-    /// Observability sink (`--obs`, `--stats`): stage, task, task-queue,
-    /// solver-tier, log-read and tree-memory rows go to its registry,
-    /// where analyses sharing it add up; its journal gets the stage spans
-    /// and one `work` span per worker and round, never one per task.
-    /// `None` (the default) keeps the analyzer entirely uninstrumented.
+    /// Observability sink (`--obs`, `--stats`, `--listen`): stage, task,
+    /// task-queue, solver-tier, log-read and tree-memory rows go to its
+    /// registry, where analyses sharing it add up, and so does per-site
+    /// attribution (each compare worker counts per PC the accesses
+    /// scanned, pairs checked, solver calls and races, added as
+    /// `sword_site_*` rows when the result is taken); its journal gets the
+    /// stage spans and one `work` span per worker and round, never one
+    /// per task. `None` (the default) keeps the analyzer entirely
+    /// uninstrumented.
     pub obs: Option<Obs>,
-    /// Per-source-site attribution table. When present, `compare` workers
-    /// accumulate per-PC counters (accesses scanned, pairs checked,
-    /// solver calls, races) and fold them in here; `None` (the default)
-    /// keeps the compare hot path attribution-free. Separate from `obs`
-    /// so the overhead of attribution itself can be measured against a
-    /// clean baseline.
-    pub sites: Option<sword_obs::SiteTable>,
 }
 
 impl Default for AnalysisConfig {
@@ -58,7 +55,6 @@ impl Default for AnalysisConfig {
             focus_regions: None,
             suppressions: Vec::new(),
             obs: None,
-            sites: None,
         }
     }
 }
@@ -91,14 +87,6 @@ impl AnalysisConfig {
     /// Attaches an observability sink (journal + metrics registry).
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Attaches a per-site attribution table; compare workers will fold
-    /// per-PC counters into it. Whole-table totals are additionally
-    /// registered as registry sources when `--obs` is also on.
-    pub fn with_site_attribution(mut self, sites: sword_obs::SiteTable) -> Self {
-        self.sites = Some(sites);
         self
     }
 

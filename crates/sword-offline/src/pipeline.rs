@@ -58,7 +58,7 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use sword_obs::{Counter, SiteCounters, ThreadJournal, STAGES};
+use sword_obs::{add_site_rows, Counter, SiteCounters, ThreadJournal, STAGES};
 use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, ThreadId};
 
 use crate::analyze::{finalize_races, AnalysisConfig, AnalysisResult, AnalysisStats};
@@ -379,8 +379,8 @@ struct Done {
 struct WorkerCtx {
     pool: ReaderPool,
     journal: Option<ThreadJournal>,
-    /// Per-site attribution accumulator (lock-free on the hot path),
-    /// folded into the shared table by [`Core::into_result`].
+    /// Per-site attribution (lock-free on the hot path), added to the
+    /// registry by [`Core::into_result`].
     sites: Option<SiteCounters>,
 }
 
@@ -425,9 +425,6 @@ pub(crate) struct Core {
 impl Core {
     /// A core that has analyzed nothing yet.
     pub(crate) fn new(dir: &SessionDir, config: &AnalysisConfig) -> Core {
-        if let (Some(obs), Some(sites)) = (&config.obs, &config.sites) {
-            sites.register_totals(&obs.registry);
-        }
         Core {
             dir: dir.clone(),
             config: config.clone(),
@@ -524,7 +521,7 @@ impl Core {
                     OPEN_LOGS_BUDGET / config.workers.max(1),
                 ),
                 journal: config.journal_for(format!("oa-worker-{wi}")),
-                sites: config.sites.as_ref().map(|_| SiteCounters::new()),
+                sites: config.obs.as_ref().map(|_| SiteCounters::new()),
             });
         }
         let board = Board::new(scheduled as usize);
@@ -640,17 +637,18 @@ impl Core {
     }
 
     /// The result over everything analyzed so far, for a session of
-    /// `threads` logs and `barrier_intervals` meta rows. The caller owns
-    /// `stats.wall_secs`.
+    /// `threads` logs and `barrier_intervals` meta rows, with `--obs`
+    /// also adding every worker's site counters to the registry. The
+    /// caller owns `stats.wall_secs`.
     pub(crate) fn into_result(
-        mut self,
+        self,
         threads: u64,
         barrier_intervals: u64,
         pcs: &PcTable,
     ) -> AnalysisResult {
-        if let Some(table) = &self.config.sites {
-            for acc in self.workers.iter_mut().filter_map(|w| w.sites.take()) {
-                table.absorb(acc);
+        if let Some(obs) = &self.config.obs {
+            for sites in self.workers.iter().filter_map(|w| w.sites.as_ref()) {
+                add_site_rows(&obs.registry, sites, |pc| pcs.display(pc));
             }
         }
         let mut stats = AnalysisStats {

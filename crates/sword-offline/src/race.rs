@@ -571,6 +571,14 @@ mod tests {
         AccessMeta::new(kind, pc, mset)
     }
 
+    /// The credited sites' stats, as the registry rows read back.
+    fn site_stats(sites: &SiteCounters) -> Vec<sword_obs::SiteStats> {
+        let registry = sword_obs::Registry::new();
+        sword_obs::add_site_rows(&registry, sites, |pc| pc.to_string());
+        let hot = sword_obs::hot_sites_from_metrics(&registry.snapshot());
+        hot.into_iter().map(|h| h.stats).collect()
+    }
+
     /// Runs `check_pair` without registry rows.
     fn run_pair(
         a: &BiTree,
@@ -640,16 +648,105 @@ mod tests {
         let mut races = RaceSet::new();
         let mut sites = SiteCounters::new();
         run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, Some(&mut sites));
-        let table = sword_obs::SiteTable::new();
-        table.absorb(sites);
-        let snap = table.snapshot();
+        let snap = site_stats(&sites);
         assert_eq!(snap.len(), 2);
-        let (pc1, pc2) = (snap[0].1, snap[1].1);
+        let (pc1, pc2) = (snap[0], snap[1]);
         assert_eq!(pc1.scanned, 10, "interval.len() accesses credited");
         assert_eq!(pc1.pairs, 1);
         assert_eq!(pc1.solver_calls, 1);
         assert_eq!(pc1.races, 1);
         assert_eq!(pc1, pc2, "both sides credited symmetrically");
+    }
+
+    /// Per-site attribution must stay in the compare walk's noise floor:
+    /// two dense-Vec index-and-add credits per candidate pair (and two
+    /// more per solve) in a lock-free worker accumulator. Timed in
+    /// absolute units, the wall time `Some(&mut SiteCounters)` adds to
+    /// `check_pair` per candidate pair stays under 4 ns in optimized
+    /// builds (CI runs this under `--release`), timed over at least 50 ms
+    /// of plain compares. Debug codegen does not inline the credits, so
+    /// unoptimized builds get a coarse bound: in 40 debug runs on a
+    /// two-core host single rounds read a median of 37 ns per candidate,
+    /// and three times that still fails a credit path three times dearer.
+    ///
+    /// The shape is attribution's worst case: 96 sites, each sweeping
+    /// one buffer with tid-disjoint strided writes, so two threads' trees
+    /// meet in 96 × 96 candidate pairs that the walk's prescreen retires
+    /// cheaply, none racing. Each round times both configurations
+    /// back-to-back and the bound takes the best round: machine noise
+    /// moves both sides of a round together, and the cleanest round
+    /// upper-bounds the true cost.
+    #[test]
+    fn site_attribution_adds_a_few_ns_per_candidate() {
+        const SITES: u32 = 96;
+        const THREADS: u64 = 4;
+        const SWEEP: u64 = 8;
+        const ROUNDS: usize = 5;
+        /// `check_pair` calls per side of a round.
+        const REPS: usize = if cfg!(debug_assertions) { 2 } else { 1_000 };
+        const MIN_MEASURED_SECS: f64 = 0.050;
+        const ADDED_NS_PER_CANDIDATE_MAX: f64 = 4.0;
+        const DEBUG_ADDED_NS_PER_CANDIDATE_MAX: f64 = 120.0;
+        let tree = |tid: ThreadId| {
+            let base = 0x1000 + tid as u64 * 8;
+            let nodes: Vec<_> = (0..SITES)
+                .map(|pc| {
+                    let iv = StridedInterval::new(base, THREADS * 8, SWEEP, 8);
+                    (iv, meta(AccessKind::Write, pc, 0))
+                })
+                .collect();
+            tree_of(tid, &nodes)
+        };
+        let (a, b, ca, cb) = (tree(0), tree(1), ctx_of(0), ctx_of(1));
+        let mut races = RaceSet::new();
+        let mut sites = SiteCounters::new();
+        let mut pair = |attribute: bool| {
+            let sites = if attribute { Some(&mut sites) } else { None };
+            let t0 = Instant::now();
+            let candidates = check_pair(&a, &ca, &b, &cb, None, &mut races, sites).candidates;
+            (t0.elapsed().as_secs_f64(), std::hint::black_box(candidates))
+        };
+        // Warm the code paths and the accumulator's slots.
+        pair(false);
+        pair(true);
+        let mut added_ns = Vec::with_capacity(ROUNDS);
+        let mut shortest = f64::INFINITY;
+        for _ in 0..ROUNDS {
+            // Alternate the sides call by call, so drift in the machine's
+            // speed during a round reaches both.
+            let (mut plain, mut attributed, mut candidates) = (0.0, 0.0, 0);
+            for _ in 0..REPS {
+                let (secs, n) = pair(false);
+                plain += secs;
+                candidates += n;
+                attributed += pair(true).0;
+            }
+            assert_eq!(candidates, REPS as u64 * u64::from(SITES * SITES));
+            added_ns.push((attributed - plain) * 1e9 / candidates as f64);
+            shortest = shortest.min(plain);
+        }
+        assert!(races.is_empty(), "tid-disjoint strides never race");
+        eprintln!(
+            "site attribution: added ns per candidate {added_ns:.1?}, shortest plain {:.1} ms",
+            shortest * 1e3
+        );
+        assert!(
+            cfg!(debug_assertions) || shortest >= MIN_MEASURED_SECS,
+            "{:.1} ms of compares is too short to time; raise REPS",
+            shortest * 1e3
+        );
+        let best = added_ns.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = if cfg!(debug_assertions) {
+            DEBUG_ADDED_NS_PER_CANDIDATE_MAX
+        } else {
+            ADDED_NS_PER_CANDIDATE_MAX
+        };
+        assert!(
+            best <= max,
+            "per-site attribution added more than {max} ns per candidate pair in every round \
+             (ns per candidate {added_ns:.2?}, shortest plain {:.1} ms)",
+            shortest * 1e3
+        );
     }
 
     #[test]
@@ -673,9 +770,7 @@ mod tests {
         let stats = run_pair(&a, &ctx_of(0), &b, &ctx_of(1), &mut races, Some(&mut sites));
         assert_eq!(stats, PairStats::default());
         assert!(races.is_empty());
-        let table = sword_obs::SiteTable::new();
-        table.absorb(sites);
-        assert!(table.snapshot().is_empty(), "no pair credited");
+        assert!(site_stats(&sites).is_empty(), "no pair credited");
         // A write reopens the walk where it reaches the other tree, from
         // either side.
         let w = tree_of(2, &[(iv, meta(AccessKind::Write, 3, 0))]);

@@ -883,9 +883,10 @@ fn a_failed_round_charges_every_stage_it_ran() {
     std::fs::remove_dir_all(session.path()).unwrap();
 }
 
-#[test]
-fn a_shared_registry_adds_up_its_analyses() {
-    let first = collect("shared-a", |sim| {
+/// Two sessions, each analyzed alone into its own `Obs` and both into a
+/// shared one: the three registries' rows, and the sessions.
+fn shared_analyses(tag: &str) -> ([BTreeMap<String, f64>; 3], [SessionDir; 2]) {
+    let first = collect(&format!("{tag}-a"), |sim| {
         let c = sim.alloc::<u64>(1, 0);
         sim.run(|ctx| {
             ctx.parallel(4, |w| {
@@ -894,7 +895,7 @@ fn a_shared_registry_adds_up_its_analyses() {
             });
         });
     });
-    let second = collect("shared-b", |sim| {
+    let second = collect(&format!("{tag}-b"), |sim| {
         let a = sim.alloc::<i64>(1000, 0);
         sim.run(|ctx| {
             ctx.parallel(2, |w| {
@@ -913,7 +914,12 @@ fn a_shared_registry_adds_up_its_analyses() {
     run(&second, &solo_b);
     run(&first, &shared);
     run(&second, &shared);
-    let (a, b, both) = (registry_rows(&solo_a), registry_rows(&solo_b), registry_rows(&shared));
+    ([registry_rows(&solo_a), registry_rows(&solo_b), registry_rows(&shared)], [first, second])
+}
+
+#[test]
+fn a_shared_registry_adds_up_its_analyses() {
+    let ([a, b, both], sessions) = shared_analyses("shared");
     let mut summed =
         vec!["sword_log_read_bytes".to_string(), "sword_solver_call_nanos_count".into()];
     summed.extend(both.keys().filter(|k| k.starts_with("sword_solver_tier{")).cloned());
@@ -925,7 +931,34 @@ fn a_shared_registry_adds_up_its_analyses() {
     assert!(a[solves] > 0.0 && b[solves] > 0.0, "both analyses solve");
     let peak = "sword_analyzer_tree_mem_peak_bytes";
     assert!(both[peak] >= a[peak].max(b[peak]) && a[peak] > 0.0 && b[peak] > 0.0);
-    for session in [first, second] {
+    for session in sessions {
+        std::fs::remove_dir_all(session.path()).unwrap();
+    }
+}
+
+#[test]
+fn a_shared_registry_adds_up_its_site_rows() {
+    // Site attribution is registry counters: the shared registry's
+    // per-site and total rows are the two analyses' sums, and each
+    // analysis credits sites of its own.
+    let ([a, b, both], sessions) = shared_analyses("shared-sites");
+    let sites = |rows: &BTreeMap<String, f64>| {
+        rows.keys().filter(|k| k.starts_with("sword_site_")).cloned().collect::<Vec<_>>()
+    };
+    let row = |rows: &BTreeMap<String, f64>, key: &str| rows.get(key).copied().unwrap_or(0.0);
+    let (in_a, in_b, in_both) = (sites(&a), sites(&b), sites(&both));
+    assert!(in_a.iter().chain(&in_b).all(|k| in_both.contains(k)), "{in_both:?}");
+    for key in &in_both {
+        assert_eq!(both[key], row(&a, key) + row(&b, key), "{key}");
+    }
+    let per_site = |keys: &[String]| keys.iter().filter(|k| k.contains("{site=")).count();
+    assert!(per_site(&in_a) > 0 && per_site(&in_b) > 0, "{in_a:?} {in_b:?}");
+    let totals = ["scanned", "pairs", "solver_calls", "races"];
+    for total in totals.map(|m| format!("sword_site_{m}_total")) {
+        assert!(in_both.contains(&total), "{total}");
+    }
+    assert!(a["sword_site_races_total"] > 0.0 && b["sword_site_races_total"] > 0.0);
+    for session in sessions {
         std::fs::remove_dir_all(session.path()).unwrap();
     }
 }

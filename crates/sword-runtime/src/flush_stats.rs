@@ -1,9 +1,10 @@
 //! The flush path's counts: [`FlushRows`], the collector's rows in its
 //! metrics registry, updated lock-free by app threads, compression
 //! workers and the ordered writer, and [`FlushSnapshot`], the copy
-//! [`crate::SwordStats::flush`] carries and `session.meta` persists.
+//! [`crate::SwordStats::flush`] carries and `session.meta` persists
+//! (`sword_obs::render_flush` renders it from there).
 
-use sword_obs::{format_bytes, Counter, Registry, Table};
+use sword_obs::{Counter, Registry};
 
 /// The flush path's six counters, kept as rows of the collector's
 /// registry (`sword_flushes_total`, `sword_flush_*`): app threads,
@@ -73,25 +74,6 @@ pub struct FlushSnapshot {
 }
 
 impl FlushSnapshot {
-    /// Achieved compression ratio (raw / compressed); 1.0 before any
-    /// bytes were compressed.
-    pub fn ratio(&self) -> f64 {
-        if self.compressed_bytes == 0 {
-            1.0
-        } else {
-            self.raw_bytes as f64 / self.compressed_bytes as f64
-        }
-    }
-
-    /// Compression throughput over worker busy time, in bytes/sec.
-    pub fn compress_throughput(&self) -> f64 {
-        if self.compress_nanos == 0 {
-            0.0
-        } else {
-            self.raw_bytes as f64 / (self.compress_nanos as f64 / 1e9)
-        }
-    }
-
     /// Serializes the snapshot into a session info map, so the offline
     /// analyzer can report collection-time flush behaviour after the run.
     pub fn to_info(&self, info: &mut std::collections::BTreeMap<String, String>) {
@@ -102,45 +84,28 @@ impl FlushSnapshot {
         info.insert("flush_raw_bytes".into(), self.raw_bytes.to_string());
         info.insert("flush_compressed_bytes".into(), self.compressed_bytes.to_string());
     }
-
-    /// Reads a snapshot back from a session info map. `None` when the
-    /// session predates flush accounting (no `flush_count` key); other
-    /// missing or malformed keys fall back to zero.
-    pub fn from_info(info: &std::collections::BTreeMap<String, String>) -> Option<Self> {
-        let get = |key: &str| info.get(key).and_then(|v| v.parse().ok()).unwrap_or(0);
-        info.get("flush_count")?;
-        Some(FlushSnapshot {
-            flushes: get("flush_count"),
-            stall_nanos: get("flush_stall_nanos"),
-            compress_nanos: get("flush_compress_nanos"),
-            write_nanos: get("flush_write_nanos"),
-            raw_bytes: get("flush_raw_bytes"),
-            compressed_bytes: get("flush_compressed_bytes"),
-        })
-    }
-
-    /// Renders the flush-path report shown by `sword run --stats`.
-    pub fn render(&self) -> String {
-        let mut t = Table::new("flush path", &["counter", "value"]);
-        let ms = |nanos: u64| format!("{:.3} ms", nanos as f64 / 1e6);
-        t.row(&["flushes".into(), self.flushes.to_string()]);
-        t.row(&["app-thread stall".into(), ms(self.stall_nanos)]);
-        t.row(&["compression busy".into(), ms(self.compress_nanos)]);
-        t.row(&["write busy".into(), ms(self.write_nanos)]);
-        t.row(&["raw bytes".into(), format_bytes(self.raw_bytes)]);
-        t.row(&["compressed bytes".into(), format_bytes(self.compressed_bytes)]);
-        t.row(&["compression ratio".into(), format!("{:.1}x", self.ratio())]);
-        t.row(&[
-            "compression throughput".into(),
-            format!("{}/s", format_bytes(self.compress_throughput() as u64)),
-        ]);
-        t.render()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use sword_obs::render_flush;
+
     use super::*;
+
+    /// The rendered flush table of `snap`, as `session.meta` carries it.
+    fn rendered(snap: &FlushSnapshot) -> String {
+        let mut info = BTreeMap::new();
+        snap.to_info(&mut info);
+        render_flush(&info).expect("flush_count written")
+    }
+
+    /// The value cell of `counter`'s row in a rendered flush table.
+    fn cell(table: &str, counter: &str) -> String {
+        let row = table.lines().find(|l| l.starts_with(counter)).expect(counter);
+        row[counter.len()..].trim().to_string()
+    }
 
     #[test]
     fn flush_counters_accumulate_and_snapshot() {
@@ -159,15 +124,13 @@ mod tests {
         assert_eq!(s.write_nanos, 2_000);
         assert_eq!(s.raw_bytes, 2000);
         assert_eq!(s.compressed_bytes, 200);
-        assert!((s.ratio() - 10.0).abs() < 1e-12);
+        let table = rendered(&s);
+        assert!(table.contains("== flush path =="));
+        assert_eq!(cell(&table, "compression ratio"), "10.00x");
         // 2000 bytes over 10 microseconds = 200 MB/s.
-        assert!((s.compress_throughput() - 2e8).abs() < 1.0);
-        let rendered = s.render();
-        assert!(rendered.contains("flush path"));
-        assert!(rendered.contains("compression ratio"));
-        assert!(rendered.contains("10.0x"));
+        assert_eq!(cell(&table, "compression throughput"), "190.73 MB/s");
         // The counts are the registry's rows.
-        let snap: std::collections::BTreeMap<String, f64> = reg.snapshot().into_iter().collect();
+        let snap: BTreeMap<String, f64> = reg.snapshot().into_iter().collect();
         assert_eq!(snap["sword_flushes_total"], 2.0);
         assert_eq!(snap["sword_flush_raw_bytes"], 2000.0);
     }
@@ -193,9 +156,9 @@ mod tests {
 
     #[test]
     fn flush_snapshot_defaults() {
-        let s = FlushSnapshot::default();
-        assert_eq!(s.ratio(), 1.0);
-        assert_eq!(s.compress_throughput(), 0.0);
+        let table = rendered(&FlushSnapshot::default());
+        assert_eq!(cell(&table, "compression ratio"), "1.00x", "nothing compressed yet");
+        assert_eq!(cell(&table, "compression throughput"), "0 B/s");
     }
 
     #[test]
@@ -208,18 +171,33 @@ mod tests {
             raw_bytes: 1 << 20,
             compressed_bytes: 1 << 17,
         };
-        let mut info = std::collections::BTreeMap::new();
+        let mut info = BTreeMap::new();
         info.insert("threads".to_string(), "4".to_string());
         snap.to_info(&mut info);
-        assert_eq!(FlushSnapshot::from_info(&info), Some(snap));
+        let keys = [
+            "flush_count",
+            "flush_stall_nanos",
+            "flush_compress_nanos",
+            "flush_write_nanos",
+            "flush_raw_bytes",
+            "flush_compressed_bytes",
+        ];
+        assert!(keys.iter().all(|k| info.contains_key(*k)), "{info:?}");
+        let table = render_flush(&info).expect("flush keys written");
+        assert_eq!(cell(&table, "flushes"), "7");
+        assert_eq!(cell(&table, "app-thread stall"), "0.000 ms");
+        assert_eq!(cell(&table, "compression busy"), "0.456 ms");
+        assert_eq!(cell(&table, "write busy"), "0.001 ms");
+        assert_eq!(cell(&table, "raw bytes"), "1.00 MB");
+        assert_eq!(cell(&table, "compressed bytes"), "128.00 KB");
+        assert_eq!(cell(&table, "compression ratio"), "8.00x");
         // Sessions collected before flush accounting have no counters.
-        let legacy = std::collections::BTreeMap::new();
-        assert_eq!(FlushSnapshot::from_info(&legacy), None);
-        // A partially-recorded map still parses, defaulting to zero.
-        let mut partial = std::collections::BTreeMap::new();
+        assert_eq!(render_flush(&BTreeMap::new()), None);
+        // A partially-recorded map still renders, defaulting to zero.
+        let mut partial = BTreeMap::new();
         partial.insert("flush_count".to_string(), "3".to_string());
-        let parsed = FlushSnapshot::from_info(&partial).unwrap();
-        assert_eq!(parsed.flushes, 3);
-        assert_eq!(parsed.raw_bytes, 0);
+        let table = render_flush(&partial).unwrap();
+        assert_eq!(cell(&table, "flushes"), "3");
+        assert_eq!(cell(&table, "raw bytes"), "0 B");
     }
 }
