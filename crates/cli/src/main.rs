@@ -710,10 +710,15 @@ fn top_frame_http(addr: &str) -> Result<(String, bool), String> {
 }
 
 /// `sword top` against a session directory: its `live.meta` status and
-/// the registry snapshot its journal holds so far — `sword report`'s
-/// reader, so a running `--obs` collection (which appends a snapshot
-/// every 250 ms) can be watched with no exporter.
-fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
+/// the registry snapshot its journal holds so far, as `sword report`
+/// merges it, so a running `--obs` collection (which appends a snapshot
+/// every 250 ms) can be watched with no exporter. `tail` carries the
+/// journal between frames: each frame parses only the lines appended
+/// since the last.
+fn top_frame_session(
+    session: &SessionDir,
+    tail: &mut sword_obs::JournalTail,
+) -> Result<(String, bool), String> {
     let mut out = format!("sword top — {}\n", session.path().display());
     let mut finished = false;
     if let Ok(Some(live)) = session.read_live() {
@@ -726,9 +731,8 @@ fn top_frame_session(session: &SessionDir) -> Result<(String, bool), String> {
         out.push_str("  (no obs.jsonl yet — collect with --obs, or poll a --listen address)\n");
         return Ok((out, finished));
     }
-    let read = sword_obs::read_journal(&journal).map_err(|e| e.to_string())?;
-    let snapshot = sword_obs::report::last_metrics_snapshot(&read.events);
-    out.push_str(&render_snapshot(&snapshot, session_info(session).1, TOP_SITES));
+    tail.update(&journal).map_err(|e| e.to_string())?;
+    out.push_str(&render_snapshot(&tail.snapshot(), session_info(session).1, TOP_SITES));
     Ok((out, finished))
 }
 
@@ -750,11 +754,12 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
         }
     }
     let mut n = 0u64;
+    let mut tail = sword_obs::JournalTail::default();
     loop {
         n += 1;
         let (frame, finished) = match &session {
             None => top_frame_http(target)?,
-            Some(s) => top_frame_session(s)?,
+            Some(s) => top_frame_session(s, &mut tail)?,
         };
         print!("{frame}");
         if (iters > 0 && n >= iters) || (iters == 0 && finished) {
@@ -1558,7 +1563,8 @@ mod tests {
         .unwrap();
         let (http_frame, _) = top_frame_http(&server.local_addr().to_string()).unwrap();
         server.shutdown();
-        let (session_frame, _) = top_frame_session(&session).unwrap();
+        let mut tail = sword_obs::JournalTail::default();
+        let (session_frame, _) = top_frame_session(&session, &mut tail).unwrap();
 
         let tables =
             |frame: &str| frame[frame.find("== ").expect("frame has tables")..].to_string();
@@ -1601,7 +1607,8 @@ mod tests {
                     ctx.parallel(2, |w| w.for_static(0..1 << 14, |i| w.write(&a, i, i)));
                 }
                 assert!(!session.metrics_path().exists(), "finalize has not run");
-                top_frame_session(&session).expect("top frame").0
+                let mut tail = sword_obs::JournalTail::default();
+                top_frame_session(&session, &mut tail).expect("top frame").0
             })
         })
         .expect("collection");

@@ -40,6 +40,8 @@ const SKIP_TRIGGER: u32 = 6;
 /// block size, and blocks by the frame format's u32 `raw_len`); anything
 /// larger is adversarial input trying to force a huge reservation.
 const MAX_DECODE_RUN: usize = 1 << 30;
+/// Runs up to this long decode as one fixed-size copy ([`decompress`]).
+const SHORT_COPY: usize = 16;
 
 /// Errors from [`decompress`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,6 +222,12 @@ fn emit_chain(out: &mut Vec<u8>, mut v: usize) {
 }
 
 /// Decompresses `input` (one [`compress`] stream), appending to `out`.
+///
+/// A literal run or a non-overlapping match of at most 16 bytes — most
+/// sequences of an event log — is copied as one fixed 16-byte append and
+/// cut back to its length, when the input (for literals) and `out`'s
+/// spare capacity both hold 16 bytes: the append never grows `out` past
+/// what the caller reserved, and the bytes past the run are cut.
 pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<(), DecodeError> {
     let mut pos = 0usize;
     let n = input.len();
@@ -248,7 +256,15 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<(), DecodeError> {
         if lit_len > n - pos {
             return Err(DecodeError::Truncated);
         }
-        out.extend_from_slice(&input[pos..pos + lit_len]);
+        let len = out.len();
+        if lit_len <= SHORT_COPY && n - pos >= SHORT_COPY && out.capacity() - len >= SHORT_COPY {
+            let mut run = [0; SHORT_COPY];
+            run.copy_from_slice(&input[pos..pos + SHORT_COPY]);
+            out.extend_from_slice(&run);
+            out.truncate(len + lit_len);
+        } else {
+            out.extend_from_slice(&input[pos..pos + lit_len]);
+        }
         pos += lit_len;
         if match_code_nibble == 0 {
             // Terminal sequence.
@@ -275,8 +291,13 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<(), DecodeError> {
         if offset == 0 || offset > out.len() - base {
             return Err(DecodeError::BadOffset);
         }
-        let start = out.len() - offset;
-        if offset >= match_len {
+        let (len, start) = (out.len(), out.len() - offset);
+        if match_len <= SHORT_COPY && offset >= SHORT_COPY && out.capacity() - len >= SHORT_COPY {
+            let mut run = [0; SHORT_COPY];
+            run.copy_from_slice(&out[start..start + SHORT_COPY]);
+            out.extend_from_slice(&run);
+            out.truncate(len + match_len);
+        } else if offset >= match_len {
             // Disjoint source: one wide append.
             out.extend_from_within(start..start + match_len);
         } else {

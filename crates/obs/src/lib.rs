@@ -62,8 +62,8 @@ pub use journal::{
 pub use mem_gauge::MemGauge;
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use report::{
-    render_flush, render_report, render_snapshot, render_stages, stage_row, ReportInput,
-    PAPER_PER_THREAD_BOUND_BYTES, STAGES,
+    render_flush, render_report, render_snapshot, render_stages, stage_row, JournalTail,
+    ReportInput, PAPER_PER_THREAD_BOUND_BYTES, STAGES,
 };
 pub use sites::{add_site_rows, hot_sites_from_metrics, HotSite, SiteCounters, SiteId, SiteStats};
 pub use table::{format_bytes, Table};

@@ -11,8 +11,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::Path;
+use std::time::SystemTime;
 
 use crate::journal::{JournalEvent, Layer};
+use crate::json;
 use crate::sites::hot_sites_from_metrics;
 use crate::table::{format_bytes, Table};
 
@@ -301,29 +306,120 @@ fn span_rows(events: &[JournalEvent]) -> Vec<SpanRow> {
 /// registry whose row a later snapshot overwrote, and a lossy journal is
 /// never presented as complete.
 pub fn last_metrics_snapshot(events: &[JournalEvent]) -> Vec<(String, f64)> {
-    let mut merged: Vec<(String, f64)> = Vec::new();
-    let mut marked = 0.0;
-    for e in events {
-        let arg = |key: &str| e.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+    let mut fold = SnapshotFold::default();
+    events.iter().for_each(|event| fold.add(event));
+    fold.snapshot()
+}
+
+/// [`last_metrics_snapshot`]'s fold, one event at a time.
+#[derive(Clone, Debug, Default)]
+struct SnapshotFold {
+    merged: Vec<(String, f64)>,
+    /// Drops counted by `dropped_events` markers.
+    marked: f64,
+}
+
+impl SnapshotFold {
+    fn add(&mut self, e: &JournalEvent) {
         match &*e.name {
             "metrics" => {
                 for (key, value) in &e.args {
-                    match merged.iter_mut().find(|(k, _)| k == key) {
+                    match self.merged.iter_mut().find(|(k, _)| k == key) {
                         Some((_, v)) => *v = *value,
-                        None => merged.push((key.to_string(), *value)),
+                        None => self.merged.push((key.to_string(), *value)),
                     }
                 }
             }
-            "dropped_events" => marked += arg("count").unwrap_or(0.0),
+            "dropped_events" => {
+                self.marked += e.args.iter().find(|(k, _)| k == "count").map_or(0.0, |(_, v)| *v)
+            }
             _ => {}
         }
     }
-    match merged.iter_mut().find(|(k, _)| k == DROPPED_ROW) {
-        Some((_, v)) => *v = v.max(marked),
-        None if marked > 0.0 => merged.push((DROPPED_ROW.to_string(), marked)),
-        None => {}
+
+    fn snapshot(&self) -> Vec<(String, f64)> {
+        let mut merged = self.merged.clone();
+        match merged.iter_mut().find(|(k, _)| k == DROPPED_ROW) {
+            Some((_, v)) => *v = v.max(self.marked),
+            None if self.marked > 0.0 => merged.push((DROPPED_ROW.to_string(), self.marked)),
+            None => {}
+        }
+        merged
     }
-    merged
+}
+
+/// [`last_metrics_snapshot`] of a journal file that grows, kept up to
+/// date by parsing only what was appended since the last
+/// [`JournalTail::update`] (`sword top`'s frame loop). It consumes
+/// complete lines only: a torn last line waits for the next update, as
+/// does a malformed one that nothing follows yet (the signature of a
+/// writer caught mid-append, which [`crate::read_journal`] tolerates at the
+/// end of a file). A file that is not the one folded so far — shorter
+/// than what was consumed, created at another time, or starting with
+/// another line (a re-run into the same session directory replaces the
+/// journal) — is read again from its start.
+#[derive(Clone, Debug, Default)]
+pub struct JournalTail {
+    /// Bytes of the file folded so far, ending at a line end.
+    offset: u64,
+    /// The folded file's creation time, where the platform keeps one.
+    created: Option<SystemTime>,
+    /// The folded file's first line (empty until one is folded).
+    head: Vec<u8>,
+    fold: SnapshotFold,
+}
+
+impl JournalTail {
+    /// Folds in the complete lines `path` gained since the last update.
+    /// A malformed line with complete lines after it is `InvalidData`.
+    pub fn update(&mut self, path: &Path) -> io::Result<()> {
+        let mut file = File::open(path)?;
+        let meta = file.metadata()?;
+        let (len, created) = (meta.len(), meta.created().ok());
+        if len < self.offset || created != self.created || !self.same_head(&mut file)? {
+            *self = JournalTail { created, ..JournalTail::default() };
+        }
+        file.seek(SeekFrom::Start(self.offset))?;
+        let mut appended = Vec::new();
+        file.take(len - self.offset).read_to_end(&mut appended)?;
+        let complete = appended.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
+        let text = std::str::from_utf8(&appended[..complete])
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let mut consumed = 0;
+        for line in text.split_inclusive('\n') {
+            if !line.trim().is_empty() {
+                match json::parse(line).and_then(|v| JournalEvent::from_json(&v)) {
+                    Ok(event) => self.fold.add(&event),
+                    Err(_) if consumed + line.len() == complete => break,
+                    Err(err) => {
+                        let at = self.offset + consumed as u64;
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("journal line at byte {at}: {err}"),
+                        ));
+                    }
+                }
+            }
+            if self.offset == 0 && consumed == 0 {
+                self.head = line.as_bytes().to_vec();
+            }
+            consumed += line.len();
+        }
+        self.offset += consumed as u64;
+        Ok(())
+    }
+
+    /// `true` when `file` starts with the first line folded so far.
+    fn same_head(&self, file: &mut File) -> io::Result<bool> {
+        let mut head = Vec::with_capacity(self.head.len());
+        file.by_ref().take(self.head.len() as u64).read_to_end(&mut head)?;
+        Ok(head == self.head)
+    }
+
+    /// The merged snapshot of every line folded so far.
+    pub fn snapshot(&self) -> Vec<(String, f64)> {
+        self.fold.snapshot()
+    }
 }
 
 #[cfg(test)]
@@ -477,5 +573,73 @@ mod tests {
         }];
         let report = render_report(&ReportInput { events, info, truncated_tail: false, top_n: 3 });
         assert!(report.contains("EXCEEDS"));
+    }
+
+    #[test]
+    fn a_journal_tail_parses_only_what_was_appended() {
+        let metrics = |key: &'static str, value: f64| JournalEvent {
+            layer: Layer::Runtime,
+            thread: "collector".into(),
+            name: "metrics".into(),
+            t_us: 0,
+            dur_us: None,
+            args: vec![(key.into(), value)],
+            flow: None,
+        };
+        let line = |event: &JournalEvent| event.to_json().render() + "\n";
+        let path = std::env::temp_dir().join(format!("sword-tail-{}.jsonl", std::process::id()));
+        let write = |text: &str| std::fs::write(&path, text).unwrap();
+        let mut text = line(&metrics("sword_a", 1.0)) + &line(&span(Layer::Cli, "cli", "x", 0, 1));
+        write(&text);
+        let mut tail = JournalTail::default();
+        let agrees = |tail: &JournalTail| {
+            let read = crate::read_journal(&path).unwrap();
+            assert_eq!(tail.snapshot(), last_metrics_snapshot(&read.events));
+        };
+        tail.update(&path).unwrap();
+        assert_eq!(tail.offset, text.len() as u64);
+        agrees(&tail);
+
+        // Each frame parses what the file gained, and a torn line waits.
+        for k in 0..4 {
+            let appended = line(&metrics("sword_b", k as f64)) + &line(&metrics("sword_a", 9.0));
+            text += &appended;
+            write(&(text.clone() + "{\"torn"));
+            let before = tail.offset;
+            tail.update(&path).unwrap();
+            assert_eq!(tail.offset - before, appended.len() as u64, "frame {k}");
+            agrees(&tail);
+        }
+        let before = tail.offset;
+        tail.update(&path).unwrap();
+        assert_eq!(tail.offset, before, "nothing complete was appended");
+
+        // A malformed line waits while it is the last; with lines after
+        // it, it is corruption.
+        write(&(text.clone() + "not json\n"));
+        tail.update(&path).unwrap();
+        agrees(&tail);
+        write(&(text.clone() + "not json\n" + &line(&metrics("sword_a", 2.0))));
+        assert_eq!(tail.update(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+
+        // A file that shrank is read again from its start.
+        let shorter = line(&metrics("sword_c", 3.0));
+        write(&shorter);
+        tail.update(&path).unwrap();
+        assert_eq!(tail.offset, shorter.len() as u64);
+        assert_eq!(tail.snapshot(), vec![("sword_c".to_string(), 3.0)]);
+
+        // A journal replaced by one that has grown past the old offset by
+        // the next frame is read again from its start, not from the
+        // middle of its second line.
+        std::fs::remove_file(&path).unwrap();
+        let replaced = line(&metrics("sword_d", 4.0)) + &line(&metrics("sword_e", 5.0));
+        assert!(replaced.len() > shorter.len());
+        write(&replaced);
+        tail.update(&path).unwrap();
+        assert_eq!(tail.offset, replaced.len() as u64);
+        assert_eq!(tail.snapshot(), vec![("sword_d".into(), 4.0), ("sword_e".into(), 5.0)]);
+        agrees(&tail);
+        std::fs::remove_file(&path).unwrap();
     }
 }

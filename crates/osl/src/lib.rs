@@ -369,27 +369,7 @@ impl Label {
     /// barrier become sequential, exactly as the paper's bid pairing makes
     /// them.
     pub fn compare_barrier_aware(&self, other: &Label) -> Ordering {
-        let a = &self.pairs;
-        let b = &other.pairs;
-        let common = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
-        match (a.len() == common, b.len() == common) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Before,
-            (false, true) => Ordering::After,
-            (false, false) => {
-                let x = a[common];
-                let y = b[common];
-                if x.span == y.span {
-                    match x.generation().cmp(&y.generation()) {
-                        std::cmp::Ordering::Less => Ordering::Before,
-                        std::cmp::Ordering::Greater => Ordering::After,
-                        std::cmp::Ordering::Equal => Ordering::Concurrent,
-                    }
-                } else {
-                    Ordering::Concurrent
-                }
-            }
-        }
+        compare_chains_barrier_aware(self.pairs.iter().copied(), other.pairs.iter().copied())
     }
 
     /// `true` when the two labels are sequentially ordered (or equal).
@@ -522,6 +502,32 @@ fn plural(n: usize) -> &'static str {
         ""
     } else {
         "s"
+    }
+}
+
+/// [`Label::compare_barrier_aware`] over two pair chains, outermost pair
+/// first, so a label held in pieces (a region's flat fork label and a
+/// row's own pair) is compared without being built.
+pub fn compare_chains_barrier_aware(
+    a: impl IntoIterator<Item = Pair>,
+    b: impl IntoIterator<Item = Pair>,
+) -> Ordering {
+    let (mut a, mut b) = (a.into_iter(), b.into_iter());
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return Ordering::Equal,
+            (None, Some(_)) => return Ordering::Before,
+            (Some(_), None) => return Ordering::After,
+            (Some(x), Some(y)) if x == y => {}
+            (Some(x), Some(y)) if x.span == y.span => {
+                return match x.generation().cmp(&y.generation()) {
+                    std::cmp::Ordering::Less => Ordering::Before,
+                    std::cmp::Ordering::Greater => Ordering::After,
+                    std::cmp::Ordering::Equal => Ordering::Concurrent,
+                }
+            }
+            (Some(_), Some(_)) => return Ordering::Concurrent,
+        }
     }
 }
 

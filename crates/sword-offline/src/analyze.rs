@@ -8,7 +8,6 @@ use std::time::Instant;
 use sword_obs::{Layer, Obs, ThreadJournal};
 use sword_trace::{PcTable, SessionDir};
 
-use crate::intervals::session_rows;
 use crate::load::LoadedSession;
 use crate::pipeline::Core;
 use crate::race::{Race, RaceSet};
@@ -201,7 +200,7 @@ pub fn analyze_loaded(
 
 fn analyze_with(mut core: Core, session: &LoadedSession) -> io::Result<AnalysisResult> {
     let start = Instant::now();
-    core.round(&session.regions, session_rows(session))?;
+    core.round(&session.regions, &session.threads)?;
     let mut result = core.into_result(
         session.threads.len() as u64,
         session.interval_count() as u64,

@@ -948,8 +948,7 @@ mod tests {
                     data_begin: 0,
                     size: bytes.len() as u64,
                 };
-                let label = sword_osl::Label::root().fork(slot, span);
-                Interval { tid: slot as ThreadId, meta, label }
+                Interval { tid: slot as ThreadId, meta }
             })
             .collect();
         (dir, members)

@@ -1,25 +1,27 @@
 //! Concurrency reconstruction: barrier intervals, full offset-span
 //! labels, interval groups, and the enumeration of comparison tasks.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io;
 
-use sword_osl::{Label, Ordering as OslOrdering};
+use sword_osl::{compare_chains_barrier_aware, Label, Ordering as OslOrdering, Pair};
 use sword_trace::{MetaRecord, ThreadId};
 
 use crate::load::LoadedSession;
 use crate::regions::RegionIndex;
 use crate::verdicts::VerdictCache;
 
-/// One barrier interval of one thread, with its reconstructed full label.
+/// One barrier interval of one thread. Its full label is derived from
+/// the region table when needed ([`full_label_from`]), never stored: a
+/// session holds one interval per meta row, and only cross-region pairs
+/// and race evidence read a label.
 #[derive(Clone, Debug)]
 pub struct Interval {
     /// Owning thread (log file).
     pub tid: ThreadId,
     /// The Table-I row.
     pub meta: MetaRecord,
-    /// Full offset-span label: region fork label · `[offset, span]`.
-    pub label: Label,
 }
 
 /// All barrier intervals of one `(pid, bid)` — the members are pairwise
@@ -30,7 +32,11 @@ pub struct Group {
     pub pid: u64,
     /// Barrier-interval id within the region.
     pub bid: u32,
-    /// Member intervals, one per participating thread.
+    /// Its member count before the latest round (it shares the word
+    /// `bid` leaves free).
+    mark: u32,
+    /// Member intervals, one per participating thread, each round's
+    /// allocated at its exact count.
     pub members: Vec<Interval>,
 }
 
@@ -78,8 +84,6 @@ pub struct Structure {
     pub region_pairs_skipped: u64,
     /// Region pairs considered (tasks emitted).
     pub region_pairs_considered: u64,
-    /// Per group: its member count before the latest round.
-    marks: Vec<usize>,
     /// Per group: the lowest `data_begin` among its members.
     positions: Vec<u64>,
     /// Groups the latest round added a member to, in `(pid, bid)` order.
@@ -109,27 +113,26 @@ pub fn full_label_from(
     regions: &HashMap<u64, sword_trace::RegionRecord>,
     row: &MetaRecord,
 ) -> io::Result<Label> {
-    let fork = fork_label_from(regions, row.pid)?;
-    let mut pairs: Vec<(u64, u64)> = fork.pairs().iter().map(|p| (p.offset, p.span)).collect();
-    pairs.push((row.offset, row.span));
-    Ok(Label::from_chain(pairs))
+    // The region table's parser refuses odd-length labels and zero spans.
+    let fork = &region_of(regions, row.pid)?.fork_label;
+    let pairs = fork.chunks_exact(2).map(|pair| (pair[0], pair[1]));
+    Ok(Label::from_chain(pairs.chain([(row.offset, row.span)])))
 }
 
-/// Region `pid`'s fork label, or `InvalidData` when its record is absent
-/// (see [`full_label`] for why nothing is substituted).
-pub(crate) fn fork_label_from(
+/// Region `pid`'s record, or `InvalidData` when it is absent (see
+/// [`full_label`] for why nothing is substituted).
+pub(crate) fn region_of(
     regions: &HashMap<u64, sword_trace::RegionRecord>,
     pid: u64,
-) -> io::Result<Label> {
-    match regions.get(&pid) {
-        Some(region) => Ok(region.fork_label()),
-        None => Err(io::Error::new(
+) -> io::Result<&sword_trace::RegionRecord> {
+    regions.get(&pid).ok_or_else(|| {
+        io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "meta row references region {pid} absent from the region table (truncated session?)"
             ),
-        )),
-    }
+        )
+    })
 }
 
 /// Builds groups and comparison tasks from loaded meta-data: one round
@@ -145,15 +148,15 @@ pub fn build_structure_with(
     cache: &VerdictCache,
 ) -> io::Result<Structure> {
     let mut structure = Structure::new(cache);
-    structure.extend(&session.regions, session_rows(session))?;
+    structure.extend(&session.regions, &session.threads)?;
     Ok(structure)
 }
 
-/// Every meta row of a loaded session with its thread, thread by thread.
-pub(crate) fn session_rows(
-    session: &LoadedSession,
-) -> impl Iterator<Item = (ThreadId, MetaRecord)> + '_ {
-    session.threads.iter().flat_map(|(tid, rows)| rows.iter().map(move |row| (*tid, row.clone())))
+/// Every meta row of `rows` with its thread, thread by thread.
+fn each_row(
+    rows: &[(ThreadId, Vec<MetaRecord>)],
+) -> impl Iterator<Item = (ThreadId, &MetaRecord)> + '_ {
+    rows.iter().flat_map(|(tid, rows)| rows.iter().map(move |row| (*tid, row)))
 }
 
 impl Structure {
@@ -165,7 +168,6 @@ impl Structure {
             tasks: Vec::new(),
             region_pairs_skipped: 0,
             region_pairs_considered: 0,
-            marks: Vec::new(),
             positions: Vec::new(),
             touched: Vec::new(),
             group_index: HashMap::new(),
@@ -174,12 +176,20 @@ impl Structure {
         }
     }
 
-    /// Opens a round: labels `rows` against `regions`, files them into
-    /// their `(pid, bid)` groups, and replaces [`Structure::tasks`] with
-    /// the tasks that have a touched side — an `Intra` for every touched
-    /// group of two or more members, a `Cross` for every group pair of two
-    /// non-ordered regions with either group touched. A failed labeling
-    /// ([`full_label`]) files nothing and leaves no tasks.
+    /// Opens a round: files `rows` (thread by thread, as a session or a
+    /// poll lists them) into their `(pid, bid)` groups, and replaces
+    /// [`Structure::tasks`] with the tasks that have a touched side — an
+    /// `Intra` for every touched group of two or more members, a `Cross`
+    /// for every group pair of two non-ordered regions with either group
+    /// touched. A row whose region `regions` lacks ([`full_label`]) files
+    /// nothing and leaves no tasks.
+    ///
+    /// The rows are read three times and never copied as a whole: once to
+    /// check their regions, once to open and count their groups, once to
+    /// file them, each group's new members into an allocation of exactly
+    /// their count. New groups are numbered in `(pid, bid)` order and each
+    /// group's new members sorted by `(tid, data_begin)`, so the structure
+    /// does not depend on the order the rows were listed in.
     ///
     /// Region-pair pruning: for two distinct regions `P`, `Q`, all member
     /// labels share the regions' fork labels as prefixes, so
@@ -199,48 +209,79 @@ impl Structure {
     pub fn extend(
         &mut self,
         regions: &HashMap<u64, sword_trace::RegionRecord>,
-        rows: impl IntoIterator<Item = (ThreadId, MetaRecord)>,
+        rows: &[(ThreadId, Vec<MetaRecord>)],
     ) -> io::Result<()> {
         for group in self.touched.drain(..) {
-            self.marks[group] = self.groups[group].members.len();
+            let group = &mut self.groups[group];
+            group.mark = group.members.len() as u32;
         }
         self.tasks.clear();
-        let mut fresh = rows
-            .into_iter()
-            .map(|(tid, meta)| {
-                let label = full_label_from(regions, &meta)?;
-                Ok(Interval { tid, meta, label })
-            })
-            .collect::<io::Result<Vec<Interval>>>()?;
-        // Deterministic whatever order the rows were listed in; it also
-        // leaves `touched` and `new_regions` sorted by region.
-        fresh.sort_by_key(|iv| (iv.meta.pid, iv.meta.bid, iv.tid, iv.meta.data_begin));
+        for (_, row) in each_row(rows) {
+            region_of(regions, row.pid)?;
+        }
 
-        let mut new_regions: Vec<u64> = Vec::new();
-        for interval in fresh {
-            let (pid, bid) = (interval.meta.pid, interval.meta.bid);
-            let group = match self.group_index.get(&(pid, bid)) {
-                Some(&group) => group,
-                None => {
-                    let group = self.groups.len();
-                    let of_region = self.region_groups.entry(pid).or_default();
-                    if of_region.is_empty() {
-                        self.regions.insert(pid, &fork_label_from(regions, pid)?);
-                        new_regions.push(pid);
-                    }
-                    of_region.push(group);
-                    self.group_index.insert((pid, bid), group);
-                    self.groups.push(Group { pid, bid, members: Vec::new() });
-                    self.marks.push(0);
-                    self.positions.push(u64::MAX);
-                    group
-                }
-            };
-            if self.groups[group].members.len() == self.marks[group] {
+        // Open and count: `mark` runs ahead of `members.len()` by the
+        // round's rows of the group until the members are reserved.
+        let before = self.groups.len();
+        for (_, row) in each_row(rows) {
+            let next = self.groups.len();
+            let group = *self.group_index.entry((row.pid, row.bid)).or_insert(next);
+            if group == next {
+                self.groups.push(Group {
+                    pid: row.pid,
+                    bid: row.bid,
+                    mark: 0,
+                    members: Vec::new(),
+                });
+            }
+            let group_ref = &mut self.groups[group];
+            if group < before && group_ref.mark as usize == group_ref.members.len() {
                 self.touched.push(group);
             }
-            self.positions[group] = self.positions[group].min(interval.meta.data_begin);
-            self.groups[group].members.push(interval);
+            group_ref.mark += 1;
+        }
+        // Number the new groups in `(pid, bid)` order; each region's new
+        // groups are then one run.
+        self.groups[before..].sort_unstable_by_key(|g| (g.pid, g.bid));
+        self.positions.resize(self.groups.len(), u64::MAX);
+        let mut run = before;
+        while run < self.groups.len() {
+            let pid = self.groups[run].pid;
+            let end = run + self.groups[run..].iter().take_while(|g| g.pid == pid).count();
+            let of_region = match self.region_groups.entry(pid) {
+                Entry::Occupied(of_region) => of_region.into_mut(),
+                Entry::Vacant(of_region) => {
+                    self.regions.insert(pid, &region_of(regions, pid)?.fork_label());
+                    of_region.insert(Vec::new())
+                }
+            };
+            of_region.reserve_exact(end - run);
+            for group in run..end {
+                let g = &self.groups[group];
+                self.group_index.insert((g.pid, g.bid), group);
+                of_region.push(group);
+            }
+            run = end;
+        }
+        self.touched.extend(before..self.groups.len());
+        let groups = &mut self.groups;
+        self.touched.sort_unstable_by_key(|&group| (groups[group].pid, groups[group].bid));
+        for &group in &self.touched {
+            let group = &mut groups[group];
+            let fresh = group.mark as usize - group.members.len();
+            group.members.reserve_exact(fresh);
+            group.mark = group.members.len() as u32;
+        }
+
+        // File.
+        for (tid, row) in each_row(rows) {
+            let group = self.group_index[&(row.pid, row.bid)];
+            self.positions[group] = self.positions[group].min(row.data_begin);
+            groups[group].members.push(Interval { tid, meta: row.clone() });
+        }
+        for &group in &self.touched {
+            let group = &mut groups[group];
+            group.members[group.mark as usize..].sort_by_key(|m| (m.tid, m.meta.data_begin));
         }
 
         // Members of one (pid, bid) are concurrent whenever the group has
@@ -251,20 +292,28 @@ impl Structure {
             .filter(|&&group| self.groups[group].members.len() > 1)
             .map(|&group| Task::Intra { group })
             .collect();
-        let touched = |group: usize| self.groups[group].members.len() > self.marks[group];
-        let mut touched_regions: Vec<u64> =
-            self.touched.iter().map(|&group| self.groups[group].pid).collect();
-        touched_regions.dedup();
-        for &p in &touched_regions {
-            let p_new = new_regions.binary_search(&p).is_ok();
+        let touched = |group: usize| {
+            let group = &self.groups[group];
+            group.members.len() > group.mark as usize
+        };
+        // A region is new when its first group is; touched when any is.
+        let new_region = |pid: u64| self.region_groups[&pid][0] >= before;
+        let touched_region = |pid: u64| self.region_groups[&pid].iter().any(|&g| touched(g));
+        let mut last = None;
+        for &group in &self.touched {
+            let p = self.groups[group].pid;
+            if last.replace(p) == Some(p) {
+                continue;
+            }
+            let p_new = new_region(p);
             for (q, all_concurrent) in self.regions.partners(p) {
                 // A region pair is considered when its later region is
                 // indexed (by the lower pid when both are new).
-                if p_new && (p < q || new_regions.binary_search(&q).is_err()) {
+                if p_new && (p < q || !new_region(q)) {
                     self.region_pairs_considered += 1;
                 }
                 // Two touched regions meet once, from the lower pid.
-                if q < p && touched_regions.binary_search(&q).is_ok() {
+                if q < p && touched_region(q) {
                     continue;
                 }
                 for &a in &self.region_groups[&p.min(q)] {
@@ -289,15 +338,16 @@ impl Structure {
     pub(crate) fn owed(&self, task: &Task) -> Vec<(&Interval, &Interval)> {
         match *task {
             Task::Intra { group } => {
-                let members = &self.groups[group].members;
-                (self.marks[group]..members.len())
+                let group = &self.groups[group];
+                let members = &group.members;
+                (group.mark as usize..members.len())
                     .flat_map(|j| members[..j].iter().map(move |ma| (ma, &members[j])))
                     .collect()
             }
             Task::Cross { a, b, .. } => {
-                let (ga, gb) = (&self.groups[a].members, &self.groups[b].members);
-                let (old_a, new_a) = ga.split_at(self.marks[a]);
-                let new_b = &gb[self.marks[b]..];
+                let (ga, gb) = (&self.groups[a], &self.groups[b]);
+                let (old_a, new_a) = ga.members.split_at(ga.mark as usize);
+                let (gb, new_b) = (&gb.members, &gb.members[gb.mark as usize..]);
                 let new_side = new_a.iter().flat_map(|ma| gb.iter().map(move |mb| (ma, mb)));
                 let old_side = old_a.iter().flat_map(|ma| new_b.iter().map(move |mb| (ma, mb)));
                 new_side.chain(old_side).collect()
@@ -307,7 +357,10 @@ impl Structure {
 
     /// Log bytes of the intervals the latest round filed.
     pub(crate) fn fresh_bytes(&self) -> u64 {
-        let fresh = |&group: &usize| &self.groups[group].members[self.marks[group]..];
+        let fresh = |&group: &usize| {
+            let group = &self.groups[group];
+            &group.members[group.mark as usize..]
+        };
         self.touched.iter().flat_map(fresh).map(|m| m.meta.size).sum()
     }
 
@@ -322,20 +375,48 @@ impl Structure {
     /// created a group of it), so a sum over rounds counts each task once.
     pub(crate) fn first_round_of(&self, task: &Task) -> bool {
         match *task {
-            Task::Intra { group } => self.marks[group] < 2,
-            Task::Cross { a, b, .. } => self.marks[a] == 0 || self.marks[b] == 0,
+            Task::Intra { group } => self.groups[group].mark < 2,
+            Task::Cross { a, b, .. } => self.groups[a].mark == 0 || self.groups[b].mark == 0,
         }
     }
 }
 
 /// Decides whether two intervals may race, per the barrier-aware
-/// offset-span rule. Used for `Cross { all_concurrent: false }` member
-/// pairs (and directly by tests).
-pub fn intervals_concurrent(a: &Interval, b: &Interval) -> bool {
+/// offset-span rule on their full labels (read in place from `regions`,
+/// never built).
+pub fn intervals_concurrent(
+    regions: &HashMap<u64, sword_trace::RegionRecord>,
+    a: &Interval,
+    b: &Interval,
+) -> io::Result<bool> {
     if a.tid == b.tid {
-        return false;
+        return Ok(false);
     }
-    a.label.compare_barrier_aware(&b.label) == OslOrdering::Concurrent
+    let fork = |row: &MetaRecord| region_of(regions, row.pid).map(|r| &r.fork_label[..]);
+    Ok(labels_concurrent(fork(&a.meta)?, a, fork(&b.meta)?, b))
+}
+
+/// [`intervals_concurrent`] for intervals of the regions whose flat fork
+/// labels are `fa` and `fb` (or what [`unshared`] leaves of them): each
+/// full label is that fork label followed by the row's own `(offset,
+/// span)`, compared pair by pair in place.
+pub(crate) fn labels_concurrent(fa: &[u64], a: &Interval, fb: &[u64], b: &Interval) -> bool {
+    fn chain<'f>(fork: &'f [u64], row: &MetaRecord) -> impl Iterator<Item = Pair> + 'f {
+        let own = Pair::new(row.offset, row.span);
+        fork.chunks_exact(2).map(|pair| Pair::new(pair[0], pair[1])).chain([own])
+    }
+    a.tid != b.tid
+        && compare_chains_barrier_aware(chain(fa, &a.meta), chain(fb, &b.meta))
+            == OslOrdering::Concurrent
+}
+
+/// Two flat fork labels without the leading pairs they share: the labels
+/// that extend them compare as they would whole, so a task comparing
+/// many member pairs under the same two forks skips the shared prefix
+/// once.
+pub(crate) fn unshared<'f>(fa: &'f [u64], fb: &'f [u64]) -> (&'f [u64], &'f [u64]) {
+    let shared = fa.chunks_exact(2).zip(fb.chunks_exact(2)).take_while(|(x, y)| x == y).count();
+    (&fa[2 * shared..], &fb[2 * shared..])
 }
 
 /// `true` when `row` is an explicit task's body interval: the single row
@@ -578,11 +659,11 @@ mod tests {
         let outer1 = outer_group.members.iter().find(|m| m.tid == 1).unwrap();
         let inner0 = &inner_group.members[0];
         assert!(
-            !intervals_concurrent(outer0, inner0),
+            !intervals_concurrent(&s.regions, outer0, inner0).unwrap(),
             "forker's interval is ordered against its nested region"
         );
         assert!(
-            intervals_concurrent(outer1, inner0),
+            intervals_concurrent(&s.regions, outer1, inner0).unwrap(),
             "sibling outer thread races with the nested region"
         );
     }
@@ -624,23 +705,67 @@ mod tests {
         let row = |pid| Interval {
             tid: pid as ThreadId,
             meta: meta_row(pid, None, 0, 1, sword_osl::TASK_SPAN, 1),
-            label: Label::empty(),
         };
         assert!(dep_ordered(&regions, &row(0), &row(N - 1)), "either direction orders the pair");
     }
 
     #[test]
     fn same_tid_never_concurrent() {
-        let a = Interval {
-            tid: 3,
-            meta: meta_row(0, None, 0, 0, 2, 1),
-            label: Label::from_chain([(0, 1), (0, 2)]),
+        let region = |pid| RegionRecord {
+            pid,
+            ppid: None,
+            level: 1,
+            span: 2,
+            fork_label: vec![0, 1],
+            deps: vec![],
         };
-        let b = Interval {
-            tid: 3,
-            meta: meta_row(1, None, 0, 1, 2, 1),
-            label: Label::from_chain([(0, 1), (1, 2)]),
+        let regions: HashMap<u64, RegionRecord> = (0..2).map(|pid| (pid, region(pid))).collect();
+        let a = Interval { tid: 3, meta: meta_row(0, None, 0, 0, 2, 1) };
+        let b = Interval { tid: 3, meta: meta_row(1, None, 0, 1, 2, 1) };
+        assert!(!intervals_concurrent(&regions, &a, &b).unwrap());
+        let b = Interval { tid: 4, ..b };
+        assert!(intervals_concurrent(&regions, &a, &b).unwrap(), "[0,1][0,2] ∥ [0,1][1,2]");
+    }
+
+    #[test]
+    fn labels_compared_in_place_agree_with_built_labels() {
+        // Fork labels of a nesting: a root region, regions it forks
+        // nested at two slots and two barrier generations, and a task
+        // pseudo-region, paired with every row pair of every span.
+        let forks: [&[u64]; 6] = [
+            &[0, 1],
+            &[0, 1, 0, 4, 0, 1],
+            &[0, 1, 1, 4, 0, 1],
+            &[0, 1, 5, 4, 0, 1],
+            &[0, 1, 0, 4, 1, 1],
+            &[0, 1, 0, 4, 0, 1, 1, 2, 0, 1],
+        ];
+        let own = [(0, 4), (1, 4), (4, 4), (0, 2), (1, 2), (2, 2), (1, sword_osl::TASK_SPAN)];
+        let region = |pid: usize| RegionRecord {
+            pid: pid as u64,
+            ppid: None,
+            level: 1,
+            span: 2,
+            fork_label: forks[pid].to_vec(),
+            deps: vec![],
         };
-        assert!(!intervals_concurrent(&a, &b));
+        let regions: HashMap<u64, RegionRecord> =
+            (0..forks.len()).map(|pid| (pid as u64, region(pid))).collect();
+        let mut concurrent = 0;
+        for (pa, pb) in (0..forks.len()).flat_map(|a| (0..forks.len()).map(move |b| (a, b))) {
+            for (&(oa, sa), &(ob, sb)) in own.iter().flat_map(|x| own.iter().map(move |y| (x, y))) {
+                let a = Interval { tid: 1, meta: meta_row(pa as u64, None, 0, oa, sa, 1) };
+                let b = Interval { tid: 2, meta: meta_row(pb as u64, None, 0, ob, sb, 1) };
+                let (la, lb) =
+                    (full_label_from(&regions, &a.meta), full_label_from(&regions, &b.meta));
+                let built =
+                    la.unwrap().compare_barrier_aware(&lb.unwrap()) == OslOrdering::Concurrent;
+                let (fa, fb) = unshared(forks[pa], forks[pb]);
+                assert_eq!(intervals_concurrent(&regions, &a, &b).unwrap(), built, "{pa}/{pb}");
+                assert_eq!(labels_concurrent(fa, &a, fb, &b), built, "{pa}/{pb} unshared");
+                concurrent += built as usize;
+            }
+        }
+        assert!(concurrent > 0 && concurrent < forks.len().pow(2) * own.len().pow(2));
     }
 }

@@ -143,11 +143,7 @@ impl LiveAnalyzer {
         self.load_pcs()?;
 
         let tree_pairs_before = self.core.stats.tree_pairs;
-        let rows = session_delta
-            .new_rows
-            .into_iter()
-            .flat_map(|(tid, rows)| rows.into_iter().map(move |row| (tid, row)));
-        let new_races = self.core.round(&self.regions, rows)?;
+        let new_races = self.core.round(&self.regions, &session_delta.new_rows)?;
         let delta = PollDelta {
             new_intervals,
             new_regions,

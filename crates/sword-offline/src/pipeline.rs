@@ -63,7 +63,9 @@ use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir, SourceStats, Th
 
 use crate::analyze::{finalize_races, AnalysisConfig, AnalysisResult, AnalysisStats};
 use crate::build::{BiTree, ReaderPool, TaskTrees, DEFAULT_CHUNK_BYTES, OPEN_LOGS_BUDGET};
-use crate::intervals::{dep_ordered, intervals_concurrent, Interval, Structure, Task};
+use crate::intervals::{
+    dep_ordered, labels_concurrent, region_of, unshared, Interval, Structure, Task,
+};
 use crate::race::{check_pair, Race, RaceSet};
 use crate::stages::{close_span, nanos, Rows, Stage};
 use crate::verdicts::VerdictCache;
@@ -448,10 +450,9 @@ impl Core {
     pub(crate) fn round(
         &mut self,
         regions: &HashMap<u64, RegionRecord>,
-        rows: impl IntoIterator<Item = (ThreadId, MetaRecord)>,
+        rows: &[(ThreadId, Vec<MetaRecord>)],
     ) -> io::Result<Vec<Race>> {
-        let mut rows = rows.into_iter().peekable();
-        if rows.peek().is_none() {
+        if rows.iter().all(|(_, rows)| rows.is_empty()) {
             return Ok(Vec::new());
         }
 
@@ -497,7 +498,7 @@ impl Core {
             if builds >= most {
                 break;
             }
-            builds += owing(structure, regions, task).1.len();
+            builds += owing(structure, regions, task)?.1.len();
         }
         let threads = if tasks.is_empty() { 0 } else { most.min(builds.max(1)) };
         let deques: Vec<Mutex<VecDeque<Task>>> = {
@@ -730,7 +731,10 @@ impl<'a> Round<'a> {
     /// handed on (`None`).
     fn start(&self, task: &Task, ctx: &mut WorkerCtx, stats: &mut WorkerStats) -> Option<Done> {
         let t0 = Instant::now();
-        let (pairs, owing) = owing(self.structure, self.regions, task);
+        let (pairs, owing) = match owing(self.structure, self.regions, task) {
+            Ok(owing) => owing,
+            Err(e) => return Some(Done { result: Err(e), secs: t0.elapsed().as_secs_f64() }),
+        };
         let shared = self.threads > 1
             && owing.len() >= 2
             && owing.iter().map(|m| m.meta.size).sum::<u64>() >= BYTES_PER_STARTED_THREAD;
@@ -806,7 +810,7 @@ impl<'a> Round<'a> {
             .and_then(|()| {
                 owing.iter().try_for_each(|m| trees.build(self.dir, m, &mut ctx.pool, stats))
             })
-            .map(|()| self.compare(&pairs, &trees, ctx, &mut races, stats));
+            .and_then(|()| self.compare(&pairs, &trees, ctx, &mut races, stats));
         Done { result: result.map(|()| races), secs: secs + t0.elapsed().as_secs_f64() }
     }
 
@@ -818,7 +822,7 @@ impl<'a> Round<'a> {
         ctx: &mut WorkerCtx,
         races: &mut RaceSet,
         stats: &mut WorkerStats,
-    ) {
+    ) -> io::Result<()> {
         let t0 = Instant::now();
         for &(ma, mb) in pairs {
             let tree = |m| trees.get(m).expect("a task holds every tree its pairs name");
@@ -827,14 +831,19 @@ impl<'a> Round<'a> {
                 continue;
             }
             stats.tree_pairs += 1;
-            let pair_stats = check_pair(ta, ma, tb, mb, self.rows, races, ctx.sites.as_mut());
+            let sites = ctx.sites.as_mut();
+            let pair_stats = check_pair(self.regions, (ta, ma), (tb, mb), self.rows, races, sites)?;
             stats.candidates += pair_stats.candidates;
             stats.solver_calls += pair_stats.solver_calls;
             stats.prescreened += pair_stats.prescreened;
         }
         stats.compare_secs += t0.elapsed().as_secs_f64();
+        Ok(())
     }
 }
+
+/// A task's member pairs that can race, and the members they name.
+type Owing<'s> = (Vec<(&'s Interval, &'s Interval)>, Vec<&'s Interval>);
 
 /// The member pairs `task` owes that can race, and the members they name
 /// in file-position order: the trees the task needs. Dropped are pairs
@@ -847,22 +856,31 @@ fn owing<'s>(
     structure: &'s Structure,
     regions: &HashMap<u64, RegionRecord>,
     task: &Task,
-) -> (Vec<(&'s Interval, &'s Interval)>, Vec<&'s Interval>) {
+) -> io::Result<Owing<'s>> {
+    // A cross task whose regions are prefix-related compares each pair's
+    // full labels, read in place from the two regions' fork labels (looked
+    // up, and their shared prefix skipped, once per task; `owed` names
+    // group `a`'s member first).
+    let fork = |group: usize| region_of(regions, structure.groups[group].pid);
     let cross = match *task {
         Task::Intra { .. } => None,
-        Task::Cross { all_concurrent, .. } => Some(all_concurrent),
+        Task::Cross { all_concurrent: true, .. } => Some(None),
+        Task::Cross { a, b, all_concurrent: false } => {
+            Some(Some(unshared(&fork(a)?.fork_label, &fork(b)?.fork_label)))
+        }
     };
     let mut pairs = structure.owed(task);
     pairs.retain(|(ma, mb)| {
         ma.meta.size > 0
             && mb.meta.size > 0
             && ma.tid != mb.tid
-            && cross.is_none_or(|all_concurrent| {
-                (all_concurrent || intervals_concurrent(ma, mb)) && !dep_ordered(regions, ma, mb)
+            && cross.is_none_or(|forks| {
+                forks.is_none_or(|(fa, fb)| labels_concurrent(fa, ma, fb, mb))
+                    && !dep_ordered(regions, ma, mb)
             })
     });
     let mut members: Vec<&Interval> = pairs.iter().flat_map(|&(ma, mb)| [ma, mb]).collect();
     members.sort_by_key(|m| (m.meta.data_begin, m.tid));
     members.dedup_by_key(|m| (m.tid, m.meta.data_begin));
-    (pairs, members)
+    Ok((pairs, members))
 }

@@ -2,16 +2,17 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::io;
 use std::time::Instant;
 
 use sword_itree::for_each_candidate_pair_fp;
 use sword_obs::SiteCounters;
-use sword_osl::explain_concurrency;
+use sword_osl::{explain_concurrency, Label};
 use sword_solver::{congruence_admissible, solve_tiered, OverlapWitness, StridedInterval, Tier};
-use sword_trace::{AccessKind, PcId, PcTable, ThreadId};
+use sword_trace::{AccessKind, PcId, PcTable, RegionRecord, ThreadId};
 
 use crate::build::{AccessMeta, BiTree};
-use crate::intervals::Interval;
+use crate::intervals::{full_label_from, Interval};
 use crate::stages::Rows;
 
 /// Dedup key: the unordered pair of source locations, which is how the
@@ -360,8 +361,9 @@ fn side_key(
 /// nondeterministic reduction order) and live (ingest order) analysis
 /// produce byte-identical evidence.
 ///
-/// `ca`/`cb` carry each tree's barrier-interval provenance (labels, log
-/// byte ranges) into the evidence record.
+/// `ca`/`cb` carry each tree's barrier-interval provenance (log byte
+/// ranges, and the labels derived from `regions` once the pair has a
+/// solve to make) into the evidence record.
 ///
 /// `rows`, when present (`--obs`), count the deciding funnel tier of
 /// each solve and each prescreened pair, and receive the latency of
@@ -376,18 +378,17 @@ fn side_key(
 /// Every pair that survives the screens is one `solve_tiered` call, and
 /// `solver_calls` counts them.
 pub(crate) fn check_pair(
-    a: &BiTree,
-    ca: &Interval,
-    b: &BiTree,
-    cb: &Interval,
+    regions: &HashMap<u64, RegionRecord>,
+    (a, ca): (&BiTree, &Interval),
+    (b, cb): (&BiTree, &Interval),
     rows: Option<&Rows>,
     races: &mut RaceSet,
     sites: Option<&mut SiteCounters>,
-) -> PairStats {
+) -> io::Result<PairStats> {
     let mut stats = PairStats::default();
     let mut sites = sites;
     if !writes_reach(a, b) {
-        return stats;
+        return Ok(stats);
     }
     let mut pending: Vec<PendingSolve> = Vec::new();
     for_each_candidate_pair_fp(&a.tree, &b.tree, |ia, fa, ma, ib, fb, mb| {
@@ -423,13 +424,18 @@ pub(crate) fn check_pair(
     // tier dispatch in the solve loop is branch-predictable. The sort is
     // result-neutral — race dedup ranks are order-independent.
     pending.sort_by_key(|p| (p.i0.stride, p.i0.size, p.i1.stride, p.i1.size));
+    if pending.is_empty() {
+        return Ok(stats);
+    }
+    let (la, lb) = (full_label_from(regions, &ca.meta)?, full_label_from(regions, &cb.meta)?);
     // The reported region is derived from the intervals themselves (not
     // caller bookkeeping, which differs between batch group enumeration
     // and live ingest order): the smaller region id of the two sides.
     let region = ca.meta.pid.min(cb.meta.pid);
     for p in &pending {
         let (i0, m0, i1, m1) = (&p.i0, &p.m0, &p.i1, &p.m1);
-        let (c0, c1) = if p.zero_is_a { (ca, cb) } else { (cb, ca) };
+        let ((c0, l0), (c1, l1)) =
+            if p.zero_is_a { ((ca, &la), (cb, &lb)) } else { ((cb, &lb), (ca, &la)) };
         stats.solver_calls += 1;
         if let Some(s) = sites.as_deref_mut() {
             s.solve(m0.pc, m1.pc);
@@ -448,14 +454,18 @@ pub(crate) fn check_pair(
             // Keep kinds aligned with the key's (lo, hi) order.
             let (kind_a, kind_b) =
                 if m0.pc <= m1.pc { (m0.kind(), m1.kind()) } else { (m1.kind(), m0.kind()) };
-            let site = |iv: &StridedInterval, meta: &AccessMeta, ctx: &Interval, x: u64, s: u64| {
+            let site = |iv: &StridedInterval,
+                        meta: &AccessMeta,
+                        (ctx, label): (&Interval, &Label),
+                        x: u64,
+                        s: u64| {
                 AccessSite {
                     pc: meta.pc,
                     kind: meta.kind(),
                     tid: ctx.tid,
                     pid: ctx.meta.pid,
                     bid: ctx.meta.bid,
-                    label: ctx.label.to_string(),
+                    label: label.to_string(),
                     interval: *iv,
                     log_begin: ctx.meta.data_begin,
                     log_end: ctx.meta.data_begin + ctx.meta.size,
@@ -472,15 +482,15 @@ pub(crate) fn check_pair(
                 region,
                 occurrences: 1,
                 evidence: Evidence {
-                    a: site(i0, m0, c0, w.x0, w.s0),
-                    b: site(i1, m1, c1, w.x1, w.s1),
-                    concurrency: explain_concurrency(&c0.label, &c1.label),
+                    a: site(i0, m0, (c0, l0), w.x0, w.s0),
+                    b: site(i1, m1, (c1, l1), w.x1, w.s1),
+                    concurrency: explain_concurrency(l0, l1),
                     witness: w,
                 },
             });
         }
     }
-    stats
+    Ok(stats)
 }
 
 /// The bounding-box reject of [`check_pair`]: `false` when neither tree's
@@ -525,7 +535,6 @@ pub(crate) fn test_evidence(pc_a: PcId, pc_b: PcId, addr: u64) -> Evidence {
 mod tests {
     use super::*;
     use sword_itree::SummarizingBuilder;
-    use sword_osl::Label;
     use sword_trace::MetaRecord;
 
     /// A tree of exactly `nodes`, each folded from its accesses under a
@@ -563,8 +572,21 @@ mod tests {
                 data_begin: tid as u64 * 1000,
                 size: 100,
             },
-            label: Label::root().fork(tid as u64, 8),
         }
+    }
+
+    /// The region table [`ctx_of`]'s intervals name: one top-level
+    /// region forked at `[0,1]`.
+    fn ctx_regions() -> HashMap<u64, RegionRecord> {
+        let region = RegionRecord {
+            pid: 0,
+            ppid: None,
+            level: 1,
+            span: 8,
+            fork_label: vec![0, 1],
+            deps: vec![],
+        };
+        HashMap::from([(0, region)])
     }
 
     fn meta(kind: AccessKind, pc: PcId, mset: u32) -> AccessMeta {
@@ -588,7 +610,7 @@ mod tests {
         races: &mut RaceSet,
         sites: Option<&mut SiteCounters>,
     ) -> PairStats {
-        check_pair(a, ca, b, cb, None, races, sites)
+        check_pair(&ctx_regions(), (a, ca), (b, cb), None, races, sites).unwrap()
     }
 
     #[test]
@@ -599,7 +621,10 @@ mod tests {
             tree_of(1, &[(StridedInterval::new(0x100, 8, 99, 8), meta(AccessKind::Read, 2, 0))]);
         let mut races = RaceSet::new();
         let rows = Rows::new(&sword_obs::Registry::new());
-        let stats = check_pair(&a, &ctx_of(0), &b, &ctx_of(1), Some(&rows), &mut races, None);
+        let regions = ctx_regions();
+        let stats =
+            check_pair(&regions, (&a, &ctx_of(0)), (&b, &ctx_of(1)), Some(&rows), &mut races, None)
+                .unwrap();
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.solver_calls, 1);
         assert_eq!(rows.call_nanos.count(), 1, "each exact solve records one latency sample");
@@ -698,12 +723,14 @@ mod tests {
             tree_of(tid, &nodes)
         };
         let (a, b, ca, cb) = (tree(0), tree(1), ctx_of(0), ctx_of(1));
+        let regions = ctx_regions();
         let mut races = RaceSet::new();
         let mut sites = SiteCounters::new();
         let mut pair = |attribute: bool| {
             let sites = if attribute { Some(&mut sites) } else { None };
             let t0 = Instant::now();
-            let candidates = check_pair(&a, &ca, &b, &cb, None, &mut races, sites).candidates;
+            let stats = check_pair(&regions, (&a, &ca), (&b, &cb), None, &mut races, sites);
+            let candidates = stats.unwrap().candidates;
             (t0.elapsed().as_secs_f64(), std::hint::black_box(candidates))
         };
         // Warm the code paths and the accumulator's slots.
@@ -809,7 +836,10 @@ mod tests {
         let mut races = RaceSet::new();
         let reg = sword_obs::Registry::new();
         let rows = Rows::new(&reg);
-        let stats = check_pair(&a, &ctx_of(0), &b, &ctx_of(1), Some(&rows), &mut races, None);
+        let regions = ctx_regions();
+        let stats =
+            check_pair(&regions, (&a, &ctx_of(0)), (&b, &ctx_of(1)), Some(&rows), &mut races, None)
+                .unwrap();
         assert_eq!(stats.candidates, 1);
         assert_eq!(stats.solver_calls, 0, "the prescreen retired the pair");
         assert_eq!(stats.prescreened, 1);

@@ -8,7 +8,7 @@ use sword_osl::{Label, Ordering, TASK_SPAN};
 use sword_trace::{MetaRecord, PcTable, RegionRecord, SessionDir};
 
 use super::RegionIndex;
-use crate::intervals::{build_structure_with, session_rows, Group, Structure, Task};
+use crate::intervals::{build_structure_with, Group, Structure, Task};
 use crate::load::LoadedSession;
 use crate::verdicts::VerdictCache;
 
@@ -181,7 +181,8 @@ fn owed_over_rounds(
     let mut structure = Structure::new(&VerdictCache::default());
     let (mut pairs, mut tasks) = (Vec::new(), 0);
     for rows in rounds {
-        structure.extend(&session.regions, rows).unwrap();
+        let rows: Vec<_> = rows.into_iter().map(|(tid, row)| (tid, vec![row])).collect();
+        structure.extend(&session.regions, &rows).unwrap();
         for task in &structure.tasks {
             tasks += structure.first_round_of(task) as usize;
             pairs.extend(structure.owed(task).into_iter().map(|(a, b)| {
@@ -205,7 +206,11 @@ proptest! {
     ) {
         let shape = |p| (1 + ((p + seed) % 3) as u64, 1 + ((p * seed) % 2) as u32);
         let session = session_of(&forks, shape);
-        let rows: Vec<_> = session_rows(&session).collect();
+        let rows: Vec<_> = session
+            .threads
+            .iter()
+            .flat_map(|(tid, rows)| rows.iter().map(|row| (*tid, row.clone())))
+            .collect();
         let (want, want_tasks, one) = owed_over_rounds(&session, vec![rows.clone()]);
         prop_assert_eq!(want_tasks, one.tasks.len(), "one round: every task is in its first");
 

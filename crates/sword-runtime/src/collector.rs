@@ -311,9 +311,14 @@ const RUN_ACCESSES: usize = 64;
 /// Fixed per-thread bookkeeping counted into the memory bound: both
 /// halves of the state, the lane that carries one of them, and the run
 /// the runtime holds back on the collector's behalf. The event buffers
-/// are pool-owned and counted there. Meta rows are excluded by design —
-/// they are O(regions), spilled with the logs in a production setting;
-/// the paper's bound covers the event path.
+/// are pool-owned and counted there. Three costs are left out, so the
+/// figure stays the paper's `N × (B + C)` model of the event path:
+///
+/// * meta rows — O(regions), spilled with the logs in a production
+///   setting;
+/// * each compression worker's LZ hash table, 2¹⁵ `u32` entries =
+///   128 KiB (`Compressor`), whatever the thread count;
+/// * the writer's 8 KiB `BufWriter` per log file, one per thread.
 const THREAD_BOOKKEEPING_BYTES: u64 = (std::mem::size_of::<ThreadLog>()
     + std::mem::size_of::<Lane>()
     + RUN_ACCESSES * std::mem::size_of::<MemAccess>()) as u64;
